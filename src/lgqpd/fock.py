@@ -58,7 +58,7 @@ def _psi_overlap_matrix(lo: float, hi: float, dim: int) -> np.ndarray:
         return np.zeros((dim, dim))
     width = min(0.5, 8.0 / math.sqrt(2.0 * (dim - 1) + 1.0))
     rule = composite_gauss_legendre(lo, hi, panel_width=width, order=16)
-    psi, _ = psi_rows(rule.nodes, dim - 1)
+    psi = psi_rows(rule.nodes, dim - 1)
     return (psi * rule.weights) @ psi.T
 
 

@@ -4,8 +4,14 @@
 m != n it has a closed Wronskian form through the eigenvalue difference
 (n - m); on the diagonal it is computed by composite Gauss-Legendre
 quadrature, truncated where the Gaussian envelope of ``psi_n**2`` is
-negligible.  Half-line tables at a fixed lower cut are cached because scans
-re-query the same cut for many time arguments.
+negligible.
+
+The Wronskian needs no derivative rows: with psi_n' = sqrt(2n) psi_{n-1} -
+x psi_n the x psi_m psi_n terms cancel, leaving
+
+    (psi_n' psi_m - psi_m' psi_n)(x) = sqrt(2n) psi_{n-1} psi_m - sqrt(2m) psi_{m-1} psi_n,
+
+and for m = 0 simply sqrt(2n) psi_0 psi_{n-1}.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as _sp
 
 from .errors import ResourceLimitError
 from .special import N_MAX, composite_gauss_legendre, erf_real, psi_rows
@@ -44,7 +51,7 @@ def j_diag_row(x: float, n_max: int) -> np.ndarray:
     if lo >= supp:
         return np.zeros(n_max + 1)
     rule = _diag_rule(lo, supp, n_max)
-    psi, _ = psi_rows(rule.nodes, n_max)
+    psi = psi_rows(rule.nodes, n_max)
     return (psi * psi) @ rule.weights
 
 
@@ -77,39 +84,45 @@ def _boundary_term(m: int, n: int, x: float) -> float:
     # [psi'_m(x) psi_n(x) - psi'_n(x) psi_m(x)] / (2 (n - m))
     if math.isinf(x):
         return 0.0
-    k = max(m, n)
-    psi, dpsi = psi_rows(np.asarray(float(x)), k)
-    return float((dpsi[m] * psi[n] - dpsi[n] * psi[m]) / (2.0 * (n - m)))
+    psi = psi_rows(float(x), max(m, n))
+    lower = _lowered(psi)
+    return float((lower[m] * psi[n] - lower[n] * psi[m]) / (2.0 * (n - m)))
+
+
+def _lowered(psi: np.ndarray) -> np.ndarray:
+    """sqrt(2k) psi_{k-1} for k = 0..len(psi)-1 (zero at k = 0), so that
+    psi_k' = lowered[k] - x psi_k."""
+    lower = np.zeros_like(psi)
+    lower[1:] = np.sqrt(2.0 * np.arange(1, psi.shape[0])) * psi[:-1]
+    return lower
 
 
 def j_row(cut: float, n_max: int) -> np.ndarray:
     """Half-line row J_0n(cut, inf) for n = 0..n_max.
 
-    The n = 0 entry is the exact (1 - erf(cut))/2; the rest use the Wronskian
-    form, vectorized over n.  ``cut`` may be an array, in which case the
-    result has shape (n_max + 1,) + cut.shape.
+    The n = 0 entry is the exact (1 - erf(cut))/2; the rest are the Wronskian
+    form psi_0 psi_{n-1} / sqrt(2n), vectorized over n.  ``cut`` may be an
+    array, in which case the result has shape (n_max + 1,) + cut.shape.
     """
     cut_arr = np.asarray(cut, dtype=float)
-    psi, dpsi = psi_rows(cut_arr, n_max)
+    psi = psi_rows(cut_arr, n_max)
     out = np.empty_like(psi)
-    from scipy.special import erf as _erf
-
-    out[0] = 0.5 * (1.0 - _erf(cut_arr))
+    out[0] = 0.5 * (1.0 - _sp.erf(cut_arr))
     if n_max >= 1:
         n = np.arange(1, n_max + 1).reshape((-1,) + (1,) * cut_arr.ndim)
-        out[1:] = (dpsi[1:] * psi[0] - dpsi[0] * psi[1:]) / (2.0 * n)
+        out[1:] = psi[0] * psi[:-1] / np.sqrt(2.0 * n)
     return out
 
 
 def j_block(cut: float, m_max: int, n_max: int) -> np.ndarray:
     """Half-line block J_mn(cut, inf) for 0 <= m <= m_max, 0 <= n <= n_max."""
-    k = max(m_max, n_max)
-    psi, dpsi = psi_rows(np.asarray(float(cut)), k)
+    psi = psi_rows(float(cut), max(m_max, n_max))
+    lower = _lowered(psi)
     m = np.arange(m_max + 1)[:, None]
     n = np.arange(n_max + 1)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        block = (dpsi[None, :n_max + 1] * psi[:m_max + 1, None]
-                 - dpsi[:m_max + 1, None] * psi[None, :n_max + 1]) / (2.0 * (n - m))
+        block = (lower[None, :n_max + 1] * psi[:m_max + 1, None]
+                 - lower[:m_max + 1, None] * psi[None, :n_max + 1]) / (2.0 * (n - m))
     diag = j_diag_row(float(cut), min(m_max, n_max))
     idx = np.arange(min(m_max, n_max) + 1)
     block[idx, idx] = diag

@@ -185,7 +185,7 @@ def _psi_sq_weights(intervals, m_max: int) -> np.ndarray:
         if lo >= hi:
             continue
         rule = composite_gauss_legendre(lo, hi, panel_width=width, order=16)
-        psi, _ = psi_rows(rule.nodes, m_max)
+        psi = psi_rows(rule.nodes, m_max)
         out += (psi * psi) @ rule.weights
     return out
 
@@ -217,12 +217,24 @@ def _geometry(state: StateSpec, t1: float, t2: float, units: UnitsConfig):
     return lam1, lam2, a1, a2, phi
 
 
+def _window_row(h, n_max: int) -> np.ndarray:
+    """Window row J_0n(h, inf) - J_0n(-h, inf) for n = 0..n_max from the one
+    row at +h: psi_0 is even and psi_{n-1} has parity (-1)^(n-1), so the
+    entry is -erf(h) at n = 0, 2 J_0n(h, inf) at even n and 0 at odd n.
+    ``h`` may be an array, as for :func:`j_row`."""
+    row = 2.0 * j_row(h, n_max)
+    row[0] = -_sp.erf(h)
+    row[1::2] = 0.0
+    return row
+
+
 def _check_signs(s1: int, s2: int) -> None:
     if s1 not in (1, -1) or s2 not in (1, -1):
         raise ValueError(f"s1 and s2 must be +1 or -1, got {s1!r}, {s2!r}")
 
 
-def _q_sign_pure(a1: float, a2: float, phi: float, s1: int, s2: int, n_max: int):
+def _q_sign_pure(a1: float, a2: float, phi: float, s1: int, s2: int, n_max: int,
+                 with_info: bool):
     singular, eta = _phase_eta(phi)
     if singular:
         region = _regions_at_eta(_halfline(s1, -a1), _halfline(s2, -a2), eta)
@@ -234,6 +246,8 @@ def _q_sign_pure(a1: float, a2: float, phi: float, s1: int, s2: int, n_max: int)
     n = np.arange(1, n_max + 1)
     terms = np.cos(n * phi) * row1[1:] * row2[1:]
     q = block + s1 * s2 * float(averaged_partial_sum(terms))
+    if not with_info:
+        return q, None
     return q, SeriesInfo(n_max, series_tail_estimate(terms), False)
 
 
@@ -260,7 +274,7 @@ def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float
         raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
     trunc = trunc or DEFAULT_TRUNCATION
     _, _, a1, a2, phi = _geometry(state, t1, t2, units)
-    q, info = _q_sign_pure(a1, a2, phi, s1, s2, trunc.n_max)
+    q, info = _q_sign_pure(a1, a2, phi, s1, s2, trunc.n_max, with_info)
     return (q, info) if with_info else q
 
 
@@ -337,9 +351,10 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
     ee = float((wm[1:] * k2[1:] * k1[1:]).sum())
 
     q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
-    info = SeriesInfo(n_max, series_tail_estimate(n_terms), False,
-                      m_used=m_cut, m_tail=m_tail)
-    return (q, info) if with_info else q
+    if not with_info:
+        return q
+    return q, SeriesInfo(n_max, series_tail_estimate(n_terms), False,
+                         m_used=m_cut, m_tail=m_tail)
 
 
 def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
@@ -376,13 +391,14 @@ def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
     qbar1 = 1.0 - 2.0 * _sp.erf(h1)
     qbar2 = 1.0 - 2.0 * _sp.erf(h2)
     block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-    d1 = j_row(h1, trunc.n_max) - j_row(-h1, trunc.n_max)
-    d2 = j_row(h2, trunc.n_max) - j_row(-h2, trunc.n_max)
+    d1 = _window_row(h1, trunc.n_max)
+    d2 = _window_row(h2, trunc.n_max)
     n = np.arange(1, trunc.n_max + 1)
     terms = np.cos(n * phi) * d1[1:] * d2[1:]
     q = block + s1 * s2 * float(averaged_partial_sum(terms))
-    info = SeriesInfo(trunc.n_max, series_tail_estimate(terms), False)
-    return (q, info) if with_info else q
+    if not with_info:
+        return q
+    return q, SeriesInfo(trunc.n_max, series_tail_estimate(terms), False)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +454,8 @@ def q_window_series_curve(state: StateSpec, half_width: float, s1: int, s2: int,
     qbar1 = 1.0 - 2.0 * _sp.erf(h1)
     qbar2 = 1.0 - 2.0 * _sp.erf(h2)
     block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-    d1 = j_row(h1, n_max) - j_row(-h1, n_max)
-    d2 = j_row(h2, n_max) - j_row(-h2, n_max)
+    d1 = _window_row(h1, n_max)
+    d2 = _window_row(h2, n_max)
     n = np.arange(1, n_max + 1)
     terms = d1[1:, None] * d2[1:] * np.cos(n[:, None] * phi[None, :])
     q = block + s1 * s2 * averaged_partial_sum(terms)

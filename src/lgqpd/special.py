@@ -13,6 +13,7 @@ free of factorial overflow up to very high order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,7 +70,7 @@ def erfcx_complex(z: complex) -> complex:
 
 
 def psi_rows(x, n_max: int):
-    """Eigenfunctions psi_0..psi_n_max and their derivatives on a grid.
+    """Eigenfunctions psi_0..psi_n_max on a grid.
 
     Parameters
     ----------
@@ -80,26 +81,45 @@ def psi_rows(x, n_max: int):
 
     Returns
     -------
-    psi, dpsi : ndarray
-        Arrays of shape ``(n_max + 1,) + x.shape`` with psi_n(x) in row n and
-        psi_n'(x) = sqrt(2n) psi_{n-1}(x) - x psi_n(x) in ``dpsi``.
+    psi : ndarray
+        Array of shape ``(n_max + 1,) + x.shape`` with psi_n(x) in row n.
+        No derivative rows are built: every consumer needs only
+        psi_n'(x) = sqrt(2n) psi_{n-1}(x) - x psi_n(x), whose x psi terms
+        cancel in the Wronskian forms.
+
+    A scalar ``x`` is memoized (the few most recent cuts), because a t2
+    minimization re-evaluates its fixed t1 cut on every probe; the cached
+    array is returned read-only.  Array inputs are always computed afresh.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if n_max > HARD_N_CAP:
         raise CapabilityError(f"n_max={n_max} exceeds hard cap {HARD_N_CAP}")
-    x = np.asarray(x, dtype=float)
+    if np.ndim(x) == 0:
+        return _psi_rows_scalar(float(x), n_max)
+    return _psi_rows(np.asarray(x, dtype=float), n_max)
+
+
+@functools.lru_cache(maxsize=8)
+def _psi_rows_scalar(x: float, n_max: int) -> np.ndarray:
+    # a NumPy scalar runs the recurrence's scalar arithmetic faster than a
+    # 0-d array, with the same IEEE operations
+    psi = _psi_rows(np.float64(x), n_max)
+    psi.flags.writeable = False
+    return psi
+
+
+def _psi_rows(x: np.ndarray | np.float64, n_max: int) -> np.ndarray:
     psi = np.zeros((n_max + 1,) + x.shape)
     psi[0] = _QUARTER_PI * np.exp(-0.5 * x * x)
     if n_max >= 1:
         psi[1] = np.sqrt(2.0) * x * psi[0]
-    for n in range(1, n_max):
-        psi[n + 1] = np.sqrt(2.0 / (n + 1)) * x * psi[n] - np.sqrt(n / (n + 1.0)) * psi[n - 1]
-    dpsi = np.empty_like(psi)
-    dpsi[0] = -x * psi[0]
-    for n in range(1, n_max + 1):
-        dpsi[n] = np.sqrt(2.0 * n) * psi[n - 1] - x * psi[n]
-    return psi, dpsi
+    n = np.arange(1, n_max)
+    up = np.sqrt(2.0 / (n + 1)).tolist()
+    down = np.sqrt(n / (n + 1.0)).tolist()
+    for k, a, b in zip(range(1, n_max), up, down):
+        psi[k + 1] = a * x * psi[k] - b * psi[k - 1]
+    return psi
 
 
 def hermite_psi(n: int, x: float) -> float:
@@ -107,17 +127,19 @@ def hermite_psi(n: int, x: float) -> float:
     _check_order(n)
     if not math.isfinite(x):
         raise ValueError(f"hermite_psi requires finite x, got {x!r}")
-    psi, _ = psi_rows(np.asarray(float(x)), n)
-    return float(psi[n])
+    return float(psi_rows(float(x), n)[n])
 
 
 def hermite_psi_prime(n: int, x: float) -> float:
-    """Derivative psi_n'(x), consistent with :func:`hermite_psi` by recurrence."""
+    """Derivative psi_n'(x) = sqrt(2n) psi_{n-1}(x) - x psi_n(x), from the
+    same recurrence as :func:`hermite_psi`."""
     _check_order(n)
     if not math.isfinite(x):
         raise ValueError(f"hermite_psi_prime requires finite x, got {x!r}")
-    _, dpsi = psi_rows(np.asarray(float(x)), n)
-    return float(dpsi[n])
+    x = float(x)
+    psi = psi_rows(x, n)
+    lower = math.sqrt(2.0 * n) * psi[n - 1] if n > 0 else 0.0
+    return float(lower - x * psi[n])
 
 
 def _check_order(n: int) -> None:
@@ -138,6 +160,10 @@ def averaged_partial_sum(terms: np.ndarray, window: int | None = None):
     the limit to roughly the envelope's value at the truncation point times
     the achieved damping.  Non-oscillating (already converged or degenerate)
     tails pass through unchanged up to the envelope scale.
+
+    The ``window - 1`` averaging passes are applied in one step: they leave
+    the Euler weights C(window-1, k) / 2^(window-1) on the k-th of the final
+    ``window`` partial sums, so the result is one weighted sum of them.
     """
     terms = np.asarray(terms)
     if terms.shape[0] == 0:
@@ -146,10 +172,16 @@ def averaged_partial_sum(terms: np.ndarray, window: int | None = None):
     if window is None:
         window = min(256, max(2, 3 * terms.shape[0] // 4))
     window = max(1, min(window, cum.shape[0]))
-    s = cum[-window:]
-    while s.shape[0] > 1:
-        s = 0.5 * (s[1:] + s[:-1])
-    return s[0]
+    return np.einsum("k,k...->...", _euler_weights(window), cum[-window:])
+
+
+@functools.lru_cache(maxsize=64)
+def _euler_weights(window: int) -> np.ndarray:
+    """Binomial weights C(window-1, k) / 2^(window-1), k = 0..window-1."""
+    scale = 2 ** (window - 1)
+    weights = np.array([math.comb(window - 1, k) / scale for k in range(window)])
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True)

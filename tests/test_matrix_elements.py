@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from lgqpd import (ResourceLimitError, build_jtable, erf_real, hermite_psi,
                    j_block, j_diag, j_diag_row, j_offdiag, j_row)
+from lgqpd.series import _window_row
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -16,6 +17,15 @@ def quad_oracle(m, n, lo, hi):
     val, _ = quad(lambda x: hermite_psi(m, x) * hermite_psi(n, x), lo, hi,
                   limit=400, epsabs=1e-13, epsrel=1e-13)
     return val
+
+
+def half_line_oracle(m, n, cut):
+    # psi_m psi_n is below 1e-20 beyond the lower order's turning point + 10
+    return quad_oracle(m, n, cut, max(cut, 0.0) + math.sqrt(2 * min(m, n) + 1) + 10.0)
+
+
+#: Cuts on both sides of the low orders' turning points.
+ORACLE_CUTS = (-3.0, 0.4, 2.5, 6.0)
 
 
 class TestOffDiagonal:
@@ -144,6 +154,27 @@ class TestRowHelper:
         assert row[0] == pytest.approx(0.5 * (1 - erf_real(cut)), abs=1e-14)
         for n in range(1, 10):
             assert row[n] == pytest.approx(j_offdiag(0, n, cut, math.inf), abs=1e-13)
+
+    @pytest.mark.parametrize("cut", ORACLE_CUTS)
+    def test_high_order_row_against_quadrature(self, cut):
+        row = j_row(cut, 512)
+        for n in (1, 2, 57, 200, 512):
+            assert row[n] == pytest.approx(half_line_oracle(0, n, cut), rel=1e-9, abs=1e-18)
+
+    @pytest.mark.parametrize("cut", ORACLE_CUTS)
+    def test_block_against_quadrature(self, cut):
+        block = j_block(cut, 55, 200)
+        for m, n in ((0, 200), (1, 0), (3, 8), (20, 19), (55, 54), (55, 56), (40, 133), (55, 200)):
+            assert block[m, n] == pytest.approx(half_line_oracle(m, n, cut),
+                                               rel=1e-9, abs=1e-18)
+
+    @pytest.mark.parametrize("h", [0.05, 0.7, 1.02, 3.3])
+    def test_window_row_parity(self, h):
+        want = j_row(h, 256) - j_row(-h, 256)
+        assert np.max(np.abs(_window_row(h, 256) - want)) < 1e-14
+        hs = np.array([h, 0.5 * h, 2.0 * h])
+        want = j_row(hs, 256) - j_row(-hs, 256)
+        assert np.max(np.abs(_window_row(hs, 256) - want)) < 1e-14
 
     def test_row_vectorized_over_cuts(self):
         cuts = np.array([-1.0, 0.0, 0.8])

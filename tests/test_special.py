@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lgqpd import (CapabilityError, N_MAX, composite_gauss_legendre, erf_real,
-                   erfc_complex, erfcx_complex, gauss_legendre, hermite_psi,
+from lgqpd import (CapabilityError, N_MAX, averaged_partial_sum,
+                   composite_gauss_legendre, erf_real, erfc_complex,
+                   erfcx_complex, gauss_legendre, hermite_psi,
                    hermite_psi_prime, psi_rows)
 from lgqpd.integral import quad_form
 from lgqpd.states import StateSpec
@@ -107,7 +110,7 @@ class TestHermitePsi:
 
     def test_orthonormality(self):
         rule = composite_gauss_legendre(-12.0, 12.0, panel_width=0.25, order=12)
-        psi, _ = psi_rows(rule.nodes, 40)
+        psi = psi_rows(rule.nodes, 40)
         gram = (psi * rule.weights) @ psi.T
         assert np.max(np.abs(gram - np.eye(41))) < 1e-9
 
@@ -123,6 +126,50 @@ class TestHermitePsi:
     def test_order_cap(self):
         with pytest.raises(CapabilityError):
             hermite_psi(N_MAX + 1, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(-45.0, 45.0), others=st.lists(st.floats(-45.0, 45.0), max_size=4),
+           n_max=st.integers(0, 300))
+    def test_scalar_call_matches_array_column(self, x, others, n_max):
+        # the memoized scalar path runs the same arithmetic as an array call
+        column = psi_rows(np.array(others + [x]), n_max)[:, -1]
+        scalar = psi_rows(x, n_max)
+        assert scalar.shape == (n_max + 1,)
+        assert np.array_equal(scalar, column)
+        assert not scalar.flags.writeable
+        assert psi_rows(x, n_max) is scalar
+
+
+def pairwise_averaged_sum(terms, window):
+    """Reference: the plain iterated pairwise averaging of the final
+    ``window`` partial sums."""
+    s = np.cumsum(terms, axis=0)[-window:]
+    while s.shape[0] > 1:
+        s = 0.5 * (s[1:] + s[:-1])
+    return s[0]
+
+
+class TestAveragedPartialSum:
+    @pytest.mark.parametrize("window", [1, 2, 150, 256])
+    def test_matches_iterated_averaging(self, window):
+        n = np.arange(1, 301)
+        terms = np.cos(1.7 * n) / np.sqrt(n)
+        got = averaged_partial_sum(terms, window)
+        assert np.ndim(got) == 0
+        assert abs(got - pairwise_averaged_sum(terms, window)) <= 1e-12
+        phases = np.array([0.3, 1.1, 2.9, math.pi - 1e-3])
+        block = np.cos(np.outer(n, phases)) / n[:, None] ** 0.75
+        got = averaged_partial_sum(block, window)
+        assert got.shape == phases.shape
+        assert np.max(np.abs(got - pairwise_averaged_sum(block, window))) <= 1e-12
+
+    def test_default_window_and_short_input(self):
+        terms = np.sin(0.9 * np.arange(40)) / (1.0 + np.arange(40))
+        assert abs(averaged_partial_sum(terms)
+                   - pairwise_averaged_sum(terms, 30)) <= 1e-12
+        assert averaged_partial_sum(terms[:3], 256) == pytest.approx(
+            pairwise_averaged_sum(terms[:3], 3), abs=1e-15)
+        assert averaged_partial_sum(np.zeros((0, 2))).shape == (2,)
 
 
 class TestGaussLegendre:
