@@ -32,7 +32,8 @@ from .matrix_elements import (JTable, build_jtable, j_block, j_diag,
 from .integral import (IntegralInfo, QuadForm, c_integral_closed, quad_form,
                        qpd_integral, qpd_integral_2d, sign_marginal)
 from .series import (MeasurementSpec, SeriesInfo, TruncationConfig,
-                     q_sign_series_curve, q_window_series_curve,
+                     q_sign_series_curve, q_thermal_series_curve,
+                     q_window_series_curve,
                      qpd_series_coherent, qpd_series_squeezed,
                      qpd_series_thermal, qpd_series_window,
                      series_tail_estimate)

@@ -1,17 +1,22 @@
 """Eigenbasis matrix elements J_mn of position-interval indicator operators.
 
-``J_mn(x1, x2)`` is the integral of ``psi_m psi_n`` over ``[x1, x2]``.  For
-m != n it has a closed Wronskian form through the eigenvalue difference
-(n - m); on the diagonal it is computed by composite Gauss-Legendre
-quadrature, truncated where the Gaussian envelope of ``psi_n**2`` is
-negligible.
+``J_mn(x1, x2)`` is the integral of ``psi_m psi_n`` over ``[x1, x2]``.  Every
+form here is closed and needs no derivative rows and no quadrature.
 
-The Wronskian needs no derivative rows: with psi_n' = sqrt(2n) psi_{n-1} -
-x psi_n the x psi_m psi_n terms cancel, leaving
+Off the diagonal, the Wronskian through the eigenvalue difference (n - m):
+with psi_n' = sqrt(2n) psi_{n-1} - x psi_n the x psi_m psi_n terms cancel,
+leaving
 
     (psi_n' psi_m - psi_m' psi_n)(x) = sqrt(2n) psi_{n-1} psi_m - sqrt(2m) psi_{m-1} psi_n,
 
 and for m = 0 simply sqrt(2n) psi_0 psi_{n-1}.
+
+On the diagonal, the ladder: with psi_{n-1}' = x psi_{n-1} - sqrt(2n) psi_n,
+d/dx (psi_{n-1} psi_n) = sqrt(2n) (psi_{n-1}**2 - psi_n**2), so
+
+    J_nn(x, inf) = (1 - erf x)/2 + sum_{k=1..n} psi_{k-1}(x) psi_k(x) / sqrt(2k),
+
+a cumulative sum over the same psi rows.
 """
 
 from __future__ import annotations
@@ -24,43 +29,35 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import ResourceLimitError
-from .special import N_MAX, composite_gauss_legendre, erf_real, psi_rows
-
-#: Pad past the classical turning point sqrt(2n+1) where psi_n**2 is treated
-#: as zero; the envelope there is below exp(-60), far under the 1e-12 targets.
-_SUPPORT_PAD = 8.0
+from .special import N_MAX, psi_rows
 
 
-def _support(n_max: int) -> float:
-    return math.sqrt(2.0 * n_max + 1.0) + _SUPPORT_PAD
+def j_diag_row(x, n_max: int) -> np.ndarray:
+    """J_nn(x, inf) for all n = 0..n_max by the ladder sum.
 
-
-def _diag_rule(lo: float, hi: float, n_max: int):
-    # Panel width shrinks with order so the ~2*sqrt(2n+1) oscillation of
-    # psi_n**2 stays resolved at 16 nodes per panel.
-    width = min(0.5, 8.0 / math.sqrt(2.0 * n_max + 1.0))
-    return composite_gauss_legendre(lo, hi, panel_width=width, order=16)
-
-
-def j_diag_row(x: float, n_max: int) -> np.ndarray:
-    """J_nn(x, inf) for all n = 0..n_max at a single lower cut."""
-    if math.isinf(x):
+    ``x`` may be an array, in which case the result has shape
+    (n_max + 1,) + x.shape; a scalar ``x`` may be infinite.
+    """
+    if np.ndim(x) == 0 and math.isinf(x):
         return np.ones(n_max + 1) if x < 0 else np.zeros(n_max + 1)
-    supp = _support(n_max)
-    lo = max(x, -supp)
-    if lo >= supp:
-        return np.zeros(n_max + 1)
-    rule = _diag_rule(lo, supp, n_max)
-    psi = psi_rows(rule.nodes, n_max)
-    return (psi * psi) @ rule.weights
+    return ladder_diagonal(x, psi_rows(x, n_max))
+
+
+def ladder_diagonal(x, psi: np.ndarray) -> np.ndarray:
+    """J_nn(x, inf) for n = 0..len(psi)-1 from the psi rows already
+    evaluated at ``x`` (shape (n + 1,) + x.shape)."""
+    x = np.asarray(x, dtype=float)
+    steps = np.empty_like(psi)
+    steps[0] = 0.5 * (1.0 - _sp.erf(x))
+    k = np.arange(1, psi.shape[0]).reshape((-1,) + (1,) * x.ndim)
+    steps[1:] = psi[:-1] * psi[1:] / np.sqrt(2.0 * k)
+    return np.cumsum(steps, axis=0)
 
 
 def j_diag(n: int, x: float) -> float:
     """Diagonal half-line element J_nn(x, inf), in [0, 1] and decreasing in x."""
     if n < 0 or int(n) != n:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if n == 0 and math.isfinite(x):
-        return 0.5 * (1.0 - erf_real(x))
     return float(j_diag_row(float(x), n)[n])
 
 
@@ -85,15 +82,16 @@ def _boundary_term(m: int, n: int, x: float) -> float:
     if math.isinf(x):
         return 0.0
     psi = psi_rows(float(x), max(m, n))
-    lower = _lowered(psi)
+    lower = lowered(psi)
     return float((lower[m] * psi[n] - lower[n] * psi[m]) / (2.0 * (n - m)))
 
 
-def _lowered(psi: np.ndarray) -> np.ndarray:
+def lowered(psi: np.ndarray) -> np.ndarray:
     """sqrt(2k) psi_{k-1} for k = 0..len(psi)-1 (zero at k = 0), so that
-    psi_k' = lowered[k] - x psi_k."""
+    psi_k' = lowered[k] - x psi_k; ``psi`` may carry trailing cut axes."""
     lower = np.zeros_like(psi)
-    lower[1:] = np.sqrt(2.0 * np.arange(1, psi.shape[0])) * psi[:-1]
+    k = np.arange(1, psi.shape[0]).reshape((-1,) + (1,) * (psi.ndim - 1))
+    lower[1:] = np.sqrt(2.0 * k) * psi[:-1]
     return lower
 
 
@@ -117,15 +115,15 @@ def j_row(cut: float, n_max: int) -> np.ndarray:
 def j_block(cut: float, m_max: int, n_max: int) -> np.ndarray:
     """Half-line block J_mn(cut, inf) for 0 <= m <= m_max, 0 <= n <= n_max."""
     psi = psi_rows(float(cut), max(m_max, n_max))
-    lower = _lowered(psi)
+    lower = lowered(psi)
     m = np.arange(m_max + 1)[:, None]
     n = np.arange(n_max + 1)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         block = (lower[None, :n_max + 1] * psi[:m_max + 1, None]
                  - lower[:m_max + 1, None] * psi[None, :n_max + 1]) / (2.0 * (n - m))
-    diag = j_diag_row(float(cut), min(m_max, n_max))
-    idx = np.arange(min(m_max, n_max) + 1)
-    block[idx, idx] = diag
+    k = min(m_max, n_max)
+    idx = np.arange(k + 1)
+    block[idx, idx] = ladder_diagonal(float(cut), psi[:k + 1])
     return block
 
 

@@ -20,8 +20,8 @@ from scipy.optimize import minimize as _nm_minimize
 from .integral import qpd_integral
 from .fock import qpd_oracle
 from .series import (MeasurementSpec, TruncationConfig, q_sign_series_curve,
-                     q_window_series_curve, qpd_series_squeezed,
-                     qpd_series_thermal, qpd_series_window)
+                     q_thermal_series_curve, q_window_series_curve,
+                     qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
 from .states import DEFAULT_UNITS, OffsetFunction, StateSpec, UnitsConfig
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -201,67 +201,27 @@ class ScanResult:
     global_argmin: tuple[float, float, float]  # (axis1, axis2, t2)
 
 
-def _cell_state(config: ScanConfig, a1: float, a2: float) -> StateSpec:
+def _cell_params(config: ScanConfig, a1: float, a2: float) -> dict:
+    """Named parameters of one grid cell, as :func:`_named_evaluator` takes them."""
+    params = {"s1": config.s1, "s2": config.s2, "t1": config.t1,
+              "theta0": config.theta0, "offset": config.offset(),
+              "quad_order": config.quad_order, "oracle_dim": config.oracle_dim}
     if config.plane == "x0p0":
-        return StateSpec.from_phase_space(a1, a2, config.r, config.theta0, config.n_th)
-    return StateSpec(xi=0j, r=a1, theta0=config.theta0, n_th=0.0)
-
-
-def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
-    """Scalar t2 -> q evaluator for one grid cell."""
-    state = _cell_state(config, a1, a2)
-    units = config.units()
-    trunc = TruncationConfig(n_max=config.n_max)
-    if config.plane == "rL":
-        half = a2
-        if config.route == "series":
-            return lambda t2: qpd_series_window(state, half, config.s1, config.s2,
-                                                config.t1, t2, trunc, units)
-        meas = MeasurementSpec.window(half)
-        return lambda t2: qpd_oracle(state, meas, config.s1, config.s2,
-                                     config.t1, t2, config.oracle_dim, units)
-    offset = config.offset()
-    if config.route == "series":
-        if config.n_th > 0:
-            if not offset.is_zero:
-                raise ValueError("the series route does not take a measurement offset")
-            return lambda t2: qpd_series_thermal(state, config.s1, config.s2,
-                                                 config.t1, t2, trunc, units)
-        if not offset.is_zero:
-            raise ValueError("the series route does not take a measurement offset")
-        return lambda t2: qpd_series_squeezed(state, config.s1, config.s2,
-                                              config.t1, t2, trunc, units)
-    if config.route == "integral":
-        return lambda t2: qpd_integral(state, offset, config.s1, config.s2,
-                                       config.t1, t2, config.quad_order, units)
-    meas = MeasurementSpec.sign(offset)
-    return lambda t2: qpd_oracle(state, meas, config.s1, config.s2,
-                                 config.t1, t2, config.oracle_dim, units)
-
-
-def _cell_coarse_values(config: ScanConfig, a1: float, a2: float,
-                        grid: np.ndarray):
-    """Vectorized coarse-stage values where the route supports it."""
-    if config.route != "series":
-        return None
-    state = _cell_state(config, a1, a2)
-    units = config.units()
-    if config.plane == "rL":
-        return q_window_series_curve(state, a2, config.s1, config.s2, config.t1,
-                                     grid, config.n_max, units)
-    if config.n_th > 0:
-        return None
-    return q_sign_series_curve(state, config.s1, config.s2, config.t1, grid,
-                               config.n_max, units)
+        params.update(x0=a1, p0=a2, r=config.r, n_th=config.n_th)
+    else:
+        params.update(r=a1, L=a2)
+    return params
 
 
 def _scan_cell(args):
     config, i, j, a1, a2 = args
     search = config.t2_search()
+    projector = "window" if config.plane == "rL" else "sign"
     try:
-        evaluator = _cell_evaluator(config, a1, a2)
+        evaluator, curve = _named_evaluator(_cell_params(config, a1, a2), config.route,
+                                            projector, config.n_max, config.units())
         grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
-        coarse = _cell_coarse_values(config, a1, a2, grid)
+        coarse = curve(grid) if curve is not None else None
         q, t2 = minimize_over_t2(evaluator, search, coarse_values=coarse)
         return i, j, q, t2, False
     except Exception:
@@ -362,23 +322,29 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
                        for name, v, lo, hi in zip(outer_names, vec, lows, highs)})
         return params
 
-    def objective(vec) -> float:
+    # Nelder-Mead re-probes points, and every start's argmin repeats its last
+    # objective call, so the inner t2 search runs once per clipped point
+    memo: dict[tuple, tuple[float, float]] = {}
+
+    def inner(vec) -> tuple[dict, tuple[float, float]]:
         params = named(vec)
-        evaluator, curve = _named_evaluator(params, route, projector, n_max, units)
-        if search is not None:
-            grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
-            coarse = curve(grid) if curve is not None else None
-            return minimize_over_t2(evaluator, search, coarse_values=coarse)[0]
-        return evaluator(params["t2"])
+        key = tuple(params[name] for name in outer_names)
+        if key not in memo:
+            evaluator, curve = _named_evaluator(params, route, projector, n_max, units)
+            if search is None:
+                memo[key] = (evaluator(params["t2"]), params["t2"])
+            else:
+                grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
+                coarse = curve(grid) if curve is not None else None
+                memo[key] = minimize_over_t2(evaluator, search, coarse_values=coarse)
+        return params, memo[key]
+
+    def objective(vec) -> float:
+        return inner(vec)[1][0]
 
     def full_argmin(vec) -> dict:
-        params = named(vec)
-        if search is not None:
-            evaluator, curve = _named_evaluator(params, route, projector, n_max, units)
-            grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
-            coarse = curve(grid) if curve is not None else None
-            _, t2 = minimize_over_t2(evaluator, search, coarse_values=coarse)
-            params["t2"] = t2
+        params, (_, t2) = inner(vec)
+        params["t2"] = t2
         return params
 
     if not outer_names:
@@ -415,7 +381,8 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
 
 def _named_evaluator(params: dict, route: str, projector: str, n_max: int,
                      units: UnitsConfig):
-    """(scalar evaluator, optional vectorized t2-curve) from named parameters."""
+    """(scalar evaluator, optional vectorized t2-curve) from named parameters;
+    an ``offset`` entry (an :class:`OffsetFunction`) shifts the sign cut."""
     s1, s2 = int(params.get("s1", 1)), int(params.get("s2", 1))
     t1 = float(params.get("t1", 0.0))
     theta0 = float(params.get("theta0", 0.0))
@@ -435,15 +402,19 @@ def _named_evaluator(params: dict, route: str, projector: str, n_max: int,
     state = StateSpec.from_phase_space(float(params.get("x0", 0.0)),
                                        float(params.get("p0", 0.0)),
                                        float(params.get("r", 0.0)), theta0, n_th)
+    offset = params.get("offset")
     if route == "series":
+        if offset is not None and not offset.is_zero:
+            raise ValueError("the series route does not take a measurement offset")
         if n_th > 0:
             return (lambda t2: qpd_series_thermal(state, s1, s2, t1, t2, trunc, units),
-                    None)
+                    lambda grid: q_thermal_series_curve(state, s1, s2, t1, grid,
+                                                        n_max, units))
         return (lambda t2: qpd_series_squeezed(state, s1, s2, t1, t2, trunc, units),
                 lambda grid: q_sign_series_curve(state, s1, s2, t1, grid, n_max, units))
     if route == "integral":
-        return (lambda t2: qpd_integral(state, None, s1, s2, t1, t2,
+        return (lambda t2: qpd_integral(state, offset, s1, s2, t1, t2,
                                         int(params.get("quad_order", 32)), units), None)
-    meas = MeasurementSpec.sign()
+    meas = MeasurementSpec.sign(offset)
     dim = int(params.get("oracle_dim", 300))
     return (lambda t2: qpd_oracle(state, meas, s1, s2, t1, t2, dim, units), None)

@@ -8,7 +8,8 @@ closed erf block plus a truncated phase sum over J products:
 
 * coherent and squeezed pure states (sign projectors),
 * thermal squeezed coherent states (extra geometrically weighted sums over
-  the initial occupation, plus a diagonal overlap family),
+  the initial occupation, plus a diagonal overlap family), evaluated by one
+  kernel over an array of t2 values whose t1-only pieces are cached,
 * squeezed vacuum with symmetric window projectors.
 
 When the total phase per quantum is a multiple of pi the two measured
@@ -21,6 +22,7 @@ phase is an odd multiple of pi).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,8 +31,8 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import TruncationError, TruncationWarning
-from .matrix_elements import j_block, j_diag_row, j_row
-from .special import averaged_partial_sum, composite_gauss_legendre, psi_rows
+from .matrix_elements import j_block, j_diag_row, j_row, ladder_diagonal, lowered
+from .special import averaged_partial_sum, psi_rows
 from .states import (DEFAULT_UNITS, ZERO_OFFSET, OffsetFunction, StateSpec,
                      UnitsConfig, lambda_of, phase_beta_of, thermal_m_cut,
                      x_xi_of)
@@ -176,17 +178,11 @@ def _ground_weight(intervals) -> float:
 
 
 def _psi_sq_weights(intervals, m_max: int) -> np.ndarray:
-    """Integrals of psi_m^2 over a union of intervals, for m = 0..m_max."""
-    supp = math.sqrt(2.0 * m_max + 1.0) + 8.0
+    """Integrals of psi_m^2 over a union of intervals, for m = 0..m_max, as
+    ladder differences J_mm(lo, inf) - J_mm(hi, inf)."""
     out = np.zeros(m_max + 1)
-    width = min(0.5, 8.0 / math.sqrt(2.0 * m_max + 1.0))
     for lo, hi in intervals:
-        lo, hi = max(lo, -supp), min(hi, supp)
-        if lo >= hi:
-            continue
-        rule = composite_gauss_legendre(lo, hi, panel_width=width, order=16)
-        psi = psi_rows(rule.nodes, m_max)
-        out += (psi * psi) @ rule.weights
+        out += j_diag_row(lo, m_max) - j_diag_row(hi, m_max)
     return out
 
 
@@ -286,15 +282,69 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
     Adds to the pure-state series a geometrically weighted sum over the
     initial occupation m: conjugate-phase and mixed-phase J products plus the
     diagonal overlap family coupling J_nn factors of both measurement cuts.
-    Reduces exactly to the pure evaluator at n_th = 0.
+    Reduces exactly to the pure evaluator at n_th = 0.  This is the
+    one-point call of the t2-array kernel of :func:`q_thermal_series_curve`.
     """
     _check_signs(s1, s2)
     if state.n_th == 0:
         return qpd_series_squeezed(
             StateSpec(state.xi, state.r, state.theta0, 0.0), s1, s2, t1, t2,
             trunc, units, with_info)
-    trunc = trunc or DEFAULT_TRUNCATION
-    n_th = state.n_th
+    q, n_terms, singular, m_cut, m_tail = _q_thermal(
+        state, s1, s2, t1, np.array([float(t2)]), trunc or DEFAULT_TRUNCATION, units)
+    if not with_info:
+        return float(q[0])
+    n_used = 0 if singular[0] else n_terms.shape[0]
+    bound = 0.0 if singular[0] else series_tail_estimate(n_terms[:, 0])
+    return float(q[0]), SeriesInfo(n_used, bound, bool(singular[0]),
+                                   m_used=m_cut, m_tail=m_tail)
+
+
+def q_thermal_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
+                           t2_grid: np.ndarray, n_max: int,
+                           units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
+    """Thermal sign-projector quasi-probability (n_th > 0) over a grid of t2
+    values, with the default occupation cut."""
+    _check_signs(s1, s2)
+    if state.n_th == 0:
+        raise ValueError("thermal curve requires n_th > 0; use q_sign_series_curve")
+    return _q_thermal(state, s1, s2, t1, np.asarray(t2_grid, dtype=float),
+                      TruncationConfig(n_max=n_max), units)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _thermal_fixed_cut(cut: float, w: float, m_cut: int, n_max: int):
+    """The t1-only pieces of the thermal kernel: the row J_0n(cut, inf), the
+    diagonal J_mm(cut, inf) for m <= m_cut, and B_mn = w^m J_mn(cut, inf) /
+    (2 (n - m)) with the m = 0 row, the n = 0 column and the diagonal zeroed.
+    Cached read-only, because every t2 probe of a minimization shares them;
+    one entry suffices, since a minimization has one fixed cut, and keeps the
+    (m_cut + 1) x (n_max + 1) block from piling up at large n_max."""
+    block = j_block(cut, m_cut, n_max)
+    m = np.arange(m_cut + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = w ** m * block / (2.0 * (np.arange(n_max + 1) - m))
+    b[0] = b[:, 0] = 0.0
+    np.fill_diagonal(b, 0.0)
+    out = (block[0].copy(), np.diagonal(block).copy(), b)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
+               trunc: TruncationConfig, units: UnitsConfig):
+    """Thermal kernel over K values of t2: (q, n_terms, singular, m_cut,
+    m_tail), with the eigenbasis terms n_terms of shape (n_max, K) and the
+    occupation sum cut at m_cut with remainder m_tail.
+
+    The mixed-phase family sum_m w^m cos((m-n) phi) J_mn(-a1) J_mn(-a2)
+    takes J_mn(-a2) in its rank-2 Wronskian form and cos((m-n) phi) as
+    cos m phi cos n phi + sin m phi sin n phi, so it is one product of the
+    fixed B^T with an (m_cut+1) x 4K array; no (m, n, K) array is built.
+    Singular phases are overwritten by the completeness branch.
+    """
+    n_th, n_max = state.n_th, trunc.n_max
     w = n_th / (1.0 + n_th)
     m_cut = trunc.m_max if trunc.m_max is not None else thermal_m_cut(n_th, 1e-12)
     m_tail = w ** (m_cut + 1)
@@ -302,59 +352,50 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
         warnings.warn(
             f"thermal occupation sum truncated at m={m_cut} with remainder "
             f"{m_tail:.3e} > tail_tol={trunc.tail_tol:.1e}",
-            TruncationWarning, stacklevel=2)
-    n_max = trunc.n_max
+            TruncationWarning, stacklevel=3)
     if n_max < m_cut:
         raise TruncationError(
             f"n_max={n_max} is below the thermal occupation cut m_max={m_cut}; "
             "raise TruncationConfig.n_max")
 
     _, _, a1, a2, phi = _geometry(state, t1, t2, units)
-    singular, eta = _phase_eta(phi)
-    if singular:
-        region1 = _halfline(s1, -a1)
-        region2 = _halfline(s2, -a2)
-        weights = _psi_sq_weights(_regions_at_eta(region1, region2, eta), m_cut)
-        wm = w ** np.arange(m_cut + 1)
-        q = float((wm * weights).sum()) / (1.0 + n_th)
-        info = SeriesInfo(0, 0.0, True, m_used=m_cut, m_tail=m_tail)
-        return (q, info) if with_info else q
+    row1, diag1, b = _thermal_fixed_cut(float(-a1), w, m_cut, n_max)
+    k = t2.size
+    # a single cut takes the memoized NumPy-scalar recurrence, which is faster
+    psi = (psi_rows(float(-a2[0]), n_max)[:, None] if k == 1
+           else psi_rows(-a2, n_max))
+    low = lowered(psi)
+    n = np.arange(n_max + 1)[:, None]
+    cos_n, sin_n = np.cos(n * phi), np.sin(n * phi)
+    m = slice(0, m_cut + 1)
+    c = b.T @ np.concatenate([cos_n[m] * psi[m], cos_n[m] * low[m],
+                              sin_n[m] * psi[m], sin_n[m] * low[m]], axis=1)
+    mixed = (cos_n * (low * c[:, :k] - psi * c[:, k:2 * k])
+             + sin_n * (low * c[:, 2 * k:3 * k] - psi * c[:, 3 * k:]))
 
-    e1, e2 = _sp.erf(a1), _sp.erf(a2)
-    block = 0.25 * (1.0 + s1 * e1) * (1.0 + s2 * e2)
-    jb1 = j_block(-a1, m_cut, n_max)  # J_mn(-a1): rows m, cols n
-    jb2 = j_block(-a2, m_cut, n_max)
-    n = np.arange(n_max + 1)
-    m = np.arange(m_cut + 1)
-    wm = w ** m
-
-    down_terms = np.cos(n[1:] * phi) * jb2[0, 1:] * jb1[0, 1:]
-    s_up = float((wm[1:] * np.cos(m[1:] * phi) * jb2[1:, 0] * jb1[1:, 0]).sum())
-
-    # cos((m-n) phi) as outer products; mask out m = 0, n = 0 and the diagonal
-    cmn = np.outer(np.cos(m * phi), np.cos(n * phi)) + np.outer(np.sin(m * phi), np.sin(n * phi))
-    prod = (wm[:, None] * cmn) * jb2 * jb1
-    prod[0, :] = 0.0
-    prod[:, 0] = 0.0
-    idx = np.arange(1, m_cut + 1)
-    prod[idx, idx] = 0.0
-
+    # J_0n(-a2) = psi_0 psi_{n-1} / sqrt(2n) for n >= 1, as in j_row
+    row2 = psi[0] * psi[:-1] / np.sqrt(2.0 * n[1:])
+    n_terms = cos_n[1:] * row2 * row1[1:, None] + mixed[1:]
+    wm = w ** n[1:m_cut + 1]
+    s_up = (wm * cos_n[1:m_cut + 1] * row2[:m_cut] * row1[1:m_cut + 1, None]).sum(axis=0)
     # the occupation sums converge geometrically; the eigenbasis index n does
     # not, so its tail is summed in stabilized form
-    n_terms = down_terms + prod.sum(axis=0)[1:]
-    phase_sum = float(averaged_partial_sum(n_terms))
+    phase_sum = averaged_partial_sum(n_terms)
 
-    diag1 = np.diagonal(jb1)[: m_cut + 1]
-    diag2 = np.diagonal(jb2)[: m_cut + 1]
+    diag2 = ladder_diagonal(-a2, psi[m])
     k1 = diag1 if s1 == 1 else 1.0 - diag1
     k2 = diag2 if s2 == 1 else 1.0 - diag2
-    ee = float((wm[1:] * k2[1:] * k1[1:]).sum())
+    ee = (wm * k2[1:] * k1[1:, None]).sum(axis=0)
 
+    block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
     q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
-    if not with_info:
-        return q
-    return q, SeriesInfo(n_max, series_tail_estimate(n_terms), False,
-                         m_used=m_cut, m_tail=m_tail)
+    singular = np.abs(np.sin(phi)) < SINGULAR_PHASE_TOL
+    for j in np.nonzero(singular)[0]:
+        eta = 1 if math.cos(phi[j]) > 0 else -1
+        region = _regions_at_eta(_halfline(s1, -a1), _halfline(s2, -float(a2[j])), eta)
+        weights = _psi_sq_weights(region, m_cut)
+        q[j] = float(w ** np.arange(m_cut + 1) @ weights) / (1.0 + n_th)
+    return q, n_terms, singular, m_cut, m_tail
 
 
 def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
@@ -374,12 +415,8 @@ def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
     if not (math.isfinite(half_width) and half_width > 0):
         raise ValueError(f"half_width must be positive, got {half_width!r}")
     trunc = trunc or DEFAULT_TRUNCATION
-    lam1 = lambda_of(t1, state.r, state.theta0, units)
-    lam2 = lambda_of(t2, state.r, state.theta0, units)
-    b1 = phase_beta_of(t1, state.r, state.theta0, units)
-    b2 = phase_beta_of(t2, state.r, state.theta0, units)
+    lam1, lam2, _, _, phi = _geometry(state, t1, t2, units)
     h1, h2 = half_width / lam1, half_width / lam2
-    phi = units.omega * (t2 - t1) + (b2 - b1)
 
     singular, eta = _phase_eta(phi)
     if singular:
@@ -412,14 +449,7 @@ def q_sign_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
     _check_signs(s1, s2)
     if state.n_th != 0:
         raise ValueError("curve helper covers pure states only")
-    t2_grid = np.asarray(t2_grid, dtype=float)
-    lam2 = lambda_of(t2_grid, state.r, state.theta0, units)
-    b2 = phase_beta_of(t2_grid, state.r, state.theta0, units)
-    a2 = x_xi_of(t2_grid, state.xi, units) / lam2
-    lam1 = lambda_of(t1, state.r, state.theta0, units)
-    b1 = phase_beta_of(t1, state.r, state.theta0, units)
-    a1 = x_xi_of(t1, state.xi, units) / lam1
-    phi = units.omega * (t2_grid - t1) + (b2 - b1)
+    _, _, a1, a2, phi = _geometry(state, t1, np.asarray(t2_grid, dtype=float), units)
 
     e1, e2 = _sp.erf(a1), _sp.erf(a2)
     block = 0.25 * (1.0 + s1 * e1) * (1.0 + s2 * e2)
@@ -442,14 +472,8 @@ def q_window_series_curve(state: StateSpec, half_width: float, s1: int, s2: int,
                           units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
     """Window-projector quasi-probability over a grid of t2 values."""
     _check_signs(s1, s2)
-    t2_grid = np.asarray(t2_grid, dtype=float)
-    lam1 = lambda_of(t1, state.r, state.theta0, units)
-    b1 = phase_beta_of(t1, state.r, state.theta0, units)
-    lam2 = lambda_of(t2_grid, state.r, state.theta0, units)
-    b2 = phase_beta_of(t2_grid, state.r, state.theta0, units)
-    h1 = half_width / lam1
-    h2 = half_width / lam2
-    phi = units.omega * (t2_grid - t1) + (b2 - b1)
+    lam1, lam2, _, _, phi = _geometry(state, t1, np.asarray(t2_grid, dtype=float), units)
+    h1, h2 = half_width / lam1, half_width / lam2
 
     qbar1 = 1.0 - 2.0 * _sp.erf(h1)
     qbar2 = 1.0 - 2.0 * _sp.erf(h2)

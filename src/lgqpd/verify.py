@@ -19,8 +19,8 @@ from .fock import qpd_oracle
 from .integral import qpd_integral, sign_marginal
 from .scan import GlobalMinimum, T2Search, global_minimize, minimize_over_t2
 from .series import (MeasurementSpec, TruncationConfig, q_sign_series_curve,
-                     q_window_series_curve, qpd_series_squeezed,
-                     qpd_series_thermal, qpd_series_window)
+                     q_thermal_series_curve, q_window_series_curve,
+                     qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
 from .states import (OffsetFunction, StateSpec, n_th_from_temperature,
                      reduce_squeezed_to_coherent)
 
@@ -111,7 +111,7 @@ def _min_over_t2_series(state: StateSpec, s1: int, s2: int, t1: float,
         coarse = q_sign_series_curve(state, s1, s2, t1, grid, n_max)
         f = lambda t2: qpd_series_squeezed(state, s1, s2, t1, t2, trunc)
     else:
-        coarse = None
+        coarse = q_thermal_series_curve(state, s1, s2, t1, grid, n_max)
         f = lambda t2: qpd_series_thermal(state, s1, s2, t1, t2, trunc)
     return minimize_over_t2(f, search, coarse_values=coarse)
 

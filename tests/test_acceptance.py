@@ -19,6 +19,8 @@ from lgqpd.verify import (SIGN_MIN_4Q, WINDOW_MIN_Q, _panel_minimum,
                           verify_offset_equiv, verify_reduction,
                           verify_table1, verify_window_min)
 
+pytestmark = pytest.mark.acceptance
+
 TWO_PI = 2 * math.pi
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lgqpd import (ResourceLimitError, build_jtable, erf_real, hermite_psi,
-                   j_block, j_diag, j_diag_row, j_offdiag, j_row)
+from lgqpd import (ResourceLimitError, build_jtable, composite_gauss_legendre,
+                   erf_real, hermite_psi, j_block, j_diag, j_diag_row, j_offdiag,
+                   j_row, psi_rows)
 from lgqpd.series import _window_row
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -26,6 +27,22 @@ def half_line_oracle(m, n, cut):
 
 #: Cuts on both sides of the low orders' turning points.
 ORACLE_CUTS = (-3.0, 0.4, 2.5, 6.0)
+
+
+def quadrature_diag_row(x, n_max):
+    """Independent reference for J_nn(x, inf), n = 0..n_max: composite
+    Gauss-Legendre quadrature of psi_n**2 up to where its Gaussian envelope
+    is below exp(-60), with panels narrow enough to resolve the oscillation."""
+    if math.isinf(x):
+        return np.ones(n_max + 1) if x < 0 else np.zeros(n_max + 1)
+    supp = math.sqrt(2.0 * n_max + 1.0) + 8.0
+    lo = max(x, -supp)
+    if lo >= supp:
+        return np.zeros(n_max + 1)
+    width = min(0.5, 8.0 / math.sqrt(2.0 * n_max + 1.0))
+    rule = composite_gauss_legendre(lo, supp, panel_width=width, order=16)
+    psi = psi_rows(rule.nodes, n_max)
+    return (psi * psi) @ rule.weights
 
 
 class TestOffDiagonal:
@@ -79,6 +96,29 @@ class TestDiagonal:
         row = j_diag_row(0.7, 30)
         for n in (0, 5, 30):
             assert row[n] == pytest.approx(j_diag(n, 0.7), abs=1e-13)
+
+    @pytest.mark.parametrize("cut", ORACLE_CUTS + (-30.0, 30.0))
+    def test_ladder_against_quadrature_row(self, cut):
+        ladder = j_diag_row(cut, 512)
+        assert np.max(np.abs(ladder - quadrature_diag_row(cut, 512))) < 1e-13
+
+    @pytest.mark.parametrize("cut", ORACLE_CUTS + (30.0,))
+    def test_ladder_against_adaptive_quadrature(self, cut):
+        row = j_diag_row(cut, 512)
+        for n in (1, 57, 200, 512):
+            assert row[n] == pytest.approx(half_line_oracle(n, n, cut), abs=1e-13)
+
+    def test_ladder_parity_and_cut_vectorization(self):
+        # psi_n**2 is even, so J_nn(-x, inf) = 1 - J_nn(x, inf)
+        cuts = np.array([-30.0, -6.0, -0.4, 0.0, 0.4, 6.0, 30.0])
+        rows = j_diag_row(cuts, 512)
+        assert np.max(np.abs(rows + rows[:, ::-1] - 1.0)) < 1e-13
+        for k, c in enumerate(cuts):
+            assert np.array_equal(rows[:, k], j_diag_row(float(c), 512))
+
+    def test_block_diagonal_is_the_ladder(self):
+        block = j_block(-1.3, 40, 120)
+        assert np.array_equal(np.diagonal(block), j_diag_row(-1.3, 40))
 
 
 class TestComplementAndCompleteness:

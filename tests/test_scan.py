@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lgqpd import (ScanConfig, StateSpec, T2Search, TruncationConfig,
+from lgqpd import (DEFAULT_UNITS, ScanConfig, StateSpec, T2Search, TruncationConfig,
                    global_minimize, minimize_over_t2, qpd_series_squeezed,
-                   scan_plane)
+                   scan, scan_plane)
 from lgqpd.output import scan_csv_text
 
 TWO_PI = 2 * math.pi
@@ -81,14 +81,22 @@ class TestScanPlane:
         assert res.global_argmin[1] == res.axis2[j]
         assert res.global_min >= -0.125 - 1e-6
 
-    def test_workers_do_not_change_bytes(self):
+    @staticmethod
+    def _assert_workers_do_not_change_bytes(n_th):
         cfg = ScanConfig(plane="x0p0", route="series", s1=-1, s2=1, r=0.3,
+                         n_th=n_th,
                          axis1_min=-1.0, axis1_max=1.0, axis1_steps=3,
                          axis2_min=-1.0, axis2_max=1.0, axis2_steps=3,
                          t2_coarse_steps=60, t2_refine_iters=15, n_max=120)
-        csv1 = scan_csv_text(scan_plane(cfg, workers=1))
-        csv2 = scan_csv_text(scan_plane(cfg, workers=2))
-        assert csv1 == csv2
+        res = scan_plane(cfg, workers=1)
+        assert res.n_failed == 0
+        assert scan_csv_text(res) == scan_csv_text(scan_plane(cfg, workers=2))
+
+    def test_workers_do_not_change_bytes(self):
+        self._assert_workers_do_not_change_bytes(0.0)
+
+    def test_workers_do_not_change_bytes_thermal(self):
+        self._assert_workers_do_not_change_bytes(0.8)
 
     def test_route_independence_on_subgrid(self):
         base = dict(plane="x0p0", s1=1, s2=-1, t1=0.0, r=0.3,
@@ -153,3 +161,44 @@ class TestGlobalMinimize:
             t2_refine=16, n_max=150, nm_maxiter=40)
         assert len(res.starts) == 2
         assert res.value <= min(s.value for s in res.starts) + 1e-15
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.8])
+    def test_each_point_searched_once(self, monkeypatch, n_th):
+        searched = []
+        real_evaluator = scan._named_evaluator
+
+        def recording_evaluator(params, *args):
+            searched.append((params["x0"], params["p0"]))
+            return real_evaluator(params, *args)
+
+        requests = [0]
+        real_nm = scan._nm_minimize
+
+        def counting_nm(fun, x0, **kwargs):
+            def counted(x):
+                requests[0] += 1
+                return fun(x)
+            return real_nm(counted, x0, **kwargs)
+
+        monkeypatch.setattr(scan, "_named_evaluator", recording_evaluator)
+        monkeypatch.setattr(scan, "_nm_minimize", counting_nm)
+        fixed = {"s1": 1, "s2": -1, "r": 0.3, "t1": 0.0, "n_th": n_th}
+        search = T2Search(0.0, TWO_PI, 48, 16)
+        res = global_minimize(
+            free={"x0": (-1.5, 1.5), "p0": (0.5, 2.0), "t2": (0.0, TWO_PI)},
+            fixed=fixed, route="series", coarse_steps=4, n_starts=2,
+            t2_coarse=search.coarse_steps, t2_refine=search.refine_iters,
+            n_max=150, nm_maxiter=40)
+        # grid points, Nelder-Mead probes, one value and one argmin per start,
+        # and the winner's argmin
+        requests = 4 * 4 + requests[0] + 2 * len(res.starts) + 1
+        assert len(searched) == len(set(searched)) < requests
+
+        # every reported minimum is exactly what a fresh t2 search gives
+        grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
+        for value, argmin in [(res.value, res.argmin)] + [
+                (s.value, s.argmin) for s in res.starts]:
+            evaluator, curve = real_evaluator(argmin, "series", "sign", 150,
+                                              DEFAULT_UNITS)
+            assert minimize_over_t2(evaluator, search, curve(grid)) == (
+                value, argmin["t2"])

@@ -5,13 +5,61 @@ import numpy as np
 import pytest
 
 from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
-                   TruncationError, TruncationWarning, q_sign_series_curve,
-                   q_window_series_curve, qpd_integral, qpd_oracle,
-                   qpd_series_coherent, qpd_series_squeezed,
+                   TruncationError, TruncationWarning, averaged_partial_sum,
+                   j_block, lambda_of, phase_beta_of, q_sign_series_curve,
+                   q_thermal_series_curve, q_window_series_curve, qpd_integral,
+                   qpd_oracle, qpd_series_coherent, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window,
-                   series_tail_estimate)
+                   series_tail_estimate, thermal_m_cut, x_xi_of)
+from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
+SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def thermal_reference(state, s1, s2, t1, t2, n_max, m_max=None):
+    """The thermal series summed term by term over full (m, n) blocks, with
+    the diagonal J_nn and the completeness weights taken by quadrature."""
+    n_th = state.n_th
+    w = n_th / (1.0 + n_th)
+    m_cut = m_max if m_max is not None else thermal_m_cut(n_th, 1e-12)
+    a1 = x_xi_of(t1, state.xi) / lambda_of(t1, state.r, state.theta0)
+    a2 = x_xi_of(t2, state.xi) / lambda_of(t2, state.r, state.theta0)
+    phi = (t2 - t1) + (phase_beta_of(t2, state.r, state.theta0)
+                       - phase_beta_of(t1, state.r, state.theta0))
+    wm = w ** np.arange(m_cut + 1)
+    if abs(math.sin(phi)) < 1e-9:
+        # completeness: the overlap of the two outcome regions, the first
+        # one reflected when phi is an odd multiple of pi
+        lo1, hi1 = (-a1, math.inf) if s1 == 1 else (-math.inf, -a1)
+        if math.cos(phi) < 0:
+            lo1, hi1 = -hi1, -lo1
+        lo2, hi2 = (-a2, math.inf) if s2 == 1 else (-math.inf, -a2)
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo >= hi:
+            return 0.0
+        weights = quadrature_diag_row(lo, m_cut) - quadrature_diag_row(hi, m_cut)
+        return float(wm @ weights) / (1.0 + n_th)
+
+    jb1 = j_block(-a1, m_cut, n_max)
+    jb2 = j_block(-a2, m_cut, n_max)
+    idx = np.arange(m_cut + 1)
+    jb1[idx, idx] = quadrature_diag_row(-a1, m_cut)
+    jb2[idx, idx] = quadrature_diag_row(-a2, m_cut)
+    n = np.arange(n_max + 1)
+    m = np.arange(m_cut + 1)
+    block = 0.25 * (1.0 + s1 * math.erf(a1)) * (1.0 + s2 * math.erf(a2))
+    down_terms = np.cos(n[1:] * phi) * jb2[0, 1:] * jb1[0, 1:]
+    s_up = float((wm[1:] * np.cos(m[1:] * phi) * jb2[1:, 0] * jb1[1:, 0]).sum())
+    prod = wm[:, None] * np.cos((m[:, None] - n[None, :]) * phi) * jb2 * jb1
+    prod[0, :] = 0.0
+    prod[:, 0] = 0.0
+    prod[idx[1:], idx[1:]] = 0.0
+    phase_sum = float(averaged_partial_sum(down_terms + prod.sum(axis=0)[1:]))
+    k1 = jb1[idx, idx] if s1 == 1 else 1.0 - jb1[idx, idx]
+    k2 = jb2[idx, idx] if s2 == 1 else 1.0 - jb2[idx, idx]
+    ee = float((wm[1:] * k2[1:] * k1[1:]).sum())
+    return (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
 
 
 class TestTailEstimate:
@@ -172,6 +220,35 @@ class TestThermalSeries:
                                    TruncationConfig(n_max=100, m_max=5))
         with pytest.raises(TruncationError):
             qpd_series_thermal(state, 1, 1, 0.0, 1.0, TruncationConfig(n_max=20))
+
+
+    @pytest.mark.parametrize("n_th", [0.156, 0.8, 1.54, 3.0])
+    def test_kernel_against_term_by_term_reference(self, n_th):
+        state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4, n_th)
+        t1 = 0.3
+        # t2 = t1 and t1 + pi are singular; t1 + 1e-3 is close to it
+        grid = np.array([t1, t1 + 1e-3, 1.1, t1 + math.pi, 4.0, 5.9])
+        for k in (0, 3):
+            assert qpd_series_thermal(state, 1, 1, t1, grid[k],
+                                      with_info=True)[1].singular_branch
+        for s1, s2 in SIGN_PAIRS:
+            curve = q_thermal_series_curve(state, s1, s2, t1, grid, 150)
+            for m_max in (None, 7, 80):
+                trunc = TruncationConfig(n_max=150, m_max=m_max)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", TruncationWarning)
+                    scalar = np.array([qpd_series_thermal(state, s1, s2, t1, t, trunc)
+                                       for t in grid])
+                ref = np.array([thermal_reference(state, s1, s2, t1, t, 150, m_max)
+                                for t in grid])
+                assert np.max(np.abs(scalar - ref)) < 1e-13
+                if m_max is None:
+                    assert np.max(np.abs(curve - scalar)) < 1e-14
+
+    def test_curve_truncation_error(self):
+        state = StateSpec.from_phase_space(0.5, 0.5, n_th=1.5)
+        with pytest.raises(TruncationError):
+            q_thermal_series_curve(state, 1, 1, 0.0, np.array([0.5, 1.0]), 20)
 
 
 class TestWindowSeries:
