@@ -16,29 +16,26 @@ at -1/8.
 
 __version__ = "0.1.0"
 
-from .errors import (CapabilityError, ConvergenceWarning, ResourceLimitError,
-                     TruncationError, TruncationWarning)
-from .special import (N_MAX, QuadratureRule, averaged_partial_sum,
-                      composite_gauss_legendre, erf_real, erfc_complex,
-                      erfcx_complex, gauss_legendre, hermite_psi,
-                      hermite_psi_prime, psi_rows)
+from .errors import (CapabilityError, ConvergenceWarning, TruncationError,
+                     TruncationWarning)
+from .special import (QuadratureRule, averaged_partial_sum,
+                      composite_gauss_legendre, gauss_legendre, psi_rows)
 from .states import (DEFAULT_UNITS, OffsetFunction, StateSpec, UnitsConfig,
                      ZERO_OFFSET, gamma_from, lambda_of, mode_e,
                      n_th_from_temperature, phase_beta_of,
                      reduce_squeezed_to_coherent, thermal_m_cut,
                      thermal_weight, x_xi_of)
-from .matrix_elements import (JTable, build_jtable, j_block, j_diag,
-                              j_diag_row, j_offdiag, j_row)
+from .matrix_elements import j_block, j_diag_row, j_row
 from .integral import (IntegralInfo, QuadForm, c_integral_closed, quad_form,
                        qpd_integral, qpd_integral_2d, sign_marginal)
 from .series import (MeasurementSpec, SeriesInfo, TruncationConfig,
                      q_sign_series_curve, q_thermal_series_curve,
-                     q_window_series_curve,
-                     qpd_series_coherent, qpd_series_squeezed,
+                     q_window_series_curve, qpd_series_squeezed,
                      qpd_series_thermal, qpd_series_window,
                      series_tail_estimate)
-from .fock import FockOperator, projector_matrix, qpd_oracle, rho_fock
+from .fock import projector_matrix, qpd_oracle
 from .scan import (GlobalMinimum, ScanConfig, ScanResult, T2Search,
-                   global_minimize, minimize_over_t2, scan_plane)
+                   global_minimize, minimize_over_t2, named_evaluator,
+                   scan_plane)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

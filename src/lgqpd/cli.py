@@ -13,13 +13,11 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, load_scan_config
-from .fock import qpd_oracle
-from .integral import qpd_integral
+from .integral import IntegralInfo
 from .output import write_scan_outputs
-from .scan import scan_plane
-from .series import (MeasurementSpec, TruncationConfig, qpd_series_squeezed,
-                     qpd_series_thermal, qpd_series_window)
-from .states import OffsetFunction, StateSpec, n_th_from_temperature
+from .scan import named_evaluator, scan_plane
+from .series import SeriesInfo
+from .states import OffsetFunction, n_th_from_temperature
 from .verify import CASES, run_case
 
 
@@ -78,59 +76,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    n_th = n_th_from_temperature(args.temp_ratio)
-    offset = OffsetFunction(args.offset_amp, args.offset_phase, args.offset_const)
-    trunc = TruncationConfig(n_max=args.nmax)
-
-    def usage(msg: str) -> int:
-        print(f"lgqpd eval: error: {msg}", file=sys.stderr)
+    try:
+        params = {"s1": args.s1, "s2": args.s2, "t1": args.t1, "x0": args.x0,
+                  "p0": args.p0, "r": args.r, "theta0": args.theta0,
+                  "n_th": n_th_from_temperature(args.temp_ratio),
+                  "offset": OffsetFunction(args.offset_amp, args.offset_phase,
+                                           args.offset_const),
+                  "quad_order": args.quad_order, "oracle_dim": args.oracle_dim}
+        if args.L is not None:
+            params["L"] = args.L
+        evaluator, _ = named_evaluator(params, args.route, args.projector, args.nmax)
+    except ValueError as exc:
+        print(f"lgqpd eval: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.projector == "window":
-        if args.route == "integral":
-            return usage("--route integral does not cover --projector window")
-        if args.L is None:
-            return usage("--projector window requires --L")
-        if args.x0 != 0.0 or args.p0 != 0.0:
-            return usage("window projector requires x0 = p0 = 0 (squeezed vacuum)")
-        if n_th != 0.0:
-            return usage("window projector requires zero temperature")
-        if not offset.is_zero:
-            return usage("window projector does not take an offset")
-    if args.route == "integral" and n_th != 0.0:
-        return usage("--route integral covers pure states only (zero temperature)")
-    if args.route == "series" and not offset.is_zero:
-        return usage("--route series does not take a measurement offset; "
-                     "use --route integral or oracle")
-
-    state = StateSpec.from_phase_space(args.x0, args.p0, args.r, args.theta0, n_th)
-    diagnostics: dict = {}
-    if args.projector == "window":
-        if args.route == "series":
-            q, info = qpd_series_window(state, args.L, args.s1, args.s2,
-                                        args.t1, args.t2, trunc, with_info=True)
-            diagnostics = {"n_used": info.n_used, "tail_bound": info.tail_bound,
-                           "singular_branch": info.singular_branch}
-        else:
-            q = qpd_oracle(state, MeasurementSpec.window(args.L), args.s1, args.s2,
-                           args.t1, args.t2, args.oracle_dim)
-            diagnostics = {"dim": args.oracle_dim}
-    elif args.route == "series":
-        evaluate = qpd_series_thermal if n_th > 0 else qpd_series_squeezed
-        q, info = evaluate(state, args.s1, args.s2, args.t1, args.t2, trunc,
-                           with_info=True)
+    q, info = evaluator(args.t2, with_info=True)
+    if isinstance(info, SeriesInfo):
         diagnostics = {"n_used": info.n_used, "tail_bound": info.tail_bound,
                        "singular_branch": info.singular_branch}
-        if n_th > 0:
+        if info.m_used:
             diagnostics.update({"m_used": info.m_used, "m_tail": info.m_tail})
-    elif args.route == "integral":
-        q, info = qpd_integral(state, offset, args.s1, args.s2, args.t1, args.t2,
-                               args.quad_order, with_info=True)
+    elif isinstance(info, IntegralInfo):
         diagnostics = {"converged": info.converged, "self_consistency": info.last_delta,
                        "u_order": info.order, "degenerate_branch": info.degenerate}
     else:
-        q = qpd_oracle(state, MeasurementSpec.sign(offset), args.s1, args.s2,
-                       args.t1, args.t2, args.oracle_dim)
         diagnostics = {"dim": args.oracle_dim}
 
     if args.out == "json":

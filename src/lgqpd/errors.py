@@ -5,10 +5,6 @@ class CapabilityError(ValueError):
     """An input exceeds a configured capability limit (e.g. eigenfunction order cap)."""
 
 
-class ResourceLimitError(RuntimeError):
-    """A requested computation would exceed the configured resource budget."""
-
-
 class TruncationError(RuntimeError):
     """A basis or sum truncation is too small for the requested accuracy."""
 

@@ -11,32 +11,17 @@ speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as _sparse
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import CapabilityError, TruncationError
-from .series import MeasurementSpec
+from .series import MeasurementSpec, _check_signs
 from .special import averaged_partial_sum, composite_gauss_legendre, psi_rows
 from .states import DEFAULT_UNITS, StateSpec, UnitsConfig, thermal_m_cut, thermal_weight
 
 DIM_CAP = 600
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense operator on the truncated number basis."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        object.__setattr__(self, "matrix", m)
 
 
 def _check_dim(dim: int) -> None:
@@ -63,7 +48,7 @@ def _psi_overlap_matrix(lo: float, hi: float, dim: int) -> np.ndarray:
 
 
 def projector_matrix(meas: MeasurementSpec, s: int, t: float, dim: int,
-                     units: UnitsConfig = DEFAULT_UNITS) -> FockOperator:
+                     units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
     """Projector onto the outcome-s region of the measurement at time t.
 
     Time enters only through the measurement's own offset; free evolution is
@@ -76,12 +61,10 @@ def projector_matrix(meas: MeasurementSpec, s: int, t: float, dim: int,
     if meas.projector == "sign":
         cut = float(meas.offset.cut_position(t, units))
         upper = _psi_overlap_matrix(cut, math.inf, dim)
-        mat = upper if s == 1 else np.eye(dim) - upper
-    else:
-        half = float(meas.window_halfwidth)
-        box = _psi_overlap_matrix(-half, half, dim)
-        mat = np.eye(dim) - box if s == 1 else box
-    return FockOperator(dim=dim, matrix=mat)
+        return upper if s == 1 else np.eye(dim) - upper
+    half = float(meas.window_halfwidth)
+    box = _psi_overlap_matrix(-half, half, dim)
+    return np.eye(dim) - box if s == 1 else box
 
 
 def _state_columns(state: StateSpec, dim: int):
@@ -115,22 +98,6 @@ def _check_state_fits(cols: np.ndarray, weights: np.ndarray, dim: int) -> None:
         raise TruncationError(
             f"state occupies the top of the basis (tail mass {tail_mass:.3e} "
             f"above level {int(0.9 * dim)}); increase dim")
-
-
-def rho_fock(state: StateSpec, dim: int) -> FockOperator:
-    """Density matrix of the displaced squeezed (thermal) state.
-
-    Raises TruncationError when the basis is too small to hold the state
-    (trace deficit above 1e-8).
-    """
-    _check_dim(dim)
-    cols, weights = _state_columns(state, dim)
-    rho = (cols * weights) @ cols.conj().T
-    trace = float(np.trace(rho).real)
-    if trace < 1.0 - 1e-8:
-        raise TruncationError(
-            f"trace deficit {1.0 - trace:.3e} at dim={dim}; increase dim")
-    return FockOperator(dim=dim, matrix=rho)
 
 
 def _phased_apply(proj: np.ndarray, t: float, omega: float, vecs: np.ndarray) -> np.ndarray:
@@ -172,8 +139,7 @@ def qpd_oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
     intermediate-index tail stops oscillating and convergence degrades to
     ~dim^(-1/2) -- the closed-form routes own those points.
     """
-    if s1 not in (1, -1) or s2 not in (1, -1):
-        raise ValueError(f"s1 and s2 must be +1 or -1, got {s1!r}, {s2!r}")
+    _check_signs(s1, s2)
     _check_dim(dim)
     cols, weights = _state_columns(state, dim)
     trace = float(((np.abs(cols) ** 2).sum(axis=0) * weights).sum())
@@ -186,8 +152,8 @@ def qpd_oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
         y = _phased_apply(prod, t1, units.omega, cols)
         return float((weights * np.einsum("nm,nm->m", cols.conj(), y)).sum().real)
 
-    p1 = projector_matrix(meas, s1, t1, dim, units).matrix
-    p2 = projector_matrix(meas, s2, t2, dim, units).matrix
+    p1 = projector_matrix(meas, s1, t1, dim, units)
+    p2 = projector_matrix(meas, s2, t2, dim, units)
     y1 = _phased_apply(p1, t1, units.omega, cols)
     y2 = _phased_apply(p2, t2, units.omega, cols)
     # The hard measurement edges give the intermediate-index expansion an

@@ -29,6 +29,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import ConvergenceWarning
+from .series import _check_signs
 from .special import composite_gauss_legendre, gauss_legendre
 from .states import (DEFAULT_UNITS, SQRT2, ZERO_OFFSET, OffsetFunction,
                      StateSpec, UnitsConfig, gamma_from, mode_e)
@@ -239,11 +240,6 @@ def sign_marginal(state: StateSpec, offset: OffsetFunction | None, s: int, t: fl
     lam = lambda_of(t, state.r, state.theta0, units)
     x_eff = x_xi_of(t, state.xi, units) - float(offset.value(t, units)) / SQRT2
     return 0.5 * (1.0 + s * _sp.erf(x_eff / lam))
-
-
-def _check_signs(s1: int, s2: int) -> None:
-    if s1 not in (1, -1) or s2 not in (1, -1):
-        raise ValueError(f"s1 and s2 must be +1 or -1, got {s1!r}, {s2!r}")
 
 
 def _is_degenerate(form: QuadForm) -> bool:

@@ -21,15 +21,12 @@ a cumulative sum over the same psi rows.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as _sp
 
-from .errors import ResourceLimitError
-from .special import N_MAX, psi_rows
+from .special import psi_rows
 
 
 def j_diag_row(x, n_max: int) -> np.ndarray:
@@ -52,38 +49,6 @@ def ladder_diagonal(x, psi: np.ndarray) -> np.ndarray:
     k = np.arange(1, psi.shape[0]).reshape((-1,) + (1,) * x.ndim)
     steps[1:] = psi[:-1] * psi[1:] / np.sqrt(2.0 * k)
     return np.cumsum(steps, axis=0)
-
-
-def j_diag(n: int, x: float) -> float:
-    """Diagonal half-line element J_nn(x, inf), in [0, 1] and decreasing in x."""
-    if n < 0 or int(n) != n:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    return float(j_diag_row(float(x), n)[n])
-
-
-def j_offdiag(m: int, n: int, x1: float, x2: float = math.inf) -> float:
-    """Off-diagonal element J_mn(x1, x2) in Wronskian closed form.
-
-    Either endpoint may be infinite; the eigenfunctions vanish there and the
-    corresponding boundary term drops out.
-    """
-    if m == n:
-        raise ValueError("j_offdiag requires m != n; use j_diag for the diagonal")
-    for k in (m, n):
-        if k < 0 or int(k) != k:
-            raise ValueError(f"indices must be non-negative integers, got {k!r}")
-    if not x1 < x2:
-        raise ValueError(f"need x1 < x2, got x1={x1}, x2={x2}")
-    return float(_boundary_term(m, n, x2) - _boundary_term(m, n, x1))
-
-
-def _boundary_term(m: int, n: int, x: float) -> float:
-    # [psi'_m(x) psi_n(x) - psi'_n(x) psi_m(x)] / (2 (n - m))
-    if math.isinf(x):
-        return 0.0
-    psi = psi_rows(float(x), max(m, n))
-    lower = lowered(psi)
-    return float((lower[m] * psi[n] - lower[n] * psi[m]) / (2.0 * (n - m)))
 
 
 def lowered(psi: np.ndarray) -> np.ndarray:
@@ -125,41 +90,3 @@ def j_block(cut: float, m_max: int, n_max: int) -> np.ndarray:
     idx = np.arange(k + 1)
     block[idx, idx] = ladder_diagonal(float(cut), psi[:k + 1])
     return block
-
-
-@dataclass(frozen=True)
-class JTable:
-    """Cached symmetric table of half-line elements J_mn(lower_cut, inf)."""
-
-    lower_cut: float
-    max_index: int
-    entries: np.ndarray
-
-    def __getitem__(self, mn: tuple[int, int]) -> float:
-        m, n = mn
-        return float(self.entries[m, n])
-
-
-def build_jtable(lower_cut: float, max_index: int) -> JTable:
-    """Build (or fetch from cache) the complete J table at one lower cut.
-
-    ``lower_cut`` may be -inf, which yields the identity table by
-    orthonormality.  Raises ResourceLimitError above the configured order cap.
-    """
-    if max_index < 0 or int(max_index) != max_index:
-        raise ValueError(f"max_index must be a non-negative integer, got {max_index!r}")
-    if max_index > N_MAX:
-        raise ResourceLimitError(f"max_index={max_index} exceeds cap {N_MAX}")
-    return _build_jtable_cached(float(lower_cut), int(max_index))
-
-
-@functools.lru_cache(maxsize=64)
-def _build_jtable_cached(lower_cut: float, max_index: int) -> JTable:
-    if math.isinf(lower_cut):
-        entries = (np.eye(max_index + 1) if lower_cut < 0
-                   else np.zeros((max_index + 1, max_index + 1)))
-    else:
-        entries = j_block(lower_cut, max_index, max_index)
-        entries = 0.5 * (entries + entries.T)  # symmetrize away roundoff
-    entries.flags.writeable = False
-    return JTable(lower_cut=lower_cut, max_index=max_index, entries=entries)

@@ -51,21 +51,15 @@ class T2Search:
             raise ValueError("refine_iters must be >= 0")
 
 
-def minimize_over_t2(evaluator, search: T2Search, coarse_values=None):
-    """Minimum of a continuous evaluator over t2: coarse grid followed by
-    golden-section refinement of the best bracket.
+def minimize_over_t2(evaluator, curve, search: T2Search):
+    """Minimum of a continuous evaluator over t2: ``curve`` on the coarse grid,
+    then golden-section refinement of the best bracket by ``evaluator``.
 
-    ``coarse_values`` may supply precomputed evaluator values on the coarse
-    grid (used by the vectorized scan paths); otherwise the evaluator is
-    called pointwise.  Returns ``(q_min, t2_argmin)``.
+    ``evaluator`` maps one t2 to q and ``curve`` an array of t2 values to
+    their q values.  Returns ``(q_min, t2_argmin)``.
     """
     grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
-    if coarse_values is None:
-        values = np.array([evaluator(t) for t in grid])
-    else:
-        values = np.asarray(coarse_values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError("coarse_values must match the coarse grid")
+    values = np.asarray(curve(grid), dtype=float)
     i = int(np.nanargmin(values))
     best_q, best_t = float(values[i]), float(grid[i])
     lo = grid[max(i - 1, 0)]
@@ -133,8 +127,6 @@ class ScanConfig:
     def __post_init__(self):
         if self.plane not in PLANES:
             raise ValueError(f"plane must be one of {PLANES}, got {self.plane!r}")
-        if self.route not in ROUTES:
-            raise ValueError(f"route must be one of {ROUTES}, got {self.route!r}")
         if self.s1 not in (1, -1) or self.s2 not in (1, -1):
             raise ValueError("s1 and s2 must be +1 or -1")
         if self.projector not in ("sign", "window"):
@@ -144,19 +136,16 @@ class ScanConfig:
             raise ValueError("axis steps must be >= 1")
         if not self.t2_max > self.t2_min:
             raise ValueError("t2_max must exceed t2_min")
+        if (self.plane == "rL") != (self.projector == "window"):
+            raise ValueError("the window projector scans the rL plane, and only it")
         if self.plane == "rL":
-            if self.projector != "window":
-                raise ValueError("the rL plane scans the window projector")
-            if self.x0 != 0.0 or self.p0 != 0.0 or self.n_th != 0.0:
-                raise ValueError("window scans require squeezed vacuum (x0 = p0 = n_th = 0)")
             if self.axis1_min < 0:
                 raise ValueError("r axis must be non-negative")
             if self.axis2_min <= 0:
                 raise ValueError("L axis must be positive")
-        if self.projector == "window" and self.route == "integral":
-            raise ValueError("the integral route does not cover window projectors")
-        if self.route == "integral" and self.n_th != 0.0:
-            raise ValueError("the integral route covers pure states only")
+        # the dispatch rejects what no route covers; the first cell stands for all
+        named_evaluator(_cell_params(self, self.axis1_min, self.axis2_min), self.route,
+                        self.projector, self.n_max, self.units())
 
     @property
     def axis1_name(self) -> str:
@@ -202,7 +191,7 @@ class ScanResult:
 
 
 def _cell_params(config: ScanConfig, a1: float, a2: float) -> dict:
-    """Named parameters of one grid cell, as :func:`_named_evaluator` takes them."""
+    """Named parameters of one grid cell, as :func:`named_evaluator` takes them."""
     params = {"s1": config.s1, "s2": config.s2, "t1": config.t1,
               "theta0": config.theta0, "offset": config.offset(),
               "quad_order": config.quad_order, "oracle_dim": config.oracle_dim}
@@ -215,14 +204,10 @@ def _cell_params(config: ScanConfig, a1: float, a2: float) -> dict:
 
 def _scan_cell(args):
     config, i, j, a1, a2 = args
-    search = config.t2_search()
-    projector = "window" if config.plane == "rL" else "sign"
     try:
-        evaluator, curve = _named_evaluator(_cell_params(config, a1, a2), config.route,
-                                            projector, config.n_max, config.units())
-        grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
-        coarse = curve(grid) if curve is not None else None
-        q, t2 = minimize_over_t2(evaluator, search, coarse_values=coarse)
+        evaluator, curve = named_evaluator(_cell_params(config, a1, a2), config.route,
+                                           config.projector, config.n_max, config.units())
+        q, t2 = minimize_over_t2(evaluator, curve, config.t2_search())
         return i, j, q, t2, False
     except Exception:
         return i, j, math.nan, math.nan, True
@@ -330,13 +315,11 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
         params = named(vec)
         key = tuple(params[name] for name in outer_names)
         if key not in memo:
-            evaluator, curve = _named_evaluator(params, route, projector, n_max, units)
+            evaluator, curve = named_evaluator(params, route, projector, n_max, units)
             if search is None:
                 memo[key] = (evaluator(params["t2"]), params["t2"])
             else:
-                grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
-                coarse = curve(grid) if curve is not None else None
-                memo[key] = minimize_over_t2(evaluator, search, coarse_values=coarse)
+                memo[key] = minimize_over_t2(evaluator, curve, search)
         return params, memo[key]
 
     def objective(vec) -> float:
@@ -379,42 +362,80 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
                          starts=tuple(starts))
 
 
-def _named_evaluator(params: dict, route: str, projector: str, n_max: int,
-                     units: UnitsConfig):
-    """(scalar evaluator, optional vectorized t2-curve) from named parameters;
-    an ``offset`` entry (an :class:`OffsetFunction`) shifts the sign cut."""
+def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200,
+                    units: UnitsConfig = DEFAULT_UNITS):
+    """The one map from (route, projector, state family) to a kernel.
+
+    ``params`` holds named parameters from {s1, s2, t1, x0, p0, r, theta0,
+    n_th, L, offset, quad_order, oracle_dim}; an ``offset`` entry (an
+    :class:`OffsetFunction`) shifts the sign cut.  Returns ``(evaluator,
+    curve)``: ``evaluator(t2, with_info=False)`` is q at one t2, or ``(q,
+    info)`` with the route's diagnostics record (None for the oracle), and
+    ``curve(t2_grid)`` is q over an array of t2.  The integral and oracle
+    curves map the evaluator over the grid; ``n_max`` is the series truncation.
+
+    Raises ValueError for a combination that no route covers.
+    """
+    if route not in ROUTES:
+        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    if projector not in ("sign", "window"):
+        raise ValueError(f"projector must be 'sign' or 'window', got {projector!r}")
     s1, s2 = int(params.get("s1", 1)), int(params.get("s2", 1))
     t1 = float(params.get("t1", 0.0))
-    theta0 = float(params.get("theta0", 0.0))
+    x0, p0 = float(params.get("x0", 0.0)), float(params.get("p0", 0.0))
+    r, theta0 = float(params.get("r", 0.0)), float(params.get("theta0", 0.0))
     n_th = float(params.get("n_th", 0.0))
+    offset = params.get("offset")
+    has_offset = offset is not None and not offset.is_zero
     trunc = TruncationConfig(n_max=n_max)
     if projector == "window":
-        state = StateSpec(xi=0j, r=float(params.get("r", 0.0)), theta0=theta0, n_th=0.0)
-        half = float(params["L"])
+        if route == "integral":
+            raise ValueError("the integral route does not cover window projectors")
+        half = float(params.get("L", 0.0))
+        if not half > 0:
+            raise ValueError("the window projector requires a half-width L > 0")
+        if x0 or p0 or n_th:
+            raise ValueError("the window projector requires squeezed vacuum "
+                             "(x0 = p0 = n_th = 0)")
+        if has_offset:
+            raise ValueError("the window projector does not take an offset")
+        state = StateSpec(xi=0j, r=r, theta0=theta0, n_th=0.0)
         if route == "series":
-            return (lambda t2: qpd_series_window(state, half, s1, s2, t1, t2, trunc, units),
+            return (lambda t2, with_info=False: qpd_series_window(
+                        state, half, s1, s2, t1, t2, trunc, units, with_info),
                     lambda grid: q_window_series_curve(state, half, s1, s2, t1, grid,
                                                        n_max, units))
         meas = MeasurementSpec.window(half)
-        dim = int(params.get("oracle_dim", 300))
-        return (lambda t2: qpd_oracle(state, meas, s1, s2, t1, t2, dim, units), None)
-
-    state = StateSpec.from_phase_space(float(params.get("x0", 0.0)),
-                                       float(params.get("p0", 0.0)),
-                                       float(params.get("r", 0.0)), theta0, n_th)
-    offset = params.get("offset")
-    if route == "series":
-        if offset is not None and not offset.is_zero:
-            raise ValueError("the series route does not take a measurement offset")
-        if n_th > 0:
-            return (lambda t2: qpd_series_thermal(state, s1, s2, t1, t2, trunc, units),
+    else:
+        if route == "integral" and n_th > 0:
+            raise ValueError("the integral route covers pure states only (n_th = 0)")
+        if route == "series" and has_offset:
+            raise ValueError("the series route does not take a measurement offset; "
+                             "use the integral or oracle route")
+        state = StateSpec.from_phase_space(x0, p0, r, theta0, n_th)
+        if route == "series" and n_th > 0:
+            return (lambda t2, with_info=False: qpd_series_thermal(
+                        state, s1, s2, t1, t2, trunc, units, with_info),
                     lambda grid: q_thermal_series_curve(state, s1, s2, t1, grid,
                                                         n_max, units))
-        return (lambda t2: qpd_series_squeezed(state, s1, s2, t1, t2, trunc, units),
-                lambda grid: q_sign_series_curve(state, s1, s2, t1, grid, n_max, units))
-    if route == "integral":
-        return (lambda t2: qpd_integral(state, offset, s1, s2, t1, t2,
-                                        int(params.get("quad_order", 32)), units), None)
-    meas = MeasurementSpec.sign(offset)
+        if route == "series":
+            return (lambda t2, with_info=False: qpd_series_squeezed(
+                        state, s1, s2, t1, t2, trunc, units, with_info),
+                    lambda grid: q_sign_series_curve(state, s1, s2, t1, grid, n_max, units))
+        if route == "integral":
+            order = int(params.get("quad_order", 32))
+            evaluator = (lambda t2, with_info=False: qpd_integral(
+                state, offset, s1, s2, t1, t2, order, units, with_info))
+            return evaluator, _pointwise(evaluator)
+        meas = MeasurementSpec.sign(offset)
     dim = int(params.get("oracle_dim", 300))
-    return (lambda t2: qpd_oracle(state, meas, s1, s2, t1, t2, dim, units), None)
+
+    def oracle(t2, with_info=False):
+        q = qpd_oracle(state, meas, s1, s2, t1, t2, dim, units)
+        return (q, None) if with_info else q
+
+    return oracle, _pointwise(oracle)
+
+
+def _pointwise(evaluator):
+    return lambda grid: np.array([evaluator(t) for t in grid])

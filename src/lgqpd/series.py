@@ -247,15 +247,6 @@ def _q_sign_pure(a1: float, a2: float, phi: float, s1: int, s2: int, n_max: int,
     return q, SeriesInfo(n_max, series_tail_estimate(terms), False)
 
 
-def qpd_series_coherent(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
-                        trunc: TruncationConfig | None = None,
-                        units: UnitsConfig = DEFAULT_UNITS, with_info: bool = False):
-    """Series quasi-probability for a pure coherent state (r = 0, n_th = 0)."""
-    if state.r != 0:
-        raise ValueError("qpd_series_coherent requires r = 0; use qpd_series_squeezed")
-    return qpd_series_squeezed(state, s1, s2, t1, t2, trunc, units, with_info)
-
-
 def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
                         trunc: TruncationConfig | None = None,
                         units: UnitsConfig = DEFAULT_UNITS, with_info: bool = False):

@@ -1,4 +1,4 @@
-"""Error functions, harmonic-oscillator eigenfunctions, and Gauss-Legendre rules.
+"""Harmonic-oscillator eigenfunctions, the stabilized series sum, and Gauss-Legendre rules.
 
 Conventions (used throughout the package): hbar = m = 1 and positions are
 dimensionless, so the oscillator eigenfunctions are
@@ -18,55 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as _sp
 
 from .errors import CapabilityError
-
-#: Default order cap for the scalar eigenfunction helpers.  Callers that need
-#: higher orders may raise it; the vector helpers enforce only the hard cap.
-N_MAX = 512
 
 #: Hard ceiling on eigenfunction order, to bound memory in the vector helpers.
 HARD_N_CAP = 1 << 17
 
 _QUARTER_PI = np.pi ** -0.25
-
-
-def erf_real(x: float) -> float:
-    """Error function of a real argument (odd, strictly inside (-1, 1))."""
-    if not math.isfinite(x):
-        raise ValueError(f"erf_real requires finite x, got {x!r}")
-    return float(_sp.erf(x))
-
-
-def erfc_complex(z: complex) -> complex:
-    """Complementary error function for a complex argument.
-
-    Evaluated through the Faddeeva function, accurate on all quadrants.
-    Raises OverflowError instead of returning a non-finite value when
-    |Im z| >> |Re z| makes exp(-z^2) overflow; use :func:`erfcx_complex`
-    in that regime.
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"erfc_complex requires finite z, got {z!r}")
-    w = complex(_sp.erfc(z))
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise OverflowError(
-            f"erfc overflows at z={z!r}; the scaled erfcx_complex stays finite there"
-        )
-    return w
-
-
-def erfcx_complex(z: complex) -> complex:
-    """Scaled complementary error function exp(z^2) erfc(z) for complex z."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"erfcx_complex requires finite z, got {z!r}")
-    w = complex(_sp.erfcx(z))
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise OverflowError(f"erfcx overflows at z={z!r}")
-    return w
 
 
 def psi_rows(x, n_max: int):
@@ -120,33 +78,6 @@ def _psi_rows(x: np.ndarray | np.float64, n_max: int) -> np.ndarray:
     for k, a, b in zip(range(1, n_max), up, down):
         psi[k + 1] = a * x * psi[k] - b * psi[k - 1]
     return psi
-
-
-def hermite_psi(n: int, x: float) -> float:
-    """Normalized oscillator eigenfunction psi_n(x)."""
-    _check_order(n)
-    if not math.isfinite(x):
-        raise ValueError(f"hermite_psi requires finite x, got {x!r}")
-    return float(psi_rows(float(x), n)[n])
-
-
-def hermite_psi_prime(n: int, x: float) -> float:
-    """Derivative psi_n'(x) = sqrt(2n) psi_{n-1}(x) - x psi_n(x), from the
-    same recurrence as :func:`hermite_psi`."""
-    _check_order(n)
-    if not math.isfinite(x):
-        raise ValueError(f"hermite_psi_prime requires finite x, got {x!r}")
-    x = float(x)
-    psi = psi_rows(x, n)
-    lower = math.sqrt(2.0 * n) * psi[n - 1] if n > 0 else 0.0
-    return float(lower - x * psi[n])
-
-
-def _check_order(n: int) -> None:
-    if n < 0 or int(n) != n:
-        raise ValueError(f"order must be a non-negative integer, got {n!r}")
-    if n > N_MAX:
-        raise CapabilityError(f"order n={n} exceeds N_MAX={N_MAX}")
 
 
 def averaged_partial_sum(terms: np.ndarray, window: int | None = None):
@@ -205,10 +136,6 @@ class QuadratureRule:
             raise ValueError("weights must sum to the interval length")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    def integrate(self, func) -> float | complex:
-        """Apply the rule to a callable vectorized over the nodes."""
-        return (self.weights * func(self.nodes)).sum()
 
 
 def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:

@@ -15,12 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import qpd_oracle
-from .integral import qpd_integral, sign_marginal
-from .scan import GlobalMinimum, T2Search, global_minimize, minimize_over_t2
-from .series import (MeasurementSpec, TruncationConfig, q_sign_series_curve,
-                     q_thermal_series_curve, q_window_series_curve,
-                     qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
+from .integral import sign_marginal
+from .scan import (LUDERS_FLOOR, GlobalMinimum, T2Search, global_minimize,
+                   minimize_over_t2, named_evaluator)
 from .states import (OffsetFunction, StateSpec, n_th_from_temperature,
                      reduce_squeezed_to_coherent)
 
@@ -81,12 +78,10 @@ def _check_below(name: str, measured: float, bound: float, detail: str = "") -> 
 def verify_fig1() -> list[CheckResult]:
     """Series and integral routes coincide on a dense t2 grid, and the series
     converges monotonically in its truncation order."""
-    state = StateSpec.from_phase_space(0.550, 1.925, r=1.0, theta0=math.pi / 3)
-    s1, s2, t1 = 1, -1, 0.0
+    point = dict(x0=0.550, p0=1.925, r=1.0, theta0=math.pi / 3, s1=1, s2=-1, t1=0.0)
     grid = np.arange(0.0, TWO_PI + 1e-9, 0.05)
-    curves = {n: q_sign_series_curve(state, s1, s2, t1, grid, n_max=n)
-              for n in (5, 50, 500)}
-    q_int = np.array([qpd_integral(state, None, s1, s2, t1, t) for t in grid])
+    curves = {n: named_evaluator(point, "series", "sign", n)[1](grid) for n in (5, 50, 500)}
+    q_int = named_evaluator(point, "integral", "sign")[1](grid)
     dev = float(np.max(np.abs(curves[500] - q_int)))
     d_50 = float(np.max(np.abs(curves[500] - curves[50])))
     d_5 = float(np.max(np.abs(curves[50] - curves[5])))
@@ -102,26 +97,19 @@ def verify_fig1() -> list[CheckResult]:
 # sign-projector minima
 # ---------------------------------------------------------------------------
 
-def _min_over_t2_series(state: StateSpec, s1: int, s2: int, t1: float,
-                        n_max: int = 400) -> tuple[float, float]:
+def _min_over_t2_series(s1: int, s2: int, r: float, x0: float,
+                        p0: float) -> tuple[float, float]:
+    """Series minimum over t2 at t1 = 0 for one row of SIGN_MINIMUM_ROWS."""
     search = T2Search(0.0, TWO_PI, coarse_steps=240, refine_iters=40)
-    trunc = TruncationConfig(n_max=n_max)
-    grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
-    if state.n_th == 0:
-        coarse = q_sign_series_curve(state, s1, s2, t1, grid, n_max)
-        f = lambda t2: qpd_series_squeezed(state, s1, s2, t1, t2, trunc)
-    else:
-        coarse = q_thermal_series_curve(state, s1, s2, t1, grid, n_max)
-        f = lambda t2: qpd_series_thermal(state, s1, s2, t1, t2, trunc)
-    return minimize_over_t2(f, search, coarse_values=coarse)
+    params = {"s1": s1, "s2": s2, "r": r, "x0": x0, "p0": p0}
+    return minimize_over_t2(*named_evaluator(params, "series", "sign", 400), search)
 
 
 def verify_table1() -> list[CheckResult]:
     """Every benchmark row attains min over t2 of 4q = -0.113 within 0.003."""
     out = []
     for s1, s2, r, x0, p0 in SIGN_MINIMUM_ROWS:
-        state = StateSpec.from_phase_space(x0, p0, r=r, theta0=0.0)
-        q, _ = _min_over_t2_series(state, s1, s2, t1=0.0)
+        q, _ = _min_over_t2_series(s1, s2, r, x0, p0)
         out.append(_check(f"row s=({s1:+d},{s2:+d}) r={r:.1f}", 4.0 * q,
                           SIGN_MIN_4Q, 0.003))
     return out
@@ -208,39 +196,37 @@ def verify_thermal_order() -> list[CheckResult]:
 # structural identities
 # ---------------------------------------------------------------------------
 
-def _normalization_points():
-    yield ("series squeezed",
-           lambda s1, s2: qpd_series_squeezed(
-               StateSpec.from_phase_space(0.7, -1.1, 0.6, 1.1), s1, s2, 0.35, 1.45))
-    yield ("series coherent",
-           lambda s1, s2: qpd_series_squeezed(
-               StateSpec.from_phase_space(1.2, 0.4), s1, s2, 0.0, 2.2))
-    yield ("series thermal",
-           lambda s1, s2: qpd_series_thermal(
-               StateSpec.from_phase_space(0.9, 1.1, 0.5, 0.8, n_th=0.8), s1, s2, 0.25, 1.9))
-    yield ("series window",
-           lambda s1, s2: qpd_series_window(
-               StateSpec(0j, 0.35, 0.4), 1.1, s1, s2, 0.2, 1.8))
-    yield ("integral with offset",
-           lambda s1, s2: qpd_integral(
-               StateSpec.from_phase_space(0.5, -0.8, 0.8, 2.0),
-               OffsetFunction(0.6, 0.9, 0.2), s1, s2, 0.4, 2.6))
-    yield ("oracle", lambda s1, s2: qpd_oracle(
-        StateSpec.from_phase_space(0.8, 0.3, 0.4, 0.9, n_th=0.5),
-        MeasurementSpec.sign(), s1, s2, 0.3, 1.2, dim=250))
+#: Integral-route point with a measurement offset, also used for the marginal.
+_OFFSET_POINT = dict(x0=0.5, p0=-0.8, r=0.8, theta0=2.0,
+                     offset=OffsetFunction(0.6, 0.9, 0.2), t1=0.4)
+
+#: (name, route, projector, t2, named parameters) of each normalization point.
+_NORMALIZATION_POINTS = (
+    ("series squeezed", "series", "sign", 1.45,
+     dict(x0=0.7, p0=-1.1, r=0.6, theta0=1.1, t1=0.35)),
+    ("series coherent", "series", "sign", 2.2, dict(x0=1.2, p0=0.4, t1=0.0)),
+    ("series thermal", "series", "sign", 1.9,
+     dict(x0=0.9, p0=1.1, r=0.5, theta0=0.8, n_th=0.8, t1=0.25)),
+    ("series window", "series", "window", 1.8, dict(r=0.35, theta0=0.4, L=1.1, t1=0.2)),
+    ("integral with offset", "integral", "sign", 2.6, _OFFSET_POINT),
+    ("oracle", "oracle", "sign", 1.2,
+     dict(x0=0.8, p0=0.3, r=0.4, theta0=0.9, n_th=0.5, t1=0.3, oracle_dim=250)),
+)
 
 
 def verify_normalization() -> list[CheckResult]:
     """Sum of q over the four sign pairs is 1 for every evaluator."""
     out = []
-    for name, f in _normalization_points():
-        total = sum(f(s1, s2) for s1, s2 in SIGN_PAIRS)
+    for name, route, projector, t2, params in _NORMALIZATION_POINTS:
+        total = sum(named_evaluator(dict(params, s1=s1, s2=s2), route, projector)[0](t2)
+                    for s1, s2 in SIGN_PAIRS)
         out.append(_check(f"sum_s q = 1 [{name}]", total, 1.0, 1e-8))
-    state = StateSpec.from_phase_space(0.5, -0.8, 0.8, 2.0)
-    off = OffsetFunction(0.6, 0.9, 0.2)
-    marg = sum(qpd_integral(state, off, 1, s2, 0.4, 2.6) for s2 in (1, -1))
+    p = _OFFSET_POINT
+    marg = sum(named_evaluator(dict(p, s1=1, s2=s2), "integral", "sign")[0](2.6)
+               for s2 in (1, -1))
+    state = StateSpec.from_phase_space(p["x0"], p["p0"], p["r"], p["theta0"])
     out.append(_check("marginal matches erf closed form",
-                      marg, sign_marginal(state, off, 1, 0.4), 5e-8))
+                      marg, sign_marginal(state, p["offset"], 1, p["t1"]), 5e-8))
     return out
 
 
@@ -248,19 +234,21 @@ def verify_reduction() -> list[CheckResult]:
     """Squeezed-state correlators equal coherent-state correlators at the
     mapped displacement and reparameterized times (thermal included)."""
     cases = [
-        StateSpec.from_phase_space(0.550, 1.925, 1.0, math.pi / 3),
-        StateSpec.from_phase_space(-0.9, 1.2, 0.5, 0.0),
-        StateSpec.from_phase_space(0.8, -0.6, 0.7, 1.9, n_th=0.7),
+        dict(x0=0.550, p0=1.925, r=1.0, theta0=math.pi / 3),
+        dict(x0=-0.9, p0=1.2, r=0.5, theta0=0.0),
+        dict(x0=0.8, p0=-0.6, r=0.7, theta0=1.9, n_th=0.7),
     ]
-    trunc = TruncationConfig(n_max=400)
     out = []
-    for state in cases:
+    for params in cases:
+        state = StateSpec.from_phase_space(**params)
         xi_p, time_map = reduce_squeezed_to_coherent(state)
-        reduced = StateSpec(xi=xi_p, r=0.0, theta0=0.0, n_th=state.n_th)
+        reduced = StateSpec(xi=xi_p)
         for (t1, t2) in ((0.4, 1.7), (0.15, 2.9)):
-            ev = qpd_series_thermal if state.n_th > 0 else qpd_series_squeezed
-            q_sq = ev(state, 1, -1, t1, t2, trunc)
-            q_coh = ev(reduced, 1, -1, time_map(t1), time_map(t2), trunc)
+            squeezed = dict(params, s1=1, s2=-1, t1=t1)
+            coherent = {"s1": 1, "s2": -1, "t1": time_map(t1), "x0": reduced.x0,
+                        "p0": reduced.p0, "n_th": state.n_th}
+            q_sq = named_evaluator(squeezed, "series", "sign", 400)[0](t2)
+            q_coh = named_evaluator(coherent, "series", "sign", 400)[0](time_map(t2))
             out.append(_check(
                 f"reduction r={state.r} n_th={state.n_th} t=({t1},{t2})",
                 q_sq, q_coh, 1e-8))
@@ -272,13 +260,12 @@ def verify_offset_equiv() -> list[CheckResult]:
     state with the opposing harmonic offset."""
     out = []
     for x0, p0 in ((1.1, -0.7), (0.550, 1.925)):
-        coherent = StateSpec.from_phase_space(x0, p0)
-        ground = StateSpec()
-        off = OffsetFunction.coherent_equivalent(coherent.xi)
+        off = OffsetFunction.coherent_equivalent(StateSpec.from_phase_space(x0, p0).xi)
         for s1, s2 in ((1, -1), (-1, -1)):
             for t1, t2 in ((0.3, 1.9), (0.8, 4.4)):
-                qa = qpd_integral(coherent, None, s1, s2, t1, t2)
-                qb = qpd_integral(ground, off, s1, s2, t1, t2)
+                point = {"s1": s1, "s2": s2, "t1": t1}
+                qa = named_evaluator(dict(point, x0=x0, p0=p0), "integral", "sign")[0](t2)
+                qb = named_evaluator(dict(point, offset=off), "integral", "sign")[0](t2)
                 out.append(_check(
                     f"offset equiv (x0={x0}, s=({s1:+d},{s2:+d}), t2={t2})",
                     qa, qb, 1e-8))
@@ -287,20 +274,18 @@ def verify_offset_equiv() -> list[CheckResult]:
 
 def verify_luders() -> list[CheckResult]:
     """No evaluated quasi-probability falls below the -1/8 floor."""
-    floor = -0.125 - 1e-6
     worst = math.inf
-    state = StateSpec.from_phase_space(-0.554, 1.95)
     grid = np.linspace(0.0, TWO_PI, 160)
     for s1, s2 in SIGN_PAIRS:
-        worst = min(worst, float(q_sign_series_curve(state, s1, s2, 0.0, grid, 300).min()))
-    vac = StateSpec()
+        params = {"s1": s1, "s2": s2, "x0": -0.554, "p0": 1.95}
+        curve = named_evaluator(params, "series", "sign", 300)[1]
+        worst = min(worst, float(curve(grid).min()))
     for L in (0.9, 1.03, 1.2):
-        worst = min(worst, float(q_window_series_curve(vac, L, 1, 1, 0.0, grid, 300).min()))
-    row = SIGN_MINIMUM_ROWS[6]
-    q_row, _ = _min_over_t2_series(StateSpec.from_phase_space(row[3], row[4], row[2]),
-                                   row[0], row[1], 0.0)
+        curve = named_evaluator({"s1": 1, "s2": 1, "L": L}, "series", "window", 300)[1]
+        worst = min(worst, float(curve(grid).min()))
+    q_row, _ = _min_over_t2_series(*SIGN_MINIMUM_ROWS[6])
     worst = min(worst, q_row)
-    return [CheckResult("min evaluated q >= -1/8 - 1e-6", worst >= floor,
+    return [CheckResult("min evaluated q >= -1/8 - 1e-6", worst >= LUDERS_FLOOR,
                         worst, -0.125, 1e-6)]
 
 

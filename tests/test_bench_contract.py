@@ -1,0 +1,53 @@
+"""The benchmark's tracer reaches into the package from outside: it wraps the
+functions named in ``bench/tracing.py`` ``LAYERS`` and reads some of their
+arguments by position.  These checks fail when a rename, a deletion or a
+reordered signature would silently break ``bench/run.py --trace 1``."""
+
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    """bench/tracing.py as a module, compiled from its source so that no
+    bytecode cache is written next to it."""
+    module = types.ModuleType("bench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
+         module.__dict__)
+    return module
+
+
+LAYERS = load_tracing().LAYERS
+
+#: (module, function) -> {position: parameter name} that Tracer._before reads.
+POSITIONAL_SLOTS = {
+    ("special", "psi_rows"): {0: "x", 1: "n_max"},
+    ("matrix_elements", "j_row"): {0: "cut", 1: "n_max"},
+    ("series", "q_sign_series_curve"): {4: "t2_grid"},
+    ("series", "q_window_series_curve"): {5: "t2_grid"},
+    ("fock", "projector_matrix"): {0: "meas", 1: "s", 3: "dim"},
+    ("scan", "minimize_over_t2"): {0: "evaluator"},
+}
+
+
+@pytest.mark.parametrize("module,function", sorted(LAYERS))
+def test_every_layer_resolves(module, function):
+    assert callable(getattr(importlib.import_module(f"lgqpd.{module}"), function))
+
+
+@pytest.mark.parametrize("key", sorted(POSITIONAL_SLOTS))
+def test_positional_slots_read_by_the_tracer(key):
+    module, function = key
+    assert key in LAYERS
+    fn = getattr(importlib.import_module(f"lgqpd.{module}"), function)
+    params = list(inspect.signature(fn).parameters.values())
+    for index, name in POSITIONAL_SLOTS[key].items():
+        assert params[index].name == name
+        assert params[index].kind in (inspect.Parameter.POSITIONAL_ONLY,
+                                      inspect.Parameter.POSITIONAL_OR_KEYWORD)

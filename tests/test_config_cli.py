@@ -146,6 +146,13 @@ class TestCliEval:
         assert main(["eval", "--route", "oracle", "--projector", "window",
                      "--s1", "1", "--s2", "1", "--t1", "0", "--t2", "1"]) == 2
 
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    @pytest.mark.parametrize("extra", [[], ["--L", "1.0", "--x0", "1"]])
+    def test_window_usage_errors_exit_2(self, capsys, route, extra):
+        assert main(["eval", "--route", route, "--projector", "window", *extra,
+                     "--s1", "1", "--s2", "1", "--t1", "0", "--t2", "1"]) == 2
+        assert "lgqpd eval: error: the window projector" in capsys.readouterr().err
+
     def test_bad_sign_flag(self):
         with pytest.raises(SystemExit) as err:
             main(["eval", "--route", "series", "--s1", "2", "--s2", "1",

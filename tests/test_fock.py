@@ -5,34 +5,41 @@ import pytest
 
 from lgqpd import (CapabilityError, MeasurementSpec, OffsetFunction,
                    StateSpec, TruncationError, gamma_from, projector_matrix,
-                   qpd_oracle, rho_fock)
+                   qpd_oracle)
+from lgqpd.fock import _state_columns
 from lgqpd.matrix_elements import j_block
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def rho_fock(state, dim):
+    """Dense density matrix from the oracle's weighted state columns."""
+    cols, weights = _state_columns(state, dim)
+    return (cols * weights) @ cols.conj().T
+
+
 class TestProjectorMatrix:
     def test_cut_at_minus_infinity_is_identity(self):
         meas = MeasurementSpec.sign()
-        p = projector_matrix(meas, 1, 0.0, 40).matrix
+        p = projector_matrix(meas, 1, 0.0, 40)
         # zero offset, s = +1, cut 0: complement pair sums to identity
-        q = projector_matrix(meas, -1, 0.0, 40).matrix
+        q = projector_matrix(meas, -1, 0.0, 40)
         assert np.max(np.abs(p + q - np.eye(40))) < 1e-12
 
     def test_window_outcomes_sum_to_identity(self):
         meas = MeasurementSpec.window(1.2)
-        p_out = projector_matrix(meas, 1, 0.0, 50).matrix
-        p_in = projector_matrix(meas, -1, 0.0, 50).matrix
+        p_out = projector_matrix(meas, 1, 0.0, 50)
+        p_in = projector_matrix(meas, -1, 0.0, 50)
         assert np.max(np.abs(p_out + p_in - np.eye(50))) < 1e-9
 
     def test_entry_01_at_cut_zero(self):
-        p = projector_matrix(MeasurementSpec.sign(), 1, 0.0, 50).matrix
+        p = projector_matrix(MeasurementSpec.sign(), 1, 0.0, 50)
         assert p[0, 1].real == pytest.approx(INV_SQRT_2PI, abs=1e-9)
         assert abs(p[0, 1].imag) == 0.0
 
     def test_matches_closed_form_elements(self):
         off = OffsetFunction(constant=0.7 * math.sqrt(2.0))
-        p = projector_matrix(MeasurementSpec.sign(off), 1, 0.0, 40).matrix
+        p = projector_matrix(MeasurementSpec.sign(off), 1, 0.0, 40)
         expected = j_block(0.7, 30, 30)
         assert np.max(np.abs(p[:31, :31].real - expected)) < 1e-9
 
@@ -44,17 +51,17 @@ class TestProjectorMatrix:
         for cut in (-3.0, 0.4, 3.0):
             off = OffsetFunction(constant=cut * math.sqrt(2.0))
             meas = MeasurementSpec.sign(off)
-            p = projector_matrix(meas, 1, 0.0, 400).matrix
+            p = projector_matrix(meas, 1, 0.0, 400)
             assert np.max(np.abs(p - p.conj().T)) < 1e-12
             corner = np.s_[:40, :40]
             deficit_400 = np.max(np.abs((p @ p - p)[corner]))
-            p100 = projector_matrix(meas, 1, 0.0, 100).matrix
+            p100 = projector_matrix(meas, 1, 0.0, 100)
             deficit_100 = np.max(np.abs((p100 @ p100 - p100)[corner]))
             assert deficit_400 < 1e-2
             assert deficit_400 < 0.65 * deficit_100
 
     def test_eigenvalue_range(self):
-        p = projector_matrix(MeasurementSpec.sign(), 1, 0.0, 120).matrix
+        p = projector_matrix(MeasurementSpec.sign(), 1, 0.0, 120)
         eigs = np.linalg.eigvalsh(p)
         assert eigs.min() > -1e-8
         assert eigs.max() < 1 + 1e-8
@@ -66,14 +73,14 @@ class TestProjectorMatrix:
 
 class TestRhoFock:
     def test_vacuum(self):
-        rho = rho_fock(StateSpec(), 30).matrix
+        rho = rho_fock(StateSpec(), 30)
         expected = np.zeros((30, 30))
         expected[0, 0] = 1.0
         assert np.max(np.abs(rho - expected)) < 1e-12
 
     def test_coherent_mean(self):
         dim = 250
-        rho = rho_fock(StateSpec(xi=1.0 + 0j), dim).matrix
+        rho = rho_fock(StateSpec(xi=1.0 + 0j), dim)
         a = np.diag(np.sqrt(np.arange(1, dim)), 1)
         assert np.trace(rho @ a) == pytest.approx(1.0, abs=1e-9)
 
@@ -82,7 +89,7 @@ class TestRhoFock:
         # the same consistency that fixes gamma_from
         xi, r, th0 = 0.389 + 1.361j, 1.0, math.pi / 3
         dim = 300
-        rho = rho_fock(StateSpec(xi=xi, r=r, theta0=th0), dim).matrix
+        rho = rho_fock(StateSpec(xi=xi, r=r, theta0=th0), dim)
         a = np.diag(np.sqrt(np.arange(1, dim)), 1)
         mean_a = np.trace(rho @ a)
         assert abs(mean_a - xi) < 1e-9
@@ -91,7 +98,7 @@ class TestRhoFock:
                    - mean_a) < 1e-9
 
     def test_hermitian_psd_unit_trace(self):
-        rho = rho_fock(StateSpec.from_phase_space(0.8, -0.6, 0.5, 1.1, n_th=0.7), 260).matrix
+        rho = rho_fock(StateSpec.from_phase_space(0.8, -0.6, 0.5, 1.1, n_th=0.7), 260)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         eigs = np.linalg.eigvalsh(rho)
         assert eigs.min() > -1e-10
@@ -99,7 +106,7 @@ class TestRhoFock:
 
     def test_trace_deficit_error(self):
         with pytest.raises(TruncationError):
-            rho_fock(StateSpec(xi=4.0 + 0j), 12)
+            _state_columns(StateSpec(xi=4.0 + 0j), 12)
 
 
 class TestQpdOracle:
@@ -127,10 +134,10 @@ class TestQpdOracle:
         meas = MeasurementSpec.sign()
         t1, t2, dim = 0.3, 1.4, 220
         q = qpd_oracle(state, meas, 1, -1, t1, t2, dim=dim)
-        rho = rho_fock(state, dim).matrix
+        rho = rho_fock(state, dim)
         n = np.arange(dim)
-        p1 = projector_matrix(meas, 1, t1, dim).matrix
-        p2 = projector_matrix(meas, -1, t2, dim).matrix
+        p1 = projector_matrix(meas, 1, t1, dim)
+        p2 = projector_matrix(meas, -1, t2, dim)
         u1 = np.exp(1j * n * t1)
         u2 = np.exp(1j * n * t2)
         p1t = (u1[:, None] * u1.conj()[None, :]) * p1

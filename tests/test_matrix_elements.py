@@ -5,18 +5,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lgqpd import (ResourceLimitError, build_jtable, composite_gauss_legendre,
-                   erf_real, hermite_psi, j_block, j_diag, j_diag_row, j_offdiag,
-                   j_row, psi_rows)
+from lgqpd import composite_gauss_legendre, j_block, j_diag_row, j_row, psi_rows
+from lgqpd.matrix_elements import lowered
 from lgqpd.series import _window_row
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def psi(n, x):
+    return float(psi_rows(float(x), n)[n])
+
+
 def quad_oracle(m, n, lo, hi):
     """Independent oracle: adaptive quadrature of psi_m psi_n."""
-    val, _ = quad(lambda x: hermite_psi(m, x) * hermite_psi(n, x), lo, hi,
-                  limit=400, epsabs=1e-13, epsrel=1e-13)
+    def integrand(x):
+        rows = psi_rows(float(x), max(m, n))
+        return float(rows[m] * rows[n])
+    val, _ = quad(integrand, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-13)
     return val
 
 
@@ -43,6 +48,28 @@ def quadrature_diag_row(x, n_max):
     rule = composite_gauss_legendre(lo, supp, panel_width=width, order=16)
     psi = psi_rows(rule.nodes, n_max)
     return (psi * psi) @ rule.weights
+
+
+def j_diag(n, x):
+    """Scalar reference J_nn(x, inf), in [0, 1] and decreasing in x."""
+    return float(j_diag_row(float(x), n)[n])
+
+
+def j_offdiag(m, n, x1, x2=math.inf):
+    """Scalar reference J_mn(x1, x2), m != n, in Wronskian closed form; an
+    infinite endpoint's boundary term drops out."""
+    if m == n:
+        raise ValueError("j_offdiag requires m != n; use j_diag for the diagonal")
+    return _boundary_term(m, n, x2) - _boundary_term(m, n, x1)
+
+
+def _boundary_term(m, n, x):
+    # [psi'_m(x) psi_n(x) - psi'_n(x) psi_m(x)] / (2 (n - m))
+    if math.isinf(x):
+        return 0.0
+    rows = psi_rows(float(x), max(m, n))
+    lower = lowered(rows)
+    return float((lower[m] * rows[n] - lower[n] * rows[m]) / (2.0 * (n - m)))
 
 
 class TestOffDiagonal:
@@ -72,7 +99,7 @@ class TestOffDiagonal:
 
 class TestDiagonal:
     def test_ground_state_closed_form(self):
-        assert j_diag(0, 0.3) == pytest.approx(0.5 * (1 - erf_real(0.3)), abs=1e-14)
+        assert j_diag(0, 0.3) == pytest.approx(0.5 * (1 - math.erf(0.3)), abs=1e-14)
 
     def test_half_at_origin(self):
         for n in (0, 1, 4, 17, 60):
@@ -80,13 +107,13 @@ class TestDiagonal:
 
     def test_quadrature_oracle(self):
         got = j_diag(4, 1.1)
-        expected = quad(lambda x: hermite_psi(4, x) ** 2, 1.1, 40.0,
+        expected = quad(lambda x: psi(4, x) ** 2, 1.1, 40.0,
                         limit=400, epsabs=1e-13)[0]
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_limits_and_monotonicity(self):
-        assert j_diag(3, -math.inf) == 1.0
-        assert j_diag(3, math.inf) == 0.0
+        assert j_diag_row(-math.inf, 3)[3] == 1.0
+        assert j_diag_row(math.inf, 3)[3] == 0.0
         xs = np.linspace(-6, 6, 41)
         vals = [j_diag(6, x) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in vals)
@@ -129,7 +156,7 @@ class TestComplementAndCompleteness:
                 assert abs(total) < 1e-12  # delta_mn = 0 off the diagonal
         for n in (0, 3, 9):
             a = 0.4
-            lower = quad(lambda x: hermite_psi(n, x) ** 2, -40.0, a, limit=400)[0]
+            lower = quad(lambda x: psi(n, x) ** 2, -40.0, a, limit=400)[0]
             assert lower + j_diag(n, a) == pytest.approx(1.0, abs=1e-10)
 
     def test_projector_idempotence_in_truncated_basis(self):
@@ -149,49 +176,11 @@ class TestComplementAndCompleteness:
         assert err_1200 < 0.65 * err_300
 
 
-class TestJTable:
-    def test_low_order_entries(self):
-        table = build_jtable(0.0, 2)
-        assert table[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert table[0, 1] == pytest.approx(INV_SQRT_2PI, abs=1e-12)
-        assert table[1, 1] == pytest.approx(0.5, abs=1e-12)
-        assert table[0, 2] == pytest.approx(j_offdiag(0, 2, 0.0, math.inf), abs=1e-14)
-
-    def test_symmetry_invariant(self):
-        table = build_jtable(-0.7, 40)
-        assert np.max(np.abs(table.entries - table.entries.T)) < 1e-12
-
-    def test_sentinel_identity(self):
-        table = build_jtable(-math.inf, 3)
-        assert np.array_equal(table.entries, np.eye(4))
-
-    def test_row_matches_pointwise(self):
-        cut = 1.03
-        row = j_row(cut, 12)
-        table = build_jtable(cut, 12)
-        assert np.max(np.abs(table.entries[0] - row)) < 1e-12
-
-    def test_build_performance(self):
-        start = time.perf_counter()
-        table = build_jtable(1.03, 500)
-        elapsed = time.perf_counter() - start
-        assert table.entries.shape == (501, 501)
-        assert elapsed < 10.0
-        assert table.entries.nbytes < 50e6
-
-    def test_cache_returns_same_object(self):
-        assert build_jtable(0.25, 20) is build_jtable(0.25, 20)
-
-    def test_resource_cap(self):
-        with pytest.raises(ResourceLimitError):
-            build_jtable(0.0, 100_000)
-
-
 class TestRowHelper:
     def test_row_against_scalar_elements(self):
         cut = -0.35
         row = j_row(cut, 9)
-        assert row[0] == pytest.approx(0.5 * (1 - erf_real(cut)), abs=1e-14)
+        assert row[0] == pytest.approx(0.5 * (1 - math.erf(cut)), abs=1e-14)
         for n in range(1, 10):
             assert row[n] == pytest.approx(j_offdiag(0, n, cut, math.inf), abs=1e-13)
 
@@ -207,6 +196,29 @@ class TestRowHelper:
         for m, n in ((0, 200), (1, 0), (3, 8), (20, 19), (55, 54), (55, 56), (40, 133), (55, 200)):
             assert block[m, n] == pytest.approx(half_line_oracle(m, n, cut),
                                                rel=1e-9, abs=1e-18)
+
+    def test_block_low_order_entries(self):
+        block = j_block(0.0, 2, 2)
+        assert block[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert block[0, 1] == pytest.approx(INV_SQRT_2PI, abs=1e-12)
+        assert block[1, 1] == pytest.approx(0.5, abs=1e-12)
+        assert block[0, 2] == pytest.approx(j_offdiag(0, 2, 0.0, math.inf), abs=1e-14)
+
+    def test_block_symmetry(self):
+        block = j_block(-0.7, 40, 40)
+        assert np.max(np.abs(block - block.T)) < 1e-12
+
+    def test_block_first_row_is_j_row(self):
+        cut = 1.03
+        assert np.max(np.abs(j_block(cut, 12, 12)[0] - j_row(cut, 12))) < 1e-12
+
+    def test_block_build_performance(self):
+        start = time.perf_counter()
+        block = j_block(1.03, 500, 500)
+        elapsed = time.perf_counter() - start
+        assert block.shape == (501, 501)
+        assert elapsed < 10.0
+        assert block.nbytes < 50e6
 
     @pytest.mark.parametrize("h", [0.05, 0.7, 1.02, 3.3])
     def test_window_row_parity(self, h):

@@ -3,33 +3,81 @@ import math
 import numpy as np
 import pytest
 
-from lgqpd import (DEFAULT_UNITS, ScanConfig, StateSpec, T2Search, TruncationConfig,
-                   global_minimize, minimize_over_t2, qpd_series_squeezed,
-                   scan, scan_plane)
+from lgqpd import (DEFAULT_UNITS, OffsetFunction, ScanConfig, StateSpec, T2Search,
+                   TruncationConfig, global_minimize, minimize_over_t2,
+                   named_evaluator, qpd_series_squeezed, scan, scan_plane)
 from lgqpd.output import scan_csv_text
 
 TWO_PI = 2 * math.pi
 
 
+def pointwise(f):
+    return lambda grid: [f(t) for t in grid]
+
+
 class TestMinimizeOverT2:
     def test_cosine(self):
-        q, t = minimize_over_t2(np.cos, T2Search(0.0, TWO_PI, 200, 60))
+        q, t = minimize_over_t2(np.cos, np.cos, T2Search(0.0, TWO_PI, 200, 60))
         assert q == pytest.approx(-1.0, abs=1e-10)
         assert t == pytest.approx(math.pi, abs=1e-6)
 
-    def test_coarse_values_shortcut(self):
+    def test_curve_and_pointwise_coarse_grid_agree(self):
         search = T2Search(0.0, TWO_PI, 120, 40)
-        grid = np.linspace(0.0, TWO_PI, 120)
-        q1, t1 = minimize_over_t2(np.cos, search)
-        q2, t2 = minimize_over_t2(np.cos, search, coarse_values=np.cos(grid))
+        q1, t1 = minimize_over_t2(np.cos, pointwise(np.cos), search)
+        q2, t2 = minimize_over_t2(np.cos, np.cos, search)
         assert q1 == q2 and t1 == t2
 
+    def test_coarse_grid_from_curve_refinement_from_evaluator(self):
+        search = T2Search(0.0, TWO_PI, 50, 12)
+        grids, points = [], []
+        minimize_over_t2(lambda t: points.append(t) or math.cos(t),
+                         lambda grid: grids.append(grid) or np.cos(grid), search)
+        assert len(grids) == 1
+        assert np.array_equal(grids[0], np.linspace(0.0, TWO_PI, 50))
+        assert len(points) == 2 + search.refine_iters
+
     def test_benchmark_row(self):
-        state = StateSpec.from_phase_space(-1.48, 0.717, r=1.0)
-        f = lambda t2: qpd_series_squeezed(state, 1, -1, 0.0, t2,
-                                           TruncationConfig(n_max=400))
-        q, _ = minimize_over_t2(f, T2Search(0.0, TWO_PI, 240, 40))
+        evaluator, curve = named_evaluator(
+            {"s1": 1, "s2": -1, "x0": -1.48, "p0": 0.717, "r": 1.0}, "series", "sign", 400)
+        q, _ = minimize_over_t2(evaluator, curve, T2Search(0.0, TWO_PI, 240, 40))
         assert 4 * q == pytest.approx(-0.113, abs=0.003)
+
+
+class TestNamedEvaluator:
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    @pytest.mark.parametrize("params", [
+        {"x0": 1.5, "L": 1.0}, {"p0": -0.7, "L": 1.0}, {"n_th": 0.9, "L": 1.0},
+        {"offset": OffsetFunction(0.5), "L": 1.0}, {}, {"L": -1.0}])
+    def test_window_rejects_what_it_cannot_take(self, route, params):
+        with pytest.raises(ValueError):
+            named_evaluator(params, route, "window", 60)
+
+    def test_rejects_uncovered_routes(self):
+        with pytest.raises(ValueError, match="window"):
+            named_evaluator({"L": 1.0}, "integral", "window", 60)
+        with pytest.raises(ValueError, match="pure states"):
+            named_evaluator({"n_th": 0.5}, "integral", "sign", 60)
+        with pytest.raises(ValueError, match="offset"):
+            named_evaluator({"offset": OffsetFunction(constant=0.3)}, "series", "sign", 60)
+
+    @pytest.mark.parametrize("route,projector,params", [
+        ("series", "sign", {"x0": 0.4, "p0": 1.1, "r": 0.3}),
+        ("series", "sign", {"x0": 0.4, "p0": 1.1, "r": 0.3, "n_th": 0.8}),
+        ("series", "window", {"r": 0.3, "L": 1.02}),
+        ("integral", "sign", {"x0": 0.4, "p0": 1.1, "offset": OffsetFunction(0.6, 0.9, 0.2)}),
+        ("oracle", "sign", {"x0": 0.4, "p0": 1.1, "n_th": 0.8, "oracle_dim": 120}),
+        ("oracle", "window", {"r": 0.3, "L": 1.02, "oracle_dim": 120}),
+    ])
+    def test_curve_matches_evaluator(self, route, projector, params):
+        params = dict(params, s1=1, s2=-1, t1=0.3)
+        evaluator, curve = named_evaluator(params, route, projector, 120)
+        grid = np.array([0.9, 1.7, 2.4])
+        values = curve(grid)
+        for t2, q in zip(grid, values):
+            assert q == pytest.approx(evaluator(t2), abs=1e-12)
+        q, info = evaluator(1.7, with_info=True)
+        assert q == evaluator(1.7)
+        assert (info is None) == (route == "oracle")
 
 
 class TestScanConfigValidation:
@@ -55,6 +103,14 @@ class TestScanConfigValidation:
             ScanConfig(plane="x0p0", route="integral", s1=1, s2=1, n_th=0.5)
         with pytest.raises(ValueError):
             ScanConfig(plane="x0p0", route="series", s1=2, s2=1)
+
+    def test_window_projector_only_on_rl_plane(self):
+        # the x0p0 plane would silently scan sign projectors
+        with pytest.raises(ValueError, match="rL"):
+            ScanConfig(plane="x0p0", route="series", s1=1, s2=1, projector="window")
+        with pytest.raises(ValueError):
+            ScanConfig(plane="rL", route="series", s1=1, s2=1, projector="window",
+                       axis1_min=0.0, axis2_min=0.5, offset_const=0.3)
 
 
 class TestScanPlane:
@@ -141,7 +197,7 @@ class TestGlobalMinimize:
         state = StateSpec.from_phase_space(0.55, 1.93)
         f = lambda t2: qpd_series_squeezed(state, -1, 1, 0.0, t2,
                                            TruncationConfig(n_max=300))
-        q, _ = minimize_over_t2(f, T2Search(0.0, TWO_PI, 96, 32))
+        q, _ = minimize_over_t2(f, pointwise(f), T2Search(0.0, TWO_PI, 96, 32))
         assert res.value == pytest.approx(q, abs=1e-9)
 
     def test_fixed_t2_point(self):
@@ -162,10 +218,21 @@ class TestGlobalMinimize:
         assert len(res.starts) == 2
         assert res.value <= min(s.value for s in res.starts) + 1e-15
 
+    @pytest.mark.parametrize("extra", [
+        {"x0": 1.5}, {"p0": -0.7}, {"n_th": 0.9}, {"offset": OffsetFunction(0.4, 0.2, 0.1)}])
+    def test_window_rejects_displaced_thermal_or_offset(self, extra):
+        # these used to be dropped, returning the squeezed-vacuum minimum
+        with pytest.raises(ValueError):
+            global_minimize(
+                free={"L": (0.9, 1.1), "t2": (0.05, math.pi - 0.05)},
+                fixed=dict({"s1": 1, "s2": 1, "r": 0.0, "t1": 0.0}, **extra),
+                projector="window", coarse_steps=2, n_starts=1, t2_coarse=8,
+                t2_refine=2, n_max=40, nm_maxiter=2)
+
     @pytest.mark.parametrize("n_th", [0.0, 0.8])
     def test_each_point_searched_once(self, monkeypatch, n_th):
         searched = []
-        real_evaluator = scan._named_evaluator
+        real_evaluator = scan.named_evaluator
 
         def recording_evaluator(params, *args):
             searched.append((params["x0"], params["p0"]))
@@ -180,7 +247,7 @@ class TestGlobalMinimize:
                 return fun(x)
             return real_nm(counted, x0, **kwargs)
 
-        monkeypatch.setattr(scan, "_named_evaluator", recording_evaluator)
+        monkeypatch.setattr(scan, "named_evaluator", recording_evaluator)
         monkeypatch.setattr(scan, "_nm_minimize", counting_nm)
         fixed = {"s1": 1, "s2": -1, "r": 0.3, "t1": 0.0, "n_th": n_th}
         search = T2Search(0.0, TWO_PI, 48, 16)
@@ -195,10 +262,8 @@ class TestGlobalMinimize:
         assert len(searched) == len(set(searched)) < requests
 
         # every reported minimum is exactly what a fresh t2 search gives
-        grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
         for value, argmin in [(res.value, res.argmin)] + [
                 (s.value, s.argmin) for s in res.starts]:
             evaluator, curve = real_evaluator(argmin, "series", "sign", 150,
                                               DEFAULT_UNITS)
-            assert minimize_over_t2(evaluator, search, curve(grid)) == (
-                value, argmin["t2"])
+            assert minimize_over_t2(evaluator, curve, search) == (value, argmin["t2"])

@@ -8,7 +8,7 @@ from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    TruncationError, TruncationWarning, averaged_partial_sum,
                    j_block, lambda_of, phase_beta_of, q_sign_series_curve,
                    q_thermal_series_curve, q_window_series_curve, qpd_integral,
-                   qpd_oracle, qpd_series_coherent, qpd_series_squeezed,
+                   qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window,
                    series_tail_estimate, thermal_m_cut, x_xi_of)
 from test_matrix_elements import quadrature_diag_row
@@ -105,16 +105,12 @@ class TestTailEstimate:
 class TestCoherentSeries:
     def test_same_time_trivials(self):
         ground = StateSpec()
-        assert qpd_series_coherent(ground, 1, 1, 0.3, 0.3) == pytest.approx(0.5, abs=1e-14)
-        assert qpd_series_coherent(ground, 1, -1, 0.3, 0.3) == pytest.approx(0.0, abs=1e-14)
-
-    def test_requires_zero_squeeze(self):
-        with pytest.raises(ValueError):
-            qpd_series_coherent(StateSpec(r=0.5), 1, 1, 0.0, 1.0)
+        assert qpd_series_squeezed(ground, 1, 1, 0.3, 0.3) == pytest.approx(0.5, abs=1e-14)
+        assert qpd_series_squeezed(ground, 1, -1, 0.3, 0.3) == pytest.approx(0.0, abs=1e-14)
 
     def test_against_fock_oracle(self):
         state = StateSpec.from_phase_space(1.0, 1.0)
-        q = qpd_series_coherent(state, 1, -1, 0.0, 1.0, TruncationConfig(n_max=1200))
+        q = qpd_series_squeezed(state, 1, -1, 0.0, 1.0, TruncationConfig(n_max=1200))
         qo = qpd_oracle(state, MeasurementSpec.sign(), 1, -1, 0.0, 1.0, dim=300)
         assert q == pytest.approx(qo, abs=1e-6)
 
@@ -127,9 +123,10 @@ class TestCoherentSeries:
 
 class TestSqueezedSeries:
     def test_reduces_to_coherent_bit_for_bit(self):
+        # at r = 0 the squeeze phase drops out exactly
         state0 = StateSpec.from_phase_space(0.8, -0.3, r=0.0, theta0=1.2)
         q_sq = qpd_series_squeezed(state0, -1, 1, 0.2, 1.7)
-        q_coh = qpd_series_coherent(state0, -1, 1, 0.2, 1.7)
+        q_coh = qpd_series_squeezed(StateSpec(xi=state0.xi), -1, 1, 0.2, 1.7)
         assert q_sq == q_coh
 
     def test_matches_integral_route_curve(self):

