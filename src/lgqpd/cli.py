@@ -94,7 +94,7 @@ def _cmd_eval(args) -> int:
     if isinstance(info, SeriesInfo):
         diagnostics = {"n_used": info.n_used, "tail_bound": info.tail_bound,
                        "singular_branch": info.singular_branch}
-        if info.m_used:
+        if params["n_th"] > 0:
             diagnostics.update({"m_used": info.m_used, "m_tail": info.m_tail})
     elif isinstance(info, IntegralInfo):
         diagnostics = {"converged": info.converged, "self_consistency": info.last_delta,

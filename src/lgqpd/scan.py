@@ -192,13 +192,13 @@ class ScanResult:
 
 def _cell_params(config: ScanConfig, a1: float, a2: float) -> dict:
     """Named parameters of one grid cell, as :func:`named_evaluator` takes them."""
-    params = {"s1": config.s1, "s2": config.s2, "t1": config.t1,
-              "theta0": config.theta0, "offset": config.offset(),
+    params = {"s1": config.s1, "s2": config.s2, "t1": config.t1, "x0": config.x0,
+              "p0": config.p0, "r": config.r, "theta0": config.theta0,
+              "n_th": config.n_th, "offset": config.offset(),
               "quad_order": config.quad_order, "oracle_dim": config.oracle_dim}
-    if config.plane == "x0p0":
-        params.update(x0=a1, p0=a2, r=config.r, n_th=config.n_th)
-    else:
-        params.update(r=a1, L=a2)
+    # the axis values override the fixed state; the rest reaches the dispatch,
+    # which rejects what the route cannot honour
+    params.update({config.axis1_name: a1, config.axis2_name: a2})
     return params
 
 

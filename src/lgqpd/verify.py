@@ -18,7 +18,7 @@ import numpy as np
 from .integral import sign_marginal
 from .scan import (LUDERS_FLOOR, GlobalMinimum, T2Search, global_minimize,
                    minimize_over_t2, named_evaluator)
-from .states import (OffsetFunction, StateSpec, n_th_from_temperature,
+from .states import (SQRT2, OffsetFunction, StateSpec, n_th_from_temperature,
                      reduce_squeezed_to_coherent)
 
 TWO_PI = 2.0 * math.pi
@@ -242,11 +242,11 @@ def verify_reduction() -> list[CheckResult]:
     for params in cases:
         state = StateSpec.from_phase_space(**params)
         xi_p, time_map = reduce_squeezed_to_coherent(state)
-        reduced = StateSpec(xi=xi_p)
         for (t1, t2) in ((0.4, 1.7), (0.15, 2.9)):
             squeezed = dict(params, s1=1, s2=-1, t1=t1)
-            coherent = {"s1": 1, "s2": -1, "t1": time_map(t1), "x0": reduced.x0,
-                        "p0": reduced.p0, "n_th": state.n_th}
+            coherent = {"s1": 1, "s2": -1, "t1": time_map(t1),
+                        "x0": SQRT2 * xi_p.real, "p0": SQRT2 * xi_p.imag,
+                        "n_th": state.n_th}
             q_sq = named_evaluator(squeezed, "series", "sign", 400)[0](t2)
             q_coh = named_evaluator(coherent, "series", "sign", 400)[0](time_map(t2))
             out.append(_check(

@@ -119,6 +119,14 @@ class TestCliEval:
         assert payload["diagnostics"]["converged"] is True
         assert abs(payload["q"]) < 1.0
 
+    def test_thermal_diagnostics_only_for_thermal_states(self, capsys):
+        common = ["eval", "--route", "series", "--s1", "1", "--s2", "-1",
+                  "--t1", "0", "--t2", "1.3", "--out", "json"]
+        assert main([*common, "--temp-ratio", "0.5"]) == 0
+        assert "m_used" in json.loads(capsys.readouterr().out)["diagnostics"]
+        assert main(common) == 0
+        assert "m_used" not in json.loads(capsys.readouterr().out)["diagnostics"]
+
     def test_integral_matches_series_at_benchmark_point(self, capsys):
         common = ["--x0", "0.55", "--p0", "1.925", "--r", "1",
                   "--theta0", "1.0471975511965976", "--s1", "1", "--s2", "-1",

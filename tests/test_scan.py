@@ -112,6 +112,13 @@ class TestScanConfigValidation:
             ScanConfig(plane="rL", route="series", s1=1, s2=1, projector="window",
                        axis1_min=0.0, axis2_min=0.5, offset_const=0.3)
 
+    @pytest.mark.parametrize("fixed", [dict(x0=1.5), dict(p0=-0.7), dict(n_th=0.9)])
+    def test_window_scan_rejects_non_vacuum_state(self, fixed):
+        # the window kernel covers squeezed vacuum only; these must not be dropped
+        with pytest.raises(ValueError, match="squeezed vacuum"):
+            ScanConfig(plane="rL", route="series", s1=1, s2=1, projector="window",
+                       axis1_min=0.0, axis2_min=0.5, **fixed)
+
 
 class TestScanPlane:
     def test_parity_pair_on_single_cell(self):
