@@ -33,7 +33,7 @@ from .series import (MeasurementSpec, SeriesInfo, TruncationConfig,
                      q_window_series_curve, qpd_series_squeezed,
                      qpd_series_thermal, qpd_series_window,
                      series_tail_estimate)
-from .fock import projector_matrix, qpd_oracle
+from .fock import OracleInfo, projector_matrix, q_oracle_curve, qpd_oracle
 from .scan import (GlobalMinimum, ScanConfig, ScanResult, T2Search,
                    global_minimize, minimize_over_t2, named_evaluator,
                    scan_plane)

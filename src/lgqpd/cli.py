@@ -100,7 +100,8 @@ def _cmd_eval(args) -> int:
         diagnostics = {"converged": info.converged, "self_consistency": info.last_delta,
                        "u_order": info.order, "degenerate_branch": info.degenerate}
     else:
-        diagnostics = {"dim": args.oracle_dim}
+        diagnostics = {"dim": info.dim, "n_cols": info.n_cols,
+                       "trace_deficit": info.trace_deficit, "tail_mass": info.tail_mass}
 
     if args.out == "json":
         print(json.dumps({"q": q, "route": args.route, "projector": args.projector,

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
 from .integral import qpd_integral
-from .fock import qpd_oracle
+from .fock import q_oracle_curve, qpd_oracle
 from .series import (MeasurementSpec, TruncationConfig, q_sign_series_curve,
                      q_thermal_series_curve, q_window_series_curve,
                      qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
@@ -370,9 +370,10 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200,
     n_th, L, offset, quad_order, oracle_dim}; an ``offset`` entry (an
     :class:`OffsetFunction`) shifts the sign cut.  Returns ``(evaluator,
     curve)``: ``evaluator(t2, with_info=False)`` is q at one t2, or ``(q,
-    info)`` with the route's diagnostics record (None for the oracle), and
-    ``curve(t2_grid)`` is q over an array of t2.  The integral and oracle
-    curves map the evaluator over the grid; ``n_max`` is the series truncation.
+    info)`` with the route's diagnostics record (``SeriesInfo``,
+    ``IntegralInfo`` or ``OracleInfo``), and ``curve(t2_grid)`` is q over an
+    array of t2.  The integral curve maps the evaluator over the grid;
+    ``n_max`` is the series truncation.
 
     Raises ValueError for a combination that no route covers.
     """
@@ -429,12 +430,9 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200,
             return evaluator, _pointwise(evaluator)
         meas = MeasurementSpec.sign(offset)
     dim = int(params.get("oracle_dim", 300))
-
-    def oracle(t2, with_info=False):
-        q = qpd_oracle(state, meas, s1, s2, t1, t2, dim, units)
-        return (q, None) if with_info else q
-
-    return oracle, _pointwise(oracle)
+    return (lambda t2, with_info=False: qpd_oracle(
+                state, meas, s1, s2, t1, t2, dim, units, with_info),
+            lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim, units))
 
 
 def _pointwise(evaluator):

@@ -9,6 +9,7 @@ from lgqpd.config import (ConfigError, load_scan_config, parse_scan_config,
                           scan_config_from_mapping, scan_config_to_mapping)
 from lgqpd.output import scan_csv_text, write_scan_outputs
 from lgqpd.scan import ScanConfig, scan_plane
+from lgqpd.states import n_th_from_temperature, thermal_m_cut
 
 GOOD_CONFIG = """\
 # displacement-plane scan
@@ -126,6 +127,21 @@ class TestCliEval:
         assert "m_used" in json.loads(capsys.readouterr().out)["diagnostics"]
         assert main(common) == 0
         assert "m_used" not in json.loads(capsys.readouterr().out)["diagnostics"]
+
+    def test_oracle_diagnostics(self, capsys):
+        common = ["eval", "--route", "oracle", "--oracle-dim", "120", "--x0", "0.5",
+                  "--temp-ratio", "0.5", "--s1", "1", "--s2", "-1", "--t1", "0",
+                  "--t2", "1.3"]
+        assert main([*common, "--out", "json"]) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["dim"] == 120
+        assert diagnostics["n_cols"] == thermal_m_cut(n_th_from_temperature(0.5), 1e-12)
+        assert abs(diagnostics["trace_deficit"]) < 1e-8
+        assert 0.0 <= diagnostics["tail_mass"] <= 1e-9
+        assert main(common) == 0
+        out = capsys.readouterr().out
+        for key in ("dim = 120", "n_cols = ", "trace_deficit = ", "tail_mass = "):
+            assert key in out
 
     def test_integral_matches_series_at_benchmark_point(self, capsys):
         common = ["--x0", "0.55", "--p0", "1.925", "--r", "1",

@@ -1,21 +1,53 @@
+import ast
+import contextlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from lgqpd import (CapabilityError, MeasurementSpec, OffsetFunction,
-                   StateSpec, TruncationError, gamma_from, projector_matrix,
-                   qpd_oracle)
+from lgqpd import (CapabilityError, MeasurementSpec, OffsetFunction, OracleInfo,
+                   StateSpec, TruncationError, fock, gamma_from, projector_matrix,
+                   q_oracle_curve, qpd_oracle, thermal_m_cut)
 from lgqpd.fock import _state_columns
 from lgqpd.matrix_elements import j_block
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+SIGN_PAIRS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 def rho_fock(state, dim):
     """Dense density matrix from the oracle's weighted state columns."""
-    cols, weights = _state_columns(state, dim)
+    cols, weights, _ = _state_columns(state, dim)
     return (cols * weights) @ cols.conj().T
+
+
+def dense_columns(state, dim):
+    """D(xi) S(zeta)|m> by dense matrix exponentials of the truncated
+    generators: the oracle's original definition of its state columns."""
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    ad = a.conj().T
+    n_cols = 1 if state.n_th == 0 else min(dim, thermal_m_cut(state.n_th, 1e-12))
+    cols = np.eye(dim, n_cols, dtype=complex)
+    zeta = state.r * np.exp(1j * state.theta0)
+    cols = expm(0.5 * (zeta * (ad @ ad) - np.conj(zeta) * (a @ a))) @ cols
+    return expm(state.xi * ad - np.conj(state.xi) * a) @ cols
+
+
+#: Four quadrants, then purely real and purely imaginary.
+XIS = (0.8 + 0.6j, -0.7 + 0.9j, -1.1 - 0.4j, 0.5 - 1.2j, 1.3 + 0j, 1.4j)
+SQUEEZES = ((0.0, 0.0), (0.3, 0.0), (0.3, 2.5), (0.3, -1.0),
+            (1.0, 0.0), (1.0, 2.5), (1.0, -1.0))
+#: (xi, r, theta0, n_th, dim), each state small enough for its basis.
+COLUMN_CASES = (
+    [(xi, r, th, n_th, 120) for xi in XIS for r, th in SQUEEZES
+     for n_th in ((0.0, 0.5, 2.0) if r == 0 else (0.0, 0.5) if r < 1 else (0.0,))]
+    + [(xi, r, th, 0.0, 40) for xi in XIS for r, th in SQUEEZES[:4]]
+    + [(XIS[0], 0.0, 0.0, 0.5, 40), (XIS[4], 0.0, 0.0, 0.5, 40),
+       (XIS[0], 1.0, 2.5, 0.5, 400), (XIS[1], 1.0, -1.0, 0.5, 400),
+       (XIS[2], 0.3, 0.0, 2.0, 400), (XIS[5], 0.3, 2.5, 2.0, 400),
+       (XIS[2], 1.0, 2.5, 2.0, 600)])
 
 
 class TestProjectorMatrix:
@@ -109,6 +141,62 @@ class TestRhoFock:
             _state_columns(StateSpec(xi=4.0 + 0j), 12)
 
 
+class TestStateColumns:
+    @pytest.mark.parametrize("xi,r,theta0,n_th,dim", COLUMN_CASES)
+    def test_columns_match_dense_exponentials(self, xi, r, theta0, n_th, dim):
+        state = StateSpec(xi=xi, r=r, theta0=theta0, n_th=n_th)
+        cols, weights, tail_mass = _state_columns(state, dim)
+        assert np.max(np.abs(cols - dense_columns(state, dim))) <= 1e-12
+        assert tail_mass <= 1e-9
+        assert weights.shape == (cols.shape[1],)
+
+
+class TestCaches:
+    BATTERY = [(0.4, 1.1, 0.3, 0.9, 0.0), (-1.2, 0.5, 1.0, -1.0, 0.0),
+               (0.8, -0.6, 0.5, 2.5, 0.7), (1.5, 0.2, 0.1, 0.0, 0.3)]
+
+    def test_built_once_per_region_and_chain(self):
+        for cached in (fock._psi_overlap_matrix, fock._region_projector, fock._chain_eigh):
+            cached.cache_clear()
+        for k, (x0, p0, r, th, n_th) in enumerate(self.BATTERY):
+            state = StateSpec.from_phase_space(x0, p0, r, th, n_th)
+            for s1, s2 in SIGN_PAIRS:
+                qpd_oracle(state, MeasurementSpec.sign(), s1, s2, 0.3, 1.1 + 0.2 * k, dim=120)
+            q_oracle_curve(state, MeasurementSpec.sign(), 1, -1, 0.3,
+                           np.linspace(0.5, 3.0, 7), dim=120)
+        # one [0, inf) overlap, a displacement chain and two squeeze parity chains
+        assert fock._psi_overlap_matrix.cache_info().misses == 1
+        assert fock._chain_eigh.cache_info().misses == 3
+
+    @pytest.mark.parametrize("meas", [MeasurementSpec.sign(), MeasurementSpec.window(1.1)])
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_returned_projector_cannot_change_the_next(self, meas, s):
+        p = projector_matrix(meas, s, 0.0, 60)
+        before = np.array(p)
+        with contextlib.suppress(ValueError):
+            p[0, 0] += 1.0
+        assert np.array_equal(projector_matrix(meas, s, 0.0, 60), before)
+
+
+def test_oracle_shares_no_series_code():
+    """The oracle arbitrates the other routes, so it may take only the
+    measurement description and the sign check from them."""
+    tree = ast.parse(Path(fock.__file__).read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("lgqpd.").removeprefix("lgqpd")
+            if module:
+                imported.setdefault(module, set()).update(a.name for a in node.names)
+            else:
+                imported.update((a.name, {"*"}) for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((a.name.removeprefix("lgqpd."), {"*"}) for a in node.names)
+    assert imported["series"] == {"MeasurementSpec", "_check_signs"}
+    assert "matrix_elements" not in imported
+    assert "integral" not in imported
+
+
 class TestQpdOracle:
     def test_same_time_ground(self):
         assert qpd_oracle(StateSpec(), MeasurementSpec.sign(), 1, 1, 0.2, 0.2,
@@ -155,6 +243,16 @@ class TestQpdOracle:
         qs = qpd_series_window(state, 1.02, 1, 1, 0.0, 1.55, TruncationConfig(n_max=900))
         assert qo == pytest.approx(qs, abs=1e-6)
 
+    def test_info(self):
+        state = StateSpec.from_phase_space(0.7, 0.9, 0.5, 0.6, n_th=0.8)
+        args = (state, MeasurementSpec.sign(), 1, -1, 0.3, 1.4)
+        q, info = qpd_oracle(*args, dim=220, with_info=True)
+        assert q == qpd_oracle(*args, dim=220)
+        assert isinstance(info, OracleInfo)
+        assert (info.dim, info.n_cols) == (220, thermal_m_cut(0.8, 1e-12))
+        assert abs(info.trace_deficit) < 1e-8
+        assert 0.0 <= info.tail_mass <= 1e-9
+
     def test_offset_measurement(self):
         from lgqpd import OffsetFunction, qpd_integral
 
@@ -163,3 +261,20 @@ class TestQpdOracle:
         qo = qpd_oracle(state, MeasurementSpec.sign(off), 1, -1, 0.4, 2.6, dim=300)
         qi = qpd_integral(state, off, 1, -1, 0.4, 2.6)
         assert qo == pytest.approx(qi, abs=1e-5)
+
+
+class TestOracleCurve:
+    @pytest.mark.parametrize("state,meas", [
+        (StateSpec.from_phase_space(0.5, -0.8, 0.3, 1.0),
+         MeasurementSpec.sign(OffsetFunction(0.6, 0.9, 0.2))),
+        (StateSpec.from_phase_space(0.7, 0.9, 0.5, 0.6, n_th=0.8), MeasurementSpec.sign()),
+        (StateSpec(r=0.3, theta0=0.4), MeasurementSpec.window(1.02)),
+    ])
+    def test_matches_pointwise(self, state, meas):
+        t1 = 0.4
+        # long enough to split the thermal columns into several products
+        grid = np.concatenate([[t1], np.linspace(0.1, 5.0, 17), [t1, 2.2]])
+        for s1, s2 in SIGN_PAIRS:
+            curve = q_oracle_curve(state, meas, s1, s2, t1, grid, dim=120)
+            point = [qpd_oracle(state, meas, s1, s2, t1, t2, dim=120) for t2 in grid]
+            assert np.max(np.abs(curve - point)) <= 1e-15

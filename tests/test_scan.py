@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lgqpd import (DEFAULT_UNITS, OffsetFunction, ScanConfig, StateSpec, T2Search,
-                   TruncationConfig, global_minimize, minimize_over_t2,
-                   named_evaluator, qpd_series_squeezed, scan, scan_plane)
+from lgqpd import (DEFAULT_UNITS, IntegralInfo, OffsetFunction, OracleInfo,
+                   ScanConfig, SeriesInfo, StateSpec, T2Search, TruncationConfig,
+                   global_minimize, minimize_over_t2, named_evaluator,
+                   qpd_series_squeezed, scan, scan_plane)
 from lgqpd.output import scan_csv_text
 
 TWO_PI = 2 * math.pi
@@ -67,6 +68,8 @@ class TestNamedEvaluator:
         ("integral", "sign", {"x0": 0.4, "p0": 1.1, "offset": OffsetFunction(0.6, 0.9, 0.2)}),
         ("oracle", "sign", {"x0": 0.4, "p0": 1.1, "n_th": 0.8, "oracle_dim": 120}),
         ("oracle", "window", {"r": 0.3, "L": 1.02, "oracle_dim": 120}),
+        ("oracle", "sign", {"x0": 0.4, "p0": 1.1, "offset": OffsetFunction(0.6, 0.9, 0.2),
+                            "oracle_dim": 120}),
     ])
     def test_curve_matches_evaluator(self, route, projector, params):
         params = dict(params, s1=1, s2=-1, t1=0.3)
@@ -77,7 +80,10 @@ class TestNamedEvaluator:
             assert q == pytest.approx(evaluator(t2), abs=1e-12)
         q, info = evaluator(1.7, with_info=True)
         assert q == evaluator(1.7)
-        assert (info is None) == (route == "oracle")
+        kind = {"series": SeriesInfo, "integral": IntegralInfo, "oracle": OracleInfo}[route]
+        assert isinstance(info, kind)
+        if route == "oracle":
+            assert info.dim == 120
 
 
 class TestScanConfigValidation:
