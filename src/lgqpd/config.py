@@ -68,14 +68,3 @@ def parse_scan_config(text: str) -> ScanConfig:
 def load_scan_config(path) -> ScanConfig:
     return parse_scan_config(Path(path).read_text(encoding="utf-8"))
 
-
-def scan_config_to_mapping(config: ScanConfig) -> dict:
-    """Flat mapping of every field; re-feeding it reproduces the scan."""
-    return dataclasses.asdict(config)
-
-
-def scan_config_from_mapping(mapping: dict) -> ScanConfig:
-    unknown = set(mapping) - set(_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    return ScanConfig(**mapping)

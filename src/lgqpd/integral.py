@@ -152,7 +152,7 @@ def qpd_integral(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: i
     form = quad_form(state, offset, s1, s2, t1, t2, units)
 
     if _is_degenerate(form):
-        q = _degenerate_q(state, offset, s1, s2, t1, t2, units)
+        q = _degenerate_q(form)
         return (q, IntegralInfo(True, 0.0, 0, True)) if with_info else q
 
     prev = None
@@ -204,7 +204,7 @@ def qpd_integral_2d(state: StateSpec, offset: OffsetFunction | None, s1: int, s2
     offset = ZERO_OFFSET if offset is None else offset
     form = quad_form(state, offset, s1, s2, t1, t2, units)
     if _is_degenerate(form):
-        return _degenerate_q(state, offset, s1, s2, t1, t2, units)
+        return _degenerate_q(form)
 
     u_order, c_order = grid
     u_rule = gauss_legendre(int(u_order), 0.0, math.pi / 2.0)
@@ -247,25 +247,23 @@ def _is_degenerate(form: QuadForm) -> bool:
     return abs(math.sin(phase)) < DEGENERATE_TOL
 
 
-def _degenerate_q(state: StateSpec, offset: OffsetFunction, s1: int, s2: int,
-                  t1: float, t2: float, units: UnitsConfig) -> float:
+def _degenerate_q(form: QuadForm) -> float:
     """Exact correlator when the two measured quadratures commute.
 
     With the phase of E(t2) conj(E(t1)) at a multiple of pi the joint Gaussian
     is perfectly (anti)correlated, so the second condition reduces to another
     half-line constraint on the first variable.
     """
-    form = quad_form(state, offset, s1, s2, t1, t2, units)
     lam1, lam2 = abs(form.e1), abs(form.e2)
     eta = 1.0 if math.cos(np.angle(form.e2 * np.conj(form.e1))) > 0 else -1.0
     mu1 = form.cal_e1 / SQRT2
     mu2 = form.cal_e2 / SQRT2
     cut2 = mu1 - eta * (lam1 / lam2) * mu2
-    s2_eff = int(s2 * eta)
+    s2_eff = int(form.s2 * eta)
 
     lo = -math.inf
     hi = math.inf
-    for s, cut in ((s1, 0.0), (s2_eff, cut2)):
+    for s, cut in ((form.s1, 0.0), (s2_eff, cut2)):
         if s == 1:
             lo = max(lo, cut)
         else:

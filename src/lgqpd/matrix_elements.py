@@ -21,6 +21,7 @@ a cumulative sum over the same psi rows.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -65,14 +66,29 @@ def j_row(cut: float, n_max: int) -> np.ndarray:
 
     The n = 0 entry is the exact (1 - erf(cut))/2; the rest are the Wronskian
     form psi_0 psi_{n-1} / sqrt(2n), vectorized over n.  ``cut`` may be an
-    array, in which case the result has shape (n_max + 1,) + cut.shape.
+    array, in which case the result has shape (n_max + 1,) + cut.shape.  A
+    scalar ``cut`` is memoized read-only, like :func:`psi_rows`, because a t2
+    minimization asks for its fixed t1 row on every probe.
     """
-    cut_arr = np.asarray(cut, dtype=float)
-    psi = psi_rows(cut_arr, n_max)
+    if isinstance(cut, (int, float)):
+        return _j_row_scalar(float(cut), n_max)
+    return _j_row(np.asarray(cut, dtype=float), n_max)
+
+
+@functools.lru_cache(maxsize=8)
+def _j_row_scalar(cut: float, n_max: int) -> np.ndarray:
+    # a NumPy scalar takes the ufuncs' scalar path, faster than a 0-d array
+    row = _j_row(np.float64(cut), n_max)
+    row.flags.writeable = False
+    return row
+
+
+def _j_row(cut: np.ndarray | np.float64, n_max: int) -> np.ndarray:
+    psi = psi_rows(cut, n_max)
     out = np.empty_like(psi)
-    out[0] = 0.5 * (1.0 - _sp.erf(cut_arr))
+    out[0] = 0.5 * (1.0 - _sp.erf(cut))
     if n_max >= 1:
-        n = np.arange(1, n_max + 1).reshape((-1,) + (1,) * cut_arr.ndim)
+        n = np.arange(1, n_max + 1).reshape((-1,) + (1,) * cut.ndim)
         out[1:] = psi[0] * psi[:-1] / np.sqrt(2.0 * n)
     return out
 

@@ -9,13 +9,13 @@ the scan can be reproduced.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 from pathlib import Path
 
 from . import __version__
-from .config import scan_config_to_mapping
 from .scan import ScanResult
 
 CSV_HEADER = "axis1,axis2,q_min,t2_argmin"
@@ -41,7 +41,7 @@ def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dic
     return {
         "tool": "lgqpd",
         "version": __version__,
-        "config": scan_config_to_mapping(cfg),
+        "config": dataclasses.asdict(cfg),
         "route": cfg.route,
         "settings": {
             "n_max": cfg.n_max,

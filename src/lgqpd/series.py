@@ -3,21 +3,23 @@
 Each projector sandwiched between energy eigenstates reduces to half-line (or
 window) matrix elements J of the eigenfunctions, evaluated at cuts rescaled by
 the width lambda(t); free evolution contributes the phase
-``exp(-i n (omega (t2-t1) + beta(t2) - beta(t1)))``.  The evaluators share a
-closed erf block plus a truncated phase sum over J products:
+``exp(-i n (omega (t2-t1) + beta(t2) - beta(t1)))``.  Each projector family
+has one kernel over t2, a closed erf block plus a truncated phase sum over J
+products, and every series point is the one-element call of its kernel:
 
 * coherent and squeezed pure states (sign projectors),
 * thermal squeezed coherent states (extra geometrically weighted sums over
-  the initial occupation, plus a diagonal overlap family), evaluated by one
-  kernel over an array of t2 values whose t1-only pieces are cached,
+  the initial occupation, plus a diagonal overlap family), whose t1-only
+  pieces are cached,
 * squeezed vacuum with symmetric window projectors.
 
-When the total phase per quantum is a multiple of pi the two measured
-quadratures commute, the phase sum loses its oscillatory cancellation, and
-the truncated series converges like n^(-1/2); those separations are instead
-evaluated exactly through projector completeness (the sum collapses to an
-overlap integral of interval indicators, with a parity reflection when the
-phase is an odd multiple of pi).
+The two pure families share one summation core.  When the total phase per
+quantum is a multiple of pi the two measured quadratures commute, the phase
+sum loses its oscillatory cancellation, and the truncated series converges
+like n^(-1/2); those separations are instead evaluated exactly through
+projector completeness (the sum collapses to an overlap integral of interval
+indicators, with a parity reflection when the phase is an odd multiple of
+pi), written once for all three kernels.
 """
 
 from __future__ import annotations
@@ -186,16 +188,17 @@ def _psi_sq_weights(intervals, m_max: int) -> np.ndarray:
     return out
 
 
-def _phase_eta(phi: float):
-    """(is_singular, eta) with eta = +/-1 when phi is within tolerance of a
-    multiple of pi (eta = exp(-i phi) there)."""
-    if abs(math.sin(phi)) >= SINGULAR_PHASE_TOL:
-        return False, 0
-    return True, (1 if math.cos(phi) > 0 else -1)
-
-
-def _regions_at_eta(region1, region2, eta: int):
-    return _intersect(region2, region1 if eta == 1 else _reflect(region1))
+def _fill_singular(q, singular, phi, region, s1: int, s2: int, cut1, cut2, weight):
+    """``q`` with each ``singular`` point (phase ``phi`` within tolerance of a
+    multiple of pi) set to ``weight`` of the overlap of ``region(s2, cut2)``
+    with ``region(s1, cut1)``, the latter reflected at odd multiples of pi."""
+    q = np.array(q, dtype=float)
+    flat_q, flat_phi, flat_cut = q.reshape(-1), np.reshape(phi, -1), np.reshape(cut2, -1)
+    region1 = region(s1, cut1)
+    for j in np.flatnonzero(singular):
+        first = region1 if math.cos(flat_phi[j]) > 0 else _reflect(region1)
+        flat_q[j] = weight(_intersect(region(s2, float(flat_cut[j])), first))
+    return q[()]
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +232,66 @@ def _check_signs(s1: int, s2: int) -> None:
         raise ValueError(f"s1 and s2 must be +1 or -1, got {s1!r}, {s2!r}")
 
 
-def _q_sign_pure(a1: float, a2: float, phi: float, s1: int, s2: int, n_max: int,
-                 with_info: bool):
-    singular, eta = _phase_eta(phi)
-    if singular:
-        region = _regions_at_eta(_halfline(s1, -a1), _halfline(s2, -a2), eta)
-        return _ground_weight(region), SeriesInfo(0, 0.0, True)
-    e1, e2 = _sp.erf(a1), _sp.erf(a2)
-    block = 0.25 * (1.0 + s1 * e1) * (1.0 + s2 * e2)
-    row1 = j_row(-a1, n_max)
-    row2 = j_row(-a2, n_max)
-    n = np.arange(1, n_max + 1)
-    terms = np.cos(n * phi) * row1[1:] * row2[1:]
-    q = block + s1 * s2 * float(averaged_partial_sum(terms))
+def _q_pure(block, rows, phi, s1: int, s2: int, region, cut1, cut2):
+    """Summation core of the pure kernels: (q, terms, singular) with q =
+    block + s1 s2 sum_n cos(n phi) row1_n row2_n, singular phases overwritten
+    by completeness over the outcome regions ``region(s, cut)``.  ``block``,
+    ``phi`` and ``cut2`` have the shape of t2: a float for one point, so that
+    the row helpers take their memoized scalar paths, or an array for a
+    curve.  ``rows()`` gives the t1 row and the t2 rows; it is not called when
+    every phase is singular (a t2 search closing in on a commuting
+    separation), and ``terms`` is then None."""
+    singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
+    n_singular = np.count_nonzero(singular)
+    q, terms = block, None
+    if n_singular < singular.size:
+        row1, row2 = rows()
+        col = (slice(1, None),) + (None,) * (row2.ndim - 1)  # n >= 1 down the order axis
+        terms = np.cos(np.arange(row1.shape[0])[col] * phi) * row1[col] * row2[1:]
+        q = block + s1 * s2 * averaged_partial_sum(terms)
+    if n_singular:
+        q = _fill_singular(q, singular, phi, region, s1, s2, cut1, cut2, _ground_weight)
+    return q, terms, singular
+
+
+def _q_sign(state: StateSpec, s1: int, s2: int, t1: float, t2, n_max: int,
+            units: UnitsConfig):
+    """Pure-state sign-projector kernel over t2, as :func:`_q_pure`."""
+    _check_signs(s1, s2)
+    if state.n_th != 0:
+        raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
+    _, _, a1, a2, phi = _geometry(state, t1, t2, units)
+    block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
+    return _q_pure(block, lambda: (j_row(-a1, n_max), j_row(-a2, n_max)), phi, s1, s2,
+                   _halfline, -a1, -a2)
+
+
+def _q_window(state: StateSpec, half_width: float, s1: int, s2: int, t1: float,
+              t2, n_max: int, units: UnitsConfig):
+    """Squeezed-vacuum window-projector kernel over t2, as :func:`_q_pure`.
+    The cuts +/- L/lambda(t_i) enter through the window rows."""
+    _check_signs(s1, s2)
+    if state.xi != 0 or state.n_th != 0:
+        raise ValueError("window evaluator requires squeezed vacuum (xi = 0, n_th = 0)")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"half_width must be positive, got {half_width!r}")
+    lam1, lam2, _, _, phi = _geometry(state, t1, t2, units)
+    h1, h2 = half_width / lam1, half_width / lam2
+    qbar1, qbar2 = 1.0 - 2.0 * _sp.erf(h1), 1.0 - 2.0 * _sp.erf(h2)
+    block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
+    return _q_pure(block, lambda: (_window_row(h1, n_max), _window_row(h2, n_max)), phi,
+                   s1, s2, _window_region, h1, h2)
+
+
+def _point(q, terms, singular, with_info: bool, **occupation):
+    """One-point result of a kernel: q, or (q, SeriesInfo) with the thermal
+    ``occupation`` fields."""
     if not with_info:
-        return q, None
-    return q, SeriesInfo(n_max, series_tail_estimate(terms), False)
+        return float(q)
+    if singular:
+        return float(q), SeriesInfo(0, 0.0, True, **occupation)
+    return float(q), SeriesInfo(terms.shape[0], series_tail_estimate(terms), False,
+                                **occupation)
 
 
 def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
@@ -256,13 +303,37 @@ def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float
     configured ``tail_tol``; near-degenerate time separations converge slowly
     and are reported honestly through a large bound.
     """
-    _check_signs(s1, s2)
-    if state.n_th != 0:
-        raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
     trunc = trunc or DEFAULT_TRUNCATION
-    _, _, a1, a2, phi = _geometry(state, t1, t2, units)
-    q, info = _q_sign_pure(a1, a2, phi, s1, s2, trunc.n_max, with_info)
-    return (q, info) if with_info else q
+    return _point(*_q_sign(state, s1, s2, t1, float(t2), trunc.n_max, units), with_info)
+
+
+def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
+                      t1: float, t2: float, trunc: TruncationConfig | None = None,
+                      units: UnitsConfig = DEFAULT_UNITS, with_info: bool = False):
+    """Series quasi-probability for squeezed vacuum with window projectors.
+
+    Outcome +1 projects onto |x| > L at measurement time; the width rescaling
+    turns the cuts into +/- L/lambda(t_i).  Only even orders contribute by
+    parity, so the result is periodic in t2 with period pi/omega.
+    """
+    trunc = trunc or DEFAULT_TRUNCATION
+    return _point(*_q_window(state, half_width, s1, s2, t1, float(t2), trunc.n_max, units),
+                  with_info)
+
+
+def q_sign_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
+                        t2_grid: np.ndarray, n_max: int,
+                        units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
+    """Pure-state sign-projector quasi-probability over a grid of t2 values."""
+    return _q_sign(state, s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max, units)[0]
+
+
+def q_window_series_curve(state: StateSpec, half_width: float, s1: int, s2: int,
+                          t1: float, t2_grid: np.ndarray, n_max: int,
+                          units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
+    """Window-projector quasi-probability over a grid of t2 values."""
+    return _q_window(state, half_width, s1, s2, t1, np.asarray(t2_grid, dtype=float),
+                     n_max, units)[0]
 
 
 def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
@@ -276,19 +347,11 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
     Reduces exactly to the pure evaluator at n_th = 0.  This is the
     one-point call of the t2-array kernel of :func:`q_thermal_series_curve`.
     """
-    _check_signs(s1, s2)
     if state.n_th == 0:
-        return qpd_series_squeezed(
-            StateSpec(state.xi, state.r, state.theta0, 0.0), s1, s2, t1, t2,
-            trunc, units, with_info)
+        return qpd_series_squeezed(state, s1, s2, t1, t2, trunc, units, with_info)
     q, n_terms, singular, m_cut, m_tail = _q_thermal(
         state, s1, s2, t1, np.array([float(t2)]), trunc or DEFAULT_TRUNCATION, units)
-    if not with_info:
-        return float(q[0])
-    n_used = 0 if singular[0] else n_terms.shape[0]
-    bound = 0.0 if singular[0] else series_tail_estimate(n_terms[:, 0])
-    return float(q[0]), SeriesInfo(n_used, bound, bool(singular[0]),
-                                   m_used=m_cut, m_tail=m_tail)
+    return _point(q[0], n_terms[:, 0], singular[0], with_info, m_used=m_cut, m_tail=m_tail)
 
 
 def q_thermal_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
@@ -296,7 +359,6 @@ def q_thermal_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
                            units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
     """Thermal sign-projector quasi-probability (n_th > 0) over a grid of t2
     values, with the default occupation cut."""
-    _check_signs(s1, s2)
     if state.n_th == 0:
         raise ValueError("thermal curve requires n_th > 0; use q_sign_series_curve")
     return _q_thermal(state, s1, s2, t1, np.asarray(t2_grid, dtype=float),
@@ -335,6 +397,7 @@ def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
     fixed B^T with an (m_cut+1) x 4K array; no (m, n, K) array is built.
     Singular phases are overwritten by the completeness branch.
     """
+    _check_signs(s1, s2)
     n_th, n_max = state.n_th, trunc.n_max
     w = n_th / (1.0 + n_th)
     m_cut = trunc.m_max if trunc.m_max is not None else thermal_m_cut(n_th, 1e-12)
@@ -380,104 +443,10 @@ def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
 
     block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
     q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
-    singular = np.abs(np.sin(phi)) < SINGULAR_PHASE_TOL
-    for j in np.nonzero(singular)[0]:
-        eta = 1 if math.cos(phi[j]) > 0 else -1
-        region = _regions_at_eta(_halfline(s1, -a1), _halfline(s2, -float(a2[j])), eta)
-        weights = _psi_sq_weights(region, m_cut)
-        q[j] = float(w ** np.arange(m_cut + 1) @ weights) / (1.0 + n_th)
+    singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
+    if singular.any():
+        q = _fill_singular(
+            q, singular, phi, _halfline, s1, s2, -a1, -a2,
+            lambda region: float(w ** np.arange(m_cut + 1) @ _psi_sq_weights(region, m_cut))
+            / (1.0 + n_th))
     return q, n_terms, singular, m_cut, m_tail
-
-
-def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
-                      t1: float, t2: float, trunc: TruncationConfig | None = None,
-                      units: UnitsConfig = DEFAULT_UNITS, with_info: bool = False):
-    """Series quasi-probability for squeezed vacuum with window projectors.
-
-    Outcome +1 projects onto |x| > L at measurement time; the width rescaling
-    turns the cuts into +/- L/lambda(t_i).  Only even orders contribute by
-    parity, so the result is periodic in t2 with period pi/omega.
-    """
-    _check_signs(s1, s2)
-    if state.xi != 0:
-        raise ValueError("window evaluator requires xi = 0 (squeezed vacuum)")
-    if state.n_th != 0:
-        raise ValueError("window evaluator requires n_th = 0")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError(f"half_width must be positive, got {half_width!r}")
-    trunc = trunc or DEFAULT_TRUNCATION
-    lam1, lam2, _, _, phi = _geometry(state, t1, t2, units)
-    h1, h2 = half_width / lam1, half_width / lam2
-
-    singular, eta = _phase_eta(phi)
-    if singular:
-        region = _regions_at_eta(_window_region(s1, h1), _window_region(s2, h2), eta)
-        q = _ground_weight(region)
-        info = SeriesInfo(0, 0.0, True)
-        return (q, info) if with_info else q
-
-    qbar1 = 1.0 - 2.0 * _sp.erf(h1)
-    qbar2 = 1.0 - 2.0 * _sp.erf(h2)
-    block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-    d1 = _window_row(h1, trunc.n_max)
-    d2 = _window_row(h2, trunc.n_max)
-    n = np.arange(1, trunc.n_max + 1)
-    terms = np.cos(n * phi) * d1[1:] * d2[1:]
-    q = block + s1 * s2 * float(averaged_partial_sum(terms))
-    if not with_info:
-        return q
-    return q, SeriesInfo(trunc.n_max, series_tail_estimate(terms), False)
-
-
-# ---------------------------------------------------------------------------
-# vectorized t2-grid helpers used by the scan engine
-# ---------------------------------------------------------------------------
-
-def q_sign_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
-                        t2_grid: np.ndarray, n_max: int,
-                        units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
-    """Pure-state sign-projector quasi-probability over a grid of t2 values."""
-    _check_signs(s1, s2)
-    if state.n_th != 0:
-        raise ValueError("curve helper covers pure states only")
-    _, _, a1, a2, phi = _geometry(state, t1, np.asarray(t2_grid, dtype=float), units)
-
-    e1, e2 = _sp.erf(a1), _sp.erf(a2)
-    block = 0.25 * (1.0 + s1 * e1) * (1.0 + s2 * e2)
-    row1 = j_row(-a1, n_max)
-    rows2 = j_row(-a2, n_max)
-    n = np.arange(1, n_max + 1)
-    terms = row1[1:, None] * rows2[1:] * np.cos(n[:, None] * phi[None, :])
-    q = block + s1 * s2 * averaged_partial_sum(terms)
-
-    sing = np.abs(np.sin(phi)) < SINGULAR_PHASE_TOL
-    for k in np.nonzero(sing)[0]:
-        eta = 1 if math.cos(phi[k]) > 0 else -1
-        region = _regions_at_eta(_halfline(s1, -a1), _halfline(s2, -float(a2[k])), eta)
-        q[k] = _ground_weight(region)
-    return q
-
-
-def q_window_series_curve(state: StateSpec, half_width: float, s1: int, s2: int,
-                          t1: float, t2_grid: np.ndarray, n_max: int,
-                          units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
-    """Window-projector quasi-probability over a grid of t2 values."""
-    _check_signs(s1, s2)
-    lam1, lam2, _, _, phi = _geometry(state, t1, np.asarray(t2_grid, dtype=float), units)
-    h1, h2 = half_width / lam1, half_width / lam2
-
-    qbar1 = 1.0 - 2.0 * _sp.erf(h1)
-    qbar2 = 1.0 - 2.0 * _sp.erf(h2)
-    block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-    d1 = _window_row(h1, n_max)
-    d2 = _window_row(h2, n_max)
-    n = np.arange(1, n_max + 1)
-    terms = d1[1:, None] * d2[1:] * np.cos(n[:, None] * phi[None, :])
-    q = block + s1 * s2 * averaged_partial_sum(terms)
-
-    sing = np.abs(np.sin(phi)) < SINGULAR_PHASE_TOL
-    for k in np.nonzero(sing)[0]:
-        eta = 1 if math.cos(phi[k]) > 0 else -1
-        region = _regions_at_eta(_window_region(s1, h1), _window_region(s2, float(h2[k])), eta)
-        q[k] = _ground_weight(region)
-    return q

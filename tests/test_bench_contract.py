@@ -23,7 +23,8 @@ def load_tracing():
     return module
 
 
-LAYERS = load_tracing().LAYERS
+_TRACING = load_tracing()
+LAYERS, Tracer = _TRACING.LAYERS, _TRACING.Tracer
 
 #: (module, function) -> {position: parameter name} that Tracer._before reads.
 POSITIONAL_SLOTS = {
@@ -51,3 +52,19 @@ def test_positional_slots_read_by_the_tracer(key):
         assert params[index].name == name
         assert params[index].kind in (inspect.Parameter.POSITIONAL_ONLY,
                                       inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+def test_series_points_stay_off_the_curve_layer():
+    """A series point that went through a public curve name would count a
+    ``series.curve`` call and one more traced curve point per probe."""
+    lgqpd = importlib.import_module("lgqpd")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        lgqpd.qpd_series_squeezed(lgqpd.StateSpec.from_phase_space(0.5, 1.2), 1, -1, 0.0, 1.3)
+        lgqpd.qpd_series_window(lgqpd.StateSpec(r=0.3), 1.02, 1, 1, 0.0, 1.3)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["series.scalar.calls"] == 2
+    assert tracer.counts["series.curve.calls"] == 0
+    assert tracer.counts["series.curve.points"] == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,7 @@ import numpy as np
 import pytest
 
 from lgqpd.cli import main
-from lgqpd.config import (ConfigError, load_scan_config, parse_scan_config,
-                          scan_config_from_mapping, scan_config_to_mapping)
+from lgqpd.config import ConfigError, load_scan_config, parse_scan_config
 from lgqpd.output import scan_csv_text, write_scan_outputs
 from lgqpd.scan import ScanConfig, scan_plane
 from lgqpd.states import n_th_from_temperature, thermal_m_cut
@@ -62,8 +62,9 @@ class TestConfigParser:
             parse_scan_config(text)
 
     def test_mapping_round_trip(self):
+        # the manifest stores the config as a JSON object of its fields
         cfg = parse_scan_config(GOOD_CONFIG)
-        assert scan_config_from_mapping(scan_config_to_mapping(cfg)) == cfg
+        assert ScanConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +99,7 @@ class TestOutputs:
         assert manifest["config"]["plane"] == "x0p0"
         assert manifest["n_failed"] == 0
         # the manifest's config reproduces the scan byte-for-byte
-        cfg2 = scan_config_from_mapping(manifest["config"])
+        cfg2 = ScanConfig(**manifest["config"])
         assert scan_csv_text(scan_plane(cfg2)) == csv_path.read_text()
 
 

@@ -11,6 +11,8 @@ from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window,
                    series_tail_estimate, thermal_m_cut, x_xi_of)
+from lgqpd.series import _q_sign, _q_thermal, _q_window
+from lgqpd.states import DEFAULT_UNITS
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -154,15 +156,6 @@ class TestSqueezedSeries:
                     for s1 in (1, -1) for s2 in (1, -1))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_curve_matches_scalar(self):
-        state = StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9)
-        grid = np.array([0.0, 0.4, 1.1, math.pi, 5.0])
-        curve = q_sign_series_curve(state, 1, -1, 0.0, grid, n_max=300)
-        for k, t2 in enumerate(grid):
-            scalar = qpd_series_squeezed(state, 1, -1, 0.0, float(t2),
-                                         TruncationConfig(n_max=300))
-            assert curve[k] == pytest.approx(scalar, abs=1e-12)
-
     def test_singular_branch_same_time(self):
         state = StateSpec.from_phase_space(0.9, 0.4, 0.5, 0.3)
         q, info = qpd_series_squeezed(state, 1, 1, 0.7, 0.7, with_info=True)
@@ -229,7 +222,6 @@ class TestThermalSeries:
             assert qpd_series_thermal(state, 1, 1, t1, grid[k],
                                       with_info=True)[1].singular_branch
         for s1, s2 in SIGN_PAIRS:
-            curve = q_thermal_series_curve(state, s1, s2, t1, grid, 150)
             for m_max in (None, 7, 80):
                 trunc = TruncationConfig(n_max=150, m_max=m_max)
                 with warnings.catch_warnings():
@@ -239,8 +231,6 @@ class TestThermalSeries:
                 ref = np.array([thermal_reference(state, s1, s2, t1, t, 150, m_max)
                                 for t in grid])
                 assert np.max(np.abs(scalar - ref)) < 1e-13
-                if m_max is None:
-                    assert np.max(np.abs(curve - scalar)) < 1e-14
 
     def test_curve_truncation_error(self):
         state = StateSpec.from_phase_space(0.5, 0.5, n_th=1.5)
@@ -273,24 +263,56 @@ class TestWindowSeries:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            qpd_series_window(StateSpec(xi=0.5 + 0j), 1.0, 1, 1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            qpd_series_window(StateSpec(n_th=0.2), 1.0, 1, 1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            qpd_series_window(StateSpec(), -1.0, 1, 1, 0.0, 1.0)
-
-    def test_curve_matches_scalar(self):
-        state = StateSpec(xi=0j, r=0.25, theta0=0.0)
-        grid = np.array([0.0, 0.7, 1.55, math.pi])
-        curve = q_window_series_curve(state, 1.02, 1, 1, 0.0, grid, n_max=300)
-        for k, t2 in enumerate(grid):
-            scalar = qpd_series_window(state, 1.02, 1, 1, 0.0, float(t2),
-                                       TruncationConfig(n_max=300))
-            assert curve[k] == pytest.approx(scalar, abs=1e-12)
+        # the point and the curve share their checks
+        for state, half_width in ((StateSpec(xi=0.5 + 0j), 1.0), (StateSpec(n_th=0.2), 1.0),
+                                  (StateSpec.from_phase_space(0.8, 0.0, n_th=0.5), 1.0),
+                                  (StateSpec(), -1.0)):
+            with pytest.raises(ValueError):
+                qpd_series_window(state, half_width, 1, 1, 0.0, 1.0)
+            with pytest.raises(ValueError):
+                q_window_series_curve(state, half_width, 1, 1, 0.0, np.array([0.5, 1.0]), 60)
 
     def test_luders_floor(self):
         vac = StateSpec()
         grid = np.linspace(0.0, TWO_PI, 200)
         q = q_window_series_curve(vac, 1.02, 1, 1, 0.0, grid, n_max=300)
         assert q.min() >= -0.125 - 1e-6
+
+
+class TestPointAndCurve:
+    """Each series point is the one-element call of its family's t2 kernel,
+    which also feeds the family's curve."""
+
+    T1 = 0.3
+    # t2 = t1 and t1 + pi are singular; t1 + 1e-3 is close to it
+    GRID = np.array([T1, T1 + 1e-3, 1.1, T1 + math.pi, 4.0, 5.9])
+
+    @pytest.mark.parametrize("family,n_th", [
+        ("sign", 0.0), ("window", 0.0), ("thermal", 0.156), ("thermal", 0.8),
+        ("thermal", 1.54), ("thermal", 3.0)])
+    def test_point_matches_curve(self, family, n_th):
+        if family == "sign":
+            state, extra, n_max, tol = StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9), (), 300, 1e-12
+            point, curve = qpd_series_squeezed, q_sign_series_curve
+            kernel = lambda *args: _q_sign(*args, n_max, DEFAULT_UNITS)
+        elif family == "window":
+            state, extra, n_max, tol = StateSpec(xi=0j, r=0.25, theta0=0.0), (1.02,), 300, 1e-12
+            point, curve = qpd_series_window, q_window_series_curve
+            kernel = lambda *args: _q_window(*args, n_max, DEFAULT_UNITS)
+        else:
+            state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4, n_th)
+            extra, n_max, tol = (), 150, 1e-14
+            point, curve = qpd_series_thermal, q_thermal_series_curve
+            kernel = lambda *args: _q_thermal(*args, TruncationConfig(n_max=n_max),
+                                              DEFAULT_UNITS)
+        trunc = TruncationConfig(n_max=n_max)
+        for s1, s2 in SIGN_PAIRS:
+            args = (state,) + extra + (s1, s2, self.T1)
+            singular = kernel(*args, self.GRID)[2]
+            assert list(np.flatnonzero(singular)) == [0, 3]
+            q_curve = curve(*args, self.GRID, n_max)
+            for k, t2 in enumerate(self.GRID):
+                q, info = point(*args, float(t2), trunc, with_info=True)
+                assert abs(q - q_curve[k]) <= tol
+                assert info.singular_branch == singular[k]
+                assert info.n_used == (0 if singular[k] else n_max)
