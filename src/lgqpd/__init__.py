@@ -20,14 +20,13 @@ from .errors import (CapabilityError, ConvergenceWarning, TruncationError,
                      TruncationWarning)
 from .special import (QuadratureRule, averaged_partial_sum,
                       composite_gauss_legendre, gauss_legendre, psi_rows)
-from .states import (DEFAULT_UNITS, OffsetFunction, StateSpec, UnitsConfig,
-                     ZERO_OFFSET, gamma_from, lambda_of, mode_e,
-                     n_th_from_temperature, phase_beta_of,
+from .states import (OffsetFunction, StateSpec, ZERO_OFFSET, gamma_from,
+                     lambda_of, mode_e, n_th_from_temperature, phase_beta_of,
                      reduce_squeezed_to_coherent, thermal_m_cut,
                      thermal_weight, x_xi_of)
 from .matrix_elements import j_block, j_diag_row, j_row
-from .integral import (IntegralInfo, QuadForm, c_integral_closed, quad_form,
-                       qpd_integral, qpd_integral_2d, sign_marginal)
+from .integral import (IntegralInfo, QuadForm, quad_form, qpd_integral,
+                       qpd_integral_2d, sign_marginal)
 from .series import (MeasurementSpec, SeriesInfo, TruncationConfig,
                      q_sign_series_curve, q_thermal_series_curve,
                      q_window_series_curve, qpd_series_squeezed,

@@ -23,7 +23,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import CapabilityError, TruncationError
 from .series import MeasurementSpec, _check_signs
 from .special import averaged_partial_sum, composite_gauss_legendre, psi_rows
-from .states import DEFAULT_UNITS, StateSpec, UnitsConfig, thermal_m_cut, thermal_weight
+from .states import StateSpec, thermal_m_cut, thermal_weight
 
 DIM_CAP = 600
 #: i^k, looked up by k mod 4 so that the chain phases carry no rounding.
@@ -82,8 +82,7 @@ def _region_projector(lo: float, hi: float, inside: bool, dim: int) -> np.ndarra
     return overlap if inside else _read_only(np.eye(dim) - overlap)
 
 
-def projector_matrix(meas: MeasurementSpec, s: int, t: float, dim: int,
-                     units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
+def projector_matrix(meas: MeasurementSpec, s: int, t: float, dim: int) -> np.ndarray:
     """Projector onto the outcome-s region of the measurement at time t.
 
     Time enters only through the measurement's own offset; free evolution is
@@ -95,7 +94,7 @@ def projector_matrix(meas: MeasurementSpec, s: int, t: float, dim: int,
         raise ValueError(f"s must be +1 or -1, got {s!r}")
     _check_dim(dim)
     if meas.projector == "sign":
-        cut = float(meas.offset.cut_position(t, units))
+        cut = float(meas.offset.cut_position(t))
         return _region_projector(cut, math.inf, s == 1, dim)
     half = float(meas.window_halfwidth)
     return _region_projector(-half, half, s == -1, dim)
@@ -162,18 +161,18 @@ def _check_state_fits(cols: np.ndarray, weights: np.ndarray, dim: int) -> float:
     return tail_mass
 
 
-def _phased_apply(proj: np.ndarray, t: float, omega: float, vecs: np.ndarray) -> np.ndarray:
+def _phased_apply(proj: np.ndarray, t: float, vecs: np.ndarray) -> np.ndarray:
     """Apply exp(iHt) P exp(-iHt) to columns; H is diagonal so only phases act."""
-    ph = np.exp(1j * np.arange(proj.shape[0]) * omega * t)
+    ph = np.exp(1j * np.arange(proj.shape[0]) * t)
     return ph[:, None] * _real_matmul(proj, ph.conj()[:, None] * vecs)
 
 
 def _same_time_product_matrix(meas: MeasurementSpec, s1: int, s2: int, t: float,
-                              dim: int, units: UnitsConfig) -> np.ndarray:
+                              dim: int) -> np.ndarray:
     """Exact matrix of P_{s2} P_{s1} at equal times: a single quadrature over
     the intersection of the two outcome regions."""
     if meas.projector == "sign":
-        cut = float(meas.offset.cut_position(t, units))
+        cut = float(meas.offset.cut_position(t))
         regions = {1: [(cut, math.inf)], -1: [(-math.inf, cut)]}
     else:
         half = float(meas.window_halfwidth)
@@ -188,7 +187,7 @@ def _same_time_product_matrix(meas: MeasurementSpec, s1: int, s2: int, t: float,
 
 
 def _oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int, t1: float,
-            t2_grid, dim: int, units: UnitsConfig):
+            t2_grid, dim: int):
     """q at every t2 of a 1-D array, and the diagnostics record.
 
     The state columns and the t1 side are built once; each t2 applies only
@@ -208,16 +207,14 @@ def _oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int, t1: float
     q = np.empty(t2.shape)
     same = t2 == t1
     if same.any():
-        prod = _same_time_product_matrix(meas, s1, s2, t1, dim, units)
-        y = _phased_apply(prod, t1, units.omega, cols)
+        prod = _same_time_product_matrix(meas, s1, s2, t1, dim)
+        y = _phased_apply(prod, t1, cols)
         q[same] = float((weights * np.einsum("nm,nm->m", cols.conj(), y)).sum().real)
 
-    y1 = _phased_apply(projector_matrix(meas, s1, t1, dim, units), t1, units.omega,
-                       cols) * weights
+    y1 = _phased_apply(projector_matrix(meas, s1, t1, dim), t1, cols) * weights
     window = min(256, 3 * dim // 4)
     for j in np.flatnonzero(~same):
-        p2 = projector_matrix(meas, s2, t2[j], dim, units)
-        y2 = _phased_apply(p2, t2[j], units.omega, cols)
+        y2 = _phased_apply(projector_matrix(meas, s2, t2[j], dim), t2[j], cols)
         # The hard measurement edges give the intermediate-index expansion an
         # oscillating k^(-3/2) tail; the averaged summation removes the last
         # uncancelled oscillation (~1e-5 at dim 400 if summed plainly).
@@ -227,16 +224,14 @@ def _oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int, t1: float
 
 
 def q_oracle_curve(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
-                   t1: float, t2_grid: np.ndarray, dim: int = 300,
-                   units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
+                   t1: float, t2_grid: np.ndarray, dim: int = 300) -> np.ndarray:
     """Oracle quasi-probability over a 1-D array of t2 values (see
     :func:`qpd_oracle`)."""
-    return _oracle(state, meas, s1, s2, t1, t2_grid, dim, units)[0]
+    return _oracle(state, meas, s1, s2, t1, t2_grid, dim)[0]
 
 
 def qpd_oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
-               t1: float, t2: float, dim: int = 300,
-               units: UnitsConfig = DEFAULT_UNITS, with_info: bool = False):
+               t1: float, t2: float, dim: int = 300, with_info: bool = False):
     """Quasi-probability Re Tr[P_{s2}(t2) P_{s1}(t1) rho] in the truncated basis.
 
     Ground truth for the cross-method tests; converges in ``dim`` for the
@@ -250,5 +245,5 @@ def qpd_oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
     The one-element call of :func:`q_oracle_curve`.  With ``with_info=True``
     returns ``(q, OracleInfo)``.
     """
-    q, info = _oracle(state, meas, s1, s2, t1, np.array([t2], dtype=float), dim, units)
+    q, info = _oracle(state, meas, s1, s2, t1, np.array([t2], dtype=float), dim)
     return (float(q[0]), info) if with_info else float(q[0])

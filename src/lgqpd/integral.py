@@ -31,8 +31,8 @@ import scipy.special as _sp
 from .errors import ConvergenceWarning
 from .series import _check_signs
 from .special import composite_gauss_legendre, gauss_legendre
-from .states import (DEFAULT_UNITS, SQRT2, ZERO_OFFSET, OffsetFunction,
-                     StateSpec, UnitsConfig, gamma_from, mode_e)
+from .states import (SQRT2, ZERO_OFFSET, OffsetFunction, StateSpec, gamma_from,
+                     lambda_of, mode_e, x_xi_of)
 
 #: |sin(phase)| below which the Gaussian pair is treated as perfectly
 #: correlated and the exact degenerate closed form is used.
@@ -90,14 +90,14 @@ class IntegralInfo:
 
 
 def quad_form(state: StateSpec, offset: OffsetFunction, s1: int, s2: int,
-              t1: float, t2: float, units: UnitsConfig = DEFAULT_UNITS) -> QuadForm:
+              t1: float, t2: float) -> QuadForm:
     """Assemble the Gaussian quadratic-form data for one evaluation point."""
     _check_signs(s1, s2)
     gam = gamma_from(state.xi, state.r, state.theta0)
-    e1 = mode_e(t1, state.r, state.theta0, units)
-    e2 = mode_e(t2, state.r, state.theta0, units)
-    cal1 = 2.0 * (e1 * gam).real - float(offset.value(t1, units))
-    cal2 = 2.0 * (e2 * gam).real - float(offset.value(t2, units))
+    e1 = mode_e(t1, state.r, state.theta0)
+    e2 = mode_e(t2, state.r, state.theta0)
+    cal1 = 2.0 * (e1 * gam).real - float(offset.value(t1))
+    cal2 = 2.0 * (e2 * gam).real - float(offset.value(t2))
     B = abs(e1) ** 2 * abs(e2) ** 2 - (e2 * np.conj(e1)) ** 2
     ee = e2 * np.conj(e1)
     delta = (abs(e2) ** 2 * cal1 * cal1 + abs(e1) ** 2 * cal2 * cal2
@@ -106,27 +106,15 @@ def quad_form(state: StateSpec, offset: OffsetFunction, s1: int, s2: int,
                     cal_e1=cal1, cal_e2=cal2, B=complex(B), delta=complex(delta))
 
 
-def c_integral_closed(sigma: complex, beta_quad: complex, delta: complex) -> complex:
-    """Closed form of Int_0^inf dc c exp(-(sigma c^2 + 2 beta c + delta)/2).
-
-    Requires Re(sigma) > 0.  The erfc term carries the analytically derived
+def _c_integral_vec(sigma, beta, delta):
+    """Closed form of Int_0^inf dc c exp(-(sigma c^2 + 2 beta c + delta)/2) for
+    Re(sigma) > 0, elementwise.  The erfc term carries the analytically derived
     constant (beta/sigma) sqrt(pi/(2 sigma)), evaluated in scaled erfcx form:
 
         e^{-delta/2} [ 1/sigma - (beta/sigma) sqrt(pi/(2 sigma)) erfcx(beta/sqrt(2 sigma)) ]
+
+    A value beyond double range comes back infinite or NaN; the caller checks.
     """
-    sigma = complex(sigma)
-    if not sigma.real > 0:
-        raise ValueError(f"c_integral_closed requires Re(sigma) > 0, got sigma={sigma!r}")
-    out = complex(_c_integral_vec(np.asarray(sigma), np.asarray(beta_quad),
-                                  np.asarray(complex(delta))))
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise OverflowError(
-            "radial integral exceeds double range (strongly negative drive); "
-            f"sigma={sigma!r}, beta={beta_quad!r}, delta={delta!r}")
-    return out
-
-
-def _c_integral_vec(sigma, beta, delta):
     with np.errstate(over="ignore", invalid="ignore"):
         root = np.sqrt(sigma)
         brace = 1.0 / sigma - (beta / sigma) * np.sqrt(np.pi / 2.0) / root \
@@ -134,9 +122,13 @@ def _c_integral_vec(sigma, beta, delta):
         return np.exp(-delta / 2.0) * brace
 
 
+def _check_order(quad_order: int) -> None:
+    if quad_order < 8:
+        raise ValueError(f"quad_order must be >= 8, got {quad_order}")
+
+
 def qpd_integral(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: int,
-                 t1: float, t2: float, quad_order: int = 32,
-                 units: UnitsConfig = DEFAULT_UNITS, with_info: bool = False):
+                 t1: float, t2: float, quad_order: int = 32, with_info: bool = False):
     """Quasi-probability q_{s1,s2}(t1,t2) by the angular-integral route.
 
     The u integral uses fixed Gauss-Legendre rules, doubling the order from
@@ -144,12 +136,11 @@ def qpd_integral(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: i
     ConvergenceWarning is issued if the final doubling still moved the result
     by more than 1e-6.  Pure states only (``state.n_th == 0``).
     """
-    if quad_order < 8:
-        raise ValueError(f"quad_order must be >= 8, got {quad_order}")
+    _check_order(quad_order)
     if state.n_th != 0:
         raise ValueError("the integral route covers pure states only (n_th = 0)")
     offset = ZERO_OFFSET if offset is None else offset
-    form = quad_form(state, offset, s1, s2, t1, t2, units)
+    form = quad_form(state, offset, s1, s2, t1, t2)
 
     if _is_degenerate(form):
         q = _degenerate_q(form)
@@ -191,18 +182,17 @@ def _u_integral(form: QuadForm, order: int) -> float:
 
 
 def qpd_integral_2d(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: int,
-                    t1: float, t2: float, grid: tuple[int, int] = (64, 240),
-                    units: UnitsConfig = DEFAULT_UNITS) -> float:
+                    t1: float, t2: float, grid: tuple[int, int] = (64, 240)) -> float:
     """Direct 2-D quadrature over (u, c) before the radial closed form.
 
-    Slow but independent of :func:`c_integral_closed`; used to pin the closed
-    form's constant and the sqrt(B) branch.
+    Slow but independent of the radial closed form; used to pin its constant
+    and the sqrt(B) branch.
     """
     _check_signs(s1, s2)
     if state.n_th != 0:
         raise ValueError("the integral route covers pure states only (n_th = 0)")
     offset = ZERO_OFFSET if offset is None else offset
-    form = quad_form(state, offset, s1, s2, t1, t2, units)
+    form = quad_form(state, offset, s1, s2, t1, t2)
     if _is_degenerate(form):
         return _degenerate_q(form)
 
@@ -227,18 +217,16 @@ def qpd_integral_2d(state: StateSpec, offset: OffsetFunction | None, s1: int, s2
     return float(total.real) / (2.0 * math.pi)
 
 
-def sign_marginal(state: StateSpec, offset: OffsetFunction | None, s: int, t: float,
-                  units: UnitsConfig = DEFAULT_UNITS) -> float:
+def sign_marginal(state: StateSpec, offset: OffsetFunction | None, s: int,
+                  t: float) -> float:
     """Single-time marginal <P_s(t)> = (1 + s erf(x_eff/lambda))/2.
 
     ``x_eff(t) = x_xi(t) - xbar(t)/sqrt(2)`` is the mean position relative to
     the measurement cut, in dimensionless units.
     """
-    from .states import lambda_of, x_xi_of
-
     offset = ZERO_OFFSET if offset is None else offset
-    lam = lambda_of(t, state.r, state.theta0, units)
-    x_eff = x_xi_of(t, state.xi, units) - float(offset.value(t, units)) / SQRT2
+    lam = lambda_of(t, state.r, state.theta0)
+    x_eff = x_xi_of(t, state.xi) - float(offset.value(t)) / SQRT2
     return 0.5 * (1.0 + s * _sp.erf(x_eff / lam))
 
 

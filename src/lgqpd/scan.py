@@ -17,12 +17,12 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
-from .integral import qpd_integral
-from .fock import q_oracle_curve, qpd_oracle
+from .integral import _check_order, qpd_integral
+from .fock import _check_dim, q_oracle_curve, qpd_oracle
 from .series import (MeasurementSpec, TruncationConfig, q_sign_series_curve,
                      q_thermal_series_curve, q_window_series_curve,
                      qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
-from .states import DEFAULT_UNITS, OffsetFunction, StateSpec, UnitsConfig
+from .states import OffsetFunction, StateSpec
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -31,6 +31,9 @@ LUDERS_FLOOR = -0.125 - 1e-6
 
 PLANES = ("x0p0", "rL")
 ROUTES = ("integral", "series", "oracle")
+#: The named parameters that :func:`named_evaluator` reads.
+_PARAM_NAMES = frozenset({"s1", "s2", "t1", "x0", "p0", "r", "theta0", "n_th", "L",
+                         "offset", "quad_order", "oracle_dim"})
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ class T2Search:
     refine_iters: int = 40
 
     def __post_init__(self):
-        if not self.t2_max > self.t2_min:
-            raise ValueError("t2_max must exceed t2_min")
+        if not -math.inf < self.t2_min < self.t2_max < math.inf:
+            raise ValueError("t2_min and t2_max must be finite, with t2_max > t2_min")
         if self.coarse_steps < 2:
             raise ValueError("coarse_steps must be >= 2")
         if self.refine_iters < 0:
@@ -93,7 +96,8 @@ def _golden_section(f, a: float, b: float, iters: int):
 @dataclass(frozen=True)
 class ScanConfig:
     """Flat configuration of one plane scan (field names double as the
-    key-value config file keys)."""
+    key-value config file keys).  Times are t at angular frequency ``omega``:
+    every kernel gets omega*t, and ``t2_argmin`` comes back as t."""
 
     plane: str
     route: str
@@ -125,6 +129,8 @@ class ScanConfig:
     omega: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if self.plane not in PLANES:
             raise ValueError(f"plane must be one of {PLANES}, got {self.plane!r}")
         if self.s1 not in (1, -1) or self.s2 not in (1, -1):
@@ -134,8 +140,7 @@ class ScanConfig:
         # A single-step axis pins that coordinate, giving a 1-cell (or 1-row) scan.
         if self.axis1_steps < 1 or self.axis2_steps < 1:
             raise ValueError("axis steps must be >= 1")
-        if not self.t2_max > self.t2_min:
-            raise ValueError("t2_max must exceed t2_min")
+        self.t2_search()
         if (self.plane == "rL") != (self.projector == "window"):
             raise ValueError("the window projector scans the rL plane, and only it")
         if self.plane == "rL":
@@ -145,7 +150,7 @@ class ScanConfig:
                 raise ValueError("L axis must be positive")
         # the dispatch rejects what no route covers; the first cell stands for all
         named_evaluator(_cell_params(self, self.axis1_min, self.axis2_min), self.route,
-                        self.projector, self.n_max, self.units())
+                        self.projector, self.n_max)
 
     @property
     def axis1_name(self) -> str:
@@ -162,14 +167,12 @@ class ScanConfig:
         return _axis(self.axis2_min, self.axis2_max, self.axis2_steps)
 
     def t2_search(self) -> T2Search:
-        return T2Search(self.t2_min, self.t2_max, self.t2_coarse_steps,
-                        self.t2_refine_iters)
+        """The inner search, over the window omega*t2."""
+        return T2Search(self.omega * self.t2_min, self.omega * self.t2_max,
+                        self.t2_coarse_steps, self.t2_refine_iters)
 
     def offset(self) -> OffsetFunction:
         return OffsetFunction(self.offset_amp, self.offset_phase, self.offset_const)
-
-    def units(self) -> UnitsConfig:
-        return UnitsConfig(self.omega)
 
 
 def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -192,8 +195,8 @@ class ScanResult:
 
 def _cell_params(config: ScanConfig, a1: float, a2: float) -> dict:
     """Named parameters of one grid cell, as :func:`named_evaluator` takes them."""
-    params = {"s1": config.s1, "s2": config.s2, "t1": config.t1, "x0": config.x0,
-              "p0": config.p0, "r": config.r, "theta0": config.theta0,
+    params = {"s1": config.s1, "s2": config.s2, "t1": config.omega * config.t1,
+              "x0": config.x0, "p0": config.p0, "r": config.r, "theta0": config.theta0,
               "n_th": config.n_th, "offset": config.offset(),
               "quad_order": config.quad_order, "oracle_dim": config.oracle_dim}
     # the axis values override the fixed state; the rest reaches the dispatch,
@@ -206,9 +209,9 @@ def _scan_cell(args):
     config, i, j, a1, a2 = args
     try:
         evaluator, curve = named_evaluator(_cell_params(config, a1, a2), config.route,
-                                           config.projector, config.n_max, config.units())
+                                           config.projector, config.n_max)
         q, t2 = minimize_over_t2(evaluator, curve, config.t2_search())
-        return i, j, q, t2, False
+        return i, j, q, t2 / config.omega, False
     except Exception:
         return i, j, math.nan, math.nan, True
 
@@ -275,8 +278,7 @@ class GlobalMinimum:
 def global_minimize(free: dict, route: str = "series", fixed: dict | None = None,
                     projector: str = "sign", coarse_steps: int = 7,
                     n_starts: int = 4, t2_coarse: int = 96, t2_refine: int = 32,
-                    n_max: int = 300, nm_maxiter: int = 120,
-                    units: UnitsConfig = DEFAULT_UNITS) -> GlobalMinimum:
+                    n_max: int = 300, nm_maxiter: int = 120) -> GlobalMinimum:
     """Deterministic multi-start minimization over named free parameters.
 
     ``free`` maps parameter names from {x0, p0, r, L, t2} to (lo, hi) bounds;
@@ -288,6 +290,7 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     fixed = dict(fixed or {})
     free = dict(free)
     t2_bounds = free.pop("t2", None)
+    t2 = fixed.pop("t2", None)
     outer_names = sorted(free)
     search = None
     if t2_bounds is not None:
@@ -295,7 +298,9 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
         if hi > lo:
             search = T2Search(lo, hi, t2_coarse, t2_refine)
         else:
-            fixed["t2"] = lo
+            t2 = lo
+    if search is None and t2 is None:
+        raise ValueError("t2 must be free or fixed")
 
     lows = np.array([free[n][0] for n in outer_names])
     highs = np.array([free[n][1] for n in outer_names])
@@ -315,9 +320,9 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
         params = named(vec)
         key = tuple(params[name] for name in outer_names)
         if key not in memo:
-            evaluator, curve = named_evaluator(params, route, projector, n_max, units)
+            evaluator, curve = named_evaluator(params, route, projector, n_max)
             if search is None:
-                memo[key] = (evaluator(params["t2"]), params["t2"])
+                memo[key] = (evaluator(t2), t2)
             else:
                 memo[key] = minimize_over_t2(evaluator, curve, search)
         return params, memo[key]
@@ -362,8 +367,7 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
                          starts=tuple(starts))
 
 
-def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200,
-                    units: UnitsConfig = DEFAULT_UNITS):
+def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
     """The one map from (route, projector, state family) to a kernel.
 
     ``params`` holds named parameters from {s1, s2, t1, x0, p0, r, theta0,
@@ -375,8 +379,13 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200,
     array of t2.  The integral curve maps the evaluator over the grid;
     ``n_max`` is the series truncation.
 
-    Raises ValueError for a combination that no route covers.
+    Raises ValueError for an unknown parameter name, an out-of-range
+    ``n_max``, ``quad_order`` or ``oracle_dim`` of the chosen route, and a
+    combination that no route covers.
     """
+    unknown = sorted(set(params) - _PARAM_NAMES)
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {unknown}; known: {sorted(_PARAM_NAMES)}")
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     if projector not in ("sign", "window"):
@@ -403,9 +412,9 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200,
         state = StateSpec(xi=0j, r=r, theta0=theta0, n_th=0.0)
         if route == "series":
             return (lambda t2, with_info=False: qpd_series_window(
-                        state, half, s1, s2, t1, t2, trunc, units, with_info),
+                        state, half, s1, s2, t1, t2, trunc, with_info),
                     lambda grid: q_window_series_curve(state, half, s1, s2, t1, grid,
-                                                       n_max, units))
+                                                       n_max))
         meas = MeasurementSpec.window(half)
     else:
         if route == "integral" and n_th > 0:
@@ -416,24 +425,21 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200,
         state = StateSpec.from_phase_space(x0, p0, r, theta0, n_th)
         if route == "series" and n_th > 0:
             return (lambda t2, with_info=False: qpd_series_thermal(
-                        state, s1, s2, t1, t2, trunc, units, with_info),
-                    lambda grid: q_thermal_series_curve(state, s1, s2, t1, grid,
-                                                        n_max, units))
+                        state, s1, s2, t1, t2, trunc, with_info),
+                    lambda grid: q_thermal_series_curve(state, s1, s2, t1, grid, n_max))
         if route == "series":
             return (lambda t2, with_info=False: qpd_series_squeezed(
-                        state, s1, s2, t1, t2, trunc, units, with_info),
-                    lambda grid: q_sign_series_curve(state, s1, s2, t1, grid, n_max, units))
+                        state, s1, s2, t1, t2, trunc, with_info),
+                    lambda grid: q_sign_series_curve(state, s1, s2, t1, grid, n_max))
         if route == "integral":
             order = int(params.get("quad_order", 32))
+            _check_order(order)
             evaluator = (lambda t2, with_info=False: qpd_integral(
-                state, offset, s1, s2, t1, t2, order, units, with_info))
-            return evaluator, _pointwise(evaluator)
+                state, offset, s1, s2, t1, t2, order, with_info))
+            return evaluator, lambda grid: np.array([evaluator(t) for t in grid])
         meas = MeasurementSpec.sign(offset)
     dim = int(params.get("oracle_dim", 300))
+    _check_dim(dim)
     return (lambda t2, with_info=False: qpd_oracle(
-                state, meas, s1, s2, t1, t2, dim, units, with_info),
-            lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim, units))
-
-
-def _pointwise(evaluator):
-    return lambda grid: np.array([evaluator(t) for t in grid])
+                state, meas, s1, s2, t1, t2, dim, with_info),
+            lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim))

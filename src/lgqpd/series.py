@@ -3,7 +3,7 @@
 Each projector sandwiched between energy eigenstates reduces to half-line (or
 window) matrix elements J of the eigenfunctions, evaluated at cuts rescaled by
 the width lambda(t); free evolution contributes the phase
-``exp(-i n (omega (t2-t1) + beta(t2) - beta(t1)))``.  Each projector family
+``exp(-i n (t2 - t1 + beta(t2) - beta(t1)))``.  Each projector family
 has one kernel over t2, a closed erf block plus a truncated phase sum over J
 products, and every series point is the one-element call of its kernel:
 
@@ -34,10 +34,9 @@ import scipy.special as _sp
 
 from .errors import TruncationError, TruncationWarning
 from .matrix_elements import j_block, j_diag_row, j_row, ladder_diagonal, lowered
-from .special import averaged_partial_sum, psi_rows
-from .states import (DEFAULT_UNITS, ZERO_OFFSET, OffsetFunction, StateSpec,
-                     UnitsConfig, lambda_of, phase_beta_of, thermal_m_cut,
-                     x_xi_of)
+from .special import _check_n_cap, averaged_partial_sum, psi_rows
+from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_of,
+                     phase_beta_of, thermal_m_cut, x_xi_of)
 
 #: |sin(total phase)| below which the exact completeness branch is used.
 SINGULAR_PHASE_TOL = 1e-9
@@ -62,6 +61,7 @@ class TruncationConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        _check_n_cap(self.n_max)
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
         if self.m_max is not None and self.m_max < 1:
@@ -205,14 +205,14 @@ def _fill_singular(q, singular, phi, region, s1: int, s2: int, cut1, cut2, weigh
 # evaluators
 # ---------------------------------------------------------------------------
 
-def _geometry(state: StateSpec, t1: float, t2: float, units: UnitsConfig):
-    lam1 = lambda_of(t1, state.r, state.theta0, units)
-    lam2 = lambda_of(t2, state.r, state.theta0, units)
-    b1 = phase_beta_of(t1, state.r, state.theta0, units)
-    b2 = phase_beta_of(t2, state.r, state.theta0, units)
-    a1 = x_xi_of(t1, state.xi, units) / lam1
-    a2 = x_xi_of(t2, state.xi, units) / lam2
-    phi = units.omega * (t2 - t1) + (b2 - b1)
+def _geometry(state: StateSpec, t1: float, t2):
+    lam1 = lambda_of(t1, state.r, state.theta0)
+    lam2 = lambda_of(t2, state.r, state.theta0)
+    b1 = phase_beta_of(t1, state.r, state.theta0)
+    b2 = phase_beta_of(t2, state.r, state.theta0)
+    a1 = x_xi_of(t1, state.xi) / lam1
+    a2 = x_xi_of(t2, state.xi) / lam2
+    phi = (t2 - t1) + (b2 - b1)
     return lam1, lam2, a1, a2, phi
 
 
@@ -254,20 +254,19 @@ def _q_pure(block, rows, phi, s1: int, s2: int, region, cut1, cut2):
     return q, terms, singular
 
 
-def _q_sign(state: StateSpec, s1: int, s2: int, t1: float, t2, n_max: int,
-            units: UnitsConfig):
+def _q_sign(state: StateSpec, s1: int, s2: int, t1: float, t2, n_max: int):
     """Pure-state sign-projector kernel over t2, as :func:`_q_pure`."""
     _check_signs(s1, s2)
     if state.n_th != 0:
         raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
-    _, _, a1, a2, phi = _geometry(state, t1, t2, units)
+    _, _, a1, a2, phi = _geometry(state, t1, t2)
     block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
     return _q_pure(block, lambda: (j_row(-a1, n_max), j_row(-a2, n_max)), phi, s1, s2,
                    _halfline, -a1, -a2)
 
 
 def _q_window(state: StateSpec, half_width: float, s1: int, s2: int, t1: float,
-              t2, n_max: int, units: UnitsConfig):
+              t2, n_max: int):
     """Squeezed-vacuum window-projector kernel over t2, as :func:`_q_pure`.
     The cuts +/- L/lambda(t_i) enter through the window rows."""
     _check_signs(s1, s2)
@@ -275,7 +274,7 @@ def _q_window(state: StateSpec, half_width: float, s1: int, s2: int, t1: float,
         raise ValueError("window evaluator requires squeezed vacuum (xi = 0, n_th = 0)")
     if not (math.isfinite(half_width) and half_width > 0):
         raise ValueError(f"half_width must be positive, got {half_width!r}")
-    lam1, lam2, _, _, phi = _geometry(state, t1, t2, units)
+    lam1, lam2, _, _, phi = _geometry(state, t1, t2)
     h1, h2 = half_width / lam1, half_width / lam2
     qbar1, qbar2 = 1.0 - 2.0 * _sp.erf(h1), 1.0 - 2.0 * _sp.erf(h2)
     block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
@@ -295,8 +294,7 @@ def _point(q, terms, singular, with_info: bool, **occupation):
 
 
 def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
-                        trunc: TruncationConfig | None = None,
-                        units: UnitsConfig = DEFAULT_UNITS, with_info: bool = False):
+                        trunc: TruncationConfig | None = None, with_info: bool = False):
     """Series quasi-probability for a pure squeezed coherent state.
 
     The reported ``tail_bound`` certifies truncation when it is below the
@@ -304,41 +302,38 @@ def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float
     and are reported honestly through a large bound.
     """
     trunc = trunc or DEFAULT_TRUNCATION
-    return _point(*_q_sign(state, s1, s2, t1, float(t2), trunc.n_max, units), with_info)
+    return _point(*_q_sign(state, s1, s2, t1, float(t2), trunc.n_max), with_info)
 
 
 def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
                       t1: float, t2: float, trunc: TruncationConfig | None = None,
-                      units: UnitsConfig = DEFAULT_UNITS, with_info: bool = False):
+                      with_info: bool = False):
     """Series quasi-probability for squeezed vacuum with window projectors.
 
     Outcome +1 projects onto |x| > L at measurement time; the width rescaling
     turns the cuts into +/- L/lambda(t_i).  Only even orders contribute by
-    parity, so the result is periodic in t2 with period pi/omega.
+    parity, so the result is periodic in t2 with period pi.
     """
     trunc = trunc or DEFAULT_TRUNCATION
-    return _point(*_q_window(state, half_width, s1, s2, t1, float(t2), trunc.n_max, units),
+    return _point(*_q_window(state, half_width, s1, s2, t1, float(t2), trunc.n_max),
                   with_info)
 
 
 def q_sign_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
-                        t2_grid: np.ndarray, n_max: int,
-                        units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
+                        t2_grid: np.ndarray, n_max: int) -> np.ndarray:
     """Pure-state sign-projector quasi-probability over a grid of t2 values."""
-    return _q_sign(state, s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max, units)[0]
+    return _q_sign(state, s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max)[0]
 
 
 def q_window_series_curve(state: StateSpec, half_width: float, s1: int, s2: int,
-                          t1: float, t2_grid: np.ndarray, n_max: int,
-                          units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
+                          t1: float, t2_grid: np.ndarray, n_max: int) -> np.ndarray:
     """Window-projector quasi-probability over a grid of t2 values."""
     return _q_window(state, half_width, s1, s2, t1, np.asarray(t2_grid, dtype=float),
-                     n_max, units)[0]
+                     n_max)[0]
 
 
 def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
-                       trunc: TruncationConfig | None = None,
-                       units: UnitsConfig = DEFAULT_UNITS, with_info: bool = False):
+                       trunc: TruncationConfig | None = None, with_info: bool = False):
     """Series quasi-probability for a thermal squeezed coherent state.
 
     Adds to the pure-state series a geometrically weighted sum over the
@@ -348,21 +343,20 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
     one-point call of the t2-array kernel of :func:`q_thermal_series_curve`.
     """
     if state.n_th == 0:
-        return qpd_series_squeezed(state, s1, s2, t1, t2, trunc, units, with_info)
+        return qpd_series_squeezed(state, s1, s2, t1, t2, trunc, with_info)
     q, n_terms, singular, m_cut, m_tail = _q_thermal(
-        state, s1, s2, t1, np.array([float(t2)]), trunc or DEFAULT_TRUNCATION, units)
+        state, s1, s2, t1, np.array([float(t2)]), trunc or DEFAULT_TRUNCATION)
     return _point(q[0], n_terms[:, 0], singular[0], with_info, m_used=m_cut, m_tail=m_tail)
 
 
 def q_thermal_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
-                           t2_grid: np.ndarray, n_max: int,
-                           units: UnitsConfig = DEFAULT_UNITS) -> np.ndarray:
+                           t2_grid: np.ndarray, n_max: int) -> np.ndarray:
     """Thermal sign-projector quasi-probability (n_th > 0) over a grid of t2
     values, with the default occupation cut."""
     if state.n_th == 0:
         raise ValueError("thermal curve requires n_th > 0; use q_sign_series_curve")
     return _q_thermal(state, s1, s2, t1, np.asarray(t2_grid, dtype=float),
-                      TruncationConfig(n_max=n_max), units)[0]
+                      TruncationConfig(n_max=n_max))[0]
 
 
 @functools.lru_cache(maxsize=1)
@@ -386,7 +380,7 @@ def _thermal_fixed_cut(cut: float, w: float, m_cut: int, n_max: int):
 
 
 def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
-               trunc: TruncationConfig, units: UnitsConfig):
+               trunc: TruncationConfig):
     """Thermal kernel over K values of t2: (q, n_terms, singular, m_cut,
     m_tail), with the eigenbasis terms n_terms of shape (n_max, K) and the
     occupation sum cut at m_cut with remainder m_tail.
@@ -412,7 +406,7 @@ def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
             f"n_max={n_max} is below the thermal occupation cut m_max={m_cut}; "
             "raise TruncationConfig.n_max")
 
-    _, _, a1, a2, phi = _geometry(state, t1, t2, units)
+    _, _, a1, a2, phi = _geometry(state, t1, t2)
     row1, diag1, b = _thermal_fixed_cut(float(-a1), w, m_cut, n_max)
     k = t2.size
     # a single cut takes the memoized NumPy-scalar recurrence, which is faster

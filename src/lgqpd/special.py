@@ -27,6 +27,11 @@ HARD_N_CAP = 1 << 17
 _QUARTER_PI = np.pi ** -0.25
 
 
+def _check_n_cap(n_max: int) -> None:
+    if n_max > HARD_N_CAP:
+        raise CapabilityError(f"n_max={n_max} exceeds hard cap {HARD_N_CAP}")
+
+
 def psi_rows(x, n_max: int):
     """Eigenfunctions psi_0..psi_n_max on a grid.
 
@@ -51,8 +56,7 @@ def psi_rows(x, n_max: int):
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if n_max > HARD_N_CAP:
-        raise CapabilityError(f"n_max={n_max} exceeds hard cap {HARD_N_CAP}")
+    _check_n_cap(n_max)
     if np.ndim(x) == 0:
         return _psi_rows_scalar(float(x), n_max)
     return _psi_rows(np.asarray(x, dtype=float), n_max)

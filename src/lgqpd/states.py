@@ -7,6 +7,9 @@ magnitude ``r`` with phase ``theta0``, and a thermal occupation ``n_th``.
 Two derived time-dependent quantities drive every evaluator: the variance
 scale ``lambda(t)`` and the quadrature rotation angle ``beta(t)`` that together
 fold the squeezing into a rescaled, time-reparameterized coherent problem.
+
+Every time here, and in every kernel of the package, is the dimensionless
+phase omega*t; only a scan config's ``omega`` rescales times, in the scan.
 """
 
 from __future__ import annotations
@@ -17,20 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class UnitsConfig:
-    """Angular frequency of the oscillator; times always enter as omega * t."""
-
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
-
-
-DEFAULT_UNITS = UnitsConfig()
 
 
 @dataclass(frozen=True)
@@ -88,10 +77,10 @@ def n_th_from_temperature(temp_ratio: float) -> float:
 
 @dataclass(frozen=True)
 class OffsetFunction:
-    """Harmonic measurement offset xbar(t) = amplitude*cos(omega*t - phase) + constant.
+    """Harmonic measurement offset xbar(t) = amplitude*cos(t - phase) + constant.
 
     The offset is expressed on the same scale as the doubled coherent
-    trajectory 2|xi|cos(omega*t - Theta) = sqrt(2)*x_xi(t); divide by sqrt(2)
+    trajectory 2|xi|cos(t - Theta) = sqrt(2)*x_xi(t); divide by sqrt(2)
     (see :meth:`cut_position`) to get the cut location in the dimensionless
     position units of the eigenfunctions.
     """
@@ -105,12 +94,12 @@ class OffsetFunction:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def value(self, t, units: UnitsConfig = DEFAULT_UNITS):
-        return self.amplitude * np.cos(units.omega * t - self.phase) + self.constant
+    def value(self, t):
+        return self.amplitude * np.cos(t - self.phase) + self.constant
 
-    def cut_position(self, t, units: UnitsConfig = DEFAULT_UNITS):
+    def cut_position(self, t):
         """Cut location in dimensionless position units."""
-        return self.value(t, units) / SQRT2
+        return self.value(t) / SQRT2
 
     @property
     def is_zero(self) -> bool:
@@ -137,57 +126,56 @@ def gamma_from(xi: complex, r: float, theta0: float) -> complex:
     return xi * math.cosh(r) - np.conj(xi) * np.exp(1j * theta0) * math.sinh(r)
 
 
-def mode_e(t, r: float, theta0: float, units: UnitsConfig = DEFAULT_UNITS):
-    """Squeezed mode function E(t) = e^{-i w t} cosh r + e^{i w t} e^{-i theta0} sinh r.
+def mode_e(t, r: float, theta0: float):
+    """Squeezed mode function E(t) = e^{-i t} cosh r + e^{i t} e^{-i theta0} sinh r.
 
-    Satisfies |E(t)| = lambda(t); reduces to e^{-i w t} at r = 0.
+    Satisfies |E(t)| = lambda(t); reduces to e^{-i t} at r = 0.
     """
-    wt = units.omega * np.asarray(t, dtype=float)
-    out = np.exp(-1j * wt) * math.cosh(r) + np.exp(1j * wt) * np.exp(-1j * theta0) * math.sinh(r)
+    t = np.asarray(t, dtype=float)
+    out = np.exp(-1j * t) * math.cosh(r) + np.exp(1j * t) * np.exp(-1j * theta0) * math.sinh(r)
     return complex(out) if out.ndim == 0 else out
 
 
-def lambda_of(t, r: float, theta0: float, units: UnitsConfig = DEFAULT_UNITS):
-    """Time-dependent width scale lambda(t) = sqrt(sinh(2r) cos(2wt - theta0) + cosh(2r)).
+def lambda_of(t, r: float, theta0: float):
+    """Time-dependent width scale lambda(t) = sqrt(sinh(2r) cos(2t - theta0) + cosh(2r)).
 
-    Bounded below by e^{-r} > 0 and periodic with period pi/omega.
+    Bounded below by e^{-r} > 0 and periodic with period pi.
     """
-    wt = units.omega * np.asarray(t, dtype=float)
-    out = np.sqrt(math.sinh(2 * r) * np.cos(2 * wt - theta0) + math.cosh(2 * r))
+    t = np.asarray(t, dtype=float)
+    out = np.sqrt(math.sinh(2 * r) * np.cos(2 * t - theta0) + math.cosh(2 * r))
     return float(out) if out.ndim == 0 else out
 
 
-def phase_beta_of(t, r: float, theta0: float, units: UnitsConfig = DEFAULT_UNITS):
+def phase_beta_of(t, r: float, theta0: float):
     """Quadrature rotation angle beta(t) = atan2(B(t), A(t)).
 
-    A(t) = cosh r + cos(theta0 - 2wt) sinh r and B(t) = sin(theta0 - 2wt) sinh r.
+    A(t) = cosh r + cos(theta0 - 2t) sinh r and B(t) = sin(theta0 - 2t) sinh r.
     A(t) >= cosh r - sinh r > 0 for every t, so the two-argument arctangent
     stays on the principal branch and beta is continuous and periodic without
     any unwrapping.
     """
-    wt = units.omega * np.asarray(t, dtype=float)
-    arg = theta0 - 2 * wt
+    arg = theta0 - 2 * np.asarray(t, dtype=float)
     a = math.cosh(r) + np.cos(arg) * math.sinh(r)
     b = np.sin(arg) * math.sinh(r)
     out = np.arctan2(b, a)
     return float(out) if out.ndim == 0 else out
 
 
-def x_xi_of(t, xi: complex, units: UnitsConfig = DEFAULT_UNITS):
-    """Mean trajectory x_xi(t) = sqrt(2) Re[xi e^{-i w t}] = x0 cos wt + p0 sin wt."""
+def x_xi_of(t, xi: complex):
+    """Mean trajectory x_xi(t) = sqrt(2) Re[xi e^{-i t}] = x0 cos t + p0 sin t."""
     xi = complex(xi)
-    wt = units.omega * np.asarray(t, dtype=float)
-    out = SQRT2 * (xi.real * np.cos(wt) + xi.imag * np.sin(wt))
+    t = np.asarray(t, dtype=float)
+    out = SQRT2 * (xi.real * np.cos(t) + xi.imag * np.sin(t))
     return float(out) if out.ndim == 0 else out
 
 
-def reduce_squeezed_to_coherent(spec: StateSpec, units: UnitsConfig = DEFAULT_UNITS):
+def reduce_squeezed_to_coherent(spec: StateSpec):
     """Coherent-state parameters reproducing a squeezed-state correlator.
 
     Returns ``(xi_prime, time_map)`` such that the sign-projector
     quasi-probability of ``spec`` at times (t1, t2) equals that of the
     (thermal) coherent state ``xi_prime`` evaluated at times
-    ``time_map(t_i) = t_i + beta(t_i)/omega``.  The thermal occupation is
+    ``time_map(t_i) = t_i + beta(t_i)``.  The thermal occupation is
     unchanged by the reduction.  At r = 0 this is the identity.
 
     The phase-space map is
@@ -209,7 +197,7 @@ def reduce_squeezed_to_coherent(spec: StateSpec, units: UnitsConfig = DEFAULT_UN
         xi_prime = spec.xi
 
     def time_map(t):
-        return t + phase_beta_of(t, r, th, units) / units.omega
+        return t + phase_beta_of(t, r, th)
 
     return xi_prime, time_map
 

@@ -178,6 +178,13 @@ class TestCliEval:
                      "--s1", "1", "--s2", "1", "--t1", "0", "--t2", "1"]) == 2
         assert "lgqpd eval: error: the window projector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        ["--route", "oracle", "--oracle-dim", "700"], ["--route", "oracle", "--oracle-dim", "1"],
+        ["--route", "integral", "--quad-order", "4"], ["--route", "series", "--nmax", "200000"]])
+    def test_out_of_range_settings_exit_2(self, capsys, extra):
+        assert main(["eval", *extra, "--s1", "1", "--s2", "1", "--t1", "0", "--t2", "1"]) == 2
+        assert "lgqpd eval: error:" in capsys.readouterr().err
+
     def test_bad_sign_flag(self):
         with pytest.raises(SystemExit) as err:
             main(["eval", "--route", "series", "--s1", "2", "--s2", "1",

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lgqpd import (DEFAULT_UNITS, IntegralInfo, OffsetFunction, OracleInfo,
-                   ScanConfig, SeriesInfo, StateSpec, T2Search, TruncationConfig,
+from lgqpd import (IntegralInfo, OffsetFunction, OracleInfo, ScanConfig,
+                   SeriesInfo, StateSpec, T2Search, TruncationConfig,
                    global_minimize, minimize_over_t2, named_evaluator,
                    qpd_series_squeezed, scan, scan_plane)
 from lgqpd.output import scan_csv_text
@@ -60,6 +60,19 @@ class TestNamedEvaluator:
             named_evaluator({"n_th": 0.5}, "integral", "sign", 60)
         with pytest.raises(ValueError, match="offset"):
             named_evaluator({"offset": OffsetFunction(constant=0.3)}, "series", "sign", 60)
+
+    def test_rejects_unknown_parameter(self):
+        # a misspelled name used to be dropped, giving the r = 0 value
+        with pytest.raises(ValueError, match="'R'"):
+            named_evaluator({"s1": 1, "s2": -1, "x0": 0.5, "R": 0.5}, "series", "sign")
+
+    @pytest.mark.parametrize("route,params,n_max", [
+        ("oracle", {"oracle_dim": 700}, 200), ("oracle", {"oracle_dim": 1}, 200),
+        ("integral", {"quad_order": 4}, 200), ("series", {}, 200000)])
+    def test_rejects_out_of_range_settings(self, route, params, n_max):
+        # these used to pass the dispatch and fail at the first evaluation
+        with pytest.raises(ValueError):
+            named_evaluator(dict(params, s1=1, s2=-1), route, "sign", n_max)
 
     @pytest.mark.parametrize("route,projector,params", [
         ("series", "sign", {"x0": 0.4, "p0": 1.1, "r": 0.3}),
@@ -117,6 +130,17 @@ class TestScanConfigValidation:
         with pytest.raises(ValueError):
             ScanConfig(plane="rL", route="series", s1=1, s2=1, projector="window",
                        axis1_min=0.0, axis2_min=0.5, offset_const=0.3)
+
+    @pytest.mark.parametrize("bad", [
+        dict(route="oracle", oracle_dim=700), dict(route="integral", quad_order=4),
+        dict(route="series", n_max=200000), dict(route="series", t2_coarse_steps=1),
+        dict(route="series", t2_refine_iters=-1), dict(route="series", t2_max=0.0),
+        dict(route="series", t2_max=math.inf), dict(route="series", t2_min=-math.inf),
+        dict(route="series", omega=0.0), dict(route="series", omega=math.nan),
+        dict(route="series", omega=-1.0), dict(route="series", omega=math.inf)])
+    def test_rejects_settings_that_would_fail_every_cell(self, bad):
+        with pytest.raises(ValueError):
+            ScanConfig(plane="x0p0", s1=1, s2=-1, **bad)
 
     @pytest.mark.parametrize("fixed", [dict(x0=1.5), dict(p0=-0.7), dict(n_th=0.9)])
     def test_window_scan_rejects_non_vacuum_state(self, fixed):
@@ -177,6 +201,23 @@ class TestScanPlane:
         res_integral = scan_plane(ScanConfig(route="integral", **base))
         assert np.max(np.abs(res_series.q_min - res_integral.q_min)) < 5e-4
         assert np.max(np.abs(res_series.t2_argmin - res_integral.t2_argmin)) < 0.01
+
+    @pytest.mark.parametrize("route,extra", [
+        ("series", {}), ("series", {"n_th": 0.8}), ("integral", {"offset_amp": 0.4}),
+        ("oracle", {"oracle_dim": 120})])
+    def test_omega_rescales_times_only(self, route, extra):
+        # the kernels see omega*t: t1 = 0.3 and t2 in [0, pi] at omega = 2 is
+        # the omega = 1 scan at t1 = 0.6, t2 in [0, 2 pi], with t2 halved
+        base = dict(plane="x0p0", route=route, s1=1, s2=-1, r=0.3, theta0=0.4,
+                    axis1_min=-0.8, axis1_max=0.4, axis1_steps=2,
+                    axis2_min=0.9, axis2_max=1.5, axis2_steps=2,
+                    t2_coarse_steps=40, t2_refine_iters=12, n_max=120, **extra)
+        fast = scan_plane(ScanConfig(omega=2.0, t1=0.3, t2_max=math.pi, **base))
+        unit = scan_plane(ScanConfig(t1=0.6, t2_max=2 * math.pi, **base))
+        assert fast.n_failed == unit.n_failed == 0
+        assert fast.q_min.tobytes() == unit.q_min.tobytes()
+        assert fast.t2_argmin.tobytes() == (unit.t2_argmin / 2).tobytes()
+        assert fast.global_argmin[2] == unit.global_argmin[2] / 2
 
     def test_failed_cells_marked_nan(self):
         # n_max below the thermal occupation cut makes every cell fail;
@@ -242,6 +283,14 @@ class TestGlobalMinimize:
                 projector="window", coarse_steps=2, n_starts=1, t2_coarse=8,
                 t2_refine=2, n_max=40, nm_maxiter=2)
 
+    def test_rejects_unknown_free_parameter(self):
+        # a misspelled free name used to be "minimized" and reported in the argmin
+        with pytest.raises(ValueError, match="'P0'"):
+            global_minimize(
+                free={"x0": (-1, 1), "P0": (-2, 2), "t2": (0.0, TWO_PI)},
+                fixed={"s1": 1, "s2": -1}, coarse_steps=2, n_starts=1, t2_coarse=8,
+                t2_refine=2, n_max=40, nm_maxiter=2)
+
     @pytest.mark.parametrize("n_th", [0.0, 0.8])
     def test_each_point_searched_once(self, monkeypatch, n_th):
         searched = []
@@ -277,6 +326,6 @@ class TestGlobalMinimize:
         # every reported minimum is exactly what a fresh t2 search gives
         for value, argmin in [(res.value, res.argmin)] + [
                 (s.value, s.argmin) for s in res.starts]:
-            evaluator, curve = real_evaluator(argmin, "series", "sign", 150,
-                                              DEFAULT_UNITS)
+            params = {k: v for k, v in argmin.items() if k != "t2"}
+            evaluator, curve = real_evaluator(params, "series", "sign", 150)
             assert minimize_over_t2(evaluator, curve, search) == (value, argmin["t2"])

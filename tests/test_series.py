@@ -12,7 +12,6 @@ from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    qpd_series_thermal, qpd_series_window,
                    series_tail_estimate, thermal_m_cut, x_xi_of)
 from lgqpd.series import _q_sign, _q_thermal, _q_window
-from lgqpd.states import DEFAULT_UNITS
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -294,17 +293,16 @@ class TestPointAndCurve:
         if family == "sign":
             state, extra, n_max, tol = StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9), (), 300, 1e-12
             point, curve = qpd_series_squeezed, q_sign_series_curve
-            kernel = lambda *args: _q_sign(*args, n_max, DEFAULT_UNITS)
+            kernel = lambda *args: _q_sign(*args, n_max)
         elif family == "window":
             state, extra, n_max, tol = StateSpec(xi=0j, r=0.25, theta0=0.0), (1.02,), 300, 1e-12
             point, curve = qpd_series_window, q_window_series_curve
-            kernel = lambda *args: _q_window(*args, n_max, DEFAULT_UNITS)
+            kernel = lambda *args: _q_window(*args, n_max)
         else:
             state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4, n_th)
             extra, n_max, tol = (), 150, 1e-14
             point, curve = qpd_series_thermal, q_thermal_series_curve
-            kernel = lambda *args: _q_thermal(*args, TruncationConfig(n_max=n_max),
-                                              DEFAULT_UNITS)
+            kernel = lambda *args: _q_thermal(*args, TruncationConfig(n_max=n_max))
         trunc = TruncationConfig(n_max=n_max)
         for s1, s2 in SIGN_PAIRS:
             args = (state,) + extra + (s1, s2, self.T1)

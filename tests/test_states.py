@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lgqpd import (OffsetFunction, StateSpec, UnitsConfig, gamma_from,
-                   lambda_of, mode_e, n_th_from_temperature, phase_beta_of,
+from lgqpd import (OffsetFunction, StateSpec, gamma_from, lambda_of, mode_e,
+                   n_th_from_temperature, phase_beta_of,
                    reduce_squeezed_to_coherent, thermal_m_cut, thermal_weight,
                    x_xi_of)
 
@@ -110,11 +110,6 @@ class TestTrajectory:
         expected = (0.550 + 1.925) / SQRT2
         assert x_xi_of(math.pi / 4, xi) == pytest.approx(expected, abs=1e-12)
 
-    def test_omega_scaling(self):
-        units = UnitsConfig(omega=2.0)
-        xi = (0.4 + 0.9j) / SQRT2
-        assert x_xi_of(0.3, xi, units) == pytest.approx(x_xi_of(0.6, xi), abs=1e-14)
-
 
 class TestReduction:
     def test_identity_at_zero_squeeze(self):
@@ -185,10 +180,6 @@ class TestSpecsValidation:
             StateSpec(n_th=-1.0)
         with pytest.raises(ValueError):
             StateSpec(xi=complex("nan"))
-
-    def test_units_positive(self):
-        with pytest.raises(ValueError):
-            UnitsConfig(omega=0.0)
 
     def test_offset_fields_finite(self):
         with pytest.raises(ValueError):
