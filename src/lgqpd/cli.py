@@ -13,22 +13,22 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, load_scan_config
+from .errors import TruncationError
 from .integral import IntegralInfo
 from .output import write_scan_outputs
-from .scan import named_evaluator, scan_plane
-from .series import SeriesInfo
+from .scan import ROUTES, named_evaluator, scan_plane
+from .series import SeriesInfo, _check_signs
 from .states import OffsetFunction, n_th_from_temperature
 from .verify import CASES, run_case
 
 
 def _sign(text: str) -> int:
     try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected +1 or -1, got {text!r}") from None
-    if v not in (1, -1):
-        raise argparse.ArgumentTypeError(f"expected +1 or -1, got {text!r}")
-    return v
+        sign = int(text)
+        _check_signs(sign)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return sign
 
 
 def _fmt(x: float) -> str:
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate q_{s1,s2}(t1, t2) at one parameter point")
-    ev.add_argument("--route", choices=("integral", "series", "oracle"), required=True)
+    ev.add_argument("--route", choices=ROUTES, required=True)
     ev.add_argument("--s1", type=_sign, required=True)
     ev.add_argument("--s2", type=_sign, required=True)
     ev.add_argument("--t1", type=float, required=True, help="first time (omega*t)")
@@ -82,11 +82,10 @@ def _cmd_eval(args) -> int:
                   "n_th": n_th_from_temperature(args.temp_ratio),
                   "offset": OffsetFunction(args.offset_amp, args.offset_phase,
                                            args.offset_const),
-                  "quad_order": args.quad_order, "oracle_dim": args.oracle_dim}
-        if args.L is not None:
-            params["L"] = args.L
+                  "L": args.L, "quad_order": args.quad_order,
+                  "oracle_dim": args.oracle_dim}
         evaluator, _ = named_evaluator(params, args.route, args.projector, args.nmax)
-    except ValueError as exc:
+    except (ValueError, TruncationError) as exc:
         print(f"lgqpd eval: error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+from .errors import TruncationError
 from .scan import ScanConfig
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ScanConfig)}
@@ -61,7 +62,7 @@ def parse_scan_config(text: str) -> ScanConfig:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     try:
         return ScanConfig(**values)
-    except ValueError as exc:
+    except (ValueError, TruncationError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -90,8 +90,7 @@ def projector_matrix(meas: MeasurementSpec, s: int, t: float, dim: int) -> np.nd
     eigenvalues in [0, 1] up to truncation leakage.  It is built once per
     (region, dim) and returned read-only.
     """
-    if s not in (1, -1):
-        raise ValueError(f"s must be +1 or -1, got {s!r}")
+    _check_signs(s)
     _check_dim(dim)
     if meas.projector == "sign":
         cut = float(meas.offset.cut_position(t))
@@ -134,7 +133,7 @@ def _apply_chain_exp(cols: np.ndarray, step: int, parity: int, scale: float,
 def _state_columns(state: StateSpec, dim: int):
     """Columns D(xi) S(zeta) |m> for the occupations that carry weight, their
     thermal weights and the weighted tail mass."""
-    n_cols = 1 if state.is_pure else min(dim, thermal_m_cut(state.n_th, 1e-12))
+    n_cols = 1 if state.is_pure else min(dim, thermal_m_cut(state.n_th))
     cols = np.eye(dim, n_cols, dtype=complex)
     if state.r != 0:
         for parity in (0, 1):
@@ -212,14 +211,13 @@ def _oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int, t1: float
         q[same] = float((weights * np.einsum("nm,nm->m", cols.conj(), y)).sum().real)
 
     y1 = _phased_apply(projector_matrix(meas, s1, t1, dim), t1, cols) * weights
-    window = min(256, 3 * dim // 4)
     for j in np.flatnonzero(~same):
         y2 = _phased_apply(projector_matrix(meas, s2, t2[j], dim), t2[j], cols)
         # The hard measurement edges give the intermediate-index expansion an
         # oscillating k^(-3/2) tail; the averaged summation removes the last
         # uncancelled oscillation (~1e-5 at dim 400 if summed plainly).
         terms = np.einsum("nm,nm->n", y2.conj(), y1).real
-        q[j] = averaged_partial_sum(terms, window=window)
+        q[j] = averaged_partial_sum(terms)
     return q, info
 
 

@@ -123,8 +123,14 @@ def _c_integral_vec(sigma, beta, delta):
 
 
 def _check_order(quad_order: int) -> None:
-    if quad_order < 8:
-        raise ValueError(f"quad_order must be >= 8, got {quad_order}")
+    # a start at half the cap or below keeps every doubling within the cap
+    if not 8 <= quad_order <= U_ORDER_CAP // 2:
+        raise ValueError(f"quad_order must be in [8, {U_ORDER_CAP // 2}], got {quad_order}")
+
+
+def _check_pure(state: StateSpec) -> None:
+    if state.n_th != 0:
+        raise ValueError("the integral route covers pure states only (n_th = 0)")
 
 
 def qpd_integral(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: int,
@@ -132,13 +138,12 @@ def qpd_integral(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: i
     """Quasi-probability q_{s1,s2}(t1,t2) by the angular-integral route.
 
     The u integral uses fixed Gauss-Legendre rules, doubling the order from
-    ``quad_order`` until two successive orders agree to 1e-8 (cap 512); a
-    ConvergenceWarning is issued if the final doubling still moved the result
-    by more than 1e-6.  Pure states only (``state.n_th == 0``).
+    ``quad_order`` (8 to 256) until two successive orders agree to 1e-8 (cap
+    512); a ConvergenceWarning is issued if the final doubling still moved
+    the result by more than 1e-6.  Pure states only (``state.n_th == 0``).
     """
     _check_order(quad_order)
-    if state.n_th != 0:
-        raise ValueError("the integral route covers pure states only (n_th = 0)")
+    _check_pure(state)
     offset = ZERO_OFFSET if offset is None else offset
     form = quad_form(state, offset, s1, s2, t1, t2)
 
@@ -188,9 +193,7 @@ def qpd_integral_2d(state: StateSpec, offset: OffsetFunction | None, s1: int, s2
     Slow but independent of the radial closed form; used to pin its constant
     and the sqrt(B) branch.
     """
-    _check_signs(s1, s2)
-    if state.n_th != 0:
-        raise ValueError("the integral route covers pure states only (n_th = 0)")
+    _check_pure(state)
     offset = ZERO_OFFSET if offset is None else offset
     form = quad_form(state, offset, s1, s2, t1, t2)
     if _is_degenerate(form):

@@ -17,9 +17,10 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
-from .integral import _check_order, qpd_integral
+from .integral import _check_order, _check_pure, qpd_integral
 from .fock import _check_dim, q_oracle_curve, qpd_oracle
-from .series import (MeasurementSpec, TruncationConfig, q_sign_series_curve,
+from .series import (MeasurementSpec, TruncationConfig, _check_signs,
+                     _check_squeezed_vacuum, _occupation_cut, q_sign_series_curve,
                      q_thermal_series_curve, q_window_series_curve,
                      qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
 from .states import OffsetFunction, StateSpec
@@ -133,24 +134,19 @@ class ScanConfig:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if self.plane not in PLANES:
             raise ValueError(f"plane must be one of {PLANES}, got {self.plane!r}")
-        if self.s1 not in (1, -1) or self.s2 not in (1, -1):
-            raise ValueError("s1 and s2 must be +1 or -1")
-        if self.projector not in ("sign", "window"):
-            raise ValueError("projector must be 'sign' or 'window'")
         # A single-step axis pins that coordinate, giving a 1-cell (or 1-row) scan.
         if self.axis1_steps < 1 or self.axis2_steps < 1:
             raise ValueError("axis steps must be >= 1")
         self.t2_search()
         if (self.plane == "rL") != (self.projector == "window"):
             raise ValueError("the window projector scans the rL plane, and only it")
-        if self.plane == "rL":
-            if self.axis1_min < 0:
-                raise ValueError("r axis must be non-negative")
-            if self.axis2_min <= 0:
-                raise ValueError("L axis must be positive")
-        # the dispatch rejects what no route covers; the first cell stands for all
-        named_evaluator(_cell_params(self, self.axis1_min, self.axis2_min), self.route,
-                        self.projector, self.n_max)
+        # The dispatch judges every input rule.  The axes are linspaces, so a
+        # rule on one cell coordinate holds on the whole grid when it holds at
+        # the first and the last cell.
+        ax1, ax2 = self.axis1_values(), self.axis2_values()
+        for i in (0, -1):
+            named_evaluator(_cell_params(self, float(ax1[i]), float(ax2[i])),
+                            self.route, self.projector, self.n_max)
 
     @property
     def axis1_name(self) -> str:
@@ -281,29 +277,25 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
                     n_max: int = 300, nm_maxiter: int = 120) -> GlobalMinimum:
     """Deterministic multi-start minimization over named free parameters.
 
-    ``free`` maps parameter names from {x0, p0, r, L, t2} to (lo, hi) bounds;
-    a degenerate bound (lo == hi) pins the parameter.  t2 is always minimized
-    by the inner coarse-plus-golden search; the remaining parameters go
-    through a coarse grid followed by Nelder-Mead polish from the best
-    ``n_starts`` grid points.  All start outcomes are reported.
+    ``free`` maps parameter names from {x0, p0, r, L, t2} to (lo, hi) bounds
+    with hi > lo; it must hold t2 and at least one other name, and a pinned
+    value goes in ``fixed``.  t2 is minimized by the inner coarse-plus-golden
+    search of :func:`minimize_over_t2`; the other parameters go through a
+    coarse grid followed by Nelder-Mead polish from the best ``n_starts``
+    grid points.  All start outcomes are reported.  Raises ValueError for a
+    missing t2 and for a bound with hi <= lo.
     """
     fixed = dict(fixed or {})
     free = dict(free)
-    t2_bounds = free.pop("t2", None)
-    t2 = fixed.pop("t2", None)
+    if "t2" not in free:
+        raise ValueError("t2 must be free, with bounds (t2_min, t2_max)")
+    search = T2Search(*free.pop("t2"), t2_coarse, t2_refine)
     outer_names = sorted(free)
-    search = None
-    if t2_bounds is not None:
-        lo, hi = t2_bounds
-        if hi > lo:
-            search = T2Search(lo, hi, t2_coarse, t2_refine)
-        else:
-            t2 = lo
-    if search is None and t2 is None:
-        raise ValueError("t2 must be free or fixed")
-
     lows = np.array([free[n][0] for n in outer_names])
     highs = np.array([free[n][1] for n in outer_names])
+    if not outer_names or not np.all(highs > lows):
+        raise ValueError(f"free needs a name besides t2, each with bounds hi > lo, "
+                         f"got {free}; put a pinned value in fixed")
 
     def named(vec) -> dict:
         params = dict(fixed)
@@ -320,11 +312,8 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
         params = named(vec)
         key = tuple(params[name] for name in outer_names)
         if key not in memo:
-            evaluator, curve = named_evaluator(params, route, projector, n_max)
-            if search is None:
-                memo[key] = (evaluator(t2), t2)
-            else:
-                memo[key] = minimize_over_t2(evaluator, curve, search)
+            memo[key] = minimize_over_t2(*named_evaluator(params, route, projector, n_max),
+                                         search)
         return params, memo[key]
 
     def objective(vec) -> float:
@@ -335,11 +324,7 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
         params["t2"] = t2
         return params
 
-    if not outer_names:
-        value = objective(np.empty(0))
-        return GlobalMinimum(value=value, argmin=full_argmin(np.empty(0)), starts=())
-    axes = [np.linspace(lo, hi, coarse_steps) if hi > lo else np.array([lo])
-            for lo, hi in zip(lows, highs)]
+    axes = [np.linspace(lo, hi, coarse_steps) for lo, hi in zip(lows, highs)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     values = np.array([objective(p) for p in points])
@@ -349,14 +334,11 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     best_vec, best_val = points[order[0]], float(values[order[0]])
     for k in order:
         x0 = points[k]
-        if np.any(highs > lows):
-            res = _nm_minimize(objective, x0, method="Nelder-Mead",
-                               options={"maxiter": nm_maxiter, "xatol": 1e-5,
-                                        "fatol": 1e-10})
-            xk = np.clip(res.x, lows, highs)
-            vk = objective(xk)
-        else:
-            xk, vk = x0, float(values[k])
+        res = _nm_minimize(objective, x0, method="Nelder-Mead",
+                           options={"maxiter": nm_maxiter, "xatol": 1e-5,
+                                    "fatol": 1e-10})
+        xk = np.clip(res.x, lows, highs)
+        vk = objective(xk)
         starts.append(StartOutcome(
             start={n: float(v) for n, v in zip(outer_names, x0)},
             value=float(vk),
@@ -380,64 +362,54 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
     ``n_max`` is the series truncation.
 
     Raises ValueError for an unknown parameter name, an out-of-range
-    ``n_max``, ``quad_order`` or ``oracle_dim`` of the chosen route, and a
-    combination that no route covers.
+    ``n_max``, ``quad_order`` or ``oracle_dim`` of the chosen route, or a
+    combination that no route covers, and TruncationError for a thermal
+    series whose ``n_max`` is below the occupation cut.  Each rule is the
+    check that the kernel itself makes, run here before any evaluation.
     """
     unknown = sorted(set(params) - _PARAM_NAMES)
     if unknown:
         raise ValueError(f"unknown parameter(s) {unknown}; known: {sorted(_PARAM_NAMES)}")
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if projector not in ("sign", "window"):
-        raise ValueError(f"projector must be 'sign' or 'window', got {projector!r}")
-    s1, s2 = int(params.get("s1", 1)), int(params.get("s2", 1))
+    meas = MeasurementSpec(projector, params.get("offset"), params.get("L"))
+    s1, s2 = params.get("s1", 1), params.get("s2", 1)
+    _check_signs(s1, s2)
     t1 = float(params.get("t1", 0.0))
-    x0, p0 = float(params.get("x0", 0.0)), float(params.get("p0", 0.0))
-    r, theta0 = float(params.get("r", 0.0)), float(params.get("theta0", 0.0))
-    n_th = float(params.get("n_th", 0.0))
-    offset = params.get("offset")
-    has_offset = offset is not None and not offset.is_zero
+    state = StateSpec.from_phase_space(
+        float(params.get("x0", 0.0)), float(params.get("p0", 0.0)),
+        float(params.get("r", 0.0)), float(params.get("theta0", 0.0)),
+        float(params.get("n_th", 0.0)))
     trunc = TruncationConfig(n_max=n_max)
-    if projector == "window":
+    if meas.projector == "window":
         if route == "integral":
             raise ValueError("the integral route does not cover window projectors")
-        half = float(params.get("L", 0.0))
-        if not half > 0:
-            raise ValueError("the window projector requires a half-width L > 0")
-        if x0 or p0 or n_th:
-            raise ValueError("the window projector requires squeezed vacuum "
-                             "(x0 = p0 = n_th = 0)")
-        if has_offset:
-            raise ValueError("the window projector does not take an offset")
-        state = StateSpec(xi=0j, r=r, theta0=theta0, n_th=0.0)
+        _check_squeezed_vacuum(state)
+        half = float(meas.window_halfwidth)
         if route == "series":
             return (lambda t2, with_info=False: qpd_series_window(
                         state, half, s1, s2, t1, t2, trunc, with_info),
                     lambda grid: q_window_series_curve(state, half, s1, s2, t1, grid,
                                                        n_max))
-        meas = MeasurementSpec.window(half)
-    else:
-        if route == "integral" and n_th > 0:
-            raise ValueError("the integral route covers pure states only (n_th = 0)")
-        if route == "series" and has_offset:
+    elif route == "series":
+        if not meas.offset.is_zero:
             raise ValueError("the series route does not take a measurement offset; "
                              "use the integral or oracle route")
-        state = StateSpec.from_phase_space(x0, p0, r, theta0, n_th)
-        if route == "series" and n_th > 0:
+        if state.n_th > 0:
+            _occupation_cut(state.n_th, n_max)
             return (lambda t2, with_info=False: qpd_series_thermal(
                         state, s1, s2, t1, t2, trunc, with_info),
                     lambda grid: q_thermal_series_curve(state, s1, s2, t1, grid, n_max))
-        if route == "series":
-            return (lambda t2, with_info=False: qpd_series_squeezed(
-                        state, s1, s2, t1, t2, trunc, with_info),
-                    lambda grid: q_sign_series_curve(state, s1, s2, t1, grid, n_max))
-        if route == "integral":
-            order = int(params.get("quad_order", 32))
-            _check_order(order)
-            evaluator = (lambda t2, with_info=False: qpd_integral(
-                state, offset, s1, s2, t1, t2, order, with_info))
-            return evaluator, lambda grid: np.array([evaluator(t) for t in grid])
-        meas = MeasurementSpec.sign(offset)
+        return (lambda t2, with_info=False: qpd_series_squeezed(
+                    state, s1, s2, t1, t2, trunc, with_info),
+                lambda grid: q_sign_series_curve(state, s1, s2, t1, grid, n_max))
+    elif route == "integral":
+        _check_pure(state)
+        order = int(params.get("quad_order", 32))
+        _check_order(order)
+        evaluator = (lambda t2, with_info=False: qpd_integral(
+            state, meas.offset, s1, s2, t1, t2, order, with_info))
+        return evaluator, lambda grid: np.array([evaluator(t) for t in grid])
     dim = int(params.get("oracle_dim", 300))
     _check_dim(dim)
     return (lambda t2, with_info=False: qpd_oracle(

@@ -48,15 +48,13 @@ _INF = math.inf
 class TruncationConfig:
     """Series truncation controls.
 
-    ``n_max`` caps the eigenbasis sum, ``tail_tol`` is the certification
-    target for the reported tail bound, and ``m_max`` caps the thermal
-    occupation sum (None picks the smallest cut with thermal weight below
-    1e-12).
+    ``n_max`` caps the eigenbasis sum and ``tail_tol`` is the certification
+    target for the reported tail bound.  The thermal occupation sum is cut
+    where the thermal weight falls below 1e-12 (:func:`thermal_m_cut`).
     """
 
     n_max: int = 200
     tail_tol: float = 1e-8
-    m_max: int | None = None
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -64,11 +62,41 @@ class TruncationConfig:
         _check_n_cap(self.n_max)
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
-        if self.m_max is not None and self.m_max < 1:
-            raise ValueError("m_max must be >= 1 when given")
 
 
 DEFAULT_TRUNCATION = TruncationConfig()
+
+
+# ---------------------------------------------------------------------------
+# input rules, judged by the kernels and, before evaluating, by lgqpd.scan
+# ---------------------------------------------------------------------------
+
+def _check_signs(*signs) -> None:
+    for s in signs:
+        if s not in (1, -1):
+            raise ValueError(f"outcome signs must be +1 or -1, got {s!r}")
+
+
+def _check_half_width(half_width) -> None:
+    if half_width is None or not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError("the window projector requires a half-width L > 0, "
+                         f"got {half_width!r}")
+
+
+def _check_squeezed_vacuum(state: StateSpec) -> None:
+    if state.xi != 0 or state.n_th != 0:
+        raise ValueError("the window projector requires squeezed vacuum "
+                         "(x0 = p0 = n_th = 0)")
+
+
+def _occupation_cut(n_th: float, n_max: int) -> int:
+    """The thermal occupation cut, which the eigenbasis cap must reach."""
+    m_cut = thermal_m_cut(n_th)
+    if n_max < m_cut:
+        raise TruncationError(
+            f"n_max={n_max} is below the thermal occupation cut m={m_cut}; "
+            "raise n_max")
+    return m_cut
 
 
 @dataclass(frozen=True)
@@ -86,11 +114,9 @@ class MeasurementSpec:
         if self.offset is None:
             object.__setattr__(self, "offset", ZERO_OFFSET)
         if self.projector == "window":
-            L = self.window_halfwidth
-            if L is None or not (math.isfinite(L) and L > 0):
-                raise ValueError("window projector requires window_halfwidth > 0")
+            _check_half_width(self.window_halfwidth)
             if not self.offset.is_zero:
-                raise ValueError("window projector does not take an offset")
+                raise ValueError("the window projector does not take an offset")
 
     @classmethod
     def sign(cls, offset=None) -> "MeasurementSpec":
@@ -227,11 +253,6 @@ def _window_row(h, n_max: int) -> np.ndarray:
     return row
 
 
-def _check_signs(s1: int, s2: int) -> None:
-    if s1 not in (1, -1) or s2 not in (1, -1):
-        raise ValueError(f"s1 and s2 must be +1 or -1, got {s1!r}, {s2!r}")
-
-
 def _q_pure(block, rows, phi, s1: int, s2: int, region, cut1, cut2):
     """Summation core of the pure kernels: (q, terms, singular) with q =
     block + s1 s2 sum_n cos(n phi) row1_n row2_n, singular phases overwritten
@@ -270,10 +291,8 @@ def _q_window(state: StateSpec, half_width: float, s1: int, s2: int, t1: float,
     """Squeezed-vacuum window-projector kernel over t2, as :func:`_q_pure`.
     The cuts +/- L/lambda(t_i) enter through the window rows."""
     _check_signs(s1, s2)
-    if state.xi != 0 or state.n_th != 0:
-        raise ValueError("window evaluator requires squeezed vacuum (xi = 0, n_th = 0)")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError(f"half_width must be positive, got {half_width!r}")
+    _check_squeezed_vacuum(state)
+    _check_half_width(half_width)
     lam1, lam2, _, _, phi = _geometry(state, t1, t2)
     h1, h2 = half_width / lam1, half_width / lam2
     qbar1, qbar2 = 1.0 - 2.0 * _sp.erf(h1), 1.0 - 2.0 * _sp.erf(h2)
@@ -394,17 +413,13 @@ def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
     _check_signs(s1, s2)
     n_th, n_max = state.n_th, trunc.n_max
     w = n_th / (1.0 + n_th)
-    m_cut = trunc.m_max if trunc.m_max is not None else thermal_m_cut(n_th, 1e-12)
+    m_cut = _occupation_cut(n_th, n_max)
     m_tail = w ** (m_cut + 1)
     if m_tail > trunc.tail_tol:
         warnings.warn(
             f"thermal occupation sum truncated at m={m_cut} with remainder "
             f"{m_tail:.3e} > tail_tol={trunc.tail_tol:.1e}",
             TruncationWarning, stacklevel=3)
-    if n_max < m_cut:
-        raise TruncationError(
-            f"n_max={n_max} is below the thermal occupation cut m_max={m_cut}; "
-            "raise TruncationConfig.n_max")
 
     _, _, a1, a2, phi = _geometry(state, t1, t2)
     row1, diag1, b = _thermal_fixed_cut(float(-a1), w, m_cut, n_max)

@@ -84,7 +84,7 @@ def _psi_rows(x: np.ndarray | np.float64, n_max: int) -> np.ndarray:
     return psi
 
 
-def averaged_partial_sum(terms: np.ndarray, window: int | None = None):
+def averaged_partial_sum(terms: np.ndarray):
     """Sum of a truncated series, stabilized by iterated pairwise averaging of
     the trailing partial sums (along axis 0 for multi-dimensional terms).
 
@@ -93,8 +93,10 @@ def averaged_partial_sum(terms: np.ndarray, window: int | None = None):
     final ``window`` partial sums damps every nonzero oscillation frequency
     (each pass multiplies a frequency-w component by cos(w/2)) and recovers
     the limit to roughly the envelope's value at the truncation point times
-    the achieved damping.  Non-oscillating (already converged or degenerate)
-    tails pass through unchanged up to the envelope scale.
+    the achieved damping.  The window is three quarters of the partial sums,
+    clipped to [2, 256] and to their number.  Non-oscillating (already
+    converged or degenerate) tails pass through unchanged up to the envelope
+    scale.
 
     The ``window - 1`` averaging passes are applied in one step: they leave
     the Euler weights C(window-1, k) / 2^(window-1) on the k-th of the final
@@ -104,9 +106,7 @@ def averaged_partial_sum(terms: np.ndarray, window: int | None = None):
     if terms.shape[0] == 0:
         return terms.sum(axis=0)
     cum = np.cumsum(terms, axis=0)
-    if window is None:
-        window = min(256, max(2, 3 * terms.shape[0] // 4))
-    window = max(1, min(window, cum.shape[0]))
+    window = min(256, max(2, 3 * terms.shape[0] // 4), cum.shape[0])
     return np.einsum("k,k...->...", _euler_weights(window), cum[-window:])
 
 

@@ -213,10 +213,10 @@ def thermal_weight(m: int, n_th: float) -> float:
     return (n_th / (1.0 + n_th)) ** m / (1.0 + n_th)
 
 
-def thermal_m_cut(n_th: float, tol: float = 1e-12) -> int:
-    """Smallest M with thermal_weight(M, n_th) < tol (sum remainder below tol)."""
+def thermal_m_cut(n_th: float) -> int:
+    """Smallest M with thermal_weight(M, n_th) < 1e-12: the occupation cut."""
     if n_th == 0.0:
         return 1
     ratio = n_th / (1.0 + n_th)
-    m = int(math.ceil(math.log(tol * (1.0 + n_th)) / math.log(ratio))) + 1
+    m = int(math.ceil(math.log(1e-12 * (1.0 + n_th)) / math.log(ratio))) + 1
     return max(m, 1)

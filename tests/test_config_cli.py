@@ -61,6 +61,11 @@ class TestConfigParser:
         with pytest.raises(ConfigError, match="pure states"):
             parse_scan_config(text)
 
+    def test_thermal_occupation_cut_surfaces(self):
+        text = GOOD_CONFIG.replace("n_max = 120", "n_max = 20") + "n_th = 1.5\n"
+        with pytest.raises(ConfigError, match="occupation cut"):
+            parse_scan_config(text)
+
     def test_mapping_round_trip(self):
         # the manifest stores the config as a JSON object of its fields
         cfg = parse_scan_config(GOOD_CONFIG)
@@ -136,7 +141,7 @@ class TestCliEval:
         assert main([*common, "--out", "json"]) == 0
         diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
         assert diagnostics["dim"] == 120
-        assert diagnostics["n_cols"] == thermal_m_cut(n_th_from_temperature(0.5), 1e-12)
+        assert diagnostics["n_cols"] == thermal_m_cut(n_th_from_temperature(0.5))
         assert abs(diagnostics["trace_deficit"]) < 1e-8
         assert 0.0 <= diagnostics["tail_mass"] <= 1e-9
         assert main(common) == 0
@@ -180,10 +185,13 @@ class TestCliEval:
 
     @pytest.mark.parametrize("extra", [
         ["--route", "oracle", "--oracle-dim", "700"], ["--route", "oracle", "--oracle-dim", "1"],
-        ["--route", "integral", "--quad-order", "4"], ["--route", "series", "--nmax", "200000"]])
+        ["--route", "integral", "--quad-order", "4"], ["--route", "series", "--nmax", "200000"],
+        ["--route", "integral", "--quad-order", "600"],
+        ["--route", "series", "--temp-ratio", "1", "--nmax", "20"]])
     def test_out_of_range_settings_exit_2(self, capsys, extra):
         assert main(["eval", *extra, "--s1", "1", "--s2", "1", "--t1", "0", "--t2", "1"]) == 2
-        assert "lgqpd eval: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("lgqpd eval: error:") and err.count("\n") == 1
 
     def test_bad_sign_flag(self):
         with pytest.raises(SystemExit) as err:

@@ -28,7 +28,7 @@ def dense_columns(state, dim):
     generators: the oracle's original definition of its state columns."""
     a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
     ad = a.conj().T
-    n_cols = 1 if state.n_th == 0 else min(dim, thermal_m_cut(state.n_th, 1e-12))
+    n_cols = 1 if state.n_th == 0 else min(dim, thermal_m_cut(state.n_th))
     cols = np.eye(dim, n_cols, dtype=complex)
     zeta = state.r * np.exp(1j * state.theta0)
     cols = expm(0.5 * (zeta * (ad @ ad) - np.conj(zeta) * (a @ a))) @ cols
@@ -249,7 +249,7 @@ class TestQpdOracle:
         q, info = qpd_oracle(*args, dim=220, with_info=True)
         assert q == qpd_oracle(*args, dim=220)
         assert isinstance(info, OracleInfo)
-        assert (info.dim, info.n_cols) == (220, thermal_m_cut(0.8, 1e-12))
+        assert (info.dim, info.n_cols) == (220, thermal_m_cut(0.8))
         assert abs(info.trace_deficit) < 1e-8
         assert 0.0 <= info.tail_mass <= 1e-9
 

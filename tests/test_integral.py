@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lgqpd import (OffsetFunction, StateSpec, qpd_integral, qpd_integral_2d,
-                   qpd_oracle, quad_form, sign_marginal)
-from lgqpd.integral import _c_integral_vec
+from lgqpd import (OffsetFunction, StateSpec, integral, qpd_integral,
+                   qpd_integral_2d, qpd_oracle, quad_form, sign_marginal)
+from lgqpd.integral import U_ORDER_CAP, _c_integral_vec
 from lgqpd.series import MeasurementSpec
 
 
@@ -96,6 +96,17 @@ class TestQpdIntegral:
             qpd_integral(StateSpec(n_th=0.5), None, 1, 1, 0.0, 1.0)
         with pytest.raises(ValueError):
             qpd_integral(StateSpec(), None, 2, 1, 0.0, 1.0)
+
+    def test_starting_order_keeps_doublings_within_cap(self, monkeypatch):
+        state = StateSpec.from_phase_space(0.55, 1.925, 1.0, 1.0471975511965976)
+        _, info = qpd_integral(state, None, 1, -1, 0.0, 2.0, U_ORDER_CAP // 2,
+                               with_info=True)
+        assert info.order == U_ORDER_CAP
+        # a start of 600 used to evaluate at 600 and 1200; it is now rejected
+        # before any rule is built
+        monkeypatch.setattr(integral, "gauss_legendre", None)
+        with pytest.raises(ValueError, match="quad_order"):
+            qpd_integral(state, None, 1, -1, 0.0, 2.0, U_ORDER_CAP // 2 + 1)
 
     def test_normalization(self):
         state = StateSpec.from_phase_space(0.550, 1.925, 1.0, math.pi / 3)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from lgqpd import (IntegralInfo, OffsetFunction, OracleInfo, ScanConfig,
-                   SeriesInfo, StateSpec, T2Search, TruncationConfig,
-                   global_minimize, minimize_over_t2, named_evaluator,
-                   qpd_series_squeezed, scan, scan_plane)
+                   SeriesInfo, T2Search, TruncationError, global_minimize,
+                   minimize_over_t2, named_evaluator, scan, scan_plane)
 from lgqpd.output import scan_csv_text
 
 TWO_PI = 2 * math.pi
@@ -68,7 +67,8 @@ class TestNamedEvaluator:
 
     @pytest.mark.parametrize("route,params,n_max", [
         ("oracle", {"oracle_dim": 700}, 200), ("oracle", {"oracle_dim": 1}, 200),
-        ("integral", {"quad_order": 4}, 200), ("series", {}, 200000)])
+        ("integral", {"quad_order": 4}, 200), ("series", {}, 200000),
+        ("integral", {"quad_order": 257}, 200)])
     def test_rejects_out_of_range_settings(self, route, params, n_max):
         # these used to pass the dispatch and fail at the first evaluation
         with pytest.raises(ValueError):
@@ -137,7 +137,8 @@ class TestScanConfigValidation:
         dict(route="series", t2_refine_iters=-1), dict(route="series", t2_max=0.0),
         dict(route="series", t2_max=math.inf), dict(route="series", t2_min=-math.inf),
         dict(route="series", omega=0.0), dict(route="series", omega=math.nan),
-        dict(route="series", omega=-1.0), dict(route="series", omega=math.inf)])
+        dict(route="series", omega=-1.0), dict(route="series", omega=math.inf),
+        dict(route="integral", quad_order=100000)])
     def test_rejects_settings_that_would_fail_every_cell(self, bad):
         with pytest.raises(ValueError):
             ScanConfig(plane="x0p0", s1=1, s2=-1, **bad)
@@ -148,6 +149,24 @@ class TestScanConfigValidation:
         with pytest.raises(ValueError, match="squeezed vacuum"):
             ScanConfig(plane="rL", route="series", s1=1, s2=1, projector="window",
                        axis1_min=0.0, axis2_min=0.5, **fixed)
+
+    @pytest.mark.parametrize("far", [
+        dict(axis1_max=-0.5, axis1_steps=3), dict(axis2_max=0.0, axis2_steps=3)])
+    def test_window_grid_checked_at_far_corner(self, far):
+        # r < 0 or L <= 0 at the far corner used to pass and fail those cells
+        base = dict(plane="rL", route="series", s1=1, s2=1, projector="window",
+                    axis1_min=0.5, axis1_max=0.8, axis1_steps=2,
+                    axis2_min=1.0, axis2_max=1.2, axis2_steps=2)
+        ScanConfig(**base)
+        with pytest.raises(ValueError):
+            ScanConfig(**dict(base, **far))
+
+    def test_thermal_n_max_below_occupation_cut(self):
+        # n_th = 1.5 cuts the occupation sum at m = 54; every cell used to fail
+        with pytest.raises(TruncationError, match="occupation cut"):
+            ScanConfig(plane="x0p0", route="series", s1=1, s2=1, n_th=1.5, n_max=20)
+        ScanConfig(plane="x0p0", route="oracle", s1=1, s2=1, n_th=1.5, n_max=20,
+                   oracle_dim=120)
 
 
 class TestScanPlane:
@@ -220,12 +239,12 @@ class TestScanPlane:
         assert fast.global_argmin[2] == unit.global_argmin[2] / 2
 
     def test_failed_cells_marked_nan(self):
-        # n_max below the thermal occupation cut makes every cell fail;
-        # failures must be recorded, not raised
-        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=1, n_th=1.5,
-                         axis1_min=0.0, axis1_steps=1, axis2_min=0.0,
-                         axis2_steps=2, axis2_max=1.0, t2_coarse_steps=20,
-                         t2_refine_iters=5, n_max=10)
+        # displacements that overflow a 20-level number basis make every cell
+        # fail at evaluation; failures must be recorded, not raised
+        cfg = ScanConfig(plane="x0p0", route="oracle", s1=1, s2=1, oracle_dim=20,
+                         axis1_min=4.0, axis1_steps=1, axis2_min=4.0,
+                         axis2_steps=2, axis2_max=5.0, t2_coarse_steps=20,
+                         t2_refine_iters=5)
         res = scan_plane(cfg)
         assert res.n_failed == 2
         assert np.all(np.isnan(res.q_min))
@@ -243,25 +262,17 @@ class TestScanPlane:
 
 
 class TestGlobalMinimize:
-    def test_degenerate_box_returns_point_evaluation(self):
-        res = global_minimize(
-            free={"x0": (0.55, 0.55), "p0": (1.93, 1.93), "t2": (0.0, TWO_PI)},
-            fixed={"s1": -1, "s2": 1, "r": 0.0, "t1": 0.0}, route="series",
-            n_max=300)
-        state = StateSpec.from_phase_space(0.55, 1.93)
-        f = lambda t2: qpd_series_squeezed(state, -1, 1, 0.0, t2,
-                                           TruncationConfig(n_max=300))
-        q, _ = minimize_over_t2(f, pointwise(f), T2Search(0.0, TWO_PI, 96, 32))
-        assert res.value == pytest.approx(q, abs=1e-9)
-
-    def test_fixed_t2_point(self):
-        res = global_minimize(
-            free={"x0": (0.3, 0.3), "p0": (0.4, 0.4), "t2": (1.1, 1.1)},
-            fixed={"s1": 1, "s2": 1, "r": 0.0, "t1": 0.0}, route="series")
-        state = StateSpec.from_phase_space(0.3, 0.4)
-        expected = qpd_series_squeezed(state, 1, 1, 0.0, 1.1,
-                                       TruncationConfig(n_max=300))
-        assert res.value == pytest.approx(expected, abs=1e-12)
+    @pytest.mark.parametrize("free,fixed", [
+        ({"x0": (0.3, 0.6)}, {}), ({"x0": (0.3, 0.6)}, {"t2": 1.1}),
+        ({"x0": (0.3, 0.6), "t2": (1.1, 1.1)}, {}),
+        ({"x0": (0.3, 0.6), "p0": (0.4, 0.4), "t2": (0.0, TWO_PI)}, {}),
+        ({"t2": (0.0, TWO_PI)}, {"x0": 0.3})])
+    def test_rejects_pinned_or_missing_bounds(self, monkeypatch, free, fixed):
+        # t2 is always searched and every other free name spans an interval;
+        # a pinned value goes in fixed.  Nothing may be evaluated first.
+        monkeypatch.setattr(scan, "minimize_over_t2", None)
+        with pytest.raises(ValueError):
+            global_minimize(free=free, fixed=dict({"s1": 1, "s2": 1}, **fixed))
 
     def test_reports_all_starts(self):
         res = global_minimize(

@@ -18,12 +18,12 @@ TWO_PI = 2 * math.pi
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def thermal_reference(state, s1, s2, t1, t2, n_max, m_max=None):
+def thermal_reference(state, s1, s2, t1, t2, n_max):
     """The thermal series summed term by term over full (m, n) blocks, with
     the diagonal J_nn and the completeness weights taken by quadrature."""
     n_th = state.n_th
     w = n_th / (1.0 + n_th)
-    m_cut = m_max if m_max is not None else thermal_m_cut(n_th, 1e-12)
+    m_cut = thermal_m_cut(n_th)
     a1 = x_xi_of(t1, state.xi) / lambda_of(t1, state.r, state.theta0)
     a2 = x_xi_of(t2, state.xi) / lambda_of(t2, state.r, state.theta0)
     phi = (t2 - t1) + (phase_beta_of(t2, state.r, state.theta0)
@@ -206,7 +206,7 @@ class TestThermalSeries:
             warnings.simplefilter("error", TruncationWarning)
             with pytest.raises(TruncationWarning):
                 qpd_series_thermal(state, 1, 1, 0.0, 1.0,
-                                   TruncationConfig(n_max=100, m_max=5))
+                                   TruncationConfig(n_max=100, tail_tol=1e-15))
         with pytest.raises(TruncationError):
             qpd_series_thermal(state, 1, 1, 0.0, 1.0, TruncationConfig(n_max=20))
 
@@ -220,16 +220,12 @@ class TestThermalSeries:
         for k in (0, 3):
             assert qpd_series_thermal(state, 1, 1, t1, grid[k],
                                       with_info=True)[1].singular_branch
+        trunc = TruncationConfig(n_max=150)
         for s1, s2 in SIGN_PAIRS:
-            for m_max in (None, 7, 80):
-                trunc = TruncationConfig(n_max=150, m_max=m_max)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", TruncationWarning)
-                    scalar = np.array([qpd_series_thermal(state, s1, s2, t1, t, trunc)
-                                       for t in grid])
-                ref = np.array([thermal_reference(state, s1, s2, t1, t, 150, m_max)
-                                for t in grid])
-                assert np.max(np.abs(scalar - ref)) < 1e-13
+            scalar = np.array([qpd_series_thermal(state, s1, s2, t1, t, trunc)
+                               for t in grid])
+            ref = np.array([thermal_reference(state, s1, s2, t1, t, 150) for t in grid])
+            assert np.max(np.abs(scalar - ref)) < 1e-13
 
     def test_curve_truncation_error(self):
         state = StateSpec.from_phase_space(0.5, 0.5, n_th=1.5)

@@ -161,7 +161,7 @@ class TestThermalWeight:
 
     def test_m_cut_bounds_the_tail(self):
         for n_th in (0.2, 1.0, 1.54):
-            m = thermal_m_cut(n_th, 1e-12)
+            m = thermal_m_cut(n_th)
             assert thermal_weight(m, n_th) < 1e-12
             assert thermal_weight(m - 2, n_th) >= 1e-13
 
