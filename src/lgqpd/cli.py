@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--temp-ratio", type=float, default=0.0,
                     help="temperature as k_B T / (hbar omega)")
     ev.add_argument("--projector", choices=("sign", "window"), default="sign")
-    ev.add_argument("--L", type=float, default=None, help="window half-width")
+    ev.add_argument("--L", type=float, default=None,
+                    help="window half-width; only with --projector window")
     ev.add_argument("--offset-amp", type=float, default=0.0)
     ev.add_argument("--offset-phase", type=float, default=0.0)
     ev.add_argument("--offset-const", type=float, default=0.0)

@@ -97,7 +97,8 @@ def _golden_section(f, a: float, b: float, iters: int):
 @dataclass(frozen=True)
 class ScanConfig:
     """Flat configuration of one plane scan (field names double as the
-    key-value config file keys).  Times are t at angular frequency ``omega``:
+    key-value config file keys); the plane names the projector and the two
+    coordinates its axes supply.  Times are t at angular frequency ``omega``:
     every kernel gets omega*t, and ``t2_argmin`` comes back as t."""
 
     plane: str
@@ -108,9 +109,6 @@ class ScanConfig:
     r: float = 0.0
     theta0: float = 0.0
     n_th: float = 0.0
-    x0: float = 0.0
-    p0: float = 0.0
-    projector: str = "sign"
     offset_amp: float = 0.0
     offset_phase: float = 0.0
     offset_const: float = 0.0
@@ -138,15 +136,19 @@ class ScanConfig:
         if self.axis1_steps < 1 or self.axis2_steps < 1:
             raise ValueError("axis steps must be >= 1")
         self.t2_search()
-        if (self.plane == "rL") != (self.projector == "window"):
-            raise ValueError("the window projector scans the rL plane, and only it")
+        if self.plane == "rL" and self.r != 0:
+            raise ValueError(f"the rL plane scans r; r must be 0, got {self.r!r}")
         # The dispatch judges every input rule.  The axes are linspaces, so a
         # rule on one cell coordinate holds on the whole grid when it holds at
         # the first and the last cell.
         ax1, ax2 = self.axis1_values(), self.axis2_values()
         for i in (0, -1):
-            named_evaluator(_cell_params(self, float(ax1[i]), float(ax2[i])),
-                            self.route, self.projector, self.n_max)
+            _cell_evaluator(self, float(ax1[i]), float(ax2[i]))
+
+    @property
+    def projector(self) -> str:
+        """The plane names the projector: sign on x0p0, window on rL."""
+        return "sign" if self.plane == "x0p0" else "window"
 
     @property
     def axis1_name(self) -> str:
@@ -157,10 +159,10 @@ class ScanConfig:
         return "p0" if self.plane == "x0p0" else "L"
 
     def axis1_values(self) -> np.ndarray:
-        return _axis(self.axis1_min, self.axis1_max, self.axis1_steps)
+        return np.linspace(self.axis1_min, self.axis1_max, self.axis1_steps)
 
     def axis2_values(self) -> np.ndarray:
-        return _axis(self.axis2_min, self.axis2_max, self.axis2_steps)
+        return np.linspace(self.axis2_min, self.axis2_max, self.axis2_steps)
 
     def t2_search(self) -> T2Search:
         """The inner search, over the window omega*t2."""
@@ -169,10 +171,6 @@ class ScanConfig:
 
     def offset(self) -> OffsetFunction:
         return OffsetFunction(self.offset_amp, self.offset_phase, self.offset_const)
-
-
-def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
-    return np.array([lo], dtype=float) if steps == 1 else np.linspace(lo, hi, steps)
 
 
 @dataclass(frozen=True)
@@ -189,24 +187,21 @@ class ScanResult:
     global_argmin: tuple[float, float, float]  # (axis1, axis2, t2)
 
 
-def _cell_params(config: ScanConfig, a1: float, a2: float) -> dict:
-    """Named parameters of one grid cell, as :func:`named_evaluator` takes them."""
+def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
+    """The dispatch's ``(evaluator, curve)`` for one grid cell; it rejects
+    what the route cannot honour."""
     params = {"s1": config.s1, "s2": config.s2, "t1": config.omega * config.t1,
-              "x0": config.x0, "p0": config.p0, "r": config.r, "theta0": config.theta0,
+              config.axis1_name: a1, config.axis2_name: a2, "theta0": config.theta0,
               "n_th": config.n_th, "offset": config.offset(),
               "quad_order": config.quad_order, "oracle_dim": config.oracle_dim}
-    # the axis values override the fixed state; the rest reaches the dispatch,
-    # which rejects what the route cannot honour
-    params.update({config.axis1_name: a1, config.axis2_name: a2})
-    return params
+    params.setdefault("r", config.r)  # unless the first axis supplies r
+    return named_evaluator(params, config.route, config.projector, config.n_max)
 
 
 def _scan_cell(args):
     config, i, j, a1, a2 = args
     try:
-        evaluator, curve = named_evaluator(_cell_params(config, a1, a2), config.route,
-                                           config.projector, config.n_max)
-        q, t2 = minimize_over_t2(evaluator, curve, config.t2_search())
+        q, t2 = minimize_over_t2(*_cell_evaluator(config, a1, a2), config.t2_search())
         return i, j, q, t2 / config.omega, False
     except Exception:
         return i, j, math.nan, math.nan, True
@@ -266,6 +261,9 @@ class StartOutcome:
 
 @dataclass(frozen=True)
 class GlobalMinimum:
+    """Best value and argmin of :func:`global_minimize` and every start's
+    outcome.  A cached result is shared: callers must not mutate its dicts."""
+
     value: float
     argmin: dict
     starts: tuple[StartOutcome, ...]

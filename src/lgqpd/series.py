@@ -117,6 +117,8 @@ class MeasurementSpec:
             _check_half_width(self.window_halfwidth)
             if not self.offset.is_zero:
                 raise ValueError("the window projector does not take an offset")
+        elif self.window_halfwidth is not None:
+            raise ValueError("the sign projector does not take a half-width L")
 
     @classmethod
     def sign(cls, offset=None) -> "MeasurementSpec":

@@ -131,9 +131,7 @@ def mode_e(t, r: float, theta0: float):
 
     Satisfies |E(t)| = lambda(t); reduces to e^{-i t} at r = 0.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.exp(-1j * t) * math.cosh(r) + np.exp(1j * t) * np.exp(-1j * theta0) * math.sinh(r)
-    return complex(out) if out.ndim == 0 else out
+    return np.exp(-1j * t) * math.cosh(r) + np.exp(1j * t) * np.exp(-1j * theta0) * math.sinh(r)
 
 
 def lambda_of(t, r: float, theta0: float):
@@ -141,9 +139,7 @@ def lambda_of(t, r: float, theta0: float):
 
     Bounded below by e^{-r} > 0 and periodic with period pi.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.sqrt(math.sinh(2 * r) * np.cos(2 * t - theta0) + math.cosh(2 * r))
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(math.sinh(2 * r) * np.cos(2 * t - theta0) + math.cosh(2 * r))
 
 
 def phase_beta_of(t, r: float, theta0: float):
@@ -154,19 +150,13 @@ def phase_beta_of(t, r: float, theta0: float):
     stays on the principal branch and beta is continuous and periodic without
     any unwrapping.
     """
-    arg = theta0 - 2 * np.asarray(t, dtype=float)
-    a = math.cosh(r) + np.cos(arg) * math.sinh(r)
-    b = np.sin(arg) * math.sinh(r)
-    out = np.arctan2(b, a)
-    return float(out) if out.ndim == 0 else out
+    return np.arctan2(np.sin(theta0 - 2 * t) * math.sinh(r),
+                      math.cosh(r) + np.cos(theta0 - 2 * t) * math.sinh(r))
 
 
 def x_xi_of(t, xi: complex):
     """Mean trajectory x_xi(t) = sqrt(2) Re[xi e^{-i t}] = x0 cos t + p0 sin t."""
-    xi = complex(xi)
-    t = np.asarray(t, dtype=float)
-    out = SQRT2 * (xi.real * np.cos(t) + xi.imag * np.sin(t))
-    return float(out) if out.ndim == 0 else out
+    return SQRT2 * (xi.real * np.cos(t) + xi.imag * np.sin(t))
 
 
 def reduce_squeezed_to_coherent(spec: StateSpec):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from lgqpd.config import ConfigError, load_scan_config, parse_scan_config
 from lgqpd.output import scan_csv_text, write_scan_outputs
 from lgqpd.scan import ScanConfig, scan_plane
 from lgqpd.states import n_th_from_temperature, thermal_m_cut
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 GOOD_CONFIG = """\
 # displacement-plane scan
@@ -41,6 +44,20 @@ class TestConfigParser:
         with pytest.raises(ConfigError) as err:
             parse_scan_config("plane = x0p0\nroute = series\nbogus = 1\ns1=1\ns2=1\n")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("line", ["x0 = 1.0", "p0 = -0.7", "projector = window"])
+    def test_implied_keys_are_unknown(self, line):
+        # the plane fixes the projector and its axes supply x0 and p0; these
+        # keys used to be accepted and overwritten unread
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            parse_scan_config(GOOD_CONFIG + "  " + line + "\n")
+        assert err.value.line == GOOD_CONFIG.count("\n") + 1
+        assert err.value.column == 3
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        # loading runs the dispatch at both grid corners and raises on a bad file
+        load_scan_config(path)
 
     def test_bad_number_reports_position(self):
         with pytest.raises(ConfigError) as err:
@@ -175,6 +192,16 @@ class TestCliEval:
                      "--s1", "1", "--s2", "1", "--t1", "0", "--t2", "1"]) == 2
         assert main(["eval", "--route", "oracle", "--projector", "window",
                      "--s1", "1", "--s2", "1", "--t1", "0", "--t2", "1"]) == 2
+
+    @pytest.mark.parametrize("route", ["series", "integral", "oracle"])
+    def test_half_width_with_sign_projector_exits_2(self, capsys, route):
+        # --L used to be ignored under the sign projector, with exit 0
+        assert main(["eval", "--route", route, "--projector", "sign", "--L", "5",
+                     "--x0", "0.5", "--s1", "1", "--s2", "-1", "--t1", "0",
+                     "--t2", "1.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lgqpd eval: error:") and err.count("\n") == 1
+        assert "half-width" in err
 
     @pytest.mark.parametrize("route", ["series", "oracle"])
     @pytest.mark.parametrize("extra", [[], ["--L", "1.0", "--x0", "1"]])

@@ -60,6 +60,12 @@ class TestNamedEvaluator:
         with pytest.raises(ValueError, match="offset"):
             named_evaluator({"offset": OffsetFunction(constant=0.3)}, "series", "sign", 60)
 
+    @pytest.mark.parametrize("route", ["series", "integral", "oracle"])
+    def test_sign_rejects_half_width(self, route):
+        # L used to be accepted and ignored under the sign projector
+        with pytest.raises(ValueError, match="half-width"):
+            named_evaluator({"s1": 1, "s2": -1, "x0": 0.5, "L": 5.0}, route, "sign", 60)
+
     def test_rejects_unknown_parameter(self):
         # a misspelled name used to be dropped, giving the r = 0 value
         with pytest.raises(ValueError, match="'R'"):
@@ -112,24 +118,31 @@ class TestScanConfigValidation:
         assert list(cfg.axis1_values()) == [0.7]
         assert list(cfg.axis2_values()) == [-0.2]
 
+    def test_plane_names_the_projector(self):
+        assert ScanConfig(plane="x0p0", route="series", s1=1, s2=1).projector == "sign"
+        assert ScanConfig(plane="rL", route="series", s1=1, s2=1, axis1_min=0.0,
+                          axis2_min=0.5).projector == "window"
+
     def test_rejects_bad_combinations(self):
         with pytest.raises(ValueError):
-            ScanConfig(plane="rL", route="series", s1=1, s2=1)  # needs window
-        with pytest.raises(ValueError):
-            ScanConfig(plane="rL", route="integral", s1=1, s2=1, projector="window",
+            ScanConfig(plane="rL", route="integral", s1=1, s2=1,
                        axis1_min=0.0, axis2_min=0.5)
         with pytest.raises(ValueError):
             ScanConfig(plane="x0p0", route="integral", s1=1, s2=1, n_th=0.5)
         with pytest.raises(ValueError):
             ScanConfig(plane="x0p0", route="series", s1=2, s2=1)
 
-    def test_window_projector_only_on_rl_plane(self):
-        # the x0p0 plane would silently scan sign projectors
-        with pytest.raises(ValueError, match="rL"):
-            ScanConfig(plane="x0p0", route="series", s1=1, s2=1, projector="window")
-        with pytest.raises(ValueError):
-            ScanConfig(plane="rL", route="series", s1=1, s2=1, projector="window",
+    def test_window_scan_rejects_offset(self):
+        with pytest.raises(ValueError, match="offset"):
+            ScanConfig(plane="rL", route="series", s1=1, s2=1,
                        axis1_min=0.0, axis2_min=0.5, offset_const=0.3)
+
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    def test_rl_plane_rejects_fixed_r(self, route):
+        # the first axis supplies r; a fixed r used to be overwritten unread
+        with pytest.raises(ValueError, match="r must be 0"):
+            ScanConfig(plane="rL", route=route, s1=1, s2=1, r=0.7,
+                       axis1_min=0.0, axis2_min=0.5)
 
     @pytest.mark.parametrize("bad", [
         dict(route="oracle", oracle_dim=700), dict(route="integral", quad_order=4),
@@ -143,18 +156,17 @@ class TestScanConfigValidation:
         with pytest.raises(ValueError):
             ScanConfig(plane="x0p0", s1=1, s2=-1, **bad)
 
-    @pytest.mark.parametrize("fixed", [dict(x0=1.5), dict(p0=-0.7), dict(n_th=0.9)])
-    def test_window_scan_rejects_non_vacuum_state(self, fixed):
-        # the window kernel covers squeezed vacuum only; these must not be dropped
+    def test_window_scan_rejects_thermal_state(self):
+        # the window kernel covers squeezed vacuum only; n_th must not be dropped
         with pytest.raises(ValueError, match="squeezed vacuum"):
-            ScanConfig(plane="rL", route="series", s1=1, s2=1, projector="window",
-                       axis1_min=0.0, axis2_min=0.5, **fixed)
+            ScanConfig(plane="rL", route="series", s1=1, s2=1,
+                       axis1_min=0.0, axis2_min=0.5, n_th=0.9)
 
     @pytest.mark.parametrize("far", [
         dict(axis1_max=-0.5, axis1_steps=3), dict(axis2_max=0.0, axis2_steps=3)])
     def test_window_grid_checked_at_far_corner(self, far):
         # r < 0 or L <= 0 at the far corner used to pass and fail those cells
-        base = dict(plane="rL", route="series", s1=1, s2=1, projector="window",
+        base = dict(plane="rL", route="series", s1=1, s2=1,
                     axis1_min=0.5, axis1_max=0.8, axis1_steps=2,
                     axis2_min=1.0, axis2_max=1.2, axis2_steps=2)
         ScanConfig(**base)
@@ -251,7 +263,7 @@ class TestScanPlane:
         assert math.isnan(res.global_min)
 
     def test_window_plane(self):
-        cfg = ScanConfig(plane="rL", route="series", s1=1, s2=1, projector="window",
+        cfg = ScanConfig(plane="rL", route="series", s1=1, s2=1,
                          axis1_min=0.0, axis1_max=0.4, axis1_steps=2,
                          axis2_min=0.9, axis2_max=1.1, axis2_steps=2,
                          t2_min=0.05, t2_max=math.pi, t2_coarse_steps=80,
@@ -293,6 +305,16 @@ class TestGlobalMinimize:
                 fixed=dict({"s1": 1, "s2": 1, "r": 0.0, "t1": 0.0}, **extra),
                 projector="window", coarse_steps=2, n_starts=1, t2_coarse=8,
                 t2_refine=2, n_max=40, nm_maxiter=2)
+
+    @pytest.mark.parametrize("free,fixed", [
+        ({"x0": (-1.0, 1.0), "L": (0.5, 1.5)}, {}), ({"x0": (-1.0, 1.0)}, {"L": 1.0})])
+    def test_sign_rejects_half_width(self, free, fixed):
+        # a free L used to be searched and reported though it changes nothing
+        with pytest.raises(ValueError, match="half-width"):
+            global_minimize(
+                free=dict(free, t2=(0.0, TWO_PI)), fixed=dict({"s1": 1, "s2": -1}, **fixed),
+                coarse_steps=2, n_starts=1, t2_coarse=8, t2_refine=2, n_max=40,
+                nm_maxiter=2)
 
     def test_rejects_unknown_free_parameter(self):
         # a misspelled free name used to be "minimized" and reported in the argmin
