@@ -26,7 +26,7 @@ from .states import (OffsetFunction, StateSpec, ZERO_OFFSET, gamma_from,
                      thermal_weight, x_xi_of)
 from .matrix_elements import j_block, j_diag_row, j_row
 from .integral import (IntegralInfo, QuadForm, quad_form, qpd_integral,
-                       qpd_integral_2d, sign_marginal)
+                       sign_marginal)
 from .series import (MeasurementSpec, SeriesInfo, TruncationConfig,
                      q_sign_series_curve, q_thermal_series_curve,
                      q_window_series_curve, qpd_series_squeezed,

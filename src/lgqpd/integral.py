@@ -30,7 +30,7 @@ import scipy.special as _sp
 
 from .errors import ConvergenceWarning
 from .series import _check_signs
-from .special import composite_gauss_legendre, gauss_legendre
+from .special import gauss_legendre
 from .states import (SQRT2, ZERO_OFFSET, OffsetFunction, StateSpec, gamma_from,
                      lambda_of, mode_e, x_xi_of)
 
@@ -184,40 +184,6 @@ def _u_integral(form: QuadForm, order: int) -> float:
         raise ArithmeticError("u-integral overflowed; parameters out of the "
                               "normalizable range")
     return q
-
-
-def qpd_integral_2d(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: int,
-                    t1: float, t2: float, grid: tuple[int, int] = (64, 240)) -> float:
-    """Direct 2-D quadrature over (u, c) before the radial closed form.
-
-    Slow but independent of the radial closed form; used to pin its constant
-    and the sqrt(B) branch.
-    """
-    _check_pure(state)
-    offset = ZERO_OFFSET if offset is None else offset
-    form = quad_form(state, offset, s1, s2, t1, t2)
-    if _is_degenerate(form):
-        return _degenerate_q(form)
-
-    u_order, c_order = grid
-    u_rule = gauss_legendre(int(u_order), 0.0, math.pi / 2.0)
-    sig = form.sigma(u_rule.nodes)
-    if np.any(sig.real <= 0):
-        raise ArithmeticError("Re(sigma) <= 0 on the u grid")
-    bet = form.beta_quad(u_rule.nodes)
-    # Radial cutoff where the Gaussian factor is below exp(-160) for every u;
-    # composite panels keep the oscillatory phase resolved out to the cutoff.
-    c_max = float(np.max((np.abs(bet) + np.sqrt(np.abs(bet) ** 2 + 320.0 * sig.real))
-                         / sig.real))
-    c_rule = composite_gauss_legendre(0.0, c_max,
-                                      panel_width=c_max / max(1, c_order // 12),
-                                      order=12)
-    c = c_rule.nodes[None, :]
-    integrand = c * np.exp(-0.5 * (sig[:, None] * c * c + 2.0 * bet[:, None] * c
-                                   + form.delta))
-    inner = integrand @ c_rule.weights
-    total = (u_rule.weights * inner).sum() / np.sqrt(form.B)
-    return float(total.real) / (2.0 * math.pi)
 
 
 def sign_marginal(state: StateSpec, offset: OffsetFunction | None, s: int,

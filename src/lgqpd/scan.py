@@ -16,6 +16,7 @@ from multiprocessing import get_context
 
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
+from scipy.optimize import minimize_scalar
 
 from .integral import _check_order, _check_pure, qpd_integral
 from .fock import _check_dim, q_oracle_curve, qpd_oracle
@@ -25,8 +26,8 @@ from .series import (MeasurementSpec, TruncationConfig, _check_signs,
                      qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
 from .states import OffsetFunction, StateSpec
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+#: Absolute tolerance of the Brent refinement in t2.
+XATOL = 1e-9
 
 LUDERS_FLOOR = -0.125 - 1e-6
 
@@ -39,7 +40,9 @@ _PARAM_NAMES = frozenset({"s1", "s2", "t1", "x0", "p0", "r", "theta0", "n_th", "
 
 @dataclass(frozen=True)
 class T2Search:
-    """Search window and refinement budget for the inner t2 minimization."""
+    """Search window for the inner t2 minimization, its coarse grid size, and
+    ``refine_iters``, the cap on the Brent refinement's evaluations (0 keeps
+    the coarse point; a cap of 1 still evaluates twice)."""
 
     t2_min: float = 0.0
     t2_max: float = 2.0 * math.pi
@@ -57,7 +60,9 @@ class T2Search:
 
 def minimize_over_t2(evaluator, curve, search: T2Search):
     """Minimum of a continuous evaluator over t2: ``curve`` on the coarse grid,
-    then golden-section refinement of the best bracket by ``evaluator``.
+    then Brent's bounded method by ``evaluator`` on the grid bracket around
+    the best point, with at most ``max(search.refine_iters, 2)`` evaluations
+    (none for 0).  The coarse point is kept when it is still lower.
 
     ``evaluator`` maps one t2 to q and ``curve`` an array of t2 values to
     their q values.  Returns ``(q_min, t2_argmin)``.
@@ -69,29 +74,14 @@ def minimize_over_t2(evaluator, curve, search: T2Search):
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     if search.refine_iters > 0 and hi > lo:
-        q, t = _golden_section(evaluator, float(lo), float(hi), search.refine_iters)
-        if q < best_q:
-            best_q, best_t = q, t
+        # scipy adds sqrt(eps) times |x| to the tolerance: searching the offset
+        # from lo keeps it near XATOL wherever the window lies
+        res = minimize_scalar(lambda u: evaluator(lo + u), bounds=(0.0, hi - lo),
+                              method="bounded",
+                              options={"xatol": XATOL, "maxiter": search.refine_iters})
+        if res.fun < best_q:
+            best_q, best_t = float(res.fun), float(lo + res.x)
     return best_q, best_t
-
-
-def _golden_section(f, a: float, b: float, iters: int):
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h *= _INV_PHI
-            c = a + _INV_PHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h *= _INV_PHI
-            d = a + _INV_PHI * h
-            fd = f(d)
-    return (fc, c) if fc < fd else (fd, d)
 
 
 @dataclass(frozen=True)
@@ -277,8 +267,9 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
 
     ``free`` maps parameter names from {x0, p0, r, L, t2} to (lo, hi) bounds
     with hi > lo; it must hold t2 and at least one other name, and a pinned
-    value goes in ``fixed``.  t2 is minimized by the inner coarse-plus-golden
-    search of :func:`minimize_over_t2`; the other parameters go through a
+    value goes in ``fixed``.  t2 is minimized by the inner coarse-plus-Brent
+    search of :func:`minimize_over_t2`, with at most ``t2_refine`` Brent
+    evaluations per search; the other parameters go through a
     coarse grid followed by Nelder-Mead polish from the best ``n_starts``
     grid points.  All start outcomes are reported.  Raises ValueError for a
     missing t2 and for a bound with hi <= lo.

@@ -142,8 +142,13 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule on [a, b], exact for polynomials of degree 2*order - 1."""
+    """Gauss-Legendre rule on [a, b], exact for polynomials of degree 2*order - 1.
+
+    Memoized by ``(order, a, b)``, because the integral route asks for the same
+    few rules at every point; the cached nodes and weights are read-only.
+    """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -152,7 +157,10 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     x, w = np.polynomial.legendre.leggauss(int(order))
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=half * (x + 1.0) + a, weights=w * half, interval=(a, b))
+    rule = QuadratureRule(nodes=half * (x + 1.0) + a, weights=w * half, interval=(a, b))
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def composite_gauss_legendre(a: float, b: float, panel_width: float = 0.5,

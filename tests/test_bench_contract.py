@@ -5,25 +5,28 @@ reordered signature would silently break ``bench/run.py --trace 1``."""
 
 import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracing():
-    """bench/tracing.py as a module, compiled from its source so that no
-    bytecode cache is written next to it."""
-    module = types.ModuleType("bench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
-         module.__dict__)
+def load_bench(name):
+    """bench/<name>.py as a module, compiled from its source so that no
+    bytecode cache is written next to it.  The module is registered, because
+    ``dataclasses`` looks its class's module up."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
 
-_TRACING = load_tracing()
+_TRACING = load_bench("tracing")
 LAYERS, Tracer = _TRACING.LAYERS, _TRACING.Tracer
 
 #: (module, function) -> {position: parameter name} that Tracer._before reads.
@@ -68,3 +71,11 @@ def test_series_points_stay_off_the_curve_layer():
     assert tracer.counts["series.scalar.calls"] == 2
     assert tracer.counts["series.curve.calls"] == 0
     assert tracer.counts["series.curve.points"] == 0
+
+
+def test_window_minimize_settings_are_search_parameters():
+    """``window-minimize`` passes its settings to ``global_minimize`` by name."""
+    from lgqpd import scan
+
+    settings = load_bench("workloads").WindowMinimize.SETTINGS
+    assert set(settings) <= set(inspect.signature(scan.global_minimize).parameters)

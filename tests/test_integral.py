@@ -4,10 +4,43 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lgqpd import (OffsetFunction, StateSpec, integral, qpd_integral,
-                   qpd_integral_2d, qpd_oracle, quad_form, sign_marginal)
-from lgqpd.integral import U_ORDER_CAP, _c_integral_vec
+from lgqpd import (OffsetFunction, StateSpec, ZERO_OFFSET, composite_gauss_legendre,
+                   gauss_legendre, integral, qpd_integral, qpd_oracle, quad_form,
+                   sign_marginal)
+from lgqpd.integral import (U_ORDER_CAP, _c_integral_vec, _check_pure, _degenerate_q,
+                            _is_degenerate)
 from lgqpd.series import MeasurementSpec
+
+
+def qpd_integral_2d(state, offset, s1, s2, t1, t2, grid=(64, 240)):
+    """Reference: direct 2-D quadrature over (u, c) before the radial closed
+    form.  Slow but independent of that closed form; it pins its constant
+    and the sqrt(B) branch."""
+    _check_pure(state)
+    offset = ZERO_OFFSET if offset is None else offset
+    form = quad_form(state, offset, s1, s2, t1, t2)
+    if _is_degenerate(form):
+        return _degenerate_q(form)
+
+    u_order, c_order = grid
+    u_rule = gauss_legendre(int(u_order), 0.0, math.pi / 2.0)
+    sig = form.sigma(u_rule.nodes)
+    if np.any(sig.real <= 0):
+        raise ArithmeticError("Re(sigma) <= 0 on the u grid")
+    bet = form.beta_quad(u_rule.nodes)
+    # Radial cutoff where the Gaussian factor is below exp(-160) for every u;
+    # composite panels keep the oscillatory phase resolved out to the cutoff.
+    c_max = float(np.max((np.abs(bet) + np.sqrt(np.abs(bet) ** 2 + 320.0 * sig.real))
+                         / sig.real))
+    c_rule = composite_gauss_legendre(0.0, c_max,
+                                      panel_width=c_max / max(1, c_order // 12),
+                                      order=12)
+    c = c_rule.nodes[None, :]
+    integrand = c * np.exp(-0.5 * (sig[:, None] * c * c + 2.0 * bet[:, None] * c
+                                   + form.delta))
+    inner = integrand @ c_rule.weights
+    total = (u_rule.weights * inner).sum() / np.sqrt(form.B)
+    return float(total.real) / (2.0 * math.pi)
 
 
 def radial_quadrature_oracle(sigma, beta, delta, upper=60.0):

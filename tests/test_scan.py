@@ -28,13 +28,46 @@ class TestMinimizeOverT2:
         assert q1 == q2 and t1 == t2
 
     def test_coarse_grid_from_curve_refinement_from_evaluator(self):
-        search = T2Search(0.0, TWO_PI, 50, 12)
-        grids, points = [], []
-        minimize_over_t2(lambda t: points.append(t) or math.cos(t),
-                         lambda grid: grids.append(grid) or np.cos(grid), search)
-        assert len(grids) == 1
-        assert np.array_equal(grids[0], np.linspace(0.0, TWO_PI, 50))
-        assert len(points) == 2 + search.refine_iters
+        grid = np.linspace(0.0, TWO_PI, 50)
+        i = int(np.argmin(np.cos(grid)))
+        for refine_iters in (1, 3, 12):
+            grids, points = [], []
+            q, _ = minimize_over_t2(lambda t: points.append(t) or math.cos(t),
+                                    lambda g: grids.append(g) or np.cos(g),
+                                    T2Search(0.0, TWO_PI, 50, refine_iters))
+            assert len(grids) == 1
+            assert np.array_equal(grids[0], grid)
+            # Brent's evaluation cap, of which scipy spends at least 2
+            assert 0 < len(points) <= max(refine_iters, 2)
+            assert all(grid[i - 1] <= t <= grid[i + 1] for t in points)
+            assert q <= np.cos(grid).min()
+
+    def test_refinement_precision_independent_of_window_origin(self):
+        # a cusp, as at a degenerate separation, found to about XATOL both
+        # near t2 = 0 and a hundred units out
+        for origin in (0.0, 100.0):
+            t_star = origin + 1.2345678
+            t = minimize_over_t2(lambda t: abs(t - t_star),
+                                 lambda grid: np.abs(grid - t_star),
+                                 T2Search(origin, origin + TWO_PI, 200, 40))[1]
+            assert abs(t - t_star) < 1e-8
+
+    def test_zero_refinement_returns_the_coarse_point(self):
+        grid = np.linspace(0.0, TWO_PI, 50)
+        i = int(np.argmin(np.cos(grid)))
+        points = []
+        q, t = minimize_over_t2(lambda t: points.append(t) or math.cos(t), np.cos,
+                                T2Search(0.0, TWO_PI, 50, 0))
+        assert points == []
+        assert (q, t) == (float(np.cos(grid[i])), float(grid[i]))
+
+    def test_keeps_a_coarse_point_lower_than_the_refinement(self):
+        # a dip too narrow for Brent to find sits on the best grid point
+        grid = np.linspace(0.0, TWO_PI, 50)
+        i = int(np.argmin(np.cos(grid)))
+        f = lambda t: np.cos(t) - 0.5 * np.exp(-((t - grid[i]) / 1e-6) ** 2)
+        q, t = minimize_over_t2(f, f, T2Search(0.0, TWO_PI, 50, 8))
+        assert (q, t) == (float(f(grid)[i]), float(grid[i]))
 
     def test_benchmark_row(self):
         evaluator, curve = named_evaluator(

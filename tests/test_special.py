@@ -151,3 +151,17 @@ class TestGaussLegendre:
             gauss_legendre(4, 1.0, 1.0)
         with pytest.raises(ValueError):
             gauss_legendre(4, 0.0, math.inf)
+
+    def test_rule_is_cached_and_read_only(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        gauss_legendre.cache_clear()
+        first = gauss_legendre(11, -0.5, 1.5)
+        again = gauss_legendre(11, -0.5, 1.5)
+        assert calls == [11] and again is first
+        with pytest.raises(ValueError, match="read-only"):
+            first.nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.weights[0] = 0.0
