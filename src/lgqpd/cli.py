@@ -77,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    start = time.perf_counter()
     try:
         params = {"s1": args.s1, "s2": args.s2, "t1": args.t1, "x0": args.x0,
                   "p0": args.p0, "r": args.r, "theta0": args.theta0,
@@ -91,6 +92,7 @@ def _cmd_eval(args) -> int:
         return 2
 
     q, info = evaluator(args.t2, with_info=True)
+    wall = time.perf_counter() - start
     if isinstance(info, SeriesInfo):
         diagnostics = {"n_used": info.n_used, "tail_bound": info.tail_bound,
                        "singular_branch": info.singular_branch}
@@ -106,12 +108,13 @@ def _cmd_eval(args) -> int:
     if args.out == "json":
         print(json.dumps({"q": q, "route": args.route, "projector": args.projector,
                           "s1": args.s1, "s2": args.s2, "t1": args.t1, "t2": args.t2,
-                          "diagnostics": diagnostics}, indent=2))
+                          "diagnostics": diagnostics, "wall_s": wall}, indent=2))
     else:
         print(f"q = {_fmt(q)}")
         print(f"route = {args.route}, projector = {args.projector}")
         for key, val in diagnostics.items():
             print(f"{key} = {val}")
+        print(f"wall_s = {wall:.3g}")
     return 0
 
 

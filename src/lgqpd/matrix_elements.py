@@ -27,7 +27,7 @@ import math
 import numpy as np
 import scipy.special as _sp
 
-from .special import psi_rows
+from .special import _sqrt_2n, psi_rows
 
 
 def j_diag_row(x, n_max: int) -> np.ndarray:
@@ -47,8 +47,7 @@ def ladder_diagonal(x, psi: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     steps = np.empty_like(psi)
     steps[0] = 0.5 * (1.0 - _sp.erf(x))
-    k = np.arange(1, psi.shape[0]).reshape((-1,) + (1,) * x.ndim)
-    steps[1:] = psi[:-1] * psi[1:] / np.sqrt(2.0 * k)
+    steps[1:] = psi[:-1] * psi[1:] / _column(_sqrt_2n(psi.shape[0] - 1)[1:], x.ndim)
     return np.cumsum(steps, axis=0)
 
 
@@ -56,9 +55,14 @@ def lowered(psi: np.ndarray) -> np.ndarray:
     """sqrt(2k) psi_{k-1} for k = 0..len(psi)-1 (zero at k = 0), so that
     psi_k' = lowered[k] - x psi_k; ``psi`` may carry trailing cut axes."""
     lower = np.zeros_like(psi)
-    k = np.arange(1, psi.shape[0]).reshape((-1,) + (1,) * (psi.ndim - 1))
-    lower[1:] = np.sqrt(2.0 * k) * psi[:-1]
+    lower[1:] = _column(_sqrt_2n(psi.shape[0] - 1)[1:], psi.ndim - 1) * psi[:-1]
     return lower
+
+
+def _column(table: np.ndarray, n_cut_axes: int) -> np.ndarray:
+    """A per-order table shaped to broadcast down the order axis of rows
+    that carry ``n_cut_axes`` trailing cut axes."""
+    return table.reshape((-1,) + (1,) * n_cut_axes)
 
 
 def j_row(cut: float, n_max: int) -> np.ndarray:
@@ -88,8 +92,7 @@ def _j_row(cut: np.ndarray | np.float64, n_max: int) -> np.ndarray:
     out = np.empty_like(psi)
     out[0] = 0.5 * (1.0 - _sp.erf(cut))
     if n_max >= 1:
-        n = np.arange(1, n_max + 1).reshape((-1,) + (1,) * cut.ndim)
-        out[1:] = psi[0] * psi[:-1] / np.sqrt(2.0 * n)
+        out[1:] = psi[0] * psi[:-1] / _column(_sqrt_2n(n_max)[1:], cut.ndim)
     return out
 
 

@@ -351,9 +351,9 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
     ``n_max`` is the series truncation.
 
     Raises ValueError for an unknown parameter name, an out-of-range
-    ``n_max``, ``quad_order`` or ``oracle_dim`` of the chosen route, or a
-    combination that no route covers, and TruncationError for a thermal
-    series whose ``n_max`` is below the occupation cut.  Each rule is the
+    ``n_max``, ``quad_order`` or ``oracle_dim`` (each is checked whichever
+    route runs), or a combination that no route covers, and TruncationError
+    for a thermal series whose ``n_max`` is below the occupation cut.  Each rule is the
     check that the kernel itself makes, run here before any evaluation.
     """
     unknown = sorted(set(params) - _PARAM_NAMES)
@@ -369,7 +369,12 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
         float(params.get("x0", 0.0)), float(params.get("p0", 0.0)),
         float(params.get("r", 0.0)), float(params.get("theta0", 0.0)),
         float(params.get("n_th", 0.0)))
+    # every truncation setting is range-checked, whichever route reads it
     trunc = TruncationConfig(n_max=n_max)
+    order = int(params.get("quad_order", 32))
+    _check_order(order)
+    dim = int(params.get("oracle_dim", 300))
+    _check_dim(dim)
     if meas.projector == "window":
         if route == "integral":
             raise ValueError("the integral route does not cover window projectors")
@@ -394,13 +399,9 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
                 lambda grid: q_sign_series_curve(state, s1, s2, t1, grid, n_max))
     elif route == "integral":
         _check_pure(state)
-        order = int(params.get("quad_order", 32))
-        _check_order(order)
         evaluator = (lambda t2, with_info=False: qpd_integral(
             state, meas.offset, s1, s2, t1, t2, order, with_info))
         return evaluator, lambda grid: np.array([evaluator(t) for t in grid])
-    dim = int(params.get("oracle_dim", 300))
-    _check_dim(dim)
     return (lambda t2, with_info=False: qpd_oracle(
                 state, meas, s1, s2, t1, t2, dim, with_info),
             lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim))

@@ -34,7 +34,7 @@ import scipy.special as _sp
 
 from .errors import TruncationError, TruncationWarning
 from .matrix_elements import j_block, j_diag_row, j_row, ladder_diagonal, lowered
-from .special import _check_n_cap, averaged_partial_sum, psi_rows
+from .special import _check_n_cap, _sqrt_2n, averaged_partial_sum, psi_rows
 from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_of,
                      phase_beta_of, thermal_m_cut, x_xi_of)
 
@@ -233,12 +233,18 @@ def _fill_singular(q, singular, phi, region, s1: int, s2: int, cut1, cut2, weigh
 # evaluators
 # ---------------------------------------------------------------------------
 
-def _geometry(state: StateSpec, t1: float, t2):
+@functools.lru_cache(maxsize=8)
+def _t1_geometry(state: StateSpec, t1: float):
+    """lambda(t1), beta(t1) and x_xi(t1)/lambda(t1): the half of
+    :func:`_geometry` that every t2 probe of a minimization shares."""
     lam1 = lambda_of(t1, state.r, state.theta0)
+    return lam1, phase_beta_of(t1, state.r, state.theta0), x_xi_of(t1, state.xi) / lam1
+
+
+def _geometry(state: StateSpec, t1: float, t2):
+    lam1, b1, a1 = _t1_geometry(state, t1)
     lam2 = lambda_of(t2, state.r, state.theta0)
-    b1 = phase_beta_of(t1, state.r, state.theta0)
     b2 = phase_beta_of(t2, state.r, state.theta0)
-    a1 = x_xi_of(t1, state.xi) / lam1
     a2 = x_xi_of(t2, state.xi) / lam2
     phi = (t2 - t1) + (b2 - b1)
     return lam1, lam2, a1, a2, phi
@@ -426,7 +432,7 @@ def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
     _, _, a1, a2, phi = _geometry(state, t1, t2)
     row1, diag1, b = _thermal_fixed_cut(float(-a1), w, m_cut, n_max)
     k = t2.size
-    # a single cut takes the memoized NumPy-scalar recurrence, which is faster
+    # a single cut takes the memoized plain-float recurrence, which is faster
     psi = (psi_rows(float(-a2[0]), n_max)[:, None] if k == 1
            else psi_rows(-a2, n_max))
     low = lowered(psi)
@@ -439,7 +445,7 @@ def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
              + sin_n * (low * c[:, 2 * k:3 * k] - psi * c[:, 3 * k:]))
 
     # J_0n(-a2) = psi_0 psi_{n-1} / sqrt(2n) for n >= 1, as in j_row
-    row2 = psi[0] * psi[:-1] / np.sqrt(2.0 * n[1:])
+    row2 = psi[0] * psi[:-1] / _sqrt_2n(n_max)[1:, None]
     n_terms = cos_n[1:] * row2 * row1[1:, None] + mixed[1:]
     wm = w ** n[1:m_cut + 1]
     s_up = (wm * cos_n[1:m_cut + 1] * row2[:m_cut] * row1[1:m_cut + 1, None]).sum(axis=0)

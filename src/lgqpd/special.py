@@ -8,7 +8,9 @@ dimensionless, so the oscillator eigenfunctions are
 orthonormal on the real line.  The eigenfunctions are evaluated by upward
 three-term recurrence on the normalized functions themselves (never on raw
 Hermite polynomials), which is stable in the classically allowed region and
-free of factorial overflow up to very high order.
+free of factorial overflow up to very high order.  Its coefficients, and the
+sqrt(2n) ladder factors that every matrix-element form reads, are tables
+built once per order and cached read-only.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import CapabilityError
 HARD_N_CAP = 1 << 17
 
 _QUARTER_PI = np.pi ** -0.25
+_SQRT2 = math.sqrt(2.0)
 
 
 def _check_n_cap(n_max: int) -> None:
@@ -50,9 +53,13 @@ def psi_rows(x, n_max: int):
         psi_n'(x) = sqrt(2n) psi_{n-1}(x) - x psi_n(x), whose x psi terms
         cancel in the Wronskian forms.
 
-    A scalar ``x`` is memoized (the few most recent cuts), because a t2
-    minimization re-evaluates its fixed t1 cut on every probe; the cached
-    array is returned read-only.  Array inputs are always computed afresh.
+    A scalar ``x`` runs the recurrence on plain Python floats, which is
+    several times cheaper than NumPy arithmetic on one point and performs the
+    same IEEE operations, so it equals the array call's column bit for bit.
+    It is memoized (the few most recent cuts), because a t2 minimization
+    re-evaluates its fixed t1 cut on every probe; the cached array is
+    returned read-only.  Array inputs are always computed afresh.  Both paths
+    read the recurrence coefficients from one cached table per ``n_max``.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -62,24 +69,45 @@ def psi_rows(x, n_max: int):
     return _psi_rows(np.asarray(x, dtype=float), n_max)
 
 
+@functools.lru_cache(maxsize=16)
+def _recurrence_coefficients(n_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The upward recurrence's coefficients sqrt(2/(k+1)) and sqrt(k/(k+1))
+    for k = 1..n_max-1, as tuples of Python floats (read-only)."""
+    k = np.arange(1, n_max)
+    return tuple(np.sqrt(2.0 / (k + 1)).tolist()), tuple(np.sqrt(k / (k + 1.0)).tolist())
+
+
+@functools.lru_cache(maxsize=16)
+def _sqrt_2n(n_max: int) -> np.ndarray:
+    """sqrt(2n) for n = 0..n_max, read-only: the ladder factor of
+    psi_n' = sqrt(2n) psi_{n-1} - x psi_n and of every J form."""
+    table = np.sqrt(2.0 * np.arange(n_max + 1))
+    table.flags.writeable = False
+    return table
+
+
 @functools.lru_cache(maxsize=8)
 def _psi_rows_scalar(x: float, n_max: int) -> np.ndarray:
-    # a NumPy scalar runs the recurrence's scalar arithmetic faster than a
-    # 0-d array, with the same IEEE operations
-    psi = _psi_rows(np.float64(x), n_max)
+    # psi_0 through NumPy's exp, which math.exp may differ from in the last ulp
+    lower = float(_QUARTER_PI * np.exp(-0.5 * x * x))
+    values = [lower]
+    if n_max >= 1:
+        upper = _SQRT2 * x * lower
+        values.append(upper)
+        for a, b in zip(*_recurrence_coefficients(n_max)):
+            lower, upper = upper, a * x * upper - b * lower
+            values.append(upper)
+    psi = np.array(values)
     psi.flags.writeable = False
     return psi
 
 
-def _psi_rows(x: np.ndarray | np.float64, n_max: int) -> np.ndarray:
+def _psi_rows(x: np.ndarray, n_max: int) -> np.ndarray:
     psi = np.zeros((n_max + 1,) + x.shape)
     psi[0] = _QUARTER_PI * np.exp(-0.5 * x * x)
     if n_max >= 1:
-        psi[1] = np.sqrt(2.0) * x * psi[0]
-    n = np.arange(1, n_max)
-    up = np.sqrt(2.0 / (n + 1)).tolist()
-    down = np.sqrt(n / (n + 1.0)).tolist()
-    for k, a, b in zip(range(1, n_max), up, down):
+        psi[1] = _SQRT2 * x * psi[0]
+    for k, (a, b) in enumerate(zip(*_recurrence_coefficients(n_max)), start=1):
         psi[k + 1] = a * x * psi[k] - b * psi[k - 1]
     return psi
 

@@ -214,11 +214,27 @@ class TestCliEval:
         ["--route", "oracle", "--oracle-dim", "700"], ["--route", "oracle", "--oracle-dim", "1"],
         ["--route", "integral", "--quad-order", "4"], ["--route", "series", "--nmax", "200000"],
         ["--route", "integral", "--quad-order", "600"],
-        ["--route", "series", "--temp-ratio", "1", "--nmax", "20"]])
+        ["--route", "series", "--temp-ratio", "1", "--nmax", "20"],
+        # settings of a route that does not run used to exit 0 unread
+        ["--route", "integral", "--oracle-dim", "2000"],
+        ["--route", "series", "--quad-order", "4"],
+        ["--route", "oracle", "--quad-order", "600"],
+        ["--route", "integral", "--nmax", "200000"]])
     def test_out_of_range_settings_exit_2(self, capsys, extra):
         assert main(["eval", *extra, "--s1", "1", "--s2", "1", "--t1", "0", "--t2", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("lgqpd eval: error:") and err.count("\n") == 1
+
+    def test_reports_wall_time(self, capsys):
+        common = ["eval", "--route", "series", "--x0", "0.5", "--s1", "1", "--s2", "-1",
+                  "--t1", "0", "--t2", "1.3"]
+        assert main([*common, "--out", "json"]) == 0
+        wall = json.loads(capsys.readouterr().out)["wall_s"]
+        assert isinstance(wall, float) and 0.0 < wall < 60.0
+        assert main(common) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("wall_s = ")
+        assert float(lines[-1].split(" = ")[1]) > 0.0
 
     def test_bad_sign_flag(self):
         with pytest.raises(SystemExit) as err:

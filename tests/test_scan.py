@@ -107,7 +107,11 @@ class TestNamedEvaluator:
     @pytest.mark.parametrize("route,params,n_max", [
         ("oracle", {"oracle_dim": 700}, 200), ("oracle", {"oracle_dim": 1}, 200),
         ("integral", {"quad_order": 4}, 200), ("series", {}, 200000),
-        ("integral", {"quad_order": 257}, 200)])
+        ("integral", {"quad_order": 257}, 200),
+        # the settings of a route that does not run used to be accepted unread
+        ("series", {"oracle_dim": 2000}, 200), ("integral", {"oracle_dim": 1}, 200),
+        ("series", {"quad_order": 4}, 200), ("oracle", {"quad_order": 600}, 200),
+        ("integral", {}, 200000), ("oracle", {}, 0)])
     def test_rejects_out_of_range_settings(self, route, params, n_max):
         # these used to pass the dispatch and fail at the first evaluation
         with pytest.raises(ValueError):
@@ -184,7 +188,11 @@ class TestScanConfigValidation:
         dict(route="series", t2_max=math.inf), dict(route="series", t2_min=-math.inf),
         dict(route="series", omega=0.0), dict(route="series", omega=math.nan),
         dict(route="series", omega=-1.0), dict(route="series", omega=math.inf),
-        dict(route="integral", quad_order=100000)])
+        dict(route="integral", quad_order=100000),
+        # out of range for a route the config does not run
+        dict(route="series", oracle_dim=2000), dict(route="integral", oracle_dim=2000),
+        dict(route="series", quad_order=4), dict(route="oracle", quad_order=4),
+        dict(route="oracle", n_max=200000), dict(route="integral", n_max=200000)])
     def test_rejects_settings_that_would_fail_every_cell(self, bad):
         with pytest.raises(ValueError):
             ScanConfig(plane="x0p0", s1=1, s2=-1, **bad)

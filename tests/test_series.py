@@ -11,7 +11,7 @@ from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window,
                    series_tail_estimate, thermal_m_cut, x_xi_of)
-from lgqpd.series import _q_sign, _q_thermal, _q_window
+from lgqpd.series import _geometry, _q_sign, _q_thermal, _q_window, _t1_geometry
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -272,6 +272,23 @@ class TestWindowSeries:
         grid = np.linspace(0.0, TWO_PI, 200)
         q = q_window_series_curve(vac, 1.02, 1, 1, 0.0, grid, n_max=300)
         assert q.min() >= -0.125 - 1e-6
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("t1", [0.0, 0.3, -2.1, 7.5])
+    def test_cached_t1_half_equals_a_fresh_computation(self, t1):
+        state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4)
+        t2 = np.array([0.1, 1.1, 4.0])
+        lam1, lam2, a1, a2, phi = _geometry(state, t1, t2)
+        assert _t1_geometry(state, t1) is _t1_geometry(state, t1)
+        fresh_lam1 = lambda_of(t1, state.r, state.theta0)
+        fresh_lam2 = lambda_of(t2, state.r, state.theta0)
+        assert lam1 == fresh_lam1
+        assert a1 == x_xi_of(t1, state.xi) / fresh_lam1
+        assert np.array_equal(lam2, fresh_lam2)
+        assert np.array_equal(a2, x_xi_of(t2, state.xi) / fresh_lam2)
+        assert np.array_equal(phi, (t2 - t1) + (phase_beta_of(t2, state.r, state.theta0)
+                                                - phase_beta_of(t1, state.r, state.theta0)))
 
 
 class TestPointAndCurve:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lgqpd import (CapabilityError, averaged_partial_sum,
                    composite_gauss_legendre, gauss_legendre, psi_rows)
 from lgqpd.matrix_elements import lowered
-from lgqpd.special import HARD_N_CAP
+from lgqpd.special import HARD_N_CAP, _recurrence_coefficients, _sqrt_2n
 from lgqpd.integral import quad_form
 from lgqpd.states import StateSpec
 
@@ -72,6 +72,35 @@ class TestHermitePsi:
         assert np.array_equal(scalar, column)
         assert not scalar.flags.writeable
         assert psi_rows(x, n_max) is scalar
+
+    @pytest.mark.parametrize("n_max", [0, 1, 200, 256, 2500])
+    def test_scalar_call_matches_array_column_at_workload_orders(self, n_max):
+        # beyond the hypothesis test's n <= 300: the allowed region, the
+        # classically forbidden region |x| > sqrt(2n + 1), and cuts where
+        # psi_0 underflows (|x| >= 39)
+        edge = math.sqrt(2 * n_max + 1)
+        cuts = [0.0, -0.0, 0.37, -1.9, 3.1, edge - 0.5, edge + 0.5, -(edge + 2.0),
+                1.5 * edge + 1.0, 38.5, 39.0, -39.0, 40.3, 45.0, -80.0]
+        columns = psi_rows(np.array(cuts), n_max)
+        for j, x in enumerate(cuts):
+            scalar = psi_rows(x, n_max)
+            assert np.array_equal(scalar, columns[:, j]), x
+            assert np.all(np.isfinite(scalar))
+
+    def test_order_tables_are_cached_and_read_only(self):
+        up, down = _recurrence_coefficients(40)
+        assert _recurrence_coefficients(40) == (up, down)
+        assert _recurrence_coefficients(40)[0] is up
+        assert isinstance(up, tuple) and isinstance(down, tuple)
+        k = np.arange(1, 40)
+        assert np.array_equal(up, np.sqrt(2.0 / (k + 1)))
+        assert np.array_equal(down, np.sqrt(k / (k + 1.0)))
+        table = _sqrt_2n(40)
+        assert _sqrt_2n(40) is table
+        assert not table.flags.writeable
+        assert np.array_equal(table, np.sqrt(2.0 * np.arange(41)))
+        with pytest.raises(ValueError):
+            table[1] = 0.0
 
 
 def pairwise_averaged_sum(terms, window):
