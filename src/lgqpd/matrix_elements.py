@@ -66,34 +66,26 @@ def _column(table: np.ndarray, n_cut_axes: int) -> np.ndarray:
 
 
 def j_row(cut: float, n_max: int) -> np.ndarray:
-    """Half-line row J_0n(cut, inf) for n = 0..n_max.
+    """Half-line row J_0n(cut, inf) for n = 0..n_max, read-only.
 
     The n = 0 entry is the exact (1 - erf(cut))/2; the rest are the Wronskian
-    form psi_0 psi_{n-1} / sqrt(2n), vectorized over n.  ``cut`` may be an
-    array, in which case the result has shape (n_max + 1,) + cut.shape.  A
-    scalar ``cut`` is memoized read-only, like :func:`psi_rows`, because a t2
-    minimization asks for its fixed t1 row on every probe.
+    form psi_0 psi_{n-1} / sqrt(2n), vectorized over n.  Memoized, like the
+    scalar :func:`psi_rows`, because a t2 minimization asks for its fixed t1
+    row on every probe.  A batch of cuts needs no rows of its own: the series
+    kernels form them block by block (``series._phase_sums``).
     """
-    if isinstance(cut, (int, float)):
-        return _j_row_scalar(float(cut), n_max)
-    return _j_row(np.asarray(cut, dtype=float), n_max)
+    return _j_row(float(cut), n_max)
 
 
 @functools.lru_cache(maxsize=8)
-def _j_row_scalar(cut: float, n_max: int) -> np.ndarray:
-    # a NumPy scalar takes the ufuncs' scalar path, faster than a 0-d array
-    row = _j_row(np.float64(cut), n_max)
+def _j_row(cut: float, n_max: int) -> np.ndarray:
+    psi = psi_rows(cut, n_max)
+    row = np.empty_like(psi)
+    row[0] = 0.5 * (1.0 - _sp.erf(cut))
+    if n_max >= 1:
+        row[1:] = psi[0] * psi[:-1] / _sqrt_2n(n_max)[1:]
     row.flags.writeable = False
     return row
-
-
-def _j_row(cut: np.ndarray | np.float64, n_max: int) -> np.ndarray:
-    psi = psi_rows(cut, n_max)
-    out = np.empty_like(psi)
-    out[0] = 0.5 * (1.0 - _sp.erf(cut))
-    if n_max >= 1:
-        out[1:] = psi[0] * psi[:-1] / _column(_sqrt_2n(n_max)[1:], cut.ndim)
-    return out
 
 
 def j_block(cut: float, m_max: int, n_max: int) -> np.ndarray:

@@ -37,7 +37,11 @@ def scan_csv_text(result: ScanResult) -> str:
 
 
 def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dict:
+    """The run manifest.  ``coarse_s`` and ``refine_s`` sum the rows' coarse
+    curve and refinement seconds over every worker; ``cells_per_s`` is the
+    grid's cells over ``wall_time_s``."""
     cfg = result.config
+    cells = result.q_min.size
     return {
         "tool": "lgqpd",
         "version": __version__,
@@ -59,6 +63,9 @@ def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dic
             "t2": result.global_argmin[2],
         },
         "wall_time_s": wall_time_s,
+        "coarse_s": result.coarse_s,
+        "refine_s": result.refine_s,
+        "cells_per_s": cells / wall_time_s if wall_time_s > 0 else None,
         "checksums": {"csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest()},
     }
 

@@ -2,8 +2,9 @@
 
 A scan evaluates the minimum over t2 of q_{s1,s2}(t1, t2) on a 2-D parameter
 grid: either the displacement plane (x0, p0) at fixed squeezing, or the
-(r, L) plane of the window projector for squeezed vacuum.  Cells are
-independent, so grids may be evaluated by a worker pool; results are written
+(r, L) plane of the window projector for squeezed vacuum.  Grid rows are
+independent tasks, each with one kernel call for its cells' coarse t2
+curves, so grids may be evaluated by a worker pool; results are written
 into preallocated arrays indexed by grid coordinates and reduced in a fixed
 row-major order, which makes output byte-identical for any worker count.
 """
@@ -11,8 +12,10 @@ row-major order, which makes output byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from multiprocessing import get_context
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
@@ -57,6 +60,10 @@ class T2Search:
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
 
+    def grid(self) -> np.ndarray:
+        """The coarse grid of t2 values."""
+        return np.linspace(self.t2_min, self.t2_max, self.coarse_steps)
+
 
 def minimize_over_t2(evaluator, curve, search: T2Search):
     """Minimum of a continuous evaluator over t2: ``curve`` on the coarse grid,
@@ -65,9 +72,10 @@ def minimize_over_t2(evaluator, curve, search: T2Search):
     (none for 0).  The coarse point is kept when it is still lower.
 
     ``evaluator`` maps one t2 to q and ``curve`` an array of t2 values to
-    their q values.  Returns ``(q_min, t2_argmin)``.
+    their q values; a caller that has the values on ``search.grid()`` already
+    passes a curve that returns them.  Returns ``(q_min, t2_argmin)``.
     """
-    grid = np.linspace(search.t2_min, search.t2_max, search.coarse_steps)
+    grid = search.grid()
     values = np.asarray(curve(grid), dtype=float)
     i = int(np.nanargmin(values))
     best_q, best_t = float(values[i]), float(grid[i])
@@ -165,7 +173,9 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid of t2-minimized quasi-probabilities with the global minimum."""
+    """Grid of t2-minimized quasi-probabilities with the global minimum, and
+    the seconds spent on the coarse curves and on the refinements, summed
+    over the grid's rows (over every worker)."""
 
     config: ScanConfig
     axis1: np.ndarray
@@ -175,6 +185,8 @@ class ScanResult:
     n_failed: int
     global_min: float
     global_argmin: tuple[float, float, float]  # (axis1, axis2, t2)
+    coarse_s: float = 0.0
+    refine_s: float = 0.0
 
 
 def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
@@ -188,38 +200,65 @@ def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
     return named_evaluator(params, config.route, config.projector, config.n_max)
 
 
-def _scan_cell(args):
-    config, i, j, a1, a2 = args
+def _scan_row(task):
+    """Minimize over t2 in the cells of one grid row: their coarse curves in
+    one call (:func:`_curve_rows`), then each cell's Brent refinement on its
+    own bracket.  When the row call raises, each cell is redone as a row of
+    one, so that a failing cell is NaN by itself.  Returns each cell's
+    ``(q, t2, failed)`` and the row's coarse and refinement seconds."""
+    config, a1, axis2 = task
+    search = config.t2_search()
+    start = time.perf_counter()
     try:
-        q, t2 = minimize_over_t2(*_cell_evaluator(config, a1, a2), config.t2_search())
-        return i, j, q, t2 / config.omega, False
+        evaluators, curves = zip(*(_cell_evaluator(config, a1, float(a2)) for a2 in axis2))
+        rows = _curve_rows(curves, search.grid())
     except Exception:
-        return i, j, math.nan, math.nan, True
+        if len(axis2) == 1:
+            return [(math.nan, math.nan, True)], time.perf_counter() - start, 0.0
+        parts = [_scan_row((config, a1, axis2[j:j + 1])) for j in range(len(axis2))]
+        refine = sum(part[2] for part in parts)
+        return ([cell for part in parts for cell in part[0]],
+                time.perf_counter() - start - refine, refine)
+    coarse = time.perf_counter() - start
+    out = []
+    for evaluator, values in zip(evaluators, rows):
+        try:
+            q, t2 = minimize_over_t2(evaluator, lambda _, v=values: v, search)
+            out.append((q, t2 / config.omega, False))
+        except Exception:
+            out.append((math.nan, math.nan, True))
+    return out, coarse, time.perf_counter() - start - coarse
 
 
 def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     """Evaluate the t2-minimized quasi-probability on the configured grid.
 
-    Per-cell failures are recorded as NaN cells, not raised.  The reduction
-    to the global minimum runs single-threaded in row-major order, so the
-    result does not depend on ``workers``.
+    The tasks are the grid's rows (:func:`_scan_row`), whatever the number of
+    ``workers``: each row evaluates its cells' coarse t2 curves in one kernel
+    call and then refines every cell alone.  Per-cell failures are recorded
+    as NaN cells, not raised.  The reduction to the global minimum runs
+    single-threaded in row-major order, so the result does not depend on
+    ``workers``.
     """
     ax1 = config.axis1_values()
     ax2 = config.axis2_values()
-    tasks = [(config, i, j, float(a1), float(a2))
-             for i, a1 in enumerate(ax1) for j, a2 in enumerate(ax2)]
+    tasks = [(config, float(a1), ax2) for a1 in ax1]
     q_min = np.full((len(ax1), len(ax2)), math.nan)
     t2_arg = np.full_like(q_min, math.nan)
     n_failed = 0
+    coarse_s = refine_s = 0.0
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_scan_cell, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            results = pool.map(_scan_row, tasks, chunksize=1)
     else:
-        results = map(_scan_cell, tasks)
-    for i, j, q, t2, failed in results:
-        q_min[i, j] = q
-        t2_arg[i, j] = t2
-        n_failed += int(failed)
+        results = map(_scan_row, tasks)
+    for i, (cells, coarse, refine) in enumerate(results):
+        for j, (q, t2, failed) in enumerate(cells):
+            q_min[i, j] = q
+            t2_arg[i, j] = t2
+            n_failed += int(failed)
+        coarse_s += coarse
+        refine_s += refine
 
     finite = q_min[np.isfinite(q_min)]
     if finite.size and finite.min() < LUDERS_FLOOR:
@@ -235,7 +274,8 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
         gmin, garg = math.nan, (math.nan, math.nan, math.nan)
     return ScanResult(config=config, axis1=ax1, axis2=ax2, q_min=q_min,
                       t2_argmin=t2_arg, n_failed=n_failed,
-                      global_min=gmin, global_argmin=garg)
+                      global_min=gmin, global_argmin=garg,
+                      coarse_s=coarse_s, refine_s=refine_s)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +311,10 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     search of :func:`minimize_over_t2`, with at most ``t2_refine`` Brent
     evaluations per search; the other parameters go through a
     coarse grid followed by Nelder-Mead polish from the best ``n_starts``
-    grid points.  All start outcomes are reported.  Raises ValueError for a
-    missing t2 and for a bound with hi <= lo.
+    grid points.  The coarse grid's t2 curves are evaluated in one call
+    (:func:`_curve_rows`: one batched kernel call on the pure series routes);
+    Nelder-Mead runs sequentially.  All start outcomes are reported.  Raises
+    ValueError for a missing t2 and for a bound with hi <= lo.
     """
     fixed = dict(fixed or {})
     free = dict(free)
@@ -293,17 +335,19 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
                        for name, v, lo, hi in zip(outer_names, vec, lows, highs)})
         return params
 
+    def key(params) -> tuple:
+        return tuple(params[name] for name in outer_names)
+
     # Nelder-Mead re-probes points, and every start's argmin repeats its last
     # objective call, so the inner t2 search runs once per clipped point
     memo: dict[tuple, tuple[float, float]] = {}
 
     def inner(vec) -> tuple[dict, tuple[float, float]]:
         params = named(vec)
-        key = tuple(params[name] for name in outer_names)
-        if key not in memo:
-            memo[key] = minimize_over_t2(*named_evaluator(params, route, projector, n_max),
-                                         search)
-        return params, memo[key]
+        if key(params) not in memo:
+            memo[key(params)] = minimize_over_t2(
+                *named_evaluator(params, route, projector, n_max), search)
+        return params, memo[key(params)]
 
     def objective(vec) -> float:
         return inner(vec)[1][0]
@@ -316,6 +360,13 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     axes = [np.linspace(lo, hi, coarse_steps) for lo, hi in zip(lows, highs)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
+    # every coarse point's t2 curve in one call, then each point's refinement
+    coarse = [named(p) for p in points]
+    evaluators, curves = zip(*(named_evaluator(params, route, projector, n_max)
+                               for params in coarse))
+    for params, evaluator, values in zip(coarse, evaluators,
+                                         _curve_rows(curves, search.grid())):
+        memo[key(params)] = minimize_over_t2(evaluator, lambda _, v=values: v, search)
     values = np.array([objective(p) for p in points])
     order = np.argsort(values, kind="stable")[:max(1, n_starts)]
 
@@ -371,9 +422,9 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
         float(params.get("n_th", 0.0)))
     # every truncation setting is range-checked, whichever route reads it
     trunc = TruncationConfig(n_max=n_max)
-    order = int(params.get("quad_order", 32))
+    order = _whole("quad_order", params.get("quad_order", 32))
     _check_order(order)
-    dim = int(params.get("oracle_dim", 300))
+    dim = _whole("oracle_dim", params.get("oracle_dim", 300))
     _check_dim(dim)
     if meas.projector == "window":
         if route == "integral":
@@ -383,8 +434,7 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
         if route == "series":
             return (lambda t2, with_info=False: qpd_series_window(
                         state, half, s1, s2, t1, t2, trunc, with_info),
-                    lambda grid: q_window_series_curve(state, half, s1, s2, t1, grid,
-                                                       n_max))
+                    _SeriesCurve(q_window_series_curve, (state, half), (s1, s2, t1), n_max))
     elif route == "series":
         if not meas.offset.is_zero:
             raise ValueError("the series route does not take a measurement offset; "
@@ -396,7 +446,7 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
                     lambda grid: q_thermal_series_curve(state, s1, s2, t1, grid, n_max))
         return (lambda t2, with_info=False: qpd_series_squeezed(
                     state, s1, s2, t1, t2, trunc, with_info),
-                lambda grid: q_sign_series_curve(state, s1, s2, t1, grid, n_max))
+                _SeriesCurve(q_sign_series_curve, (state,), (s1, s2, t1), n_max))
     elif route == "integral":
         _check_pure(state)
         evaluator = (lambda t2, with_info=False: qpd_integral(
@@ -405,3 +455,38 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
     return (lambda t2, with_info=False: qpd_oracle(
                 state, meas, s1, s2, t1, t2, dim, with_info),
             lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim))
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a fractional value is refused, not truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class _SeriesCurve:
+    """The t2 curve of one pure series cell, ``kernel(*column, *shared, grid,
+    n_max)``: the dispatch's kernel with the cell's own arguments
+    (``column``) and those its batch shares."""
+
+    kernel: Callable
+    column: tuple
+    shared: tuple
+    n_max: int
+
+    def __call__(self, grid):
+        return self.kernel(*self.column, *self.shared, grid, self.n_max)
+
+
+def _curve_rows(curves, grid) -> np.ndarray:
+    """The values of several cells' curves on one t2 grid, one row per cell:
+    one kernel call on the lists of their columns when all are series curves
+    of one kernel and shared arguments, else one call per curve (thermal,
+    integral and oracle cells)."""
+    head = curves[0]
+    if all(isinstance(c, _SeriesCurve) and (c.kernel, c.shared, c.n_max)
+           == (head.kernel, head.shared, head.n_max) for c in curves):
+        columns = [list(arg) for arg in zip(*(c.column for c in curves))]
+        return head.kernel(*columns, *head.shared, grid, head.n_max)
+    return np.array([curve(grid) for curve in curves])

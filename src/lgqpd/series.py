@@ -5,7 +5,9 @@ window) matrix elements J of the eigenfunctions, evaluated at cuts rescaled by
 the width lambda(t); free evolution contributes the phase
 ``exp(-i n (t2 - t1 + beta(t2) - beta(t1)))``.  Each projector family
 has one kernel over t2, a closed erf block plus a truncated phase sum over J
-products, and every series point is the one-element call of its kernel:
+products; every series point is the float call of its kernel, and every
+curve the array call, which the pure kernels take for a list of states at
+once, streaming their orders in cache-sized blocks:
 
 * coherent and squeezed pure states (sign projectors),
 * thermal squeezed coherent states (extra geometrically weighted sums over
@@ -34,7 +36,8 @@ import scipy.special as _sp
 
 from .errors import TruncationError, TruncationWarning
 from .matrix_elements import j_block, j_diag_row, j_row, ladder_diagonal, lowered
-from .special import _check_n_cap, _sqrt_2n, averaged_partial_sum, psi_rows
+from .special import (_check_n_cap, _euler_weights, _psi_blocks, _sqrt_2n,
+                      averaged_partial_sum, psi_rows)
 from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_of,
                      phase_beta_of, thermal_m_cut, x_xi_of)
 
@@ -250,63 +253,158 @@ def _geometry(state: StateSpec, t1: float, t2):
     return lam1, lam2, a1, a2, phi
 
 
-def _window_row(h, n_max: int) -> np.ndarray:
+def _window_row(h: float, n_max: int) -> np.ndarray:
     """Window row J_0n(h, inf) - J_0n(-h, inf) for n = 0..n_max from the one
     row at +h: psi_0 is even and psi_{n-1} has parity (-1)^(n-1), so the
-    entry is -erf(h) at n = 0, 2 J_0n(h, inf) at even n and 0 at odd n.
-    ``h`` may be an array, as for :func:`j_row`."""
+    entry is -erf(h) at n = 0, 2 J_0n(h, inf) at even n and 0 at odd n."""
     row = 2.0 * j_row(h, n_max)
     row[0] = -_sp.erf(h)
     row[1::2] = 0.0
     return row
 
 
-def _q_pure(block, rows, phi, s1: int, s2: int, region, cut1, cut2):
+#: Doubles in one block of :func:`_phase_sums`: a batch of C columns over K
+#: values of t2 runs its orders in blocks of _BLOCK_DOUBLES // (C K) (at least
+#: 2), so that a block's working set stays in cache.
+_BLOCK_DOUBLES = 16384
+
+
+def _phase_sums(window: bool, cut1, cut2, phi, n_max: int) -> np.ndarray:
+    """The Euler-averaged sums over n = 1..n_max of cos(n phi) row1_n row2_n
+    for a batch of C columns sharing K values of t2: ``cut1`` (C, 1) and
+    ``cut2`` (C, K) are the cuts of the rows (:func:`j_row`, or
+    :func:`_window_row` for a ``window``), ``phi`` is (K,) or (C, K).
+
+    The orders stream through reused buffers in blocks, and no (n_max, C, K)
+    array is built.  On each block: the shared recurrence
+    (:func:`special._psi_blocks`) at both cuts at once, cut1 riding along as
+    column K; the rows in place; the terms (cos(n phi) row1) row2; their
+    running sum, slot 0 carrying the last partial sum in; and the Euler
+    weights of :func:`averaged_partial_sum` on the partial sums inside its
+    final window, the accumulator carried in at weight 1.  These are the
+    operations of the materialized sum in the same order, so each column
+    equals that column's own curve bit for bit, at any batch size.
+    """
+    c, k = cut2.shape
+    rows = max(2, _BLOCK_DOUBLES // (c * k))
+    width = min(256, max(2, 3 * n_max // 4), n_max)
+    weights = _euler_weights(width)
+    first = n_max + 1 - width  # the first order whose partial sum is weighted
+    sqrt_2n = _sqrt_2n(n_max)
+    phase = np.reshape(phi, (-1, k))
+    terms = np.empty((rows + 1, c, k))
+    total = psi0 = None
+    # the block from k0 holds psi_{n-1} for the orders n = k0 + 1, ...
+    blocks = _psi_blocks(np.concatenate([cut2, cut1], axis=1), n_max - 1, rows)
+    for k0, psi in zip(range(0, n_max, rows), blocks):
+        m = len(psi)
+        n = np.arange(k0 + 1, k0 + m + 1)
+        if psi0 is None:
+            psi0 = psi[0].copy()
+        # J_0n = psi_0 psi_{n-1} / sqrt(2n), as j_row; twice that at even n
+        # and 0 at odd n for the window, as _window_row
+        np.multiply(psi, psi0, out=psi)
+        np.divide(psi, sqrt_2n[n, None, None], out=psi)
+        if window:
+            np.multiply(psi, 2.0, out=psi)
+            psi[k0 % 2::2] = 0.0
+        new = terms[1:m + 1]
+        np.multiply(np.cos(n[:, None, None] * phase), psi[:, :, k:], out=new)
+        np.multiply(new, psi[:, :, :k], out=new)
+        sums = terms[:m + 1] if k0 else new  # slot 0 carries the last partial sum in
+        np.cumsum(sums, axis=0, out=sums)
+        lo = max(first, k0 + 1)
+        if lo <= k0 + m:
+            w = weights[lo - first:k0 + m + 1 - first]
+            if total is None:
+                total = np.einsum("k,k...->...", w, terms[lo - k0:m + 1])
+            else:  # the block lies inside the window, and slot 0 is spent
+                terms[0] = total
+                total = np.einsum("k,k...->...", np.concatenate(([1.0], w)), terms[:m + 1])
+        terms[0] = terms[m]
+    return total
+
+
+def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int):
     """Summation core of the pure kernels: (q, terms, singular) with q =
-    block + s1 s2 sum_n cos(n phi) row1_n row2_n, singular phases overwritten
-    by completeness over the outcome regions ``region(s, cut)``.  ``block``,
-    ``phi`` and ``cut2`` have the shape of t2: a float for one point, so that
-    the row helpers take their memoized scalar paths, or an array for a
-    curve.  ``rows()`` gives the t1 row and the t2 rows; it is not called when
-    every phase is singular (a t2 search closing in on a commuting
-    separation), and ``terms`` is then None."""
+    block + s1 s2 sum_n cos(n phi) row1_n row2_n, the rows :func:`j_row` at
+    the cuts, or :func:`_window_row` for a ``window``, and singular phases
+    overwritten by completeness over the outcome regions.
+
+    One point has float ``block``, ``phi``, ``cut1`` and ``cut2``; it takes
+    the memoized scalar rows and returns its ``terms`` for the tail estimate,
+    or None when its phase is singular, whose rows are then not built (a t2
+    search closing in on a commuting separation).  A batch of C columns
+    sharing K values of t2 has ``cut1`` of shape (C, 1), ``block`` and
+    ``cut2`` (C, K), and ``phi`` (K,) or (C, K); its sums stream through
+    :func:`_phase_sums`, and ``terms`` is None.
+    """
+    region = _window_region if window else _halfline
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
-    n_singular = np.count_nonzero(singular)
-    q, terms = block, None
-    if n_singular < singular.size:
-        row1, row2 = rows()
-        col = (slice(1, None),) + (None,) * (row2.ndim - 1)  # n >= 1 down the order axis
-        terms = np.cos(np.arange(row1.shape[0])[col] * phi) * row1[col] * row2[1:]
-        q = block + s1 * s2 * averaged_partial_sum(terms)
-    if n_singular:
-        q = _fill_singular(q, singular, phi, region, s1, s2, cut1, cut2, _ground_weight)
-    return q, terms, singular
+    if np.ndim(block) == 0:
+        if singular:
+            return (_fill_singular(block, singular, phi, region, s1, s2, cut1, cut2,
+                                   _ground_weight), None, singular)
+        row = _window_row if window else j_row
+        terms = (np.cos(np.arange(1, n_max + 1) * phi) * row(cut1, n_max)[1:]
+                 * row(cut2, n_max)[1:])
+        return block + s1 * s2 * averaged_partial_sum(terms), terms, singular
+    q = block
+    if n_max >= 1 and not singular.all():
+        q = block + s1 * s2 * _phase_sums(window, cut1, cut2, phi, n_max)
+    if singular.any():
+        q = np.array(q)
+        for col in range(q.shape[0]):
+            pick = (col,) * (np.ndim(phi) - 1)
+            q[col] = _fill_singular(q[col], singular[pick], phi[pick], region, s1, s2,
+                                    float(cut1[col, 0]), cut2[col], _ground_weight)
+    return q, None, singular
 
 
-def _q_sign(state: StateSpec, s1: int, s2: int, t1: float, t2, n_max: int):
-    """Pure-state sign-projector kernel over t2, as :func:`_q_pure`."""
+def _columns(state, t1: float, t2):
+    """:func:`_geometry` of one state at a float t2, or of a list of C states
+    (or one, C = 1) over a t2 array, stacked by column: lam1 and a1 of shape
+    (C, 1), lam2 and a2 (C, K), and phi (K,) when the states share their
+    squeezing, else (C, K)."""
+    if np.ndim(t2) == 0:
+        return _geometry(state, t1, t2)
+    states = _each(state)
+    lam1, lam2, a1, a2, phi = (np.array(v) for v in
+                               zip(*(_geometry(s, t1, t2) for s in states)))
+    if len({(s.r, s.theta0) for s in states}) == 1:
+        phi = phi[0]
+    return lam1[:, None], lam2, a1[:, None], a2, phi
+
+
+def _each(state) -> list:
+    return [state] if isinstance(state, StateSpec) else state
+
+
+def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int):
+    """Pure-state sign-projector kernel, as :func:`_q_pure`: at a float t2,
+    one point; over a t2 array, a batch of the listed states (or of one)."""
     _check_signs(s1, s2)
-    if state.n_th != 0:
+    if any(s.n_th != 0 for s in _each(state)):
         raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
-    _, _, a1, a2, phi = _geometry(state, t1, t2)
+    _, _, a1, a2, phi = _columns(state, t1, t2)
     block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
-    return _q_pure(block, lambda: (j_row(-a1, n_max), j_row(-a2, n_max)), phi, s1, s2,
-                   _halfline, -a1, -a2)
+    return _q_pure(block, phi, s1, s2, False, -a1, -a2, n_max)
 
 
-def _q_window(state: StateSpec, half_width: float, s1: int, s2: int, t1: float,
-              t2, n_max: int):
-    """Squeezed-vacuum window-projector kernel over t2, as :func:`_q_pure`.
-    The cuts +/- L/lambda(t_i) enter through the window rows."""
+def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int):
+    """Squeezed-vacuum window-projector kernel, as :func:`_q_sign`; a batch
+    of listed states takes its half-widths with shape (C, 1).  The cuts
+    +/- L/lambda(t_i) enter through the window rows."""
     _check_signs(s1, s2)
-    _check_squeezed_vacuum(state)
-    _check_half_width(half_width)
-    lam1, lam2, _, _, phi = _geometry(state, t1, t2)
+    for s in _each(state):
+        _check_squeezed_vacuum(s)
+    for h in np.ravel(half_width):
+        _check_half_width(h)
+    lam1, lam2, _, _, phi = _columns(state, t1, t2)
     h1, h2 = half_width / lam1, half_width / lam2
     qbar1, qbar2 = 1.0 - 2.0 * _sp.erf(h1), 1.0 - 2.0 * _sp.erf(h2)
     block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-    return _q_pure(block, lambda: (_window_row(h1, n_max), _window_row(h2, n_max)), phi,
-                   s1, s2, _window_region, h1, h2)
+    return _q_pure(block, phi, s1, s2, True, h1, h2, n_max)
 
 
 def _point(q, terms, singular, with_info: bool, **occupation):
@@ -346,17 +444,33 @@ def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
                   with_info)
 
 
-def q_sign_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
-                        t2_grid: np.ndarray, n_max: int) -> np.ndarray:
-    """Pure-state sign-projector quasi-probability over a grid of t2 values."""
-    return _q_sign(state, s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max)[0]
+def q_sign_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
+                        n_max: int) -> np.ndarray:
+    """Pure-state sign-projector quasi-probability over a grid of t2 values.
+
+    ``state`` may also be a sequence of C states, which gives a (C, K) array
+    from one streamed pass over the orders (:func:`_phase_sums`); each row
+    equals that state's own curve bit for bit.
+    """
+    one = isinstance(state, StateSpec)
+    q = _q_sign(state if one else list(state), s1, s2, t1,
+                np.asarray(t2_grid, dtype=float), n_max)[0]
+    return q[0] if one else q
 
 
-def q_window_series_curve(state: StateSpec, half_width: float, s1: int, s2: int,
-                          t1: float, t2_grid: np.ndarray, n_max: int) -> np.ndarray:
-    """Window-projector quasi-probability over a grid of t2 values."""
-    return _q_window(state, half_width, s1, s2, t1, np.asarray(t2_grid, dtype=float),
-                     n_max)[0]
+def q_window_series_curve(state, half_width, s1: int, s2: int, t1: float,
+                          t2_grid: np.ndarray, n_max: int) -> np.ndarray:
+    """Window-projector quasi-probability over a grid of t2 values.
+
+    ``state`` and ``half_width`` may also be sequences of C states and C
+    half-widths, which give a (C, K) array as for
+    :func:`q_sign_series_curve`.
+    """
+    one = isinstance(state, StateSpec)
+    q = _q_window(state if one else list(state),
+                  half_width if one else np.asarray(half_width, dtype=float)[:, None],
+                  s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max)[0]
+    return q[0] if one else q
 
 
 def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,

@@ -58,7 +58,8 @@ def psi_rows(x, n_max: int):
     same IEEE operations, so it equals the array call's column bit for bit.
     It is memoized (the few most recent cuts), because a t2 minimization
     re-evaluates its fixed t1 cut on every probe; the cached array is
-    returned read-only.  Array inputs are always computed afresh.  Both paths
+    returned read-only.  Array inputs are always computed afresh, as one block
+    of :func:`_psi_blocks`.  Both paths
     read the recurrence coefficients from one cached table per ``n_max``.
     """
     if n_max < 0:
@@ -66,7 +67,7 @@ def psi_rows(x, n_max: int):
     _check_n_cap(n_max)
     if np.ndim(x) == 0:
         return _psi_rows_scalar(float(x), n_max)
-    return _psi_rows(np.asarray(x, dtype=float), n_max)
+    return next(_psi_blocks(np.asarray(x, dtype=float), n_max, n_max + 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -102,14 +103,38 @@ def _psi_rows_scalar(x: float, n_max: int) -> np.ndarray:
     return psi
 
 
-def _psi_rows(x: np.ndarray, n_max: int) -> np.ndarray:
-    psi = np.zeros((n_max + 1,) + x.shape)
-    psi[0] = _QUARTER_PI * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        psi[1] = _SQRT2 * x * psi[0]
-    for k, (a, b) in enumerate(zip(*_recurrence_coefficients(n_max)), start=1):
-        psi[k + 1] = a * x * psi[k] - b * psi[k - 1]
-    return psi
+def _psi_blocks(x: np.ndarray, n_max: int, rows: int):
+    """psi_0..psi_n_max at the points ``x``, streamed: consecutive blocks of
+    ``rows`` orders (the last may be shorter), each written into one reused
+    buffer of shape (rows,) + x.shape.  The one array recurrence of the
+    package, which :func:`psi_rows` takes in a single block.
+
+    A consumer may overwrite a block before it asks for the next one: the
+    recurrence continues from copies of the block's last two rows, so
+    ``rows`` must be at least 2 when there is more than one block.
+    """
+    a, b = _recurrence_coefficients(n_max)
+    mul, sub = np.multiply, np.subtract
+    buf = np.empty((min(rows, n_max + 1),) + x.shape)
+    scaled = np.empty(x.shape)
+    lower = upper = None
+    for k0 in range(0, n_max + 1, rows):
+        block = buf[:n_max + 1 - k0]
+        for k, row in enumerate(block, start=k0):
+            if k >= 2:
+                # psi_k = a x psi_{k-1} - b psi_{k-2}, written in place
+                mul(x, a[k - 2], scaled)
+                mul(scaled, upper, scaled)
+                mul(lower, b[k - 2], row)
+                sub(scaled, row, row)
+            elif k == 1:
+                row[...] = _SQRT2 * x * upper
+            else:
+                row[...] = _QUARTER_PI * np.exp(-0.5 * x * x)
+            lower, upper = upper, row
+        if k0 + rows <= n_max:
+            lower, upper = lower.copy(), upper.copy()
+        yield block
 
 
 def averaged_partial_sum(terms: np.ndarray):

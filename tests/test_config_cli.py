@@ -124,6 +124,17 @@ class TestOutputs:
         cfg2 = ScanConfig(**manifest["config"])
         assert scan_csv_text(scan_plane(cfg2)) == csv_path.read_text()
 
+    def test_manifest_times_the_two_stages(self, small_result, tmp_path):
+        # coarse curves and refinements are timed apart; the CSV carries no time
+        assert small_result.coarse_s > 0 and small_result.refine_s > 0
+        _, json_path = write_scan_outputs(small_result, tmp_path, "timed", 1.25)
+        manifest = json.loads(json_path.read_text())["manifest"]
+        assert manifest["coarse_s"] == small_result.coarse_s
+        assert manifest["refine_s"] == small_result.refine_s
+        assert manifest["cells_per_s"] == small_result.q_min.size / 1.25
+        untimed = dataclasses.replace(small_result, coarse_s=0.0, refine_s=0.0)
+        assert scan_csv_text(untimed) == scan_csv_text(small_result)
+
 
 class TestCliEval:
     def test_same_time_half(self, capsys):

@@ -224,12 +224,3 @@ class TestRowHelper:
     def test_window_row_parity(self, h):
         want = j_row(h, 256) - j_row(-h, 256)
         assert np.max(np.abs(_window_row(h, 256) - want)) < 1e-14
-        hs = np.array([h, 0.5 * h, 2.0 * h])
-        want = j_row(hs, 256) - j_row(-hs, 256)
-        assert np.max(np.abs(_window_row(hs, 256) - want)) < 1e-14
-
-    def test_row_vectorized_over_cuts(self):
-        cuts = np.array([-1.0, 0.0, 0.8])
-        rows = j_row(cuts, 6)
-        for k, c in enumerate(cuts):
-            assert np.max(np.abs(rows[:, k] - j_row(float(c), 6))) < 1e-14

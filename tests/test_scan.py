@@ -117,6 +117,23 @@ class TestNamedEvaluator:
         with pytest.raises(ValueError):
             named_evaluator(dict(params, s1=1, s2=-1), route, "sign", n_max)
 
+    @pytest.mark.parametrize("route,setting", [
+        ("oracle", {"oracle_dim": 120.7}), ("integral", {"quad_order": 8.9}),
+        ("series", {"oracle_dim": math.nan}), ("series", {"quad_order": math.inf})])
+    def test_rejects_fractional_settings(self, route, setting):
+        # these used to be truncated by int(), evaluating at dim 120 or order 8
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            named_evaluator(dict(setting, s1=1, s2=-1, x0=0.5), route, "sign")
+
+    def test_whole_float_settings_are_taken(self):
+        evaluator, _ = named_evaluator({"s1": 1, "s2": -1, "x0": 0.5, "oracle_dim": 120.0},
+                                       "oracle", "sign")
+        assert evaluator(1.3, with_info=True)[1].dim == 120
+        evaluator, _ = named_evaluator({"s1": 1, "s2": -1, "x0": 0.5, "quad_order": 16.0},
+                                       "integral", "sign")
+        assert evaluator(1.3) == named_evaluator(
+            {"s1": 1, "s2": -1, "x0": 0.5, "quad_order": 16}, "integral", "sign")[0](1.3)
+
     @pytest.mark.parametrize("route,projector,params", [
         ("series", "sign", {"x0": 0.4, "p0": 1.1, "r": 0.3}),
         ("series", "sign", {"x0": 0.4, "p0": 1.1, "r": 0.3, "n_th": 0.8}),
@@ -290,6 +307,68 @@ class TestScanPlane:
         assert fast.q_min.tobytes() == unit.q_min.tobytes()
         assert fast.t2_argmin.tobytes() == (unit.t2_argmin / 2).tobytes()
         assert fast.global_argmin[2] == unit.global_argmin[2] / 2
+
+    @staticmethod
+    def _cell_by_cell(cfg):
+        """Each cell of ``cfg`` minimized alone, through its own curve."""
+        q = np.full((cfg.axis1_steps, cfg.axis2_steps), math.nan)
+        t2 = np.full_like(q, math.nan)
+        for i, a1 in enumerate(cfg.axis1_values()):
+            for j, a2 in enumerate(cfg.axis2_values()):
+                q[i, j], t2[i, j] = minimize_over_t2(
+                    *scan._cell_evaluator(cfg, float(a1), float(a2)), cfg.t2_search())
+        return q, t2 / cfg.omega
+
+    @pytest.mark.parametrize("cells", [1, 6, 41])
+    def test_row_batches_change_no_bit(self, cells):
+        # a row's coarse curves come from one batched call; any worker count
+        # and the cell-by-cell search give the same bytes
+        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5,
+                         axis1_min=-1.0, axis1_max=0.5, axis1_steps=2,
+                         axis2_min=-2.5, axis2_max=2.5, axis2_steps=cells,
+                         t2_coarse_steps=60, t2_refine_iters=12, n_max=80)
+        res = scan_plane(cfg, workers=1)
+        assert res.n_failed == 0
+        assert scan_csv_text(res) == scan_csv_text(scan_plane(cfg, workers=2))
+        q, t2 = self._cell_by_cell(cfg)
+        assert res.q_min.tobytes() == q.tobytes()
+        assert res.t2_argmin.tobytes() == t2.tobytes()
+
+    def test_window_rows_change_no_bit(self):
+        cfg = ScanConfig(plane="rL", route="series", s1=1, s2=1,
+                         axis1_min=0.0, axis1_max=0.4, axis1_steps=2,
+                         axis2_min=0.8, axis2_max=1.3, axis2_steps=5,
+                         t2_min=0.05, t2_max=math.pi, t2_coarse_steps=50,
+                         t2_refine_iters=10, n_max=100)
+        res = scan_plane(cfg)
+        q, t2 = self._cell_by_cell(cfg)
+        assert res.q_min.tobytes() == q.tobytes()
+        assert res.t2_argmin.tobytes() == t2.tobytes()
+
+    def test_failing_cell_fails_alone(self, monkeypatch):
+        # one cell whose curve raises makes the row's batched call raise; the
+        # row is redone cell by cell, and only that cell is NaN
+        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5,
+                         axis1_min=0.5, axis1_steps=1,
+                         axis2_min=-2.5, axis2_max=2.5, axis2_steps=6,
+                         t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
+        clean = scan_plane(cfg)
+        bad_p0 = float(cfg.axis2_values()[2])
+        real = scan.q_sign_series_curve
+
+        def failing(state, *args):
+            states = [state] if isinstance(state, scan.StateSpec) else state
+            if any(abs(s.p0 - bad_p0) < 1e-12 for s in states):
+                raise FloatingPointError("injected")
+            return real(state, *args)
+
+        monkeypatch.setattr(scan, "q_sign_series_curve", failing)
+        res = scan_plane(cfg)
+        assert res.n_failed == 1
+        assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [2]
+        keep = ~np.isnan(res.q_min)
+        assert res.q_min[keep].tobytes() == clean.q_min[keep].tobytes()
+        assert res.t2_argmin[keep].tobytes() == clean.t2_argmin[keep].tobytes()
 
     def test_failed_cells_marked_nan(self):
         # displacements that overflow a 20-level number basis make every cell

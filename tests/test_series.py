@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    TruncationError, TruncationWarning, averaged_partial_sum,
@@ -10,8 +13,10 @@ from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    q_thermal_series_curve, q_window_series_curve, qpd_integral,
                    qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window,
-                   series_tail_estimate, thermal_m_cut, x_xi_of)
-from lgqpd.series import _geometry, _q_sign, _q_thermal, _q_window, _t1_geometry
+                   psi_rows, series_tail_estimate, thermal_m_cut, x_xi_of)
+from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _fill_singular, _geometry,
+                          _ground_weight, _halfline, _q_sign, _q_thermal, _q_window,
+                          _t1_geometry, _window_region)
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -327,3 +332,116 @@ class TestPointAndCurve:
                 assert abs(q - q_curve[k]) <= tol
                 assert info.singular_branch == singular[k]
                 assert info.n_used == (0 if singular[k] else n_max)
+
+
+def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):
+    """A pure series curve summed the way the kernels summed it before they
+    streamed: the rows of every order for all of ``grid`` at once, their
+    terms, averaged_partial_sum, then completeness at the singular phases.
+    A ``half_width`` selects the window projector."""
+    lam1, lam2, a1, a2, phi = _geometry(state, t1, grid)
+    if half_width is None:
+        cut1, cut2, region = -a1, -a2, _halfline
+        block = 0.25 * (1.0 + s1 * erf(a1)) * (1.0 + s2 * erf(a2))
+    else:
+        cut1, cut2, region = half_width / lam1, half_width / lam2, _window_region
+        qbar1, qbar2 = 1.0 - 2.0 * erf(cut1), 1.0 - 2.0 * erf(cut2)
+        block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
+    sqrt_2n = np.sqrt(2.0 * np.arange(n_max + 1))
+
+    def row(x):
+        psi = psi_rows(x, n_max)
+        out = np.zeros_like(psi)
+        out[1:] = psi[0] * psi[:-1] / sqrt_2n[1:].reshape((-1,) + (1,) * np.ndim(x))
+        if half_width is not None:
+            out = 2.0 * out
+            out[1::2] = 0.0
+        return out
+
+    terms = np.cos(np.arange(n_max + 1)[1:, None] * phi) * row(cut1)[1:, None] * row(cut2)[1:]
+    q = block + s1 * s2 * averaged_partial_sum(terms)
+    singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
+    if singular.any():
+        q = _fill_singular(q, singular, phi, region, s1, s2, cut1, cut2, _ground_weight)
+    return q
+
+
+def batch_curves(states, halves, s1, s2, t1, grid, n_max):
+    if halves is None:
+        return q_sign_series_curve(states, s1, s2, t1, grid, n_max)
+    return q_window_series_curve(states, halves, s1, s2, t1, grid, n_max)
+
+
+class TestBatchedCurves:
+    """A list of states gives one row per state, from one streamed pass over
+    the orders; each row equals, bit for bit, the curve summed with full
+    (n_max + 1, K) rows, whatever the batch size and block layout."""
+
+    @staticmethod
+    def _check(states, halves, s1, s2, t1, grid, n_max):
+        rows = batch_curves(states, halves, s1, s2, t1, grid, n_max)
+        assert rows.shape == (len(states), len(grid))
+        for c, state in enumerate(states):
+            half = None if halves is None else halves[c]
+            want = materialized_curve(state, half, s1, s2, t1, grid, n_max)
+            assert rows[c].tobytes() == want.tobytes()
+            one = (q_sign_series_curve(state, s1, s2, t1, grid, n_max) if half is None
+                   else q_window_series_curve(state, half, s1, s2, t1, grid, n_max))
+            assert one.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_columns_equal_the_materialized_sum(self, data):
+        window = data.draw(st.booleans())
+        cells = data.draw(st.integers(1, 7))
+        n_max = data.draw(st.integers(1, 300))
+        t1 = data.draw(st.floats(-1.0, 1.0))
+        # t1 and t1 + pi are singular for every squeezing; t1 + 1e-3 is close
+        extra = data.draw(st.lists(st.floats(-3.0, 9.0), min_size=1, max_size=30))
+        grid = np.array([t1, t1 + 1e-3, t1 + math.pi] + extra)
+        squeezing = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                       min_size=cells, max_size=cells))
+        theta0 = data.draw(st.sampled_from([0.0, 0.7]))
+        if window:
+            states = [StateSpec(r=r, theta0=theta0) for r in squeezing]
+            halves = data.draw(st.lists(st.floats(0.2, 2.5), min_size=cells,
+                                        max_size=cells))
+        else:
+            coords = data.draw(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                                        min_size=cells, max_size=cells))
+            states = [StateSpec.from_phase_space(x0, p0, r, theta0)
+                      for (x0, p0), r in zip(coords, squeezing)]
+            halves = None
+        s1, s2 = data.draw(st.sampled_from(SIGN_PAIRS))
+        self._check(states, halves, s1, s2, t1, grid, n_max)
+
+    CELLS, STEPS = 3, 50
+    BLOCK = _BLOCK_DOUBLES // (CELLS * STEPS)
+
+    @pytest.mark.parametrize("window", [False, True])
+    @pytest.mark.parametrize("n_max", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 200, 256, 2500])
+    def test_block_edges(self, window, n_max):
+        grid = np.linspace(0.0, 2 * math.pi, self.STEPS)  # 0 and 2 pi are singular
+        states = [StateSpec.from_phase_space(x0, 0.6 - x0, 0.5) for x0 in (-1.5, 0.2, 2.0)]
+        if window:
+            states, halves = [StateSpec(r=0.5)] * 3, [0.8, 1.03, 1.6]
+        else:
+            halves = None
+        self._check(states, halves, 1, -1, 0.0, grid, n_max)
+
+    @pytest.mark.parametrize("window", [False, True])
+    def test_batch_larger_than_the_block_budget(self, window):
+        grid = np.linspace(-0.4, 7.0, 2400)
+        assert 7 * grid.size > _BLOCK_DOUBLES
+        r = [0.0, 0.5, 1.0, 0.5, 0.0, 0.3, 0.5]
+        if window:
+            states, halves = [StateSpec(r=x) for x in r], list(np.linspace(0.6, 1.5, 7))
+        else:
+            states = [StateSpec.from_phase_space(0.3 * k - 1, 1.2, x) for k, x in enumerate(r)]
+            halves = None
+        self._check(states, halves, -1, 1, 0.2, grid, 60)
+
+    def test_all_singular_batch_is_completeness(self):
+        grid = np.array([0.0, math.pi, 2 * math.pi])
+        states = [StateSpec.from_phase_space(x0, 0.4, 0.5) for x0 in (-1.0, 0.0, 1.0)]
+        self._check(states, None, 1, 1, 0.0, grid, 40)
