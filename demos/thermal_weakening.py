@@ -4,7 +4,7 @@ The plane minimum of q_{-1,1}(0, t2) over the initial displacement weakens
 monotonically as the temperature ratio k_B T / (hbar omega) grows: mixing in
 thermal phonons drives the state toward classical statistics.
 
-Run:  python3 demos/thermal_weakening.py    (about 9 s on a 2-core x86-64 machine)
+Run:  python3 demos/thermal_weakening.py    (about 6 s on a 2-core x86-64 machine)
 """
 
 from lgqpd import n_th_from_temperature

@@ -312,7 +312,7 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     evaluations per search; the other parameters go through a
     coarse grid followed by Nelder-Mead polish from the best ``n_starts``
     grid points.  The coarse grid's t2 curves are evaluated in one call
-    (:func:`_curve_rows`: one batched kernel call on the pure series routes);
+    (:func:`_curve_rows`: one batched kernel call on the series route);
     Nelder-Mead runs sequentially.  All start outcomes are reported.  Raises
     ValueError for a missing t2 and for a bound with hi <= lo.
     """
@@ -421,6 +421,7 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
         float(params.get("r", 0.0)), float(params.get("theta0", 0.0)),
         float(params.get("n_th", 0.0)))
     # every truncation setting is range-checked, whichever route reads it
+    n_max = _whole("n_max", n_max)
     trunc = TruncationConfig(n_max=n_max)
     order = _whole("quad_order", params.get("quad_order", 32))
     _check_order(order)
@@ -443,7 +444,7 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
             _occupation_cut(state.n_th, n_max)
             return (lambda t2, with_info=False: qpd_series_thermal(
                         state, s1, s2, t1, t2, trunc, with_info),
-                    lambda grid: q_thermal_series_curve(state, s1, s2, t1, grid, n_max))
+                    _SeriesCurve(q_thermal_series_curve, (state,), (s1, s2, t1), n_max))
         return (lambda t2, with_info=False: qpd_series_squeezed(
                     state, s1, s2, t1, t2, trunc, with_info),
                 _SeriesCurve(q_sign_series_curve, (state,), (s1, s2, t1), n_max))
@@ -466,7 +467,7 @@ def _whole(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class _SeriesCurve:
-    """The t2 curve of one pure series cell, ``kernel(*column, *shared, grid,
+    """The t2 curve of one series cell, ``kernel(*column, *shared, grid,
     n_max)``: the dispatch's kernel with the cell's own arguments
     (``column``) and those its batch shares."""
 
@@ -482,8 +483,8 @@ class _SeriesCurve:
 def _curve_rows(curves, grid) -> np.ndarray:
     """The values of several cells' curves on one t2 grid, one row per cell:
     one kernel call on the lists of their columns when all are series curves
-    of one kernel and shared arguments, else one call per curve (thermal,
-    integral and oracle cells)."""
+    (sign, window or thermal) of one kernel and shared arguments, else one
+    call per curve (integral and oracle cells)."""
     head = curves[0]
     if all(isinstance(c, _SeriesCurve) and (c.kernel, c.shared, c.n_max)
            == (head.kernel, head.shared, head.n_max) for c in curves):

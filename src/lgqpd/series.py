@@ -5,14 +5,17 @@ window) matrix elements J of the eigenfunctions, evaluated at cuts rescaled by
 the width lambda(t); free evolution contributes the phase
 ``exp(-i n (t2 - t1 + beta(t2) - beta(t1)))``.  Each projector family
 has one kernel over t2, a closed erf block plus a truncated phase sum over J
-products; every series point is the float call of its kernel, and every
-curve the array call, which the pure kernels take for a list of states at
-once, streaming their orders in cache-sized blocks:
+products; every series point is the float call of its kernel, on plain
+rows of length n_max + 1, and every curve the array call, which each kernel
+takes for a list of states at once, streaming their orders in cache-sized
+blocks and reading the phase factors cos(n phi) and sin(n phi) from one
+cached table per grid of phases:
 
 * coherent and squeezed pure states (sign projectors),
 * thermal squeezed coherent states (extra geometrically weighted sums over
   the initial occupation, plus a diagonal overlap family), whose t1-only
-  pieces are cached,
+  pieces are cached and whose mixed-phase family is one stacked matrix
+  product per block,
 * squeezed vacuum with symmetric window projectors.
 
 The two pure families share one summation core.  When the total phase per
@@ -60,6 +63,9 @@ class TruncationConfig:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
+        if not float(self.n_max).is_integer():
+            raise ValueError(f"n_max must be a whole number, got {self.n_max!r}")
+        object.__setattr__(self, "n_max", int(self.n_max))
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         _check_n_cap(self.n_max)
@@ -263,10 +269,73 @@ def _window_row(h: float, n_max: int) -> np.ndarray:
     return row
 
 
-#: Doubles in one block of :func:`_phase_sums`: a batch of C columns over K
+#: Doubles in one block of the streamed sums: a batch of C columns over K
 #: values of t2 runs its orders in blocks of _BLOCK_DOUBLES // (C K) (at least
 #: 2), so that a block's working set stays in cache.
 _BLOCK_DOUBLES = 16384
+
+
+def _phase_table(phi, n_max: int):
+    """cos(n phi) and sin(n phi) for n = 0..n_max, each of shape (n_max + 1,)
+    + phi.shape and read-only: the phase factors of every array call.  Cached
+    by phi's bytes and n_max, because every row of a plane, and every curve of
+    a search at fixed squeezing, has the same phases."""
+    phi = np.ascontiguousarray(phi, dtype=float)
+    return _cached_phase_table(phi.tobytes(), phi.shape, n_max)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_phase_table(key: bytes, shape: tuple, n_max: int):
+    angle = (np.arange(n_max + 1).reshape((-1,) + (1,) * len(shape))
+             * np.frombuffer(key).reshape(shape))
+    table = np.cos(angle), np.sin(angle)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+class _EulerSum:
+    """The Euler-averaged sum of :func:`averaged_partial_sum` over n_max terms
+    that arrive in consecutive blocks of at most ``rows``, with its
+    operations in the same order, so bit for bit equal to it.
+
+    A block's m terms are written into ``slots(m)`` and folded in by
+    ``add(m)``: their running sum, slot 0 carrying the last partial sum in,
+    and the Euler weights on the partial sums inside the final window, the
+    accumulator carried in at weight 1.  ``total`` is the sum once all n_max
+    terms are in.
+    """
+
+    def __init__(self, n_max: int, rows: int, shape: tuple):
+        width = min(256, max(2, 3 * n_max // 4), n_max)
+        self.weights = _euler_weights(width)
+        self.first = n_max + 1 - width  # the first order whose partial sum is weighted
+        self.terms = np.empty((rows + 1,) + shape)
+        self.done = 0
+        self.total = None
+
+    def slots(self, m: int) -> np.ndarray:
+        return self.terms[1:m + 1]
+
+    def add(self, m: int) -> None:
+        k0, terms = self.done, self.terms
+        sums = terms[:m + 1] if k0 else terms[1:m + 1]
+        np.cumsum(sums, axis=0, out=sums)
+        lo = max(self.first, k0 + 1)
+        if lo <= k0 + m:
+            w = self.weights[lo - self.first:k0 + m + 1 - self.first]
+            if self.total is None:
+                self.total = np.einsum("k,k...->...", w, terms[lo - k0:m + 1])
+            else:  # the block lies inside the window, and slot 0 is spent
+                terms[0] = self.total
+                self.total = np.einsum("k,k...->...", np.concatenate(([1.0], w)),
+                                       terms[:m + 1])
+        terms[0] = terms[m]
+        self.done = k0 + m
+
+
+def _block_rows(c: int, k: int) -> int:
+    return max(2, _BLOCK_DOUBLES // (c * k))
 
 
 def _phase_sums(window: bool, cut1, cut2, phi, n_max: int) -> np.ndarray:
@@ -278,51 +347,35 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int) -> np.ndarray:
     The orders stream through reused buffers in blocks, and no (n_max, C, K)
     array is built.  On each block: the shared recurrence
     (:func:`special._psi_blocks`) at both cuts at once, cut1 riding along as
-    column K; the rows in place; the terms (cos(n phi) row1) row2; their
-    running sum, slot 0 carrying the last partial sum in; and the Euler
-    weights of :func:`averaged_partial_sum` on the partial sums inside its
-    final window, the accumulator carried in at weight 1.  These are the
-    operations of the materialized sum in the same order, so each column
+    column K; the rows in place; the terms (cos(n phi) row1) row2, the cosines
+    read from :func:`_phase_table`; and their :class:`_EulerSum`.  These are
+    the operations of the materialized sum in the same order, so each column
     equals that column's own curve bit for bit, at any batch size.
     """
     c, k = cut2.shape
-    rows = max(2, _BLOCK_DOUBLES // (c * k))
-    width = min(256, max(2, 3 * n_max // 4), n_max)
-    weights = _euler_weights(width)
-    first = n_max + 1 - width  # the first order whose partial sum is weighted
+    rows = _block_rows(c, k)
+    cos_t = _phase_table(phi, n_max)[0].reshape(n_max + 1, -1, k)
     sqrt_2n = _sqrt_2n(n_max)
-    phase = np.reshape(phi, (-1, k))
-    terms = np.empty((rows + 1, c, k))
-    total = psi0 = None
+    euler = _EulerSum(n_max, rows, (c, k))
+    psi0 = None
     # the block from k0 holds psi_{n-1} for the orders n = k0 + 1, ...
     blocks = _psi_blocks(np.concatenate([cut2, cut1], axis=1), n_max - 1, rows)
     for k0, psi in zip(range(0, n_max, rows), blocks):
         m = len(psi)
-        n = np.arange(k0 + 1, k0 + m + 1)
         if psi0 is None:
             psi0 = psi[0].copy()
         # J_0n = psi_0 psi_{n-1} / sqrt(2n), as j_row; twice that at even n
         # and 0 at odd n for the window, as _window_row
         np.multiply(psi, psi0, out=psi)
-        np.divide(psi, sqrt_2n[n, None, None], out=psi)
+        np.divide(psi, sqrt_2n[k0 + 1:k0 + m + 1, None, None], out=psi)
         if window:
             np.multiply(psi, 2.0, out=psi)
             psi[k0 % 2::2] = 0.0
-        new = terms[1:m + 1]
-        np.multiply(np.cos(n[:, None, None] * phase), psi[:, :, k:], out=new)
+        new = euler.slots(m)
+        np.multiply(cos_t[k0 + 1:k0 + m + 1], psi[:, :, k:], out=new)
         np.multiply(new, psi[:, :, :k], out=new)
-        sums = terms[:m + 1] if k0 else new  # slot 0 carries the last partial sum in
-        np.cumsum(sums, axis=0, out=sums)
-        lo = max(first, k0 + 1)
-        if lo <= k0 + m:
-            w = weights[lo - first:k0 + m + 1 - first]
-            if total is None:
-                total = np.einsum("k,k...->...", w, terms[lo - k0:m + 1])
-            else:  # the block lies inside the window, and slot 0 is spent
-                terms[0] = total
-                total = np.einsum("k,k...->...", np.concatenate(([1.0], w)), terms[:m + 1])
-        terms[0] = terms[m]
-    return total
+        euler.add(m)
+    return euler.total
 
 
 def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int):
@@ -480,33 +533,48 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
     Adds to the pure-state series a geometrically weighted sum over the
     initial occupation m: conjugate-phase and mixed-phase J products plus the
     diagonal overlap family coupling J_nn factors of both measurement cuts.
-    Reduces exactly to the pure evaluator at n_th = 0.  This is the
-    one-point call of the t2-array kernel of :func:`q_thermal_series_curve`.
+    Reduces exactly to the pure evaluator at n_th = 0.  This is the float
+    call of the kernel of :func:`q_thermal_series_curve`.
     """
     if state.n_th == 0:
         return qpd_series_squeezed(state, s1, s2, t1, t2, trunc, with_info)
-    q, n_terms, singular, m_cut, m_tail = _q_thermal(
-        state, s1, s2, t1, np.array([float(t2)]), trunc or DEFAULT_TRUNCATION)
-    return _point(q[0], n_terms[:, 0], singular[0], with_info, m_used=m_cut, m_tail=m_tail)
+    q, terms, singular, m_cut, m_tail = _q_thermal(
+        state, s1, s2, t1, float(t2), trunc or DEFAULT_TRUNCATION)
+    return _point(q, terms, singular, with_info, m_used=m_cut, m_tail=m_tail)
 
 
-def q_thermal_series_curve(state: StateSpec, s1: int, s2: int, t1: float,
-                           t2_grid: np.ndarray, n_max: int) -> np.ndarray:
+def q_thermal_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
+                           n_max: int) -> np.ndarray:
     """Thermal sign-projector quasi-probability (n_th > 0) over a grid of t2
-    values, with the default occupation cut."""
-    if state.n_th == 0:
+    values, with the default occupation cut.
+
+    ``state`` may also be a sequence of C states, which gives a (C, K) array;
+    the states of one n_th share one streamed pass over the orders
+    (:func:`_thermal_stream`), and each row equals that state's own curve bit
+    for bit.
+    """
+    one = isinstance(state, StateSpec)
+    states = [state] if one else list(state)
+    if any(s.n_th == 0 for s in states):
         raise ValueError("thermal curve requires n_th > 0; use q_sign_series_curve")
-    return _q_thermal(state, s1, s2, t1, np.asarray(t2_grid, dtype=float),
-                      TruncationConfig(n_max=n_max))[0]
+    grid = np.asarray(t2_grid, dtype=float)
+    trunc = TruncationConfig(n_max=n_max)
+    q = np.empty((len(states), grid.size))
+    for n_th in dict.fromkeys(s.n_th for s in states):
+        pick = np.array([s.n_th == n_th for s in states])
+        q[pick] = _q_thermal([s for s in states if s.n_th == n_th], s1, s2, t1, grid,
+                             trunc)[0]
+    return q[0] if one else q
 
 
 @functools.lru_cache(maxsize=1)
 def _thermal_fixed_cut(cut: float, w: float, m_cut: int, n_max: int):
     """The t1-only pieces of the thermal kernel: the row J_0n(cut, inf), the
     diagonal J_mm(cut, inf) for m <= m_cut, and B_mn = w^m J_mn(cut, inf) /
-    (2 (n - m)) with the m = 0 row, the n = 0 column and the diagonal zeroed.
-    Cached read-only, because every t2 probe of a minimization shares them;
-    one entry suffices, since a minimization has one fixed cut, and keeps the
+    (2 (n - m)) with the m = 0 row, the n = 0 column and the diagonal zeroed,
+    and the occupation weights w^m for m = 1..m_cut.  Cached read-only,
+    because every t2 probe of a minimization shares them; one entry
+    suffices, since a minimization has one fixed cut, and keeps the
     (m_cut + 1) x (n_max + 1) block from piling up at large n_max."""
     block = j_block(cut, m_cut, n_max)
     m = np.arange(m_cut + 1)[:, None]
@@ -514,26 +582,127 @@ def _thermal_fixed_cut(cut: float, w: float, m_cut: int, n_max: int):
         b = w ** m * block / (2.0 * (np.arange(n_max + 1) - m))
     b[0] = b[:, 0] = 0.0
     np.fill_diagonal(b, 0.0)
-    out = (block[0].copy(), np.diagonal(block).copy(), b)
+    out = (block[0].copy(), np.diagonal(block).copy(), b, w ** np.arange(1, m_cut + 1))
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
-def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
-               trunc: TruncationConfig):
-    """Thermal kernel over K values of t2: (q, n_terms, singular, m_cut,
-    m_tail), with the eigenbasis terms n_terms of shape (n_max, K) and the
-    occupation sum cut at m_cut with remainder m_tail.
+def _mixed_factors(cos, sin, psi, low) -> list:
+    """cos(m phi) psi_m, cos(m phi) sqrt(2m) psi_{m-1} and their sine twins
+    for m <= m_cut (``low`` is sqrt(2m) psi_{m-1}), which B^T turns into the
+    mixed-phase family."""
+    return [cos * psi, cos * low, sin * psi, sin * low]
+
+
+def _thermal_terms(cos, sin, psi, low, row2, row1, c):
+    """The eigenbasis terms of orders n >= 1: cos(n phi) J_0n(cut2) J_0n(cut1)
+    plus the mixed family sum_m w^m cos((m-n) phi) J_mn(cut1) J_mn(cut2),
+    with J_mn(cut2) in its rank-2 Wronskian form, from the products ``c`` of
+    B^T with the four :func:`_mixed_factors`."""
+    return cos * row2 * row1 + (cos * (low * c[0] - psi * c[1])
+                                + sin * (low * c[2] - psi * c[3]))
+
+
+def _thermal_point(fixed, cut2: float, phi: float, n_max: int):
+    """(phase_sum, s_up, diag2, terms) of one thermal point, on plain rows of
+    length n_max + 1: the memoized scalar eigenfunctions at cut2, and the
+    mixed family as one product of B^T with the (m_cut + 1) x 4 factors."""
+    row1, _, b, wm = fixed
+    m1 = len(wm) + 1
+    psi = psi_rows(cut2, n_max)
+    low = lowered(psi)
+    angle = np.arange(n_max + 1) * phi
+    cos, sin = np.cos(angle), np.sin(angle)
+    c = b.T @ np.stack(_mixed_factors(cos[:m1], sin[:m1], psi[:m1], low[:m1]), axis=1)
+    # J_0n(cut2) = psi_0 psi_{n-1} / sqrt(2n) for n >= 1, as in j_row
+    row2 = psi[0] * psi[:-1] / _sqrt_2n(n_max)[1:]
+    terms = _thermal_terms(cos[1:], sin[1:], psi[1:], low[1:], row2, row1[1:], c[1:].T)
+    s_up = (wm * cos[1:m1] * row2[:m1 - 1] * row1[1:m1]).sum(axis=0)
+    return averaged_partial_sum(terms), s_up, ladder_diagonal(cut2, psi[:m1]), terms
+
+
+def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):
+    """(phase_sum, s_up, diag2) of the thermal kernel for C columns over K
+    values of t2: ``cut2`` (C, K), ``phi`` (K,) or (C, K), ``row1`` of shape
+    (n_max + 1, 1, 1) and ``bT`` (1, n_max + 1, m_cut + 1) for a shared t1
+    cut, or (n_max + 1, C, 1) and (C, n_max + 1, m_cut + 1), one per column;
+    ``wm`` holds the occupation weights w^m, m = 1..m_cut, shaped
+    (m_cut, 1, 1).
+
+    The orders stream as in :func:`_phase_sums`.  Every order's mixed family
+    needs the rows m <= m_cut, so these are kept aside first, the stream's
+    blocks being gathered until they are in (m_cut may exceed a block); their
+    factors are then stacked once, as (C, m_cut + 1, 4K).  The orders are
+    summed in steps of a size set by K alone, each step's mixed family one
+    stacked product with B^T's rows for the step: every column of any batch
+    then runs the same products, whose rounding may depend on their shape,
+    and equals that column's own curve bit for bit.
+    """
+    c, k = cut2.shape
+    m1 = len(wm) + 1
+    rows, step = _block_rows(c, k), _block_rows(4, k)  # a step's product has 4K columns
+    cos_t, sin_t = (t.reshape(n_max + 1, -1, k) for t in _phase_table(phi, n_max))
+    sqrt_2n = _sqrt_2n(n_max)
+    euler = _EulerSum(n_max, step, (c, k))
+    # ext[i] holds psi_{done + i}, the orders n = done + 1, ... waiting for
+    # their terms, ext[0] being the last order done
+    ext = np.empty((rows + max(m1, step), c, k))
+    filled, factors = 0, None
+    for psi in _psi_blocks(cut2, n_max, rows):
+        ext[filled:filled + len(psi)] = psi
+        filled += len(psi)
+        if factors is None:
+            if filled < m1:
+                continue
+            head = ext[:m1]
+            psi0, diag2 = ext[0].copy(), ladder_diagonal(cut2, head)
+            factors = np.empty((c, m1, 4, k))
+            for j, f in enumerate(_mixed_factors(cos_t[:m1], sin_t[:m1], head, lowered(head))):
+                factors[:, :, j] = f.transpose(1, 0, 2)
+            factors = factors.reshape(c, m1, 4 * k)
+            row2 = psi0 * head[:-1] / sqrt_2n[1:m1, None, None]
+            s_up = (wm * cos_t[1:m1] * row2 * row1[1:m1]).sum(axis=0)
+        waiting, start = filled - 1, 0
+        last = euler.done + waiting == n_max
+        while waiting - start >= step or (last and waiting > start):
+            m, lo = min(step, waiting - start), euler.done + 1
+            cur, lower = ext[start + 1:start + m + 1], ext[start:start + m]
+            s = sqrt_2n[lo:lo + m, None, None]
+            # J_0n(cut2) = psi_0 psi_{n-1} / sqrt(2n), as in j_row
+            row2 = psi0 * lower / s
+            prod = np.matmul(bT[..., lo:lo + m, :], factors)
+            prod = prod.reshape(c, m, 4, k).transpose(2, 1, 0, 3)
+            euler.slots(m)[...] = _thermal_terms(cos_t[lo:lo + m], sin_t[lo:lo + m], cur,
+                                                 lower * s, row2, row1[lo:lo + m], prod)
+            euler.add(m)
+            start += m
+        ext[:filled - start] = ext[start:filled]
+        filled -= start
+    return euler.total, s_up, diag2
+
+
+def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig):
+    """Thermal kernel: (q, terms, singular, m_cut, m_tail), the occupation
+    sum cut at m_cut with remainder m_tail.  At a float t2, one point
+    (:func:`_thermal_point`), whose eigenbasis ``terms`` feed the tail
+    estimate (None at a singular phase, whose rows are not built); over a t2
+    array, a batch of the listed states (or of one), which share n_th, from
+    one stream (:func:`_thermal_stream`), and ``terms`` is None.
 
     The mixed-phase family sum_m w^m cos((m-n) phi) J_mn(-a1) J_mn(-a2)
     takes J_mn(-a2) in its rank-2 Wronskian form and cos((m-n) phi) as
-    cos m phi cos n phi + sin m phi sin n phi, so it is one product of the
-    fixed B^T with an (m_cut+1) x 4K array; no (m, n, K) array is built.
-    Singular phases are overwritten by the completeness branch.
+    cos m phi cos n phi + sin m phi sin n phi, so it is a product of the
+    fixed B^T with four factors over m <= m_cut; no (m, n, K) array is built.
+    The occupation sums converge geometrically and are cut at m_cut; the
+    eigenbasis index n does not, so its sum is Euler-averaged.  Singular
+    phases are overwritten by the completeness branch.
     """
     _check_signs(s1, s2)
-    n_th, n_max = state.n_th, trunc.n_max
+    states = _each(state)
+    n_th, n_max = states[0].n_th, trunc.n_max
+    if any(s.n_th != n_th for s in states):
+        raise ValueError("the states of a thermal batch must share n_th")
     w = n_th / (1.0 + n_th)
     m_cut = _occupation_cut(n_th, n_max)
     m_tail = w ** (m_cut + 1)
@@ -543,41 +712,40 @@ def _q_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: np.ndarray,
             f"{m_tail:.3e} > tail_tol={trunc.tail_tol:.1e}",
             TruncationWarning, stacklevel=3)
 
-    _, _, a1, a2, phi = _geometry(state, t1, t2)
-    row1, diag1, b = _thermal_fixed_cut(float(-a1), w, m_cut, n_max)
-    k = t2.size
-    # a single cut takes the memoized plain-float recurrence, which is faster
-    psi = (psi_rows(float(-a2[0]), n_max)[:, None] if k == 1
-           else psi_rows(-a2, n_max))
-    low = lowered(psi)
-    n = np.arange(n_max + 1)[:, None]
-    cos_n, sin_n = np.cos(n * phi), np.sin(n * phi)
-    m = slice(0, m_cut + 1)
-    c = b.T @ np.concatenate([cos_n[m] * psi[m], cos_n[m] * low[m],
-                              sin_n[m] * psi[m], sin_n[m] * low[m]], axis=1)
-    mixed = (cos_n * (low * c[:, :k] - psi * c[:, k:2 * k])
-             + sin_n * (low * c[:, 2 * k:3 * k] - psi * c[:, 3 * k:]))
+    _, _, a1, a2, phi = _columns(state, t1, t2)
+    block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
+    singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
 
-    # J_0n(-a2) = psi_0 psi_{n-1} / sqrt(2n) for n >= 1, as in j_row
-    row2 = psi[0] * psi[:-1] / _sqrt_2n(n_max)[1:, None]
-    n_terms = cos_n[1:] * row2 * row1[1:, None] + mixed[1:]
-    wm = w ** n[1:m_cut + 1]
-    s_up = (wm * cos_n[1:m_cut + 1] * row2[:m_cut] * row1[1:m_cut + 1, None]).sum(axis=0)
-    # the occupation sums converge geometrically; the eigenbasis index n does
-    # not, so its tail is summed in stabilized form
-    phase_sum = averaged_partial_sum(n_terms)
+    def weight(region):
+        return (float(w ** np.arange(m_cut + 1) @ _psi_sq_weights(region, m_cut))
+                / (1.0 + n_th))
 
-    diag2 = ladder_diagonal(-a2, psi[m])
+    point = np.ndim(t2) == 0
+    if point and singular:
+        return (_fill_singular(block, singular, phi, _halfline, s1, s2, -a1, -a2, weight),
+                None, singular, m_cut, m_tail)
+    fixed = [_thermal_fixed_cut(float(cut), w, m_cut, n_max) for cut in np.ravel(-a1)]
+    if point:
+        _, diag1, _, wm = fixed[0]
+        phase_sum, s_up, diag2, terms = _thermal_point(fixed[0], -a2, phi, n_max)
+    else:
+        # one fixed cut per column, since t1 != 0 moves each state's cut, or
+        # one for the batch
+        if all(f is fixed[0] for f in fixed):
+            fixed = fixed[:1]
+        row1, diag1 = (np.stack(arrs, axis=1)[:, :, None] for arrs in list(zip(*fixed))[:2])
+        bT = np.stack([f[2] for f in fixed]).transpose(0, 2, 1)
+        wm, terms = fixed[0][3][:, None, None], None
+        phase_sum, s_up, diag2 = _thermal_stream(row1, bT, wm, -a2, phi, n_max)
     k1 = diag1 if s1 == 1 else 1.0 - diag1
     k2 = diag2 if s2 == 1 else 1.0 - diag2
-    ee = (wm * k2[1:] * k1[1:, None]).sum(axis=0)
-
-    block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
+    ee = (wm * k2[1:] * k1[1:]).sum(axis=0)
     q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
-    singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
+    if point:
+        return q, terms, singular, m_cut, m_tail
     if singular.any():
-        q = _fill_singular(
-            q, singular, phi, _halfline, s1, s2, -a1, -a2,
-            lambda region: float(w ** np.arange(m_cut + 1) @ _psi_sq_weights(region, m_cut))
-            / (1.0 + n_th))
-    return q, n_terms, singular, m_cut, m_tail
+        for col in range(q.shape[0]):
+            pick = (col,) * (np.ndim(phi) - 1)
+            q[col] = _fill_singular(q[col], singular[pick], phi[pick], _halfline, s1, s2,
+                                    float(-a1[col, 0]), -a2[col], weight)
+    return q, terms, singular, m_cut, m_tail

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lgqpd import (IntegralInfo, OffsetFunction, OracleInfo, ScanConfig,
-                   SeriesInfo, T2Search, TruncationError, global_minimize,
+                   SeriesInfo, T2Search, TruncationConfig, TruncationError, global_minimize,
                    minimize_over_t2, named_evaluator, scan, scan_plane)
 from lgqpd.output import scan_csv_text
 
@@ -119,11 +119,17 @@ class TestNamedEvaluator:
 
     @pytest.mark.parametrize("route,setting", [
         ("oracle", {"oracle_dim": 120.7}), ("integral", {"quad_order": 8.9}),
-        ("series", {"oracle_dim": math.nan}), ("series", {"quad_order": math.inf})])
+        ("series", {"oracle_dim": math.nan}), ("series", {"quad_order": math.inf}),
+        ("series", {"n_max": 200.5}), ("oracle", {"n_max": 200.5})])
     def test_rejects_fractional_settings(self, route, setting):
-        # these used to be truncated by int(), evaluating at dim 120 or order 8
+        # these used to be truncated by int(), evaluating at dim 120 or order
+        # 8; a fractional n_max summed 201 orders
+        params = dict(setting, s1=1, s2=-1, x0=0.5)
+        n_max = params.pop("n_max", 200)
         with pytest.raises(ValueError, match=next(iter(setting))):
-            named_evaluator(dict(setting, s1=1, s2=-1, x0=0.5), route, "sign")
+            named_evaluator(params, route, "sign", n_max)
+        with pytest.raises(ValueError, match="n_max"):
+            TruncationConfig(n_max=200.5)
 
     def test_whole_float_settings_are_taken(self):
         evaluator, _ = named_evaluator({"s1": 1, "s2": -1, "x0": 0.5, "oracle_dim": 120.0},
@@ -133,6 +139,11 @@ class TestNamedEvaluator:
                                        "integral", "sign")
         assert evaluator(1.3) == named_evaluator(
             {"s1": 1, "s2": -1, "x0": 0.5, "quad_order": 16}, "integral", "sign")[0](1.3)
+        evaluator, curve = named_evaluator({"s1": 1, "s2": -1, "x0": 0.5}, "series", "sign",
+                                           200.0)
+        assert evaluator(1.3, with_info=True)[1].n_used == 200
+        assert curve.n_max == 200 and type(curve.n_max) is int
+        assert TruncationConfig(n_max=200.0).n_max == 200
 
     @pytest.mark.parametrize("route,projector,params", [
         ("series", "sign", {"x0": 0.4, "p0": 1.1, "r": 0.3}),
@@ -366,6 +377,44 @@ class TestScanPlane:
         res = scan_plane(cfg)
         assert res.n_failed == 1
         assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [2]
+        keep = ~np.isnan(res.q_min)
+        assert res.q_min[keep].tobytes() == clean.q_min[keep].tobytes()
+        assert res.t2_argmin[keep].tobytes() == clean.t2_argmin[keep].tobytes()
+
+    @pytest.mark.parametrize("cells,t1", [(1, 0.0), (3, 0.0), (21, 0.0), (3, 0.4)])
+    def test_thermal_row_batches_change_no_bit(self, cells, t1):
+        # a thermal row's coarse curves come from one streamed call too; at
+        # t1 != 0 each cell has its own fixed cut
+        cfg = ScanConfig(plane="x0p0", route="series", s1=-1, s2=1, t1=t1, r=0.5,
+                         n_th=1.54, axis1_min=-1.0, axis1_max=0.5, axis1_steps=2,
+                         axis2_min=-2.5, axis2_max=2.5, axis2_steps=cells,
+                         t2_coarse_steps=60, t2_refine_iters=12, n_max=80)
+        res = scan_plane(cfg, workers=1)
+        assert res.n_failed == 0
+        assert scan_csv_text(res) == scan_csv_text(scan_plane(cfg, workers=2))
+        q, t2 = self._cell_by_cell(cfg)
+        assert res.q_min.tobytes() == q.tobytes()
+        assert res.t2_argmin.tobytes() == t2.tobytes()
+
+    def test_failing_thermal_cell_fails_alone(self, monkeypatch):
+        cfg = ScanConfig(plane="x0p0", route="series", s1=-1, s2=1, r=0.5, n_th=0.8,
+                         axis1_min=0.5, axis1_steps=1,
+                         axis2_min=-2.5, axis2_max=2.5, axis2_steps=5,
+                         t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
+        clean = scan_plane(cfg)
+        bad_p0 = float(cfg.axis2_values()[3])
+        real = scan.q_thermal_series_curve
+
+        def failing(state, *args):
+            states = [state] if isinstance(state, scan.StateSpec) else state
+            if any(abs(s.p0 - bad_p0) < 1e-12 for s in states):
+                raise FloatingPointError("injected")
+            return real(state, *args)
+
+        monkeypatch.setattr(scan, "q_thermal_series_curve", failing)
+        res = scan_plane(cfg)
+        assert res.n_failed == 1
+        assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [3]
         keep = ~np.isnan(res.q_min)
         assert res.q_min[keep].tobytes() == clean.q_min[keep].tobytes()
         assert res.t2_argmin[keep].tobytes() == clean.t2_argmin[keep].tobytes()

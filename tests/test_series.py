@@ -14,8 +14,10 @@ from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window,
                    psi_rows, series_tail_estimate, thermal_m_cut, x_xi_of)
-from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _fill_singular, _geometry,
-                          _ground_weight, _halfline, _q_sign, _q_thermal, _q_window,
+from lgqpd.matrix_elements import ladder_diagonal, lowered
+from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table,
+                          _fill_singular, _geometry, _ground_weight, _halfline,
+                          _phase_table, _psi_sq_weights, _q_sign, _q_thermal, _q_window,
                           _t1_geometry, _window_region)
 from test_matrix_elements import quadrature_diag_row
 
@@ -297,8 +299,8 @@ class TestGeometry:
 
 
 class TestPointAndCurve:
-    """Each series point is the one-element call of its family's t2 kernel,
-    which also feeds the family's curve."""
+    """Each series point is the float call of its family's t2 kernel, whose
+    array call is the family's curve."""
 
     T1 = 0.3
     # t2 = t1 and t1 + pi are singular; t1 + 1e-3 is close to it
@@ -445,3 +447,166 @@ class TestBatchedCurves:
         grid = np.array([0.0, math.pi, 2 * math.pi])
         states = [StateSpec.from_phase_space(x0, 0.4, 0.5) for x0 in (-1.0, 0.0, 1.0)]
         self._check(states, None, 1, 1, 0.0, grid, 40)
+
+
+class TestPhaseTable:
+    """The cos(n phi) and sin(n phi) table that every array call reads."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5)])
+    def test_equals_a_fresh_evaluation_bit_for_bit(self, shape):
+        phi = np.linspace(-3.0, 40.0, math.prod(shape)).reshape(shape)
+        cos, sin = _phase_table(phi, 150)
+        angle = np.arange(151).reshape((-1,) + (1,) * len(shape)) * phi
+        assert cos.shape == sin.shape == (151,) + shape
+        assert cos.tobytes() == np.cos(angle).tobytes()
+        assert sin.tobytes() == np.sin(angle).tobytes()
+
+    def test_read_only_and_shared(self):
+        phi = np.array([0.1, 1.2, 2.3])
+        cos, sin = _phase_table(phi, 40)
+        for table in (cos, sin):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[1, 0] = 0.0
+        # an equal array of phases, such as the next row's, gets the same table
+        again = _phase_table(phi.copy(), 40)
+        assert again[0] is cos and again[1] is sin
+        assert _phase_table(phi, 41)[0] is not cos
+
+    def test_cache_is_bounded(self):
+        assert _cached_phase_table.cache_info().maxsize == 4
+        for k in range(6):
+            _phase_table(np.array([0.3 * k, 1.0]), 30)
+        assert _cached_phase_table.cache_info().currsize <= 4
+
+
+def materialized_thermal_curve(state, s1, s2, t1, grid, n_max):
+    """A thermal series curve summed the way the kernel summed it before it
+    streamed: the psi rows of every order for all of ``grid`` at once, the
+    mixed family as one product of B^T with the (m_cut + 1) x 4K factors,
+    averaged_partial_sum over the (n_max, K) terms, then completeness at the
+    singular phases."""
+    n_th = state.n_th
+    w = n_th / (1.0 + n_th)
+    m_cut = thermal_m_cut(n_th)
+    _, _, a1, a2, phi = _geometry(state, t1, grid)
+    fixed = j_block(float(-a1), m_cut, n_max)
+    row1, diag1 = fixed[0], np.diagonal(fixed).copy()
+    mm = np.arange(m_cut + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = w ** mm * fixed / (2.0 * (np.arange(n_max + 1) - mm))
+    b[0] = b[:, 0] = 0.0
+    np.fill_diagonal(b, 0.0)
+
+    k = grid.size
+    psi = psi_rows(-a2, n_max)
+    low = lowered(psi)
+    n = np.arange(n_max + 1)[:, None]
+    cos_n, sin_n = np.cos(n * phi), np.sin(n * phi)
+    m = slice(0, m_cut + 1)
+    c = b.T @ np.concatenate([cos_n[m] * psi[m], cos_n[m] * low[m],
+                              sin_n[m] * psi[m], sin_n[m] * low[m]], axis=1)
+    mixed = (cos_n * (low * c[:, :k] - psi * c[:, k:2 * k])
+             + sin_n * (low * c[:, 2 * k:3 * k] - psi * c[:, 3 * k:]))
+    row2 = psi[0] * psi[:-1] / np.sqrt(2.0 * np.arange(n_max + 1))[1:, None]
+    n_terms = cos_n[1:] * row2 * row1[1:, None] + mixed[1:]
+    wm = w ** n[1:m_cut + 1]
+    s_up = (wm * cos_n[1:m_cut + 1] * row2[:m_cut] * row1[1:m_cut + 1, None]).sum(axis=0)
+    phase_sum = averaged_partial_sum(n_terms)
+    diag2 = ladder_diagonal(-a2, psi[m])
+    k1 = diag1 if s1 == 1 else 1.0 - diag1
+    k2 = diag2 if s2 == 1 else 1.0 - diag2
+    ee = (wm * k2[1:] * k1[1:, None]).sum(axis=0)
+    block = 0.25 * (1.0 + s1 * erf(a1)) * (1.0 + s2 * erf(a2))
+    q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
+    singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
+    if singular.any():
+        q = _fill_singular(
+            q, singular, phi, _halfline, s1, s2, -a1, -a2,
+            lambda region: float(w ** np.arange(m_cut + 1) @ _psi_sq_weights(region, m_cut))
+            / (1.0 + n_th))
+    return q
+
+
+class TestBatchedThermalCurves:
+    """A list of thermal states gives one row per state from one streamed
+    pass over the orders.  Each row equals that state's own curve bit for
+    bit, whatever the batch size, the block layout and the t1 cuts, and the
+    curve summed with full (n_max + 1, K) rows within 1e-15: the mixed
+    family's matrix products run over fewer orders at a time, and BLAS may
+    round a product differently by its shape."""
+
+    @staticmethod
+    def _check(states, s1, s2, t1, grid, n_max):
+        rows = q_thermal_series_curve(states, s1, s2, t1, grid, n_max)
+        assert rows.shape == (len(states), len(grid))
+        for c, state in enumerate(states):
+            one = q_thermal_series_curve(state, s1, s2, t1, grid, n_max)
+            assert rows[c].tobytes() == one.tobytes()
+            want = materialized_thermal_curve(state, s1, s2, t1, grid, n_max)
+            assert np.max(np.abs(rows[c] - want)) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_columns_equal_the_materialized_sum(self, data):
+        cells = data.draw(st.integers(1, 7))
+        n_th = data.draw(st.sampled_from([0.156, 1.54, 3.0]))
+        n_max = data.draw(st.integers(thermal_m_cut(n_th), 300))
+        # at t1 != 0 every state has its own fixed cut
+        t1 = data.draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+        # t1 and t1 + pi are singular for every squeezing; t1 + 1e-3 is close
+        extra = data.draw(st.lists(st.floats(-3.0, 9.0), min_size=1, max_size=30))
+        grid = np.array([t1, t1 + 1e-3, t1 + math.pi] + extra)
+        squeezing = data.draw(st.sampled_from([[0.5] * cells, [0.0, 0.5, 1.0] * 3]))
+        theta0 = data.draw(st.sampled_from([0.0, 0.7]))
+        coords = data.draw(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                                    min_size=cells, max_size=cells))
+        states = [StateSpec.from_phase_space(x0, p0, r, theta0, n_th)
+                  for (x0, p0), r in zip(coords, squeezing)]
+        s1, s2 = data.draw(st.sampled_from(SIGN_PAIRS))
+        self._check(states, s1, s2, t1, grid, n_max)
+
+    CELLS, STEPS = 3, 50
+    BLOCK = _BLOCK_DOUBLES // (CELLS * STEPS)
+
+    @pytest.mark.parametrize("t1", [0.0, 0.4])
+    @pytest.mark.parametrize("n_th,n_max", [
+        (0.156, 15), (1.54, 55), (3.0, 93),  # n_max at the occupation cut
+        (0.156, BLOCK - 1), (0.156, BLOCK), (0.156, BLOCK + 1), (0.156, 2 * BLOCK),
+        (1.54, BLOCK), (1.54, 200), (3.0, BLOCK), (3.0, 200)])
+    def test_block_edges(self, t1, n_th, n_max):
+        # m_cut = 15, 55 and 93: the rows m <= m_cut fill part of a block, half
+        # of one, or nearly one; n_max = BLOCK ends on a one-order block
+        grid = np.linspace(0.0, 2 * math.pi, self.STEPS)  # 0 and 2 pi are singular
+        states = [StateSpec.from_phase_space(x0, 0.6 - x0, 0.5, 0.0, n_th)
+                  for x0 in (-1.5, 0.2, 2.0)]
+        self._check(states, -1, 1, t1, grid, n_max)
+
+    @pytest.mark.parametrize("t1", [0.0, 0.3])
+    def test_small_blocks_of_a_wide_batch(self, t1):
+        # 7 columns of 123 values of t2 stream in blocks of 19 orders, one
+        # column alone in blocks of 133: the mixed family's products must not
+        # follow the blocks, since their rounding may depend on their shape
+        grid = np.concatenate([[t1, t1 + 1e-3, t1 + math.pi], np.linspace(-0.5, 7.0, 120)])
+        states = [StateSpec.from_phase_space(x0, p0, 0.5, 0.4, 1.54)
+                  for x0, p0 in ((0.7, -1.3), (-2.5, 2.5), (0.0, 1.0), (1.0, 0.3),
+                                 (0.2, 0.2), (-1.1, -0.4), (2.2, 0.9))]
+        self._check(states, -1, 1, t1, grid, 100)
+
+    @pytest.mark.parametrize("n_th", [0.156, 3.0])
+    def test_high_order_at_small_k(self, n_th):
+        grid = np.array([0.3, 1.0, 1.0 + math.pi, 2.2, 5.0])
+        states = [StateSpec.from_phase_space(x0, 1.2, 0.5, 0.0, n_th) for x0 in (-1.0, 0.4)]
+        self._check(states, 1, -1, 0.0, grid, 2500)
+
+    def test_mixed_occupations_split_into_batches(self):
+        grid = np.linspace(0.1, 6.0, 20)
+        states = [StateSpec.from_phase_space(x0, 0.5, 0.5, 0.0, n_th)
+                  for x0, n_th in ((-1.0, 0.156), (0.0, 1.54), (1.0, 0.156))]
+        rows = q_thermal_series_curve(states, 1, 1, 0.0, grid, 120)
+        for c, state in enumerate(states):
+            assert rows[c].tobytes() == q_thermal_series_curve(
+                state, 1, 1, 0.0, grid, 120).tobytes()
+        with pytest.raises(ValueError):
+            q_thermal_series_curve(states + [StateSpec.from_phase_space(0.0, 0.5, 0.5)],
+                                   1, 1, 0.0, grid, 120)
