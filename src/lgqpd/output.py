@@ -38,8 +38,9 @@ def scan_csv_text(result: ScanResult) -> str:
 
 def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dict:
     """The run manifest.  ``coarse_s`` and ``refine_s`` sum the rows' coarse
-    curve and refinement seconds over every worker; ``cells_per_s`` is the
-    grid's cells over ``wall_time_s``."""
+    curve and refinement seconds over every worker, and ``refine_evals`` the
+    refinements' evaluations; ``cells_per_s`` is the grid's cells over
+    ``wall_time_s``."""
     cfg = result.config
     cells = result.q_min.size
     return {
@@ -65,6 +66,7 @@ def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dic
         "wall_time_s": wall_time_s,
         "coarse_s": result.coarse_s,
         "refine_s": result.refine_s,
+        "refine_evals": result.refine_evals,
         "cells_per_s": cells / wall_time_s if wall_time_s > 0 else None,
         "checksums": {"csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest()},
     }

@@ -71,6 +71,12 @@ def minimize_over_t2(evaluator, curve, search: T2Search):
     the best point, with at most ``max(search.refine_iters, 2)`` evaluations
     (none for 0).  The coarse point is kept when it is still lower.
 
+    Brent never evaluates its bounds, so a best point at either end of the
+    window is first probed once, ``XATOL`` inside it: when that probe is not
+    lower, the bracket being unimodal puts the minimum within ``XATOL`` of
+    the end, and the coarse point is returned after that one evaluation;
+    otherwise Brent runs as for an interior bracket.
+
     ``evaluator`` maps one t2 to q and ``curve`` an array of t2 values to
     their q values; a caller that has the values on ``search.grid()`` already
     passes a curve that returns them.  Returns ``(q_min, t2_argmin)``.
@@ -82,6 +88,10 @@ def minimize_over_t2(evaluator, curve, search: T2Search):
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     if search.refine_iters > 0 and hi > lo:
+        if i in (0, len(grid) - 1):
+            inside = min(best_t + XATOL, hi) if i == 0 else max(best_t - XATOL, lo)
+            if not evaluator(inside) < best_q:
+                return best_q, best_t
         # scipy adds sqrt(eps) times |x| to the tolerance: searching the offset
         # from lo keeps it near XATOL wherever the window lies
         res = minimize_scalar(lambda u: evaluator(lo + u), bounds=(0.0, hi - lo),
@@ -173,9 +183,10 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid of t2-minimized quasi-probabilities with the global minimum, and
-    the seconds spent on the coarse curves and on the refinements, summed
-    over the grid's rows (over every worker)."""
+    """Grid of t2-minimized quasi-probabilities with the global minimum, the
+    seconds spent on the coarse curves and on the refinements, and the
+    refinements' evaluations, each summed over the grid's rows (over every
+    worker)."""
 
     config: ScanConfig
     axis1: np.ndarray
@@ -187,6 +198,7 @@ class ScanResult:
     global_argmin: tuple[float, float, float]  # (axis1, axis2, t2)
     coarse_s: float = 0.0
     refine_s: float = 0.0
+    refine_evals: int = 0
 
 
 def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
@@ -205,7 +217,8 @@ def _scan_row(task):
     one call (:func:`_curve_rows`), then each cell's Brent refinement on its
     own bracket.  When the row call raises, each cell is redone as a row of
     one, so that a failing cell is NaN by itself.  Returns each cell's
-    ``(q, t2, failed)`` and the row's coarse and refinement seconds."""
+    ``(q, t2, failed)``, the row's coarse and refinement seconds and its
+    refinements' evaluations."""
     config, a1, axis2 = task
     search = config.t2_search()
     start = time.perf_counter()
@@ -214,20 +227,23 @@ def _scan_row(task):
         rows = _curve_rows(curves, search.grid())
     except Exception:
         if len(axis2) == 1:
-            return [(math.nan, math.nan, True)], time.perf_counter() - start, 0.0
+            return [(math.nan, math.nan, True)], time.perf_counter() - start, 0.0, 0
         parts = [_scan_row((config, a1, axis2[j:j + 1])) for j in range(len(axis2))]
         refine = sum(part[2] for part in parts)
         return ([cell for part in parts for cell in part[0]],
-                time.perf_counter() - start - refine, refine)
+                time.perf_counter() - start - refine, refine, sum(part[3] for part in parts))
     coarse = time.perf_counter() - start
-    out = []
+    out, evals = [], 0
     for evaluator, values in zip(evaluators, rows):
+        probes = []
         try:
-            q, t2 = minimize_over_t2(evaluator, lambda _, v=values: v, search)
+            q, t2 = minimize_over_t2(lambda t, f=evaluator: probes.append(t) or f(t),
+                                     lambda _, v=values: v, search)
             out.append((q, t2 / config.omega, False))
         except Exception:
             out.append((math.nan, math.nan, True))
-    return out, coarse, time.perf_counter() - start - coarse
+        evals += len(probes)
+    return out, coarse, time.perf_counter() - start - coarse, evals
 
 
 def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
@@ -247,18 +263,20 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     t2_arg = np.full_like(q_min, math.nan)
     n_failed = 0
     coarse_s = refine_s = 0.0
+    refine_evals = 0
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             results = pool.map(_scan_row, tasks, chunksize=1)
     else:
         results = map(_scan_row, tasks)
-    for i, (cells, coarse, refine) in enumerate(results):
+    for i, (cells, coarse, refine, evals) in enumerate(results):
         for j, (q, t2, failed) in enumerate(cells):
             q_min[i, j] = q
             t2_arg[i, j] = t2
             n_failed += int(failed)
         coarse_s += coarse
         refine_s += refine
+        refine_evals += evals
 
     finite = q_min[np.isfinite(q_min)]
     if finite.size and finite.min() < LUDERS_FLOOR:
@@ -275,7 +293,7 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     return ScanResult(config=config, axis1=ax1, axis2=ax2, q_min=q_min,
                       t2_argmin=t2_arg, n_failed=n_failed,
                       global_min=gmin, global_argmin=garg,
-                      coarse_s=coarse_s, refine_s=refine_s)
+                      coarse_s=coarse_s, refine_s=refine_s, refine_evals=refine_evals)
 
 
 # ---------------------------------------------------------------------------

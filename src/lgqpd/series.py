@@ -567,15 +567,32 @@ def q_thermal_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarr
     return q[0] if one else q
 
 
-@functools.lru_cache(maxsize=1)
+#: The fixed pieces of the last thermal call that built one, by their
+#: :func:`_thermal_fixed_cut` arguments.
+_FIXED_CUTS: dict = {}
+
+
+def _thermal_fixed_cuts(cuts, w: float, m_cut: int, n_max: int) -> list:
+    """The :func:`_thermal_fixed_cut` pieces of each cut, held read-only for
+    the cuts of the last call that had to build one.  A call whose cuts are
+    all held keeps them: every t2 probe of a minimization shares its cut,
+    and each cell of a thermal scan row refines on the cut that the row's
+    batched curve built.  Holding one call's cuts keeps the
+    (m_cut + 1) x (n_max + 1) blocks from piling up at large n_max."""
+    keys = [(float(cut), w, m_cut, n_max) for cut in cuts]
+    if not all(key in _FIXED_CUTS for key in keys):
+        held = {key: _FIXED_CUTS.get(key) or _thermal_fixed_cut(*key)
+                for key in dict.fromkeys(keys)}
+        _FIXED_CUTS.clear()
+        _FIXED_CUTS.update(held)
+    return [_FIXED_CUTS[key] for key in keys]
+
+
 def _thermal_fixed_cut(cut: float, w: float, m_cut: int, n_max: int):
     """The t1-only pieces of the thermal kernel: the row J_0n(cut, inf), the
     diagonal J_mm(cut, inf) for m <= m_cut, and B_mn = w^m J_mn(cut, inf) /
     (2 (n - m)) with the m = 0 row, the n = 0 column and the diagonal zeroed,
-    and the occupation weights w^m for m = 1..m_cut.  Cached read-only,
-    because every t2 probe of a minimization shares them; one entry
-    suffices, since a minimization has one fixed cut, and keeps the
-    (m_cut + 1) x (n_max + 1) block from piling up at large n_max."""
+    and the occupation weights w^m for m = 1..m_cut, all read-only."""
     block = j_block(cut, m_cut, n_max)
     m = np.arange(m_cut + 1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -724,7 +741,7 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig):
     if point and singular:
         return (_fill_singular(block, singular, phi, _halfline, s1, s2, -a1, -a2, weight),
                 None, singular, m_cut, m_tail)
-    fixed = [_thermal_fixed_cut(float(cut), w, m_cut, n_max) for cut in np.ravel(-a1)]
+    fixed = _thermal_fixed_cuts(np.ravel(-a1), w, m_cut, n_max)
     if point:
         _, diag1, _, wm = fixed[0]
         phase_sum, s_up, diag2, terms = _thermal_point(fixed[0], -a2, phi, n_max)

@@ -9,7 +9,7 @@ import pytest
 from lgqpd.cli import main
 from lgqpd.config import ConfigError, load_scan_config, parse_scan_config
 from lgqpd.output import scan_csv_text, write_scan_outputs
-from lgqpd.scan import ScanConfig, scan_plane
+from lgqpd.scan import ScanConfig, _cell_evaluator, minimize_over_t2, scan_plane
 from lgqpd.states import n_th_from_temperature, thermal_m_cut
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
@@ -132,8 +132,23 @@ class TestOutputs:
         assert manifest["coarse_s"] == small_result.coarse_s
         assert manifest["refine_s"] == small_result.refine_s
         assert manifest["cells_per_s"] == small_result.q_min.size / 1.25
-        untimed = dataclasses.replace(small_result, coarse_s=0.0, refine_s=0.0)
+        assert manifest["refine_evals"] == small_result.refine_evals > 0
+        untimed = dataclasses.replace(small_result, coarse_s=0.0, refine_s=0.0,
+                                      refine_evals=0)
         assert scan_csv_text(untimed) == scan_csv_text(small_result)
+
+    def test_refine_evals_counts_every_cell_search(self, small_result):
+        # the total of the refinement evaluations of each cell searched alone
+        cfg = small_result.config
+        evals = 0
+        for a1 in cfg.axis1_values():
+            for a2 in cfg.axis2_values():
+                evaluator, curve = _cell_evaluator(cfg, float(a1), float(a2))
+                points = []
+                minimize_over_t2(lambda t: points.append(t) or evaluator(t), curve,
+                                 cfg.t2_search())
+                evals += len(points)
+        assert small_result.refine_evals == evals
 
 
 class TestCliEval:
@@ -283,6 +298,10 @@ class TestCliScan:
                      "--basename", "b", "--threads", "2"]) == 0
         capsys.readouterr()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # refinement evaluations are summed over the rows of every worker
+        evals = [json.loads((tmp_path / f"{name}.json").read_text())["manifest"]["refine_evals"]
+                 for name in "ab"]
+        assert evals[0] == evals[1] > 0
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,12 +1,17 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lgqpd import (IntegralInfo, OffsetFunction, OracleInfo, ScanConfig,
                    SeriesInfo, T2Search, TruncationConfig, TruncationError, global_minimize,
-                   minimize_over_t2, named_evaluator, scan, scan_plane)
+                   minimize_over_t2, named_evaluator, scan, scan_plane, series)
+from lgqpd.config import load_scan_config
 from lgqpd.output import scan_csv_text
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TWO_PI = 2 * math.pi
 
@@ -68,6 +73,41 @@ class TestMinimizeOverT2:
         f = lambda t: np.cos(t) - 0.5 * np.exp(-((t - grid[i]) / 1e-6) ** 2)
         q, t = minimize_over_t2(f, f, T2Search(0.0, TWO_PI, 50, 8))
         assert (q, t) == (float(f(grid)[i]), float(grid[i]))
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_minimum_at_either_end_costs_one_probe(self, slope):
+        # Brent never evaluates its bounds; one probe XATOL inside the window
+        # confirms a minimum at its end
+        search = T2Search(0.5, 3.0, 50, 40)
+        grid = search.grid()
+        i = 0 if slope > 0 else len(grid) - 1
+        points = []
+        q, t = minimize_over_t2(lambda t: points.append(t) or slope * t,
+                                lambda g: slope * g, search)
+        assert len(points) == 1
+        assert points[0] == pytest.approx(grid[i] + slope * scan.XATOL, abs=1e-15)
+        assert search.t2_min < points[0] < search.t2_max
+        assert (q, t) == (float(slope * grid[i]), float(grid[i]))
+
+    @pytest.mark.parametrize("end,inner", [(0, 1), (-1, -2)])
+    def test_minimum_inside_an_end_step_is_still_refined(self, end, inner):
+        # the value falls away from the end: Brent runs on the end's bracket
+        search = T2Search(0.5, 3.0, 50, 40)
+        grid = search.grid()
+        t_star = grid[end] + 0.2 * (grid[inner] - grid[end])
+        f = lambda t: (t - t_star) ** 2
+        points = []
+        q, t = minimize_over_t2(lambda t: points.append(t) or f(t), f, search)
+        assert int(np.argmin(f(grid))) == end % len(grid)
+        assert len(points) > 1
+        assert abs(t - t_star) < 1e-8 and q < f(grid[end])
+
+    def test_zero_refinement_evaluates_nothing_at_an_end(self):
+        points = []
+        search = T2Search(0.5, 3.0, 50, 0)
+        q, t = minimize_over_t2(lambda t: points.append(t) or t, lambda g: g, search)
+        assert points == []
+        assert (q, t) == (0.5, 0.5)
 
     def test_benchmark_row(self):
         evaluator, curve = named_evaluator(
@@ -396,6 +436,22 @@ class TestScanPlane:
         assert res.q_min.tobytes() == q.tobytes()
         assert res.t2_argmin.tobytes() == t2.tobytes()
 
+    @pytest.mark.parametrize("t1,builds", [(0.0, 1), (0.4, 3)])
+    def test_thermal_row_builds_each_fixed_cut_once(self, monkeypatch, t1, builds):
+        # each cell's refinement reuses the t1 cut its row's batched curve
+        # built; at t1 != 0 every cell has its own cut
+        cfg = ScanConfig(plane="x0p0", route="series", s1=-1, s2=1, t1=t1, r=0.5,
+                         n_th=1.5414940825367982, axis1_min=-2.5, axis1_steps=1,
+                         axis2_min=-2.5, axis2_max=2.5, axis2_steps=3,
+                         t2_coarse_steps=120, t2_refine_iters=30, n_max=200)
+        calls = []
+        real = series.j_block
+        monkeypatch.setattr(series, "_FIXED_CUTS", {})
+        monkeypatch.setattr(series, "j_block", lambda *a: calls.append(a) or real(*a))
+        res = scan_plane(cfg)
+        assert res.n_failed == 0 and res.refine_evals > 3
+        assert len(calls) == builds
+
     def test_failing_thermal_cell_fails_alone(self, monkeypatch):
         cfg = ScanConfig(plane="x0p0", route="series", s1=-1, s2=1, r=0.5, n_th=0.8,
                          axis1_min=0.5, axis1_steps=1,
@@ -440,6 +496,50 @@ class TestScanPlane:
         res = scan_plane(cfg)
         assert res.n_failed == 0
         assert res.global_min < -0.04  # the window family violates clearly
+
+
+class TestRefineBudget:
+    """Deterministic counts of refinement evaluations on the benchmark's grids."""
+
+    @staticmethod
+    def _scan_counting(monkeypatch, cfg):
+        """The scan of ``cfg`` and each cell's refinement evaluations."""
+        evals = {}
+        real = scan._cell_evaluator
+
+        def counting(config, a1, a2):
+            evaluator, curve = real(config, a1, a2)
+            evals[a1, a2] = 0
+
+            def probe(t2):
+                evals[a1, a2] += 1
+                return evaluator(t2)
+            return probe, curve
+
+        monkeypatch.setattr(scan, "_cell_evaluator", counting)
+        res = scan_plane(cfg)
+        assert res.n_failed == 0 and res.refine_evals == sum(evals.values())
+        return res, evals
+
+    def test_sign_grid(self, monkeypatch):
+        # the sign-scan grid: fig2a, 6 x 6 over +-2.5 (630 evaluations before
+        # minima at the window's ends were confirmed by one probe)
+        cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig2a.cfg"),
+                                  axis1_steps=6, axis2_steps=6)
+        res, evals = self._scan_counting(monkeypatch, cfg)
+        assert res.refine_evals <= 440
+        at_zero = [(a1, a2) for i, a1 in enumerate(res.axis1)
+                   for j, a2 in enumerate(res.axis2) if res.t2_argmin[i, j] == 0.0]
+        assert len(at_zero) == 8
+        assert all(evals[cell] == 1 for cell in at_zero)
+
+    def test_thermal_grid(self, monkeypatch):
+        # the thermal-scan grid: fig4_t05, 3 x 3 at temperature ratio 2 (191
+        # evaluations before)
+        cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig4_t05.cfg"),
+                                  n_th=1.0 / math.expm1(0.5), axis1_steps=3, axis2_steps=3)
+        res, _ = self._scan_counting(monkeypatch, cfg)
+        assert res.refine_evals <= 110
 
 
 class TestGlobalMinimize:
