@@ -38,8 +38,9 @@ def scan_csv_text(result: ScanResult) -> str:
 
 def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dict:
     """The run manifest.  ``coarse_s`` and ``refine_s`` sum the rows' coarse
-    curve and refinement seconds over every worker, and ``refine_evals`` the
-    refinements' evaluations; ``cells_per_s`` is the grid's cells over
+    curve and refinement seconds over every worker, ``refine_evals`` the
+    refinements' evaluator calls and ``refine_capped`` the cells whose
+    refinement hit its cap; ``cells_per_s`` is the grid's cells over
     ``wall_time_s``."""
     cfg = result.config
     cells = result.q_min.size
@@ -67,6 +68,7 @@ def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dic
         "coarse_s": result.coarse_s,
         "refine_s": result.refine_s,
         "refine_evals": result.refine_evals,
+        "refine_capped": result.refine_capped,
         "cells_per_s": cells / wall_time_s if wall_time_s > 0 else None,
         "checksums": {"csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest()},
     }

@@ -11,6 +11,7 @@ row-major order, which makes output byte-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -19,18 +20,23 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
-from scipy.optimize import minimize_scalar
 
 from .integral import _check_order, _check_pure, qpd_integral
 from .fock import _check_dim, q_oracle_curve, qpd_oracle
 from .series import (MeasurementSpec, TruncationConfig, _check_signs,
-                     _check_squeezed_vacuum, _occupation_cut, q_sign_series_curve,
-                     q_thermal_series_curve, q_window_series_curve,
+                     _check_squeezed_vacuum, _occupation_cut, q_series_slope,
+                     q_sign_series_curve, q_thermal_series_curve, q_window_series_curve,
                      qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
 from .states import OffsetFunction, StateSpec
 
-#: Absolute tolerance of the Brent refinement in t2.
+#: Absolute tolerance of the t2 refinement: it stops once its next step, or
+#: half its bracket, is below XATOL.  It is also the step of the central
+#: difference that stands in for the slope of an evaluator without one, and
+#: the distance from a window end of the probe that confirms a minimum there.
 XATOL = 1e-9
+
+#: Relative rounding of a q value, below which two values' difference is noise.
+_ROUNDING = 64 * np.finfo(float).eps
 
 LUDERS_FLOOR = -0.125 - 1e-6
 
@@ -44,8 +50,10 @@ _PARAM_NAMES = frozenset({"s1", "s2", "t1", "x0", "p0", "r", "theta0", "n_th", "
 @dataclass(frozen=True)
 class T2Search:
     """Search window for the inner t2 minimization, its coarse grid size, and
-    ``refine_iters``, the cap on the Brent refinement's evaluations (0 keeps
-    the coarse point; a cap of 1 still evaluates twice)."""
+    ``refine_iters``, the cap on the refinement's evaluator calls: a (q,
+    dq/dt2) probe is one call, a central difference two, and the probe that
+    confirms a minimum at a window end one (0 keeps the coarse point; an
+    evaluator without a slope still gets one central difference at 1)."""
 
     t2_min: float = 0.0
     t2_max: float = 2.0 * math.pi
@@ -65,41 +73,114 @@ class T2Search:
         return np.linspace(self.t2_min, self.t2_max, self.coarse_steps)
 
 
-def minimize_over_t2(evaluator, curve, search: T2Search):
+class T2Minimum(tuple):
+    """``(q_min, t2_argmin)`` of :func:`minimize_over_t2`, with the
+    refinement's evaluator calls ``evals`` and ``capped``, true when it spent
+    its ``refine_iters`` before its step fell below ``XATOL``."""
+
+    def __new__(cls, q: float, t2: float, evals: int = 0, capped: bool = False):
+        out = super().__new__(cls, (q, t2))
+        out.evals, out.capped = evals, capped
+        return out
+
+
+def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
     """Minimum of a continuous evaluator over t2: ``curve`` on the coarse grid,
-    then Brent's bounded method by ``evaluator`` on the grid bracket around
-    the best point, with at most ``max(search.refine_iters, 2)`` evaluations
-    (none for 0).  The coarse point is kept when it is still lower.
+    then a safeguarded Newton-secant search for a zero of dq/dt2 in the grid
+    bracket around the best point, within ``search.refine_iters`` evaluator
+    calls (:class:`T2Search`).  The coarse point, and every point evaluated,
+    is kept when it is the lowest.
 
-    Brent never evaluates its bounds, so a best point at either end of the
-    window is first probed once, ``XATOL`` inside it: when that probe is not
-    lower, the bracket being unimodal puts the minimum within ``XATOL`` of
-    the end, and the coarse point is returned after that one evaluation;
-    otherwise Brent runs as for an interior bracket.
+    A best point at either end of the window is first probed once, ``XATOL``
+    inside it: when that probe is not lower, the bracket being unimodal puts
+    the minimum within ``XATOL`` of the end, and the coarse point is returned
+    after that one call; otherwise the search runs as for an interior bracket.
 
-    ``evaluator`` maps one t2 to q and ``curve`` an array of t2 values to
-    their q values; a caller that has the values on ``search.grid()`` already
-    passes a curve that returns them.  Returns ``(q_min, t2_argmin)``.
+    The search starts at the vertex of the parabola through the three coarse
+    values around the best point (the bracket's midpoint when they have no
+    vertex inside it), whose curvature sets the first Newton step.  Each
+    probe shrinks the bracket by the sign of its slope; the next point is the
+    secant zero of the last two slopes, or the intersection of their tangents
+    when the values show a kink between them, and the bracket's midpoint
+    when that step leaves the bracket or a probe has no slope.  A probe
+    without a slope that is the lowest point yet ends the search: on the
+    series route that is the exact value at a commuting separation, a cusp of
+    q; a higher one shrinks the bracket to the side of the lowest point.
+
+    ``evaluator`` maps one t2 to q, and its ``slope`` attribute, when it has
+    one, maps one t2 to (q, dq/dt2 or None); an evaluator without it gets a
+    central difference of step ``XATOL``.  ``curve`` maps an array of t2
+    values to their q values; a caller that has the values on
+    ``search.grid()`` already passes a curve that returns them.
     """
     grid = search.grid()
     values = np.asarray(curve(grid), dtype=float)
-    i = int(np.nanargmin(values))
+    i, last = int(np.nanargmin(values)), len(grid) - 1
     best_q, best_t = float(values[i]), float(grid[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if search.refine_iters > 0 and hi > lo:
-        if i in (0, len(grid) - 1):
-            inside = min(best_t + XATOL, hi) if i == 0 else max(best_t - XATOL, lo)
-            if not evaluator(inside) < best_q:
-                return best_q, best_t
-        # scipy adds sqrt(eps) times |x| to the tolerance: searching the offset
-        # from lo keeps it near XATOL wherever the window lies
-        res = minimize_scalar(lambda u: evaluator(lo + u), bounds=(0.0, hi - lo),
-                              method="bounded",
-                              options={"xatol": XATOL, "maxiter": search.refine_iters})
-        if res.fun < best_q:
-            best_q, best_t = float(res.fun), float(lo + res.x)
-    return best_q, best_t
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)])
+    if search.refine_iters == 0 or not hi > lo:
+        return T2Minimum(best_q, best_t)
+    evals = 0
+    if i in (0, last):
+        inside = min(best_t + XATOL, hi) if i == 0 else max(best_t - XATOL, lo)
+        q, evals = evaluator(inside), 1
+        if not q < best_q:
+            return T2Minimum(best_q, best_t, evals)
+        best_q, best_t = q, inside
+    slope = getattr(evaluator, "slope", None)
+    cost = 1 if slope is not None else 2
+    # the parabola through the coarse values around the best point
+    x, curvature = 0.5 * (lo + hi), None
+    if last >= 2:
+        j = min(max(i, 1), last - 1)
+        step = grid[j + 1] - grid[j]
+        bend = (values[j + 1] - 2.0 * values[j] + values[j - 1]) / step ** 2
+        if bend > 0:
+            curvature = bend
+            vertex = grid[j] - (values[j + 1] - values[j - 1]) / (2.0 * step * bend)
+            if lo < vertex < hi:
+                x = float(vertex)
+    prev = None  # the last probe with a slope: (t2, q, dq/dt2)
+    while evals + cost <= max(search.refine_iters, cost):
+        if slope is not None:
+            q, d = slope(x)
+            seen = ((q, x),)
+        else:
+            x = min(max(x, lo + XATOL), hi - XATOL)
+            below, above = evaluator(x - XATOL), evaluator(x + XATOL)
+            q, d = 0.5 * (below + above), (above - below) / (2.0 * XATOL)
+            seen = ((below, x - XATOL), (above, x + XATOL))
+        evals += cost
+        lowest = best_q
+        for value, t in seen:
+            if value < best_q:
+                best_q, best_t = float(value), float(t)
+        sloped = d is not None and math.isfinite(d)
+        if best_q < lowest:
+            if not sloped or d == 0.0:
+                return T2Minimum(best_q, best_t, evals)
+            lo, hi = (lo, x) if d > 0 else (x, hi)
+        else:  # the lowest point, and so a minimum, lies on its side of x
+            lo, hi = (lo, x) if best_t < x else (x, hi)
+        nxt = None
+        if sloped:
+            if prev is not None and d != prev[2]:
+                t0, q0, d0 = prev
+                nxt = x - d * (x - t0) / (d - d0)
+                # values off the secant's quadratic model by much more than
+                # their rounding mark a kink, whose minimum is where the two
+                # tangents meet
+                off = abs(q - q0 - 0.5 * (d + d0) * (x - t0))
+                if d * d0 < 0 and off > (0.1 * abs((d - d0) * (x - t0))
+                                         + _ROUNDING * max(abs(q), abs(q0))):
+                    nxt = (q0 - q + d * x - d0 * t0) / (d - d0)
+            elif prev is None and curvature is not None:
+                nxt = x - d / curvature
+            prev = x, q, d
+        if nxt is not None and abs(nxt - x) < XATOL or hi - lo < 2.0 * XATOL:
+            return T2Minimum(best_q, best_t, evals)
+        x = nxt if nxt is not None and lo < nxt < hi else 0.5 * (lo + hi)
+    return T2Minimum(best_q, best_t, evals, True)
 
 
 @dataclass(frozen=True)
@@ -184,9 +265,10 @@ class ScanConfig:
 @dataclass(frozen=True)
 class ScanResult:
     """Grid of t2-minimized quasi-probabilities with the global minimum, the
-    seconds spent on the coarse curves and on the refinements, and the
-    refinements' evaluations, each summed over the grid's rows (over every
-    worker)."""
+    seconds spent on the coarse curves and on the refinements, the
+    refinements' evaluator calls, and ``refine_capped``, the cells whose
+    refinement spent its whole ``t2_refine_iters`` before its step fell below
+    ``XATOL``, each summed over the grid's rows (over every worker)."""
 
     config: ScanConfig
     axis1: np.ndarray
@@ -199,6 +281,7 @@ class ScanResult:
     coarse_s: float = 0.0
     refine_s: float = 0.0
     refine_evals: int = 0
+    refine_capped: int = 0
 
 
 def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
@@ -214,11 +297,12 @@ def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
 
 def _scan_row(task):
     """Minimize over t2 in the cells of one grid row: their coarse curves in
-    one call (:func:`_curve_rows`), then each cell's Brent refinement on its
-    own bracket.  When the row call raises, each cell is redone as a row of
-    one, so that a failing cell is NaN by itself.  Returns each cell's
-    ``(q, t2, failed)``, the row's coarse and refinement seconds and its
-    refinements' evaluations."""
+    one call (:func:`_curve_rows`), then each cell's refinement on its own
+    bracket (:func:`minimize_over_t2`, by the series' dq/dt2 on the series
+    route).  When the row call raises, each cell is redone as a row of one,
+    so that a failing cell is NaN by itself.  Returns each cell's ``(q, t2,
+    failed)``, the row's coarse and refinement seconds, its refinements'
+    evaluator calls and the number of them that were capped."""
     config, a1, axis2 = task
     search = config.t2_search()
     start = time.perf_counter()
@@ -227,23 +311,23 @@ def _scan_row(task):
         rows = _curve_rows(curves, search.grid())
     except Exception:
         if len(axis2) == 1:
-            return [(math.nan, math.nan, True)], time.perf_counter() - start, 0.0, 0
+            return [(math.nan, math.nan, True)], time.perf_counter() - start, 0.0, 0, 0
         parts = [_scan_row((config, a1, axis2[j:j + 1])) for j in range(len(axis2))]
         refine = sum(part[2] for part in parts)
         return ([cell for part in parts for cell in part[0]],
-                time.perf_counter() - start - refine, refine, sum(part[3] for part in parts))
+                time.perf_counter() - start - refine, refine, sum(part[3] for part in parts),
+                sum(part[4] for part in parts))
     coarse = time.perf_counter() - start
-    out, evals = [], 0
+    out, evals, capped = [], 0, 0
     for evaluator, values in zip(evaluators, rows):
-        probes = []
         try:
-            q, t2 = minimize_over_t2(lambda t, f=evaluator: probes.append(t) or f(t),
-                                     lambda _, v=values: v, search)
-            out.append((q, t2 / config.omega, False))
+            found = minimize_over_t2(evaluator, lambda _, v=values: v, search)
+            out.append((found[0], found[1] / config.omega, False))
+            evals += found.evals
+            capped += found.capped
         except Exception:
             out.append((math.nan, math.nan, True))
-        evals += len(probes)
-    return out, coarse, time.perf_counter() - start - coarse, evals
+    return out, coarse, time.perf_counter() - start - coarse, evals, capped
 
 
 def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
@@ -263,13 +347,13 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     t2_arg = np.full_like(q_min, math.nan)
     n_failed = 0
     coarse_s = refine_s = 0.0
-    refine_evals = 0
+    refine_evals = refine_capped = 0
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             results = pool.map(_scan_row, tasks, chunksize=1)
     else:
         results = map(_scan_row, tasks)
-    for i, (cells, coarse, refine, evals) in enumerate(results):
+    for i, (cells, coarse, refine, evals, capped) in enumerate(results):
         for j, (q, t2, failed) in enumerate(cells):
             q_min[i, j] = q
             t2_arg[i, j] = t2
@@ -277,6 +361,7 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
         coarse_s += coarse
         refine_s += refine
         refine_evals += evals
+        refine_capped += capped
 
     finite = q_min[np.isfinite(q_min)]
     if finite.size and finite.min() < LUDERS_FLOOR:
@@ -293,7 +378,8 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     return ScanResult(config=config, axis1=ax1, axis2=ax2, q_min=q_min,
                       t2_argmin=t2_arg, n_failed=n_failed,
                       global_min=gmin, global_argmin=garg,
-                      coarse_s=coarse_s, refine_s=refine_s, refine_evals=refine_evals)
+                      coarse_s=coarse_s, refine_s=refine_s, refine_evals=refine_evals,
+                      refine_capped=refine_capped)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +411,11 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
 
     ``free`` maps parameter names from {x0, p0, r, L, t2} to (lo, hi) bounds
     with hi > lo; it must hold t2 and at least one other name, and a pinned
-    value goes in ``fixed``.  t2 is minimized by the inner coarse-plus-Brent
-    search of :func:`minimize_over_t2`, with at most ``t2_refine`` Brent
-    evaluations per search; the other parameters go through a
+    value goes in ``fixed``.  t2 is minimized by the inner search of
+    :func:`minimize_over_t2`, a coarse grid and then a Newton-secant
+    refinement on dq/dt2 (the series' exact slope, a central difference on
+    the other routes), with at most ``t2_refine`` evaluator calls per search;
+    the other parameters go through a
     coarse grid followed by Nelder-Mead polish from the best ``n_starts``
     grid points.  The coarse grid's t2 curves are evaluated in one call
     (:func:`_curve_rows`: one batched kernel call on the series route);
@@ -416,8 +504,10 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
     curve)``: ``evaluator(t2, with_info=False)`` is q at one t2, or ``(q,
     info)`` with the route's diagnostics record (``SeriesInfo``,
     ``IntegralInfo`` or ``OracleInfo``), and ``curve(t2_grid)`` is q over an
-    array of t2.  The integral curve maps the evaluator over the grid;
-    ``n_max`` is the series truncation.
+    array of t2.  A series evaluator also has ``slope(t2)``, its (q, dq/dt2)
+    from :func:`q_series_slope`, which :func:`minimize_over_t2` refines with;
+    the integral and oracle evaluators have none.  The integral curve maps
+    the evaluator over the grid; ``n_max`` is the series truncation.
 
     Raises ValueError for an unknown parameter name, an out-of-range
     ``n_max``, ``quad_order`` or ``oracle_dim`` (each is checked whichever
@@ -451,8 +541,9 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
         _check_squeezed_vacuum(state)
         half = float(meas.window_halfwidth)
         if route == "series":
-            return (lambda t2, with_info=False: qpd_series_window(
+            return (_with_slope(lambda t2, with_info=False: qpd_series_window(
                         state, half, s1, s2, t1, t2, trunc, with_info),
+                        state, s1, s2, t1, trunc, half),
                     _SeriesCurve(q_window_series_curve, (state, half), (s1, s2, t1), n_max))
     elif route == "series":
         if not meas.offset.is_zero:
@@ -460,11 +551,11 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
                              "use the integral or oracle route")
         if state.n_th > 0:
             _occupation_cut(state.n_th, n_max)
-            return (lambda t2, with_info=False: qpd_series_thermal(
-                        state, s1, s2, t1, t2, trunc, with_info),
+            return (_with_slope(lambda t2, with_info=False: qpd_series_thermal(
+                        state, s1, s2, t1, t2, trunc, with_info), state, s1, s2, t1, trunc),
                     _SeriesCurve(q_thermal_series_curve, (state,), (s1, s2, t1), n_max))
-        return (lambda t2, with_info=False: qpd_series_squeezed(
-                    state, s1, s2, t1, t2, trunc, with_info),
+        return (_with_slope(lambda t2, with_info=False: qpd_series_squeezed(
+                    state, s1, s2, t1, t2, trunc, with_info), state, s1, s2, t1, trunc),
                 _SeriesCurve(q_sign_series_curve, (state,), (s1, s2, t1), n_max))
     elif route == "integral":
         _check_pure(state)
@@ -474,6 +565,14 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
     return (lambda t2, with_info=False: qpd_oracle(
                 state, meas, s1, s2, t1, t2, dim, with_info),
             lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim))
+
+
+def _with_slope(evaluator, state, s1, s2, t1, trunc, half_width=None):
+    """A series ``evaluator`` with its ``slope``, the (q, dq/dt2) call of
+    :func:`q_series_slope` that :func:`minimize_over_t2` refines with."""
+    evaluator.slope = functools.partial(q_series_slope, state, s1, s2, t1, trunc=trunc,
+                                        half_width=half_width)
+    return evaluator
 
 
 def _whole(name: str, value) -> int:

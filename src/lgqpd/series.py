@@ -41,13 +41,15 @@ from .errors import TruncationError, TruncationWarning
 from .matrix_elements import j_block, j_diag_row, j_row, ladder_diagonal, lowered
 from .special import (_check_n_cap, _euler_weights, _psi_blocks, _sqrt_2n,
                       averaged_partial_sum, psi_rows)
-from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_of,
-                     phase_beta_of, thermal_m_cut, x_xi_of)
+from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_dot, lambda_of,
+                     phase_beta_dot, phase_beta_of, thermal_m_cut, x_xi_dot, x_xi_of)
 
 #: |sin(total phase)| below which the exact completeness branch is used.
 SINGULAR_PHASE_TOL = 1e-9
 
 _INF = math.inf
+#: 2/sqrt(pi), the factor of d erf(x)/dx = 2/sqrt(pi) exp(-x^2).
+_ERF_SLOPE = 2.0 / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -378,8 +380,9 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int) -> np.ndarray:
     return euler.total
 
 
-def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int):
-    """Summation core of the pure kernels: (q, terms, singular) with q =
+def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int,
+            rates=None):
+    """Summation core of the pure kernels: (q, terms, singular, slope) with q =
     block + s1 s2 sum_n cos(n phi) row1_n row2_n, the rows :func:`j_row` at
     the cuts, or :func:`_window_row` for a ``window``, and singular phases
     overwritten by completeness over the outcome regions.
@@ -387,7 +390,13 @@ def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int):
     One point has float ``block``, ``phi``, ``cut1`` and ``cut2``; it takes
     the memoized scalar rows and returns its ``terms`` for the tail estimate,
     or None when its phase is singular, whose rows are then not built (a t2
-    search closing in on a commuting separation).  A batch of C columns
+    search closing in on a commuting separation).  Given ``rates``, the t2
+    derivatives (block', phi', cut2') of its inputs, it also returns dq/dt2,
+    the Euler sum of the term derivatives in a sum of their own, so that q is
+    the value-only q bit for bit; d row2_n/dcut2 is -psi_0 psi_n (doubled at
+    even n and 0 at odd n for a window), psi_n being the row after the last
+    one that row2 reads.  ``slope`` is None otherwise, and at a singular
+    phase, whose completeness value has no slope.  A batch of C columns
     sharing K values of t2 has ``cut1`` of shape (C, 1), ``block`` and
     ``cut2`` (C, K), and ``phi`` (K,) or (C, K); its sums stream through
     :func:`_phase_sums`, and ``terms`` is None.
@@ -397,11 +406,23 @@ def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int):
     if np.ndim(block) == 0:
         if singular:
             return (_fill_singular(block, singular, phi, region, s1, s2, cut1, cut2,
-                                   _ground_weight), None, singular)
+                                   _ground_weight), None, singular, None)
         row = _window_row if window else j_row
-        terms = (np.cos(np.arange(1, n_max + 1) * phi) * row(cut1, n_max)[1:]
-                 * row(cut2, n_max)[1:])
-        return block + s1 * s2 * averaged_partial_sum(terms), terms, singular
+        n = np.arange(1, n_max + 1)
+        row1, row2 = row(cut1, n_max)[1:], row(cut2, n_max)[1:]
+        angle = n * phi
+        cos = np.cos(angle)
+        terms = cos * row1 * row2
+        q = block + s1 * s2 * averaged_partial_sum(terms)
+        if rates is None:
+            return q, terms, singular, None
+        dblock, dphi, dcut = rates
+        psi = psi_rows(cut2, n_max)
+        drow2 = (-2.0 if window else -1.0) * dcut * float(psi[0]) * psi[1:]
+        if window:
+            drow2[0::2] = 0.0
+        dterms = row1 * (cos * drow2 - dphi * n * np.sin(angle) * row2)
+        return q, terms, singular, dblock + s1 * s2 * averaged_partial_sum(dterms)
     q = block
     if n_max >= 1 and not singular.all():
         q = block + s1 * s2 * _phase_sums(window, cut1, cut2, phi, n_max)
@@ -411,7 +432,7 @@ def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int):
             pick = (col,) * (np.ndim(phi) - 1)
             q[col] = _fill_singular(q[col], singular[pick], phi[pick], region, s1, s2,
                                     float(cut1[col, 0]), cut2[col], _ground_weight)
-    return q, None, singular
+    return q, None, singular, None
 
 
 def _columns(state, t1: float, t2):
@@ -433,21 +454,43 @@ def _each(state) -> list:
     return [state] if isinstance(state, StateSpec) else state
 
 
-def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int):
+def _t2_rates(state: StateSpec, t2: float):
+    """phi'(t2) = 1 + beta'(t2) and lambda'(t2), the closed forms of
+    :mod:`states`, for the slope of a point."""
+    return (1.0 + phase_beta_dot(t2, state.r, state.theta0),
+            lambda_dot(t2, state.r, state.theta0))
+
+
+def _erf_rates(state: StateSpec, s1: int, s2: int, t2: float, lam2: float, a1: float,
+               a2: float):
+    """The rates (block', phi', cut2') of the sign and thermal kernels' point,
+    whose block is (1 + s1 erf a1)(1 + s2 erf a2)/4 and whose cut2 is -a2,
+    with a2' = (x_xi' - a2 lambda') / lambda."""
+    dphi, dlam2 = _t2_rates(state, t2)
+    da2 = (x_xi_dot(t2, state.xi) - a2 * dlam2) / lam2
+    dblock = 0.25 * (1.0 + s1 * _sp.erf(a1)) * s2 * _ERF_SLOPE * math.exp(-a2 * a2) * da2
+    return dblock, dphi, -da2
+
+
+def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool = False):
     """Pure-state sign-projector kernel, as :func:`_q_pure`: at a float t2,
-    one point; over a t2 array, a batch of the listed states (or of one)."""
+    one point, with its slope when asked; over a t2 array, a batch of the
+    listed states (or of one)."""
     _check_signs(s1, s2)
     if any(s.n_th != 0 for s in _each(state)):
         raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
-    _, _, a1, a2, phi = _columns(state, t1, t2)
+    _, lam2, a1, a2, phi = _columns(state, t1, t2)
     block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
-    return _q_pure(block, phi, s1, s2, False, -a1, -a2, n_max)
+    rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
+    return _q_pure(block, phi, s1, s2, False, -a1, -a2, n_max, rates)
 
 
-def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int):
+def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int,
+              slope: bool = False):
     """Squeezed-vacuum window-projector kernel, as :func:`_q_sign`; a batch
     of listed states takes its half-widths with shape (C, 1).  The cuts
-    +/- L/lambda(t_i) enter through the window rows."""
+    +/- L/lambda(t_i) enter through the window rows, and h2' = -h2 lambda' /
+    lambda."""
     _check_signs(s1, s2)
     for s in _each(state):
         _check_squeezed_vacuum(s)
@@ -457,7 +500,13 @@ def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int):
     h1, h2 = half_width / lam1, half_width / lam2
     qbar1, qbar2 = 1.0 - 2.0 * _sp.erf(h1), 1.0 - 2.0 * _sp.erf(h2)
     block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-    return _q_pure(block, phi, s1, s2, True, h1, h2, n_max)
+    rates = None
+    if slope:
+        dphi, dlam2 = _t2_rates(state, t2)
+        dh2 = -h2 * dlam2 / lam2
+        dblock = 0.25 * (1.0 + s1 * qbar1) * s2 * -2.0 * _ERF_SLOPE * math.exp(-h2 * h2) * dh2
+        rates = dblock, dphi, dh2
+    return _q_pure(block, phi, s1, s2, True, h1, h2, n_max, rates)
 
 
 def _point(q, terms, singular, with_info: bool, **occupation):
@@ -480,7 +529,7 @@ def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float
     and are reported honestly through a large bound.
     """
     trunc = trunc or DEFAULT_TRUNCATION
-    return _point(*_q_sign(state, s1, s2, t1, float(t2), trunc.n_max), with_info)
+    return _point(*_q_sign(state, s1, s2, t1, float(t2), trunc.n_max)[:3], with_info)
 
 
 def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
@@ -493,7 +542,7 @@ def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
     parity, so the result is periodic in t2 with period pi.
     """
     trunc = trunc or DEFAULT_TRUNCATION
-    return _point(*_q_window(state, half_width, s1, s2, t1, float(t2), trunc.n_max),
+    return _point(*_q_window(state, half_width, s1, s2, t1, float(t2), trunc.n_max)[:3],
                   with_info)
 
 
@@ -538,9 +587,26 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
     """
     if state.n_th == 0:
         return qpd_series_squeezed(state, s1, s2, t1, t2, trunc, with_info)
-    q, terms, singular, m_cut, m_tail = _q_thermal(
+    q, terms, singular, m_cut, m_tail, _ = _q_thermal(
         state, s1, s2, t1, float(t2), trunc or DEFAULT_TRUNCATION)
     return _point(q, terms, singular, with_info, m_used=m_cut, m_tail=m_tail)
+
+
+def q_series_slope(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
+                   trunc: TruncationConfig, half_width: float | None = None):
+    """(q, dq/dt2) of one series point: the window kernel given a
+    ``half_width``, else the thermal kernel when n_th > 0 and the sign kernel
+    otherwise.  q equals the kernel's value-only call bit for bit, and dq is
+    the exact t2 derivative of its truncated, Euler-averaged sum, or None at
+    a singular phase, whose completeness value has no slope."""
+    t2 = float(t2)
+    if half_width is not None:
+        out = _q_window(state, half_width, s1, s2, t1, t2, trunc.n_max, slope=True)
+    elif state.n_th > 0:
+        out = _q_thermal(state, s1, s2, t1, t2, trunc, slope=True)
+    else:
+        out = _q_sign(state, s1, s2, t1, t2, trunc.n_max, slope=True)
+    return float(out[0]), None if out[-1] is None else float(out[-1])
 
 
 def q_thermal_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
@@ -590,16 +656,19 @@ def _thermal_fixed_cuts(cuts, w: float, m_cut: int, n_max: int) -> list:
 
 def _thermal_fixed_cut(cut: float, w: float, m_cut: int, n_max: int):
     """The t1-only pieces of the thermal kernel: the row J_0n(cut, inf), the
-    diagonal J_mm(cut, inf) for m <= m_cut, and B_mn = w^m J_mn(cut, inf) /
-    (2 (n - m)) with the m = 0 row, the n = 0 column and the diagonal zeroed,
-    and the occupation weights w^m for m = 1..m_cut, all read-only."""
+    diagonal J_mm(cut, inf) for m <= m_cut, B_mn = w^m J_mn(cut, inf) /
+    (2 (n - m)), the occupation weights w^m for m = 1..m_cut, and G_mn = w^m
+    J_mn(cut, inf), which the slope of a point reads; B and G have the m = 0
+    row, the n = 0 column and the diagonal zeroed, and all are read-only."""
     block = j_block(cut, m_cut, n_max)
     m = np.arange(m_cut + 1)[:, None]
+    g = w ** m * block
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = w ** m * block / (2.0 * (np.arange(n_max + 1) - m))
-    b[0] = b[:, 0] = 0.0
-    np.fill_diagonal(b, 0.0)
-    out = (block[0].copy(), np.diagonal(block).copy(), b, w ** np.arange(1, m_cut + 1))
+        b = g / (2.0 * (np.arange(n_max + 1) - m))
+    for arr in (b, g):
+        arr[0] = arr[:, 0] = 0.0
+        np.fill_diagonal(arr, 0.0)
+    out = (block[0].copy(), np.diagonal(block).copy(), b, w ** np.arange(1, m_cut + 1), g)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -621,22 +690,42 @@ def _thermal_terms(cos, sin, psi, low, row2, row1, c):
                                 + sin * (low * c[2] - psi * c[3]))
 
 
-def _thermal_point(fixed, cut2: float, phi: float, n_max: int):
-    """(phase_sum, s_up, diag2, terms) of one thermal point, on plain rows of
-    length n_max + 1: the memoized scalar eigenfunctions at cut2, and the
-    mixed family as one product of B^T with the (m_cut + 1) x 4 factors."""
-    row1, _, b, wm = fixed
+def _thermal_point(fixed, cut2: float, phi: float, n_max: int, rates=None):
+    """(phase_sum, s_up, diag2, terms, slopes) of one thermal point, on plain
+    rows of length n_max + 1: the memoized scalar eigenfunctions at cut2, and
+    the mixed family as one product of B^T with the (m_cut + 1) x 4 factors.
+
+    Given ``rates``, the t2 derivatives (phi', cut2'), ``slopes`` holds the
+    t2 derivatives of the first three, else it is None.  They read the same
+    rows: d J_mn(cut2)/dcut2 = -psi_m psi_n, and in the mixed family's phase
+    derivative the factor (m - n) cancels B's 1 / (2 (n - m)), leaving one
+    product of G^T with the same four factors."""
+    row1, _, b, wm, g = fixed
     m1 = len(wm) + 1
     psi = psi_rows(cut2, n_max)
     low = lowered(psi)
     angle = np.arange(n_max + 1) * phi
     cos, sin = np.cos(angle), np.sin(angle)
-    c = b.T @ np.stack(_mixed_factors(cos[:m1], sin[:m1], psi[:m1], low[:m1]), axis=1)
+    factors = np.stack(_mixed_factors(cos[:m1], sin[:m1], psi[:m1], low[:m1]), axis=1)
+    c = b.T @ factors
     # J_0n(cut2) = psi_0 psi_{n-1} / sqrt(2n) for n >= 1, as in j_row
     row2 = psi[0] * psi[:-1] / _sqrt_2n(n_max)[1:]
     terms = _thermal_terms(cos[1:], sin[1:], psi[1:], low[1:], row2, row1[1:], c[1:].T)
     s_up = (wm * cos[1:m1] * row2[:m1 - 1] * row1[1:m1]).sum(axis=0)
-    return averaged_partial_sum(terms), s_up, ladder_diagonal(cut2, psi[:m1]), terms
+    diag2 = ladder_diagonal(cut2, psi[:m1])
+    if rates is None:
+        return averaged_partial_sum(terms), s_up, diag2, terms, None
+    dphi, dcut = rates
+    cn, sn, p, lo = cos[1:], sin[1:], psi[1:], low[1:]
+    d = (g.T @ factors)[1:].T
+    # the n >= 1 terms of the m = 0 family, cos(n phi) J_0n(cut1) J_0n(cut2)
+    dpure = (cn * row1[1:] * (-dcut * psi[0] * p)
+             - dphi * np.arange(1, n_max + 1) * sn * row2 * row1[1:])
+    dterms = (dpure + 0.5 * dphi * (cn * (lo * d[2] - p * d[3]) - sn * (lo * d[0] - p * d[1]))
+              - dcut * p * (cn * d[0] + sn * d[2]))
+    slopes = (averaged_partial_sum(dterms), (wm * dpure[:m1 - 1]).sum(),
+              -dcut * psi[:m1] ** 2)
+    return averaged_partial_sum(terms), s_up, diag2, terms, slopes
 
 
 def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):
@@ -699,13 +788,16 @@ def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):
     return euler.total, s_up, diag2
 
 
-def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig):
-    """Thermal kernel: (q, terms, singular, m_cut, m_tail), the occupation
+def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig,
+               slope: bool = False):
+    """Thermal kernel: (q, terms, singular, m_cut, m_tail, dq), the occupation
     sum cut at m_cut with remainder m_tail.  At a float t2, one point
     (:func:`_thermal_point`), whose eigenbasis ``terms`` feed the tail
-    estimate (None at a singular phase, whose rows are not built); over a t2
-    array, a batch of the listed states (or of one), which share n_th, from
-    one stream (:func:`_thermal_stream`), and ``terms`` is None.
+    estimate (None at a singular phase, whose rows are not built), with its
+    slope ``dq`` when asked, as for :func:`_q_pure`; over a t2 array, a batch
+    of the listed states (or of one), which share n_th, from one stream
+    (:func:`_thermal_stream`), and ``terms`` is None.  ``dq`` is None when
+    not asked and at a singular phase.
 
     The mixed-phase family sum_m w^m cos((m-n) phi) J_mn(-a1) J_mn(-a2)
     takes J_mn(-a2) in its rank-2 Wronskian form and cos((m-n) phi) as
@@ -729,7 +821,7 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig):
             f"{m_tail:.3e} > tail_tol={trunc.tail_tol:.1e}",
             TruncationWarning, stacklevel=3)
 
-    _, _, a1, a2, phi = _columns(state, t1, t2)
+    _, lam2, a1, a2, phi = _columns(state, t1, t2)
     block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
 
@@ -740,11 +832,13 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig):
     point = np.ndim(t2) == 0
     if point and singular:
         return (_fill_singular(block, singular, phi, _halfline, s1, s2, -a1, -a2, weight),
-                None, singular, m_cut, m_tail)
+                None, singular, m_cut, m_tail, None)
     fixed = _thermal_fixed_cuts(np.ravel(-a1), w, m_cut, n_max)
     if point:
-        _, diag1, _, wm = fixed[0]
-        phase_sum, s_up, diag2, terms = _thermal_point(fixed[0], -a2, phi, n_max)
+        _, diag1, _, wm, _ = fixed[0]
+        rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
+        phase_sum, s_up, diag2, terms, slopes = _thermal_point(
+            fixed[0], -a2, phi, n_max, None if rates is None else rates[1:])
     else:
         # one fixed cut per column, since t1 != 0 moves each state's cut, or
         # one for the batch
@@ -759,10 +853,16 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig):
     ee = (wm * k2[1:] * k1[1:]).sum(axis=0)
     q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
     if point:
-        return q, terms, singular, m_cut, m_tail
+        dq = None
+        if slopes is not None:
+            dphase, ds_up, ddiag2 = slopes
+            dk2 = ddiag2 if s2 == 1 else -ddiag2
+            dq = (rates[0] + s1 * s2 * (dphase + ds_up)
+                  + (wm * dk2[1:] * k1[1:]).sum()) / (1.0 + n_th)
+        return q, terms, singular, m_cut, m_tail, dq
     if singular.any():
         for col in range(q.shape[0]):
             pick = (col,) * (np.ndim(phi) - 1)
             q[col] = _fill_singular(q[col], singular[pick], phi[pick], _halfline, s1, s2,
                                     float(-a1[col, 0]), -a2[col], weight)
-    return q, terms, singular, m_cut, m_tail
+    return q, terms, singular, m_cut, m_tail, None

@@ -159,6 +159,23 @@ def x_xi_of(t, xi: complex):
     return SQRT2 * (xi.real * np.cos(t) + xi.imag * np.sin(t))
 
 
+def lambda_dot(t, r: float, theta0: float):
+    """d lambda/dt = -sinh(2r) sin(2t - theta0) / lambda(t)."""
+    return -math.sinh(2 * r) * np.sin(2 * t - theta0) / lambda_of(t, r, theta0)
+
+
+def phase_beta_dot(t, r: float, theta0: float):
+    """d beta/dt = 2 cosh(r) A(t) / lambda(t)^2 - 2, with A(t) as in
+    :func:`phase_beta_of`, whose A^2 + B^2 is lambda(t)^2."""
+    a = math.cosh(r) + np.cos(theta0 - 2 * t) * math.sinh(r)
+    return 2.0 * math.cosh(r) * a / lambda_of(t, r, theta0) ** 2 - 2.0
+
+
+def x_xi_dot(t, xi: complex):
+    """d x_xi/dt = p0 cos t - x0 sin t."""
+    return SQRT2 * (xi.imag * np.cos(t) - xi.real * np.sin(t))
+
+
 def reduce_squeezed_to_coherent(spec: StateSpec):
     """Coherent-state parameters reproducing a squeezed-state correlator.
 

@@ -133,8 +133,9 @@ class TestOutputs:
         assert manifest["refine_s"] == small_result.refine_s
         assert manifest["cells_per_s"] == small_result.q_min.size / 1.25
         assert manifest["refine_evals"] == small_result.refine_evals > 0
+        assert manifest["refine_capped"] == small_result.refine_capped
         untimed = dataclasses.replace(small_result, coarse_s=0.0, refine_s=0.0,
-                                      refine_evals=0)
+                                      refine_evals=0, refine_capped=7)
         assert scan_csv_text(untimed) == scan_csv_text(small_result)
 
     def test_refine_evals_counts_every_cell_search(self, small_result):
@@ -145,8 +146,9 @@ class TestOutputs:
             for a2 in cfg.axis2_values():
                 evaluator, curve = _cell_evaluator(cfg, float(a1), float(a2))
                 points = []
-                minimize_over_t2(lambda t: points.append(t) or evaluator(t), curve,
-                                 cfg.t2_search())
+                counted = lambda t: points.append(t) or evaluator(t)
+                counted.slope = lambda t: points.append(t) or evaluator.slope(t)
+                minimize_over_t2(counted, curve, cfg.t2_search())
                 evals += len(points)
         assert small_result.refine_evals == evals
 
@@ -299,9 +301,10 @@ class TestCliScan:
         capsys.readouterr()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         # refinement evaluations are summed over the rows of every worker
-        evals = [json.loads((tmp_path / f"{name}.json").read_text())["manifest"]["refine_evals"]
-                 for name in "ab"]
-        assert evals[0] == evals[1] > 0
+        manifests = [json.loads((tmp_path / f"{name}.json").read_text())["manifest"]
+                     for name in "ab"]
+        assert manifests[0]["refine_evals"] == manifests[1]["refine_evals"] > 0
+        assert manifests[0]["refine_capped"] == manifests[1]["refine_capped"]
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -42,7 +42,7 @@ class TestMinimizeOverT2:
                                     T2Search(0.0, TWO_PI, 50, refine_iters))
             assert len(grids) == 1
             assert np.array_equal(grids[0], grid)
-            # Brent's evaluation cap, of which scipy spends at least 2
+            # the evaluation cap; a central difference spends 2 at least
             assert 0 < len(points) <= max(refine_iters, 2)
             assert all(grid[i - 1] <= t <= grid[i + 1] for t in points)
             assert q <= np.cos(grid).min()
@@ -67,7 +67,7 @@ class TestMinimizeOverT2:
         assert (q, t) == (float(np.cos(grid[i])), float(grid[i]))
 
     def test_keeps_a_coarse_point_lower_than_the_refinement(self):
-        # a dip too narrow for Brent to find sits on the best grid point
+        # a dip too narrow for the refinement to find sits on the best grid point
         grid = np.linspace(0.0, TWO_PI, 50)
         i = int(np.argmin(np.cos(grid)))
         f = lambda t: np.cos(t) - 0.5 * np.exp(-((t - grid[i]) / 1e-6) ** 2)
@@ -76,8 +76,8 @@ class TestMinimizeOverT2:
 
     @pytest.mark.parametrize("slope", [1.0, -1.0])
     def test_minimum_at_either_end_costs_one_probe(self, slope):
-        # Brent never evaluates its bounds; one probe XATOL inside the window
-        # confirms a minimum at its end
+        # the refinement never evaluates its bracket's ends; one probe XATOL
+        # inside the window confirms a minimum at its end
         search = T2Search(0.5, 3.0, 50, 40)
         grid = search.grid()
         i = 0 if slope > 0 else len(grid) - 1
@@ -91,7 +91,7 @@ class TestMinimizeOverT2:
 
     @pytest.mark.parametrize("end,inner", [(0, 1), (-1, -2)])
     def test_minimum_inside_an_end_step_is_still_refined(self, end, inner):
-        # the value falls away from the end: Brent runs on the end's bracket
+        # the value falls away from the end: the search runs on the end's bracket
         search = T2Search(0.5, 3.0, 50, 40)
         grid = search.grid()
         t_star = grid[end] + 0.2 * (grid[inner] - grid[end])
@@ -108,6 +108,50 @@ class TestMinimizeOverT2:
         q, t = minimize_over_t2(lambda t: points.append(t) or t, lambda g: g, search)
         assert points == []
         assert (q, t) == (0.5, 0.5)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_nan_beside_the_best_point_still_refines(self, side):
+        # no parabola through the coarse values: the search starts at the
+        # bracket's midpoint, the best grid point, and still finds the minimum
+        search = T2Search(0.0, TWO_PI, 50, 40)
+        grid = search.grid()
+        i = int(np.argmin(np.cos(grid)))
+        values = np.cos(grid)
+        values[i + side] = math.nan
+        points = []
+        evaluator = lambda t: points.append(t) or math.cos(t)
+        q, t = minimize_over_t2(evaluator, lambda _: values, search)
+        assert points[:2] == [grid[i] - scan.XATOL, grid[i] + scan.XATOL]
+        assert q == pytest.approx(-1.0, abs=1e-15) and t == pytest.approx(math.pi, abs=1e-7)
+
+    def test_slope_probe_counts_once(self):
+        # an evaluator with a slope is refined by (q, dq/dt2) probes, each one
+        # evaluation, down to a step below XATOL
+        calls = []
+        evaluator = lambda t: math.cos(t)
+        evaluator.slope = lambda t: calls.append(t) or (math.cos(t), -math.sin(t))
+        found = minimize_over_t2(evaluator, np.cos, T2Search(0.0, TWO_PI, 50, 40))
+        assert found.evals == len(calls) <= 5 and not found.capped
+        assert found[1] == pytest.approx(math.pi, abs=1e-9)
+
+    def test_lowest_probe_without_a_slope_ends_the_search(self):
+        # a cusp whose own value is exact (a commuting separation on the
+        # series route) has no slope; once it is the lowest point the search
+        # stops there
+        t_star = 1.2345678
+        f = lambda t: 0.0 if abs(t - t_star) < 1e-3 else 1.0 + abs(t - t_star)
+        evaluator = lambda t: f(t)
+        evaluator.slope = lambda t: (f(t), None if f(t) == 0.0 else math.copysign(1.0, t - t_star))
+        found = minimize_over_t2(evaluator, np.vectorize(f), T2Search(0.0, TWO_PI, 200, 40))
+        assert found[0] == 0.0 and abs(found[1] - t_star) < 1e-3 and not found.capped
+
+    def test_capped_when_the_cap_is_spent(self):
+        evaluator = lambda t: math.cos(t)
+        evaluator.slope = lambda t: (math.cos(t), -math.sin(t))
+        search = T2Search(0.5, TWO_PI, 50, 1)
+        assert minimize_over_t2(evaluator, np.cos, search).capped
+        assert not minimize_over_t2(evaluator, np.cos, dataclasses.replace(
+            search, refine_iters=40)).capped
 
     def test_benchmark_row(self):
         evaluator, curve = named_evaluator(
@@ -503,7 +547,8 @@ class TestRefineBudget:
 
     @staticmethod
     def _scan_counting(monkeypatch, cfg):
-        """The scan of ``cfg`` and each cell's refinement evaluations."""
+        """The scan of ``cfg`` and each cell's refinement evaluations, a (q,
+        dq/dt2) probe counting as one."""
         evals = {}
         real = scan._cell_evaluator
 
@@ -514,6 +559,11 @@ class TestRefineBudget:
             def probe(t2):
                 evals[a1, a2] += 1
                 return evaluator(t2)
+
+            def slope(t2):
+                evals[a1, a2] += 1
+                return evaluator.slope(t2)
+            probe.slope = slope
             return probe, curve
 
         monkeypatch.setattr(scan, "_cell_evaluator", counting)
@@ -523,11 +573,13 @@ class TestRefineBudget:
 
     def test_sign_grid(self, monkeypatch):
         # the sign-scan grid: fig2a, 6 x 6 over +-2.5 (630 evaluations before
-        # minima at the window's ends were confirmed by one probe)
+        # minima at the window's ends were confirmed by one probe, and 434
+        # with Brent's value-only refinement; 139 now)
         cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig2a.cfg"),
                                   axis1_steps=6, axis2_steps=6)
         res, evals = self._scan_counting(monkeypatch, cfg)
-        assert res.refine_evals <= 440
+        assert res.refine_evals <= 150
+        assert res.refine_capped == 0
         at_zero = [(a1, a2) for i, a1 in enumerate(res.axis1)
                    for j, a2 in enumerate(res.axis2) if res.t2_argmin[i, j] == 0.0]
         assert len(at_zero) == 8
@@ -535,11 +587,38 @@ class TestRefineBudget:
 
     def test_thermal_grid(self, monkeypatch):
         # the thermal-scan grid: fig4_t05, 3 x 3 at temperature ratio 2 (191
-        # evaluations before)
+        # evaluations before the end-of-window probe, 104 with Brent; 37 now)
         cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig4_t05.cfg"),
                                   n_th=1.0 / math.expm1(0.5), axis1_steps=3, axis2_steps=3)
         res, _ = self._scan_counting(monkeypatch, cfg)
-        assert res.refine_evals <= 110
+        assert res.refine_evals <= 40
+
+    def test_cusp_grid(self, monkeypatch):
+        # fig2c, 11 x 11: its p0 = 0 row has cusps at the commuting separation
+        # t2 = pi inside the window (1928 evaluations with Brent; 505 now)
+        cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig2c.cfg"),
+                                  axis1_steps=11, axis2_steps=11)
+        res, _ = self._scan_counting(monkeypatch, cfg)
+        assert res.refine_evals <= 550
+        assert res.refine_capped == 0
+
+    def test_capped_cells_are_counted(self):
+        cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig2a.cfg"),
+                                  axis1_steps=6, axis2_steps=6, t2_refine_iters=2)
+        res = scan_plane(cfg)
+        # the 8 cells whose minimum is at t2 = 0 stop after their one end probe
+        assert 0 < res.refine_capped <= res.q_min.size - 8
+        assert res.refine_capped == scan_plane(cfg, workers=2).refine_capped
+
+    @pytest.mark.parametrize("name,x0", [("fig2c", 2.5), ("fig2d", -2.5)])
+    def test_commuting_cusp_cells_keep_their_exact_zero(self, name, x0):
+        # on the p0 = 0 row the minimum is the exact value 0 at t2 = pi, where
+        # the truncated series next to it reads about 1e-3
+        cfg = dataclasses.replace(load_scan_config(CONFIGS / f"{name}.cfg"),
+                                  axis1_min=x0, axis1_steps=1, axis2_min=0.0, axis2_steps=1)
+        res = scan_plane(cfg)
+        assert res.q_min[0, 0] == 0.0
+        assert abs(res.t2_argmin[0, 0] - math.pi) < 1e-8
 
 
 class TestGlobalMinimize:

@@ -18,7 +18,7 @@ from lgqpd.matrix_elements import ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table,
                           _fill_singular, _geometry, _ground_weight, _halfline,
                           _phase_table, _psi_sq_weights, _q_sign, _q_thermal, _q_window,
-                          _t1_geometry, _window_region)
+                          _t1_geometry, _window_region, q_series_slope)
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -334,6 +334,63 @@ class TestPointAndCurve:
                 assert abs(q - q_curve[k]) <= tol
                 assert info.singular_branch == singular[k]
                 assert info.n_used == (0 if singular[k] else n_max)
+
+
+class TestPointSlope:
+    """q_series_slope: the value-only q of each point kernel, bit for bit,
+    with the exact t2 derivative of its truncated sum."""
+
+    @staticmethod
+    def _point(data, family):
+        """A random point of ``family``: its value-only call and slope call
+        as functions of t2, and t1."""
+        t1 = data.draw(st.sampled_from([0.0, data.draw(st.floats(-2.0, 2.0))]))
+        s1, s2 = data.draw(st.sampled_from(SIGN_PAIRS))
+        r, theta0 = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(-3.0, 3.0))
+        half = None
+        if family == "window":
+            state = StateSpec(r=r, theta0=theta0)
+            half = data.draw(st.floats(0.2, 2.5))
+        else:
+            n_th = 0.0 if family == "sign" else data.draw(st.sampled_from([0.156, 1.54]))
+            state = StateSpec.from_phase_space(data.draw(st.floats(-2.5, 2.5)),
+                                               data.draw(st.floats(-2.5, 2.5)), r, theta0, n_th)
+        low = 20 if family != "thermal" else max(20, thermal_m_cut(state.n_th))
+        trunc = TruncationConfig(n_max=data.draw(st.integers(low, 300)))
+        if family == "window":
+            value = lambda t2: qpd_series_window(state, half, s1, s2, t1, t2, trunc)
+        elif family == "sign":
+            value = lambda t2: qpd_series_squeezed(state, s1, s2, t1, t2, trunc)
+        else:
+            value = lambda t2: qpd_series_thermal(state, s1, s2, t1, t2, trunc)
+        return value, lambda t2: q_series_slope(state, s1, s2, t1, t2, trunc, half), t1
+
+    @pytest.mark.parametrize("family", ["sign", "window", "thermal"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_slope_is_the_derivative_of_the_value(self, family, data):
+        value, slope, t1 = self._point(data, family)
+        t2 = data.draw(st.floats(t1 - 3.0, t1 + 9.0))
+        # phi is a multiple of pi exactly at t2 = t1 + k pi
+        k = round((t2 - t1) / math.pi)
+        if abs(t2 - t1 - k * math.pi) < 1e-2:
+            t2 = t1 + k * math.pi + 0.05
+        q, dq = slope(t2)
+        assert q == value(t2)
+        # Richardson-extrapolated central differences of the value-only call
+        h = 1e-4
+        central = [(value(t2 + e) - value(t2 - e)) / (2 * e) for e in (h, h / 2)]
+        assert dq == pytest.approx((4 * central[1] - central[0]) / 3, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["sign", "window", "thermal"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_no_slope_at_a_singular_phase(self, family, data):
+        value, slope, t1 = self._point(data, family)
+        for t2 in (t1, t1 + math.pi, t1 - 2 * math.pi):
+            q, dq = slope(t2)
+            assert dq is None
+            assert q == value(t2)
 
 
 def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):

@@ -8,6 +8,7 @@ from lgqpd import (OffsetFunction, StateSpec, gamma_from, lambda_of, mode_e,
                    n_th_from_temperature, phase_beta_of,
                    reduce_squeezed_to_coherent, thermal_m_cut, thermal_weight,
                    x_xi_of)
+from lgqpd.states import lambda_dot, phase_beta_dot, x_xi_dot
 
 SQRT2 = math.sqrt(2.0)
 
@@ -97,6 +98,23 @@ class TestLambdaBeta:
         beta = phase_beta_of(ts, 1.5, 2.0)
         assert np.max(np.abs(np.diff(beta))) < 0.05
         assert np.allclose(phase_beta_of(ts + math.pi, 1.5, 2.0), beta, atol=1e-12)
+
+
+class TestRates:
+    @pytest.mark.parametrize("r,theta0", [(0.0, 0.0), (0.5, 0.0), (1.0, 0.9), (2.0, -2.5)])
+    def test_closed_forms_are_the_derivatives(self, r, theta0):
+        t = np.linspace(-1.0, 7.0, 41)
+        h = 1e-5
+        xi = (0.7 - 1.3j) / SQRT2
+
+        def central(f):
+            return (f(t + h) - f(t - h)) / (2 * h)
+        assert np.allclose(lambda_dot(t, r, theta0),
+                           central(lambda u: lambda_of(u, r, theta0)), rtol=1e-7, atol=1e-7)
+        assert np.allclose(phase_beta_dot(t, r, theta0),
+                           central(lambda u: phase_beta_of(u, r, theta0)), rtol=1e-7, atol=1e-7)
+        assert np.allclose(x_xi_dot(t, xi), central(lambda u: x_xi_of(u, xi)),
+                           rtol=1e-7, atol=1e-7)
 
 
 class TestTrajectory:
