@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -87,6 +88,8 @@ def _cmd_eval(args) -> int:
                   "L": args.L, "quad_order": args.quad_order,
                   "oracle_dim": args.oracle_dim}
         evaluator, _ = named_evaluator(params, args.route, args.projector, args.nmax)
+        if not math.isfinite(args.t2):
+            raise ValueError(f"t2 must be finite, got {args.t2!r}")
     except (ValueError, TruncationError) as exc:
         print(f"lgqpd eval: error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ row-major order, which makes output byte-identical for any worker count.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from scipy.optimize import minimize as _nm_minimize
 from .integral import _check_order, _check_pure, qpd_integral
 from .fock import _check_dim, q_oracle_curve, qpd_oracle
 from .series import (MeasurementSpec, TruncationConfig, _check_signs,
-                     _check_squeezed_vacuum, _occupation_cut, q_series_slope,
+                     _check_squeezed_vacuum, _occupation_cut, _q_sign, _q_thermal, _q_window,
                      q_sign_series_curve, q_thermal_series_curve, q_window_series_curve,
                      qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
 from .states import OffsetFunction, StateSpec
@@ -308,7 +307,7 @@ def _scan_row(task):
     start = time.perf_counter()
     try:
         evaluators, curves = zip(*(_cell_evaluator(config, a1, float(a2)) for a2 in axis2))
-        rows = _curve_rows(curves, search.grid())
+        rows = _curve_rows(evaluators, curves, search.grid())
     except Exception:
         if len(axis2) == 1:
             return [(math.nan, math.nan, True)], time.perf_counter() - start, 0.0, 0, 0
@@ -363,16 +362,16 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
         refine_evals += evals
         refine_capped += capped
 
-    finite = q_min[np.isfinite(q_min)]
-    if finite.size and finite.min() < LUDERS_FLOOR:
-        raise ArithmeticError(
-            f"scan produced q={finite.min():.6f} below the attainable floor -1/8")
-    if finite.size:
+    if np.isfinite(q_min).any():
         flat = np.where(np.isfinite(q_min), q_min, np.inf).ravel()
-        k = int(np.argmin(flat))
-        i, j = divmod(k, len(ax2))
+        i, j = divmod(int(np.argmin(flat)), len(ax2))
         gmin = float(q_min[i, j])
         garg = (float(ax1[i]), float(ax2[j]), float(t2_arg[i, j]))
+        if gmin < LUDERS_FLOOR:
+            raise ArithmeticError(
+                f"scan produced q={gmin:.6f} below the attainable floor -1/8 at "
+                f"{config.axis1_name}={garg[0]!r}, {config.axis2_name}={garg[1]!r}, "
+                f"t2={garg[2]!r}")
     else:
         gmin, garg = math.nan, (math.nan, math.nan, math.nan)
     return ScanResult(config=config, axis1=ax1, axis2=ax2, q_min=q_min,
@@ -471,7 +470,7 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     evaluators, curves = zip(*(named_evaluator(params, route, projector, n_max)
                                for params in coarse))
     for params, evaluator, values in zip(coarse, evaluators,
-                                         _curve_rows(curves, search.grid())):
+                                         _curve_rows(evaluators, curves, search.grid())):
         memo[key(params)] = minimize_over_t2(evaluator, lambda _, v=values: v, search)
     values = np.array([objective(p) for p in points])
     order = np.argsort(values, kind="stable")[:max(1, n_starts)]
@@ -504,16 +503,21 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
     curve)``: ``evaluator(t2, with_info=False)`` is q at one t2, or ``(q,
     info)`` with the route's diagnostics record (``SeriesInfo``,
     ``IntegralInfo`` or ``OracleInfo``), and ``curve(t2_grid)`` is q over an
-    array of t2.  A series evaluator also has ``slope(t2)``, its (q, dq/dt2)
-    from :func:`q_series_slope`, which :func:`minimize_over_t2` refines with;
-    the integral and oracle evaluators have none.  The integral curve maps
-    the evaluator over the grid; ``n_max`` is the series truncation.
+    array of t2; ``n_max`` is the series truncation.
 
-    Raises ValueError for an unknown parameter name, an out-of-range
-    ``n_max``, ``quad_order`` or ``oracle_dim`` (each is checked whichever
-    route runs), or a combination that no route covers, and TruncationError
-    for a thermal series whose ``n_max`` is below the occupation cut.  Each rule is the
-    check that the kernel itself makes, run here before any evaluation.
+    On the series route the evaluator is the cell's one record of its
+    family, pure sign, thermal sign or window (:class:`_SeriesCell`), and the
+    curve its ``curve``; its ``slope(t2)`` is the (q, dq/dt2) call of the
+    family's kernel, which :func:`minimize_over_t2` refines with.  The
+    integral and oracle evaluators have no slope, and the integral curve maps
+    the evaluator over the grid.
+
+    Raises ValueError for an unknown parameter name, a non-finite t1, an
+    out-of-range ``n_max``, ``quad_order`` or ``oracle_dim`` (each is checked
+    whichever route runs), or a combination that no route covers, and
+    TruncationError for a thermal series whose ``n_max`` is below the
+    occupation cut.  Each rule is the check that the kernel itself makes, run
+    here before any evaluation.
     """
     unknown = sorted(set(params) - _PARAM_NAMES)
     if unknown:
@@ -524,6 +528,8 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
     s1, s2 = params.get("s1", 1), params.get("s2", 1)
     _check_signs(s1, s2)
     t1 = float(params.get("t1", 0.0))
+    if not math.isfinite(t1):
+        raise ValueError(f"t1 must be finite, got {t1!r}")
     state = StateSpec.from_phase_space(
         float(params.get("x0", 0.0)), float(params.get("p0", 0.0)),
         float(params.get("r", 0.0)), float(params.get("theta0", 0.0)),
@@ -539,25 +545,21 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
         if route == "integral":
             raise ValueError("the integral route does not cover window projectors")
         _check_squeezed_vacuum(state)
-        half = float(meas.window_halfwidth)
-        if route == "series":
-            return (_with_slope(lambda t2, with_info=False: qpd_series_window(
-                        state, half, s1, s2, t1, t2, trunc, with_info),
-                        state, s1, s2, t1, trunc, half),
-                    _SeriesCurve(q_window_series_curve, (state, half), (s1, s2, t1), n_max))
-    elif route == "series":
-        if not meas.offset.is_zero:
-            raise ValueError("the series route does not take a measurement offset; "
-                             "use the integral or oracle route")
-        if state.n_th > 0:
+    elif route == "series" and not meas.offset.is_zero:
+        raise ValueError("the series route does not take a measurement offset; "
+                         "use the integral or oracle route")
+    if route == "series":
+        if meas.projector == "window":
+            family = (qpd_series_window, _q_window, q_window_series_curve,
+                      (state, float(meas.window_halfwidth)))
+        elif state.n_th > 0:
             _occupation_cut(state.n_th, n_max)
-            return (_with_slope(lambda t2, with_info=False: qpd_series_thermal(
-                        state, s1, s2, t1, t2, trunc, with_info), state, s1, s2, t1, trunc),
-                    _SeriesCurve(q_thermal_series_curve, (state,), (s1, s2, t1), n_max))
-        return (_with_slope(lambda t2, with_info=False: qpd_series_squeezed(
-                    state, s1, s2, t1, t2, trunc, with_info), state, s1, s2, t1, trunc),
-                _SeriesCurve(q_sign_series_curve, (state,), (s1, s2, t1), n_max))
-    elif route == "integral":
+            family = (qpd_series_thermal, _q_thermal, q_thermal_series_curve, (state,))
+        else:
+            family = (qpd_series_squeezed, _q_sign, q_sign_series_curve, (state,))
+        cell = _SeriesCell(*family, (s1, s2, t1), trunc)
+        return cell, cell.curve
+    if route == "integral":
         _check_pure(state)
         evaluator = (lambda t2, with_info=False: qpd_integral(
             state, meas.offset, s1, s2, t1, t2, order, with_info))
@@ -565,14 +567,6 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
     return (lambda t2, with_info=False: qpd_oracle(
                 state, meas, s1, s2, t1, t2, dim, with_info),
             lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim))
-
-
-def _with_slope(evaluator, state, s1, s2, t1, trunc, half_width=None):
-    """A series ``evaluator`` with its ``slope``, the (q, dq/dt2) call of
-    :func:`q_series_slope` that :func:`minimize_over_t2` refines with."""
-    evaluator.slope = functools.partial(q_series_slope, state, s1, s2, t1, trunc=trunc,
-                                        half_width=half_width)
-    return evaluator
 
 
 def _whole(name: str, value) -> int:
@@ -583,28 +577,42 @@ def _whole(name: str, value) -> int:
 
 
 @dataclass(frozen=True)
-class _SeriesCurve:
-    """The t2 curve of one series cell, ``kernel(*column, *shared, grid,
-    n_max)``: the dispatch's kernel with the cell's own arguments
-    (``column``) and those its batch shares."""
+class _SeriesCell:
+    """One series cell of :func:`named_evaluator`: its family's public
+    ``point`` call, private t2 ``kernel`` and public curve ``curve_of``, each
+    taking the cell's own arguments (``column``), then those that a batch of
+    cells shares (``shared``: s1, s2, t1), then t2 and the truncation."""
 
+    point: Callable
     kernel: Callable
+    curve_of: Callable
     column: tuple
     shared: tuple
-    n_max: int
+    trunc: TruncationConfig
 
-    def __call__(self, grid):
-        return self.kernel(*self.column, *self.shared, grid, self.n_max)
+    def __call__(self, t2, with_info: bool = False):
+        return self.point(*self.column, *self.shared, t2, self.trunc, with_info)
+
+    def slope(self, t2):
+        """(q, dq/dt2) at one t2: q equals the value-only call bit for bit,
+        and dq is the exact t2 derivative of the truncated, Euler-averaged
+        sum, or None at a singular phase."""
+        out = self.kernel(*self.column, *self.shared, float(t2), self.trunc.n_max,
+                          slope=True)
+        return float(out.q), None if out.slope is None else float(out.slope)
+
+    def curve(self, grid):
+        return self.curve_of(*self.column, *self.shared, grid, self.trunc.n_max)
 
 
-def _curve_rows(curves, grid) -> np.ndarray:
-    """The values of several cells' curves on one t2 grid, one row per cell:
-    one kernel call on the lists of their columns when all are series curves
-    (sign, window or thermal) of one kernel and shared arguments, else one
-    call per curve (integral and oracle cells)."""
-    head = curves[0]
-    if all(isinstance(c, _SeriesCurve) and (c.kernel, c.shared, c.n_max)
-           == (head.kernel, head.shared, head.n_max) for c in curves):
-        columns = [list(arg) for arg in zip(*(c.column for c in curves))]
-        return head.kernel(*columns, *head.shared, grid, head.n_max)
+def _curve_rows(evaluators, curves, grid) -> np.ndarray:
+    """The values of several cells' ``curves`` on one t2 grid, one row per
+    cell: one curve call on the lists of their columns when all
+    ``evaluators`` are series cells of one curve, shared arguments and
+    truncation, else one call per curve (integral and oracle cells)."""
+    head = evaluators[0]
+    if all(isinstance(e, _SeriesCell) and (e.curve_of, e.shared, e.trunc)
+           == (head.curve_of, head.shared, head.trunc) for e in evaluators):
+        columns = [list(arg) for arg in zip(*(e.column for e in evaluators))]
+        return head.curve_of(*columns, *head.shared, grid, head.trunc.n_max)
     return np.array([curve(grid) for curve in curves])

@@ -33,6 +33,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.special as _sp
@@ -56,9 +57,12 @@ _ERF_SLOPE = 2.0 / math.sqrt(math.pi)
 class TruncationConfig:
     """Series truncation controls.
 
-    ``n_max`` caps the eigenbasis sum and ``tail_tol`` is the certification
-    target for the reported tail bound.  The thermal occupation sum is cut
-    where the thermal weight falls below 1e-12 (:func:`thermal_m_cut`).
+    ``n_max`` caps the eigenbasis sum.  The thermal occupation sum is cut
+    where the thermal weight falls below 1e-12 (:func:`thermal_m_cut`), and
+    :func:`qpd_series_thermal` warns when the remainder of that cut exceeds
+    ``tail_tol``; at the default 1e-8 it cannot, the largest remainder being
+    7.0e-9, at the largest n_th (about 7e3) whose cut fits under the n_max
+    cap.  Nothing compares ``tail_tol`` with the reported ``tail_bound``.
     """
 
     n_max: int = 200
@@ -228,15 +232,20 @@ def _psi_sq_weights(intervals, m_max: int) -> np.ndarray:
 
 
 def _fill_singular(q, singular, phi, region, s1: int, s2: int, cut1, cut2, weight):
-    """``q`` with each ``singular`` point (phase ``phi`` within tolerance of a
-    multiple of pi) set to ``weight`` of the overlap of ``region(s2, cut2)``
-    with ``region(s1, cut1)``, the latter reflected at odd multiples of pi."""
+    """``q`` (a point or a (C, K) batch) with each ``singular`` point (phase
+    ``phi`` within tolerance of a multiple of pi) set to ``weight`` of the
+    overlap of ``region(s2, cut2)`` with ``region(s1, cut1)``, the latter
+    reflected at odd multiples of pi; ``phi`` and the cuts broadcast to the
+    shape of q."""
     q = np.array(q, dtype=float)
-    flat_q, flat_phi, flat_cut = q.reshape(-1), np.reshape(phi, -1), np.reshape(cut2, -1)
-    region1 = region(s1, cut1)
-    for j in np.flatnonzero(singular):
-        first = region1 if math.cos(flat_phi[j]) > 0 else _reflect(region1)
-        flat_q[j] = weight(_intersect(region(s2, float(flat_cut[j])), first))
+    flat_q = q.reshape(-1)
+    flat_phi, flat_cut1, flat_cut2 = (np.broadcast_to(v, q.shape).reshape(-1)
+                                      for v in (phi, cut1, cut2))
+    for j in np.flatnonzero(np.broadcast_to(singular, q.shape)):
+        first = region(s1, float(flat_cut1[j]))
+        if math.cos(flat_phi[j]) < 0:
+            first = _reflect(first)
+        flat_q[j] = weight(_intersect(region(s2, float(flat_cut2[j])), first))
     return q[()]
 
 
@@ -380,33 +389,45 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int) -> np.ndarray:
     return euler.total
 
 
+class _KernelValue(NamedTuple):
+    """The result of every series kernel: ``q``, a float at one t2 and one
+    row per state over a t2 array; ``slope``, dq/dt2 of one point when asked,
+    else None, and None at a singular phase, whose completeness value has no
+    slope; ``terms``, the eigenbasis terms of one non-singular point, which
+    feed the tail estimate, else None; ``singular``, the phases that
+    completeness evaluated; and the occupation cut ``m_used`` with its
+    remainder ``m_tail``, 0 for a pure state."""
+
+    q: object
+    slope: float | None
+    terms: np.ndarray | None
+    singular: object
+    m_used: int = 0
+    m_tail: float = 0.0
+
+
 def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int,
-            rates=None):
-    """Summation core of the pure kernels: (q, terms, singular, slope) with q =
-    block + s1 s2 sum_n cos(n phi) row1_n row2_n, the rows :func:`j_row` at
-    the cuts, or :func:`_window_row` for a ``window``, and singular phases
-    overwritten by completeness over the outcome regions.
+            rates=None) -> _KernelValue:
+    """Summation core of the pure kernels: q = block + s1 s2 sum_n cos(n phi)
+    row1_n row2_n, the rows :func:`j_row` at the cuts, or :func:`_window_row`
+    for a ``window``, and singular phases overwritten by completeness over the
+    outcome regions.
 
     One point has float ``block``, ``phi``, ``cut1`` and ``cut2``; it takes
-    the memoized scalar rows and returns its ``terms`` for the tail estimate,
-    or None when its phase is singular, whose rows are then not built (a t2
-    search closing in on a commuting separation).  Given ``rates``, the t2
-    derivatives (block', phi', cut2') of its inputs, it also returns dq/dt2,
-    the Euler sum of the term derivatives in a sum of their own, so that q is
-    the value-only q bit for bit; d row2_n/dcut2 is -psi_0 psi_n (doubled at
-    even n and 0 at odd n for a window), psi_n being the row after the last
-    one that row2 reads.  ``slope`` is None otherwise, and at a singular
-    phase, whose completeness value has no slope.  A batch of C columns
-    sharing K values of t2 has ``cut1`` of shape (C, 1), ``block`` and
-    ``cut2`` (C, K), and ``phi`` (K,) or (C, K); its sums stream through
-    :func:`_phase_sums`, and ``terms`` is None.
+    the memoized scalar rows and keeps its ``terms``, unless its phase is
+    singular, whose rows are then not built (a t2 search closing in on a
+    commuting separation).  Given ``rates``, the t2 derivatives (block',
+    phi', cut2') of its inputs, it also returns dq/dt2, the Euler sum of the
+    term derivatives in a sum of their own, so that q is the value-only q bit
+    for bit; d row2_n/dcut2 is -psi_0 psi_n (doubled at even n and 0 at odd
+    n for a window), psi_n being the row after the last one that row2 reads.
+    A batch of C columns sharing K values of t2 has ``cut1`` of shape (C, 1),
+    ``block`` and ``cut2`` (C, K), and ``phi`` (K,) or (C, K); its sums
+    stream through :func:`_phase_sums`.
     """
-    region = _window_region if window else _halfline
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
-    if np.ndim(block) == 0:
-        if singular:
-            return (_fill_singular(block, singular, phi, region, s1, s2, cut1, cut2,
-                                   _ground_weight), None, singular, None)
+    q, dq, terms = block, None, None
+    if np.ndim(block) == 0 and not singular:
         row = _window_row if window else j_row
         n = np.arange(1, n_max + 1)
         row1, row2 = row(cut1, n_max)[1:], row(cut2, n_max)[1:]
@@ -414,25 +435,20 @@ def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int,
         cos = np.cos(angle)
         terms = cos * row1 * row2
         q = block + s1 * s2 * averaged_partial_sum(terms)
-        if rates is None:
-            return q, terms, singular, None
-        dblock, dphi, dcut = rates
-        psi = psi_rows(cut2, n_max)
-        drow2 = (-2.0 if window else -1.0) * dcut * float(psi[0]) * psi[1:]
-        if window:
-            drow2[0::2] = 0.0
-        dterms = row1 * (cos * drow2 - dphi * n * np.sin(angle) * row2)
-        return q, terms, singular, dblock + s1 * s2 * averaged_partial_sum(dterms)
-    q = block
-    if n_max >= 1 and not singular.all():
+        if rates is not None:
+            dblock, dphi, dcut = rates
+            psi = psi_rows(cut2, n_max)
+            drow2 = (-2.0 if window else -1.0) * dcut * float(psi[0]) * psi[1:]
+            if window:
+                drow2[0::2] = 0.0
+            dterms = row1 * (cos * drow2 - dphi * n * np.sin(angle) * row2)
+            dq = dblock + s1 * s2 * averaged_partial_sum(dterms)
+    elif n_max >= 1 and not np.all(singular):
         q = block + s1 * s2 * _phase_sums(window, cut1, cut2, phi, n_max)
-    if singular.any():
-        q = np.array(q)
-        for col in range(q.shape[0]):
-            pick = (col,) * (np.ndim(phi) - 1)
-            q[col] = _fill_singular(q[col], singular[pick], phi[pick], region, s1, s2,
-                                    float(cut1[col, 0]), cut2[col], _ground_weight)
-    return q, None, singular, None
+    if np.any(singular):
+        q = _fill_singular(q, singular, phi, _window_region if window else _halfline,
+                           s1, s2, cut1, cut2, _ground_weight)
+    return _KernelValue(q, dq, terms, singular)
 
 
 def _columns(state, t1: float, t2):
@@ -472,7 +488,8 @@ def _erf_rates(state: StateSpec, s1: int, s2: int, t2: float, lam2: float, a1: f
     return dblock, dphi, -da2
 
 
-def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool = False):
+def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int,
+            slope: bool = False) -> _KernelValue:
     """Pure-state sign-projector kernel, as :func:`_q_pure`: at a float t2,
     one point, with its slope when asked; over a t2 array, a batch of the
     listed states (or of one)."""
@@ -486,7 +503,7 @@ def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool = Fa
 
 
 def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int,
-              slope: bool = False):
+              slope: bool = False) -> _KernelValue:
     """Squeezed-vacuum window-projector kernel, as :func:`_q_sign`; a batch
     of listed states takes its half-widths with shape (C, 1).  The cuts
     +/- L/lambda(t_i) enter through the window rows, and h2' = -h2 lambda' /
@@ -509,27 +526,27 @@ def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int,
     return _q_pure(block, phi, s1, s2, True, h1, h2, n_max, rates)
 
 
-def _point(q, terms, singular, with_info: bool, **occupation):
-    """One-point result of a kernel: q, or (q, SeriesInfo) with the thermal
-    ``occupation`` fields."""
+def _point(out: _KernelValue, with_info: bool):
+    """One-point result of a kernel: q, or (q, SeriesInfo)."""
     if not with_info:
-        return float(q)
-    if singular:
-        return float(q), SeriesInfo(0, 0.0, True, **occupation)
-    return float(q), SeriesInfo(terms.shape[0], series_tail_estimate(terms), False,
-                                **occupation)
+        return float(out.q)
+    n_used, tail = ((0, 0.0) if out.singular
+                    else (out.terms.shape[0], series_tail_estimate(out.terms)))
+    return float(out.q), SeriesInfo(n_used, tail, bool(out.singular), out.m_used,
+                                    out.m_tail)
 
 
 def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
                         trunc: TruncationConfig | None = None, with_info: bool = False):
     """Series quasi-probability for a pure squeezed coherent state.
 
-    The reported ``tail_bound`` certifies truncation when it is below the
-    configured ``tail_tol``; near-degenerate time separations converge slowly
-    and are reported honestly through a large bound.
+    With ``with_info`` the :class:`SeriesInfo` reports ``tail_bound``, the
+    estimate of :func:`series_tail_estimate` over the summed terms; it is not
+    compared with ``tail_tol``.  Near-degenerate time separations converge
+    slowly and report a large bound.
     """
     trunc = trunc or DEFAULT_TRUNCATION
-    return _point(*_q_sign(state, s1, s2, t1, float(t2), trunc.n_max)[:3], with_info)
+    return _point(_q_sign(state, s1, s2, t1, float(t2), trunc.n_max), with_info)
 
 
 def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
@@ -542,8 +559,7 @@ def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
     parity, so the result is periodic in t2 with period pi.
     """
     trunc = trunc or DEFAULT_TRUNCATION
-    return _point(*_q_window(state, half_width, s1, s2, t1, float(t2), trunc.n_max)[:3],
-                  with_info)
+    return _point(_q_window(state, half_width, s1, s2, t1, float(t2), trunc.n_max), with_info)
 
 
 def q_sign_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
@@ -556,7 +572,7 @@ def q_sign_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
     """
     one = isinstance(state, StateSpec)
     q = _q_sign(state if one else list(state), s1, s2, t1,
-                np.asarray(t2_grid, dtype=float), n_max)[0]
+                np.asarray(t2_grid, dtype=float), n_max).q
     return q[0] if one else q
 
 
@@ -571,7 +587,7 @@ def q_window_series_curve(state, half_width, s1: int, s2: int, t1: float,
     one = isinstance(state, StateSpec)
     q = _q_window(state if one else list(state),
                   half_width if one else np.asarray(half_width, dtype=float)[:, None],
-                  s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max)[0]
+                  s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max).q
     return q[0] if one else q
 
 
@@ -583,30 +599,20 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
     initial occupation m: conjugate-phase and mixed-phase J products plus the
     diagonal overlap family coupling J_nn factors of both measurement cuts.
     Reduces exactly to the pure evaluator at n_th = 0.  This is the float
-    call of the kernel of :func:`q_thermal_series_curve`.
+    call of the kernel of :func:`q_thermal_series_curve`.  Warns
+    (:class:`TruncationWarning`) when the remainder of the occupation cut
+    exceeds ``trunc.tail_tol`` (:class:`TruncationConfig`).
     """
     if state.n_th == 0:
         return qpd_series_squeezed(state, s1, s2, t1, t2, trunc, with_info)
-    q, terms, singular, m_cut, m_tail, _ = _q_thermal(
-        state, s1, s2, t1, float(t2), trunc or DEFAULT_TRUNCATION)
-    return _point(q, terms, singular, with_info, m_used=m_cut, m_tail=m_tail)
-
-
-def q_series_slope(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
-                   trunc: TruncationConfig, half_width: float | None = None):
-    """(q, dq/dt2) of one series point: the window kernel given a
-    ``half_width``, else the thermal kernel when n_th > 0 and the sign kernel
-    otherwise.  q equals the kernel's value-only call bit for bit, and dq is
-    the exact t2 derivative of its truncated, Euler-averaged sum, or None at
-    a singular phase, whose completeness value has no slope."""
-    t2 = float(t2)
-    if half_width is not None:
-        out = _q_window(state, half_width, s1, s2, t1, t2, trunc.n_max, slope=True)
-    elif state.n_th > 0:
-        out = _q_thermal(state, s1, s2, t1, t2, trunc, slope=True)
-    else:
-        out = _q_sign(state, s1, s2, t1, t2, trunc.n_max, slope=True)
-    return float(out[0]), None if out[-1] is None else float(out[-1])
+    trunc = trunc or DEFAULT_TRUNCATION
+    out = _q_thermal(state, s1, s2, t1, float(t2), trunc.n_max)
+    if out.m_tail > trunc.tail_tol:
+        warnings.warn(
+            f"thermal occupation sum truncated at m={out.m_used} with remainder "
+            f"{out.m_tail:.3e} > tail_tol={trunc.tail_tol:.1e}",
+            TruncationWarning, stacklevel=2)
+    return _point(out, with_info)
 
 
 def q_thermal_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
@@ -614,22 +620,16 @@ def q_thermal_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarr
     """Thermal sign-projector quasi-probability (n_th > 0) over a grid of t2
     values, with the default occupation cut.
 
-    ``state`` may also be a sequence of C states, which gives a (C, K) array;
-    the states of one n_th share one streamed pass over the orders
-    (:func:`_thermal_stream`), and each row equals that state's own curve bit
-    for bit.
+    ``state`` may also be a sequence of C states of one n_th, which gives a
+    (C, K) array from one streamed pass over the orders
+    (:func:`_thermal_stream`); each row equals that state's own curve bit for
+    bit.
     """
     one = isinstance(state, StateSpec)
     states = [state] if one else list(state)
     if any(s.n_th == 0 for s in states):
         raise ValueError("thermal curve requires n_th > 0; use q_sign_series_curve")
-    grid = np.asarray(t2_grid, dtype=float)
-    trunc = TruncationConfig(n_max=n_max)
-    q = np.empty((len(states), grid.size))
-    for n_th in dict.fromkeys(s.n_th for s in states):
-        pick = np.array([s.n_th == n_th for s in states])
-        q[pick] = _q_thermal([s for s in states if s.n_th == n_th], s1, s2, t1, grid,
-                             trunc)[0]
+    q = _q_thermal(states, s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max).q
     return q[0] if one else q
 
 
@@ -788,16 +788,12 @@ def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):
     return euler.total, s_up, diag2
 
 
-def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig,
-               slope: bool = False):
-    """Thermal kernel: (q, terms, singular, m_cut, m_tail, dq), the occupation
-    sum cut at m_cut with remainder m_tail.  At a float t2, one point
-    (:func:`_thermal_point`), whose eigenbasis ``terms`` feed the tail
-    estimate (None at a singular phase, whose rows are not built), with its
-    slope ``dq`` when asked, as for :func:`_q_pure`; over a t2 array, a batch
-    of the listed states (or of one), which share n_th, from one stream
-    (:func:`_thermal_stream`), and ``terms`` is None.  ``dq`` is None when
-    not asked and at a singular phase.
+def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int,
+               slope: bool = False) -> _KernelValue:
+    """Thermal kernel, the occupation sum cut at m_cut: at a float t2, one
+    point (:func:`_thermal_point`), with its slope when asked, as for
+    :func:`_q_pure`; over a t2 array, a batch of the listed states (or of
+    one), which share n_th, from one stream (:func:`_thermal_stream`).
 
     The mixed-phase family sum_m w^m cos((m-n) phi) J_mn(-a1) J_mn(-a2)
     takes J_mn(-a2) in its rank-2 Wronskian form and cos((m-n) phi) as
@@ -809,17 +805,11 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig,
     """
     _check_signs(s1, s2)
     states = _each(state)
-    n_th, n_max = states[0].n_th, trunc.n_max
+    n_th = states[0].n_th
     if any(s.n_th != n_th for s in states):
         raise ValueError("the states of a thermal batch must share n_th")
     w = n_th / (1.0 + n_th)
     m_cut = _occupation_cut(n_th, n_max)
-    m_tail = w ** (m_cut + 1)
-    if m_tail > trunc.tail_tol:
-        warnings.warn(
-            f"thermal occupation sum truncated at m={m_cut} with remainder "
-            f"{m_tail:.3e} > tail_tol={trunc.tail_tol:.1e}",
-            TruncationWarning, stacklevel=3)
 
     _, lam2, a1, a2, phi = _columns(state, t1, t2)
     block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
@@ -829,40 +819,34 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, trunc: TruncationConfig,
         return (float(w ** np.arange(m_cut + 1) @ _psi_sq_weights(region, m_cut))
                 / (1.0 + n_th))
 
+    q, dq, terms = block, None, None
     point = np.ndim(t2) == 0
-    if point and singular:
-        return (_fill_singular(block, singular, phi, _halfline, s1, s2, -a1, -a2, weight),
-                None, singular, m_cut, m_tail, None)
-    fixed = _thermal_fixed_cuts(np.ravel(-a1), w, m_cut, n_max)
-    if point:
-        _, diag1, _, wm, _ = fixed[0]
-        rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
-        phase_sum, s_up, diag2, terms, slopes = _thermal_point(
-            fixed[0], -a2, phi, n_max, None if rates is None else rates[1:])
-    else:
-        # one fixed cut per column, since t1 != 0 moves each state's cut, or
-        # one for the batch
-        if all(f is fixed[0] for f in fixed):
-            fixed = fixed[:1]
-        row1, diag1 = (np.stack(arrs, axis=1)[:, :, None] for arrs in list(zip(*fixed))[:2])
-        bT = np.stack([f[2] for f in fixed]).transpose(0, 2, 1)
-        wm, terms = fixed[0][3][:, None, None], None
-        phase_sum, s_up, diag2 = _thermal_stream(row1, bT, wm, -a2, phi, n_max)
-    k1 = diag1 if s1 == 1 else 1.0 - diag1
-    k2 = diag2 if s2 == 1 else 1.0 - diag2
-    ee = (wm * k2[1:] * k1[1:]).sum(axis=0)
-    q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
-    if point:
-        dq = None
+    if not (point and singular):
+        fixed = _thermal_fixed_cuts(np.ravel(-a1), w, m_cut, n_max)
+        if point:
+            _, diag1, _, wm, _ = fixed[0]
+            rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
+            phase_sum, s_up, diag2, terms, slopes = _thermal_point(
+                fixed[0], -a2, phi, n_max, None if rates is None else rates[1:])
+        else:
+            # one fixed cut per column, since t1 != 0 moves each state's cut,
+            # or one for the batch
+            if all(f is fixed[0] for f in fixed):
+                fixed = fixed[:1]
+            row1, diag1 = (np.stack(arrs, axis=1)[:, :, None]
+                           for arrs in list(zip(*fixed))[:2])
+            bT = np.stack([f[2] for f in fixed]).transpose(0, 2, 1)
+            wm, slopes = fixed[0][3][:, None, None], None
+            phase_sum, s_up, diag2 = _thermal_stream(row1, bT, wm, -a2, phi, n_max)
+        k1 = diag1 if s1 == 1 else 1.0 - diag1
+        k2 = diag2 if s2 == 1 else 1.0 - diag2
+        ee = (wm * k2[1:] * k1[1:]).sum(axis=0)
+        q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
         if slopes is not None:
             dphase, ds_up, ddiag2 = slopes
             dk2 = ddiag2 if s2 == 1 else -ddiag2
             dq = (rates[0] + s1 * s2 * (dphase + ds_up)
                   + (wm * dk2[1:] * k1[1:]).sum()) / (1.0 + n_th)
-        return q, terms, singular, m_cut, m_tail, dq
-    if singular.any():
-        for col in range(q.shape[0]):
-            pick = (col,) * (np.ndim(phi) - 1)
-            q[col] = _fill_singular(q[col], singular[pick], phi[pick], _halfline, s1, s2,
-                                    float(-a1[col, 0]), -a2[col], weight)
-    return q, terms, singular, m_cut, m_tail, None
+    if np.any(singular):
+        q = _fill_singular(q, singular, phi, _halfline, s1, s2, -a1, -a2, weight)
+    return _KernelValue(q, dq, terms, singular, m_cut, w ** (m_cut + 1))

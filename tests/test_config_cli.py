@@ -65,6 +65,15 @@ class TestConfigParser:
         assert err.value.line == 5
         assert err.value.column > 0
 
+    @pytest.mark.parametrize("line,message,column", [
+        ("  theta0 0.3", "expected 'key = value'", 3),
+        ("theta0 =   ", "empty value for 'theta0'", 9)])
+    def test_malformed_line_reports_position(self, line, message, column):
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_scan_config(GOOD_CONFIG + line + "\n")
+        assert err.value.line == GOOD_CONFIG.count("\n") + 1
+        assert err.value.column == column
+
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="missing required"):
             parse_scan_config("plane = x0p0\n")
@@ -253,6 +262,15 @@ class TestCliEval:
         err = capsys.readouterr().err
         assert err.startswith("lgqpd eval: error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("route", ["series", "integral", "oracle"])
+    @pytest.mark.parametrize("times", [("0", "nan"), ("0", "-inf"), ("nan", "1"), ("inf", "1")])
+    def test_non_finite_times_exit_2(self, capsys, route, times):
+        # these used to print q = nan (series) or end in a traceback with exit 1
+        assert main(["eval", "--route", route, "--x0", "0.5", "--s1", "1", "--s2", "-1",
+                     f"--t1={times[0]}", f"--t2={times[1]}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lgqpd eval: error: t") and "must be finite" in err
+
     def test_reports_wall_time(self, capsys):
         common = ["eval", "--route", "series", "--x0", "0.5", "--s1", "1", "--s2", "-1",
                   "--t1", "0", "--t2", "1.3"]
@@ -312,6 +330,15 @@ class TestCliScan:
         assert main(["scan", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err
+
+    @pytest.mark.parametrize("t1", ["nan", "inf"])
+    def test_non_finite_t1_exit_2(self, tmp_path, capsys, t1):
+        # such a config used to exit 0 with every cell NaN
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(GOOD_CONFIG.replace("t1 = 0.0", f"t1 = {t1}"))
+        assert main(["scan", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert "t1 must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("bad.csv"))
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["scan", "/nonexistent/path.cfg"]) == 2

@@ -195,7 +195,9 @@ class TestNamedEvaluator:
         # the settings of a route that does not run used to be accepted unread
         ("series", {"oracle_dim": 2000}, 200), ("integral", {"oracle_dim": 1}, 200),
         ("series", {"quad_order": 4}, 200), ("oracle", {"quad_order": 600}, 200),
-        ("integral", {}, 200000), ("oracle", {}, 0)])
+        ("integral", {}, 200000), ("oracle", {}, 0), ("fock", {}, 200),
+        # a non-finite t1 used to give NaN (series) or a traceback (integral, oracle)
+        *[(route, {"t1": t1}, 200) for route in scan.ROUTES for t1 in (math.nan, math.inf)]])
     def test_rejects_out_of_range_settings(self, route, params, n_max):
         # these used to pass the dispatch and fail at the first evaluation
         with pytest.raises(ValueError):
@@ -226,7 +228,7 @@ class TestNamedEvaluator:
         evaluator, curve = named_evaluator({"s1": 1, "s2": -1, "x0": 0.5}, "series", "sign",
                                            200.0)
         assert evaluator(1.3, with_info=True)[1].n_used == 200
-        assert curve.n_max == 200 and type(curve.n_max) is int
+        assert evaluator.trunc.n_max == 200 and type(evaluator.trunc.n_max) is int
         assert TruncationConfig(n_max=200.0).n_max == 200
 
     @pytest.mark.parametrize("route,projector,params", [
@@ -304,10 +306,14 @@ class TestScanConfigValidation:
         # out of range for a route the config does not run
         dict(route="series", oracle_dim=2000), dict(route="integral", oracle_dim=2000),
         dict(route="series", quad_order=4), dict(route="oracle", quad_order=4),
-        dict(route="oracle", n_max=200000), dict(route="integral", n_max=200000)])
+        dict(route="oracle", n_max=200000), dict(route="integral", n_max=200000),
+        dict(route="series", plane="xp"), dict(route="series", axis1_steps=0),
+        dict(route="oracle", axis2_steps=0),
+        # a non-finite t1 used to make every cell NaN
+        *[dict(route=route, t1=t1) for route in scan.ROUTES for t1 in (math.nan, math.inf)]])
     def test_rejects_settings_that_would_fail_every_cell(self, bad):
         with pytest.raises(ValueError):
-            ScanConfig(plane="x0p0", s1=1, s2=-1, **bad)
+            ScanConfig(**{"plane": "x0p0", "s1": 1, "s2": -1, **bad})
 
     def test_window_scan_rejects_thermal_state(self):
         # the window kernel covers squeezed vacuum only; n_th must not be dropped
@@ -518,6 +524,29 @@ class TestScanPlane:
         keep = ~np.isnan(res.q_min)
         assert res.q_min[keep].tobytes() == clean.q_min[keep].tobytes()
         assert res.t2_argmin[keep].tobytes() == clean.t2_argmin[keep].tobytes()
+
+    def test_floor_breach_names_the_cell(self, monkeypatch):
+        # one cell's coarse curve reads -0.2 everywhere; its refinement keeps
+        # that value at t2 = 0, since the true q just inside is higher
+        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5,
+                         axis1_min=0.5, axis1_steps=1,
+                         axis2_min=-1.0, axis2_max=1.0, axis2_steps=3,
+                         t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
+        real = scan.q_sign_series_curve
+
+        def lowered_at(value):
+            def curve(states, *args):
+                q = real(states, *args)
+                q[[s.p0 == 1.0 for s in states]] = value
+                return q
+            return curve
+
+        monkeypatch.setattr(scan, "q_sign_series_curve", lowered_at(-0.2))
+        with pytest.raises(ArithmeticError, match=r"q=-0\.200000 .* at x0=0\.5, p0=1\.0, t2=0\.0$"):
+            scan_plane(cfg)
+        # the bound is -1/8 - 1e-6
+        monkeypatch.setattr(scan, "q_sign_series_curve", lowered_at(-0.125 - 5e-7))
+        assert scan_plane(cfg).global_argmin == (0.5, 1.0, 0.0)
 
     def test_failed_cells_marked_nan(self):
         # displacements that overflow a 20-level number basis make every cell

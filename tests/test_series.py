@@ -18,7 +18,7 @@ from lgqpd.matrix_elements import ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table,
                           _fill_singular, _geometry, _ground_weight, _halfline,
                           _phase_table, _psi_sq_weights, _q_sign, _q_thermal, _q_window,
-                          _t1_geometry, _window_region, q_series_slope)
+                          _t1_geometry, _window_region)
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -68,6 +68,14 @@ def thermal_reference(state, s1, s2, t1, t2, n_max):
     k2 = jb2[idx, idx] if s2 == 1 else 1.0 - jb2[idx, idx]
     ee = float((wm[1:] * k2[1:] * k1[1:]).sum())
     return (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MeasurementSpec("interval"), lambda: TruncationConfig(tail_tol=0.0),
+    lambda: TruncationConfig(tail_tol=-1e-8), lambda: TruncationConfig(tail_tol=math.nan)])
+def test_specs_reject_bad_values(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 class TestTailEstimate:
@@ -214,6 +222,9 @@ class TestThermalSeries:
             with pytest.raises(TruncationWarning):
                 qpd_series_thermal(state, 1, 1, 0.0, 1.0,
                                    TruncationConfig(n_max=100, tail_tol=1e-15))
+        with pytest.warns(TruncationWarning, match="remainder") as caught:
+            qpd_series_thermal(state, 1, 1, 0.0, 1.0, TruncationConfig(n_max=100, tail_tol=1e-15))
+        assert caught[0].filename == __file__
         with pytest.raises(TruncationError):
             qpd_series_thermal(state, 1, 1, 0.0, 1.0, TruncationConfig(n_max=20))
 
@@ -322,11 +333,11 @@ class TestPointAndCurve:
             state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4, n_th)
             extra, n_max, tol = (), 150, 1e-14
             point, curve = qpd_series_thermal, q_thermal_series_curve
-            kernel = lambda *args: _q_thermal(*args, TruncationConfig(n_max=n_max))
+            kernel = lambda *args: _q_thermal(*args, n_max)
         trunc = TruncationConfig(n_max=n_max)
         for s1, s2 in SIGN_PAIRS:
             args = (state,) + extra + (s1, s2, self.T1)
-            singular = kernel(*args, self.GRID)[2]
+            singular = kernel(*args, self.GRID).singular
             assert list(np.flatnonzero(singular)) == [0, 3]
             q_curve = curve(*args, self.GRID, n_max)
             for k, t2 in enumerate(self.GRID):
@@ -337,8 +348,8 @@ class TestPointAndCurve:
 
 
 class TestPointSlope:
-    """q_series_slope: the value-only q of each point kernel, bit for bit,
-    with the exact t2 derivative of its truncated sum."""
+    """The slope=True call of each point kernel: the value-only q, bit for
+    bit, with the exact t2 derivative of its truncated sum."""
 
     @staticmethod
     def _point(data, family):
@@ -363,7 +374,13 @@ class TestPointSlope:
             value = lambda t2: qpd_series_squeezed(state, s1, s2, t1, t2, trunc)
         else:
             value = lambda t2: qpd_series_thermal(state, s1, s2, t1, t2, trunc)
-        return value, lambda t2: q_series_slope(state, s1, s2, t1, t2, trunc, half), t1
+        kernel = {"sign": _q_sign, "window": _q_window, "thermal": _q_thermal}[family]
+        cell = (state,) if half is None else (state, half)
+
+        def slope(t2):
+            out = kernel(*cell, s1, s2, t1, float(t2), trunc.n_max, slope=True)
+            return float(out.q), None if out.slope is None else float(out.slope)
+        return value, slope, t1
 
     @pytest.mark.parametrize("family", ["sign", "window", "thermal"])
     @settings(max_examples=30, deadline=None)
@@ -656,14 +673,12 @@ class TestBatchedThermalCurves:
         states = [StateSpec.from_phase_space(x0, 1.2, 0.5, 0.0, n_th) for x0 in (-1.0, 0.4)]
         self._check(states, 1, -1, 0.0, grid, 2500)
 
-    def test_mixed_occupations_split_into_batches(self):
+    def test_mixed_occupations_are_refused(self):
         grid = np.linspace(0.1, 6.0, 20)
         states = [StateSpec.from_phase_space(x0, 0.5, 0.5, 0.0, n_th)
                   for x0, n_th in ((-1.0, 0.156), (0.0, 1.54), (1.0, 0.156))]
-        rows = q_thermal_series_curve(states, 1, 1, 0.0, grid, 120)
-        for c, state in enumerate(states):
-            assert rows[c].tobytes() == q_thermal_series_curve(
-                state, 1, 1, 0.0, grid, 120).tobytes()
+        with pytest.raises(ValueError, match="share n_th"):
+            q_thermal_series_curve(states, 1, 1, 0.0, grid, 120)
         with pytest.raises(ValueError):
             q_thermal_series_curve(states + [StateSpec.from_phase_space(0.0, 0.5, 0.5)],
                                    1, 1, 0.0, grid, 120)

@@ -60,6 +60,9 @@ class TestHermitePsi:
             psi_rows(0.0, HARD_N_CAP + 1)
         with pytest.raises(CapabilityError):
             psi_rows(np.zeros(3), HARD_N_CAP + 1)
+        for x in (0.0, np.zeros(3)):
+            with pytest.raises(ValueError, match="non-negative"):
+                psi_rows(x, -1)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(-45.0, 45.0), others=st.lists(st.floats(-45.0, 45.0), max_size=4),
@@ -180,6 +183,9 @@ class TestGaussLegendre:
             gauss_legendre(4, 1.0, 1.0)
         with pytest.raises(ValueError):
             gauss_legendre(4, 0.0, math.inf)
+        for a, b in ((1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="a < b"):
+                composite_gauss_legendre(a, b)
 
     def test_rule_is_cached_and_read_only(self, monkeypatch):
         calls = []

@@ -198,6 +198,17 @@ class TestSpecsValidation:
             StateSpec(n_th=-1.0)
         with pytest.raises(ValueError):
             StateSpec(xi=complex("nan"))
+        with pytest.raises(ValueError, match="theta0"):
+            StateSpec(theta0=math.inf)
+
+    @pytest.mark.parametrize("call,args", [
+        (n_th_from_temperature, (math.nan,)), (n_th_from_temperature, (-1.0,)),
+        (gamma_from, (0.5 + 0j, -0.1, 0.0)), (gamma_from, (complex(math.inf, 0.0), 0.5, 0.0)),
+        (thermal_weight, (-1, 0.5)), (thermal_weight, (1.5, 0.5)),
+        (thermal_weight, (2, math.nan)), (thermal_weight, (2, -0.5))])
+    def test_state_functions_reject_bad_values(self, call, args):
+        with pytest.raises(ValueError):
+            call(*args)
 
     def test_offset_fields_finite(self):
         with pytest.raises(ValueError):
