@@ -15,10 +15,11 @@ from pathlib import Path
 
 from .config import ConfigError, load_scan_config
 from .errors import TruncationError
-from .integral import IntegralInfo
+from .fock import DEFAULT_DIM
+from .integral import DEFAULT_QUAD_ORDER, IntegralInfo
 from .output import write_scan_outputs
 from .scan import ROUTES, named_evaluator, scan_plane
-from .series import SeriesInfo, _check_signs
+from .series import DEFAULT_TRUNCATION, SeriesInfo, _check_signs
 from .states import OffsetFunction, n_th_from_temperature
 from .verify import CASES, run_case
 
@@ -61,9 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--offset-amp", type=float, default=0.0)
     ev.add_argument("--offset-phase", type=float, default=0.0)
     ev.add_argument("--offset-const", type=float, default=0.0)
-    ev.add_argument("--nmax", type=int, default=200, help="series truncation order")
-    ev.add_argument("--quad-order", type=int, default=32, help="starting u-quadrature order")
-    ev.add_argument("--oracle-dim", type=int, default=300)
+    ev.add_argument("--nmax", type=int, default=DEFAULT_TRUNCATION.n_max,
+                    help="series truncation order")
+    ev.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
+                    help="starting u-quadrature order")
+    ev.add_argument("--oracle-dim", type=int, default=DEFAULT_DIM)
     ev.add_argument("--out", choices=("text", "json"), default="text")
 
     sc = sub.add_parser("scan", help="run a plane scan from a key-value config file")

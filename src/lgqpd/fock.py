@@ -26,6 +26,8 @@ from .special import averaged_partial_sum, composite_gauss_legendre, psi_rows
 from .states import StateSpec, thermal_m_cut, thermal_weight
 
 DIM_CAP = 600
+#: The default dimension of the truncated number basis.
+DEFAULT_DIM = 300
 #: i^k, looked up by k mod 4 so that the chain phases carry no rounding.
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
@@ -222,14 +224,14 @@ def _oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int, t1: float
 
 
 def q_oracle_curve(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
-                   t1: float, t2_grid: np.ndarray, dim: int = 300) -> np.ndarray:
+                   t1: float, t2_grid: np.ndarray, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Oracle quasi-probability over a 1-D array of t2 values (see
     :func:`qpd_oracle`)."""
     return _oracle(state, meas, s1, s2, t1, t2_grid, dim)[0]
 
 
 def qpd_oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
-               t1: float, t2: float, dim: int = 300, with_info: bool = False):
+               t1: float, t2: float, dim: int = DEFAULT_DIM, with_info: bool = False):
     """Quasi-probability Re Tr[P_{s2}(t2) P_{s1}(t1) rho] in the truncated basis.
 
     Ground truth for the cross-method tests; converges in ``dim`` for the

@@ -42,6 +42,8 @@ DEGENERATE_TOL = 1e-8
 U_SELF_CONSISTENCY = 1e-8
 U_FLAG_THRESHOLD = 1e-6
 U_ORDER_CAP = 512
+#: The default starting order of the u quadrature.
+DEFAULT_QUAD_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,8 @@ def _check_pure(state: StateSpec) -> None:
 
 
 def qpd_integral(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: int,
-                 t1: float, t2: float, quad_order: int = 32, with_info: bool = False):
+                 t1: float, t2: float, quad_order: int = DEFAULT_QUAD_ORDER,
+                 with_info: bool = False):
     """Quasi-probability q_{s1,s2}(t1,t2) by the angular-integral route.
 
     The u integral uses fixed Gauss-Legendre rules, doubling the order from

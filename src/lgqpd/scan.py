@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
-from .integral import _check_order, _check_pure, qpd_integral
-from .fock import _check_dim, q_oracle_curve, qpd_oracle
-from .series import (MeasurementSpec, TruncationConfig, _check_signs,
+from .integral import DEFAULT_QUAD_ORDER, _check_order, _check_pure, qpd_integral
+from .fock import DEFAULT_DIM, _check_dim, q_oracle_curve, qpd_oracle
+from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _check_signs,
                      _check_squeezed_vacuum, _occupation_cut, _q_sign, _q_thermal, _q_window,
                      q_sign_series_curve, q_thermal_series_curve, q_window_series_curve,
                      qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
@@ -62,10 +62,8 @@ class T2Search:
     def __post_init__(self):
         if not -math.inf < self.t2_min < self.t2_max < math.inf:
             raise ValueError("t2_min and t2_max must be finite, with t2_max > t2_min")
-        if self.coarse_steps < 2:
-            raise ValueError("coarse_steps must be >= 2")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be >= 0")
+        object.__setattr__(self, "coarse_steps", _whole("coarse_steps", self.coarse_steps, 2))
+        object.__setattr__(self, "refine_iters", _whole("refine_iters", self.refine_iters, 0))
 
     def grid(self) -> np.ndarray:
         """The coarse grid of t2 values."""
@@ -206,13 +204,13 @@ class ScanConfig:
     axis2_min: float = -2.0
     axis2_max: float = 2.0
     axis2_steps: int = 2
-    t2_min: float = 0.0
-    t2_max: float = 2.0 * math.pi
-    t2_coarse_steps: int = 200
-    t2_refine_iters: int = 40
-    n_max: int = 200
-    quad_order: int = 32
-    oracle_dim: int = 300
+    t2_min: float = T2Search.t2_min
+    t2_max: float = T2Search.t2_max
+    t2_coarse_steps: int = T2Search.coarse_steps
+    t2_refine_iters: int = T2Search.refine_iters
+    n_max: int = DEFAULT_TRUNCATION.n_max
+    quad_order: int = DEFAULT_QUAD_ORDER
+    oracle_dim: int = DEFAULT_DIM
     omega: float = 1.0
 
     def __post_init__(self):
@@ -221,8 +219,8 @@ class ScanConfig:
         if self.plane not in PLANES:
             raise ValueError(f"plane must be one of {PLANES}, got {self.plane!r}")
         # A single-step axis pins that coordinate, giving a 1-cell (or 1-row) scan.
-        if self.axis1_steps < 1 or self.axis2_steps < 1:
-            raise ValueError("axis steps must be >= 1")
+        for name in ("axis1_steps", "axis2_steps"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 1))
         self.t2_search()
         if self.plane == "rL" and self.r != 0:
             raise ValueError(f"the rL plane scans r; r must be 0, got {self.r!r}")
@@ -419,8 +417,11 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     grid points.  The coarse grid's t2 curves are evaluated in one call
     (:func:`_curve_rows`: one batched kernel call on the series route);
     Nelder-Mead runs sequentially.  All start outcomes are reported.  Raises
-    ValueError for a missing t2 and for a bound with hi <= lo.
+    ValueError for a missing t2, for a bound with hi <= lo, and for
+    ``coarse_steps`` or ``n_starts`` that is not a whole number >= 1.
     """
+    coarse_steps = _whole("coarse_steps", coarse_steps, 1)
+    n_starts = _whole("n_starts", n_starts, 1)
     fixed = dict(fixed or {})
     free = dict(free)
     if "t2" not in free:
@@ -473,7 +474,7 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
                                          _curve_rows(evaluators, curves, search.grid())):
         memo[key(params)] = minimize_over_t2(evaluator, lambda _, v=values: v, search)
     values = np.array([objective(p) for p in points])
-    order = np.argsort(values, kind="stable")[:max(1, n_starts)]
+    order = np.argsort(values, kind="stable")[:n_starts]
 
     starts = []
     best_vec, best_val = points[order[0]], float(values[order[0]])
@@ -494,7 +495,8 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
                          starts=tuple(starts))
 
 
-def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
+def named_evaluator(params: dict, route: str, projector: str,
+                    n_max: int = DEFAULT_TRUNCATION.n_max):
     """The one map from (route, projector, state family) to a kernel.
 
     ``params`` holds named parameters from {s1, s2, t1, x0, p0, r, theta0,
@@ -535,11 +537,10 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
         float(params.get("r", 0.0)), float(params.get("theta0", 0.0)),
         float(params.get("n_th", 0.0)))
     # every truncation setting is range-checked, whichever route reads it
-    n_max = _whole("n_max", n_max)
     trunc = TruncationConfig(n_max=n_max)
-    order = _whole("quad_order", params.get("quad_order", 32))
+    order = _whole("quad_order", params.get("quad_order", DEFAULT_QUAD_ORDER))
     _check_order(order)
-    dim = _whole("oracle_dim", params.get("oracle_dim", 300))
+    dim = _whole("oracle_dim", params.get("oracle_dim", DEFAULT_DIM))
     _check_dim(dim)
     if meas.projector == "window":
         if route == "integral":
@@ -553,7 +554,7 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
             family = (qpd_series_window, _q_window, q_window_series_curve,
                       (state, float(meas.window_halfwidth)))
         elif state.n_th > 0:
-            _occupation_cut(state.n_th, n_max)
+            _occupation_cut(state.n_th, trunc.n_max)
             family = (qpd_series_thermal, _q_thermal, q_thermal_series_curve, (state,))
         else:
             family = (qpd_series_squeezed, _q_sign, q_sign_series_curve, (state,))
@@ -569,10 +570,13 @@ def named_evaluator(params: dict, route: str, projector: str, n_max: int = 200):
             lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim))
 
 
-def _whole(name: str, value) -> int:
-    """``value`` as an int; a fractional value is refused, not truncated."""
+def _whole(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int, at least ``least`` when given; a fractional or
+    non-finite value is refused, not truncated."""
     if not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and int(value) < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
 
 

@@ -40,8 +40,7 @@ import scipy.special as _sp
 
 from .errors import TruncationError, TruncationWarning
 from .matrix_elements import j_block, j_diag_row, j_row, ladder_diagonal, lowered
-from .special import (_check_n_cap, _euler_weights, _psi_blocks, _sqrt_2n,
-                      averaged_partial_sum, psi_rows)
+from .special import _check_n_cap, _euler_weights, _psi_blocks, _sqrt_2n, psi_rows
 from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_dot, lambda_of,
                      phase_beta_dot, phase_beta_of, thermal_m_cut, x_xi_dot, x_xi_of)
 
@@ -306,9 +305,11 @@ def _cached_phase_table(key: bytes, shape: tuple, n_max: int):
 
 
 class _EulerSum:
-    """The Euler-averaged sum of :func:`averaged_partial_sum` over n_max terms
-    that arrive in consecutive blocks of at most ``rows``, with its
-    operations in the same order, so bit for bit equal to it.
+    """The Euler-averaged sum of the series: every value and slope, of a
+    point (:func:`_euler_sum`) and of a streamed curve, sums through it.  Its
+    n_max terms arrive in consecutive blocks of at most ``rows``, and its
+    operations are those of :func:`special.averaged_partial_sum` in the same
+    order, so it equals that sum bit for bit.
 
     A block's m terms are written into ``slots(m)`` and folded in by
     ``add(m)``: their running sum, slot 0 carrying the last partial sum in,
@@ -343,6 +344,16 @@ class _EulerSum:
                                        terms[:m + 1])
         terms[0] = terms[m]
         self.done = k0 + m
+
+
+def _euler_sum(terms: np.ndarray):
+    """The :class:`_EulerSum` of ``terms`` (along axis 0) in one block: the
+    sum of a series point or its slope."""
+    n = len(terms)
+    euler = _EulerSum(n, n, terms.shape[1:])
+    euler.slots(n)[...] = terms
+    euler.add(n)
+    return euler.total
 
 
 def _block_rows(c: int, k: int) -> int:
@@ -434,7 +445,7 @@ def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int,
         angle = n * phi
         cos = np.cos(angle)
         terms = cos * row1 * row2
-        q = block + s1 * s2 * averaged_partial_sum(terms)
+        q = block + s1 * s2 * _euler_sum(terms)
         if rates is not None:
             dblock, dphi, dcut = rates
             psi = psi_rows(cut2, n_max)
@@ -442,7 +453,7 @@ def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int,
             if window:
                 drow2[0::2] = 0.0
             dterms = row1 * (cos * drow2 - dphi * n * np.sin(angle) * row2)
-            dq = dblock + s1 * s2 * averaged_partial_sum(dterms)
+            dq = dblock + s1 * s2 * _euler_sum(dterms)
     elif n_max >= 1 and not np.all(singular):
         q = block + s1 * s2 * _phase_sums(window, cut1, cut2, phi, n_max)
     if np.any(singular):
@@ -714,7 +725,7 @@ def _thermal_point(fixed, cut2: float, phi: float, n_max: int, rates=None):
     s_up = (wm * cos[1:m1] * row2[:m1 - 1] * row1[1:m1]).sum(axis=0)
     diag2 = ladder_diagonal(cut2, psi[:m1])
     if rates is None:
-        return averaged_partial_sum(terms), s_up, diag2, terms, None
+        return _euler_sum(terms), s_up, diag2, terms, None
     dphi, dcut = rates
     cn, sn, p, lo = cos[1:], sin[1:], psi[1:], low[1:]
     d = (g.T @ factors)[1:].T
@@ -723,18 +734,16 @@ def _thermal_point(fixed, cut2: float, phi: float, n_max: int, rates=None):
              - dphi * np.arange(1, n_max + 1) * sn * row2 * row1[1:])
     dterms = (dpure + 0.5 * dphi * (cn * (lo * d[2] - p * d[3]) - sn * (lo * d[0] - p * d[1]))
               - dcut * p * (cn * d[0] + sn * d[2]))
-    slopes = (averaged_partial_sum(dterms), (wm * dpure[:m1 - 1]).sum(),
-              -dcut * psi[:m1] ** 2)
-    return averaged_partial_sum(terms), s_up, diag2, terms, slopes
+    slopes = (_euler_sum(dterms), (wm * dpure[:m1 - 1]).sum(), -dcut * psi[:m1] ** 2)
+    return _euler_sum(terms), s_up, diag2, terms, slopes
 
 
 def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):
     """(phase_sum, s_up, diag2) of the thermal kernel for C columns over K
-    values of t2: ``cut2`` (C, K), ``phi`` (K,) or (C, K), ``row1`` of shape
-    (n_max + 1, 1, 1) and ``bT`` (1, n_max + 1, m_cut + 1) for a shared t1
-    cut, or (n_max + 1, C, 1) and (C, n_max + 1, m_cut + 1), one per column;
-    ``wm`` holds the occupation weights w^m, m = 1..m_cut, shaped
-    (m_cut, 1, 1).
+    values of t2: ``cut2`` (C, K), ``phi`` (K,) or (C, K), and the fixed t1
+    cut's pieces, one per column, ``row1`` of shape (n_max + 1, C, 1) and
+    ``bT`` (C, n_max + 1, m_cut + 1); ``wm`` holds the occupation weights
+    w^m, m = 1..m_cut, shaped (m_cut, 1, 1).
 
     The orders stream as in :func:`_phase_sums`.  Every order's mixed family
     needs the rows m <= m_cut, so these are kept aside first, the stream's
@@ -829,10 +838,6 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int,
             phase_sum, s_up, diag2, terms, slopes = _thermal_point(
                 fixed[0], -a2, phi, n_max, None if rates is None else rates[1:])
         else:
-            # one fixed cut per column, since t1 != 0 moves each state's cut,
-            # or one for the batch
-            if all(f is fixed[0] for f in fixed):
-                fixed = fixed[:1]
             row1, diag1 = (np.stack(arrs, axis=1)[:, :, None]
                            for arrs in list(zip(*fixed))[:2])
             bT = np.stack([f[2] for f in fixed]).transpose(0, 2, 1)

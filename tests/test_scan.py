@@ -47,6 +47,19 @@ class TestMinimizeOverT2:
             assert all(grid[i - 1] <= t <= grid[i + 1] for t in points)
             assert q <= np.cos(grid).min()
 
+    @pytest.mark.parametrize("steps,iters", [
+        (200.5, 40), (math.nan, 40), (math.inf, 40), (200, 40.5), (200, math.nan)])
+    def test_search_rejects_bad_counts(self, steps, iters):
+        # a fractional or NaN step count used to construct and fail in grid(),
+        # and a fractional cap was taken as it stood
+        with pytest.raises(ValueError):
+            T2Search(0.0, TWO_PI, steps, iters)
+
+    def test_whole_float_counts_are_taken(self):
+        search = T2Search(0.0, TWO_PI, 50.0, 8.0)
+        assert (search.coarse_steps, search.refine_iters) == (50, 8)
+        assert type(search.coarse_steps) is int and len(search.grid()) == 50
+
     def test_refinement_precision_independent_of_window_origin(self):
         # a cusp, as at a degenerate separation, found to about XATOL both
         # near t2 = 0 and a hundred units out
@@ -197,7 +210,9 @@ class TestNamedEvaluator:
         ("series", {"quad_order": 4}, 200), ("oracle", {"quad_order": 600}, 200),
         ("integral", {}, 200000), ("oracle", {}, 0), ("fock", {}, 200),
         # a non-finite t1 used to give NaN (series) or a traceback (integral, oracle)
-        *[(route, {"t1": t1}, 200) for route in scan.ROUTES for t1 in (math.nan, math.inf)]])
+        *[(route, {"t1": t1}, 200) for route in scan.ROUTES for t1 in (math.nan, math.inf)],
+        # refused by TruncationConfig, now the only check of n_max
+        ("series", {}, math.nan)])
     def test_rejects_out_of_range_settings(self, route, params, n_max):
         # these used to pass the dispatch and fail at the first evaluation
         with pytest.raises(ValueError):
@@ -310,7 +325,11 @@ class TestScanConfigValidation:
         dict(route="series", plane="xp"), dict(route="series", axis1_steps=0),
         dict(route="oracle", axis2_steps=0),
         # a non-finite t1 used to make every cell NaN
-        *[dict(route=route, t1=t1) for route in scan.ROUTES for t1 in (math.nan, math.inf)]])
+        *[dict(route=route, t1=t1) for route in scan.ROUTES for t1 in (math.nan, math.inf)],
+        # fractional or NaN counts used to raise TypeError, or to be taken
+        dict(route="series", axis1_steps=2.5), dict(route="series", axis2_steps=math.nan),
+        dict(route="series", t2_coarse_steps=200.5), dict(route="series", t2_refine_iters=2.5),
+        dict(route="oracle", t2_coarse_steps=math.nan)])
     def test_rejects_settings_that_would_fail_every_cell(self, bad):
         with pytest.raises(ValueError):
             ScanConfig(**{"plane": "x0p0", "s1": 1, "s2": -1, **bad})
@@ -662,6 +681,17 @@ class TestGlobalMinimize:
         monkeypatch.setattr(scan, "minimize_over_t2", None)
         with pytest.raises(ValueError):
             global_minimize(free=free, fixed=dict({"s1": 1, "s2": 1}, **fixed))
+
+    @pytest.mark.parametrize("counts", [
+        dict(coarse_steps=0), dict(coarse_steps=2.5), dict(coarse_steps=math.nan),
+        dict(n_starts=0), dict(n_starts=-2), dict(n_starts=2.5), dict(n_starts=math.inf)])
+    def test_rejects_bad_counts(self, monkeypatch, counts):
+        # coarse_steps=0 used to fail unpacking and 2.5 with a TypeError, and
+        # n_starts=-2 ran one start.  Nothing may be evaluated first.
+        monkeypatch.setattr(scan, "named_evaluator", None)
+        with pytest.raises(ValueError, match=next(iter(counts))):
+            global_minimize(free={"x0": (-1.0, 1.0), "t2": (0.0, TWO_PI)},
+                            fixed={"s1": 1, "s2": -1}, **counts)
 
     def test_reports_all_starts(self):
         res = global_minimize(

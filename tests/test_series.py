@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    q_thermal_series_curve, q_window_series_curve, qpd_integral,
                    qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window,
-                   psi_rows, series_tail_estimate, thermal_m_cut, x_xi_of)
+                   psi_rows, series, series_tail_estimate, thermal_m_cut, x_xi_of)
 from lgqpd.matrix_elements import ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table,
-                          _fill_singular, _geometry, _ground_weight, _halfline,
+                          _euler_sum, _fill_singular, _geometry, _ground_weight, _halfline,
                           _phase_table, _psi_sq_weights, _q_sign, _q_thermal, _q_window,
                           _t1_geometry, _window_region)
 from test_matrix_elements import quadrature_diag_row
@@ -521,6 +523,40 @@ class TestBatchedCurves:
         grid = np.array([0.0, math.pi, 2 * math.pi])
         states = [StateSpec.from_phase_space(x0, 0.4, 0.5) for x0 in (-1.0, 0.0, 1.0)]
         self._check(states, None, 1, 1, 0.0, grid, 40)
+
+
+class TestOneSummationPath:
+    """Every series sum, value and slope, point and curve, goes through
+    _EulerSum; special's averaged_partial_sum is the oracle's sum and the
+    reference of the series' sums."""
+
+    def test_series_takes_no_other_sum_and_no_other_route(self):
+        tree = ast.parse(Path(series.__file__).read_text(encoding="utf-8"))
+        imported, names = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("lgqpd.").removeprefix("lgqpd")
+                imported.setdefault(module or "*", set()).update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update((a.name.removeprefix("lgqpd."), {"*"}) for a in node.names)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert "averaged_partial_sum" not in set().union(*imported.values()) | names
+        for route in ("fock", "integral"):
+            assert route not in imported and route not in imported.get("*", ())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 150, 256, 257, 2500])
+    @pytest.mark.parametrize("shape", [(), (3, 5)])
+    def test_one_block_equals_the_averaged_partial_sum(self, n, shape):
+        # an oscillating, slowly decaying tail, as the eigenbasis terms
+        order = np.arange(1, n + 1).reshape((-1,) + (1,) * len(shape))
+        noise = np.random.default_rng(n).standard_normal((n,) + shape)
+        terms = (np.cos(1.3 * order) + 0.1 * noise) / np.sqrt(order)
+        got, want = _euler_sum(terms), averaged_partial_sum(terms)
+        assert np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestPhaseTable:
