@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapabilityError, TruncationError
 from .series import MeasurementSpec, _check_signs
@@ -107,8 +106,10 @@ def _chain_eigh(step: int, parity: int, dim: int):
     on the levels n = parity, parity + step, ... below dim.
 
     T couples n to n + step with sqrt(n + 1) for the displacement (step 1)
-    and sqrt((n + 1)(n + 2)) / 2 for the squeeze (step 2).
+    and sqrt((n + 1)(n + 2)) / 2 for the squeeze (step 2).  scipy.linalg is
+    imported on first use.
     """
+    from scipy.linalg import eigh_tridiagonal
     n = np.arange(parity, dim - step, step, dtype=float)
     coupling = np.sqrt(n + 1.0) if step == 1 else 0.5 * np.sqrt((n + 1.0) * (n + 2.0))
     lam, vec = eigh_tridiagonal(np.zeros(n.size + 1), coupling)

@@ -11,14 +11,15 @@ row-major order, which makes output byte-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from .integral import DEFAULT_QUAD_ORDER, _check_order, _check_pure, qpd_integral
 from .fock import DEFAULT_DIM, _check_dim, q_oracle_curve, qpd_oracle
@@ -218,9 +219,12 @@ class ScanConfig:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if self.plane not in PLANES:
             raise ValueError(f"plane must be one of {PLANES}, got {self.plane!r}")
-        # A single-step axis pins that coordinate, giving a 1-cell (or 1-row) scan.
-        for name in ("axis1_steps", "axis2_steps"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name), 1))
+        # A single-step axis pins that coordinate, giving a 1-cell (or 1-row)
+        # scan; the other counts are range-checked where they are read.
+        for name, least in (("axis1_steps", 1), ("axis2_steps", 1), ("t2_coarse_steps", None),
+                            ("t2_refine_iters", None), ("n_max", None), ("quad_order", None),
+                            ("oracle_dim", None)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), least))
         self.t2_search()
         if self.plane == "rL" and self.r != 0:
             raise ValueError(f"the rL plane scans r; r must be 0, got {self.r!r}")
@@ -412,13 +416,22 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     :func:`minimize_over_t2`, a coarse grid and then a Newton-secant
     refinement on dq/dt2 (the series' exact slope, a central difference on
     the other routes), with at most ``t2_refine`` evaluator calls per search;
-    the other parameters go through a
-    coarse grid followed by Nelder-Mead polish from the best ``n_starts``
-    grid points.  The coarse grid's t2 curves are evaluated in one call
-    (:func:`_curve_rows`: one batched kernel call on the series route);
-    Nelder-Mead runs sequentially.  All start outcomes are reported.  Raises
-    ValueError for a missing t2, for a bound with hi <= lo, and for
-    ``coarse_steps`` or ``n_starts`` that is not a whole number >= 1.
+    the other parameters go through a coarse grid followed by Nelder-Mead
+    polish from the best ``n_starts`` grid points.
+
+    Points are t2-searched in batches: the coarse grid is one batch, and the
+    Nelder-Mead starts run in lock-step rounds (:func:`_lock_step`): in
+    turn, in start order, each start runs up to its next point not yet
+    searched, and the round's new points are one batch.  A batch's t2 curves
+    are one call (:func:`_curve_rows`: one kernel call on the series route),
+    each row equal to that point's own curve, and its refinements follow in
+    order.  Every evaluation runs on the calling thread (the starts after
+    the first run scipy's Nelder-Mead on threads of their own, one thread
+    at a time), and a start's path depends on its own values only, so the
+    result is that of running the starts one after another.  All start
+    outcomes are reported.  Raises ValueError for a missing t2, for a bound
+    with hi <= lo, and for ``coarse_steps`` or ``n_starts`` that is not a
+    whole number >= 1.
     """
     coarse_steps = _whole("coarse_steps", coarse_steps, 1)
     n_starts = _whole("n_starts", n_starts, 1)
@@ -446,53 +459,156 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
 
     # Nelder-Mead re-probes points, and every start's argmin repeats its last
     # objective call, so the inner t2 search runs once per clipped point
-    memo: dict[tuple, tuple[float, float]] = {}
+    memo: dict[tuple, T2Minimum] = {}
 
-    def inner(vec) -> tuple[dict, tuple[float, float]]:
-        params = named(vec)
-        if key(params) not in memo:
-            memo[key(params)] = minimize_over_t2(
-                *named_evaluator(params, route, projector, n_max), search)
-        return params, memo[key(params)]
-
-    def objective(vec) -> float:
-        return inner(vec)[1][0]
+    def search_batch(batch) -> None:
+        """The t2 search of each new point of ``batch``: their curves in one
+        call, then each refinement, in order."""
+        fresh = {}
+        for params in batch:
+            fresh.setdefault(key(params), params)
+        evaluators, curves = zip(*(named_evaluator(params, route, projector, n_max)
+                                   for params in fresh.values()))
+        rows = _curve_rows(evaluators, curves, search.grid())
+        for k, evaluator, values in zip(fresh, evaluators, rows):
+            memo[k] = minimize_over_t2(evaluator, lambda _, v=values: v, search)
 
     def full_argmin(vec) -> dict:
-        params, (_, t2) = inner(vec)
-        params["t2"] = t2
+        params = named(vec)
+        params["t2"] = memo[key(params)][1]
         return params
+
+    def polish(x0, post) -> tuple[np.ndarray, float]:
+        """One Nelder-Mead start, which posts each point not yet searched."""
+        def objective(vec) -> float:
+            params = named(vec)
+            if key(params) not in memo:
+                post(params)
+            return memo[key(params)][0]
+
+        res = _nm_minimize(objective, x0, method="Nelder-Mead",
+                           options={"maxiter": nm_maxiter, "xatol": 1e-5, "fatol": 1e-10})
+        xk = np.clip(res.x, lows, highs)
+        return xk, objective(xk)
 
     axes = [np.linspace(lo, hi, coarse_steps) for lo, hi in zip(lows, highs)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    # every coarse point's t2 curve in one call, then each point's refinement
-    coarse = [named(p) for p in points]
-    evaluators, curves = zip(*(named_evaluator(params, route, projector, n_max)
-                               for params in coarse))
-    for params, evaluator, values in zip(coarse, evaluators,
-                                         _curve_rows(evaluators, curves, search.grid())):
-        memo[key(params)] = minimize_over_t2(evaluator, lambda _, v=values: v, search)
-    values = np.array([objective(p) for p in points])
+    search_batch([named(p) for p in points])
+    values = np.array([memo[key(named(p))][0] for p in points])
     order = np.argsort(values, kind="stable")[:n_starts]
 
     starts = []
     best_vec, best_val = points[order[0]], float(values[order[0]])
-    for k in order:
-        x0 = points[k]
-        res = _nm_minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": nm_maxiter, "xatol": 1e-5,
-                                    "fatol": 1e-10})
-        xk = np.clip(res.x, lows, highs)
-        vk = objective(xk)
+    polished = _lock_step([functools.partial(polish, points[k]) for k in order],
+                          search_batch)
+    for k, (xk, vk) in zip(order, polished):
         starts.append(StartOutcome(
-            start={n: float(v) for n, v in zip(outer_names, x0)},
+            start={n: float(v) for n, v in zip(outer_names, points[k])},
             value=float(vk),
             argmin=full_argmin(xk)))
         if vk < best_val:
             best_val, best_vec = float(vk), xk
     return GlobalMinimum(value=best_val, argmin=full_argmin(best_vec),
                          starts=tuple(starts))
+
+
+def _nm_minimize(fun, x0, **options):
+    """scipy's Nelder-Mead ``minimize``; scipy.optimize is imported on first use."""
+    from scipy.optimize import minimize
+    return minimize(fun, x0, **options)
+
+
+class _Abandoned(BaseException):
+    """Ends a :func:`_lock_step` task whose rounds were given up."""
+
+
+class _Turn:
+    """A :func:`_lock_step` task on a thread of its own.  It waits for its
+    ``go`` semaphore, and on posting or ending passes the turn on: to the
+    ``next`` task of the round, or back to the calling thread."""
+
+    def __init__(self, task, back: threading.Semaphore):
+        self.go, self.back, self.next = threading.Semaphore(0), back, None
+        self.request = self.result = self.error = None
+        self.done = self.abandoned = False
+        self.thread = threading.Thread(target=self._run, args=(task,), daemon=True)
+        self.thread.start()
+
+    def _run(self, task) -> None:
+        try:
+            self._wait()
+            self.result = task(self.post)
+        except _Abandoned:
+            pass
+        except BaseException as exc:  # raised on the calling thread
+            self.error = exc
+        self.done = True
+        self._pass()
+
+    def _wait(self) -> None:
+        self.go.acquire()
+        if self.abandoned:
+            raise _Abandoned
+
+    def _pass(self) -> None:
+        (self.back if self.next is None else self.next.go).release()
+
+    def post(self, request) -> None:
+        """Hand ``request`` over, and wait for the next turn, by which it has
+        been served."""
+        self.request = request
+        self._pass()
+        self._wait()
+
+
+def _lock_step(tasks, serve) -> list:
+    """Run ``tasks``, each a callable ``task(post)``, in lock-step rounds, and
+    return their results in order.
+
+    In a round each unfinished task runs in turn, in order, until it calls
+    ``post(request)``, which blocks it, or returns; then ``serve(requests)``
+    runs on the round's requests, in order, and the next round starts.  The
+    first task runs on the calling thread and each other on a thread of its
+    own, and only one thread runs at a time, each passing the turn straight
+    to the next; ``serve`` runs on the calling thread, and a task's error is
+    raised there.  No thread outlives the call, whether it returns or raises.
+    """
+    back, turns = threading.Semaphore(0), []
+
+    def play(request) -> None:
+        """One round, the calling thread's own task having posted ``request``
+        (None once it has returned)."""
+        nonlocal live
+        requests = [] if request is None else [request]
+        if live:
+            for turn, nxt in zip(live, live[1:] + [None]):
+                turn.next = nxt
+            live[0].go.release()
+            back.acquire()
+            for turn in live:
+                if turn.error is not None:
+                    raise turn.error
+            live = [turn for turn in live if not turn.done]
+            requests += [turn.request for turn in live]
+        if requests:
+            serve(requests)
+
+    try:
+        for task in tasks[1:]:
+            turns.append(_Turn(task, back))
+        live = turns
+        first = tasks[0](play)
+        while live:
+            play(None)
+        return [first] + [turn.result for turn in turns]
+    finally:
+        for turn in turns:
+            if not turn.done:
+                turn.abandoned, turn.next = True, None
+                turn.go.release()
+        for turn in turns:
+            turn.thread.join()
 
 
 def named_evaluator(params: dict, route: str, projector: str,

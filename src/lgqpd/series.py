@@ -283,6 +283,10 @@ def _window_row(h: float, n_max: int) -> np.ndarray:
 #: values of t2 runs its orders in blocks of _BLOCK_DOUBLES // (C K) (at least
 #: 2), so that a block's working set stays in cache.
 _BLOCK_DOUBLES = 16384
+#: Values in one order of a block from which :class:`_EulerSum` runs its sum
+#: as one contiguous add per order: numpy's cumsum along axis 0 walks strided
+#: lanes, which costs more than the per-call overhead of the adds past here.
+_ROW_ADD_MIN = 1024
 
 
 def _phase_table(phi, n_max: int):
@@ -332,7 +336,11 @@ class _EulerSum:
     def add(self, m: int) -> None:
         k0, terms = self.done, self.terms
         sums = terms[:m + 1] if k0 else terms[1:m + 1]
-        np.cumsum(sums, axis=0, out=sums)
+        if sums[0].size < _ROW_ADD_MIN:
+            np.cumsum(sums, axis=0, out=sums)
+        else:  # the same additions in the same order
+            for i in range(1, len(sums)):
+                np.add(sums[i - 1], sums[i], out=sums[i])
         lo = max(self.first, k0 + 1)
         if lo <= k0 + m:
             w = self.weights[lo - self.first:k0 + m + 1 - self.first]

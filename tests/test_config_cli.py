@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -354,3 +356,13 @@ class TestCliVerify:
         assert main(["verify", "reduction"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_import_leaves_scipy_optimize_and_linalg_unloaded():
+    # Nelder-Mead and the oracle's tridiagonal eigensolver import them on use
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; import lgqpd.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from lgqpd import (IntegralInfo, OffsetFunction, OracleInfo, ScanConfig,
                    SeriesInfo, T2Search, TruncationConfig, TruncationError, global_minimize,
                    minimize_over_t2, named_evaluator, scan, scan_plane, series)
 from lgqpd.config import load_scan_config
-from lgqpd.output import scan_csv_text
+from lgqpd.output import build_manifest, scan_csv_text
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -18,6 +21,77 @@ TWO_PI = 2 * math.pi
 
 def pointwise(f):
     return lambda grid: [f(t) for t in grid]
+
+
+def sequential_global_minimize(free, route="series", fixed=None, projector="sign",
+                               coarse_steps=7, n_starts=4, t2_coarse=96, t2_refine=32,
+                               n_max=300, nm_maxiter=120):
+    """global_minimize with its Nelder-Mead starts run one after another, each
+    new point searched on its own curve: the reference of the lock-step."""
+    from scipy.optimize import minimize
+
+    fixed, free = dict(fixed or {}), dict(free)
+    search = T2Search(*free.pop("t2"), t2_coarse, t2_refine)
+    names = sorted(free)
+    lows = np.array([free[n][0] for n in names])
+    highs = np.array([free[n][1] for n in names])
+
+    def named(vec):
+        return dict(fixed, **{n: float(np.clip(v, lo, hi))
+                              for n, v, lo, hi in zip(names, vec, lows, highs)})
+
+    memo = {}
+
+    def inner(vec):
+        params = named(vec)
+        key = tuple(params[n] for n in names)
+        if key not in memo:
+            memo[key] = minimize_over_t2(*named_evaluator(params, route, projector, n_max),
+                                         search)
+        return params, memo[key]
+
+    def full_argmin(vec):
+        params, (_, t2) = inner(vec)
+        return dict(params, t2=t2)
+
+    axes = [np.linspace(lo, hi, coarse_steps) for lo, hi in zip(lows, highs)]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    values = np.array([inner(p)[1][0] for p in points])
+    order = np.argsort(values, kind="stable")[:n_starts]
+    starts, best_vec, best_val = [], points[order[0]], float(values[order[0]])
+    for k in order:
+        res = minimize(lambda vec: inner(vec)[1][0], points[k], method="Nelder-Mead",
+                       options={"maxiter": nm_maxiter, "xatol": 1e-5, "fatol": 1e-10})
+        xk = np.clip(res.x, lows, highs)
+        vk = inner(xk)[1][0]
+        starts.append(scan.StartOutcome(start={n: float(v) for n, v in zip(names, points[k])},
+                                        value=float(vk), argmin=full_argmin(xk)))
+        if vk < best_val:
+            best_val, best_vec = float(vk), xk
+    return scan.GlobalMinimum(value=best_val, argmin=full_argmin(best_vec),
+                              starts=tuple(starts))
+
+
+#: global_minimize cases: the benchmark's window minima at r = 0 and 0.5, a
+#: 2-D sign panel and a thermal one on small budgets.
+LOCK_STEP_CASES = {
+    "window_r0": dict(
+        free={"L": (0.7, 1.4), "t2": (0.05, math.pi - 0.05)},
+        fixed={"s1": 1, "s2": 1, "r": 0.0, "theta0": 0.0, "t1": 0.0}, projector="window",
+        coarse_steps=15, n_starts=3, t2_coarse=96, t2_refine=32, n_max=256, nm_maxiter=150),
+    "window_r05": dict(
+        free={"L": (0.7, 1.4), "t2": (0.05, math.pi - 0.05)},
+        fixed={"s1": 1, "s2": 1, "r": 0.5, "theta0": 0.0, "t1": 0.0}, projector="window",
+        coarse_steps=15, n_starts=3, t2_coarse=96, t2_refine=32, n_max=256, nm_maxiter=150),
+    "sign_panel": dict(
+        free={"x0": (-1.5, 1.5), "p0": (0.5, 2.0), "t2": (0.0, TWO_PI)},
+        fixed={"s1": 1, "s2": -1, "r": 0.3, "t1": 0.0}, coarse_steps=4, n_starts=3,
+        t2_coarse=48, t2_refine=16, n_max=150, nm_maxiter=40),
+    "thermal_panel": dict(
+        free={"x0": (-1.5, 1.5), "p0": (0.5, 2.0), "t2": (0.0, TWO_PI)},
+        fixed={"s1": 1, "s2": -1, "r": 0.3, "t1": 0.0, "n_th": 0.8}, coarse_steps=3,
+        n_starts=2, t2_coarse=48, t2_refine=16, n_max=150, nm_maxiter=30),
+}
 
 
 class TestMinimizeOverT2:
@@ -283,6 +357,19 @@ class TestScanConfigValidation:
                          axis1_min=0.7, axis1_steps=1, axis2_min=-0.2, axis2_steps=1)
         assert list(cfg.axis1_values()) == [0.7]
         assert list(cfg.axis2_values()) == [-0.2]
+
+    def test_whole_float_counts_are_stored_as_ints(self):
+        counts = dict(n_max=60.0, t2_coarse_steps=20.0, t2_refine_iters=5.0,
+                      quad_order=16.0, oracle_dim=100.0)
+        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, **counts)
+        for name, value in counts.items():
+            stored = getattr(cfg, name)
+            assert type(stored) is int and stored == value
+        result = scan_plane(dataclasses.replace(cfg, axis1_steps=1, axis2_steps=1))
+        manifest = build_manifest(result, scan_csv_text(result), 0.0)
+        # the manifest's resolved config echoes 60, not 60.0
+        assert json.dumps(manifest["config"]["n_max"]) == "60"
+        assert json.dumps(manifest["settings"]["t2_coarse_steps"]) == "20"
 
     def test_plane_names_the_projector(self):
         assert ScanConfig(plane="x0p0", route="series", s1=1, s2=1).projector == "sign"
@@ -769,3 +856,125 @@ class TestGlobalMinimize:
             params = {k: v for k, v in argmin.items() if k != "t2"}
             evaluator, curve = real_evaluator(params, "series", "sign", 150)
             assert minimize_over_t2(evaluator, curve, search) == (value, argmin["t2"])
+
+
+class TestLockStep:
+    """global_minimize runs its Nelder-Mead starts in lock-step rounds, one
+    batched t2 curve call per round, with the results of running them one
+    after another."""
+
+    @pytest.mark.parametrize("case", sorted(LOCK_STEP_CASES))
+    def test_equals_the_sequential_starts(self, case):
+        settings = LOCK_STEP_CASES[case]
+        assert repr(global_minimize(**settings)) == repr(sequential_global_minimize(**settings))
+
+    def test_one_start(self):
+        settings = dict(LOCK_STEP_CASES["sign_panel"], n_starts=1)
+        res = global_minimize(**settings)
+        assert len(res.starts) == 1
+        assert repr(res) == repr(sequential_global_minimize(**settings))
+
+    def test_rounds_batch_the_starts_points(self, monkeypatch):
+        calls, searched = [], set()
+        real_rows, real_evaluator = scan._curve_rows, scan.named_evaluator
+
+        def counting_rows(evaluators, curves, grid):
+            calls.append(len(evaluators))
+            return real_rows(evaluators, curves, grid)
+
+        def recording_evaluator(params, *args):
+            searched.add((params["x0"], params["p0"]))
+            return real_evaluator(params, *args)
+
+        monkeypatch.setattr(scan, "_curve_rows", counting_rows)
+        monkeypatch.setattr(scan, "named_evaluator", recording_evaluator)
+        global_minimize(**LOCK_STEP_CASES["sign_panel"])
+        # the coarse grid is the first call; the starts' points follow in rounds
+        assert calls[0] == 16 and sum(calls) == len(searched)
+        assert len(calls) - 1 < len(searched) - 16
+        assert max(calls[1:]) == 3
+
+    @pytest.mark.parametrize("k", [5, 20, 30])
+    def test_an_evaluation_error_is_raised_and_no_thread_is_left(self, monkeypatch, k):
+        # the coarse grid takes the first 16 calls, the rounds the later ones
+        real_evaluator, calls = scan.named_evaluator, [0]
+
+        def failing_evaluator(params, *args):
+            calls[0] += 1
+            if calls[0] == k:
+                raise RuntimeError(f"call {k}")
+            return real_evaluator(params, *args)
+
+        monkeypatch.setattr(scan, "named_evaluator", failing_evaluator)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"call {k}"):
+            global_minimize(**LOCK_STEP_CASES["sign_panel"])
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing_start", [0, 2])
+    def test_a_start_error_is_raised_and_no_thread_is_left(self, monkeypatch, failing_start):
+        real_nm, started = scan._nm_minimize, []
+
+        def failing_nm(fun, x0, **kwargs):
+            started.append(x0)
+            if len(started) == failing_start + 1:
+                fun(x0 * 0.9)  # a new point: the start waits for a round first
+                raise FloatingPointError("start failed")
+            return real_nm(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scan, "_nm_minimize", failing_nm)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="start failed"):
+            global_minimize(**LOCK_STEP_CASES["sign_panel"])
+        assert threading.active_count() == before
+
+    def test_rounds_serve_posts_in_task_order(self):
+        served = []
+
+        def task(name, posts):
+            def run(post):
+                for i in range(posts):
+                    post((name, i))
+                return name
+            return run
+
+        tasks = [task("a", 2), task("b", 0), task("c", 3)]
+        assert scan._lock_step(tasks, lambda requests: served.append(requests)) == ["a", "b", "c"]
+        assert served == [[("a", 0), ("c", 0)], [("a", 1), ("c", 1)], [("c", 2)]]
+
+    def test_many_tasks_at_a_short_switch_interval(self):
+        # more threads than cores, switching as often as the interpreter can:
+        # one thread runs at a time, and each reads what its round served
+        served, running, out = {}, [0], []
+
+        def serve(requests):
+            assert running[0] == 0
+            assert [j for j, _ in requests] == sorted(j for j, _ in requests)
+            for j, i in requests:
+                served[j, i] = 2 * i
+
+        def task(j):
+            def run(post):
+                running[0] += 1
+                total = 0
+                for i in range(40 + j):
+                    assert running[0] == 1
+                    running[0] -= 1
+                    post((j, i))
+                    running[0] += 1
+                    total += served.pop((j, i))
+                running[0] -= 1
+                return total
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: out.append(
+                scan._lock_step([task(j) for j in range(8)], serve)), daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert out == [[(40 + j) * (39 + j) for j in range(8)]] and not served

@@ -558,6 +558,27 @@ class TestOneSummationPath:
         assert np.shape(got) == shape
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+    @pytest.mark.parametrize("shape", [(3, 97), (2, 511), (2, 512), (4, 300), (1, 4097)])
+    def test_row_adds_equal_the_cumsum(self, monkeypatch, shape):
+        # blocks of at least _ROW_ADD_MIN values per order add row by row,
+        # narrower ones take numpy's cumsum: the same additions either way
+        n_max, rows = 300, 7
+        noise = np.random.default_rng(shape[1]).standard_normal((n_max,) + shape)
+        terms = (np.cos(1.3 * np.arange(1, n_max + 1)))[:, None, None] + 0.1 * noise
+
+        def streamed(least):
+            monkeypatch.setattr(series, "_ROW_ADD_MIN", least)
+            euler = series._EulerSum(n_max, rows, shape)
+            for k0 in range(0, n_max, rows):
+                m = min(rows, n_max - k0)
+                euler.slots(m)[...] = terms[k0:k0 + m]
+                euler.add(m)
+            return euler.total
+
+        shipped = streamed(series._ROW_ADD_MIN)
+        assert shipped.tobytes() == streamed(1).tobytes() == streamed(math.inf).tobytes()
+        assert shipped.tobytes() == np.asarray(averaged_partial_sum(terms)).tobytes()
+
 
 class TestPhaseTable:
     """The cos(n phi) and sin(n phi) table that every array call reads."""
