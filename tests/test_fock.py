@@ -9,9 +9,10 @@ from scipy.linalg import expm
 
 from lgqpd import (CapabilityError, MeasurementSpec, OffsetFunction, OracleInfo,
                    StateSpec, TruncationError, fock, gamma_from, projector_matrix,
-                   q_oracle_curve, qpd_oracle, thermal_m_cut)
+                   q_oracle_curve, qpd_oracle, thermal_m_cut, thermal_weight)
 from lgqpd.fock import _state_columns
 from lgqpd.matrix_elements import j_block
+from lgqpd.special import composite_gauss_legendre, psi_rows
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SIGN_PAIRS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -47,7 +48,17 @@ COLUMN_CASES = (
     + [(XIS[0], 0.0, 0.0, 0.5, 40), (XIS[4], 0.0, 0.0, 0.5, 40),
        (XIS[0], 1.0, 2.5, 0.5, 400), (XIS[1], 1.0, -1.0, 0.5, 400),
        (XIS[2], 0.3, 0.0, 2.0, 400), (XIS[5], 0.3, 2.5, 2.0, 400),
-       (XIS[2], 1.0, 2.5, 2.0, 600)])
+       (XIS[2], 1.0, 2.5, 2.0, 600)]
+    # odd dims, where a chain's even and odd halves differ in length
+    + [(xi, r, th, 0.0, 41) for xi in XIS for r, th in SQUEEZES[:4]]
+    + [(xi, r, th, n_th, 121) for xi in XIS[:3] for r, th in SQUEEZES[::3]
+       for n_th in ((0.0, 0.5) if r < 1 else (0.0,))]
+    + [(XIS[0], 1.0, 2.5, 0.5, 301), (XIS[3], 0.3, -1.0, 2.0, 301)]
+    # dim 2, where each squeeze chain has a single site
+    + [(0j, 0.0, 0.0, 0.0, 2), (0j, 0.3, 0.0, 0.0, 2), (0j, 1.0, 2.5, 0.0, 2)])
+#: (xi, r, theta0, n_th) in bases of dim 2 to 5; most overfill them.
+SMALL_CASES = [(xi, r, th, n_th) for xi in (0j, 1e-6 + 0j, XIS[0], XIS[5])
+               for r, th in SQUEEZES[:3] for n_th in (0.0, 0.5)]
 
 
 class TestProjectorMatrix:
@@ -103,6 +114,72 @@ class TestProjectorMatrix:
             projector_matrix(MeasurementSpec.sign(), 1, 0.0, 601)
 
 
+def dense_overlap(lo, hi, dim):
+    """Integrals of psi_m psi_n over [lo, hi] as one dense quadrature, with
+    no parity blocks."""
+    supp = math.sqrt(2.0 * (dim - 1) + 1.0) + 8.0
+    lo, hi = max(lo, -supp), min(hi, supp)
+    width = min(0.5, 8.0 / math.sqrt(2.0 * (dim - 1) + 1.0))
+    rule = composite_gauss_legendre(lo, hi, panel_width=width, order=16)
+    psi = psi_rows(rule.nodes, dim - 1)
+    return (psi * rule.weights) @ psi.T
+
+
+OFFSET = OffsetFunction(constant=0.45 * math.sqrt(2.0))
+#: (measurement, outcome, its region's dense projector at dim 301)
+PROJECTOR_CASES = [
+    (MeasurementSpec.sign(), 1, lambda d: dense_overlap(0.0, math.inf, d)),
+    (MeasurementSpec.sign(), -1, lambda d: np.eye(d) - dense_overlap(0.0, math.inf, d)),
+    (MeasurementSpec.sign(OFFSET), 1, lambda d: dense_overlap(0.45, math.inf, d)),
+    (MeasurementSpec.sign(OFFSET), -1, lambda d: dense_overlap(-math.inf, 0.45, d)),
+    (MeasurementSpec.window(1.1), 1,
+     lambda d: dense_overlap(-math.inf, -1.1, d) + dense_overlap(1.1, math.inf, d)),
+    (MeasurementSpec.window(1.1), -1, lambda d: dense_overlap(-1.1, 1.1, d)),
+]
+
+
+class TestParityBlocks:
+    """The oracle applies each projector through its blocks of level parity;
+    the blocks that parity makes exact (zero, or 1/2 I) are not multiplied."""
+
+    @pytest.mark.parametrize("meas,s,dense", PROJECTOR_CASES)
+    def test_apply_equals_dense_product(self, meas, s, dense):
+        dim, t = 301, 0.7
+        cols = _state_columns(StateSpec(xi=0.6 - 0.4j, r=0.3, theta0=0.5, n_th=1.0), dim)[0]
+        p = projector_matrix(meas, s, t, dim)
+        assert np.max(np.abs(p - dense(dim))) <= 1e-13
+        ph = np.exp(1j * np.arange(dim) * t)
+        expected = ph[:, None] * (p @ (ph.conj()[:, None] * cols))
+        got = fock._phased_apply(fock._projector(meas, s, t, dim), t, cols)
+        assert np.max(np.abs(got - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("meas,regions", [
+        (MeasurementSpec.sign(), {1: [(0.0, math.inf)], -1: [(-math.inf, 0.0)]}),
+        (MeasurementSpec.sign(OFFSET), {1: [(0.45, math.inf)], -1: [(-math.inf, 0.45)]}),
+        (MeasurementSpec.window(1.1),
+         {1: [(-math.inf, -1.1), (1.1, math.inf)], -1: [(-1.1, 1.1)]}),
+    ])
+    @pytest.mark.parametrize("s1,s2", SIGN_PAIRS)
+    def test_same_time_product(self, meas, regions, s1, s2):
+        # P_{s2} P_{s1} as one dense quadrature over the intersection of the
+        # two outcome regions
+        dim, t1 = 301, 0.4
+        prod = np.zeros((dim, dim))
+        for lo1, hi1 in regions[s1]:
+            for lo2, hi2 in regions[s2]:
+                if max(lo1, lo2) < min(hi1, hi2):
+                    prod += dense_overlap(max(lo1, lo2), min(hi1, hi2), dim)
+        state = StateSpec(xi=0j, r=0.3, theta0=0.5, n_th=0.5)
+        cols, weights, _ = _state_columns(state, dim)
+        ph = np.exp(1j * np.arange(dim) * t1)
+        y = ph[:, None] * (prod @ (ph.conj()[:, None] * cols))
+        expected = float((weights * np.einsum("nm,nm->m", cols.conj(), y)).sum().real)
+        got = qpd_oracle(state, meas, s1, s2, t1, t1, dim=dim)
+        assert got == pytest.approx(expected, abs=1e-13)
+        if s1 != s2:
+            assert got == 0.0
+
+
 class TestRhoFock:
     def test_vacuum(self):
         rho = rho_fock(StateSpec(), 30)
@@ -150,14 +227,32 @@ class TestStateColumns:
         assert tail_mass <= 1e-9
         assert weights.shape == (cols.shape[1],)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("xi,r,theta0,n_th", SMALL_CASES)
+    def test_small_bases_match_or_overfill(self, xi, r, theta0, n_th, dim):
+        # the dense columns' own weighted tail mass says whether the state
+        # fits; the dense exponentials have no single-site chain to skip
+        state = StateSpec(xi=xi, r=r, theta0=theta0, n_th=n_th)
+        dense = dense_columns(state, dim)
+        weights = np.array([thermal_weight(m, n_th) for m in range(dense.shape[1])])
+        tail = float((weights * (np.abs(dense[int(0.9 * dim):]) ** 2).sum(axis=0)).sum())
+        assert not 1e-10 < tail < 1e-8
+        if tail > 1e-9:
+            with pytest.raises(TruncationError):
+                _state_columns(state, dim)
+        else:
+            assert np.max(np.abs(_state_columns(state, dim)[0] - dense)) <= 1e-12
+
 
 class TestCaches:
     BATTERY = [(0.4, 1.1, 0.3, 0.9, 0.0), (-1.2, 0.5, 1.0, -1.0, 0.0),
                (0.8, -0.6, 0.5, 2.5, 0.7), (1.5, 0.2, 0.1, 0.0, 0.3)]
 
-    def test_built_once_per_region_and_chain(self):
-        for cached in (fock._psi_overlap_matrix, fock._region_projector, fock._chain_eigh):
+    def test_built_once_per_region_and_chain(self, monkeypatch):
+        for cached in (fock._overlap_blocks, fock._chain_svd):
             cached.cache_clear()
+        quadratures = []
+        monkeypatch.setattr(fock, "psi_rows", lambda *a: quadratures.append(a) or psi_rows(*a))
         for k, (x0, p0, r, th, n_th) in enumerate(self.BATTERY):
             state = StateSpec.from_phase_space(x0, p0, r, th, n_th)
             for s1, s2 in SIGN_PAIRS:
@@ -165,8 +260,16 @@ class TestCaches:
             q_oracle_curve(state, MeasurementSpec.sign(), 1, -1, 0.3,
                            np.linspace(0.5, 3.0, 7), dim=120)
         # one [0, inf) overlap, a displacement chain and two squeeze parity chains
-        assert fock._psi_overlap_matrix.cache_info().misses == 1
-        assert fock._chain_eigh.cache_info().misses == 3
+        assert fock._overlap_blocks.cache_info().misses == 1
+        assert fock._chain_svd.cache_info().misses == 3
+        # both outcomes of a region share its parity blocks, built once
+        for s in (1, -1):
+            projector_matrix(MeasurementSpec.sign(), s, 0.0, 120)
+            for t2 in (0.5, 1.5):
+                q_oracle_curve(StateSpec(r=0.4), MeasurementSpec.window(1.1), s, -s, 0.0,
+                               np.array([0.0, t2]), dim=120)
+        assert fock._overlap_blocks.cache_info().misses == 2
+        assert len(quadratures) == 2
 
     @pytest.mark.parametrize("meas", [MeasurementSpec.sign(), MeasurementSpec.window(1.1)])
     @pytest.mark.parametrize("s", [1, -1])
@@ -261,6 +364,36 @@ class TestQpdOracle:
         qo = qpd_oracle(state, MeasurementSpec.sign(off), 1, -1, 0.4, 2.6, dim=300)
         qi = qpd_integral(state, off, 1, -1, 0.4, 2.6)
         assert qo == pytest.approx(qi, abs=1e-5)
+
+
+class TestOracleArguments:
+    def test_whole_float_dim_is_an_int(self):
+        args = (StateSpec(xi=0.5 + 0.2j), MeasurementSpec.sign(), 1, -1, 0.3, 1.2)
+        q, info = qpd_oracle(*args, dim=40.0, with_info=True)
+        assert (q, info) == qpd_oracle(*args, dim=40, with_info=True)
+        assert type(info.dim) is int
+        assert np.array_equal(projector_matrix(MeasurementSpec.window(1.0), 1, 0.0, 40.0),
+                              projector_matrix(MeasurementSpec.window(1.0), 1, 0.0, 40))
+
+    @pytest.mark.parametrize("dim", [math.inf, -math.inf, math.nan, 40.5, 1, 1.0])
+    def test_bad_dim(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer >= 2"):
+            qpd_oracle(StateSpec(), MeasurementSpec.sign(), 1, 1, 0.0, 1.0, dim=dim)
+        with pytest.raises(ValueError, match="dim must be an integer >= 2"):
+            projector_matrix(MeasurementSpec.sign(), 1, 0.0, dim)
+
+    @pytest.mark.parametrize("meas", [MeasurementSpec.sign(), MeasurementSpec.window(1.0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times(self, meas, bad):
+        state = StateSpec(r=0.3)
+        with pytest.raises(ValueError, match="t1 must be finite"):
+            qpd_oracle(state, meas, 1, 1, bad, 1.0, dim=40)
+        with pytest.raises(ValueError, match="t2 must be finite"):
+            qpd_oracle(state, meas, 1, 1, 0.0, bad, dim=40)
+        with pytest.raises(ValueError, match="t2 must be finite"):
+            q_oracle_curve(state, meas, 1, -1, 0.0, np.array([0.5, bad, 1.0]), dim=40)
+        with pytest.raises(ValueError, match="t must be finite"):
+            projector_matrix(meas, 1, bad, 40)
 
 
 class TestOracleCurve:
