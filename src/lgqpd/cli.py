@@ -7,6 +7,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse's message
+    lookups cost about a millisecond per build, and parsing leaves the parser
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="lgqpd",
         description="Two-time quasi-probabilities of an oscillator under "

@@ -4,7 +4,8 @@ A scan evaluates the minimum over t2 of q_{s1,s2}(t1, t2) on a 2-D parameter
 grid: either the displacement plane (x0, p0) at fixed squeezing, or the
 (r, L) plane of the window projector for squeezed vacuum.  Grid rows are
 independent tasks, each with one kernel call for its cells' coarse t2
-curves, so grids may be evaluated by a worker pool; results are written
+curves and one call per round of their refinements' probes, so grids may
+be evaluated by a worker pool; results are written
 into preallocated arrays indexed by grid coordinates and reduced in a fixed
 row-major order, which makes output byte-identical for any worker count.
 """
@@ -13,18 +14,18 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .integral import DEFAULT_QUAD_ORDER, _check_order, _check_pure, qpd_integral
 from .fock import DEFAULT_DIM, _check_dim, q_oracle_curve, qpd_oracle
 from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _check_signs,
-                     _check_squeezed_vacuum, _occupation_cut, _q_sign, _q_thermal, _q_window,
+                     _check_squeezed_vacuum, _occupation_cut, _probe, _q_round, _q_sign,
+                     _q_thermal, _q_window, _sign_inputs, _t1_held, _window_inputs,
                      q_sign_series_curve, q_thermal_series_curve, q_window_series_curve,
                      qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
 from .states import OffsetFunction, StateSpec
@@ -111,8 +112,28 @@ def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
     values to their q values; a caller that has the values on
     ``search.grid()`` already passes a curve that returns them.
     """
+    return _drive([_t2_search(evaluator, curve, search)], _serve)[0]
+
+
+class _Request(NamedTuple):
+    """A request of a t2 search (:func:`_t2_search`): the values of
+    ``curve`` on the coarse grid ``t2`` when ``curve`` is given, else the
+    ``evaluator`` at the float ``t2``, as (q, dq/dt2 or None) when ``slope``
+    and as q otherwise."""
+
+    evaluator: object
+    t2: object
+    slope: bool = False
+    curve: Callable | None = None
+
+
+def _t2_search(evaluator, curve, search: T2Search):
+    """The search of :func:`minimize_over_t2` as a generator: it yields
+    each of its :class:`_Request`s and is sent the answer, and it returns the
+    :class:`T2Minimum`, so that :func:`_drive` can serve the requests of
+    many searches together."""
     grid = search.grid()
-    values = np.asarray(curve(grid), dtype=float)
+    values = np.asarray((yield _Request(evaluator, grid, curve=curve)), dtype=float)
     i, last = int(np.nanargmin(values)), len(grid) - 1
     best_q, best_t = float(values[i]), float(grid[i])
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)])
@@ -121,12 +142,12 @@ def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
     evals = 0
     if i in (0, last):
         inside = min(best_t + XATOL, hi) if i == 0 else max(best_t - XATOL, lo)
-        q, evals = evaluator(inside), 1
+        q, evals = (yield _Request(evaluator, inside)), 1
         if not q < best_q:
             return T2Minimum(best_q, best_t, evals)
         best_q, best_t = q, inside
-    slope = getattr(evaluator, "slope", None)
-    cost = 1 if slope is not None else 2
+    sloped_probes = getattr(evaluator, "slope", None) is not None
+    cost = 1 if sloped_probes else 2
     # the parabola through the coarse values around the best point
     x, curvature = 0.5 * (lo + hi), None
     if last >= 2:
@@ -140,12 +161,13 @@ def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
                 x = float(vertex)
     prev = None  # the last probe with a slope: (t2, q, dq/dt2)
     while evals + cost <= max(search.refine_iters, cost):
-        if slope is not None:
-            q, d = slope(x)
+        if sloped_probes:
+            q, d = yield _Request(evaluator, x, True)
             seen = ((q, x),)
         else:
             x = min(max(x, lo + XATOL), hi - XATOL)
-            below, above = evaluator(x - XATOL), evaluator(x + XATOL)
+            below = yield _Request(evaluator, x - XATOL)
+            above = yield _Request(evaluator, x + XATOL)
             q, d = 0.5 * (below + above), (above - below) / (2.0 * XATOL)
             seen = ((below, x - XATOL), (above, x + XATOL))
         evals += cost
@@ -297,38 +319,122 @@ def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
 
 
 def _scan_row(task):
-    """Minimize over t2 in the cells of one grid row: their coarse curves in
-    one call (:func:`_curve_rows`), then each cell's refinement on its own
-    bracket (:func:`minimize_over_t2`, by the series' dq/dt2 on the series
-    route).  When the row call raises, each cell is redone as a row of one,
-    so that a failing cell is NaN by itself.  Returns each cell's ``(q, t2,
-    failed)``, the row's coarse and refinement seconds, its refinements'
-    evaluator calls and the number of them that were capped."""
+    """Minimize over t2 in the cells of one grid row: their searches
+    (:func:`_t2_search`) run in lock-step rounds (:func:`_drive`), each
+    round served in one call per request kind (:func:`_serve`), the first
+    round the cells' coarse curves and the later ones their probes.  A cell
+    whose evaluator, search or requests raise is NaN by itself
+    (:func:`_serve_kept`).  Returns each cell's ``(q, t2, failed)``, the
+    row's coarse and refinement seconds, its refinements' evaluator calls and
+    the number of them that were capped."""
     config, a1, axis2 = task
     search = config.t2_search()
     start = time.perf_counter()
+    served = []
+
+    def serve(requests) -> list:
+        answers = _serve_kept(requests)
+        served.append(time.perf_counter())
+        return answers
+
+    found = _drive([_kept_search(config, a1, float(a2), search) for a2 in axis2], serve)
+    end = time.perf_counter()
+    coarse = (served[0] if served else end) - start
+    done = [f for f in found if f is not None]
+    return ([(math.nan, math.nan, True) if f is None else (f[0], f[1] / config.omega, False)
+             for f in found], coarse, end - start - coarse, sum(f.evals for f in done),
+            sum(f.capped for f in done))
+
+
+def _kept_search(config: ScanConfig, a1: float, a2: float, search: T2Search):
+    """The t2 search of one cell, which returns None when building its
+    evaluator raises, or its search, or an error is raised inside it for its
+    request."""
     try:
-        evaluators, curves = zip(*(_cell_evaluator(config, a1, float(a2)) for a2 in axis2))
-        rows = _curve_rows(evaluators, curves, search.grid())
+        return (yield from _t2_search(*_cell_evaluator(config, a1, a2), search))
     except Exception:
-        if len(axis2) == 1:
-            return [(math.nan, math.nan, True)], time.perf_counter() - start, 0.0, 0, 0
-        parts = [_scan_row((config, a1, axis2[j:j + 1])) for j in range(len(axis2))]
-        refine = sum(part[2] for part in parts)
-        return ([cell for part in parts for cell in part[0]],
-                time.perf_counter() - start - refine, refine, sum(part[3] for part in parts),
-                sum(part[4] for part in parts))
-    coarse = time.perf_counter() - start
-    out, evals, capped = [], 0, 0
-    for evaluator, values in zip(evaluators, rows):
+        return None
+
+
+def _drive(tasks, serve) -> list:
+    """Run the generators ``tasks`` in lock-step rounds, and return what each
+    returns, in order.
+
+    A round collects the request that each live task yielded, in task order,
+    and ``serve(requests)`` answers them in one call, one answer per
+    request.  Each task is then sent its answer, in order, and runs to its
+    next request or its end; an answer that is an exception is raised inside
+    its task instead.  An error that a task or ``serve`` raises reaches the
+    caller.  Everything runs on the calling thread, and a task's path depends
+    on its own answers only, so each result is that of the task run alone.
+    """
+    results, live = [None] * len(tasks), []
+
+    def step(i: int, resume, answer) -> None:
         try:
-            found = minimize_over_t2(evaluator, lambda _, v=values: v, search)
-            out.append((found[0], found[1] / config.omega, False))
-            evals += found.evals
-            capped += found.capped
-        except Exception:
-            out.append((math.nan, math.nan, True))
-    return out, coarse, time.perf_counter() - start - coarse, evals, capped
+            live.append((i, resume(answer)))
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i, task in enumerate(tasks):
+        step(i, task.send, None)
+    while live:
+        round_, live = live, []
+        answers = serve([request for _, request in round_])
+        for (i, _), answer in zip(round_, answers):
+            step(i, tasks[i].throw if isinstance(answer, Exception) else tasks[i].send, answer)
+    return results
+
+
+def _serve(requests) -> list:
+    """The answers to one round of :class:`_Request`s, in order: the coarse
+    curves on one grid in one call (:func:`_curve_rows`), the probes of pure
+    series cells of one family and truncation in one call of the round
+    kernel (``series._q_round``), each equal to the cell's own call bit for
+    bit, and any other probe through its own evaluator (thermal cells through
+    their point kernel, integral and oracle cells by value)."""
+    answers, groups = [None] * len(requests), {}
+    for i, request in enumerate(requests):
+        evaluator = request.evaluator
+        if request.curve is not None:
+            group = request.t2.tobytes()
+        elif isinstance(evaluator, _SeriesCell) and evaluator.inputs is not None:
+            group = evaluator.inputs, evaluator.trunc.n_max
+        else:
+            answers[i] = evaluator.slope(request.t2) if request.slope else evaluator(request.t2)
+            continue
+        groups.setdefault(group, []).append(i)
+    for group, members in groups.items():
+        batch = [requests[i] for i in members]
+        if isinstance(group, bytes):
+            values = _curve_rows([r.evaluator for r in batch], [r.curve for r in batch],
+                                 batch[0].t2)
+        else:
+            inputs, n_max = group
+            out = _q_round(inputs is _window_inputs,
+                           [r.evaluator.probe(r.t2, r.slope) for r in batch], n_max)
+            values = [(float(v.q), None if v.slope is None else float(v.slope)) if r.slope
+                      else float(v.q) for r, v in zip(batch, out)]
+        for i, value in zip(members, values):
+            answers[i] = value
+    return answers
+
+
+def _serve_kept(requests) -> list:
+    """:func:`_serve`, or, when that raises, each request served alone: one
+    whose serving raises is answered by its error, which :func:`_drive`
+    raises inside its search."""
+    try:
+        return _serve(requests)
+    except Exception:
+        pass
+    answers = []
+    for request in requests:
+        try:
+            answers += _serve([request])
+        except Exception as exc:
+            answers.append(exc)
+    return answers
 
 
 def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
@@ -336,7 +442,8 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
 
     The tasks are the grid's rows (:func:`_scan_row`), whatever the number of
     ``workers``: each row evaluates its cells' coarse t2 curves in one kernel
-    call and then refines every cell alone.  Per-cell failures are recorded
+    call and then refines its cells in lock-step rounds, one round-kernel
+    call per round on the series route.  Per-cell failures are recorded
     as NaN cells, not raised.  The reduction to the global minimum runs
     single-threaded in row-major order, so the result does not depend on
     ``workers``.
@@ -420,18 +527,17 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     polish from the best ``n_starts`` grid points.
 
     Points are t2-searched in batches: the coarse grid is one batch, and the
-    Nelder-Mead starts run in lock-step rounds (:func:`_lock_step`): in
-    turn, in start order, each start runs up to its next point not yet
-    searched, and the round's new points are one batch.  A batch's t2 curves
-    are one call (:func:`_curve_rows`: one kernel call on the series route),
-    each row equal to that point's own curve, and its refinements follow in
-    order.  Every evaluation runs on the calling thread (the starts after
-    the first run scipy's Nelder-Mead on threads of their own, one thread
-    at a time), and a start's path depends on its own values only, so the
-    result is that of running the starts one after another.  All start
-    outcomes are reported.  Raises ValueError for a missing t2, for a bound
-    with hi <= lo, and for ``coarse_steps`` or ``n_starts`` that is not a
-    whole number >= 1.
+    Nelder-Mead starts (:func:`_nelder_mead`) run in lock-step rounds
+    (:func:`_drive`): in start order, each start runs up to its next point
+    not yet searched, and the round's new points are one batch.  A batch's
+    searches run in lock-step rounds of their own: their t2 curves are one
+    call (:func:`_curve_rows`: one kernel call on the series route), each row
+    equal to that point's own curve, and each later round's probes one call
+    (:func:`_serve`).  Everything runs on the calling thread, and a start's
+    path depends on its own values only, so the result is that of running
+    the starts one after another.  All start outcomes are reported.  Raises
+    ValueError for a missing t2, for a bound with hi <= lo, and for
+    ``coarse_steps`` or ``n_starts`` that is not a whole number >= 1.
     """
     coarse_steps = _whole("coarse_steps", coarse_steps, 1)
     n_starts = _whole("n_starts", n_starts, 1)
@@ -461,35 +567,40 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     # objective call, so the inner t2 search runs once per clipped point
     memo: dict[tuple, T2Minimum] = {}
 
-    def search_batch(batch) -> None:
-        """The t2 search of each new point of ``batch``: their curves in one
-        call, then each refinement, in order."""
+    def search_batch(batch) -> list:
+        """The t2 search of each new point of ``batch``, in lock-step; one
+        answer (None) per point of the batch."""
         fresh = {}
         for params in batch:
             fresh.setdefault(key(params), params)
-        evaluators, curves = zip(*(named_evaluator(params, route, projector, n_max)
-                                   for params in fresh.values()))
-        rows = _curve_rows(evaluators, curves, search.grid())
-        for k, evaluator, values in zip(fresh, evaluators, rows):
-            memo[k] = minimize_over_t2(evaluator, lambda _, v=values: v, search)
+        searches = [_t2_search(*named_evaluator(params, route, projector, n_max), search)
+                    for params in fresh.values()]
+        memo.update(zip(fresh, _drive(searches, _serve)))
+        return [None] * len(batch)
 
     def full_argmin(vec) -> dict:
         params = named(vec)
         params["t2"] = memo[key(params)][1]
         return params
 
-    def polish(x0, post) -> tuple[np.ndarray, float]:
-        """One Nelder-Mead start, which posts each point not yet searched."""
-        def objective(vec) -> float:
-            params = named(vec)
-            if key(params) not in memo:
-                post(params)
-            return memo[key(params)][0]
+    def value(vec):
+        """The t2-minimized q at ``vec``, which first yields its point when
+        that has not been searched."""
+        params = named(vec)
+        if key(params) not in memo:
+            yield params
+        return memo[key(params)][0]
 
-        res = _nm_minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": nm_maxiter, "xatol": 1e-5, "fatol": 1e-10})
-        xk = np.clip(res.x, lows, highs)
-        return xk, objective(xk)
+    def polish(x0):
+        """One Nelder-Mead start: its clipped argmin and value."""
+        simplex, q = _nelder_mead(x0, nm_maxiter, 1e-5, 1e-10), None
+        while True:
+            try:
+                vec = simplex.send(q)
+            except StopIteration as stop:
+                xk = np.clip(stop.value[0], lows, highs)
+                return xk, (yield from value(xk))
+            q = yield from value(vec)
 
     axes = [np.linspace(lo, hi, coarse_steps) for lo, hi in zip(lows, highs)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -500,8 +611,7 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
 
     starts = []
     best_vec, best_val = points[order[0]], float(values[order[0]])
-    polished = _lock_step([functools.partial(polish, points[k]) for k in order],
-                          search_batch)
+    polished = _drive([polish(points[k]) for k in order], search_batch)
     for k, (xk, vk) in zip(order, polished):
         starts.append(StartOutcome(
             start={n: float(v) for n, v in zip(outer_names, points[k])},
@@ -513,102 +623,63 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
                          starts=tuple(starts))
 
 
-def _nm_minimize(fun, x0, **options):
-    """scipy's Nelder-Mead ``minimize``; scipy.optimize is imported on first use."""
-    from scipy.optimize import minimize
-    return minimize(fun, x0, **options)
-
-
-class _Abandoned(BaseException):
-    """Ends a :func:`_lock_step` task whose rounds were given up."""
-
-
-class _Turn:
-    """A :func:`_lock_step` task on a thread of its own.  It waits for its
-    ``go`` semaphore, and on posting or ending passes the turn on: to the
-    ``next`` task of the round, or back to the calling thread."""
-
-    def __init__(self, task, back: threading.Semaphore):
-        self.go, self.back, self.next = threading.Semaphore(0), back, None
-        self.request = self.result = self.error = None
-        self.done = self.abandoned = False
-        self.thread = threading.Thread(target=self._run, args=(task,), daemon=True)
-        self.thread.start()
-
-    def _run(self, task) -> None:
-        try:
-            self._wait()
-            self.result = task(self.post)
-        except _Abandoned:
-            pass
-        except BaseException as exc:  # raised on the calling thread
-            self.error = exc
-        self.done = True
-        self._pass()
-
-    def _wait(self) -> None:
-        self.go.acquire()
-        if self.abandoned:
-            raise _Abandoned
-
-    def _pass(self) -> None:
-        (self.back if self.next is None else self.next.go).release()
-
-    def post(self, request) -> None:
-        """Hand ``request`` over, and wait for the next turn, by which it has
-        been served."""
-        self.request = request
-        self._pass()
-        self._wait()
-
-
-def _lock_step(tasks, serve) -> list:
-    """Run ``tasks``, each a callable ``task(post)``, in lock-step rounds, and
-    return their results in order.
-
-    In a round each unfinished task runs in turn, in order, until it calls
-    ``post(request)``, which blocks it, or returns; then ``serve(requests)``
-    runs on the round's requests, in order, and the next round starts.  The
-    first task runs on the calling thread and each other on a thread of its
-    own, and only one thread runs at a time, each passing the turn straight
-    to the next; ``serve`` runs on the calling thread, and a task's error is
-    raised there.  No thread outlives the call, whether it returns or raises.
-    """
-    back, turns = threading.Semaphore(0), []
-
-    def play(request) -> None:
-        """One round, the calling thread's own task having posted ``request``
-        (None once it has returned)."""
-        nonlocal live
-        requests = [] if request is None else [request]
-        if live:
-            for turn, nxt in zip(live, live[1:] + [None]):
-                turn.next = nxt
-            live[0].go.release()
-            back.acquire()
-            for turn in live:
-                if turn.error is not None:
-                    raise turn.error
-            live = [turn for turn in live if not turn.done]
-            requests += [turn.request for turn in live]
-        if requests:
-            serve(requests)
-
-    try:
-        for task in tasks[1:]:
-            turns.append(_Turn(task, back))
-        live = turns
-        first = tasks[0](play)
-        while live:
-            play(None)
-        return [first] + [turn.result for turn in turns]
-    finally:
-        for turn in turns:
-            if not turn.done:
-                turn.abandoned, turn.next = True, None
-                turn.go.release()
-        for turn in turns:
-            turn.thread.join()
+def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
+    """Nelder-Mead (Nelder & Mead, Comput. J. 7, 308, 1965) as a generator:
+    it yields each point, is sent its value, and returns the best vertex and
+    the least value.  Its steps are those of scipy's ``minimize(method=
+    "Nelder-Mead")`` with ``maxiter``, ``xatol`` and ``fatol`` and no bounds,
+    ``maxfev`` or ``adaptive``, in the same numpy operations, so its ``x``
+    and ``fun`` equal scipy's bit for bit."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf)
+    for k in range(n + 1):
+        fsim[k] = yield sim[k].copy()
+    for _ in range(2):  # sorted twice, as scipy does
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = yield xr
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # contraction outside
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = yield xc
+            shrink = not fxc <= fxr
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+        else:  # contraction inside
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = yield xcc
+            shrink = not fxcc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xcc, fxcc
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = yield sim[j].copy()
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
 
 
 def named_evaluator(params: dict, route: str, projector: str,
@@ -667,13 +738,13 @@ def named_evaluator(params: dict, route: str, projector: str,
                          "use the integral or oracle route")
     if route == "series":
         if meas.projector == "window":
-            family = (qpd_series_window, _q_window, q_window_series_curve,
+            family = (qpd_series_window, _q_window, q_window_series_curve, _window_inputs,
                       (state, float(meas.window_halfwidth)))
         elif state.n_th > 0:
             _occupation_cut(state.n_th, trunc.n_max)
-            family = (qpd_series_thermal, _q_thermal, q_thermal_series_curve, (state,))
+            family = (qpd_series_thermal, _q_thermal, q_thermal_series_curve, None, (state,))
         else:
-            family = (qpd_series_squeezed, _q_sign, q_sign_series_curve, (state,))
+            family = (qpd_series_squeezed, _q_sign, q_sign_series_curve, _sign_inputs, (state,))
         cell = _SeriesCell(*family, (s1, s2, t1), trunc)
         return cell, cell.curve
     if route == "integral":
@@ -699,13 +770,16 @@ def _whole(name: str, value, least: int | None = None) -> int:
 @dataclass(frozen=True)
 class _SeriesCell:
     """One series cell of :func:`named_evaluator`: its family's public
-    ``point`` call, private t2 ``kernel`` and public curve ``curve_of``, each
-    taking the cell's own arguments (``column``), then those that a batch of
-    cells shares (``shared``: s1, s2, t1), then t2 and the truncation."""
+    ``point`` call, private t2 ``kernel``, public curve ``curve_of`` and,
+    for a pure family, the ``inputs`` of the round kernel (None for the
+    thermal family), each taking the cell's own arguments (``column``), then
+    those that a batch of cells shares (``shared``: s1, s2, t1), then t2 and
+    the truncation."""
 
     point: Callable
     kernel: Callable
     curve_of: Callable
+    inputs: Callable | None
     column: tuple
     shared: tuple
     trunc: TruncationConfig
@@ -723,6 +797,15 @@ class _SeriesCell:
 
     def curve(self, grid):
         return self.curve_of(*self.column, *self.shared, grid, self.trunc.n_max)
+
+    def probe(self, t2: float, slope: bool) -> tuple:
+        """The cell's column of a ``series._q_round`` call at one t2, which
+        reads the t1 geometry and row that the cell holds for its search."""
+        return _probe(self.inputs, self.column, *self.shared, t2, slope, self._held)
+
+    @functools.cached_property
+    def _held(self) -> tuple:
+        return _t1_held(self.column, self.shared[2], self.trunc.n_max)
 
 
 def _curve_rows(evaluators, curves, grid) -> np.ndarray:

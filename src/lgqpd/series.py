@@ -5,11 +5,12 @@ window) matrix elements J of the eigenfunctions, evaluated at cuts rescaled by
 the width lambda(t); free evolution contributes the phase
 ``exp(-i n (t2 - t1 + beta(t2) - beta(t1)))``.  Each projector family
 has one kernel over t2, a closed erf block plus a truncated phase sum over J
-products; every series point is the float call of its kernel, on plain
-rows of length n_max + 1, and every curve the array call, which each kernel
-takes for a list of states at once, streaming their orders in cache-sized
-blocks and reading the phase factors cos(n phi) and sin(n phi) from one
-cached table per grid of phases:
+products; every series point is the float call of its kernel (for the two
+pure families the one-column call of the round kernel, which evaluates one
+t2 point for each of several cells at once), and every curve the array
+call, which each kernel takes for a list of states at once, streaming their
+orders in cache-sized blocks and reading the phase factors cos(n phi) and
+sin(n phi) from one cached table per grid of phases:
 
 * coherent and squeezed pure states (sign projectors),
 * thermal squeezed coherent states (extra geometrically weighted sums over
@@ -260,8 +261,8 @@ def _t1_geometry(state: StateSpec, t1: float):
     return lam1, phase_beta_of(t1, state.r, state.theta0), x_xi_of(t1, state.xi) / lam1
 
 
-def _geometry(state: StateSpec, t1: float, t2):
-    lam1, b1, a1 = _t1_geometry(state, t1)
+def _geometry(state: StateSpec, t1: float, t2, t1_geometry=None):
+    lam1, b1, a1 = t1_geometry or _t1_geometry(state, t1)
     lam2 = lambda_of(t2, state.r, state.theta0)
     b2 = phase_beta_of(t2, state.r, state.theta0)
     a2 = x_xi_of(t2, state.xi) / lam2
@@ -309,9 +310,8 @@ def _cached_phase_table(key: bytes, shape: tuple, n_max: int):
 
 
 class _EulerSum:
-    """The Euler-averaged sum of the series: every value and slope, of a
-    point (:func:`_euler_sum`) and of a streamed curve, sums through it.  Its
-    n_max terms arrive in consecutive blocks of at most ``rows``, and its
+    """The Euler-averaged sum of a streamed curve (a point's sums are
+    :func:`_euler_rows`).  Its n_max terms arrive in consecutive blocks of at most ``rows``, and its
     operations are those of :func:`special.averaged_partial_sum` in the same
     order, so it equals that sum bit for bit.
 
@@ -354,16 +354,6 @@ class _EulerSum:
         self.done = k0 + m
 
 
-def _euler_sum(terms: np.ndarray):
-    """The :class:`_EulerSum` of ``terms`` (along axis 0) in one block: the
-    sum of a series point or its slope."""
-    n = len(terms)
-    euler = _EulerSum(n, n, terms.shape[1:])
-    euler.slots(n)[...] = terms
-    euler.add(n)
-    return euler.total
-
-
 def _block_rows(c: int, k: int) -> int:
     return max(2, _BLOCK_DOUBLES // (c * k))
 
@@ -379,8 +369,13 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int) -> np.ndarray:
     (:func:`special._psi_blocks`) at both cuts at once, cut1 riding along as
     column K; the rows in place; the terms (cos(n phi) row1) row2, the cosines
     read from :func:`_phase_table`; and their :class:`_EulerSum`.  These are
-    the operations of the materialized sum in the same order, so each column
-    equals that column's own curve bit for bit, at any batch size.
+    the operations of the materialized sum in the same order, so at K >= 2
+    each column equals that column's own curve bit for bit, at any C.  At K =
+    1 it does not: the weighted einsum over a (k, C, 1) block sums in an
+    order that depends on C, and a column may differ from its own curve in
+    the last bit (up to about 2.5e-16).  No t2 search calls a curve at K = 1
+    (:class:`scan.T2Search` has at least 2 coarse steps), and its probes go
+    through :func:`_q_round`.
     """
     c, k = cut2.shape
     rows = _block_rows(c, k)
@@ -425,58 +420,158 @@ class _KernelValue(NamedTuple):
     m_tail: float = 0.0
 
 
-def _q_pure(block, phi, s1: int, s2: int, window: bool, cut1, cut2, n_max: int,
-            rates=None) -> _KernelValue:
+def _q_pure(inputs, column: tuple, s1: int, s2: int, t1: float, t2, n_max: int,
+            slope: bool = False) -> _KernelValue:
     """Summation core of the pure kernels: q = block + s1 s2 sum_n cos(n phi)
     row1_n row2_n, the rows :func:`j_row` at the cuts, or :func:`_window_row`
-    for a ``window``, and singular phases overwritten by completeness over the
-    outcome regions.
+    for the window family, and singular phases overwritten by completeness
+    over the outcome regions; ``inputs`` is the family's
+    (:func:`_sign_inputs` or :func:`_window_inputs`) and ``column`` its
+    per-state arguments.
 
-    One point has float ``block``, ``phi``, ``cut1`` and ``cut2``; it takes
-    the memoized scalar rows and keeps its ``terms``, unless its phase is
-    singular, whose rows are then not built (a t2 search closing in on a
-    commuting separation).  Given ``rates``, the t2 derivatives (block',
-    phi', cut2') of its inputs, it also returns dq/dt2, the Euler sum of the
-    term derivatives in a sum of their own, so that q is the value-only q bit
-    for bit; d row2_n/dcut2 is -psi_0 psi_n (doubled at even n and 0 at odd
-    n for a window), psi_n being the row after the last one that row2 reads.
-    A batch of C columns sharing K values of t2 has ``cut1`` of shape (C, 1),
-    ``block`` and ``cut2`` (C, K), and ``phi`` (K,) or (C, K); its sums
-    stream through :func:`_phase_sums`.
+    One point, at a float t2, is the one-column call of :func:`_q_round`,
+    with its slope when asked.  A batch of C columns sharing K values of t2
+    has ``cut1`` of shape (C, 1), ``block`` and ``cut2`` (C, K), and ``phi``
+    (K,) or (C, K); its sums stream through :func:`_phase_sums`.
     """
+    if np.ndim(t2) == 0:
+        held = _t1_held(column, t1, n_max)
+        return _q_round(inputs is _window_inputs,
+                        [_probe(inputs, column, s1, s2, t1, t2, slope, held)], n_max)[0]
+    block, phi, cut1, cut2, _ = inputs(*column, s1, s2, t1, t2)
+    window = inputs is _window_inputs
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
-    q, dq, terms = block, None, None
-    if np.ndim(block) == 0 and not singular:
-        row = _window_row if window else j_row
-        n = np.arange(1, n_max + 1)
-        row1, row2 = row(cut1, n_max)[1:], row(cut2, n_max)[1:]
-        angle = n * phi
-        cos = np.cos(angle)
-        terms = cos * row1 * row2
-        q = block + s1 * s2 * _euler_sum(terms)
-        if rates is not None:
-            dblock, dphi, dcut = rates
-            psi = psi_rows(cut2, n_max)
-            drow2 = (-2.0 if window else -1.0) * dcut * float(psi[0]) * psi[1:]
-            if window:
-                drow2[0::2] = 0.0
-            dterms = row1 * (cos * drow2 - dphi * n * np.sin(angle) * row2)
-            dq = dblock + s1 * s2 * _euler_sum(dterms)
-    elif n_max >= 1 and not np.all(singular):
+    q = block
+    if n_max >= 1 and not np.all(singular):
         q = block + s1 * s2 * _phase_sums(window, cut1, cut2, phi, n_max)
     if np.any(singular):
         q = _fill_singular(q, singular, phi, _window_region if window else _halfline,
                            s1, s2, cut1, cut2, _ground_weight)
-    return _KernelValue(q, dq, terms, singular)
+    return _KernelValue(q, None, None, singular)
 
 
-def _columns(state, t1: float, t2):
-    """:func:`_geometry` of one state at a float t2, or of a list of C states
-    (or one, C = 1) over a t2 array, stacked by column: lam1 and a1 of shape
-    (C, 1), lam2 and a2 (C, K), and phi (K,) when the states share their
-    squeezing, else (C, K)."""
+def _t1_held(column: tuple, t1: float, n_max: int) -> tuple:
+    """The t1 half of every point of a pure kernel at one t1, which a t2
+    search holds for all its probes: the geometry (lambda, beta and
+    x_xi/lambda at t1) and the t1 row's orders 1..n_max, at the cut -x_xi/lambda,
+    or L/lambda for a window (``column`` (state, L))."""
+    geometry = _t1_geometry(column[0], t1)
+    if len(column) == 1:
+        return geometry, j_row(-geometry[2], n_max)[1:]
+    return geometry, _window_row(column[1] / geometry[0], n_max)[1:]
+
+
+def _probe(inputs, column: tuple, s1: int, s2: int, t1: float, t2: float, slope: bool,
+           held: tuple) -> tuple:
+    """One column of :func:`_q_round`: the family's ``inputs`` at a float t2,
+    from the ``held`` t1 pieces (:func:`_t1_held`)."""
+    geometry, row1 = held
+    return (s1, s2, *inputs(*column, s1, s2, t1, float(t2), slope, geometry), row1)
+
+
+def _q_round(window: bool, probes: list, n_max: int) -> list:
+    """The round kernel of the pure families: one point of each of C
+    columns, each with its own state, t1 and t2, as :class:`_KernelValue`s.
+    A column (:func:`_probe`) holds s1, s2, the kernel's block, phase and
+    cuts at its t2, the rates (block', phi', cut2') when its slope is asked,
+    else None, and its t1 row.
+
+    Each column's eigenfunctions at cut2 come from the memoized scalar
+    recurrence (:func:`psi_rows`).  The rows, cosines and terms, and the
+    derivative terms of the columns that ask, are each one (C, n_max) array,
+    summed along n with each column's Euler weights (:func:`_euler_rows`).
+    These are one point's operations, elementwise, in its order, so a column equals its
+    one-column call bit for bit, whatever the other columns.  dq/dt2 is the
+    Euler sum of the term derivatives, d row2_n/dcut2 being -psi_0 psi_n
+    (doubled at even n and 0 at odd n for a window).  A column at a
+    singular phase is its completeness value, without a slope.
+    """
+    s1, s2, block, phi, cut1, cut2, rates, row1 = zip(*probes)
+    psi = np.array([psi_rows(cut, n_max) for cut in cut2])
+    n = np.arange(1, n_max + 1)
+    # J_0n = psi_0 psi_{n-1} / sqrt(2n), as j_row; twice that at even n and 0
+    # at odd n for a window, as _window_row
+    row2 = psi[:, :1] * psi[:, :-1] / _sqrt_2n(n_max)[1:]
+    if window:
+        row2 *= 2.0
+        row2[:, 0::2] = 0.0
+    row1 = np.array(row1)
+    angle = n * np.array(phi)[:, None]
+    cos = np.cos(angle)
+    terms = cos * row1 * row2
+    dq = dict.fromkeys(range(len(probes)))
+    sloped = [j for j, r in enumerate(rates) if r is not None]
+    if sloped:
+        dblock, dphi, dcut = zip(*(rates[j] for j in sloped))
+        at = slice(None) if len(sloped) == len(probes) else sloped
+        scale = [(-2.0 if window else -1.0) * d * float(psi[j, 0]) for j, d in zip(sloped, dcut)]
+        drow2 = np.array(scale)[:, None] * psi[at, 1:]
+        if window:
+            drow2[:, 0::2] = 0.0
+        dterms = row1[at] * (cos[at] * drow2 - np.array(dphi)[:, None] * n
+                             * np.sin(angle[at]) * row2[at])
+        dq.update((j, db + s1[j] * s2[j] * d)
+                  for j, db, d in zip(sloped, dblock, _euler_rows(dterms)))
+    out = []
+    for j, total in enumerate(_euler_rows(terms)):
+        if abs(np.sin(phi[j])) < SINGULAR_PHASE_TOL:
+            q = _fill_singular(block[j], True, phi[j], _window_region if window else _halfline,
+                               s1[j], s2[j], cut1[j], cut2[j], _ground_weight)
+            out.append(_KernelValue(q, None, None, True))
+        else:
+            out.append(_KernelValue(block[j] + s1[j] * s2[j] * total, dq[j], terms[j], False))
+    return out
+
+
+def _euler_rows(terms: np.ndarray) -> list:
+    """The Euler-averaged sum of each row of a (C, n) block of terms, the
+    sums of C points or of a point and its slope: their cumulative sums
+    along n, and each row's weights on its final window of partial sums by
+    one contiguous 1-D einsum.  These are :func:`special.averaged_partial_sum`'s
+    operations on the row, so each row equals its own sum bit for bit."""
+    n = terms.shape[1]
+    width = min(256, max(2, 3 * n // 4), n)
+    weights = _euler_weights(width)
+    return [np.einsum("k,k...->...", weights, row)
+            for row in np.cumsum(terms, axis=1)[:, n - width:]]
+
+
+def _sign_inputs(state, s1: int, s2: int, t1: float, t2, slope: bool = False,
+                 t1_geometry=None) -> tuple:
+    """(block, phi, cut1, cut2, rates) of the pure sign kernel, as
+    :func:`_q_pure` reads them, at a float t2 or over a t2 array (no rates);
+    cut_i = -a_i, and block = (1 + s1 erf a1)(1 + s2 erf a2)/4."""
+    _, lam2, a1, a2, phi = _columns(state, t1, t2, t1_geometry)
+    block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
+    rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
+    return block, phi, -a1, -a2, rates
+
+
+def _window_inputs(state, half_width, s1: int, s2: int, t1: float, t2, slope: bool = False,
+                   t1_geometry=None) -> tuple:
+    """The window kernel's inputs, as :func:`_sign_inputs`: the cuts +/-
+    L/lambda(t_i) enter through the window rows, and h2' = -h2 lambda' /
+    lambda."""
+    lam1, lam2, _, _, phi = _columns(state, t1, t2, t1_geometry)
+    h1, h2 = half_width / lam1, half_width / lam2
+    qbar1, qbar2 = 1.0 - 2.0 * _sp.erf(h1), 1.0 - 2.0 * _sp.erf(h2)
+    block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
+    rates = None
+    if slope:
+        dphi, dlam2 = _t2_rates(state, t2)
+        dh2 = -h2 * dlam2 / lam2
+        dblock = 0.25 * (1.0 + s1 * qbar1) * s2 * -2.0 * _ERF_SLOPE * math.exp(-h2 * h2) * dh2
+        rates = dblock, dphi, dh2
+    return block, phi, h1, h2, rates
+
+
+def _columns(state, t1: float, t2, t1_geometry=None):
+    """:func:`_geometry` of one state at a float t2 (from ``t1_geometry``,
+    when a t2 search holds it), or of a list of C states (or one, C = 1) over
+    a t2 array, stacked by column: lam1 and a1 of shape (C, 1), lam2 and a2
+    (C, K), and phi (K,) when the states share their squeezing, else (C, K)."""
     if np.ndim(t2) == 0:
-        return _geometry(state, t1, t2)
+        return _geometry(state, t1, t2, t1_geometry)
     states = _each(state)
     lam1, lam2, a1, a2, phi = (np.array(v) for v in
                                zip(*(_geometry(s, t1, t2) for s in states)))
@@ -515,34 +610,19 @@ def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int,
     _check_signs(s1, s2)
     if any(s.n_th != 0 for s in _each(state)):
         raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
-    _, lam2, a1, a2, phi = _columns(state, t1, t2)
-    block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
-    rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
-    return _q_pure(block, phi, s1, s2, False, -a1, -a2, n_max, rates)
+    return _q_pure(_sign_inputs, (state,), s1, s2, t1, t2, n_max, slope)
 
 
 def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int,
               slope: bool = False) -> _KernelValue:
     """Squeezed-vacuum window-projector kernel, as :func:`_q_sign`; a batch
-    of listed states takes its half-widths with shape (C, 1).  The cuts
-    +/- L/lambda(t_i) enter through the window rows, and h2' = -h2 lambda' /
-    lambda."""
+    of listed states takes its half-widths with shape (C, 1)."""
     _check_signs(s1, s2)
     for s in _each(state):
         _check_squeezed_vacuum(s)
     for h in np.ravel(half_width):
         _check_half_width(h)
-    lam1, lam2, _, _, phi = _columns(state, t1, t2)
-    h1, h2 = half_width / lam1, half_width / lam2
-    qbar1, qbar2 = 1.0 - 2.0 * _sp.erf(h1), 1.0 - 2.0 * _sp.erf(h2)
-    block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-    rates = None
-    if slope:
-        dphi, dlam2 = _t2_rates(state, t2)
-        dh2 = -h2 * dlam2 / lam2
-        dblock = 0.25 * (1.0 + s1 * qbar1) * s2 * -2.0 * _ERF_SLOPE * math.exp(-h2 * h2) * dh2
-        rates = dblock, dphi, dh2
-    return _q_pure(block, phi, s1, s2, True, h1, h2, n_max, rates)
+    return _q_pure(_window_inputs, (state, half_width), s1, s2, t1, t2, n_max, slope)
 
 
 def _point(out: _KernelValue, with_info: bool):
@@ -733,7 +813,7 @@ def _thermal_point(fixed, cut2: float, phi: float, n_max: int, rates=None):
     s_up = (wm * cos[1:m1] * row2[:m1 - 1] * row1[1:m1]).sum(axis=0)
     diag2 = ladder_diagonal(cut2, psi[:m1])
     if rates is None:
-        return _euler_sum(terms), s_up, diag2, terms, None
+        return _euler_rows(terms[None])[0], s_up, diag2, terms, None
     dphi, dcut = rates
     cn, sn, p, lo = cos[1:], sin[1:], psi[1:], low[1:]
     d = (g.T @ factors)[1:].T
@@ -742,8 +822,8 @@ def _thermal_point(fixed, cut2: float, phi: float, n_max: int, rates=None):
              - dphi * np.arange(1, n_max + 1) * sn * row2 * row1[1:])
     dterms = (dpure + 0.5 * dphi * (cn * (lo * d[2] - p * d[3]) - sn * (lo * d[0] - p * d[1]))
               - dcut * p * (cn * d[0] + sn * d[2]))
-    slopes = (_euler_sum(dterms), (wm * dpure[:m1 - 1]).sum(), -dcut * psi[:m1] ** 2)
-    return _euler_sum(terms), s_up, diag2, terms, slopes
+    total, dtotal = _euler_rows(np.array([terms, dterms]))
+    return total, s_up, diag2, terms, (dtotal, (wm * dpure[:m1 - 1]).sum(), -dcut * psi[:m1] ** 2)
 
 
 def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
-import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lgqpd import (IntegralInfo, OffsetFunction, OracleInfo, ScanConfig,
                    SeriesInfo, T2Search, TruncationConfig, TruncationError, global_minimize,
@@ -828,16 +829,20 @@ class TestGlobalMinimize:
             return real_evaluator(params, *args)
 
         requests = [0]
-        real_nm = scan._nm_minimize
+        real_nm = scan._nelder_mead
 
-        def counting_nm(fun, x0, **kwargs):
-            def counted(x):
+        def counting_nm(*args):
+            simplex, value = real_nm(*args), None
+            while True:
+                try:
+                    x = simplex.send(value)
+                except StopIteration as stop:
+                    return stop.value
                 requests[0] += 1
-                return fun(x)
-            return real_nm(counted, x0, **kwargs)
+                value = yield x
 
         monkeypatch.setattr(scan, "named_evaluator", recording_evaluator)
-        monkeypatch.setattr(scan, "_nm_minimize", counting_nm)
+        monkeypatch.setattr(scan, "_nelder_mead", counting_nm)
         fixed = {"s1": 1, "s2": -1, "r": 0.3, "t1": 0.0, "n_th": n_th}
         search = T2Search(0.0, TWO_PI, 48, 16)
         res = global_minimize(
@@ -859,9 +864,15 @@ class TestGlobalMinimize:
 
 
 class TestLockStep:
-    """global_minimize runs its Nelder-Mead starts in lock-step rounds, one
-    batched t2 curve call per round, with the results of running them one
-    after another."""
+    """global_minimize runs its Nelder-Mead starts in lock-step rounds
+    (scan._drive), one batched t2 curve call per round, with the results of
+    running them one after another, and starts no thread."""
+
+    @pytest.fixture
+    def no_threads(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(threading.Thread, "start", refused)
 
     @pytest.mark.parametrize("case", sorted(LOCK_STEP_CASES))
     def test_equals_the_sequential_starts(self, case):
@@ -895,7 +906,8 @@ class TestLockStep:
         assert max(calls[1:]) == 3
 
     @pytest.mark.parametrize("k", [5, 20, 30])
-    def test_an_evaluation_error_is_raised_and_no_thread_is_left(self, monkeypatch, k):
+    def test_an_evaluation_error_is_raised_and_no_thread_is_left(self, monkeypatch, no_threads,
+                                                                 k):
         # the coarse grid takes the first 16 calls, the rounds the later ones
         real_evaluator, calls = scan.named_evaluator, [0]
 
@@ -906,75 +918,227 @@ class TestLockStep:
             return real_evaluator(params, *args)
 
         monkeypatch.setattr(scan, "named_evaluator", failing_evaluator)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"call {k}"):
             global_minimize(**LOCK_STEP_CASES["sign_panel"])
-        assert threading.active_count() == before
+        assert calls[0] == k
 
     @pytest.mark.parametrize("failing_start", [0, 2])
-    def test_a_start_error_is_raised_and_no_thread_is_left(self, monkeypatch, failing_start):
-        real_nm, started = scan._nm_minimize, []
+    def test_a_start_error_is_raised_and_no_thread_is_left(self, monkeypatch, no_threads,
+                                                           failing_start):
+        real_nm, started = scan._nelder_mead, []
 
-        def failing_nm(fun, x0, **kwargs):
+        def failing_nm(x0, *args):
             started.append(x0)
             if len(started) == failing_start + 1:
-                fun(x0 * 0.9)  # a new point: the start waits for a round first
+                yield x0 * 0.9  # a new point: the start waits for a round first
                 raise FloatingPointError("start failed")
-            return real_nm(fun, x0, **kwargs)
+            return (yield from real_nm(x0, *args))
 
-        monkeypatch.setattr(scan, "_nm_minimize", failing_nm)
-        before = threading.active_count()
+        monkeypatch.setattr(scan, "_nelder_mead", failing_nm)
         with pytest.raises(FloatingPointError, match="start failed"):
             global_minimize(**LOCK_STEP_CASES["sign_panel"])
-        assert threading.active_count() == before
+        assert len(started) == 3
+
+    @pytest.mark.parametrize("route,extra", [
+        ("series", {}), ("series", {"n_th": 0.8}), ("integral", {})])
+    def test_no_thread_is_started(self, no_threads, route, extra):
+        settings = dict(LOCK_STEP_CASES["sign_panel"], route=route, coarse_steps=3,
+                        n_starts=2, t2_coarse=16, t2_refine=6, nm_maxiter=8)
+        settings["fixed"] = dict(settings["fixed"], **extra)
+        assert len(global_minimize(**settings).starts) == 2
+        cfg = ScanConfig(plane="x0p0", route=route, s1=1, s2=-1, r=0.3, axis1_steps=2,
+                         axis2_steps=3, t2_coarse_steps=16, t2_refine_iters=6, n_max=80,
+                         **extra)
+        assert scan_plane(cfg).n_failed == 0
+
+    # _drive itself: generators, each yielding its requests, served one
+    # round at a time on the calling thread
+
+    @staticmethod
+    def task(name, posts):
+        for i in range(posts):
+            yield (name, i)
+        return name
 
     def test_rounds_serve_posts_in_task_order(self):
         served = []
-
-        def task(name, posts):
-            def run(post):
-                for i in range(posts):
-                    post((name, i))
-                return name
-            return run
-
-        tasks = [task("a", 2), task("b", 0), task("c", 3)]
-        assert scan._lock_step(tasks, lambda requests: served.append(requests)) == ["a", "b", "c"]
+        tasks = [self.task("a", 2), self.task("b", 0), self.task("c", 3)]
+        assert scan._drive(tasks, lambda requests: served.append(requests)
+                           or [None] * len(requests)) == ["a", "b", "c"]
         assert served == [[("a", 0), ("c", 0)], [("a", 1), ("c", 1)], [("c", 2)]]
 
-    def test_many_tasks_at_a_short_switch_interval(self):
-        # more threads than cores, switching as often as the interpreter can:
-        # one thread runs at a time, and each reads what its round served
-        served, running, out = {}, [0], []
+    def test_each_task_reads_what_its_round_served(self):
+        served = []
 
         def serve(requests):
-            assert running[0] == 0
+            served.append(len(requests))
             assert [j for j, _ in requests] == sorted(j for j, _ in requests)
-            for j, i in requests:
-                served[j, i] = 2 * i
+            return [2 * i + j for j, i in requests]
 
         def task(j):
-            def run(post):
-                running[0] += 1
-                total = 0
-                for i in range(40 + j):
-                    assert running[0] == 1
-                    running[0] -= 1
-                    post((j, i))
-                    running[0] += 1
-                    total += served.pop((j, i))
-                running[0] -= 1
-                return total
-            return run
+            total = 0
+            for i in range(40 + j):
+                answer = yield (j, i)
+                assert answer == 2 * i + j
+                total += answer
+            return total
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=lambda: out.append(
-                scan._lock_step([task(j) for j in range(8)], serve)), daemon=True)
-            runner.start()
-            runner.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive()
-        assert out == [[(40 + j) * (39 + j) for j in range(8)]] and not served
+        out = scan._drive([task(j) for j in range(8)], serve)
+        assert out == [(40 + j) * (39 + j) + (40 + j) * j for j in range(8)]
+        assert served == [8] * 40 + [7, 6, 5, 4, 3, 2, 1]
+
+    def test_an_error_answer_is_raised_inside_its_task(self):
+        def task(name):
+            try:
+                answer = yield name
+            except KeyError as exc:
+                return f"{name} caught {exc.args[0]}"
+            return (yield answer)
+
+        out = scan._drive([task("a"), task("b"), task("c")], lambda requests: [
+            KeyError(r) if r == "b" else r.upper() for r in requests])
+        assert out == ["A", "b caught b", "C"]
+
+    def test_a_task_error_or_a_serve_error_reaches_the_caller(self):
+        def failing():
+            yield 1
+            raise ValueError("task")
+
+        with pytest.raises(ValueError, match="task"):
+            scan._drive([self.task("a", 3), failing()], lambda requests: [0] * len(requests))
+
+        def refusing(requests):
+            raise OSError("serve")
+
+        with pytest.raises(OSError, match="serve"):
+            scan._drive([self.task("a", 3)], refusing)
+
+    def test_tasks_without_requests(self):
+        assert scan._drive([self.task("a", 0), self.task("b", 0)], None) == ["a", "b"]
+        assert scan._drive([], None) == []
+
+
+def _random_cell(rng, projector, t1=None):
+    """A series cell of ``projector`` with drawn state, signs and t1."""
+    if t1 is None:
+        t1 = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+    s1, s2 = (int(v) for v in rng.choice([1, -1], 2))
+    if projector == "window":
+        params = {"s1": s1, "s2": s2, "t1": t1, "r": float(rng.uniform(0.0, 1.0)),
+                  "theta0": float(rng.choice([0.0, 0.7])), "L": float(rng.uniform(0.5, 1.6))}
+    else:
+        params = {"s1": s1, "s2": s2, "t1": t1, "x0": float(rng.uniform(-2.5, 2.5)),
+                  "p0": float(rng.uniform(-2.5, 2.5)), "r": float(rng.uniform(0.0, 1.0)),
+                  "theta0": float(rng.choice([0.0, 0.7]))}
+    return named_evaluator(params, "series", projector, 120)[0], t1
+
+
+class TestRoundKernel:
+    """One round of probes of pure series cells is one call of the round
+    kernel, each answer equal bit for bit to the cell's own call."""
+
+    @pytest.mark.parametrize("projector", ["sign", "window"])
+    def test_equals_each_cells_own_call(self, projector):
+        rng = np.random.default_rng(1 if projector == "sign" else 2)
+        singular = 0
+        for columns in range(1, 65):
+            requests = []
+            for _ in range(columns):
+                cell, t1 = _random_cell(rng, projector)
+                t2 = float(rng.uniform(0.0, TWO_PI))
+                if rng.uniform() < 0.15:  # a commuting separation, or next to one
+                    t2 = t1 + math.pi * int(rng.integers(1, 3)) + float(rng.choice([0.0, 1e-6]))
+                singular += abs(math.sin(series._geometry(cell.column[0], t1, t2)[4])) < 1e-9
+                requests.append(scan._Request(cell, t2, bool(rng.uniform() < 0.7)))
+            answers = scan._serve(requests)
+            for request, answer in zip(requests, answers):
+                cell = request.evaluator
+                own = cell.slope(request.t2) if request.slope else cell(request.t2)
+                assert repr(answer) == repr(own)
+        assert singular > 50
+
+    def test_a_round_holds_each_cells_t1_pieces(self, monkeypatch):
+        # 41 cells with distinct t1 cuts: each builds its t1 row once, however
+        # many rounds it probes in, past the row caches' 8 entries
+        rng = np.random.default_rng(5)
+        cells = [_random_cell(rng, "window", t1=0.3)[0] for _ in range(41)]
+        real, built = series._window_row, []
+        monkeypatch.setattr(series, "_window_row", lambda h, n: built.append(h) or real(h, n))
+        for t2 in (0.4, 0.9, 1.3):
+            answers = scan._serve([scan._Request(cell, t2, True) for cell in cells])
+            assert [repr(a) for a in answers] == [repr(cell.slope(t2)) for cell in cells]
+        assert len(built) == 41 + 3 * 41  # each cell's held row, and each slope call's own
+
+    def test_thermal_and_integral_cells_are_served_by_their_own_calls(self):
+        cells = [named_evaluator({"s1": 1, "s2": -1, "x0": 0.4, "p0": 1.1, "r": 0.3,
+                                  "n_th": 0.8}, "series", "sign", 80)[0],
+                 named_evaluator({"s1": 1, "s2": -1, "x0": 0.4, "p0": 1.1}, "integral",
+                                 "sign", 80)[0]]
+        requests = [scan._Request(cells[0], 1.3, True), scan._Request(cells[0], 1.4),
+                    scan._Request(cells[1], 1.3)]
+        assert scan._serve(requests) == [cells[0].slope(1.3), cells[0](1.4), cells[1](1.3)]
+
+    def test_a_failing_probe_fails_its_cell_alone(self, monkeypatch):
+        # the round kernel raises for any round that holds one cell's probe;
+        # the rounds are then served cell by cell, and only that cell is NaN
+        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5,
+                         axis1_min=0.5, axis1_steps=1,
+                         axis2_min=-2.5, axis2_max=2.5, axis2_steps=6,
+                         t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
+        clean = scan_plane(cfg)
+        bad, rows = float(cfg.axis2_values()[4]), []
+        real_round, real_probe = scan._q_round, scan._SeriesCell.probe
+
+        def failing(window, probes, n_max):
+            # a probe's last entry is its cell's held t1 row
+            if any(probe[-1] is row for probe in probes for row in rows):
+                raise FloatingPointError("injected")
+            return real_round(window, probes, n_max)
+
+        def recording_probe(cell, t2, slope):
+            probe = real_probe(cell, t2, slope)
+            if abs(cell.column[0].p0 - bad) < 1e-12:
+                rows.append(probe[-1])
+            return probe
+
+        monkeypatch.setattr(scan, "_q_round", failing)
+        monkeypatch.setattr(scan._SeriesCell, "probe", recording_probe)
+        res = scan_plane(cfg)
+        assert res.n_failed == 1
+        assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [4]
+        keep = ~np.isnan(res.q_min)
+        assert res.q_min[keep].tobytes() == clean.q_min[keep].tobytes()
+        assert res.t2_argmin[keep].tobytes() == clean.t2_argmin[keep].tobytes()
+
+
+class TestNelderMead:
+    """The Nelder-Mead generator takes scipy's steps bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(["bowl", "ripple", "plateaus"]))
+    # plateaus whose ties take both contractions' tie branches
+    @example(dim=3, seed=53, shape="plateaus")
+    def test_equals_scipy(self, dim, seed, shape):
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(seed)
+        center, scale = rng.uniform(-2.0, 2.0, dim), rng.uniform(0.2, 3.0, dim)
+        x0 = rng.uniform(-2.0, 2.0, dim) * rng.choice([0.0, 1.0], dim)  # zeros too
+
+        def f(x):
+            value = float(np.sum(scale * (x - center) ** 2))
+            if shape == "ripple":
+                value += 0.3 * float(np.cos(5.0 * x).sum())
+            elif shape == "plateaus":  # tied vertex values
+                value = float(np.round(value, 1))
+            return value
+
+        options = {"maxiter": 120, "xatol": 1e-5, "fatol": 1e-10}  # global_minimize's
+        want = minimize(f, x0, method="Nelder-Mead", options=options)
+        x, fun = scan._drive([scan._nelder_mead(x0, 120, 1e-5, 1e-10)],
+                             lambda points: [f(p) for p in points])[0]
+        assert x.tobytes() == want.x.tobytes()
+        assert repr(fun) == repr(want.fun)
+
+

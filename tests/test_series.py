@@ -16,11 +16,12 @@ from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window,
                    psi_rows, series, series_tail_estimate, thermal_m_cut, x_xi_of)
-from lgqpd.matrix_elements import ladder_diagonal, lowered
+from lgqpd.matrix_elements import j_row, ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table,
-                          _euler_sum, _fill_singular, _geometry, _ground_weight, _halfline,
+                          _euler_rows, _fill_singular, _geometry, _ground_weight, _halfline,
                           _phase_table, _psi_sq_weights, _q_sign, _q_thermal, _q_window,
-                          _t1_geometry, _window_region)
+                          _sign_inputs, _t1_geometry, _window_inputs, _window_region,
+                          _window_row)
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -401,6 +402,31 @@ class TestPointSlope:
         central = [(value(t2 + e) - value(t2 - e)) / (2 * e) for e in (h, h / 2)]
         assert dq == pytest.approx((4 * central[1] - central[0]) / 3, rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("family", ["sign", "window"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pure_point_equals_its_one_dimensional_sums(self, family, data):
+        # the round kernel's (C, n) arrays keep each point's operations and
+        # their order: q and dq/dt2 equal the 1-D sums bit for bit
+        t1 = data.draw(st.sampled_from([0.0, data.draw(st.floats(-2.0, 2.0))]))
+        t2 = data.draw(st.floats(-3.0, 9.0))
+        s1, s2 = data.draw(st.sampled_from(SIGN_PAIRS))
+        r, theta0 = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(-3.0, 3.0))
+        n_max = data.draw(st.integers(1, 400))
+        if family == "window":
+            state, half = StateSpec(r=r, theta0=theta0), data.draw(st.floats(0.2, 2.5))
+            out = _q_window(state, half, s1, s2, t1, t2, n_max, slope=True)
+        else:
+            state, half = StateSpec.from_phase_space(data.draw(st.floats(-2.5, 2.5)),
+                                                     data.draw(st.floats(-2.5, 2.5)), r,
+                                                     theta0), None
+            out = _q_sign(state, s1, s2, t1, t2, n_max, slope=True)
+        if out.singular:
+            assert out.slope is None
+            return
+        assert (float(out.q), float(out.slope)) == point_reference(state, half, s1, s2, t1,
+                                                                    t2, n_max)
+
     @pytest.mark.parametrize("family", ["sign", "window", "thermal"])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -410,6 +436,29 @@ class TestPointSlope:
             q, dq = slope(t2)
             assert dq is None
             assert q == value(t2)
+
+
+def point_reference(state, half_width, s1, s2, t1, t2, n_max):
+    """(q, dq/dt2) of one non-singular pure point summed on 1-D rows, as the
+    point kernels summed it before a point became a round of one column:
+    the rows j_row (or _window_row, for a ``half_width``) at both cuts, the
+    terms and their t2 derivatives, each through averaged_partial_sum."""
+    window = half_width is not None
+    column = (state,) if half_width is None else (state, half_width)
+    inputs = _window_inputs if window else _sign_inputs
+    block, phi, cut1, cut2, (dblock, dphi, dcut) = inputs(*column, s1, s2, t1, t2, True)
+    row = _window_row if window else j_row
+    n = np.arange(1, n_max + 1)
+    row1, row2 = row(cut1, n_max)[1:], row(cut2, n_max)[1:]
+    angle = n * phi
+    cos = np.cos(angle)
+    psi = psi_rows(cut2, n_max)
+    drow2 = (-2.0 if window else -1.0) * dcut * float(psi[0]) * psi[1:]
+    if window:
+        drow2[0::2] = 0.0
+    dterms = row1 * (cos * drow2 - dphi * n * np.sin(angle) * row2)
+    return (float(block + s1 * s2 * averaged_partial_sum(cos * row1 * row2)),
+            float(dblock + s1 * s2 * averaged_partial_sum(dterms)))
 
 
 def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):
@@ -453,7 +502,8 @@ def batch_curves(states, halves, s1, s2, t1, grid, n_max):
 class TestBatchedCurves:
     """A list of states gives one row per state, from one streamed pass over
     the orders; each row equals, bit for bit, the curve summed with full
-    (n_max + 1, K) rows, whatever the batch size and block layout."""
+    (n_max + 1, K) rows, whatever the batch size and block layout, on
+    grids of at least two points."""
 
     @staticmethod
     def _check(states, halves, s1, s2, t1, grid, n_max):
@@ -524,11 +574,34 @@ class TestBatchedCurves:
         states = [StateSpec.from_phase_space(x0, 0.4, 0.5) for x0 in (-1.0, 0.0, 1.0)]
         self._check(states, None, 1, 1, 0.0, grid, 40)
 
+    @pytest.mark.parametrize("window", [False, True])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 8])
+    def test_batch_invariance_holds_from_two_grid_points(self, window, steps):
+        # at K >= 2 every column of a batch equals its own curve bit for bit;
+        # at K = 1 the weighted einsum over a (k, C, 1) block sums in an order
+        # that depends on C, so a column may differ from its own curve in the
+        # last bit
+        rng = np.random.default_rng(steps)
+        states = [StateSpec.from_phase_space(x0, p0, 0.5)
+                  for x0, p0 in rng.uniform(-2.5, 2.5, (41, 2))]
+        halves = list(rng.uniform(0.6, 1.6, 41)) if window else None
+        if window:
+            states = [StateSpec(r=r) for r in rng.uniform(0.0, 1.0, 41)]
+        grid = rng.uniform(0.1, 6.0, steps)
+        rows = batch_curves(states, halves, 1, -1, 0.0, grid, 200)
+        own = np.array([q_sign_series_curve(state, 1, -1, 0.0, grid, 200) if halves is None
+                        else q_window_series_curve(state, halves[c], 1, -1, 0.0, grid, 200)
+                        for c, state in enumerate(states)])
+        if steps >= 2:
+            assert rows.tobytes() == own.tobytes()
+        else:
+            assert np.abs(rows - own).max() <= 1e-15
+
 
 class TestOneSummationPath:
-    """Every series sum, value and slope, point and curve, goes through
-    _EulerSum; special's averaged_partial_sum is the oracle's sum and the
-    reference of the series' sums."""
+    """Every series sum, value and slope, goes through _euler_rows (points)
+    or _EulerSum (curves); special's averaged_partial_sum is the oracle's sum
+    and the reference of the series' sums."""
 
     def test_series_takes_no_other_sum_and_no_other_route(self):
         tree = ast.parse(Path(series.__file__).read_text(encoding="utf-8"))
@@ -554,9 +627,15 @@ class TestOneSummationPath:
         order = np.arange(1, n + 1).reshape((-1,) + (1,) * len(shape))
         noise = np.random.default_rng(n).standard_normal((n,) + shape)
         terms = (np.cos(1.3 * order) + 0.1 * noise) / np.sqrt(order)
-        got, want = _euler_sum(terms), averaged_partial_sum(terms)
-        assert np.shape(got) == shape
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        euler = series._EulerSum(n, n, shape)
+        euler.slots(n)[...] = terms
+        euler.add(n)
+        want = np.asarray(averaged_partial_sum(terms))
+        assert np.shape(euler.total) == shape
+        assert np.asarray(euler.total).tobytes() == want.tobytes()
+        if not shape:  # a point's sum, alone and in a round of three
+            rows = _euler_rows(np.array([terms, 2.0 * terms, terms]))
+            assert [np.asarray(row).tobytes() for row in rows[::2]] == [want.tobytes()] * 2
 
     @pytest.mark.parametrize("shape", [(3, 97), (2, 511), (2, 512), (4, 300), (1, 4097)])
     def test_row_adds_equal_the_cumsum(self, monkeypatch, shape):
