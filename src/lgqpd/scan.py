@@ -12,7 +12,6 @@ row-major order, which makes output byte-identical for any worker count.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -23,11 +22,8 @@ import numpy as np
 
 from .integral import DEFAULT_QUAD_ORDER, _check_order, _check_pure, qpd_integral
 from .fock import DEFAULT_DIM, _check_dim, q_oracle_curve, qpd_oracle
-from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _check_signs,
-                     _check_squeezed_vacuum, _occupation_cut, _probe, _q_round, _q_sign,
-                     _q_thermal, _q_window, _sign_inputs, _t1_held, _window_inputs,
-                     q_sign_series_curve, q_thermal_series_curve, q_window_series_curve,
-                     qpd_series_squeezed, qpd_series_thermal, qpd_series_window)
+from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _cell_curves,
+                     _cell_values, _check_signs, _check_squeezed_vacuum, _SeriesCell)
 from .states import OffsetFunction, StateSpec
 
 #: Absolute tolerance of the t2 refinement: it stops once its next step, or
@@ -387,34 +383,24 @@ def _drive(tasks, serve) -> list:
 
 
 def _serve(requests) -> list:
-    """The answers to one round of :class:`_Request`s, in order: the coarse
-    curves on one grid in one call (:func:`_curve_rows`), the probes of pure
-    series cells of one family and truncation in one call of the round
-    kernel (``series._q_round``), each equal to the cell's own call bit for
-    bit, and any other probe through its own evaluator (thermal cells through
-    their point kernel, integral and oracle cells by value)."""
+    """The answers to one round of :class:`_Request`s, in order: the series
+    cells' coarse curves on one grid in one call (``series._cell_curves``)
+    and their probes in one call (``series._cell_values``), each equal to
+    the cell's own call bit for bit, and any other request through its own
+    curve or evaluator (integral and oracle cells, and a curve that is not
+    the cell's own)."""
     answers, groups = [None] * len(requests), {}
-    for i, request in enumerate(requests):
-        evaluator = request.evaluator
-        if request.curve is not None:
-            group = request.t2.tobytes()
-        elif isinstance(evaluator, _SeriesCell) and evaluator.inputs is not None:
-            group = evaluator.inputs, evaluator.trunc.n_max
+    for i, (evaluator, t2, slope, curve) in enumerate(requests):
+        if isinstance(evaluator, _SeriesCell) and curve in (None, evaluator.curve):
+            # the probes are one group, and the curves on each grid one more
+            groups.setdefault(None if curve is None else t2.tobytes(), []).append(i)
         else:
-            answers[i] = evaluator.slope(request.t2) if request.slope else evaluator(request.t2)
-            continue
-        groups.setdefault(group, []).append(i)
-    for group, members in groups.items():
+            answers[i] = (curve(t2) if curve is not None
+                          else evaluator.slope(t2) if slope else evaluator(t2))
+    for grid, members in groups.items():
         batch = [requests[i] for i in members]
-        if isinstance(group, bytes):
-            values = _curve_rows([r.evaluator for r in batch], [r.curve for r in batch],
-                                 batch[0].t2)
-        else:
-            inputs, n_max = group
-            out = _q_round(inputs is _window_inputs,
-                           [r.evaluator.probe(r.t2, r.slope) for r in batch], n_max)
-            values = [(float(v.q), None if v.slope is None else float(v.slope)) if r.slope
-                      else float(v.q) for r, v in zip(batch, out)]
+        values = (_cell_values([(r.evaluator, r.t2, r.slope) for r in batch]) if grid is None
+                  else _cell_curves([r.evaluator for r in batch], batch[0].t2))
         for i, value in zip(members, values):
             answers[i] = value
     return answers
@@ -531,8 +517,8 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     (:func:`_drive`): in start order, each start runs up to its next point
     not yet searched, and the round's new points are one batch.  A batch's
     searches run in lock-step rounds of their own: their t2 curves are one
-    call (:func:`_curve_rows`: one kernel call on the series route), each row
-    equal to that point's own curve, and each later round's probes one call
+    call (one kernel call on the series route), each row equal to that
+    point's own curve, and each later round's probes one call
     (:func:`_serve`).  Everything runs on the calling thread, and a start's
     path depends on its own values only, so the result is that of running
     the starts one after another.  All start outcomes are reported.  Raises
@@ -694,12 +680,12 @@ def named_evaluator(params: dict, route: str, projector: str,
     ``IntegralInfo`` or ``OracleInfo``), and ``curve(t2_grid)`` is q over an
     array of t2; ``n_max`` is the series truncation.
 
-    On the series route the evaluator is the cell's one record of its
-    family, pure sign, thermal sign or window (:class:`_SeriesCell`), and the
-    curve its ``curve``; its ``slope(t2)`` is the (q, dq/dt2) call of the
-    family's kernel, which :func:`minimize_over_t2` refines with.  The
-    integral and oracle evaluators have no slope, and the integral curve maps
-    the evaluator over the grid.
+    On the series route the evaluator is the cell of its family, pure sign,
+    thermal sign or window (``series._SeriesCell``), and the curve its
+    ``curve``; its ``slope(t2)`` is the (q, dq/dt2) call of the family's
+    kernel, which :func:`minimize_over_t2` refines with.  The integral and
+    oracle evaluators have no slope, and the integral curve maps the
+    evaluator over the grid.
 
     Raises ValueError for an unknown parameter name, a non-finite t1, an
     out-of-range ``n_max``, ``quad_order`` or ``oracle_dim`` (each is checked
@@ -737,15 +723,10 @@ def named_evaluator(params: dict, route: str, projector: str,
         raise ValueError("the series route does not take a measurement offset; "
                          "use the integral or oracle route")
     if route == "series":
-        if meas.projector == "window":
-            family = (qpd_series_window, _q_window, q_window_series_curve, _window_inputs,
-                      (state, float(meas.window_halfwidth)))
-        elif state.n_th > 0:
-            _occupation_cut(state.n_th, trunc.n_max)
-            family = (qpd_series_thermal, _q_thermal, q_thermal_series_curve, None, (state,))
-        else:
-            family = (qpd_series_squeezed, _q_sign, q_sign_series_curve, _sign_inputs, (state,))
-        cell = _SeriesCell(*family, (s1, s2, t1), trunc)
+        # a window state has n_th = 0 (checked above)
+        family = "thermal" if state.n_th > 0 else meas.projector
+        column = (state, float(meas.window_halfwidth)) if family == "window" else (state,)
+        cell = _SeriesCell(family, column, (s1, s2, t1), trunc)
         return cell, cell.curve
     if route == "integral":
         _check_pure(state)
@@ -765,57 +746,3 @@ def _whole(name: str, value, least: int | None = None) -> int:
     if least is not None and int(value) < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
-
-
-@dataclass(frozen=True)
-class _SeriesCell:
-    """One series cell of :func:`named_evaluator`: its family's public
-    ``point`` call, private t2 ``kernel``, public curve ``curve_of`` and,
-    for a pure family, the ``inputs`` of the round kernel (None for the
-    thermal family), each taking the cell's own arguments (``column``), then
-    those that a batch of cells shares (``shared``: s1, s2, t1), then t2 and
-    the truncation."""
-
-    point: Callable
-    kernel: Callable
-    curve_of: Callable
-    inputs: Callable | None
-    column: tuple
-    shared: tuple
-    trunc: TruncationConfig
-
-    def __call__(self, t2, with_info: bool = False):
-        return self.point(*self.column, *self.shared, t2, self.trunc, with_info)
-
-    def slope(self, t2):
-        """(q, dq/dt2) at one t2: q equals the value-only call bit for bit,
-        and dq is the exact t2 derivative of the truncated, Euler-averaged
-        sum, or None at a singular phase."""
-        out = self.kernel(*self.column, *self.shared, float(t2), self.trunc.n_max,
-                          slope=True)
-        return float(out.q), None if out.slope is None else float(out.slope)
-
-    def curve(self, grid):
-        return self.curve_of(*self.column, *self.shared, grid, self.trunc.n_max)
-
-    def probe(self, t2: float, slope: bool) -> tuple:
-        """The cell's column of a ``series._q_round`` call at one t2, which
-        reads the t1 geometry and row that the cell holds for its search."""
-        return _probe(self.inputs, self.column, *self.shared, t2, slope, self._held)
-
-    @functools.cached_property
-    def _held(self) -> tuple:
-        return _t1_held(self.column, self.shared[2], self.trunc.n_max)
-
-
-def _curve_rows(evaluators, curves, grid) -> np.ndarray:
-    """The values of several cells' ``curves`` on one t2 grid, one row per
-    cell: one curve call on the lists of their columns when all
-    ``evaluators`` are series cells of one curve, shared arguments and
-    truncation, else one call per curve (integral and oracle cells)."""
-    head = evaluators[0]
-    if all(isinstance(e, _SeriesCell) and (e.curve_of, e.shared, e.trunc)
-           == (head.curve_of, head.shared, head.trunc) for e in evaluators):
-        columns = [list(arg) for arg in zip(*(e.column for e in evaluators))]
-        return head.curve_of(*columns, *head.shared, grid, head.trunc.n_max)
-    return np.array([curve(grid) for curve in curves])

@@ -5,12 +5,13 @@ window) matrix elements J of the eigenfunctions, evaluated at cuts rescaled by
 the width lambda(t); free evolution contributes the phase
 ``exp(-i n (t2 - t1 + beta(t2) - beta(t1)))``.  Each projector family
 has one kernel over t2, a closed erf block plus a truncated phase sum over J
-products; every series point is the float call of its kernel (for the two
-pure families the one-column call of the round kernel, which evaluates one
-t2 point for each of several cells at once), and every curve the array
-call, which each kernel takes for a list of states at once, streaming their
-orders in cache-sized blocks and reading the phase factors cos(n phi) and
-sin(n phi) from one cached table per grid of phases:
+products.  Every series point, slope and t2 search probe is a call of a cell
+(:class:`_SeriesCell`: one family, state and t1), which builds the t1 half of
+its points once and holds it; the pure families' probes of several cells are
+one call of the round kernel.  Every curve is the kernel's array call, which
+takes a list of states at once, streaming their orders in cache-sized blocks
+and reading the phase factors cos(n phi) and sin(n phi) from one cached
+table per grid of phases:
 
 * coherent and squeezed pure states (sign projectors),
 * thermal squeezed coherent states (extra geometrically weighted sums over
@@ -309,6 +310,12 @@ def _cached_phase_table(key: bytes, shape: tuple, n_max: int):
     return table
 
 
+def _euler_window(n: int) -> np.ndarray:
+    """The Euler weights of an n-term series sum, on its final
+    min(256, max(2, 3n // 4), n) partial sums."""
+    return _euler_weights(min(256, max(2, 3 * n // 4), n))
+
+
 class _EulerSum:
     """The Euler-averaged sum of a streamed curve (a point's sums are
     :func:`_euler_rows`).  Its n_max terms arrive in consecutive blocks of at most ``rows``, and its
@@ -323,9 +330,9 @@ class _EulerSum:
     """
 
     def __init__(self, n_max: int, rows: int, shape: tuple):
-        width = min(256, max(2, 3 * n_max // 4), n_max)
-        self.weights = _euler_weights(width)
-        self.first = n_max + 1 - width  # the first order whose partial sum is weighted
+        self.weights = _euler_window(n_max)
+        # the first order whose partial sum is weighted
+        self.first = n_max + 1 - len(self.weights)
         self.terms = np.empty((rows + 1,) + shape)
         self.done = 0
         self.total = None
@@ -420,24 +427,20 @@ class _KernelValue(NamedTuple):
     m_tail: float = 0.0
 
 
-def _q_pure(inputs, column: tuple, s1: int, s2: int, t1: float, t2, n_max: int,
-            slope: bool = False) -> _KernelValue:
-    """Summation core of the pure kernels: q = block + s1 s2 sum_n cos(n phi)
-    row1_n row2_n, the rows :func:`j_row` at the cuts, or :func:`_window_row`
-    for the window family, and singular phases overwritten by completeness
-    over the outcome regions; ``inputs`` is the family's
-    (:func:`_sign_inputs` or :func:`_window_inputs`) and ``column`` its
-    per-state arguments.
+def _q_pure(inputs, column: tuple, s1: int, s2: int, t1: float, t2,
+            n_max: int) -> _KernelValue:
+    """Summation core of the pure kernels over a t2 array: q = block + s1 s2
+    sum_n cos(n phi) row1_n row2_n, the rows :func:`j_row` at the cuts, or
+    :func:`_window_row` for the window family, and singular phases
+    overwritten by completeness over the outcome regions; ``inputs`` is the
+    family's (:func:`_sign_inputs` or :func:`_window_inputs`) and ``column``
+    its per-state arguments.
 
-    One point, at a float t2, is the one-column call of :func:`_q_round`,
-    with its slope when asked.  A batch of C columns sharing K values of t2
-    has ``cut1`` of shape (C, 1), ``block`` and ``cut2`` (C, K), and ``phi``
-    (K,) or (C, K); its sums stream through :func:`_phase_sums`.
+    A batch of C columns sharing K values of t2 has ``cut1`` of shape (C,
+    1), ``block`` and ``cut2`` (C, K), and ``phi`` (K,) or (C, K); its sums
+    stream through :func:`_phase_sums`.  A point is a cell's one-column call
+    of :func:`_q_round`.
     """
-    if np.ndim(t2) == 0:
-        held = _t1_held(column, t1, n_max)
-        return _q_round(inputs is _window_inputs,
-                        [_probe(inputs, column, s1, s2, t1, t2, slope, held)], n_max)[0]
     block, phi, cut1, cut2, _ = inputs(*column, s1, s2, t1, t2)
     window = inputs is _window_inputs
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
@@ -450,31 +453,12 @@ def _q_pure(inputs, column: tuple, s1: int, s2: int, t1: float, t2, n_max: int,
     return _KernelValue(q, None, None, singular)
 
 
-def _t1_held(column: tuple, t1: float, n_max: int) -> tuple:
-    """The t1 half of every point of a pure kernel at one t1, which a t2
-    search holds for all its probes: the geometry (lambda, beta and
-    x_xi/lambda at t1) and the t1 row's orders 1..n_max, at the cut -x_xi/lambda,
-    or L/lambda for a window (``column`` (state, L))."""
-    geometry = _t1_geometry(column[0], t1)
-    if len(column) == 1:
-        return geometry, j_row(-geometry[2], n_max)[1:]
-    return geometry, _window_row(column[1] / geometry[0], n_max)[1:]
-
-
-def _probe(inputs, column: tuple, s1: int, s2: int, t1: float, t2: float, slope: bool,
-           held: tuple) -> tuple:
-    """One column of :func:`_q_round`: the family's ``inputs`` at a float t2,
-    from the ``held`` t1 pieces (:func:`_t1_held`)."""
-    geometry, row1 = held
-    return (s1, s2, *inputs(*column, s1, s2, t1, float(t2), slope, geometry), row1)
-
-
 def _q_round(window: bool, probes: list, n_max: int) -> list:
     """The round kernel of the pure families: one point of each of C
     columns, each with its own state, t1 and t2, as :class:`_KernelValue`s.
-    A column (:func:`_probe`) holds s1, s2, the kernel's block, phase and
-    cuts at its t2, the rates (block', phi', cut2') when its slope is asked,
-    else None, and its t1 row.
+    A column (:meth:`_SeriesCell.probe`) holds s1, s2, the kernel's block,
+    phase and cuts at its t2, the rates (block', phi', cut2') when its slope
+    is asked, else None, and its t1 row.
 
     Each column's eigenfunctions at cut2 come from the memoized scalar
     recurrence (:func:`psi_rows`).  The rows, cosines and terms, and the
@@ -529,18 +513,17 @@ def _euler_rows(terms: np.ndarray) -> list:
     along n, and each row's weights on its final window of partial sums by
     one contiguous 1-D einsum.  These are :func:`special.averaged_partial_sum`'s
     operations on the row, so each row equals its own sum bit for bit."""
-    n = terms.shape[1]
-    width = min(256, max(2, 3 * n // 4), n)
-    weights = _euler_weights(width)
+    weights = _euler_window(terms.shape[1])
     return [np.einsum("k,k...->...", weights, row)
-            for row in np.cumsum(terms, axis=1)[:, n - width:]]
+            for row in np.cumsum(terms, axis=1)[:, terms.shape[1] - len(weights):]]
 
 
 def _sign_inputs(state, s1: int, s2: int, t1: float, t2, slope: bool = False,
                  t1_geometry=None) -> tuple:
     """(block, phi, cut1, cut2, rates) of the pure sign kernel, as
-    :func:`_q_pure` reads them, at a float t2 or over a t2 array (no rates);
-    cut_i = -a_i, and block = (1 + s1 erf a1)(1 + s2 erf a2)/4."""
+    :func:`_q_pure` and :func:`_q_round` read them, over a t2 array (no
+    rates) or at a float t2 (a cell's probe); cut_i = -a_i, and block = (1 +
+    s1 erf a1)(1 + s2 erf a2)/4."""
     _, lam2, a1, a2, phi = _columns(state, t1, t2, t1_geometry)
     block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
     rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
@@ -567,7 +550,7 @@ def _window_inputs(state, half_width, s1: int, s2: int, t1: float, t2, slope: bo
 
 def _columns(state, t1: float, t2, t1_geometry=None):
     """:func:`_geometry` of one state at a float t2 (from ``t1_geometry``,
-    when a t2 search holds it), or of a list of C states (or one, C = 1) over
+    when a cell holds it), or of a list of C states (or one, C = 1) over
     a t2 array, stacked by column: lam1 and a1 of shape (C, 1), lam2 and a2
     (C, K), and phi (K,) when the states share their squeezing, else (C, K)."""
     if np.ndim(t2) == 0:
@@ -602,27 +585,36 @@ def _erf_rates(state: StateSpec, s1: int, s2: int, t2: float, lam2: float, a1: f
     return dblock, dphi, -da2
 
 
-def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int,
-            slope: bool = False) -> _KernelValue:
-    """Pure-state sign-projector kernel, as :func:`_q_pure`: at a float t2,
-    one point, with its slope when asked; over a t2 array, a batch of the
-    listed states (or of one)."""
+def _check_family(family: str, s1: int, s2: int, states: list, n_max: int,
+                  half_widths=()) -> None:
+    """The input rules of a family's kernel ("sign", "window" or "thermal")
+    for a batch of ``states``, and a window's ``half_widths``."""
     _check_signs(s1, s2)
-    if any(s.n_th != 0 for s in _each(state)):
+    if family == "sign" and any(s.n_th != 0 for s in states):
         raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
-    return _q_pure(_sign_inputs, (state,), s1, s2, t1, t2, n_max, slope)
+    if family == "window":
+        for s in states:
+            _check_squeezed_vacuum(s)
+        for h in half_widths:
+            _check_half_width(h)
+    if family == "thermal":
+        if any(s.n_th != states[0].n_th for s in states):
+            raise ValueError("the states of a thermal batch must share n_th")
+        _occupation_cut(states[0].n_th, n_max)
 
 
-def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int,
-              slope: bool = False) -> _KernelValue:
+def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int) -> _KernelValue:
+    """Pure-state sign-projector kernel over a t2 array, as :func:`_q_pure`,
+    for the listed states (or one)."""
+    _check_family("sign", s1, s2, _each(state), n_max)
+    return _q_pure(_sign_inputs, (state,), s1, s2, t1, t2, n_max)
+
+
+def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int) -> _KernelValue:
     """Squeezed-vacuum window-projector kernel, as :func:`_q_sign`; a batch
     of listed states takes its half-widths with shape (C, 1)."""
-    _check_signs(s1, s2)
-    for s in _each(state):
-        _check_squeezed_vacuum(s)
-    for h in np.ravel(half_width):
-        _check_half_width(h)
-    return _q_pure(_window_inputs, (state, half_width), s1, s2, t1, t2, n_max, slope)
+    _check_family("window", s1, s2, _each(state), n_max, np.ravel(half_width))
+    return _q_pure(_window_inputs, (state, half_width), s1, s2, t1, t2, n_max)
 
 
 def _point(out: _KernelValue, with_info: bool):
@@ -644,8 +636,8 @@ def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float
     compared with ``tail_tol``.  Near-degenerate time separations converge
     slowly and report a large bound.
     """
-    trunc = trunc or DEFAULT_TRUNCATION
-    return _point(_q_sign(state, s1, s2, t1, float(t2), trunc.n_max), with_info)
+    return _SeriesCell("sign", (state,), (s1, s2, t1),
+                       trunc or DEFAULT_TRUNCATION)(t2, with_info)
 
 
 def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
@@ -657,8 +649,8 @@ def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
     turns the cuts into +/- L/lambda(t_i).  Only even orders contribute by
     parity, so the result is periodic in t2 with period pi.
     """
-    trunc = trunc or DEFAULT_TRUNCATION
-    return _point(_q_window(state, half_width, s1, s2, t1, float(t2), trunc.n_max), with_info)
+    return _SeriesCell("window", (state, half_width), (s1, s2, t1),
+                       trunc or DEFAULT_TRUNCATION)(t2, with_info)
 
 
 def q_sign_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
@@ -697,19 +689,19 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
     Adds to the pure-state series a geometrically weighted sum over the
     initial occupation m: conjugate-phase and mixed-phase J products plus the
     diagonal overlap family coupling J_nn factors of both measurement cuts.
-    Reduces exactly to the pure evaluator at n_th = 0.  This is the float
-    call of the kernel of :func:`q_thermal_series_curve`.  Warns
-    (:class:`TruncationWarning`) when the remainder of the occupation cut
-    exceeds ``trunc.tail_tol`` (:class:`TruncationConfig`).
+    Reduces exactly to the pure evaluator at n_th = 0.  This is the call of
+    a thermal cell, whose kernel is that of :func:`q_thermal_series_curve`.
+    Warns (:class:`TruncationWarning`) when the remainder of the occupation
+    cut exceeds ``trunc.tail_tol`` (:class:`TruncationConfig`).
     """
     if state.n_th == 0:
         return qpd_series_squeezed(state, s1, s2, t1, t2, trunc, with_info)
-    trunc = trunc or DEFAULT_TRUNCATION
-    out = _q_thermal(state, s1, s2, t1, float(t2), trunc.n_max)
-    if out.m_tail > trunc.tail_tol:
+    cell = _SeriesCell("thermal", (state,), (s1, s2, t1), trunc or DEFAULT_TRUNCATION)
+    out = cell.value(t2)
+    if out.m_tail > cell.trunc.tail_tol:
         warnings.warn(
             f"thermal occupation sum truncated at m={out.m_used} with remainder "
-            f"{out.m_tail:.3e} > tail_tol={trunc.tail_tol:.1e}",
+            f"{out.m_tail:.3e} > tail_tol={cell.trunc.tail_tol:.1e}",
             TruncationWarning, stacklevel=2)
     return _point(out, with_info)
 
@@ -732,33 +724,17 @@ def q_thermal_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarr
     return q[0] if one else q
 
 
-#: The fixed pieces of the last thermal call that built one, by their
-#: :func:`_thermal_fixed_cut` arguments.
-_FIXED_CUTS: dict = {}
-
-
-def _thermal_fixed_cuts(cuts, w: float, m_cut: int, n_max: int) -> list:
-    """The :func:`_thermal_fixed_cut` pieces of each cut, held read-only for
-    the cuts of the last call that had to build one.  A call whose cuts are
-    all held keeps them: every t2 probe of a minimization shares its cut,
-    and each cell of a thermal scan row refines on the cut that the row's
-    batched curve built.  Holding one call's cuts keeps the
-    (m_cut + 1) x (n_max + 1) blocks from piling up at large n_max."""
-    keys = [(float(cut), w, m_cut, n_max) for cut in cuts]
-    if not all(key in _FIXED_CUTS for key in keys):
-        held = {key: _FIXED_CUTS.get(key) or _thermal_fixed_cut(*key)
-                for key in dict.fromkeys(keys)}
-        _FIXED_CUTS.clear()
-        _FIXED_CUTS.update(held)
-    return [_FIXED_CUTS[key] for key in keys]
-
-
+@functools.lru_cache(maxsize=1)
 def _thermal_fixed_cut(cut: float, w: float, m_cut: int, n_max: int):
     """The t1-only pieces of the thermal kernel: the row J_0n(cut, inf), the
     diagonal J_mm(cut, inf) for m <= m_cut, B_mn = w^m J_mn(cut, inf) /
     (2 (n - m)), the occupation weights w^m for m = 1..m_cut, and G_mn = w^m
     J_mn(cut, inf), which the slope of a point reads; B and G have the m = 0
-    row, the n = 0 column and the diagonal zeroed, and all are read-only."""
+    row, the n = 0 column and the diagonal zeroed, and all are read-only.
+
+    A cell holds its own pieces; the cache of the last build lets the cells
+    of a row at t1 = 0, which share their cut, share one build without the
+    (m_cut + 1) x (n_max + 1) blocks piling up at large n_max."""
     block = j_block(cut, m_cut, n_max)
     m = np.arange(m_cut + 1)[:, None]
     g = w ** m * block
@@ -885,12 +861,14 @@ def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):
     return euler.total, s_up, diag2
 
 
-def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int,
-               slope: bool = False) -> _KernelValue:
+def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool = False,
+               fixed: list | None = None) -> _KernelValue:
     """Thermal kernel, the occupation sum cut at m_cut: at a float t2, one
-    point (:func:`_thermal_point`), with its slope when asked, as for
-    :func:`_q_pure`; over a t2 array, a batch of the listed states (or of
-    one), which share n_th, from one stream (:func:`_thermal_stream`).
+    point (:func:`_thermal_point`), with its slope when asked; over a t2
+    array, a batch of the listed states (or of one), which share n_th, from
+    one stream (:func:`_thermal_stream`).  ``fixed`` holds each state's
+    :func:`_thermal_fixed_cut` pieces when a cell holds them; without it
+    they are built.
 
     The mixed-phase family sum_m w^m cos((m-n) phi) J_mn(-a1) J_mn(-a2)
     takes J_mn(-a2) in its rank-2 Wronskian form and cos((m-n) phi) as
@@ -900,13 +878,11 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int,
     eigenbasis index n does not, so its sum is Euler-averaged.  Singular
     phases are overwritten by the completeness branch.
     """
-    _check_signs(s1, s2)
     states = _each(state)
+    _check_family("thermal", s1, s2, states, n_max)
     n_th = states[0].n_th
-    if any(s.n_th != n_th for s in states):
-        raise ValueError("the states of a thermal batch must share n_th")
     w = n_th / (1.0 + n_th)
-    m_cut = _occupation_cut(n_th, n_max)
+    m_cut = thermal_m_cut(n_th)
 
     _, lam2, a1, a2, phi = _columns(state, t1, t2)
     block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
@@ -919,7 +895,8 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int,
     q, dq, terms = block, None, None
     point = np.ndim(t2) == 0
     if not (point and singular):
-        fixed = _thermal_fixed_cuts(np.ravel(-a1), w, m_cut, n_max)
+        fixed = fixed or [_thermal_fixed_cut(float(cut), w, m_cut, n_max)
+                          for cut in np.ravel(-a1)]
         if point:
             _, diag1, _, wm, _ = fixed[0]
             rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
@@ -943,3 +920,113 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int,
     if np.any(singular):
         q = _fill_singular(q, singular, phi, _halfline, s1, s2, -a1, -a2, weight)
     return _KernelValue(q, dq, terms, singular, m_cut, w ** (m_cut + 1))
+
+
+# ---------------------------------------------------------------------------
+# series cells
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _SeriesCell:
+    """One series point of a projector ``family`` ("sign", "window" or
+    "thermal") as a function of t2: ``column`` holds the cell's own
+    arguments, (state,) or (state, L) for a window, ``shared`` those that a
+    batch of cells shares, (s1, s2, t1), and ``trunc`` the truncation.  The
+    family's input rules are judged when the cell is made.
+
+    Every series point, slope, t2 search probe and cell curve is a call of a
+    cell, and each reads the t1 half that the cell builds once and holds:
+    the t1 geometry and t1 row of a pure family, the
+    :func:`_thermal_fixed_cut` pieces of a thermal one.
+    """
+
+    family: str
+    column: tuple
+    shared: tuple
+    trunc: TruncationConfig
+
+    def __post_init__(self):
+        _check_family(self.family, *self.shared[:2], [self.column[0]], self.trunc.n_max,
+                      self.column[1:])
+
+    def __call__(self, t2, with_info: bool = False):
+        return _point(self.value(t2), with_info)
+
+    def slope(self, t2):
+        """(q, dq/dt2) at one t2: q equals the value-only call bit for bit,
+        and dq is the exact t2 derivative of the truncated, Euler-averaged
+        sum, or None at a singular phase."""
+        return _cell_values([(self, t2, True)])[0]
+
+    def curve(self, grid):
+        """q over an array of t2 values (:func:`_cell_curves`)."""
+        return _cell_curves([self], grid)[0]
+
+    def value(self, t2, slope: bool = False) -> _KernelValue:
+        """The family's kernel at one t2, with its slope when asked: for a
+        pure family the cell's one-column call of :func:`_q_round`."""
+        if self.family == "thermal":
+            return _q_thermal(*self.column, *self.shared, float(t2), self.trunc.n_max, slope,
+                              [self._held])
+        return _q_round(self.family == "window", [self.probe(t2, slope)], self.trunc.n_max)[0]
+
+    def probe(self, t2, slope: bool) -> tuple:
+        """The column of a pure cell in a :func:`_q_round` call at one t2."""
+        geometry, row1 = self._held
+        inputs = _window_inputs if self.family == "window" else _sign_inputs
+        return (*self.shared[:2],
+                *inputs(*self.column, *self.shared, float(t2), slope, geometry), row1)
+
+    @functools.cached_property
+    def _held(self) -> tuple:
+        state, t1, n_max = self.column[0], self.shared[2], self.trunc.n_max
+        geometry = _t1_geometry(state, t1)
+        if self.family == "thermal":
+            return _thermal_fixed_cut(float(-geometry[2]), state.n_th / (1.0 + state.n_th),
+                                      thermal_m_cut(state.n_th), n_max)
+        if self.family == "sign":
+            return geometry, j_row(-geometry[2], n_max)[1:]
+        return geometry, _window_row(self.column[1] / geometry[0], n_max)[1:]
+
+
+def _cell_values(requests) -> list:
+    """The answers to ``requests``, (cell, t2, slope) triples, in order: q,
+    or (q, dq/dt2 or None) when ``slope``, each equal bit for bit to the
+    cell's own call.  The pure cells of one family and n_max are one
+    :func:`_q_round` call, and thermal cells go through their point kernel."""
+    out, rounds = [None] * len(requests), {}
+    for i, (cell, t2, slope) in enumerate(requests):
+        if cell.family == "thermal":
+            out[i] = cell.value(t2, slope)
+        else:
+            rounds.setdefault((cell.family, cell.trunc.n_max), []).append(i)
+    for (family, n_max), members in rounds.items():
+        probes = [requests[i][0].probe(*requests[i][1:]) for i in members]
+        for i, value in zip(members, _q_round(family == "window", probes, n_max)):
+            out[i] = value
+    return [(float(v.q), None if v.slope is None else float(v.slope)) if slope else float(v.q)
+            for v, (_, _, slope) in zip(out, requests)]
+
+
+def _cell_curves(cells, grid) -> list:
+    """Each cell's q over the t2 array ``grid``, in order: the cells of one
+    family, ``shared``, n_max and n_th in one streamed call, each row equal
+    bit for bit to the cell's own curve.  Pure cells go through their
+    family's public curve, thermal cells through :func:`_q_thermal` with
+    their held t1 pieces."""
+    grid = np.asarray(grid, dtype=float)
+    rows, groups = [None] * len(cells), {}
+    for i, cell in enumerate(cells):
+        key = cell.family, cell.shared, cell.trunc.n_max, cell.column[0].n_th
+        groups.setdefault(key, []).append(i)
+    for (family, shared, n_max, _), members in groups.items():
+        batch = [cells[i] for i in members]
+        columns = [list(arg) for arg in zip(*(cell.column for cell in batch))]
+        if family == "thermal":
+            q = _q_thermal(*columns, *shared, grid, n_max, fixed=[c._held for c in batch]).q
+        else:
+            curve = q_window_series_curve if family == "window" else q_sign_series_curve
+            q = curve(*columns, *shared, grid, n_max)
+        for i, row in zip(members, q):
+            rows[i] = row
+    return rows

@@ -122,6 +122,16 @@ class TestMinimizeOverT2:
             assert all(grid[i - 1] <= t <= grid[i + 1] for t in points)
             assert q <= np.cos(grid).min()
 
+    def test_a_series_cell_takes_the_curve_it_is_given(self):
+        # the coarse grid comes from the curve passed, not the cell's own
+        cell, _ = named_evaluator({"s1": 1, "s2": -1, "x0": -0.554, "p0": 1.95}, "series",
+                                  "sign")
+        grids = []
+        res = minimize_over_t2(cell, lambda g: grids.append(g) or np.full(len(g), -7.0),
+                               T2Search(0.0, TWO_PI, 50, 0))
+        assert res == (-7.0, 0.0)
+        assert len(grids) == 1
+
     @pytest.mark.parametrize("steps,iters", [
         (200.5, 40), (math.nan, 40), (math.inf, 40), (200, 40.5), (200, math.nan)])
     def test_search_rejects_bad_counts(self, steps, iters):
@@ -562,7 +572,7 @@ class TestScanPlane:
                          t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
         clean = scan_plane(cfg)
         bad_p0 = float(cfg.axis2_values()[2])
-        real = scan.q_sign_series_curve
+        real = series.q_sign_series_curve
 
         def failing(state, *args):
             states = [state] if isinstance(state, scan.StateSpec) else state
@@ -570,7 +580,7 @@ class TestScanPlane:
                 raise FloatingPointError("injected")
             return real(state, *args)
 
-        monkeypatch.setattr(scan, "q_sign_series_curve", failing)
+        monkeypatch.setattr(series, "q_sign_series_curve", failing)
         res = scan_plane(cfg)
         assert res.n_failed == 1
         assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [2]
@@ -603,7 +613,7 @@ class TestScanPlane:
                          t2_coarse_steps=120, t2_refine_iters=30, n_max=200)
         calls = []
         real = series.j_block
-        monkeypatch.setattr(series, "_FIXED_CUTS", {})
+        series._thermal_fixed_cut.cache_clear()
         monkeypatch.setattr(series, "j_block", lambda *a: calls.append(a) or real(*a))
         res = scan_plane(cfg)
         assert res.n_failed == 0 and res.refine_evals > 3
@@ -616,15 +626,15 @@ class TestScanPlane:
                          t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
         clean = scan_plane(cfg)
         bad_p0 = float(cfg.axis2_values()[3])
-        real = scan.q_thermal_series_curve
+        real = series._q_thermal
 
-        def failing(state, *args):
+        def failing(state, *args, **kwargs):
             states = [state] if isinstance(state, scan.StateSpec) else state
             if any(abs(s.p0 - bad_p0) < 1e-12 for s in states):
                 raise FloatingPointError("injected")
-            return real(state, *args)
+            return real(state, *args, **kwargs)
 
-        monkeypatch.setattr(scan, "q_thermal_series_curve", failing)
+        monkeypatch.setattr(series, "_q_thermal", failing)
         res = scan_plane(cfg)
         assert res.n_failed == 1
         assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [3]
@@ -639,7 +649,7 @@ class TestScanPlane:
                          axis1_min=0.5, axis1_steps=1,
                          axis2_min=-1.0, axis2_max=1.0, axis2_steps=3,
                          t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
-        real = scan.q_sign_series_curve
+        real = series.q_sign_series_curve
 
         def lowered_at(value):
             def curve(states, *args):
@@ -648,11 +658,11 @@ class TestScanPlane:
                 return q
             return curve
 
-        monkeypatch.setattr(scan, "q_sign_series_curve", lowered_at(-0.2))
+        monkeypatch.setattr(series, "q_sign_series_curve", lowered_at(-0.2))
         with pytest.raises(ArithmeticError, match=r"q=-0\.200000 .* at x0=0\.5, p0=1\.0, t2=0\.0$"):
             scan_plane(cfg)
         # the bound is -1/8 - 1e-6
-        monkeypatch.setattr(scan, "q_sign_series_curve", lowered_at(-0.125 - 5e-7))
+        monkeypatch.setattr(series, "q_sign_series_curve", lowered_at(-0.125 - 5e-7))
         assert scan_plane(cfg).global_argmin == (0.5, 1.0, 0.0)
 
     def test_failed_cells_marked_nan(self):
@@ -887,17 +897,17 @@ class TestLockStep:
 
     def test_rounds_batch_the_starts_points(self, monkeypatch):
         calls, searched = [], set()
-        real_rows, real_evaluator = scan._curve_rows, scan.named_evaluator
+        real_rows, real_evaluator = scan._cell_curves, scan.named_evaluator
 
-        def counting_rows(evaluators, curves, grid):
-            calls.append(len(evaluators))
-            return real_rows(evaluators, curves, grid)
+        def counting_rows(cells, grid):
+            calls.append(len(cells))
+            return real_rows(cells, grid)
 
         def recording_evaluator(params, *args):
             searched.add((params["x0"], params["p0"]))
             return real_evaluator(params, *args)
 
-        monkeypatch.setattr(scan, "_curve_rows", counting_rows)
+        monkeypatch.setattr(scan, "_cell_curves", counting_rows)
         monkeypatch.setattr(scan, "named_evaluator", recording_evaluator)
         global_minimize(**LOCK_STEP_CASES["sign_panel"])
         # the coarse grid is the first call; the starts' points follow in rounds
@@ -1059,7 +1069,8 @@ class TestRoundKernel:
 
     def test_a_round_holds_each_cells_t1_pieces(self, monkeypatch):
         # 41 cells with distinct t1 cuts: each builds its t1 row once, however
-        # many rounds it probes in, past the row caches' 8 entries
+        # many rounds and slope calls it probes in, past the row caches' 8
+        # entries
         rng = np.random.default_rng(5)
         cells = [_random_cell(rng, "window", t1=0.3)[0] for _ in range(41)]
         real, built = series._window_row, []
@@ -1067,7 +1078,36 @@ class TestRoundKernel:
         for t2 in (0.4, 0.9, 1.3):
             answers = scan._serve([scan._Request(cell, t2, True) for cell in cells])
             assert [repr(a) for a in answers] == [repr(cell.slope(t2)) for cell in cells]
-        assert len(built) == 41 + 3 * 41  # each cell's held row, and each slope call's own
+        assert len(built) == 41
+
+    def test_each_cell_builds_its_t1_row_once(self, monkeypatch):
+        # direct calls, slopes, probe rounds and curves, with the other
+        # cells' calls in between, all read the row that the cell holds
+        rng = np.random.default_rng(7)
+        cells = [_random_cell(rng, "window", t1=0.3)[0] for _ in range(5)]
+        real, built = series._window_row, []
+        monkeypatch.setattr(series, "_window_row", lambda h, n: built.append(h) or real(h, n))
+        for t2 in (0.4, 0.9, 1.3):
+            for cell in cells:
+                assert cell.slope(t2)[0] == cell(t2)
+        scan._serve([scan._Request(cell, 2.1, True) for cell in cells])
+        for cell in cells:
+            cell.curve(np.linspace(0.0, TWO_PI, 7))
+        assert len(built) == 5
+
+    def test_each_thermal_cell_builds_its_t1_cut_once(self, monkeypatch):
+        cells = [named_evaluator({"s1": -1, "s2": 1, "t1": 0.4, "x0": x0, "p0": 0.7, "r": 0.5,
+                                  "n_th": 0.8}, "series", "sign", 80)[0] for x0 in (-0.6, 0.9)]
+        real, calls = series.j_block, []
+        series._thermal_fixed_cut.cache_clear()
+        monkeypatch.setattr(series, "j_block", lambda *a: calls.append(a) or real(*a))
+        for t2 in (0.5, 1.2, 2.9):
+            for cell in cells:
+                assert cell.slope(t2)[0] == cell(t2)
+        scan._serve([scan._Request(cell, 2.1, True) for cell in cells])
+        for cell in cells:
+            cell.curve(np.linspace(0.0, TWO_PI, 7))
+        assert len(calls) == 2
 
     def test_thermal_and_integral_cells_are_served_by_their_own_calls(self):
         cells = [named_evaluator({"s1": 1, "s2": -1, "x0": 0.4, "p0": 1.1, "r": 0.3,
@@ -1087,7 +1127,7 @@ class TestRoundKernel:
                          t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
         clean = scan_plane(cfg)
         bad, rows = float(cfg.axis2_values()[4]), []
-        real_round, real_probe = scan._q_round, scan._SeriesCell.probe
+        real_round, real_probe = series._q_round, series._SeriesCell.probe
 
         def failing(window, probes, n_max):
             # a probe's last entry is its cell's held t1 row
@@ -1101,8 +1141,8 @@ class TestRoundKernel:
                 rows.append(probe[-1])
             return probe
 
-        monkeypatch.setattr(scan, "_q_round", failing)
-        monkeypatch.setattr(scan._SeriesCell, "probe", recording_probe)
+        monkeypatch.setattr(series, "_q_round", failing)
+        monkeypatch.setattr(series._SeriesCell, "probe", recording_probe)
         res = scan_plane(cfg)
         assert res.n_failed == 1
         assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [4]

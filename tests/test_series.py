@@ -17,7 +17,7 @@ from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
                    qpd_series_thermal, qpd_series_window,
                    psi_rows, series, series_tail_estimate, thermal_m_cut, x_xi_of)
 from lgqpd.matrix_elements import j_row, ladder_diagonal, lowered
-from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table,
+from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table, _SeriesCell,
                           _euler_rows, _fill_singular, _geometry, _ground_weight, _halfline,
                           _phase_table, _psi_sq_weights, _q_sign, _q_thermal, _q_window,
                           _sign_inputs, _t1_geometry, _window_inputs, _window_region,
@@ -351,13 +351,13 @@ class TestPointAndCurve:
 
 
 class TestPointSlope:
-    """The slope=True call of each point kernel: the value-only q, bit for
-    bit, with the exact t2 derivative of its truncated sum."""
+    """A series cell's slope: the value-only q of the family's public point,
+    bit for bit, with the exact t2 derivative of its truncated sum."""
 
     @staticmethod
     def _point(data, family):
-        """A random point of ``family``: its value-only call and slope call
-        as functions of t2, and t1."""
+        """A random point of ``family``: its public value-only call and its
+        cell's slope as functions of t2, and t1."""
         t1 = data.draw(st.sampled_from([0.0, data.draw(st.floats(-2.0, 2.0))]))
         s1, s2 = data.draw(st.sampled_from(SIGN_PAIRS))
         r, theta0 = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(-3.0, 3.0))
@@ -377,13 +377,8 @@ class TestPointSlope:
             value = lambda t2: qpd_series_squeezed(state, s1, s2, t1, t2, trunc)
         else:
             value = lambda t2: qpd_series_thermal(state, s1, s2, t1, t2, trunc)
-        kernel = {"sign": _q_sign, "window": _q_window, "thermal": _q_thermal}[family]
-        cell = (state,) if half is None else (state, half)
-
-        def slope(t2):
-            out = kernel(*cell, s1, s2, t1, float(t2), trunc.n_max, slope=True)
-            return float(out.q), None if out.slope is None else float(out.slope)
-        return value, slope, t1
+        column = (state,) if half is None else (state, half)
+        return value, _SeriesCell(family, column, (s1, s2, t1), trunc).slope, t1
 
     @pytest.mark.parametrize("family", ["sign", "window", "thermal"])
     @settings(max_examples=30, deadline=None)
@@ -415,12 +410,14 @@ class TestPointSlope:
         n_max = data.draw(st.integers(1, 400))
         if family == "window":
             state, half = StateSpec(r=r, theta0=theta0), data.draw(st.floats(0.2, 2.5))
-            out = _q_window(state, half, s1, s2, t1, t2, n_max, slope=True)
+            column = (state, half)
         else:
             state, half = StateSpec.from_phase_space(data.draw(st.floats(-2.5, 2.5)),
                                                      data.draw(st.floats(-2.5, 2.5)), r,
                                                      theta0), None
-            out = _q_sign(state, s1, s2, t1, t2, n_max, slope=True)
+            column = (state,)
+        trunc = TruncationConfig(n_max=n_max)
+        out = _SeriesCell(family, column, (s1, s2, t1), trunc).value(t2, slope=True)
         if out.singular:
             assert out.slope is None
             return
