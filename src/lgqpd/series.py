@@ -15,9 +15,12 @@ table per grid of phases:
 
 * coherent and squeezed pure states (sign projectors),
 * thermal squeezed coherent states (extra geometrically weighted sums over
-  the initial occupation, plus a diagonal overlap family), whose t1-only
-  pieces are cached and whose mixed-phase family is one stacked matrix
-  product per block,
+  the initial occupation, plus a diagonal overlap family), whose t1 cut is
+  held as O(n_max) pieces (the last build cached) and whose mixed-phase
+  family goes through x-independent 1/(2 (n - m)) tables cached per (m_cut,
+  n_max): a point is one product of a table with the cut-weighted factors,
+  and a curve forms each step's block columns from the pieces and the table
+  and applies them in one stacked matrix product,
 * squeezed vacuum with symmetric window projectors.
 
 The two pure families share one summation core.  When the total phase per
@@ -41,7 +44,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import TruncationError, TruncationWarning
-from .matrix_elements import j_block, j_diag_row, j_row, ladder_diagonal, lowered
+from .matrix_elements import j_diag_row, j_row, ladder_diagonal, lowered
 from .special import _check_n_cap, _euler_weights, _psi_blocks, _sqrt_2n, psi_rows
 from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_dot, lambda_of,
                      phase_beta_dot, phase_beta_of, thermal_m_cut, x_xi_dot, x_xi_of)
@@ -724,29 +727,67 @@ def q_thermal_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarr
     return q[0] if one else q
 
 
-@functools.lru_cache(maxsize=1)
-def _thermal_fixed_cut(cut: float, w: float, m_cut: int, n_max: int):
-    """The t1-only pieces of the thermal kernel: the row J_0n(cut, inf), the
-    diagonal J_mm(cut, inf) for m <= m_cut, B_mn = w^m J_mn(cut, inf) /
-    (2 (n - m)), the occupation weights w^m for m = 1..m_cut, and G_mn = w^m
-    J_mn(cut, inf), which the slope of a point reads; B and G have the m = 0
-    row, the n = 0 column and the diagonal zeroed, and all are read-only.
+class _ThermalCut(NamedTuple):
+    """The t1-only pieces of the thermal kernel at one cut, none longer than
+    n_max + 1 and all read-only: ``psi`` = psi_n(cut) and ``low`` = L_n =
+    sqrt(2n) psi_{n-1}(cut) for n <= n_max, ``u`` = w^m psi_m and ``v`` =
+    w^m L_m for m <= m_cut, the row J_0n(cut, inf), the diagonal J_mm(cut,
+    inf) for m <= m_cut, and the occupation weights ``wm`` = w^m for m =
+    1..m_cut.
 
-    A cell holds its own pieces; the cache of the last build lets the cells
-    of a row at t1 = 0, which share their cut, share one build without the
-    (m_cut + 1) x (n_max + 1) blocks piling up at large n_max."""
-    block = j_block(cut, m_cut, n_max)
-    m = np.arange(m_cut + 1)[:, None]
-    g = w ** m * block
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = g / (2.0 * (np.arange(n_max + 1) - m))
-    for arr in (b, g):
-        arr[0] = arr[:, 0] = 0.0
-        np.fill_diagonal(arr, 0.0)
-    out = (block[0].copy(), np.diagonal(block).copy(), b, w ** np.arange(1, m_cut + 1), g)
+    By the Wronskian form J_mn = (L_n psi_m - L_m psi_n) / (2 (n - m)) the
+    mixed family's blocks B_mn = w^m J_mn / (2 (n - m)) and G_mn = w^m J_mn
+    are (u_m L_n - v_m psi_n) Q_mn and (u_m L_n - v_m psi_n) H_mn, with the
+    x-independent tables of :func:`_gap_tables`; no block is held."""
+
+    psi: np.ndarray
+    low: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    row: np.ndarray
+    diag: np.ndarray
+    wm: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _thermal_fixed_cut(cut: float, w: float, m_cut: int, n_max: int) -> _ThermalCut:
+    """The :class:`_ThermalCut` pieces at ``cut``.  A cell holds its own;
+    the cache of the last build lets the cells of a row at t1 = 0, which
+    share their cut, share one build."""
+    psi = psi_rows(cut, n_max)
+    low = lowered(psi)
+    weights = w ** np.arange(m_cut + 1)
+    out = _ThermalCut(psi, low, weights * psi[:m_cut + 1], weights * low[:m_cut + 1],
+                      j_row(cut, n_max), ladder_diagonal(cut, psi[:m_cut + 1]), weights[1:])
     for arr in out:
         arr.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=2)
+def _gap_tables(m_cut: int, n_max: int) -> np.ndarray:
+    """Q_mn = H_mn^2 and H_mn = 1 / (2 (n - m)) for m <= m_cut and n <=
+    n_max, stacked as (2, m_cut + 1, n_max + 1), zero on the m = 0 row, the
+    n = 0 column and n = m, read-only: the x-independent halves of the mixed
+    family's blocks (:class:`_ThermalCut`), shared by every cut of one
+    (m_cut, n_max)."""
+    with np.errstate(divide="ignore"):
+        h = 0.5 / (np.arange(n_max + 1) - np.arange(m_cut + 1)[:, None])
+    h[0] = h[:, 0] = 0.0
+    np.fill_diagonal(h, 0.0)
+    out = np.array((h * h, h))
+    out.flags.writeable = False
+    return out
+
+
+def _mixed_products(cut: _ThermalCut, factors: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """(B^T F)^T for the Q table and (G^T F)^T for the H table, F^T being
+    the (4, m_cut + 1) ``factors`` and ``tables`` the first one or both of
+    :func:`_gap_tables`, as a (tables, 4, n_max + 1) array: L ⊙ ((u ⊙ F^T)
+    T) - psi ⊙ ((v ⊙ F^T) T) for each table T, one product of the table with
+    the 8 weighted factor rows."""
+    p = np.matmul((np.array((cut.u, cut.v))[:, None] * factors).reshape(8, -1), tables)
+    return cut.low * p[:, :4] - cut.psi * p[:, 4:]
 
 
 def _mixed_factors(cos, sin, psi, low) -> list:
@@ -756,43 +797,57 @@ def _mixed_factors(cos, sin, psi, low) -> list:
     return [cos * psi, cos * low, sin * psi, sin * low]
 
 
-def _thermal_terms(cos, sin, psi, low, row2, row1, c):
+def _thermal_terms(cos, sin, psi, low, row2, row1, c, out=None):
     """The eigenbasis terms of orders n >= 1: cos(n phi) J_0n(cut2) J_0n(cut1)
     plus the mixed family sum_m w^m cos((m-n) phi) J_mn(cut1) J_mn(cut2),
     with J_mn(cut2) in its rank-2 Wronskian form, from the products ``c`` of
-    B^T with the four :func:`_mixed_factors`."""
-    return cos * row2 * row1 + (cos * (low * c[0] - psi * c[1])
-                                + sin * (low * c[2] - psi * c[3]))
+    B^T with the four :func:`_mixed_factors`; written into ``out`` when
+    given.  In place, in the order of cos row2 row1 + (cos (low c0 - psi c1)
+    + sin (low c2 - psi c3))."""
+    mixed = low * c[0]
+    mixed -= psi * c[1]
+    mixed *= cos
+    sine = low * c[2]
+    sine -= psi * c[3]
+    sine *= sin
+    mixed += sine
+    out = np.multiply(cos, row2, out=out)
+    out *= row1
+    out += mixed
+    return out
 
 
-def _thermal_point(fixed, cut2: float, phi: float, n_max: int, rates=None):
+def _thermal_point(cut: _ThermalCut, cut2: float, phi: float, n_max: int, rates=None):
     """(phase_sum, s_up, diag2, terms, slopes) of one thermal point, on plain
     rows of length n_max + 1: the memoized scalar eigenfunctions at cut2, and
-    the mixed family as one product of B^T with the (m_cut + 1) x 4 factors.
+    the mixed family from B^T F, F the (m_cut + 1) x 4 factors, which
+    :func:`_mixed_products` takes as one product of the cached Q table
+    (:func:`_gap_tables`) with F weighted by the t1 cut's O(n_max) pieces.
 
     Given ``rates``, the t2 derivatives (phi', cut2'), ``slopes`` holds the
     t2 derivatives of the first three, else it is None.  They read the same
     rows: d J_mn(cut2)/dcut2 = -psi_m psi_n, and in the mixed family's phase
-    derivative the factor (m - n) cancels B's 1 / (2 (n - m)), leaving one
-    product of G^T with the same four factors."""
-    row1, _, b, wm, g = fixed
-    m1 = len(wm) + 1
+    derivative the factor (m - n) cancels B's 1 / (2 (n - m)), leaving G^T F,
+    the same product with the H table, in the same call."""
+    m1, wm = len(cut.u), cut.wm
     psi = psi_rows(cut2, n_max)
     low = lowered(psi)
     angle = np.arange(n_max + 1) * phi
     cos, sin = np.cos(angle), np.sin(angle)
-    factors = np.stack(_mixed_factors(cos[:m1], sin[:m1], psi[:m1], low[:m1]), axis=1)
-    c = b.T @ factors
+    factors = np.array(_mixed_factors(cos[:m1], sin[:m1], psi[:m1], low[:m1]))
+    # B^T F, and G^T F for a slope
+    products = _mixed_products(cut, factors, _gap_tables(m1 - 1, n_max)[:1 if rates is None else 2])
+    c, row1 = products[0], cut.row
     # J_0n(cut2) = psi_0 psi_{n-1} / sqrt(2n) for n >= 1, as in j_row
     row2 = psi[0] * psi[:-1] / _sqrt_2n(n_max)[1:]
-    terms = _thermal_terms(cos[1:], sin[1:], psi[1:], low[1:], row2, row1[1:], c[1:].T)
+    terms = _thermal_terms(cos[1:], sin[1:], psi[1:], low[1:], row2, row1[1:], c[:, 1:])
     s_up = (wm * cos[1:m1] * row2[:m1 - 1] * row1[1:m1]).sum(axis=0)
     diag2 = ladder_diagonal(cut2, psi[:m1])
     if rates is None:
         return _euler_rows(terms[None])[0], s_up, diag2, terms, None
     dphi, dcut = rates
     cn, sn, p, lo = cos[1:], sin[1:], psi[1:], low[1:]
-    d = (g.T @ factors)[1:].T
+    d = products[1][:, 1:]
     # the n >= 1 terms of the m = 0 family, cos(n phi) J_0n(cut1) J_0n(cut2)
     dpure = (cn * row1[1:] * (-dcut * psi[0] * p)
              - dphi * np.arange(1, n_max + 1) * sn * row2 * row1[1:])
@@ -802,24 +857,29 @@ def _thermal_point(fixed, cut2: float, phi: float, n_max: int, rates=None):
     return total, s_up, diag2, terms, (dtotal, (wm * dpure[:m1 - 1]).sum(), -dcut * psi[:m1] ** 2)
 
 
-def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):
+def _thermal_stream(cuts: list, cut2, phi, n_max: int):
     """(phase_sum, s_up, diag2) of the thermal kernel for C columns over K
-    values of t2: ``cut2`` (C, K), ``phi`` (K,) or (C, K), and the fixed t1
-    cut's pieces, one per column, ``row1`` of shape (n_max + 1, C, 1) and
-    ``bT`` (C, n_max + 1, m_cut + 1); ``wm`` holds the occupation weights
-    w^m, m = 1..m_cut, shaped (m_cut, 1, 1).
+    values of t2: ``cut2`` (C, K), ``phi`` (K,) or (C, K), and ``cuts``,
+    each column's fixed t1 :class:`_ThermalCut`.
 
     The orders stream as in :func:`_phase_sums`.  Every order's mixed family
     needs the rows m <= m_cut, so these are kept aside first, the stream's
     blocks being gathered until they are in (m_cut may exceed a block); their
     factors are then stacked once, as (C, m_cut + 1, 4K).  The orders are
-    summed in steps of a size set by K alone, each step's mixed family one
-    stacked product with B^T's rows for the step: every column of any batch
+    summed in steps of a size set by K alone.  Each step forms each column's
+    columns of B for the step, (u_m L_n - v_m psi_n) Q_mn, as a stacked
+    product of its cut's pieces (u, v) and (L, -psi) scaled by the cached Q
+    table (:func:`_gap_tables`), and takes its mixed family as one stacked
+    product of their transpose with the factors: every column of any batch
     then runs the same products, whose rounding may depend on their shape,
     and equals that column's own curve bit for bit.
     """
     c, k = cut2.shape
-    m1 = len(wm) + 1
+    m1 = len(cuts[0].u)
+    row1 = np.stack([f.row for f in cuts], axis=1)[:, :, None]
+    uv = np.array([(f.u, f.v) for f in cuts]).transpose(0, 2, 1)
+    lp = np.array([(f.low, -f.psi) for f in cuts])
+    wm, q = cuts[0].wm[:, None, None], _gap_tables(m1 - 1, n_max)[0]
     rows, step = _block_rows(c, k), _block_rows(4, k)  # a step's product has 4K columns
     cos_t, sin_t = (t.reshape(n_max + 1, -1, k) for t in _phase_table(phi, n_max))
     sqrt_2n = _sqrt_2n(n_max)
@@ -850,10 +910,12 @@ def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):
             s = sqrt_2n[lo:lo + m, None, None]
             # J_0n(cut2) = psi_0 psi_{n-1} / sqrt(2n), as in j_row
             row2 = psi0 * lower / s
-            prod = np.matmul(bT[..., lo:lo + m, :], factors)
+            b = np.matmul(uv, lp[..., lo:lo + m])
+            b *= q[:, lo:lo + m]
+            prod = np.matmul(b.transpose(0, 2, 1), factors)
             prod = prod.reshape(c, m, 4, k).transpose(2, 1, 0, 3)
-            euler.slots(m)[...] = _thermal_terms(cos_t[lo:lo + m], sin_t[lo:lo + m], cur,
-                                                 lower * s, row2, row1[lo:lo + m], prod)
+            _thermal_terms(cos_t[lo:lo + m], sin_t[lo:lo + m], cur, lower * s, row2,
+                           row1[lo:lo + m], prod, euler.slots(m))
             euler.add(m)
             start += m
         ext[:filled - start] = ext[start:filled]
@@ -862,24 +924,26 @@ def _thermal_stream(row1, bT, wm, cut2, phi, n_max: int):
 
 
 def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool = False,
-               fixed: list | None = None) -> _KernelValue:
+               held=None) -> _KernelValue:
     """Thermal kernel, the occupation sum cut at m_cut: at a float t2, one
     point (:func:`_thermal_point`), with its slope when asked; over a t2
     array, a batch of the listed states (or of one), which share n_th, from
-    one stream (:func:`_thermal_stream`).  ``fixed`` holds each state's
-    :func:`_thermal_fixed_cut` pieces when a cell holds them; without it
-    they are built.
+    one stream (:func:`_thermal_stream`).  ``held``, when cells hold their
+    t1 cuts, returns each state's :class:`_ThermalCut`; without it they are
+    built.  A point at a singular phase reads no cut, so it calls neither.
 
     The mixed-phase family sum_m w^m cos((m-n) phi) J_mn(-a1) J_mn(-a2)
     takes J_mn(-a2) in its rank-2 Wronskian form and cos((m-n) phi) as
-    cos m phi cos n phi + sin m phi sin n phi, so it is a product of the
-    fixed B^T with four factors over m <= m_cut; no (m, n, K) array is built.
+    cos m phi cos n phi + sin m phi sin n phi, so it is the fixed cut's B^T
+    applied to four factors over m <= m_cut; no (m, n, K) array is built,
+    and no (m_cut + 1) x (n_max + 1) block is held.
     The occupation sums converge geometrically and are cut at m_cut; the
     eigenbasis index n does not, so its sum is Euler-averaged.  Singular
     phases are overwritten by the completeness branch.
     """
     states = _each(state)
-    _check_family("thermal", s1, s2, states, n_max)
+    if held is None:  # a cell judged its rules when it was made
+        _check_family("thermal", s1, s2, states, n_max)
     n_th = states[0].n_th
     w = n_th / (1.0 + n_th)
     m_cut = thermal_m_cut(n_th)
@@ -895,19 +959,17 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool =
     q, dq, terms = block, None, None
     point = np.ndim(t2) == 0
     if not (point and singular):
-        fixed = fixed or [_thermal_fixed_cut(float(cut), w, m_cut, n_max)
-                          for cut in np.ravel(-a1)]
+        cuts = held() if held else [_thermal_fixed_cut(float(cut), w, m_cut, n_max)
+                                    for cut in np.ravel(-a1)]
         if point:
-            _, diag1, _, wm, _ = fixed[0]
+            diag1, wm = cuts[0].diag, cuts[0].wm
             rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
             phase_sum, s_up, diag2, terms, slopes = _thermal_point(
-                fixed[0], -a2, phi, n_max, None if rates is None else rates[1:])
+                cuts[0], -a2, phi, n_max, None if rates is None else rates[1:])
         else:
-            row1, diag1 = (np.stack(arrs, axis=1)[:, :, None]
-                           for arrs in list(zip(*fixed))[:2])
-            bT = np.stack([f[2] for f in fixed]).transpose(0, 2, 1)
-            wm, slopes = fixed[0][3][:, None, None], None
-            phase_sum, s_up, diag2 = _thermal_stream(row1, bT, wm, -a2, phi, n_max)
+            diag1 = np.stack([f.diag for f in cuts], axis=1)[:, :, None]
+            wm, slopes = cuts[0].wm[:, None, None], None
+            phase_sum, s_up, diag2 = _thermal_stream(cuts, -a2, phi, n_max)
         k1 = diag1 if s1 == 1 else 1.0 - diag1
         k2 = diag2 if s2 == 1 else 1.0 - diag2
         ee = (wm * k2[1:] * k1[1:]).sum(axis=0)
@@ -936,8 +998,9 @@ class _SeriesCell:
 
     Every series point, slope, t2 search probe and cell curve is a call of a
     cell, and each reads the t1 half that the cell builds once and holds:
-    the t1 geometry and t1 row of a pure family, the
-    :func:`_thermal_fixed_cut` pieces of a thermal one.
+    the t1 geometry and t1 row of a pure family, the O(n_max)
+    :class:`_ThermalCut` pieces of a thermal one, which a thermal cell
+    builds only when a non-singular point or a curve first reads them.
     """
 
     family: str
@@ -967,7 +1030,7 @@ class _SeriesCell:
         pure family the cell's one-column call of :func:`_q_round`."""
         if self.family == "thermal":
             return _q_thermal(*self.column, *self.shared, float(t2), self.trunc.n_max, slope,
-                              [self._held])
+                              lambda: [self._held])
         return _q_round(self.family == "window", [self.probe(t2, slope)], self.trunc.n_max)[0]
 
     def probe(self, t2, slope: bool) -> tuple:
@@ -1023,7 +1086,8 @@ def _cell_curves(cells, grid) -> list:
         batch = [cells[i] for i in members]
         columns = [list(arg) for arg in zip(*(cell.column for cell in batch))]
         if family == "thermal":
-            q = _q_thermal(*columns, *shared, grid, n_max, fixed=[c._held for c in batch]).q
+            q = _q_thermal(*columns, *shared, grid, n_max,
+                           held=lambda: [c._held for c in batch]).q
         else:
             curve = q_window_series_curve if family == "window" else q_sign_series_curve
             q = curve(*columns, *shared, grid, n_max)

@@ -253,6 +253,81 @@ class TestThermalSeries:
         with pytest.raises(TruncationError):
             q_thermal_series_curve(state, 1, 1, 0.0, np.array([0.5, 1.0]), 20)
 
+    def test_a_singular_point_builds_no_cut(self):
+        # completeness reads no t1 cut
+        state = StateSpec.from_phase_space(0.4, 0.8, 0.3, 0.0, n_th=0.6)
+        series._thermal_fixed_cut.cache_clear()
+        qpd_series_thermal(state, 1, -1, 0.5, 0.5)
+        assert series._thermal_fixed_cut.cache_info().misses == 0
+        qpd_series_thermal(state, 1, -1, 0.5, 1.5)
+        assert series._thermal_fixed_cut.cache_info().misses == 1
+
+    @pytest.mark.parametrize("xi,r,theta0,n_th,t1,t2", [
+        # thermal points of acceptance criterion 2's stream (seed 20250810),
+        # all at s = (-1, -1)
+        (1.4245000222451762 + 0.04906166833507898j, 0.9762157889406923, 2.443779449870041,
+         0.5, 2.6529542277285056, 6.894103817323829),
+        (0.27003314937000195 + 1.3847625218696973j, 0.38229542031513053, 3.250987378918071,
+         0.5, 3.0266861267170917, 5.594936157086739),
+        (-1.3470569994892574 - 1.0692248450530824j, 0.7854458389233082, 4.9131725669568675,
+         1.0, 2.302896306461546, 7.608499204228668)])
+    def test_one_off_point_against_the_oracle(self, xi, r, theta0, n_th, t1, t2):
+        state = StateSpec(xi=xi, r=r, theta0=theta0, n_th=n_th)
+        q = qpd_series_thermal(state, -1, -1, t1, t2, TruncationConfig(n_max=2500))
+        qo = qpd_oracle(state, MeasurementSpec.sign(), -1, -1, t1, t2, dim=400)
+        assert abs(q - qo) <= 1e-5
+
+
+def mixed_blocks(cut, w, m_cut, n_max):
+    """B_mn = w^m J_mn(cut, inf) / (2 (n - m)) and G_mn = w^m J_mn(cut, inf)
+    from the dense j_block, with the m = 0 row, the n = 0 column and the
+    diagonal zeroed: the dense reference of the thermal kernel's table
+    products."""
+    m = np.arange(m_cut + 1)[:, None]
+    g = w ** m * j_block(cut, m_cut, n_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = g / (2.0 * (np.arange(n_max + 1) - m))
+    for arr in (b, g):
+        arr[0] = arr[:, 0] = 0.0
+        np.fill_diagonal(arr, 0.0)
+    return b, g
+
+
+class TestThermalCut:
+    """A thermal t1 cut is held as O(n_max) pieces, and its mixed family is
+    applied through the x-independent tables of (m_cut, n_max)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.floats(-5.0, 5.0), n_th=st.sampled_from([0.156, 0.8, 1.54, 3.0]),
+           data=st.data())
+    def test_table_products_equal_the_blocks(self, cut, n_th, data):
+        w, m_cut = n_th / (1.0 + n_th), thermal_m_cut(n_th)
+        n_max = data.draw(st.integers(m_cut, 2500))
+        factors = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).standard_normal(
+            (4, m_cut + 1))
+        pieces = series._thermal_fixed_cut(cut, w, m_cut, n_max)
+        tables = series._gap_tables(m_cut, n_max)
+        got = series._mixed_products(pieces, factors, tables)
+        # both forms round the Wronskian difference L_n psi_m - L_m psi_n,
+        # which cancels at large |cut|: each entry agrees within the rounding
+        # bound of a sum of m_cut + 1 products, (m_cut + 6) eps, relative to
+        # the magnitudes that cancel in it
+        tol = (m_cut + 6) * np.finfo(float).eps
+        for value, block, table in zip(got, mixed_blocks(cut, w, m_cut, n_max), tables):
+            scale = (np.abs(pieces.low) * (np.abs(pieces.u * factors) @ np.abs(table))
+                     + np.abs(pieces.psi) * (np.abs(pieces.v * factors) @ np.abs(table)))
+            assert np.all(np.abs(value - factors @ block) <= tol * scale)
+
+    @pytest.mark.parametrize("above", [0, 245])
+    def test_a_cell_holds_no_block(self, above):
+        n_th = 1.54
+        n_max = thermal_m_cut(n_th) + above
+        state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4, n_th)
+        cell = _SeriesCell("thermal", (state,), (1, -1, 0.3), TruncationConfig(n_max=n_max))
+        cell.slope(1.1)
+        cell.curve(np.linspace(0.0, TWO_PI, 9))
+        assert all(arr.ndim == 1 and arr.size <= n_max + 1 for arr in cell._held)
+
 
 class TestWindowSeries:
     def test_same_time_disjoint_regions(self):
@@ -699,11 +774,7 @@ def materialized_thermal_curve(state, s1, s2, t1, grid, n_max):
     _, _, a1, a2, phi = _geometry(state, t1, grid)
     fixed = j_block(float(-a1), m_cut, n_max)
     row1, diag1 = fixed[0], np.diagonal(fixed).copy()
-    mm = np.arange(m_cut + 1)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = w ** mm * fixed / (2.0 * (np.arange(n_max + 1) - mm))
-    b[0] = b[:, 0] = 0.0
-    np.fill_diagonal(b, 0.0)
+    b = mixed_blocks(float(-a1), w, m_cut, n_max)[0]
 
     k = grid.size
     psi = psi_rows(-a2, n_max)
