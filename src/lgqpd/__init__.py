@@ -16,23 +16,19 @@ at -1/8.
 
 __version__ = "0.1.0"
 
-from .errors import (CapabilityError, ConvergenceWarning, TruncationError,
-                     TruncationWarning)
-from .special import (QuadratureRule, averaged_partial_sum,
-                      composite_gauss_legendre, gauss_legendre, psi_rows)
+from .errors import CapabilityError, ConvergenceWarning, TruncationError
+from .special import composite_gauss_legendre, gauss_legendre, psi_rows
 from .states import (OffsetFunction, StateSpec, ZERO_OFFSET, gamma_from,
                      lambda_of, mode_e, n_th_from_temperature, phase_beta_of,
                      reduce_squeezed_to_coherent, thermal_m_cut,
                      thermal_weight, x_xi_of)
-from .matrix_elements import j_block, j_diag_row, j_row
-from .integral import (IntegralInfo, QuadForm, quad_form, qpd_integral,
-                       sign_marginal)
+from .matrix_elements import j_diag_row, j_row
+from .integral import IntegralInfo, qpd_integral, sign_marginal
 from .series import (MeasurementSpec, SeriesInfo, TruncationConfig,
-                     q_sign_series_curve, q_thermal_series_curve,
-                     q_window_series_curve, qpd_series_squeezed,
-                     qpd_series_thermal, qpd_series_window,
-                     series_tail_estimate)
-from .fock import OracleInfo, projector_matrix, q_oracle_curve, qpd_oracle
+                     q_sign_series_curve, q_window_series_curve,
+                     qpd_series_squeezed, qpd_series_thermal,
+                     qpd_series_window)
+from .fock import OracleInfo, q_oracle_curve, qpd_oracle
 from .scan import (GlobalMinimum, ScanConfig, ScanResult, T2Search,
                    global_minimize, minimize_over_t2, named_evaluator,
                    scan_plane)

@@ -98,11 +98,11 @@ def _cmd_eval(args) -> int:
         evaluator, _ = named_evaluator(params, args.route, args.projector, args.nmax)
         if not math.isfinite(args.t2):
             raise ValueError(f"t2 must be finite, got {args.t2!r}")
+        q, info = evaluator(args.t2, with_info=True)
     except (ValueError, TruncationError) as exc:
         print(f"lgqpd eval: error: {exc}", file=sys.stderr)
         return 2
 
-    q, info = evaluator(args.t2, with_info=True)
     wall = time.perf_counter() - start
     if isinstance(info, SeriesInfo):
         diagnostics = {"n_used": info.n_used, "tail_bound": info.tail_bound,

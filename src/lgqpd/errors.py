@@ -11,7 +11,3 @@ class TruncationError(RuntimeError):
 
 class ConvergenceWarning(UserWarning):
     """A self-consistency check did not reach its target; the value is returned anyway."""
-
-
-class TruncationWarning(UserWarning):
-    """A truncated sum's remainder bound exceeds the requested tolerance."""

@@ -70,8 +70,9 @@ def j_row(cut: float, n_max: int) -> np.ndarray:
 
     The n = 0 entry is the exact (1 - erf(cut))/2; the rest are the Wronskian
     form psi_0 psi_{n-1} / sqrt(2n), vectorized over n.  Memoized, like the
-    scalar :func:`psi_rows`, because a t2 minimization asks for its fixed t1
-    row on every probe.  A batch of cuts needs no rows of its own: the series
+    scalar :func:`psi_rows`, because the series cells of a scan row at t1 = 0
+    share their t1 cut, and each builds its t1 row (or its thermal t1 pieces)
+    from this row.  A batch of cuts needs no rows of its own: the series
     kernels form them block by block (``series._phase_sums``).
     """
     return _j_row(float(cut), n_max)

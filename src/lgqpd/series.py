@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.special as _sp
 
-from .errors import TruncationError, TruncationWarning
+from .errors import TruncationError
 from .matrix_elements import j_diag_row, j_row, ladder_diagonal, lowered
 from .special import _check_n_cap, _euler_weights, _psi_blocks, _sqrt_2n, psi_rows
 from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_dot, lambda_of,
@@ -61,16 +60,14 @@ _ERF_SLOPE = 2.0 / math.sqrt(math.pi)
 class TruncationConfig:
     """Series truncation controls.
 
-    ``n_max`` caps the eigenbasis sum.  The thermal occupation sum is cut
-    where the thermal weight falls below 1e-12 (:func:`thermal_m_cut`), and
-    :func:`qpd_series_thermal` warns when the remainder of that cut exceeds
-    ``tail_tol``; at the default 1e-8 it cannot, the largest remainder being
-    7.0e-9, at the largest n_th (about 7e3) whose cut fits under the n_max
-    cap.  Nothing compares ``tail_tol`` with the reported ``tail_bound``.
+    ``n_max`` caps the eigenbasis sum, a whole number from 1 to the order
+    cap.  The thermal occupation sum is cut where the thermal weight falls
+    below 1e-12 (:func:`thermal_m_cut`); the remainder of that cut, reported
+    as ``m_tail``, is at most 7.0e-9, at the largest n_th (about 7e3) whose
+    cut fits under the order cap.
     """
 
     n_max: int = 200
-    tail_tol: float = 1e-8
 
     def __post_init__(self):
         if not float(self.n_max).is_integer():
@@ -79,8 +76,6 @@ class TruncationConfig:
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         _check_n_cap(self.n_max)
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
 
 
 DEFAULT_TRUNCATION = TruncationConfig()
@@ -106,16 +101,6 @@ def _check_squeezed_vacuum(state: StateSpec) -> None:
     if state.xi != 0 or state.n_th != 0:
         raise ValueError("the window projector requires squeezed vacuum "
                          "(x0 = p0 = n_th = 0)")
-
-
-def _occupation_cut(n_th: float, n_max: int) -> int:
-    """The thermal occupation cut, which the eigenbasis cap must reach."""
-    m_cut = thermal_m_cut(n_th)
-    if n_max < m_cut:
-        raise TruncationError(
-            f"n_max={n_max} is below the thermal occupation cut m={m_cut}; "
-            "raise n_max")
-    return m_cut
 
 
 @dataclass(frozen=True)
@@ -448,7 +433,7 @@ def _q_pure(inputs, column: tuple, s1: int, s2: int, t1: float, t2,
     window = inputs is _window_inputs
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
     q = block
-    if n_max >= 1 and not np.all(singular):
+    if not np.all(singular):
         q = block + s1 * s2 * _phase_sums(window, cut1, cut2, phi, n_max)
     if np.any(singular):
         q = _fill_singular(q, singular, phi, _window_region if window else _halfline,
@@ -601,31 +586,21 @@ def _check_family(family: str, s1: int, s2: int, states: list, n_max: int,
         for h in half_widths:
             _check_half_width(h)
     if family == "thermal":
-        if any(s.n_th != states[0].n_th for s in states):
-            raise ValueError("the states of a thermal batch must share n_th")
-        _occupation_cut(states[0].n_th, n_max)
-
-
-def _q_sign(state, s1: int, s2: int, t1: float, t2, n_max: int) -> _KernelValue:
-    """Pure-state sign-projector kernel over a t2 array, as :func:`_q_pure`,
-    for the listed states (or one)."""
-    _check_family("sign", s1, s2, _each(state), n_max)
-    return _q_pure(_sign_inputs, (state,), s1, s2, t1, t2, n_max)
-
-
-def _q_window(state, half_width, s1: int, s2: int, t1: float, t2, n_max: int) -> _KernelValue:
-    """Squeezed-vacuum window-projector kernel, as :func:`_q_sign`; a batch
-    of listed states takes its half-widths with shape (C, 1)."""
-    _check_family("window", s1, s2, _each(state), n_max, np.ravel(half_width))
-    return _q_pure(_window_inputs, (state, half_width), s1, s2, t1, t2, n_max)
+        m_cut = thermal_m_cut(states[0].n_th)
+        if n_max < m_cut:  # the eigenbasis cap must reach the occupation cut
+            raise TruncationError(
+                f"n_max={n_max} is below the thermal occupation cut m={m_cut}; raise n_max")
 
 
 def _point(out: _KernelValue, with_info: bool):
-    """One-point result of a kernel: q, or (q, SeriesInfo)."""
+    """One-point result of a kernel: q, or (q, SeriesInfo), whose tail bound
+    is inf (no estimate) below the 8 terms that :func:`series_tail_estimate`
+    needs."""
     if not with_info:
         return float(out.q)
-    n_used, tail = ((0, 0.0) if out.singular
-                    else (out.terms.shape[0], series_tail_estimate(out.terms)))
+    n_used = 0 if out.singular else out.terms.shape[0]
+    tail = (0.0 if out.singular else _INF if n_used < 8
+            else series_tail_estimate(out.terms))
     return float(out.q), SeriesInfo(n_used, tail, bool(out.singular), out.m_used,
                                     out.m_tail)
 
@@ -635,9 +610,9 @@ def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float
     """Series quasi-probability for a pure squeezed coherent state.
 
     With ``with_info`` the :class:`SeriesInfo` reports ``tail_bound``, the
-    estimate of :func:`series_tail_estimate` over the summed terms; it is not
-    compared with ``tail_tol``.  Near-degenerate time separations converge
-    slowly and report a large bound.
+    estimate of :func:`series_tail_estimate` over the summed terms.
+    Near-degenerate time separations converge slowly and report a large
+    bound.
     """
     return _SeriesCell("sign", (state,), (s1, s2, t1),
                        trunc or DEFAULT_TRUNCATION)(t2, with_info)
@@ -662,11 +637,14 @@ def q_sign_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
 
     ``state`` may also be a sequence of C states, which gives a (C, K) array
     from one streamed pass over the orders (:func:`_phase_sums`); each row
-    equals that state's own curve bit for bit.
+    equals that state's own curve bit for bit.  ``n_max`` follows the rule
+    of :class:`TruncationConfig`.
     """
     one = isinstance(state, StateSpec)
-    q = _q_sign(state if one else list(state), s1, s2, t1,
-                np.asarray(t2_grid, dtype=float), n_max).q
+    states = [state] if one else list(state)
+    n_max = TruncationConfig(n_max).n_max
+    _check_family("sign", s1, s2, states, n_max)
+    q = _q_pure(_sign_inputs, (states,), s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max).q
     return q[0] if one else q
 
 
@@ -679,9 +657,12 @@ def q_window_series_curve(state, half_width, s1: int, s2: int, t1: float,
     :func:`q_sign_series_curve`.
     """
     one = isinstance(state, StateSpec)
-    q = _q_window(state if one else list(state),
-                  half_width if one else np.asarray(half_width, dtype=float)[:, None],
-                  s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max).q
+    states = [state] if one else list(state)
+    widths = half_width if one else np.asarray(half_width, dtype=float)[:, None]
+    n_max = TruncationConfig(n_max).n_max
+    _check_family("window", s1, s2, states, n_max, np.ravel(widths))
+    q = _q_pure(_window_inputs, (states, widths), s1, s2, t1,
+                np.asarray(t2_grid, dtype=float), n_max).q
     return q[0] if one else q
 
 
@@ -692,39 +673,12 @@ def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
     Adds to the pure-state series a geometrically weighted sum over the
     initial occupation m: conjugate-phase and mixed-phase J products plus the
     diagonal overlap family coupling J_nn factors of both measurement cuts.
-    Reduces exactly to the pure evaluator at n_th = 0.  This is the call of
-    a thermal cell, whose kernel is that of :func:`q_thermal_series_curve`.
-    Warns (:class:`TruncationWarning`) when the remainder of the occupation
-    cut exceeds ``trunc.tail_tol`` (:class:`TruncationConfig`).
+    The call of a thermal cell, or at n_th = 0 of the pure evaluator's sign
+    cell; :class:`SeriesInfo` reports the occupation cut as ``m_used`` and
+    its remainder as ``m_tail``.
     """
-    if state.n_th == 0:
-        return qpd_series_squeezed(state, s1, s2, t1, t2, trunc, with_info)
-    cell = _SeriesCell("thermal", (state,), (s1, s2, t1), trunc or DEFAULT_TRUNCATION)
-    out = cell.value(t2)
-    if out.m_tail > cell.trunc.tail_tol:
-        warnings.warn(
-            f"thermal occupation sum truncated at m={out.m_used} with remainder "
-            f"{out.m_tail:.3e} > tail_tol={cell.trunc.tail_tol:.1e}",
-            TruncationWarning, stacklevel=2)
-    return _point(out, with_info)
-
-
-def q_thermal_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
-                           n_max: int) -> np.ndarray:
-    """Thermal sign-projector quasi-probability (n_th > 0) over a grid of t2
-    values, with the default occupation cut.
-
-    ``state`` may also be a sequence of C states of one n_th, which gives a
-    (C, K) array from one streamed pass over the orders
-    (:func:`_thermal_stream`); each row equals that state's own curve bit for
-    bit.
-    """
-    one = isinstance(state, StateSpec)
-    states = [state] if one else list(state)
-    if any(s.n_th == 0 for s in states):
-        raise ValueError("thermal curve requires n_th > 0; use q_sign_series_curve")
-    q = _q_thermal(states, s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max).q
-    return q[0] if one else q
+    return _SeriesCell("thermal" if state.n_th > 0 else "sign", (state,), (s1, s2, t1),
+                       trunc or DEFAULT_TRUNCATION)(t2, with_info)
 
 
 class _ThermalCut(NamedTuple):
@@ -923,14 +877,15 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
     return euler.total, s_up, diag2
 
 
-def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool = False,
-               held=None) -> _KernelValue:
-    """Thermal kernel, the occupation sum cut at m_cut: at a float t2, one
-    point (:func:`_thermal_point`), with its slope when asked; over a t2
-    array, a batch of the listed states (or of one), which share n_th, from
-    one stream (:func:`_thermal_stream`).  ``held``, when cells hold their
-    t1 cuts, returns each state's :class:`_ThermalCut`; without it they are
-    built.  A point at a singular phase reads no cut, so it calls neither.
+def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
+               held) -> _KernelValue:
+    """Thermal kernel of cells, the occupation sum cut at m_cut: at a float
+    t2, one cell's point (:func:`_thermal_point`), with its slope when asked;
+    over a t2 array, a batch of the listed states, which share n_th, from one
+    stream (:func:`_thermal_stream`).  The cells judged the input rules, and
+    ``held`` returns each one's :class:`_ThermalCut`; a point at a singular
+    phase reads no cut, so it does not call it.  The block, phase, cuts and
+    rates are the sign kernel's (:func:`_sign_inputs`).
 
     The mixed-phase family sum_m w^m cos((m-n) phi) J_mn(-a1) J_mn(-a2)
     takes J_mn(-a2) in its rank-2 Wronskian form and cos((m-n) phi) as
@@ -941,15 +896,11 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool =
     eigenbasis index n does not, so its sum is Euler-averaged.  Singular
     phases are overwritten by the completeness branch.
     """
-    states = _each(state)
-    if held is None:  # a cell judged its rules when it was made
-        _check_family("thermal", s1, s2, states, n_max)
-    n_th = states[0].n_th
+    n_th = _each(state)[0].n_th
     w = n_th / (1.0 + n_th)
     m_cut = thermal_m_cut(n_th)
 
-    _, lam2, a1, a2, phi = _columns(state, t1, t2)
-    block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
+    block, phi, cut1, cut2, rates = _sign_inputs(state, s1, s2, t1, t2, slope)
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
 
     def weight(region):
@@ -959,17 +910,15 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool =
     q, dq, terms = block, None, None
     point = np.ndim(t2) == 0
     if not (point and singular):
-        cuts = held() if held else [_thermal_fixed_cut(float(cut), w, m_cut, n_max)
-                                    for cut in np.ravel(-a1)]
+        cuts = held()
         if point:
             diag1, wm = cuts[0].diag, cuts[0].wm
-            rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
             phase_sum, s_up, diag2, terms, slopes = _thermal_point(
-                cuts[0], -a2, phi, n_max, None if rates is None else rates[1:])
+                cuts[0], cut2, phi, n_max, None if rates is None else rates[1:])
         else:
             diag1 = np.stack([f.diag for f in cuts], axis=1)[:, :, None]
             wm, slopes = cuts[0].wm[:, None, None], None
-            phase_sum, s_up, diag2 = _thermal_stream(cuts, -a2, phi, n_max)
+            phase_sum, s_up, diag2 = _thermal_stream(cuts, cut2, phi, n_max)
         k1 = diag1 if s1 == 1 else 1.0 - diag1
         k2 = diag2 if s2 == 1 else 1.0 - diag2
         ee = (wm * k2[1:] * k1[1:]).sum(axis=0)
@@ -980,7 +929,7 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool =
             dq = (rates[0] + s1 * s2 * (dphase + ds_up)
                   + (wm * dk2[1:] * k1[1:]).sum()) / (1.0 + n_th)
     if np.any(singular):
-        q = _fill_singular(q, singular, phi, _halfline, s1, s2, -a1, -a2, weight)
+        q = _fill_singular(q, singular, phi, _halfline, s1, s2, cut1, cut2, weight)
     return _KernelValue(q, dq, terms, singular, m_cut, w ** (m_cut + 1))
 
 
@@ -1086,8 +1035,8 @@ def _cell_curves(cells, grid) -> list:
         batch = [cells[i] for i in members]
         columns = [list(arg) for arg in zip(*(cell.column for cell in batch))]
         if family == "thermal":
-            q = _q_thermal(*columns, *shared, grid, n_max,
-                           held=lambda: [c._held for c in batch]).q
+            q = _q_thermal(*columns, *shared, grid, n_max, False,
+                           lambda: [c._held for c in batch]).q
         else:
             curve = q_window_series_curve if family == "window" else q_sign_series_curve
             q = curve(*columns, *shared, grid, n_max)

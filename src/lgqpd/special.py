@@ -56,11 +56,13 @@ def psi_rows(x, n_max: int):
     A scalar ``x`` runs the recurrence on plain Python floats, which is
     several times cheaper than NumPy arithmetic on one point and performs the
     same IEEE operations, so it equals the array call's column bit for bit.
-    It is memoized (the few most recent cuts), because a t2 minimization
-    re-evaluates its fixed t1 cut on every probe; the cached array is
-    returned read-only.  Array inputs are always computed afresh, as one block
-    of :func:`_psi_blocks`.  Both paths
-    read the recurrence coefficients from one cached table per ``n_max``.
+    It is memoized (the few most recent cuts), and the cached array is
+    returned read-only: a thermal cell's t1 cut build asks for its row twice,
+    the second time through :func:`matrix_elements.j_row`, and at r = 0 every
+    t2 probe of a window cell reads the same cut L / lambda(t2) = L.  Array
+    inputs are always computed afresh, as one block of :func:`_psi_blocks`.
+    Both paths read the recurrence coefficients from one cached table per
+    ``n_max``.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")

@@ -242,6 +242,22 @@ class TestCliEval:
         assert err.startswith("lgqpd eval: error:") and err.count("\n") == 1
         assert "half-width" in err
 
+    def test_evaluation_error_exits_2(self, capsys):
+        # the oracle finds the state at the top of its basis only when it
+        # evaluates
+        assert main(["eval", "--route", "oracle", "--s1", "1", "--s2", "-1", "--t1", "0",
+                     "--t2", "1.3", "--x0", "0.5", "--oracle-dim", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lgqpd eval: error:") and err.count("\n") == 1
+        assert "increase dim" in err
+
+    def test_few_series_terms_report_no_tail_estimate(self, capsys):
+        # below the 8 terms the tail estimate needs, the bound is inf
+        assert main(["eval", "--route", "series", "--s1", "1", "--s2", "-1", "--t1", "0",
+                     "--t2", "1.3", "--x0", "0.5", "--nmax", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "n_used = 5\n" in out and "tail_bound = inf\n" in out
+
     @pytest.mark.parametrize("route", ["series", "oracle"])
     @pytest.mark.parametrize("extra", [[], ["--L", "1.0", "--x0", "1"]])
     def test_window_usage_errors_exit_2(self, capsys, route, extra):

@@ -8,9 +8,9 @@ import pytest
 from scipy.linalg import expm
 
 from lgqpd import (CapabilityError, MeasurementSpec, OffsetFunction, OracleInfo,
-                   StateSpec, TruncationError, fock, gamma_from, projector_matrix,
-                   q_oracle_curve, qpd_oracle, thermal_m_cut, thermal_weight)
-from lgqpd.fock import _state_columns
+                   StateSpec, TruncationError, fock, gamma_from, q_oracle_curve,
+                   qpd_oracle, thermal_m_cut, thermal_weight)
+from lgqpd.fock import _state_columns, projector_matrix
 from lgqpd.matrix_elements import j_block
 from lgqpd.special import composite_gauss_legendre, psi_rows
 

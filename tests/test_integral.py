@@ -5,10 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from lgqpd import (OffsetFunction, StateSpec, ZERO_OFFSET, composite_gauss_legendre,
-                   gauss_legendre, integral, qpd_integral, qpd_oracle, quad_form,
-                   sign_marginal)
+                   gauss_legendre, integral, qpd_integral, qpd_oracle, sign_marginal)
 from lgqpd.integral import (U_ORDER_CAP, _c_integral_vec, _check_pure, _degenerate_q,
-                            _is_degenerate)
+                            _is_degenerate, quad_form)
 from lgqpd.series import MeasurementSpec
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lgqpd import composite_gauss_legendre, j_block, j_diag_row, j_row, psi_rows
-from lgqpd.matrix_elements import lowered
+from lgqpd import composite_gauss_legendre, j_diag_row, j_row, psi_rows
+from lgqpd.matrix_elements import j_block, lowered
 from lgqpd.series import _window_row
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)

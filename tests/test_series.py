@@ -1,6 +1,5 @@
 import ast
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,19 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from lgqpd import (MeasurementSpec, StateSpec, TruncationConfig,
-                   TruncationError, TruncationWarning, averaged_partial_sum,
-                   j_block, lambda_of, phase_beta_of, q_sign_series_curve,
-                   q_thermal_series_curve, q_window_series_curve, qpd_integral,
-                   qpd_oracle, qpd_series_squeezed,
+from lgqpd import (CapabilityError, MeasurementSpec, StateSpec, TruncationConfig,
+                   TruncationError, lambda_of, phase_beta_of, q_sign_series_curve,
+                   q_window_series_curve, qpd_integral, qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window,
-                   psi_rows, series, series_tail_estimate, thermal_m_cut, x_xi_of)
-from lgqpd.matrix_elements import j_row, ladder_diagonal, lowered
+                   psi_rows, series, thermal_m_cut, x_xi_of)
+from lgqpd.matrix_elements import j_block, j_row, ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table, _SeriesCell,
-                          _euler_rows, _fill_singular, _geometry, _ground_weight, _halfline,
-                          _phase_table, _psi_sq_weights, _q_sign, _q_thermal, _q_window,
+                          _cell_curves, _euler_rows, _fill_singular, _geometry, _ground_weight,
+                          _halfline, _phase_table, _psi_sq_weights, _q_pure, _q_thermal,
                           _sign_inputs, _t1_geometry, _window_inputs, _window_region,
-                          _window_row)
+                          _window_row, series_tail_estimate)
+from lgqpd.special import HARD_N_CAP, averaged_partial_sum
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -74,11 +72,39 @@ def thermal_reference(state, s1, s2, t1, t2, n_max):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: MeasurementSpec("interval"), lambda: TruncationConfig(tail_tol=0.0),
-    lambda: TruncationConfig(tail_tol=-1e-8), lambda: TruncationConfig(tail_tol=math.nan)])
+    lambda: MeasurementSpec("interval"), lambda: TruncationConfig(n_max=0),
+    lambda: TruncationConfig(n_max=-3), lambda: TruncationConfig(n_max=2.5)])
 def test_specs_reject_bad_values(make):
     with pytest.raises(ValueError):
         make()
+
+
+class TestCurveOrderRule:
+    """The public curves take n_max under the rule of TruncationConfig, which
+    the points use (:func:`test_specs_reject_bad_values`)."""
+
+    GRID = np.array([0.7, 1.3])
+    CURVES = {
+        "sign": lambda n_max: q_sign_series_curve(
+            StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9), 1, -1, 0.0, TestCurveOrderRule.GRID,
+            n_max),
+        "window": lambda n_max: q_window_series_curve(
+            StateSpec(r=0.25), 1.02, 1, 1, 0.0, TestCurveOrderRule.GRID, n_max)}
+
+    @pytest.mark.parametrize("family", CURVES)
+    @pytest.mark.parametrize("n_max", [0, -3, 2.5])
+    def test_bad_orders_are_refused(self, family, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            self.CURVES[family](n_max)
+
+    @pytest.mark.parametrize("family", CURVES)
+    def test_orders_above_the_cap_are_refused(self, family):
+        with pytest.raises(CapabilityError):
+            self.CURVES[family](HARD_N_CAP + 1)
+
+    @pytest.mark.parametrize("family", CURVES)
+    def test_a_whole_float_order_is_taken(self, family):
+        assert self.CURVES[family](200.0).tobytes() == self.CURVES[family](200).tobytes()
 
 
 class TestTailEstimate:
@@ -218,18 +244,29 @@ class TestThermalSeries:
         q11 = qpd_series_thermal(state, 1, 1, 0.5, 0.5)
         assert q11 == pytest.approx(qo, abs=1e-8)
 
-    def test_m_truncation_warning_and_error(self):
+    def test_m_truncation_error(self):
         state = StateSpec.from_phase_space(0.5, 0.5, n_th=1.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)
-            with pytest.raises(TruncationWarning):
-                qpd_series_thermal(state, 1, 1, 0.0, 1.0,
-                                   TruncationConfig(n_max=100, tail_tol=1e-15))
-        with pytest.warns(TruncationWarning, match="remainder") as caught:
-            qpd_series_thermal(state, 1, 1, 0.0, 1.0, TruncationConfig(n_max=100, tail_tol=1e-15))
-        assert caught[0].filename == __file__
         with pytest.raises(TruncationError):
             qpd_series_thermal(state, 1, 1, 0.0, 1.0, TruncationConfig(n_max=20))
+
+    def test_occupation_remainder_under_the_order_cap(self):
+        # the point reports the cut and its remainder w^(m_cut + 1)
+        state = StateSpec.from_phase_space(0.5, 0.5, n_th=1.5)
+        info = qpd_series_thermal(state, 1, 1, 0.0, 1.0, TruncationConfig(n_max=100),
+                                  with_info=True)[1]
+        assert (info.m_used, info.m_tail) == (thermal_m_cut(1.5), 0.6 ** (thermal_m_cut(1.5) + 1))
+        # the remainder stays under 7.0e-9 for every n_th whose cut fits under
+        # the order cap; above that, a cell at the cap refuses the state
+        n_ths = np.geomspace(1e-6, 1e5, 20001).tolist()
+        cuts = [thermal_m_cut(n_th) for n_th in n_ths]
+        last = max(i for i, m in enumerate(cuts) if m <= HARD_N_CAP)
+        assert all(m <= HARD_N_CAP for m in cuts[:last + 1]) and 6e3 < n_ths[last] < 8e3
+        assert max((n_th / (1.0 + n_th)) ** (m + 1)
+                   for n_th, m in zip(n_ths[:last + 1], cuts)) <= 7.0e-9
+        cap = TruncationConfig(n_max=HARD_N_CAP)
+        _SeriesCell("thermal", (StateSpec(n_th=n_ths[last]),), (1, 1, 0.0), cap)
+        with pytest.raises(TruncationError):
+            _SeriesCell("thermal", (StateSpec(n_th=n_ths[last + 1]),), (1, 1, 0.0), cap)
 
 
     @pytest.mark.parametrize("n_th", [0.156, 0.8, 1.54, 3.0])
@@ -251,7 +288,8 @@ class TestThermalSeries:
     def test_curve_truncation_error(self):
         state = StateSpec.from_phase_space(0.5, 0.5, n_th=1.5)
         with pytest.raises(TruncationError):
-            q_thermal_series_curve(state, 1, 1, 0.0, np.array([0.5, 1.0]), 20)
+            _cell_curves([_SeriesCell("thermal", (state,), (1, 1, 0.0),
+                                      TruncationConfig(n_max=20))], np.array([0.5, 1.0]))
 
     def test_a_singular_point_builds_no_cut(self):
         # completeness reads no t1 cut
@@ -402,16 +440,23 @@ class TestPointAndCurve:
         if family == "sign":
             state, extra, n_max, tol = StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9), (), 300, 1e-12
             point, curve = qpd_series_squeezed, q_sign_series_curve
-            kernel = lambda *args: _q_sign(*args, n_max)
+            kernel = lambda *args: _q_pure(_sign_inputs, args[:1], *args[1:], n_max)
         elif family == "window":
             state, extra, n_max, tol = StateSpec(xi=0j, r=0.25, theta0=0.0), (1.02,), 300, 1e-12
             point, curve = qpd_series_window, q_window_series_curve
-            kernel = lambda *args: _q_window(*args, n_max)
+            kernel = lambda *args: _q_pure(_window_inputs, args[:2], *args[2:], n_max)
         else:
             state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4, n_th)
             extra, n_max, tol = (), 150, 1e-14
-            point, curve = qpd_series_thermal, q_thermal_series_curve
-            kernel = lambda *args: _q_thermal(*args, n_max)
+            point = qpd_series_thermal
+
+            def curve(state, s1, s2, t1, grid, n_max):
+                cell = _SeriesCell("thermal", (state,), (s1, s2, t1), TruncationConfig(n_max=n_max))
+                return _cell_curves([cell], grid)[0]
+
+            def kernel(state, s1, s2, t1, grid):
+                cell = _SeriesCell("thermal", (state,), (s1, s2, t1), TruncationConfig(n_max=n_max))
+                return _q_thermal(state, s1, s2, t1, grid, n_max, False, lambda: [cell._held])
         trunc = TruncationConfig(n_max=n_max)
         for s1, s2 in SIGN_PAIRS:
             args = (state,) + extra + (s1, s2, self.T1)
@@ -816,10 +861,12 @@ class TestBatchedThermalCurves:
 
     @staticmethod
     def _check(states, s1, s2, t1, grid, n_max):
-        rows = q_thermal_series_curve(states, s1, s2, t1, grid, n_max)
+        cells = [_SeriesCell("thermal", (state,), (s1, s2, t1), TruncationConfig(n_max=n_max))
+                 for state in states]
+        rows = np.array(_cell_curves(cells, grid))
         assert rows.shape == (len(states), len(grid))
         for c, state in enumerate(states):
-            one = q_thermal_series_curve(state, s1, s2, t1, grid, n_max)
+            one = cells[c].curve(grid)
             assert rows[c].tobytes() == one.tobytes()
             want = materialized_thermal_curve(state, s1, s2, t1, grid, n_max)
             assert np.max(np.abs(rows[c] - want)) <= 1e-15
@@ -877,12 +924,21 @@ class TestBatchedThermalCurves:
         states = [StateSpec.from_phase_space(x0, 1.2, 0.5, 0.0, n_th) for x0 in (-1.0, 0.4)]
         self._check(states, 1, -1, 0.0, grid, 2500)
 
-    def test_mixed_occupations_are_refused(self):
+    def test_mixed_occupations_are_split_into_batches(self, monkeypatch):
         grid = np.linspace(0.1, 6.0, 20)
-        states = [StateSpec.from_phase_space(x0, 0.5, 0.5, 0.0, n_th)
-                  for x0, n_th in ((-1.0, 0.156), (0.0, 1.54), (1.0, 0.156))]
-        with pytest.raises(ValueError, match="share n_th"):
-            q_thermal_series_curve(states, 1, 1, 0.0, grid, 120)
-        with pytest.raises(ValueError):
-            q_thermal_series_curve(states + [StateSpec.from_phase_space(0.0, 0.5, 0.5)],
-                                   1, 1, 0.0, grid, 120)
+        trunc = TruncationConfig(n_max=120)
+        cells = [_SeriesCell("thermal" if n_th else "sign",
+                             (StateSpec.from_phase_space(x0, 0.5, 0.5, 0.0, n_th),), (1, 1, 0.0),
+                             trunc)
+                 for x0, n_th in ((-1.0, 0.156), (0.0, 1.54), (0.5, 0.0), (1.0, 0.156))]
+        batches, real = [], series._q_thermal
+
+        def recording(states, *args):
+            batches.append([s.n_th for s in states])
+            return real(states, *args)
+
+        monkeypatch.setattr(series, "_q_thermal", recording)
+        rows = _cell_curves(cells, grid)
+        assert batches == [[0.156, 0.156], [1.54]]
+        for cell, row in zip(cells, rows):
+            assert row.tobytes() == cell.curve(grid).tobytes()

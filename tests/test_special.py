@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgqpd import (CapabilityError, averaged_partial_sum,
-                   composite_gauss_legendre, gauss_legendre, psi_rows)
+from lgqpd import CapabilityError, composite_gauss_legendre, gauss_legendre, psi_rows
 from lgqpd.matrix_elements import lowered
-from lgqpd.special import HARD_N_CAP, _recurrence_coefficients, _sqrt_2n
+from lgqpd.special import HARD_N_CAP, _recurrence_coefficients, _sqrt_2n, averaged_partial_sum
 from lgqpd.integral import quad_form
 from lgqpd.states import StateSpec
 
