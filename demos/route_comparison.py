@@ -13,14 +13,14 @@ import sys
 
 import numpy as np
 
-from lgqpd import StateSpec, q_sign_series_curve, qpd_integral
+from lgqpd import named_evaluator
 
-state = StateSpec.from_phase_space(x0=0.550, p0=1.925, r=1.0, theta0=math.pi / 3)
-s1, s2, t1 = 1, -1, 0.0
+point = dict(x0=0.550, p0=1.925, r=1.0, theta0=math.pi / 3, s1=1, s2=-1, t1=0.0)
 grid = np.arange(0.0, 2 * math.pi + 1e-9, 0.05)
 
-curves = {n: q_sign_series_curve(state, s1, s2, t1, grid, n_max=n) for n in (5, 50, 500)}
-integral = np.array([qpd_integral(state, None, s1, s2, t1, float(t)) for t in grid])
+# each curve is one call of its route's t2-array kernel
+curves = {n: named_evaluator(point, "series", "sign", n)[1](grid) for n in (5, 50, 500)}
+integral = named_evaluator(point, "integral", "sign")[1](grid)
 
 print(f"q_(1,-1)(0, t2) for x0=0.550 p0=1.925 r=1 theta0=pi/3  ({grid.size} points)")
 print(f"{'w*t2':>6} {'series n=5':>12} {'n=50':>12} {'n=500':>12} {'integral':>12}")

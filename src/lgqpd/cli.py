@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -96,8 +95,6 @@ def _cmd_eval(args) -> int:
                   "L": args.L, "quad_order": args.quad_order,
                   "oracle_dim": args.oracle_dim}
         evaluator, _ = named_evaluator(params, args.route, args.projector, args.nmax)
-        if not math.isfinite(args.t2):
-            raise ValueError(f"t2 must be finite, got {args.t2!r}")
         q, info = evaluator(args.t2, with_info=True)
     except (ValueError, TruncationError) as exc:
         print(f"lgqpd eval: error: {exc}", file=sys.stderr)

@@ -17,10 +17,14 @@ sign-with-offset projectors.  At the degenerate separations where the two
 measured quadratures commute (the phase of E(t2) conj(E(t1)) is a multiple of
 pi) the Gaussian collapses to a perfectly correlated pair and the correlator
 is evaluated by an exact one-dimensional closed form instead.
+
+One kernel, :func:`_q_integral`, evaluates a whole array of t2;
+:func:`qpd_integral` is its one-element call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ import numpy as np
 import scipy.special as _sp
 
 from .errors import ConvergenceWarning
-from .series import _check_signs
+from .series import _check_finite, _check_signs
 from .special import gauss_legendre
 from .states import (SQRT2, ZERO_OFFSET, OffsetFunction, StateSpec, gamma_from,
                      lambda_of, mode_e, x_xi_of)
@@ -47,41 +51,6 @@ DEFAULT_QUAD_ORDER = 32
 
 
 @dataclass(frozen=True)
-class QuadForm:
-    """Quadratic-form data of the reduced Gaussian integral.
-
-    ``B`` is the determinant of the 2x2 momentum covariance block, ``delta``
-    the u-independent constant, and ``cal_e1/cal_e2`` the offset-shifted drive
-    values E(t_i) gamma + conj(E(t_i) gamma) - xbar(t_i).  ``sigma(u)`` and
-    ``beta_quad(u)`` evaluate the u-dependent coefficients (``beta_quad`` is
-    the linear Gaussian coefficient, distinct from the quadrature rotation
-    angle of :func:`lgqpd.states.phase_beta_of`).
-    """
-
-    e1: complex
-    e2: complex
-    s1: int
-    s2: int
-    cal_e1: float
-    cal_e2: float
-    B: complex
-    delta: complex
-
-    def sigma(self, u):
-        cu, su = np.cos(u), np.sin(u)
-        ee = self.e2 * np.conj(self.e1)
-        return (abs(self.e2) ** 2 * cu * cu + abs(self.e1) ** 2 * su * su
-                - 2.0 * self.s1 * self.s2 * ee * su * cu) / self.B
-
-    def beta_quad(self, u):
-        cu, su = np.cos(u), np.sin(u)
-        ee = self.e2 * np.conj(self.e1)
-        return (-abs(self.e2) ** 2 * self.s1 * self.cal_e1 * cu
-                - abs(self.e1) ** 2 * self.s2 * self.cal_e2 * su
-                + ee * (self.s2 * self.cal_e1 * su + self.s1 * self.cal_e2 * cu)) / self.B
-
-
-@dataclass(frozen=True)
 class IntegralInfo:
     """Diagnostics of one integral-route evaluation."""
 
@@ -89,23 +58,6 @@ class IntegralInfo:
     last_delta: float
     order: int
     degenerate: bool
-
-
-def quad_form(state: StateSpec, offset: OffsetFunction, s1: int, s2: int,
-              t1: float, t2: float) -> QuadForm:
-    """Assemble the Gaussian quadratic-form data for one evaluation point."""
-    _check_signs(s1, s2)
-    gam = gamma_from(state.xi, state.r, state.theta0)
-    e1 = mode_e(t1, state.r, state.theta0)
-    e2 = mode_e(t2, state.r, state.theta0)
-    cal1 = 2.0 * (e1 * gam).real - float(offset.value(t1))
-    cal2 = 2.0 * (e2 * gam).real - float(offset.value(t2))
-    B = abs(e1) ** 2 * abs(e2) ** 2 - (e2 * np.conj(e1)) ** 2
-    ee = e2 * np.conj(e1)
-    delta = (abs(e2) ** 2 * cal1 * cal1 + abs(e1) ** 2 * cal2 * cal2
-             - 2.0 * ee * cal1 * cal2) / B if B != 0 else complex("nan")
-    return QuadForm(e1=complex(e1), e2=complex(e2), s1=int(s1), s2=int(s2),
-                    cal_e1=cal1, cal_e2=cal2, B=complex(B), delta=complex(delta))
 
 
 def _c_integral_vec(sigma, beta, delta):
@@ -140,53 +92,95 @@ def qpd_integral(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: i
                  with_info: bool = False):
     """Quasi-probability q_{s1,s2}(t1,t2) by the angular-integral route.
 
-    The u integral uses fixed Gauss-Legendre rules, doubling the order from
-    ``quad_order`` (8 to 256) until two successive orders agree to 1e-8 (cap
-    512); a ConvergenceWarning is issued if the final doubling still moved
-    the result by more than 1e-6.  Pure states only (``state.n_th == 0``).
+    The one-element call of :func:`_q_integral`: the u integral uses fixed
+    Gauss-Legendre rules, doubling the order from ``quad_order`` (8 to 256)
+    until two successive orders agree to 1e-8 (cap 512); a ConvergenceWarning
+    is issued if the final doubling still moved the result by more than 1e-6.
+    Pure states only (``state.n_th == 0``).
+    """
+    q, info = _q_integral(state, offset, s1, s2, t1, np.array([float(t2)]), quad_order)
+    return (float(q[0]), info[0]) if with_info else float(q[0])
+
+
+def _q_integral(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: int,
+                t1: float, t2: np.ndarray, quad_order: int):
+    """q at every t2 of the 1-D array ``t2``, and one :class:`IntegralInfo` per
+    column.
+
+    The t1 half is scalar; E(t2), the drive values, B and delta are columns,
+    and sigma(u) and beta(u) (columns, nodes) arrays.  Each column doubles its
+    order from ``quad_order`` until two successive orders agree to
+    ``U_SELF_CONSISTENCY``, or up to ``U_ORDER_CAP``, and then leaves the
+    loop, so it equals its own one-element call bit for bit.  A column with
+    |sin phase| < ``DEGENERATE_TOL`` takes :func:`_degenerate_q`.  Each
+    unconverged column gives one ConvergenceWarning, reported at the line
+    that called this kernel's caller (for a point, the caller of
+    :func:`qpd_integral`).
     """
     _check_order(quad_order)
     _check_pure(state)
+    _check_signs(s1, s2)
+    _check_finite(t1=t1, t2=t2)
     offset = ZERO_OFFSET if offset is None else offset
-    form = quad_form(state, offset, s1, s2, t1, t2)
+    gam = gamma_from(state.xi, state.r, state.theta0)
+    e1, e2 = mode_e(t1, state.r, state.theta0), mode_e(t2, state.r, state.theta0)
+    cal1 = 2.0 * (e1 * gam).real - float(offset.value(t1))
+    # a zero offset subtracts exactly 0.0 either way; skipping its array saves time
+    cal2 = 2.0 * (e2 * gam).real - (0.0 if offset.is_zero else offset.value(t2))
+    ee = e2 * np.conj(e1)
+    degenerate = np.abs(np.sin(np.angle(ee))) < DEGENERATE_TOL
+    q, info = np.empty(t2.shape), [None] * t2.size
+    live = np.flatnonzero(~degenerate)
+    if live.size < t2.size:
+        for k in np.flatnonzero(degenerate):
+            q[k] = _degenerate_q(e1, e2[k], s1, s2, cal1, cal2[k])
+            info[k] = IntegralInfo(True, 0.0, 0, True)
+        e2, cal2, ee = e2[live], cal2[live], ee[live]
 
-    if _is_degenerate(form):
-        q = _degenerate_q(form)
-        return (q, IntegralInfo(True, 0.0, 0, True)) if with_info else q
+    # one row per column still running: the u-independent factors of sigma and
+    # beta, and sqrt(B)
+    cal2, ee = cal2[:, None], ee[:, None]
+    a1, a2 = abs(e1) ** 2, np.abs(e2[:, None]) ** 2
+    B = a1 * a2 - ee ** 2
+    delta = (a2 * cal1 * cal1 + a1 * cal2 * cal2 - 2.0 * ee * cal1 * cal2) / B
+    # a sign factor (+-1) scales exactly, so where it is applied moves no bit
+    rows = [a2, 2.0 * s1 * s2 * ee, a2 * (-s1 * cal1), a1 * s2 * cal2, s1 * cal2, ee, B, delta,
+            np.sqrt(B[:, 0])]
+    # every column needs the first two orders, so the first pass takes both on
+    # one node array
+    now, orders = None, [int(quad_order), 2 * int(quad_order)]
+    while live.size:
+        a2, sig_uv, bet_c, bet_s, bet_x, ee, B, delta, root_b = rows
+        rules = [gauss_legendre(order, 0.0, math.pi / 2.0) for order in orders]
+        u = np.concatenate([rule.nodes for rule in rules])
+        cu, su = np.cos(u), np.sin(u)
+        sig = (a2 * cu * cu + a1 * su * su - sig_uv * su * cu) / B
+        if np.any(sig.real <= 0):
+            raise ArithmeticError("Re(sigma) <= 0 on the u grid; the radial form does not apply")
+        bet = (bet_c * cu - bet_s * su + ee * (s2 * cal1 * su + bet_x * cu)) / B
+        vals = _c_integral_vec(sig, bet, delta)
+        for rule, end in zip(rules, itertools.accumulate(orders)):
+            total = (rule.weights * vals[:, end - rule.nodes.size:end]).sum(axis=1) / root_b
+            prev, now = now, total.real / (2.0 * math.pi)
+        step = np.abs(now - prev)  # finite only if both orders are
+        if not np.isfinite(step).all():
+            raise ArithmeticError("u-integral overflowed; parameters out of the normalizable range")
+        done = step <= (U_SELF_CONSISTENCY if 2 * orders[-1] <= U_ORDER_CAP else math.inf)
+        for j in np.flatnonzero(done):
+            q[live[j]] = now[j]
+            info[live[j]] = IntegralInfo(bool(step[j] <= U_FLAG_THRESHOLD), float(step[j]),
+                                         orders[-1], False)
+        if done.all():
+            break
+        keep = ~done
+        live, now, rows = live[keep], now[keep], [row[keep] for row in rows]
+        orders = [2 * orders[-1]]
 
-    prev = None
-    order = int(quad_order)
-    delta_last = math.inf
-    while True:
-        q = _u_integral(form, order)
-        if prev is not None:
-            delta_last = abs(q - prev)
-            if delta_last <= U_SELF_CONSISTENCY or 2 * order > U_ORDER_CAP:
-                break
-        prev = q
-        order *= 2
-    converged = delta_last <= U_FLAG_THRESHOLD
-    if not converged:
-        warnings.warn(
-            f"u-integral not self-consistent at order {order}: delta={delta_last:.3e}",
-            ConvergenceWarning, stacklevel=2)
-    return (q, IntegralInfo(converged, delta_last, order, False)) if with_info else q
-
-
-def _u_integral(form: QuadForm, order: int) -> float:
-    rule = gauss_legendre(order, 0.0, math.pi / 2.0)
-    sig = form.sigma(rule.nodes)
-    if np.any(sig.real <= 0):
-        raise ArithmeticError(
-            "Re(sigma) <= 0 on the u grid; the radial closed form does not apply")
-    bet = form.beta_quad(rule.nodes)
-    vals = _c_integral_vec(sig, bet, form.delta)
-    total = (rule.weights * vals).sum() / np.sqrt(form.B)
-    q = float(total.real) / (2.0 * math.pi)
-    if not math.isfinite(q):
-        raise ArithmeticError("u-integral overflowed; parameters out of the "
-                              "normalizable range")
-    return q
+    for t, column in zip(t2.tolist(), info):
+        if not column.converged:
+            warnings.warn(f"u-integral not self-consistent at t2={t!r}, order {column.order}: "
+                          f"delta={column.last_delta:.3e}", ConvergenceWarning, stacklevel=3)
+    return q, info
 
 
 def sign_marginal(state: StateSpec, offset: OffsetFunction | None, s: int,
@@ -196,40 +190,28 @@ def sign_marginal(state: StateSpec, offset: OffsetFunction | None, s: int,
     ``x_eff(t) = x_xi(t) - xbar(t)/sqrt(2)`` is the mean position relative to
     the measurement cut, in dimensionless units.
     """
+    _check_finite(t=t)
     offset = ZERO_OFFSET if offset is None else offset
     lam = lambda_of(t, state.r, state.theta0)
     x_eff = x_xi_of(t, state.xi) - float(offset.value(t)) / SQRT2
     return 0.5 * (1.0 + s * _sp.erf(x_eff / lam))
 
 
-def _is_degenerate(form: QuadForm) -> bool:
-    phase = np.angle(form.e2 * np.conj(form.e1))
-    return abs(math.sin(phase)) < DEGENERATE_TOL
-
-
-def _degenerate_q(form: QuadForm) -> float:
-    """Exact correlator when the two measured quadratures commute.
+def _degenerate_q(e1: complex, e2: complex, s1: int, s2: int, cal1: float,
+                  cal2: float) -> float:
+    """Exact correlator of one column when the two measured quadratures
+    commute: E(t1), E(t2), the signs and the drive values cal1, cal2.
 
     With the phase of E(t2) conj(E(t1)) at a multiple of pi the joint Gaussian
     is perfectly (anti)correlated, so the second condition reduces to another
     half-line constraint on the first variable.
     """
-    lam1, lam2 = abs(form.e1), abs(form.e2)
-    eta = 1.0 if math.cos(np.angle(form.e2 * np.conj(form.e1))) > 0 else -1.0
-    mu1 = form.cal_e1 / SQRT2
-    mu2 = form.cal_e2 / SQRT2
-    cut2 = mu1 - eta * (lam1 / lam2) * mu2
-    s2_eff = int(form.s2 * eta)
-
-    lo = -math.inf
-    hi = math.inf
-    for s, cut in ((form.s1, 0.0), (s2_eff, cut2)):
-        if s == 1:
-            lo = max(lo, cut)
-        else:
-            hi = min(hi, cut)
-    if lo >= hi:
-        return 0.0
-    cdf = lambda y: 0.5 * (1.0 + _sp.erf((y - mu1) / lam1)) if math.isfinite(y) \
-        else (1.0 if y > 0 else 0.0)
-    return float(cdf(hi) - cdf(lo))
+    lam1, lam2 = abs(e1), abs(e2)
+    eta = 1.0 if math.cos(np.angle(e2 * np.conj(e1))) > 0 else -1.0
+    mu1, mu2 = cal1 / SQRT2, cal2 / SQRT2
+    # each outcome is a half-line of the first variable; erf(+-inf) = +-1
+    cuts = ((s1, 0.0), (int(s2 * eta), mu1 - eta * (lam1 / lam2) * mu2))
+    lo = max([cut for s, cut in cuts if s == 1], default=-math.inf)
+    hi = min([cut for s, cut in cuts if s == -1], default=math.inf)
+    cdf = lambda y: 0.5 * (1.0 + _sp.erf((y - mu1) / lam1))
+    return float(cdf(hi) - cdf(lo)) if lo < hi else 0.0

@@ -20,10 +20,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .integral import DEFAULT_QUAD_ORDER, _check_order, _check_pure, qpd_integral
+from .integral import DEFAULT_QUAD_ORDER, _check_order, _check_pure, _q_integral, qpd_integral
 from .fock import DEFAULT_DIM, _check_dim, q_oracle_curve, qpd_oracle
 from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _cell_curves,
-                     _cell_values, _check_signs, _check_squeezed_vacuum, _SeriesCell)
+                     _cell_values, _check_finite, _check_signs, _check_squeezed_vacuum,
+                     _SeriesCell)
 from .states import OffsetFunction, StateSpec
 
 #: Absolute tolerance of the t2 refinement: it stops once its next step, or
@@ -684,8 +685,9 @@ def named_evaluator(params: dict, route: str, projector: str,
     thermal sign or window (``series._SeriesCell``), and the curve its
     ``curve``; its ``slope(t2)`` is the (q, dq/dt2) call of the family's
     kernel, which :func:`minimize_over_t2` refines with.  The integral and
-    oracle evaluators have no slope, and the integral curve maps the
-    evaluator over the grid.
+    oracle evaluators have no slope; each is the one-element call of its
+    route's t2-array kernel (``integral._q_integral`` or
+    :func:`q_oracle_curve`), and its curve one call of that kernel.
 
     Raises ValueError for an unknown parameter name, a non-finite t1, an
     out-of-range ``n_max``, ``quad_order`` or ``oracle_dim`` (each is checked
@@ -703,8 +705,7 @@ def named_evaluator(params: dict, route: str, projector: str,
     s1, s2 = params.get("s1", 1), params.get("s2", 1)
     _check_signs(s1, s2)
     t1 = float(params.get("t1", 0.0))
-    if not math.isfinite(t1):
-        raise ValueError(f"t1 must be finite, got {t1!r}")
+    _check_finite(t1=t1)
     state = StateSpec.from_phase_space(
         float(params.get("x0", 0.0)), float(params.get("p0", 0.0)),
         float(params.get("r", 0.0)), float(params.get("theta0", 0.0)),
@@ -732,7 +733,8 @@ def named_evaluator(params: dict, route: str, projector: str,
         _check_pure(state)
         evaluator = (lambda t2, with_info=False: qpd_integral(
             state, meas.offset, s1, s2, t1, t2, order, with_info))
-        return evaluator, lambda grid: np.array([evaluator(t) for t in grid])
+        return evaluator, lambda grid: _q_integral(state, meas.offset, s1, s2, t1,
+                                                   np.asarray(grid, dtype=float), order)[0]
     return (lambda t2, with_info=False: qpd_oracle(
                 state, meas, s1, s2, t1, t2, dim, with_info),
             lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim))

@@ -91,6 +91,15 @@ def _check_signs(*signs) -> None:
             raise ValueError(f"outcome signs must be +1 or -1, got {s!r}")
 
 
+def _check_finite(**times) -> None:
+    """Refuse a non-finite time, or an array of times holding one (None is no
+    time)."""
+    for name, t in times.items():
+        if not (t is None or (math.isfinite(t) if isinstance(t, float) else np.isfinite(t).all())):
+            t = np.ravel(t)
+            raise ValueError(f"{name} must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+
+
 def _check_half_width(half_width) -> None:
     if half_width is None or not (math.isfinite(half_width) and half_width > 0):
         raise ValueError("the window projector requires a half-width L > 0, "
@@ -573,11 +582,13 @@ def _erf_rates(state: StateSpec, s1: int, s2: int, t2: float, lam2: float, a1: f
     return dblock, dphi, -da2
 
 
-def _check_family(family: str, s1: int, s2: int, states: list, n_max: int,
-                  half_widths=()) -> None:
+def _check_family(family: str, s1: int, s2: int, t1: float, states: list, n_max: int,
+                  half_widths=(), t2=None) -> None:
     """The input rules of a family's kernel ("sign", "window" or "thermal")
-    for a batch of ``states``, and a window's ``half_widths``."""
+    for a batch of ``states``, a window's ``half_widths`` and a curve's
+    ``t2``."""
     _check_signs(s1, s2)
+    _check_finite(t1=t1, t2=t2)
     if family == "sign" and any(s.n_th != 0 for s in states):
         raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
     if family == "window":
@@ -643,7 +654,7 @@ def q_sign_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
     one = isinstance(state, StateSpec)
     states = [state] if one else list(state)
     n_max = TruncationConfig(n_max).n_max
-    _check_family("sign", s1, s2, states, n_max)
+    _check_family("sign", s1, s2, t1, states, n_max, t2=t2_grid)
     q = _q_pure(_sign_inputs, (states,), s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max).q
     return q[0] if one else q
 
@@ -660,7 +671,7 @@ def q_window_series_curve(state, half_width, s1: int, s2: int, t1: float,
     states = [state] if one else list(state)
     widths = half_width if one else np.asarray(half_width, dtype=float)[:, None]
     n_max = TruncationConfig(n_max).n_max
-    _check_family("window", s1, s2, states, n_max, np.ravel(widths))
+    _check_family("window", s1, s2, t1, states, n_max, np.ravel(widths), t2_grid)
     q = _q_pure(_window_inputs, (states, widths), s1, s2, t1,
                 np.asarray(t2_grid, dtype=float), n_max).q
     return q[0] if one else q
@@ -958,20 +969,23 @@ class _SeriesCell:
     trunc: TruncationConfig
 
     def __post_init__(self):
-        _check_family(self.family, *self.shared[:2], [self.column[0]], self.trunc.n_max,
+        _check_family(self.family, *self.shared, [self.column[0]], self.trunc.n_max,
                       self.column[1:])
 
     def __call__(self, t2, with_info: bool = False):
+        _check_finite(t2=t2)
         return _point(self.value(t2), with_info)
 
     def slope(self, t2):
         """(q, dq/dt2) at one t2: q equals the value-only call bit for bit,
         and dq is the exact t2 derivative of the truncated, Euler-averaged
         sum, or None at a singular phase."""
+        _check_finite(t2=t2)
         return _cell_values([(self, t2, True)])[0]
 
     def curve(self, grid):
         """q over an array of t2 values (:func:`_cell_curves`)."""
+        _check_finite(t2=grid)
         return _cell_curves([self], grid)[0]
 
     def value(self, t2, slope: bool = False) -> _KernelValue:

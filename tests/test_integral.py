@@ -1,14 +1,72 @@
 import math
+import sys
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lgqpd import (OffsetFunction, StateSpec, ZERO_OFFSET, composite_gauss_legendre,
-                   gauss_legendre, integral, qpd_integral, qpd_oracle, sign_marginal)
-from lgqpd.integral import (U_ORDER_CAP, _c_integral_vec, _check_pure, _degenerate_q,
-                            _is_degenerate, quad_form)
+from lgqpd import (ConvergenceWarning, OffsetFunction, StateSpec, ZERO_OFFSET,
+                   composite_gauss_legendre, gauss_legendre, integral, named_evaluator,
+                   qpd_integral, qpd_oracle, sign_marginal)
+from lgqpd.integral import (DEGENERATE_TOL, U_ORDER_CAP, _c_integral_vec, _check_pure,
+                            _degenerate_q, _q_integral)
 from lgqpd.series import MeasurementSpec
+from lgqpd.states import gamma_from, mode_e
+
+
+@dataclass(frozen=True)
+class QuadFormReference:
+    """Quadratic-form data of the reduced Gaussian integral at one point,
+    built here from scalars as a reference for the kernel.
+
+    ``B`` is the determinant of the 2x2 momentum covariance block, ``delta``
+    the u-independent constant, and ``cal_e1/cal_e2`` the offset-shifted drive
+    values E(t_i) gamma + conj(E(t_i) gamma) - xbar(t_i).  ``sigma(u)`` and
+    ``beta_quad(u)`` evaluate the u-dependent coefficients.
+    """
+
+    e1: complex
+    e2: complex
+    s1: int
+    s2: int
+    cal_e1: float
+    cal_e2: float
+    B: complex
+    delta: complex
+
+    @property
+    def degenerate(self) -> bool:
+        return abs(math.sin(np.angle(self.e2 * np.conj(self.e1)))) < DEGENERATE_TOL
+
+    def sigma(self, u):
+        cu, su = np.cos(u), np.sin(u)
+        ee = self.e2 * np.conj(self.e1)
+        return (abs(self.e2) ** 2 * cu * cu + abs(self.e1) ** 2 * su * su
+                - 2.0 * self.s1 * self.s2 * ee * su * cu) / self.B
+
+    def beta_quad(self, u):
+        cu, su = np.cos(u), np.sin(u)
+        ee = self.e2 * np.conj(self.e1)
+        return (-abs(self.e2) ** 2 * self.s1 * self.cal_e1 * cu
+                - abs(self.e1) ** 2 * self.s2 * self.cal_e2 * su
+                + ee * (self.s2 * self.cal_e1 * su + self.s1 * self.cal_e2 * cu)) / self.B
+
+
+def quad_form_reference(state, offset, s1, s2, t1, t2) -> QuadFormReference:
+    """The quadratic form of one point, from scalar arithmetic."""
+    gam = gamma_from(state.xi, state.r, state.theta0)
+    e1 = mode_e(t1, state.r, state.theta0)
+    e2 = mode_e(t2, state.r, state.theta0)
+    cal1 = 2.0 * (e1 * gam).real - float(offset.value(t1))
+    cal2 = 2.0 * (e2 * gam).real - float(offset.value(t2))
+    B = abs(e1) ** 2 * abs(e2) ** 2 - (e2 * np.conj(e1)) ** 2
+    ee = e2 * np.conj(e1)
+    delta = (abs(e2) ** 2 * cal1 * cal1 + abs(e1) ** 2 * cal2 * cal2
+             - 2.0 * ee * cal1 * cal2) / B if B != 0 else complex("nan")
+    return QuadFormReference(complex(e1), complex(e2), int(s1), int(s2), cal1, cal2,
+                             complex(B), complex(delta))
 
 
 def qpd_integral_2d(state, offset, s1, s2, t1, t2, grid=(64, 240)):
@@ -17,9 +75,9 @@ def qpd_integral_2d(state, offset, s1, s2, t1, t2, grid=(64, 240)):
     and the sqrt(B) branch."""
     _check_pure(state)
     offset = ZERO_OFFSET if offset is None else offset
-    form = quad_form(state, offset, s1, s2, t1, t2)
-    if _is_degenerate(form):
-        return _degenerate_q(form)
+    form = quad_form_reference(state, offset, s1, s2, t1, t2)
+    if form.degenerate:
+        return _degenerate_q(form.e1, form.e2, s1, s2, form.cal_e1, form.cal_e2)
 
     u_order, c_order = grid
     u_rule = gauss_legendre(int(u_order), 0.0, math.pi / 2.0)
@@ -91,7 +149,7 @@ class TestQuadFormStructure:
             state = StateSpec.from_phase_space(rng.uniform(-2, 2), rng.uniform(-2, 2),
                                                rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi))
             t1, t2 = rng.uniform(0, 3), rng.uniform(3.2, 6)
-            form = quad_form(state, OffsetFunction(), 1, -1, t1, t2)
+            form = quad_form_reference(state, OffsetFunction(), 1, -1, t1, t2)
             assert np.all(form.sigma(u).real > 0)
 
     def test_b_never_negative_real(self):
@@ -99,8 +157,8 @@ class TestQuadFormStructure:
         for _ in range(200):
             state = StateSpec.from_phase_space(0.0, 0.0, rng.uniform(0, 2),
                                                rng.uniform(0, 2 * math.pi))
-            form = quad_form(state, OffsetFunction(), 1, 1,
-                             rng.uniform(0, 6), rng.uniform(0, 6))
+            form = quad_form_reference(state, OffsetFunction(), 1, 1,
+                                       rng.uniform(0, 6), rng.uniform(0, 6))
             assert form.B.real > -1e-12
 
 
@@ -211,3 +269,83 @@ class TestRouteAgreement:
         q = qpd_integral(state, off, -1, 1, 0.3, 1.7)
         q2d = qpd_integral_2d(state, off, -1, 1, 0.3, 1.7, grid=(96, 320))
         assert q == pytest.approx(q2d, abs=1e-6)
+
+
+FIG1_STATE = StateSpec.from_phase_space(0.550, 1.925, 1.0, math.pi / 3)
+
+
+class TestKernel:
+    def test_each_column_is_its_own_point_call(self):
+        # degenerate columns (t2 = t1 + k pi), near-degenerate ones that run to
+        # the order cap, and offsets, for every K from 1 to 64
+        rng = np.random.default_rng(11)
+        orders = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            for k_cols in range(1, 65):
+                state = StateSpec.from_phase_space(
+                    rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(0, 1),
+                    rng.uniform(0, 2 * math.pi))
+                offset = OffsetFunction(0.7, 1.1, 0.15) if k_cols % 3 == 0 else None
+                s1, s2 = (int(rng.choice([1, -1])) for _ in range(2))
+                t1 = rng.uniform(0, 2)
+                t2 = t1 + rng.uniform(0.05, 3.1, k_cols)
+                t2[::4] = t1 + math.pi * rng.integers(0, 3, t2[::4].size)
+                t2[2::4] = t1 + math.pi + rng.uniform(-1e-2, 1e-2, t2[2::4].size)
+                quad_order = int(rng.choice([8, 16, 32, 64]))
+                q, info = _q_integral(state, offset, s1, s2, t1, t2, quad_order)
+                for k in range(k_cols):
+                    point = qpd_integral(state, offset, s1, s2, t1, float(t2[k]), quad_order,
+                                         with_info=True)
+                    assert (q[k], info[k]) == point
+                    assert [type(v) for v in vars(info[k]).values()] == [bool, float, int, bool]
+                orders |= {column.order for column in info}
+        assert {0, 64, U_ORDER_CAP} <= orders and len(orders) >= 5
+
+    def test_columns_match_the_scalar_form_at_their_order(self):
+        # the u quadrature of the test-local form, at the order each column stopped at
+        state = StateSpec.from_phase_space(0.8, -0.5, 0.6, 1.2)
+        off = OffsetFunction(0.7, 1.1, 0.15)
+        t2 = np.concatenate([np.linspace(0.5, 6.0, 37), [0.4 + math.pi, 0.4 + math.pi + 3e-3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            q, info = _q_integral(state, off, 1, -1, 0.4, t2, 16)
+        for k, column in enumerate(info):
+            form = quad_form_reference(state, off, 1, -1, 0.4, t2[k])
+            assert column.degenerate == form.degenerate
+            if form.degenerate:
+                ref = _degenerate_q(form.e1, form.e2, 1, -1, form.cal_e1, form.cal_e2)
+            else:
+                rule = gauss_legendre(column.order, 0.0, math.pi / 2.0)
+                vals = _c_integral_vec(form.sigma(rule.nodes), form.beta_quad(rule.nodes),
+                                       form.delta)
+                ref = float(((rule.weights * vals).sum() / np.sqrt(form.B)).real) / (2 * math.pi)
+            assert q[k] == pytest.approx(ref, abs=1e-10)
+
+    def test_dispatch_curve_is_one_kernel_call_equal_to_its_point_calls(self, monkeypatch):
+        params = dict(x0=0.4, p0=1.1, r=0.6, theta0=0.9, s1=-1, s2=1, t1=0.3,
+                      offset=OffsetFunction(0.6, 0.9, 0.2))
+        evaluator, curve = named_evaluator(params, "integral", "sign")
+        grid = np.concatenate([np.linspace(0.0, 2 * math.pi, 41), [0.3, 0.3 + math.pi]])
+        calls = []
+        kernel = integral._q_integral
+        monkeypatch.setattr("lgqpd.scan._q_integral",
+                            lambda *args: calls.append(args[5].size) or kernel(*args))
+        values = curve(grid)
+        assert calls == [grid.size]
+        assert values.tobytes() == np.array([evaluator(t2) for t2 in grid]).tobytes()
+
+    def test_each_unconverged_column_warns_with_its_t2(self):
+        grid = np.array([2.0, 3.14, 3.15, math.pi])
+        with pytest.warns(ConvergenceWarning) as record:
+            _, info = _q_integral(FIG1_STATE, None, 1, -1, 0.0, grid, 32)
+        assert [column.converged for column in info] == [True, False, False, True]
+        assert [str(w.message) for w in record] == [
+            f"u-integral not self-consistent at t2={t2!r}, order 512: "
+            f"delta={column.last_delta:.3e}" for t2, column in zip([3.14, 3.15], info[1:3])]
+
+    def test_point_warning_is_reported_at_the_callers_line(self):
+        with pytest.warns(ConvergenceWarning, match=r"t2=3\.15, order 512") as record:
+            line = sys._getframe().f_lineno + 1
+            qpd_integral(FIG1_STATE, None, 1, -1, 0.0, 3.15)
+        assert (record[0].filename, record[0].lineno) == (__file__, line)

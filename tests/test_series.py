@@ -11,8 +11,8 @@ from scipy.special import erf
 from lgqpd import (CapabilityError, MeasurementSpec, StateSpec, TruncationConfig,
                    TruncationError, lambda_of, phase_beta_of, q_sign_series_curve,
                    q_window_series_curve, qpd_integral, qpd_oracle, qpd_series_squeezed,
-                   qpd_series_thermal, qpd_series_window,
-                   psi_rows, series, thermal_m_cut, x_xi_of)
+                   qpd_series_thermal, qpd_series_window, named_evaluator,
+                   psi_rows, series, sign_marginal, thermal_m_cut, x_xi_of)
 from lgqpd.matrix_elements import j_block, j_row, ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table, _SeriesCell,
                           _cell_curves, _euler_rows, _fill_singular, _geometry, _ground_weight,
@@ -105,6 +105,42 @@ class TestCurveOrderRule:
     @pytest.mark.parametrize("family", CURVES)
     def test_a_whole_float_order_is_taken(self, family):
         assert self.CURVES[family](200.0).tobytes() == self.CURVES[family](200).tobytes()
+
+
+_PURE = StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9)
+_THERMAL = StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9, n_th=0.6)
+_VACUUM = StateSpec(r=0.25)
+_CELL = {"s1": 1, "s2": -1, "x0": 0.5, "p0": 1.2, "r": 0.8, "theta0": 0.9}
+NON_FINITE_ENTRIES = {
+    "integral t2": lambda t: qpd_integral(_PURE, None, 1, -1, 0.0, t),
+    "integral t1": lambda t: qpd_integral(_PURE, None, 1, -1, t, 1.3),
+    "integral curve": lambda t: named_evaluator(_CELL, "integral", "sign")[1]([1.3, t]),
+    "squeezed t2": lambda t: qpd_series_squeezed(_PURE, 1, -1, 0.0, t),
+    "squeezed t1": lambda t: qpd_series_squeezed(_PURE, 1, -1, t, 1.3),
+    "thermal t2": lambda t: qpd_series_thermal(_THERMAL, 1, -1, 0.0, t),
+    "thermal t1": lambda t: qpd_series_thermal(_THERMAL, 1, -1, t, 1.3),
+    "window t2": lambda t: qpd_series_window(_VACUUM, 1.02, 1, 1, 0.0, t),
+    "window t1": lambda t: qpd_series_window(_VACUUM, 1.02, 1, 1, t, 1.3),
+    "sign curve t2": lambda t: q_sign_series_curve(_PURE, 1, -1, 0.0, [1.3, t], 60),
+    "sign curve t1": lambda t: q_sign_series_curve(_PURE, 1, -1, t, [1.3], 60),
+    "window curve t2": lambda t: q_window_series_curve(_VACUUM, 1.02, 1, 1, 0.0, [t], 60),
+    "cell point": lambda t: named_evaluator(_CELL, "series", "sign", 60)[0](t),
+    "cell slope": lambda t: named_evaluator(_CELL, "series", "sign", 60)[0].slope(t),
+    "cell curve": lambda t: named_evaluator(_CELL, "series", "sign", 60)[1]([1.3, t]),
+    "thermal cell point": lambda t: named_evaluator(
+        dict(_CELL, n_th=0.6), "series", "sign", 60)[0](t),
+    "thermal cell curve": lambda t: named_evaluator(
+        dict(_CELL, n_th=0.6), "series", "sign", 60)[1]([t]),
+    "marginal": lambda t: sign_marginal(_PURE, None, 1, t),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRIES)
+def test_non_finite_times_are_refused(entry, t):
+    # these used to return NaN, or raise an overflow ArithmeticError (integral)
+    with pytest.raises(ValueError, match=r"t[12]? must be finite"):
+        NON_FINITE_ENTRIES[entry](t)
 
 
 class TestTailEstimate:

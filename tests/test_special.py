@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from lgqpd import CapabilityError, composite_gauss_legendre, gauss_legendre, psi_rows
 from lgqpd.matrix_elements import lowered
 from lgqpd.special import HARD_N_CAP, _recurrence_coefficients, _sqrt_2n, averaged_partial_sum
-from lgqpd.integral import quad_form
 from lgqpd.states import StateSpec
+from test_integral import quad_form_reference
 
 
 def psi(n, x):
@@ -159,7 +159,7 @@ class TestGaussLegendre:
         from lgqpd import ZERO_OFFSET
 
         state = StateSpec.from_phase_space(0.550, 1.925, 1.0, math.pi / 3)
-        form = quad_form(state, ZERO_OFFSET, 1, -1, 0.0, 2.0)
+        form = quad_form_reference(state, ZERO_OFFSET, 1, -1, 0.0, 2.0)
 
         def integrand(u):
             sig = form.sigma(u)
