@@ -133,7 +133,11 @@ def _q_integral(state: StateSpec, offset: OffsetFunction | None, s1: int, s2: in
     live = np.flatnonzero(~degenerate)
     if live.size < t2.size:
         for k in np.flatnonzero(degenerate):
-            q[k] = _degenerate_q(e1, e2[k], s1, s2, cal1, cal2[k])
+            # at t2 == t1 the second cut is the first, which the array half
+            # rounds differently from the scalar one
+            same = t2[k] == t1
+            q[k] = _degenerate_q(e1, e1 if same else e2[k], s1, s2, cal1,
+                                 cal1 if same else cal2[k])
             info[k] = IntegralInfo(True, 0.0, 0, True)
         e2, cal2, ee = e2[live], cal2[live], ee[live]
 

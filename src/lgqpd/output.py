@@ -40,7 +40,9 @@ def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dic
     """The run manifest.  ``coarse_s`` and ``refine_s`` sum the rows' coarse
     curve and refinement seconds over every worker, ``refine_evals`` the
     refinements' evaluator calls and ``refine_capped`` the cells whose
-    refinement hit its cap; ``cells_per_s`` is the grid's cells over
+    refinement hit its cap, each over the cells that ran a search;
+    ``mirror_filled`` counts the cells filled from their time-reversal
+    partner instead, and ``cells_per_s`` is the grid's cells over
     ``wall_time_s``."""
     cfg = result.config
     cells = result.q_min.size
@@ -69,6 +71,7 @@ def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dic
         "refine_s": result.refine_s,
         "refine_evals": result.refine_evals,
         "refine_capped": result.refine_capped,
+        "mirror_filled": result.mirror_filled,
         "cells_per_s": cells / wall_time_s if wall_time_s > 0 else None,
         "checksums": {"csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest()},
     }

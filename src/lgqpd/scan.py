@@ -288,7 +288,10 @@ class ScanResult:
     seconds spent on the coarse curves and on the refinements, the
     refinements' evaluator calls, and ``refine_capped``, the cells whose
     refinement spent its whole ``t2_refine_iters`` before its step fell below
-    ``XATOL``, each summed over the grid's rows (over every worker)."""
+    ``XATOL``, each summed over the grid's rows (over every worker) and
+    counting only the cells that ran a search; ``mirror_filled`` is the
+    number of cells filled from their time-reversal partner instead
+    (:func:`_mirror_partners`)."""
 
     config: ScanConfig
     axis1: np.ndarray
@@ -302,6 +305,7 @@ class ScanResult:
     refine_s: float = 0.0
     refine_evals: int = 0
     refine_capped: int = 0
+    mirror_filled: int = 0
 
 
 def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
@@ -315,16 +319,39 @@ def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
     return named_evaluator(params, config.route, config.projector, config.n_max)
 
 
+def _mirror_partners(config: ScanConfig, axis2: np.ndarray) -> list:
+    """For each cell of a row, the index of the cell it is filled from, or
+    None for a cell that runs its own search.
+
+    Time reversal maps q(x0, p0, theta0; t1, t2) to q(x0, -p0, -theta0;
+    -t1, -t2).  So on the x0p0 plane, with t1 = 0, a zero offset, r = 0 or
+    theta0 in {0, pi}, and a t2 window of exactly one period (omega * t2_max
+    - omega * t2_min == 2 pi), the cell at (x0, -p0) has the minimum of the
+    cell at (x0, p0), at its t2 negated and folded into the window; every
+    route and n_th qualifies.  Then a cell with p0 < 0 whose -p0 is exactly
+    on ``axis2`` is filled from that cell.  Otherwise every cell runs."""
+    search = config.t2_search()
+    if not (config.plane == "x0p0" and config.t1 == 0 and config.offset().is_zero
+            and (config.r == 0 or config.theta0 in (0.0, math.pi))
+            and search.t2_max - search.t2_min == 2.0 * math.pi):
+        return [None] * len(axis2)
+    index = {float(p0): j for j, p0 in enumerate(axis2)}
+    return [index.get(-float(p0)) if p0 < 0 else None for p0 in axis2]
+
+
 def _scan_row(task):
-    """Minimize over t2 in the cells of one grid row: their searches
-    (:func:`_t2_search`) run in lock-step rounds (:func:`_drive`), each
-    round served in one call per request kind (:func:`_serve`), the first
-    round the cells' coarse curves and the later ones their probes.  A cell
-    whose evaluator, search or requests raise is NaN by itself
-    (:func:`_serve_kept`).  Returns each cell's ``(q, t2, failed)``, the
-    row's coarse and refinement seconds, its refinements' evaluator calls and
-    the number of them that were capped."""
-    config, a1, axis2 = task
+    """Minimize over t2 in the cells of one grid row: the searches
+    (:func:`_t2_search`) of the cells that ``partners`` does not fill
+    (:func:`_mirror_partners`) run in lock-step rounds (:func:`_drive`),
+    each round served in one call per request kind (:func:`_serve`), the
+    first round the cells' coarse curves and the later ones their probes.  A
+    filled cell takes its partner's q and its t2 negated and folded into the
+    window.  A cell whose evaluator, search or requests raise is NaN by
+    itself (:func:`_serve_kept`), and so is a cell filled from it.  Returns
+    each cell's ``(q, t2, failed)``, the row's coarse and refinement seconds,
+    the evaluator calls of its searched cells' refinements and the number of
+    them that were capped."""
+    config, a1, axis2, partners = task
     search = config.t2_search()
     start = time.perf_counter()
     served = []
@@ -334,12 +361,22 @@ def _scan_row(task):
         served.append(time.perf_counter())
         return answers
 
-    found = _drive([_kept_search(config, a1, float(a2), search) for a2 in axis2], serve)
+    driven = [j for j, k in enumerate(partners) if k is None]
+    found = dict(zip(driven, _drive([_kept_search(config, a1, float(axis2[j]), search)
+                                     for j in driven], serve)))
     end = time.perf_counter()
     coarse = (served[0] if served else end) - start
-    done = [f for f in found if f is not None]
-    return ([(math.nan, math.nan, True) if f is None else (f[0], f[1] / config.omega, False)
-             for f in found], coarse, end - start - coarse, sum(f.evals for f in done),
+    done = [f for f in found.values() if f is not None]
+    period = search.t2_max - search.t2_min
+    cells = []
+    for j, k in enumerate(partners):
+        f = found[j if k is None else k]
+        if f is None:
+            cells.append((math.nan, math.nan, True))
+            continue
+        t2 = f[1] if k is None else search.t2_min + (-f[1] - search.t2_min) % period
+        cells.append((f[0], t2 / config.omega, False))
+    return (cells, coarse, end - start - coarse, sum(f.evals for f in done),
             sum(f.capped for f in done))
 
 
@@ -430,14 +467,17 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     The tasks are the grid's rows (:func:`_scan_row`), whatever the number of
     ``workers``: each row evaluates its cells' coarse t2 curves in one kernel
     call and then refines its cells in lock-step rounds, one round-kernel
-    call per round on the series route.  Per-cell failures are recorded
-    as NaN cells, not raised.  The reduction to the global minimum runs
-    single-threaded in row-major order, so the result does not depend on
-    ``workers``.
+    call per round on the series route.  When the config is symmetric under
+    time reversal, each row searches only one cell of each mirror pair and
+    fills the other (:func:`_mirror_partners`).  Per-cell failures are
+    recorded as NaN cells, not raised.  The reduction to the global minimum
+    runs single-threaded in row-major order, so the result does not depend
+    on ``workers``.
     """
     ax1 = config.axis1_values()
     ax2 = config.axis2_values()
-    tasks = [(config, float(a1), ax2) for a1 in ax1]
+    partners = _mirror_partners(config, ax2)
+    tasks = [(config, float(a1), ax2, partners) for a1 in ax1]
     q_min = np.full((len(ax1), len(ax2)), math.nan)
     t2_arg = np.full_like(q_min, math.nan)
     n_failed = 0
@@ -474,7 +514,8 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
                       t2_argmin=t2_arg, n_failed=n_failed,
                       global_min=gmin, global_argmin=garg,
                       coarse_s=coarse_s, refine_s=refine_s, refine_evals=refine_evals,
-                      refine_capped=refine_capped)
+                      refine_capped=refine_capped,
+                      mirror_filled=len(ax1) * (len(ax2) - partners.count(None)))
 
 
 # ---------------------------------------------------------------------------

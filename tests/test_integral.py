@@ -1,7 +1,9 @@
 import math
+import runpy
 import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from lgqpd.integral import (DEGENERATE_TOL, U_ORDER_CAP, _c_integral_vec, _check
                             _degenerate_q, _q_integral)
 from lgqpd.series import MeasurementSpec
 from lgqpd.states import gamma_from, mode_e
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,29 @@ class TestQpdIntegral:
         ground = StateSpec()
         assert qpd_integral(ground, None, 1, -1, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert qpd_integral(ground, None, 1, 1, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+
+    def test_equal_times_give_an_exact_zero_for_opposite_signs(self):
+        # the second cut at t2 == t1 is the first, not the array half's
+        # recomputation of it, which rounds differently (5.55e-17 at FIG1_STATE)
+        off = OffsetFunction(0.6, 0.9, 0.2)
+        for state, offset, t1 in ((FIG1_STATE, None, 0.0), (FIG1_STATE, off, 0.7),
+                                  (StateSpec.from_phase_space(-0.3, 0.8, 0.4, 2.0), off, -1.3)):
+            grid = np.array([t1 + 0.5, t1, t1 + math.pi, t1])
+            for s1, s2 in ((1, -1), (-1, 1)):
+                assert qpd_integral(state, offset, s1, s2, t1, t1) == 0.0
+                assert _q_integral(state, offset, s1, s2, t1, grid, 32)[0][[1, 3]].tolist() == [
+                    0.0, 0.0]
+
+    def test_route_comparison_demo_starts_at_zero(self, tmp_path, monkeypatch, capsys):
+        # its first row is t2 = t1 = 0 at s = (+1, -1)
+        out = tmp_path / "routes.csv"
+        monkeypatch.setattr("sys.argv", ["route_comparison.py", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)  # its t2 = 3.15 column
+            runpy.run_path(str(DEMOS / "route_comparison.py"), run_name="__main__")
+        capsys.readouterr()
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table[0, 0] == 0.0 and table[0, 4] == 0.0
 
     def test_half_period_anticorrelation(self):
         ground = StateSpec()

@@ -24,6 +24,39 @@ def pointwise(f):
     return lambda grid: [f(t) for t in grid]
 
 
+def mirror_cells(cfg):
+    """The cells of a row of ``cfg`` that have a time-reversal partner on its
+    grid, p0 < 0 with -p0 on ``axis2``, judged from the grid alone."""
+    ax2 = cfg.axis2_values()
+    return np.array([p0 < 0 and -p0 in ax2 for p0 in ax2])
+
+
+def periodic_gap(t2a, t2b, period):
+    """|t2a - t2b| on a circle of ``period``: the window's ends are one point."""
+    gap = np.abs(t2a - t2b) % period
+    return np.minimum(gap, period - gap)
+
+
+def assert_cells_match_their_own_search(cfg, symmetric):
+    """Scan ``cfg`` and check it against each cell minimized alone.  Any worker
+    count gives the same bytes, and every searched cell those of its own
+    search.  When ``symmetric``, the cells with a time-reversal partner on the
+    grid are filled from it, each within 1e-15 in q_min and 1e-6 in
+    t2_argmin of its own search; otherwise no cell is filled."""
+    res = scan_plane(cfg, workers=1)
+    assert res.n_failed == 0
+    assert scan_csv_text(res) == scan_csv_text(scan_plane(cfg, workers=2))
+    filled = mirror_cells(cfg) & symmetric
+    assert res.mirror_filled == cfg.axis1_steps * int(filled.sum())
+    q, t2 = TestScanPlane._cell_by_cell(cfg)
+    assert res.q_min[:, ~filled].tobytes() == q[:, ~filled].tobytes()
+    assert res.t2_argmin[:, ~filled].tobytes() == t2[:, ~filled].tobytes()
+    assert np.all(np.abs(res.q_min - q)[:, filled] <= 1e-15)
+    gap = periodic_gap(res.t2_argmin, t2, cfg.t2_max - cfg.t2_min)
+    assert np.all(gap[:, filled] <= 1e-6)
+    return res
+
+
 def sequential_global_minimize(free, route="series", fixed=None, projector="sign",
                                coarse_steps=7, n_starts=4, t2_coarse=96, t2_refine=32,
                                n_max=300, nm_maxiter=120):
@@ -540,17 +573,14 @@ class TestScanPlane:
     @pytest.mark.parametrize("cells", [1, 6, 41])
     def test_row_batches_change_no_bit(self, cells):
         # a row's coarse curves come from one batched call; any worker count
-        # and the cell-by-cell search give the same bytes
+        # and the cell-by-cell search give the same bytes in every searched
+        # cell; at theta0 = 0.5 no cell has a mirror, and every cell is searched
         cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5,
                          axis1_min=-1.0, axis1_max=0.5, axis1_steps=2,
                          axis2_min=-2.5, axis2_max=2.5, axis2_steps=cells,
                          t2_coarse_steps=60, t2_refine_iters=12, n_max=80)
-        res = scan_plane(cfg, workers=1)
-        assert res.n_failed == 0
-        assert scan_csv_text(res) == scan_csv_text(scan_plane(cfg, workers=2))
-        q, t2 = self._cell_by_cell(cfg)
-        assert res.q_min.tobytes() == q.tobytes()
-        assert res.t2_argmin.tobytes() == t2.tobytes()
+        assert_cells_match_their_own_search(cfg, True)
+        assert_cells_match_their_own_search(dataclasses.replace(cfg, theta0=0.5), False)
 
     def test_window_rows_change_no_bit(self):
         cfg = ScanConfig(plane="rL", route="series", s1=1, s2=1,
@@ -565,12 +595,14 @@ class TestScanPlane:
 
     def test_failing_cell_fails_alone(self, monkeypatch):
         # one cell whose curve raises makes the row's batched call raise; the
-        # row is redone cell by cell, and only that cell is NaN
-        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5,
+        # row is redone cell by cell, and only that cell is NaN (theta0 = 0.5
+        # searches every cell: no cell is filled from its mirror)
+        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5, theta0=0.5,
                          axis1_min=0.5, axis1_steps=1,
                          axis2_min=-2.5, axis2_max=2.5, axis2_steps=6,
                          t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
         clean = scan_plane(cfg)
+        assert clean.mirror_filled == 0
         bad_p0 = float(cfg.axis2_values()[2])
         real = series.q_sign_series_curve
 
@@ -591,17 +623,13 @@ class TestScanPlane:
     @pytest.mark.parametrize("cells,t1", [(1, 0.0), (3, 0.0), (21, 0.0), (3, 0.4)])
     def test_thermal_row_batches_change_no_bit(self, cells, t1):
         # a thermal row's coarse curves come from one streamed call too; at
-        # t1 != 0 each cell has its own fixed cut
+        # t1 != 0 each cell has its own fixed cut, and no cell has a mirror
         cfg = ScanConfig(plane="x0p0", route="series", s1=-1, s2=1, t1=t1, r=0.5,
                          n_th=1.54, axis1_min=-1.0, axis1_max=0.5, axis1_steps=2,
                          axis2_min=-2.5, axis2_max=2.5, axis2_steps=cells,
                          t2_coarse_steps=60, t2_refine_iters=12, n_max=80)
-        res = scan_plane(cfg, workers=1)
-        assert res.n_failed == 0
-        assert scan_csv_text(res) == scan_csv_text(scan_plane(cfg, workers=2))
-        q, t2 = self._cell_by_cell(cfg)
-        assert res.q_min.tobytes() == q.tobytes()
-        assert res.t2_argmin.tobytes() == t2.tobytes()
+        assert_cells_match_their_own_search(cfg, t1 == 0)
+        assert_cells_match_their_own_search(dataclasses.replace(cfg, theta0=0.5), False)
 
     @pytest.mark.parametrize("t1,builds", [(0.0, 1), (0.4, 3)])
     def test_thermal_row_builds_each_fixed_cut_once(self, t1, builds):
@@ -617,12 +645,15 @@ class TestScanPlane:
         assert series._thermal_fixed_cut.cache_info().misses == builds
 
     def test_failing_thermal_cell_fails_alone(self, monkeypatch):
+        # the failing cell, p0 = 0, is searched and fills no mirror; the
+        # cells at p0 < 0 are filled from those at -p0
         cfg = ScanConfig(plane="x0p0", route="series", s1=-1, s2=1, r=0.5, n_th=0.8,
                          axis1_min=0.5, axis1_steps=1,
                          axis2_min=-2.5, axis2_max=2.5, axis2_steps=5,
                          t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
         clean = scan_plane(cfg)
-        bad_p0 = float(cfg.axis2_values()[3])
+        assert clean.mirror_filled == 2
+        bad_p0 = float(cfg.axis2_values()[2])
         real = series._q_thermal
 
         def failing(state, *args, **kwargs):
@@ -634,14 +665,15 @@ class TestScanPlane:
         monkeypatch.setattr(series, "_q_thermal", failing)
         res = scan_plane(cfg)
         assert res.n_failed == 1
-        assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [3]
+        assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [2]
         keep = ~np.isnan(res.q_min)
         assert res.q_min[keep].tobytes() == clean.q_min[keep].tobytes()
         assert res.t2_argmin[keep].tobytes() == clean.t2_argmin[keep].tobytes()
 
     def test_floor_breach_names_the_cell(self, monkeypatch):
         # one cell's coarse curve reads -0.2 everywhere; its refinement keeps
-        # that value at t2 = 0, since the true q just inside is higher
+        # that value at t2 = 0, since the true q just inside is higher.  The
+        # cell is p0 = 0, which is searched and is its own mirror.
         cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5,
                          axis1_min=0.5, axis1_steps=1,
                          axis2_min=-1.0, axis2_max=1.0, axis2_steps=3,
@@ -651,16 +683,16 @@ class TestScanPlane:
         def lowered_at(value):
             def curve(states, *args):
                 q = real(states, *args)
-                q[[s.p0 == 1.0 for s in states]] = value
+                q[[s.p0 == 0.0 for s in states]] = value
                 return q
             return curve
 
         monkeypatch.setattr(series, "q_sign_series_curve", lowered_at(-0.2))
-        with pytest.raises(ArithmeticError, match=r"q=-0\.200000 .* at x0=0\.5, p0=1\.0, t2=0\.0$"):
+        with pytest.raises(ArithmeticError, match=r"q=-0\.200000 .* at x0=0\.5, p0=0\.0, t2=0\.0$"):
             scan_plane(cfg)
         # the bound is -1/8 - 1e-6
         monkeypatch.setattr(series, "q_sign_series_curve", lowered_at(-0.125 - 5e-7))
-        assert scan_plane(cfg).global_argmin == (0.5, 1.0, 0.0)
+        assert scan_plane(cfg).global_argmin == (0.5, 0.0, 0.0)
 
     def test_failed_cells_marked_nan(self):
         # displacements that overflow a 20-level number basis make every cell
@@ -717,7 +749,8 @@ class TestRefineBudget:
     def test_sign_grid(self, monkeypatch):
         # the sign-scan grid: fig2a, 6 x 6 over +-2.5 (630 evaluations before
         # minima at the window's ends were confirmed by one probe, and 434
-        # with Brent's value-only refinement; 139 now)
+        # with Brent's value-only refinement; 139 with every cell searched,
+        # and 71 once the cells at p0 < 0 are filled from their mirrors)
         cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig2a.cfg"),
                                   axis1_steps=6, axis2_steps=6)
         res, evals = self._scan_counting(monkeypatch, cfg)
@@ -726,11 +759,17 @@ class TestRefineBudget:
         at_zero = [(a1, a2) for i, a1 in enumerate(res.axis1)
                    for j, a2 in enumerate(res.axis2) if res.t2_argmin[i, j] == 0.0]
         assert len(at_zero) == 8
-        assert all(evals[cell] == 1 for cell in at_zero)
+        # only the cells at p0 > 0 are searched; a minimum at t2 = 0 folds
+        # onto 0 in the mirror cell
+        searched = [cell for cell in at_zero if cell[1] > 0]
+        assert sorted(at_zero) == sorted(searched + [(a1, -a2) for a1, a2 in searched])
+        assert set(evals) == {(a1, a2) for a1 in res.axis1 for a2 in res.axis2 if a2 > 0}
+        assert all(evals[cell] == 1 for cell in searched)
 
     def test_thermal_grid(self, monkeypatch):
         # the thermal-scan grid: fig4_t05, 3 x 3 at temperature ratio 2 (191
-        # evaluations before the end-of-window probe, 104 with Brent; 37 now)
+        # evaluations before the end-of-window probe, 104 with Brent, 37 with
+        # every cell searched; 20 now)
         cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig4_t05.cfg"),
                                   n_th=1.0 / math.expm1(0.5), axis1_steps=3, axis2_steps=3)
         res, _ = self._scan_counting(monkeypatch, cfg)
@@ -738,7 +777,8 @@ class TestRefineBudget:
 
     def test_cusp_grid(self, monkeypatch):
         # fig2c, 11 x 11: its p0 = 0 row has cusps at the commuting separation
-        # t2 = pi inside the window (1928 evaluations with Brent; 505 now)
+        # t2 = pi inside the window (1928 evaluations with Brent, 505 with
+        # every cell searched; 257 now)
         cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig2c.cfg"),
                                   axis1_steps=11, axis2_steps=11)
         res, _ = self._scan_counting(monkeypatch, cfg)
@@ -762,6 +802,101 @@ class TestRefineBudget:
         res = scan_plane(cfg)
         assert res.q_min[0, 0] == 0.0
         assert abs(res.t2_argmin[0, 0] - math.pi) < 1e-8
+
+
+class TestMirror:
+    """A time-reversal symmetric scan searches one cell of each mirror pair
+    and fills the other from it."""
+
+    #: a symmetric row: x0p0, t1 = 0, no offset, theta0 = 0, t2 in [0, 2 pi];
+    #: a budget that no search spends, so that no search stops early on a
+    #: path that its mirror does not take
+    ROW = dict(plane="x0p0", route="series", s1=1, s2=-1, r=0.5, axis1_min=0.5, axis1_steps=1,
+               axis2_min=-2.5, axis2_max=2.5, axis2_steps=6, t2_coarse_steps=40,
+               t2_refine_iters=30, n_max=60)
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c", "fig2d", "fig4_t05"])
+    def test_reduced_panels(self, name):
+        # 9 x 9 over +-2.5: every p0 < 0 has its mirror on the grid (7 x 7
+        # would not: linspace(-2.5, 2.5, 7) is not exactly antisymmetric)
+        cfg = dataclasses.replace(load_scan_config(CONFIGS / f"{name}.cfg"),
+                                  axis1_steps=9, axis2_steps=9)
+        assert mirror_cells(cfg).sum() == 4
+        res = assert_cells_match_their_own_search(cfg, True)
+        assert build_manifest(res, scan_csv_text(res), 1.0)["mirror_filled"] == 36
+
+    @pytest.mark.parametrize("overrides", [
+        {"r": 0.0, "theta0": 0.5}, {"theta0": math.pi}, {"n_th": 0.8},
+        {"route": "integral"}, {"route": "oracle", "oracle_dim": 120},
+        {"t2_min": 1.0, "t2_max": 1.0 + TWO_PI}, {"omega": 2.0, "t2_max": math.pi},
+        {"axis1_min": -1.0, "axis1_steps": 3, "axis2_min": -1.0, "axis2_max": 2.0,
+         "axis2_steps": 4}], ids=["r0", "theta0_pi", "thermal", "integral", "oracle",
+                                  "shifted_window", "omega2", "asymmetric_axis"])
+    def test_symmetric_configs_fill_their_mirrors(self, overrides):
+        # any route and n_th, any full-period window, at any omega; on an
+        # asymmetric axis (-1, 0, 1, 2) only p0 = -1 has its mirror
+        res = assert_cells_match_their_own_search(ScanConfig(**dict(self.ROW, **overrides)), True)
+        assert res.refine_capped == 0
+        if "axis2_steps" in overrides:
+            assert res.mirror_filled == 3
+
+    @pytest.mark.parametrize("overrides", [
+        {"t1": 0.4}, {"theta0": 0.5}, {"theta0": -math.pi},
+        {"route": "integral", "offset_amp": 0.4}, {"route": "integral", "offset_const": 0.1},
+        {"t2_max": math.pi}, {"t2_max": TWO_PI + 1e-9},
+        {"plane": "rL", "r": 0.0, "axis1_min": 0.0, "axis1_max": 0.4, "axis1_steps": 2,
+         "axis2_min": 0.8, "axis2_max": 1.3, "axis2_steps": 5}],
+        ids=["t1", "theta0", "theta0_minus_pi", "offset_amp", "offset_const", "half_period",
+             "longer_window", "rL"])
+    def test_a_broken_condition_searches_every_cell(self, overrides):
+        assert_cells_match_their_own_search(ScanConfig(**dict(self.ROW, **overrides)), False)
+
+    def test_a_failed_partner_fails_its_mirror(self, monkeypatch):
+        cfg = ScanConfig(**self.ROW)
+        clean = scan_plane(cfg)
+        assert clean.mirror_filled == 3
+        bad_p0 = float(cfg.axis2_values()[4])
+        real = series.q_sign_series_curve
+
+        def failing(state, *args):
+            states = [state] if isinstance(state, scan.StateSpec) else state
+            if any(abs(s.p0 - bad_p0) < 1e-12 for s in states):
+                raise FloatingPointError("injected")
+            return real(state, *args)
+
+        monkeypatch.setattr(series, "q_sign_series_curve", failing)
+        res = scan_plane(cfg)
+        assert res.n_failed == 2
+        assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [1, 4]
+        assert np.isnan(res.t2_argmin[0, [1, 4]]).all()
+        keep = ~np.isnan(res.q_min)
+        assert res.q_min[keep].tobytes() == clean.q_min[keep].tobytes()
+        assert res.t2_argmin[keep].tobytes() == clean.t2_argmin[keep].tobytes()
+
+    @pytest.mark.parametrize("t2_min", [0.0, 0.5])
+    def test_fill_folds_the_argmin_into_the_window(self, monkeypatch, t2_min):
+        # a searched minimum at t2 maps to -t2 folded into the window, in the
+        # search's omega units; on a window from 0 both ends map to 0
+        cfg = ScanConfig(**dict(self.ROW, omega=2.0, t2_min=t2_min, t2_max=t2_min + math.pi))
+        lo, hi = cfg.t2_search().t2_min, cfg.t2_search().t2_max
+        found = {}
+
+        def fixed_search(config, a1, a2, search):
+            yield from ()
+            return scan.T2Minimum(-0.01 * a2, found[a2])
+
+        monkeypatch.setattr(scan, "_kept_search", fixed_search)
+        for t2 in (lo, hi, 0.5 * (lo + hi), lo + 1e-3, hi - 1e-3):
+            found.update({float(p0): t2 for p0 in cfg.axis2_values()})
+            res = scan_plane(cfg)
+            assert res.mirror_filled == 3
+            assert res.q_min[0, :3].tolist() == res.q_min[0, :2:-1].tolist()
+            assert res.t2_argmin[0, 3:].tolist() == [t2 / 2.0] * 3
+            folded = lo + (-t2 - lo) % (hi - lo)
+            assert res.t2_argmin[0, :3].tolist() == [folded / 2.0] * 3
+            assert lo <= folded < hi
+            if lo == 0.0 and t2 in (lo, hi):
+                assert folded == 0.0
 
 
 class TestGlobalMinimize:
@@ -1116,11 +1251,13 @@ class TestRoundKernel:
     def test_a_failing_probe_fails_its_cell_alone(self, monkeypatch):
         # the round kernel raises for any round that holds one cell's probe;
         # the rounds are then served cell by cell, and only that cell is NaN
-        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5,
+        # (theta0 = 0.5 searches every cell: no cell is filled from its mirror)
+        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5, theta0=0.5,
                          axis1_min=0.5, axis1_steps=1,
                          axis2_min=-2.5, axis2_max=2.5, axis2_steps=6,
                          t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
         clean = scan_plane(cfg)
+        assert clean.mirror_filled == 0
         bad, rows = float(cfg.axis2_values()[4]), []
         real_round, real_probe = series._q_round, series._SeriesCell.probe
 
