@@ -12,6 +12,7 @@ row-major order, which makes output byte-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -65,8 +66,16 @@ class T2Search:
         object.__setattr__(self, "refine_iters", _whole("refine_iters", self.refine_iters, 0))
 
     def grid(self) -> np.ndarray:
-        """The coarse grid of t2 values."""
-        return np.linspace(self.t2_min, self.t2_max, self.coarse_steps)
+        """The coarse grid of t2 values, read-only and built once per search
+        spec: every search of a scan row or of :func:`global_minimize` shares
+        it."""
+        return self._grid
+
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
+        grid = np.linspace(self.t2_min, self.t2_max, self.coarse_steps)
+        grid.flags.writeable = False
+        return grid
 
 
 class T2Minimum(tuple):

@@ -362,34 +362,41 @@ def _block_rows(c: int, k: int) -> int:
     return max(2, _BLOCK_DOUBLES // (c * k))
 
 
-def _phase_sums(window: bool, cut1, cut2, phi, n_max: int) -> np.ndarray:
+def _phase_sums(window: bool, cut1, cut2, phi, n_max: int):
     """The Euler-averaged sums over n = 1..n_max of cos(n phi) row1_n row2_n
-    for a batch of C columns sharing K values of t2: ``cut1`` (C, 1) and
-    ``cut2`` (C, K) are the cuts of the rows (:func:`j_row`, or
-    :func:`_window_row` for a ``window``), ``phi`` is (K,) or (C, K).
+    for a batch of C columns sharing K values of t2, and the t1 rows row1
+    (C, n_max), read-only: ``cut1`` (C, 1) and ``cut2`` (C, K) are the cuts of
+    the rows (:func:`j_row`, or :func:`_window_row` for a ``window``), ``phi``
+    is (K,) or (C, K).
 
     The orders stream through reused buffers in blocks, and no (n_max, C, K)
-    array is built.  On each block: the shared recurrence
+    array is built.  On each block: the shared eigenfunctions
     (:func:`special._psi_blocks`) at both cuts at once, cut1 riding along as
-    column K; the rows in place; the terms (cos(n phi) row1) row2, the cosines
-    read from :func:`_phase_table`; and their :class:`_EulerSum`.  These are
-    the operations of the materialized sum in the same order, so at K >= 2
-    each column equals that column's own curve bit for bit, at any C.  At K =
-    1 it does not: the weighted einsum over a (k, C, 1) block sums in an
-    order that depends on C, and a column may differ from its own curve in
-    the last bit (up to about 2.5e-16).  No t2 search calls a curve at K = 1
-    (:class:`scan.T2Search` has at least 2 coarse steps), and its probes go
-    through :func:`_q_round`.
+    column K, up to order n_max like a cut's scalar row (:func:`psi_rows`),
+    so that a batch whose cuts repeat reads the memo entries that its cells'
+    rows and probes read; the rows in place, by :func:`j_row`'s (and
+    :func:`_window_row`'s) operations, the t1 rows copied out; the terms (cos(n phi) row1) row2, the cosines read from
+    :func:`_phase_table`; and their :class:`_EulerSum`.  These are the
+    operations of the materialized sum in the same order, so at K >= 2 each
+    column equals that column's own curve bit for bit, at any C, and each t1
+    row equals its cell's own.  At K = 1 the sums do not: the weighted einsum
+    over a (k, C, 1) block sums in an order that depends on C, and a column
+    may differ from its own curve in the last bit (up to about 2.5e-16).  No
+    t2 search calls a curve at K = 1 (:class:`scan.T2Search` has at least 2
+    coarse steps), and its probes go through :func:`_q_round`.
     """
     c, k = cut2.shape
     rows = _block_rows(c, k)
     cos_t = _phase_table(phi, n_max)[0].reshape(n_max + 1, -1, k)
     sqrt_2n = _sqrt_2n(n_max)
     euler = _EulerSum(n_max, rows, (c, k))
+    row1 = np.empty((c, n_max))
     psi0 = None
-    # the block from k0 holds psi_{n-1} for the orders n = k0 + 1, ...
-    blocks = _psi_blocks(np.concatenate([cut2, cut1], axis=1), n_max - 1, rows)
+    # the block from k0 holds psi_{n-1} for the orders n = k0 + 1, ...; the
+    # last order's psi_n_max is not read
+    blocks = _psi_blocks(np.concatenate([cut2, cut1], axis=1), n_max, rows)
     for k0, psi in zip(range(0, n_max, rows), blocks):
+        psi = psi[:n_max - k0]
         m = len(psi)
         if psi0 is None:
             psi0 = psi[0].copy()
@@ -400,11 +407,13 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int) -> np.ndarray:
         if window:
             np.multiply(psi, 2.0, out=psi)
             psi[k0 % 2::2] = 0.0
+        row1[:, k0:k0 + m] = psi[:, :, k].T
         new = euler.slots(m)
         np.multiply(cos_t[k0 + 1:k0 + m + 1], psi[:, :, k:], out=new)
         np.multiply(new, psi[:, :, :k], out=new)
         euler.add(m)
-    return euler.total
+    row1.flags.writeable = False
+    return euler.total, row1
 
 
 class _KernelValue(NamedTuple):
@@ -413,8 +422,10 @@ class _KernelValue(NamedTuple):
     else None, and None at a singular phase, whose completeness value has no
     slope; ``terms``, the eigenbasis terms of one non-singular point, which
     feed the tail estimate, else None; ``singular``, the phases that
-    completeness evaluated; and the occupation cut ``m_used`` with its
-    remainder ``m_tail``, 0 for a pure state."""
+    completeness evaluated; the occupation cut ``m_used`` with its
+    remainder ``m_tail``, 0 for a pure state; and ``row1``, the (C, n_max) t1
+    rows of a pure curve whose phase sums ran (:func:`_phase_sums`), else
+    None."""
 
     q: object
     slope: float | None
@@ -422,6 +433,7 @@ class _KernelValue(NamedTuple):
     singular: object
     m_used: int = 0
     m_tail: float = 0.0
+    row1: np.ndarray | None = None
 
 
 def _q_pure(inputs, column: tuple, s1: int, s2: int, t1: float, t2,
@@ -435,19 +447,20 @@ def _q_pure(inputs, column: tuple, s1: int, s2: int, t1: float, t2,
 
     A batch of C columns sharing K values of t2 has ``cut1`` of shape (C,
     1), ``block`` and ``cut2`` (C, K), and ``phi`` (K,) or (C, K); its sums
-    stream through :func:`_phase_sums`.  A point is a cell's one-column call
-    of :func:`_q_round`.
+    stream through :func:`_phase_sums`, whose t1 rows it returns as
+    ``row1``.  A point is a cell's one-column call of :func:`_q_round`.
     """
     block, phi, cut1, cut2, _ = inputs(*column, s1, s2, t1, t2)
     window = inputs is _window_inputs
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
-    q = block
+    q, row1 = block, None
     if not np.all(singular):
-        q = block + s1 * s2 * _phase_sums(window, cut1, cut2, phi, n_max)
+        sums, row1 = _phase_sums(window, cut1, cut2, phi, n_max)
+        q = block + s1 * s2 * sums
     if np.any(singular):
         q = _fill_singular(q, singular, phi, _window_region if window else _halfline,
                            s1, s2, cut1, cut2, _ground_weight)
-    return _KernelValue(q, None, None, singular)
+    return _KernelValue(q, None, None, singular, row1=row1)
 
 
 def _q_round(window: bool, probes: list, n_max: int) -> list:
@@ -547,14 +560,16 @@ def _window_inputs(state, half_width, s1: int, s2: int, t1: float, t2, slope: bo
 
 def _columns(state, t1: float, t2, t1_geometry=None):
     """:func:`_geometry` of one state at a float t2 (from ``t1_geometry``,
-    when a cell holds it), or of a list of C states (or one, C = 1) over
-    a t2 array, stacked by column: lam1 and a1 of shape (C, 1), lam2 and a2
-    (C, K), and phi (K,) when the states share their squeezing, else (C, K)."""
+    when a cell holds it), or of a list of C states (or one, C = 1) over a
+    t2 array, evaluated once per distinct state and stacked by column: lam1
+    and a1 of shape (C, 1), lam2 and a2 (C, K), and phi (K,) when the states
+    share their squeezing, else (C, K)."""
     if np.ndim(t2) == 0:
         return _geometry(state, t1, t2, t1_geometry)
     states = _each(state)
-    lam1, lam2, a1, a2, phi = (np.array(v) for v in
-                               zip(*(_geometry(s, t1, t2) for s in states)))
+    # once per distinct state: a window batch at fixed r has one
+    geometry = {s: _geometry(s, t1, t2) for s in dict.fromkeys(states)}
+    lam1, lam2, a1, a2, phi = (np.array(v) for v in zip(*(geometry[s] for s in states)))
     if len({(s.r, s.theta0) for s in states}) == 1:
         phi = phi[0]
     return lam1[:, None], lam2, a1[:, None], a2, phi
@@ -960,7 +975,9 @@ class _SeriesCell:
     cell, and each reads the t1 half that the cell builds once and holds:
     the t1 geometry and t1 row of a pure family, the O(n_max)
     :class:`_ThermalCut` pieces of a thermal one, which a thermal cell
-    builds only when a non-singular point or a curve first reads them.
+    builds only when a non-singular point or a curve first reads them.  A
+    pure cell whose first call is a batch curve builds no row: it holds the
+    one the curve formed (:meth:`take_row`).
     """
 
     family: str
@@ -1003,6 +1020,12 @@ class _SeriesCell:
         return (*self.shared[:2],
                 *inputs(*self.column, *self.shared, float(t2), slope, geometry), row1)
 
+    def take_row(self, row1) -> None:
+        """Hold ``row1``, this pure cell's t1 row as a batch curve formed it
+        (:func:`_phase_sums`, equal to the cell's own bit for bit), unless the
+        cell holds its t1 half already."""
+        self.__dict__.setdefault("_held", (_t1_geometry(self.column[0], self.shared[2]), row1))
+
     @functools.cached_property
     def _held(self) -> tuple:
         state, t1, n_max = self.column[0], self.shared[2], self.trunc.n_max
@@ -1037,9 +1060,11 @@ def _cell_values(requests) -> list:
 def _cell_curves(cells, grid) -> list:
     """Each cell's q over the t2 array ``grid``, in order: the cells of one
     family, ``shared``, n_max and n_th in one streamed call, each row equal
-    bit for bit to the cell's own curve.  Pure cells go through their
-    family's public curve, thermal cells through :func:`_q_thermal` with
-    their held t1 pieces."""
+    bit for bit to the cell's own curve.  The cells judged their inputs when
+    they were made, so pure cells go straight to :func:`_q_pure`, and each
+    that holds no t1 row yet takes the one its column's phase sums formed
+    (:meth:`_SeriesCell.take_row`); thermal cells go through
+    :func:`_q_thermal` with their held t1 pieces, which the stream reads."""
     grid = np.asarray(grid, dtype=float)
     rows, groups = [None] * len(cells), {}
     for i, cell in enumerate(cells):
@@ -1052,8 +1077,14 @@ def _cell_curves(cells, grid) -> list:
             q = _q_thermal(*columns, *shared, grid, n_max, False,
                            lambda: [c._held for c in batch]).q
         else:
-            curve = q_window_series_curve if family == "window" else q_sign_series_curve
-            q = curve(*columns, *shared, grid, n_max)
+            inputs = _sign_inputs
+            if family == "window":
+                inputs, columns[1] = _window_inputs, np.asarray(columns[1], dtype=float)[:, None]
+            out = _q_pure(inputs, columns, *shared, grid, n_max)
+            q = out.q
+            if out.row1 is not None:
+                for cell, row in zip(batch, out.row1):
+                    cell.take_row(row)
         for i, row in zip(members, q):
             rows[i] = row
     return rows

@@ -56,13 +56,17 @@ def psi_rows(x, n_max: int):
     A scalar ``x`` runs the recurrence on plain Python floats, which is
     several times cheaper than NumPy arithmetic on one point and performs the
     same IEEE operations, so it equals the array call's column bit for bit.
-    It is memoized (the few most recent cuts), and the cached array is
-    returned read-only: a thermal cell's t1 cut build asks for its row twice,
-    the second time through :func:`matrix_elements.j_row`, and at r = 0 every
-    t2 probe of a window cell reads the same cut L / lambda(t2) = L.  Array
-    inputs are always computed afresh, as one block of :func:`_psi_blocks`.
-    Both paths read the recurrence coefficients from one cached table per
-    ``n_max``.
+    It is memoized (the ``_MEMO_SIZE`` most recent cuts), and the cached
+    array is returned read-only: a cell's t1 row, its probes and a curve of
+    the cell that repeats its cuts all read one entry.  An array ``x`` is one
+    block of :func:`_psi_blocks`, which reads the same memo when ``x`` takes
+    at most ``_MEMO_SIZE`` distinct values.  Both paths read the recurrence
+    coefficients from one cached table per ``n_max``.
+
+    Where psi_0 is below the least normal double (|x| above about 37.6) the
+    recurrence starts from a scaled psi_0 and carries the binary exponent, so
+    that the orders that grow back into the double range keep their full
+    precision (:func:`_psi_scaled`).
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -89,10 +93,45 @@ def _sqrt_2n(n_max: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=8)
+#: Entries of the memo of scalar rows (:func:`_psi_rows_scalar`), and the
+#: most distinct points an array call (:func:`_psi_blocks`) gathers from it.
+_MEMO_SIZE = 8
+#: The least normal double: a psi_0 below it starts the scaled recurrence.
+_TINY = float(np.finfo(float).tiny)
+#: |x| from which every psi_n, n <= HARD_N_CAP, is below the least subnormal
+#: (the turning point sqrt(2n + 1) is at most 512), so the plain recurrence's
+#: zeros are exact and the scaled one is not run.
+_SCALED_LIMIT = 1024.0
+#: ln 2 split (fdlibm's ln2_hi, ln2_lo): e * _LN2_HI is exact for |e| < 2^20.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+#: The scaled recurrence's bound on its running pair, and the bits by which
+#: it rescales the pair (exactly) when the pair exceeds it.
+_RESCALE_BITS = 600
+_RESCALE_AT = 2.0 ** _RESCALE_BITS
+
+
 def _psi_rows_scalar(x: float, n_max: int) -> np.ndarray:
+    # the sign of x is part of the key: 0.0 and -0.0 are one dict key, but
+    # their odd orders differ in the sign of zero
+    return _psi_memo(x, math.copysign(1.0, x), n_max)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _psi_memo(x: float, sign: float, n_max: int) -> np.ndarray:
+    psi = np.array(_psi_recurrence(x, n_max))
+    psi.flags.writeable = False
+    return psi
+
+
+def _psi_recurrence(x: float, n_max: int) -> list:
+    """psi_0..psi_n_max at ``x`` as Python floats, by the array recurrence's
+    operations in its order, or by :func:`_psi_scaled` where psi_0 is not a
+    normal double."""
     # psi_0 through NumPy's exp, which math.exp may differ from in the last ulp
     lower = float(_QUARTER_PI * np.exp(-0.5 * x * x))
+    if not lower >= _TINY and abs(x) < _SCALED_LIMIT:
+        return _psi_scaled(x, n_max)
     values = [lower]
     if n_max >= 1:
         upper = _SQRT2 * x * lower
@@ -100,26 +139,68 @@ def _psi_rows_scalar(x: float, n_max: int) -> np.ndarray:
         for a, b in zip(*_recurrence_coefficients(n_max)):
             lower, upper = upper, a * x * upper - b * lower
             values.append(upper)
-    psi = np.array(values)
-    psi.flags.writeable = False
-    return psi
+    return values
+
+
+def _psi_scaled(x: float, n_max: int) -> list:
+    """The recurrence of :func:`_psi_recurrence` on psi_n 2^-e, for an ``x``
+    whose psi_0 is not a normal double.  psi_0 2^-e = pi^(-1/4) exp(-x^2/2 -
+    e ln 2) is of order one, its exponent formed without cancellation; e is
+    carried as an int and raised by ``_RESCALE_BITS`` whenever the running
+    pair exceeds ``_RESCALE_AT``, and each order is returned as ldexp(psi_n
+    2^-e, e), exact where it is a normal double."""
+    half = -0.5 * x * x
+    e = math.floor(half / math.log(2.0))
+    lower = _QUARTER_PI * math.exp((half - e * _LN2_HI) - e * _LN2_LO)
+    values = [math.ldexp(lower, e)]
+    if n_max >= 1:
+        upper = _SQRT2 * x * lower
+        values.append(math.ldexp(upper, e))
+        for a, b in zip(*_recurrence_coefficients(n_max)):
+            lower, upper = upper, a * x * upper - b * lower
+            if abs(upper) > _RESCALE_AT:
+                lower = math.ldexp(lower, -_RESCALE_BITS)
+                upper = math.ldexp(upper, -_RESCALE_BITS)
+                e += _RESCALE_BITS
+            values.append(math.ldexp(upper, e))
+    return values
 
 
 def _psi_blocks(x: np.ndarray, n_max: int, rows: int):
     """psi_0..psi_n_max at the points ``x``, streamed: consecutive blocks of
     ``rows`` orders (the last may be shorter), each written into one reused
-    buffer of shape (rows,) + x.shape.  The one array recurrence of the
-    package, which :func:`psi_rows` takes in a single block.
+    buffer of shape (rows,) + x.shape.  :func:`psi_rows` takes it in a
+    single block.
+
+    When ``x`` takes at most ``_MEMO_SIZE`` distinct values (bit patterns),
+    each block is gathered from their memoized scalar rows
+    (:func:`_psi_rows_scalar`), which a cut repeated along t2 (the window
+    family at r = 0, where lambda(t) = 1) and the cells' own rows share.
+    Otherwise the array recurrence runs, the package's one, and the columns
+    whose psi_0 is not a normal double are overwritten by their scalar rows
+    (:func:`_psi_scaled`).  Both paths equal the scalar call bit for bit.
 
     A consumer may overwrite a block before it asks for the next one: the
     recurrence continues from copies of the block's last two rows, so
     ``rows`` must be at least 2 when there is more than one block.
     """
+    buf = np.empty((min(rows, n_max + 1),) + x.shape)
+    flat = np.ascontiguousarray(x).view(np.uint64).reshape(-1)
+    bits = np.sort(flat)
+    steps = np.flatnonzero(bits[1:] != bits[:-1])
+    if flat.size and len(steps) < _MEMO_SIZE:
+        keys = bits[np.concatenate(([0], steps + 1))]
+        table = np.stack([_psi_rows_scalar(v, n_max) for v in keys.view(float).tolist()],
+                         axis=1)
+        where = np.searchsorted(keys, flat).reshape(x.shape)
+        for k0 in range(0, n_max + 1, rows):
+            block = buf[:n_max + 1 - k0]
+            yield np.take(table[k0:k0 + len(block)], where, axis=1, out=block, mode="clip")
+        return
     a, b = _recurrence_coefficients(n_max)
     mul, sub = np.multiply, np.subtract
-    buf = np.empty((min(rows, n_max + 1),) + x.shape)
     scaled = np.empty(x.shape)
-    lower = upper = None
+    lower = upper = patch = None
     for k0 in range(0, n_max + 1, rows):
         block = buf[:n_max + 1 - k0]
         for k, row in enumerate(block, start=k0):
@@ -133,7 +214,13 @@ def _psi_blocks(x: np.ndarray, n_max: int, rows: int):
                 row[...] = _SQRT2 * x * upper
             else:
                 row[...] = _QUARTER_PI * np.exp(-0.5 * x * x)
+                far = np.flatnonzero(~(row >= _TINY) & (np.abs(x) < _SCALED_LIMIT))
+                if far.size:
+                    patch = far, np.array([_psi_scaled(v, n_max)
+                                           for v in flat[far].view(float).tolist()]).T
             lower, upper = upper, row
+        if patch is not None:
+            block.reshape(len(block), -1)[:, patch[0]] = patch[1][k0:k0 + len(block)]
         if k0 + rows <= n_max:
             lower, upper = lower.copy(), upper.copy()
         yield block

@@ -604,15 +604,15 @@ class TestScanPlane:
         clean = scan_plane(cfg)
         assert clean.mirror_filled == 0
         bad_p0 = float(cfg.axis2_values()[2])
-        real = series.q_sign_series_curve
+        real = series._q_pure
 
-        def failing(state, *args):
-            states = [state] if isinstance(state, scan.StateSpec) else state
-            if any(abs(s.p0 - bad_p0) < 1e-12 for s in states):
+        def failing(inputs, column, *args):
+            # column[0] is the batch's list of states
+            if any(abs(s.p0 - bad_p0) < 1e-12 for s in column[0]):
                 raise FloatingPointError("injected")
-            return real(state, *args)
+            return real(inputs, column, *args)
 
-        monkeypatch.setattr(series, "q_sign_series_curve", failing)
+        monkeypatch.setattr(series, "_q_pure", failing)
         res = scan_plane(cfg)
         assert res.n_failed == 1
         assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [2]
@@ -678,20 +678,20 @@ class TestScanPlane:
                          axis1_min=0.5, axis1_steps=1,
                          axis2_min=-1.0, axis2_max=1.0, axis2_steps=3,
                          t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
-        real = series.q_sign_series_curve
+        real = series._q_pure
 
         def lowered_at(value):
-            def curve(states, *args):
-                q = real(states, *args)
-                q[[s.p0 == 0.0 for s in states]] = value
-                return q
-            return curve
+            def kernel(inputs, column, *args):
+                out = real(inputs, column, *args)
+                out.q[[s.p0 == 0.0 for s in column[0]]] = value
+                return out
+            return kernel
 
-        monkeypatch.setattr(series, "q_sign_series_curve", lowered_at(-0.2))
+        monkeypatch.setattr(series, "_q_pure", lowered_at(-0.2))
         with pytest.raises(ArithmeticError, match=r"q=-0\.200000 .* at x0=0\.5, p0=0\.0, t2=0\.0$"):
             scan_plane(cfg)
         # the bound is -1/8 - 1e-6
-        monkeypatch.setattr(series, "q_sign_series_curve", lowered_at(-0.125 - 5e-7))
+        monkeypatch.setattr(series, "_q_pure", lowered_at(-0.125 - 5e-7))
         assert scan_plane(cfg).global_argmin == (0.5, 0.0, 0.0)
 
     def test_failed_cells_marked_nan(self):
@@ -747,10 +747,8 @@ class TestRefineBudget:
         return res, evals
 
     def test_sign_grid(self, monkeypatch):
-        # the sign-scan grid: fig2a, 6 x 6 over +-2.5 (630 evaluations before
-        # minima at the window's ends were confirmed by one probe, and 434
-        # with Brent's value-only refinement; 139 with every cell searched,
-        # and 71 once the cells at p0 < 0 are filled from their mirrors)
+        # the sign-scan grid: fig2a, 6 x 6 over +-2.5 (71 evaluations, the
+        # cells at p0 < 0 being filled from their mirrors)
         cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig2a.cfg"),
                                   axis1_steps=6, axis2_steps=6)
         res, evals = self._scan_counting(monkeypatch, cfg)
@@ -767,9 +765,8 @@ class TestRefineBudget:
         assert all(evals[cell] == 1 for cell in searched)
 
     def test_thermal_grid(self, monkeypatch):
-        # the thermal-scan grid: fig4_t05, 3 x 3 at temperature ratio 2 (191
-        # evaluations before the end-of-window probe, 104 with Brent, 37 with
-        # every cell searched; 20 now)
+        # the thermal-scan grid: fig4_t05, 3 x 3 at temperature ratio 2 (20
+        # evaluations)
         cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig4_t05.cfg"),
                                   n_th=1.0 / math.expm1(0.5), axis1_steps=3, axis2_steps=3)
         res, _ = self._scan_counting(monkeypatch, cfg)
@@ -777,8 +774,7 @@ class TestRefineBudget:
 
     def test_cusp_grid(self, monkeypatch):
         # fig2c, 11 x 11: its p0 = 0 row has cusps at the commuting separation
-        # t2 = pi inside the window (1928 evaluations with Brent, 505 with
-        # every cell searched; 257 now)
+        # t2 = pi inside the window (257 evaluations)
         cfg = dataclasses.replace(load_scan_config(CONFIGS / "fig2c.cfg"),
                                   axis1_steps=11, axis2_steps=11)
         res, _ = self._scan_counting(monkeypatch, cfg)
@@ -856,15 +852,15 @@ class TestMirror:
         clean = scan_plane(cfg)
         assert clean.mirror_filled == 3
         bad_p0 = float(cfg.axis2_values()[4])
-        real = series.q_sign_series_curve
+        real = series._q_pure
 
-        def failing(state, *args):
-            states = [state] if isinstance(state, scan.StateSpec) else state
-            if any(abs(s.p0 - bad_p0) < 1e-12 for s in states):
+        def failing(inputs, column, *args):
+            # column[0] is the batch's list of states
+            if any(abs(s.p0 - bad_p0) < 1e-12 for s in column[0]):
                 raise FloatingPointError("injected")
-            return real(state, *args)
+            return real(inputs, column, *args)
 
-        monkeypatch.setattr(series, "q_sign_series_curve", failing)
+        monkeypatch.setattr(series, "_q_pure", failing)
         res = scan_plane(cfg)
         assert res.n_failed == 2
         assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [1, 4]
@@ -1214,17 +1210,23 @@ class TestRoundKernel:
 
     def test_each_cell_builds_its_t1_row_once(self, monkeypatch):
         # direct calls, slopes, probe rounds and curves, with the other
-        # cells' calls in between, all read the row that the cell holds
+        # cells' calls in between, all read the row that the cell holds; the
+        # 5 cells whose first call is a row's batch curve build none, as they
+        # hold the row the curve formed
         rng = np.random.default_rng(7)
         cells = [_random_cell(rng, "window", t1=0.3)[0] for _ in range(5)]
+        curved = [_random_cell(rng, "window", t1=0.3)[0] for _ in range(5)]
         real, built = series._window_row, []
         monkeypatch.setattr(series, "_window_row", lambda h, n: built.append(h) or real(h, n))
+        grid = np.linspace(0.0, TWO_PI, 7)
+        scan._serve([scan._Request(cell, grid, curve=cell.curve) for cell in curved])
+        cells += curved
         for t2 in (0.4, 0.9, 1.3):
             for cell in cells:
                 assert cell.slope(t2)[0] == cell(t2)
         scan._serve([scan._Request(cell, 2.1, True) for cell in cells])
         for cell in cells:
-            cell.curve(np.linspace(0.0, TWO_PI, 7))
+            cell.curve(grid)
         assert len(built) == 5
 
     def test_each_thermal_cell_builds_its_t1_cut_once(self):

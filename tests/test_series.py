@@ -13,6 +13,7 @@ from lgqpd import (CapabilityError, MeasurementSpec, StateSpec, TruncationConfig
                    q_window_series_curve, qpd_integral, qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window, named_evaluator,
                    psi_rows, series, sign_marginal, thermal_m_cut, x_xi_of)
+from lgqpd import special
 from lgqpd.matrix_elements import j_block, j_row, ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table, _SeriesCell,
                           _cell_curves, _euler_rows, _fill_singular, _geometry, _ground_weight,
@@ -403,6 +404,60 @@ class TestThermalCut:
         assert all(arr.ndim == 1 and arr.size <= n_max + 1 for arr in cell._held)
 
 
+class TestRowsFromCurves:
+    """A pure cell whose first call is a batch curve holds the t1 row that
+    the curve's phase sums formed, and builds none of its own."""
+
+    @staticmethod
+    def _cells(family, r, t1, seed):
+        rng = np.random.default_rng(seed)
+        trunc = TruncationConfig(n_max=120)
+        if family == "window":
+            return [_SeriesCell("window", (StateSpec(r=r, theta0=0.3), float(h)), (1, 1, t1), trunc)
+                    for h in rng.uniform(0.5, 1.6, 4)]
+        return [_SeriesCell("sign", (StateSpec.from_phase_space(x0, p0, r, 0.3),), (1, -1, t1),
+                            trunc) for x0, p0 in rng.uniform(-2.5, 2.5, (4, 2))]
+
+    @pytest.mark.parametrize("family", ["sign", "window"])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("t1", [0.0, 0.4])
+    def test_a_handed_row_equals_the_cells_own(self, monkeypatch, family, r, t1):
+        seed = int(10 * r + 10 * t1)
+        fresh, handed = self._cells(family, r, t1, seed), self._cells(family, r, t1, seed)
+        for cell in fresh:
+            cell._held
+        built = []
+        for name in ("j_row", "_window_row"):
+            real = getattr(series, name)
+            monkeypatch.setattr(series, name,
+                                lambda h, n, real=real: built.append(h) or real(h, n))
+        # t1 and t1 + pi are singular phases for any squeezing
+        grid = np.concatenate([[t1, t1 + math.pi], np.linspace(0.0, TWO_PI, 11)])
+        rows = _cell_curves(handed, grid)
+        assert built == []
+        for own, cell, row in zip(fresh, handed, rows):
+            assert "_held" in cell.__dict__
+            assert repr(cell._held[0]) == repr(own._held[0])
+            assert cell._held[1].tobytes() == own._held[1].tobytes()
+            assert row.tobytes() == own.curve(grid).tobytes()
+            for t2 in (t1, t1 + math.pi, 0.9, 2.3):
+                assert repr(cell.slope(t2)) == repr(own.slope(t2))
+                assert repr(cell(t2, with_info=True)) == repr(own(t2, with_info=True))
+        assert built == []
+
+    def test_an_all_singular_curve_hands_no_row(self):
+        cells = self._cells("sign", 0.5, 0.4, 3)
+        _cell_curves(cells, np.array([0.4, 0.4 + math.pi]))
+        assert not any("_held" in cell.__dict__ for cell in cells)
+
+    def test_a_held_row_is_kept(self):
+        # a cell that built its row keeps it through later batch curves
+        cells = self._cells("window", 0.5, 0.0, 4)
+        held = [cell._held for cell in cells]
+        _cell_curves(cells, np.linspace(0.0, TWO_PI, 9))
+        assert all(cell._held is h for cell, h in zip(cells, held))
+
+
 class TestWindowSeries:
     def test_same_time_disjoint_regions(self):
         vac = StateSpec()
@@ -721,6 +776,20 @@ class TestBatchedCurves:
             states = [StateSpec.from_phase_space(0.3 * k - 1, 1.2, x) for k, x in enumerate(r)]
             halves = None
         self._check(states, halves, -1, 1, 0.2, grid, 60)
+
+    @pytest.mark.parametrize("n_max", [2, BLOCK, 256])
+    def test_repeated_cuts_equal_the_array_recurrence(self, n_max):
+        # at r = 0 every cut of a window column is L: 4 columns with 3
+        # distinct L read the memoized scalar rows (special._psi_blocks), and
+        # with 7 more distinct L the same columns run the array recurrence
+        grid = np.linspace(0.0, 2 * math.pi, self.STEPS)
+        halves = [0.8, 1.03, 1.03, 1.6] + list(np.linspace(0.5, 2.0, 7))
+        states = [StateSpec()] * len(halves)
+        special._psi_memo.cache_clear()
+        few = batch_curves(states[:4], halves[:4], 1, 1, 0.0, grid, n_max)
+        assert special._psi_memo.cache_info().currsize == 3
+        many = batch_curves(states, halves, 1, 1, 0.0, grid, n_max)
+        assert few.tobytes() == many[:4].tobytes()
 
     def test_all_singular_batch_is_completeness(self):
         grid = np.array([0.0, math.pi, 2 * math.pi])

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from lgqpd import CapabilityError, composite_gauss_legendre, gauss_legendre, psi_rows
 from lgqpd.matrix_elements import lowered
-from lgqpd.special import HARD_N_CAP, _recurrence_coefficients, _sqrt_2n, averaged_partial_sum
+from lgqpd.series import _block_rows
+from lgqpd.special import (HARD_N_CAP, _psi_blocks, _psi_memo, _recurrence_coefficients,
+                            _sqrt_2n, averaged_partial_sum)
 from lgqpd.states import StateSpec
 from test_integral import quad_form_reference
 
@@ -65,15 +67,20 @@ class TestHermitePsi:
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(-45.0, 45.0), others=st.lists(st.floats(-45.0, 45.0), max_size=4),
+           wide=st.lists(st.floats(-45.0, 45.0), min_size=9, max_size=14, unique=True),
            n_max=st.integers(0, 300))
-    def test_scalar_call_matches_array_column(self, x, others, n_max):
-        # the memoized scalar path runs the same arithmetic as an array call
-        column = psi_rows(np.array(others + [x]), n_max)[:, -1]
+    def test_scalar_call_matches_array_column(self, x, others, wide, n_max):
+        # the memoized scalar path runs the same arithmetic as an array call:
+        # a batch of 9 or more distinct points runs the array recurrence, and
+        # one of at most 8 gathers the memoized scalar rows
+        column = psi_rows(np.array(wide + [x]), n_max)[:, -1]
         scalar = psi_rows(x, n_max)
         assert scalar.shape == (n_max + 1,)
-        assert np.array_equal(scalar, column)
+        assert scalar.tobytes() == column.tobytes()
         assert not scalar.flags.writeable
         assert psi_rows(x, n_max) is scalar
+        gathered = psi_rows(np.array(others + [x]), n_max)[:, -1]
+        assert gathered.tobytes() == column.tobytes()
 
     @pytest.mark.parametrize("n_max", [0, 1, 200, 256, 2500])
     def test_scalar_call_matches_array_column_at_workload_orders(self, n_max):
@@ -88,6 +95,54 @@ class TestHermitePsi:
             scalar = psi_rows(x, n_max)
             assert np.array_equal(scalar, columns[:, j]), x
             assert np.all(np.isfinite(scalar))
+
+    #: 9 distinct points that make any batch they join run the array recurrence
+    PAD = np.linspace(-3.3, 2.9, 9)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 255, 256, 2500])
+    def test_batches_of_few_distinct_points_equal_the_array_recurrence(self, n_max):
+        # a batch of at most 8 distinct points, repeats included, is gathered
+        # from the memoized scalar rows; with PAD it runs the array recurrence,
+        # and each of its columns must equal that bit for bit, in the blocks of
+        # any streaming (2 and 3 rows, a _phase_sums block of 4 columns over
+        # 97 points, 256 rows, one block), a consumer overwriting each block
+        rng = np.random.default_rng(n_max)
+        for values in ([0.7], [0.0, -0.0], [1.1, -0.4, 38.5, 45.0],
+                       list(np.linspace(-6.0, 39.0, 8))):
+            x = rng.choice(np.array(values), size=(3, 11))
+            x[0, :len(values)] = values  # every value appears
+            arrays = psi_rows(np.concatenate([x.ravel(), self.PAD]), n_max)
+            reference = arrays[:, :x.size].reshape((n_max + 1,) + x.shape)
+            _psi_memo.cache_clear()
+            for rows in sorted({2, 3, _block_rows(4, 97), 256, n_max + 1}):
+                streamed = []
+                for block in _psi_blocks(x, n_max, rows):
+                    streamed.append(block.copy())
+                    block[...] = math.nan
+                assert np.concatenate(streamed).tobytes() == reference.tobytes(), (values, rows)
+            # the batch read the memo: one entry per distinct bit pattern
+            assert _psi_memo.cache_info().currsize == len(values)
+
+    #: psi_n(x) from mpmath at 80 digits, H_n(x) exp(-x^2/2) / (2^n n!
+    #: sqrt(pi))^(1/2), where psi_0 is subnormal (x = 38) or underflows (x = 40
+    #: and 45: psi_0 is 2.76e-348 and 1.42e-440, below the least subnormal)
+    EXACT = {(38.0, 0): 2.0658395977942090e-314, (38.0, 600): 1.1181803175544643e-16,
+             (38.0, 2500): 0.078792937225130865, (40.0, 0): 0.0,
+             (40.0, 600): 3.0762344635639020e-32, (40.0, 2500): 0.079765278033672441,
+             (45.0, 0): 0.0, (45.0, 600): 1.4924392693580455e-85,
+             (45.0, 2500): 0.060235868034175495}
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_orders_past_an_underflowing_ground_state(self, sign):
+        # the recurrence starts from a scaled psi_0 and carries its exponent:
+        # the scalar path, the gathered batch and the array recurrence each
+        # stay within 1e-12 relative (or the subnormal spacing) of mpmath
+        for (x, n), exact in self.EXACT.items():
+            x *= sign
+            exact *= sign ** n
+            for got in (psi_rows(x, 2500)[n], psi_rows(np.array([x, x]), 2500)[n, 1],
+                        psi_rows(np.concatenate([self.PAD, [x]]), 2500)[n, -1]):
+                assert abs(got - exact) <= 1e-12 * abs(exact) + 2.0 ** -1074, (x, n, got)
 
     def test_order_tables_are_cached_and_read_only(self):
         up, down = _recurrence_coefficients(40)
