@@ -300,7 +300,8 @@ class ScanResult:
     ``XATOL``, each summed over the grid's rows (over every worker) and
     counting only the cells that ran a search; ``mirror_filled`` is the
     number of cells filled from their time-reversal partner instead
-    (:func:`_mirror_partners`)."""
+    (:func:`_mirror_partners`), and ``reflected`` the number of searched
+    cells whose coarse curve ran on half its grid (:func:`_on_half_grid`)."""
 
     config: ScanConfig
     axis1: np.ndarray
@@ -315,6 +316,7 @@ class ScanResult:
     refine_evals: int = 0
     refine_capped: int = 0
     mirror_filled: int = 0
+    reflected: int = 0
 
 
 def _cell_evaluator(config: ScanConfig, a1: float, a2: float):
@@ -358,16 +360,18 @@ def _scan_row(task):
     window.  A cell whose evaluator, search or requests raise is NaN by
     itself (:func:`_serve_kept`), and so is a cell filled from it.  Returns
     each cell's ``(q, t2, failed)``, the row's coarse and refinement seconds,
-    the evaluator calls of its searched cells' refinements and the number of
-    them that were capped."""
+    the evaluator calls of its searched cells' refinements, the number of
+    them that were capped and the number of coarse curves that ran on half
+    their grid."""
     config, a1, axis2, partners = task
     search = config.t2_search()
     start = time.perf_counter()
-    served = []
+    served, reflected = [], []
 
     def serve(requests) -> list:
         answers = _serve_kept(requests)
         served.append(time.perf_counter())
+        reflected.extend(filter(_on_half_grid, requests))
         return answers
 
     driven = [j for j, k in enumerate(partners) if k is None]
@@ -386,7 +390,7 @@ def _scan_row(task):
         t2 = f[1] if k is None else search.t2_min + (-f[1] - search.t2_min) % period
         cells.append((f[0], t2 / config.omega, False))
     return (cells, coarse, end - start - coarse, sum(f.evals for f in done),
-            sum(f.capped for f in done))
+            sum(f.capped for f in done), len(reflected))
 
 
 def _kept_search(config: ScanConfig, a1: float, a2: float, search: T2Search):
@@ -453,6 +457,15 @@ def _serve(requests) -> list:
     return answers
 
 
+def _on_half_grid(request: _Request) -> bool:
+    """Whether ``series._cell_curves`` answers ``request`` on half its
+    grid: a series cell's own curve, which :meth:`_SeriesCell.reflects` on
+    that grid."""
+    cell = request.evaluator
+    return (request.curve is not None and isinstance(cell, _SeriesCell)
+            and request.curve == cell.curve and cell.reflects(request.t2))
+
+
 def _serve_kept(requests) -> list:
     """:func:`_serve`, or, when that raises, each request served alone: one
     whose serving raises is answered by its error, which :func:`_drive`
@@ -478,8 +491,10 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     call and then refines its cells in lock-step rounds, one round-kernel
     call per round on the series route.  When the config is symmetric under
     time reversal, each row searches only one cell of each mirror pair and
-    fills the other (:func:`_mirror_partners`).  Per-cell failures are
-    recorded as NaN cells, not raised.  The reduction to the global minimum
+    fills the other (:func:`_mirror_partners`), and a series cell that time
+    reversal leaves unchanged evaluates its coarse curve on half its grid
+    (``series._cell_curves``).  Per-cell failures are recorded as NaN cells,
+    not raised.  The reduction to the global minimum
     runs single-threaded in row-major order, so the result does not depend
     on ``workers``.
     """
@@ -491,13 +506,13 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     t2_arg = np.full_like(q_min, math.nan)
     n_failed = 0
     coarse_s = refine_s = 0.0
-    refine_evals = refine_capped = 0
+    refine_evals = refine_capped = reflected = 0
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             results = pool.map(_scan_row, tasks, chunksize=1)
     else:
         results = map(_scan_row, tasks)
-    for i, (cells, coarse, refine, evals, capped) in enumerate(results):
+    for i, (cells, coarse, refine, evals, capped, half) in enumerate(results):
         for j, (q, t2, failed) in enumerate(cells):
             q_min[i, j] = q
             t2_arg[i, j] = t2
@@ -506,6 +521,7 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
         refine_s += refine
         refine_evals += evals
         refine_capped += capped
+        reflected += half
 
     if np.isfinite(q_min).any():
         flat = np.where(np.isfinite(q_min), q_min, np.inf).ravel()
@@ -524,7 +540,8 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
                       global_min=gmin, global_argmin=garg,
                       coarse_s=coarse_s, refine_s=refine_s, refine_evals=refine_evals,
                       refine_capped=refine_capped,
-                      mirror_filled=len(ax1) * (len(ax2) - partners.count(None)))
+                      mirror_filled=len(ax1) * (len(ax2) - partners.count(None)),
+                      reflected=reflected)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ its points once and holds it; the pure families' probes of several cells are
 one call of the round kernel.  Every curve is the kernel's array call, which
 takes a list of states at once, streaming their orders in cache-sized blocks
 and reading the phase factors cos(n phi) and sin(n phi) from one cached
-table per grid of phases:
+table per grid of phases.  A cell that time reversal leaves unchanged (t1 =
+0, p0 = 0, and r = 0 or theta0 in {0, pi}) has q(t2) = q(-t2), so on a
+grid whose mirrored pairs each sum to one multiple of q's period its curve
+is evaluated on the first half of the grid and filled from the mirrors.
+The families are:
 
 * coherent and squeezed pure states (sign projectors),
 * thermal squeezed coherent states (extra geometrically weighted sums over
@@ -383,7 +387,8 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int):
     over a (k, C, 1) block sums in an order that depends on C, and a column
     may differ from its own curve in the last bit (up to about 2.5e-16).  No
     t2 search calls a curve at K = 1 (:class:`scan.T2Search` has at least 2
-    coarse steps), and its probes go through :func:`_q_round`.
+    coarse steps, and a curve on half its grid at least 2 points, by
+    :func:`_folds`), and its probes go through :func:`_q_round`.
     """
     c, k = cut2.shape
     rows = _block_rows(c, k)
@@ -963,6 +968,34 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
 # series cells
 # ---------------------------------------------------------------------------
 
+#: q's period in t2 for each family.  The window rows carry even orders
+#: only; the cut-0 rows of a sign or thermal state flip sign under t2 -> t2
+#: + pi, even at xi = 0.
+_PERIOD = {"sign": 2.0 * math.pi, "thermal": 2.0 * math.pi, "window": math.pi}
+
+
+def _folds(grid, period: float) -> bool:
+    """Whether a curve with q(t2) = q(-t2) and period P repeats its first
+    ceil(K/2) values of ``grid`` on the rest: K >= 4, so that the half grid
+    has at least 2 points (the batch invariance of :func:`_phase_sums`), and
+    every pair t_k + t_{K-1-k} is one multiple m P within 4 ulps of m P, so
+    that q(t_{K-1-k}) = q(m P - t_k) = q(t_k).  Cached by the grid's bytes,
+    because every cell of a row, and every search of a minimization, shares
+    its grid."""
+    grid = np.ascontiguousarray(grid, dtype=float)
+    return grid.ndim == 1 and _cached_folds(grid.tobytes(), period)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_folds(key: bytes, period: float) -> bool:
+    grid = np.frombuffer(key)
+    if len(grid) < 4:
+        return False
+    pairs = grid + grid[::-1]
+    target = round(pairs[0] / period) * period
+    return bool(np.all(np.abs(pairs - target) <= 4.0 * math.ulp(target)))
+
+
 @dataclass(frozen=True)
 class _SeriesCell:
     """One series point of a projector ``family`` ("sign", "window" or
@@ -1004,6 +1037,17 @@ class _SeriesCell:
         """q over an array of t2 values (:func:`_cell_curves`)."""
         _check_finite(t2=grid)
         return _cell_curves([self], grid)[0]
+
+    def reflects(self, grid) -> bool:
+        """Whether this cell's curve on ``grid`` is evaluated on the grid's
+        first half and filled from the mirrors (:func:`_cell_curves`): t1 = 0
+        and a state that time reversal fixes, p0 = 0 and r = 0 or theta0 in
+        {0, pi}, so that q(t2) = q(-t2), on a grid that this folds
+        (:func:`_folds`)."""
+        state = self.column[0]
+        return (self.shared[2] == 0 and state.xi.imag == 0
+                and (state.r == 0 or state.theta0 in (0.0, math.pi))
+                and _folds(grid, _PERIOD[self.family]))
 
     def value(self, t2, slope: bool = False) -> _KernelValue:
         """The family's kernel at one t2, with its slope when asked: for a
@@ -1060,31 +1104,40 @@ def _cell_values(requests) -> list:
 def _cell_curves(cells, grid) -> list:
     """Each cell's q over the t2 array ``grid``, in order: the cells of one
     family, ``shared``, n_max and n_th in one streamed call, each row equal
-    bit for bit to the cell's own curve.  The cells judged their inputs when
-    they were made, so pure cells go straight to :func:`_q_pure`, and each
-    that holds no t1 row yet takes the one its column's phase sums formed
-    (:meth:`_SeriesCell.take_row`); thermal cells go through
+    bit for bit to the cell's own curve.  A cell that
+    :meth:`~_SeriesCell.reflects` runs with those that share its group on
+    the first ceil(K/2) points of the grid, and fills each later point from
+    its mirror, q(t_{K-1-k}) = q(t_k), the centre of an odd K from itself;
+    each cell decides for itself, so its row is the same in any batch, and
+    every other cell runs on the whole grid.  The cells judged their inputs
+    when they were made, so pure cells go straight to :func:`_q_pure`, and
+    each that holds no t1 row yet takes the one its column's phase sums
+    formed (:meth:`_SeriesCell.take_row`); thermal cells go through
     :func:`_q_thermal` with their held t1 pieces, which the stream reads."""
     grid = np.asarray(grid, dtype=float)
     rows, groups = [None] * len(cells), {}
     for i, cell in enumerate(cells):
-        key = cell.family, cell.shared, cell.trunc.n_max, cell.column[0].n_th
+        key = (cell.family, cell.shared, cell.trunc.n_max, cell.column[0].n_th,
+               cell.reflects(grid))
         groups.setdefault(key, []).append(i)
-    for (family, shared, n_max, _), members in groups.items():
+    for (family, shared, n_max, _, reflected), members in groups.items():
         batch = [cells[i] for i in members]
         columns = [list(arg) for arg in zip(*(cell.column for cell in batch))]
+        t2 = grid[:(len(grid) + 1) // 2] if reflected else grid
         if family == "thermal":
-            q = _q_thermal(*columns, *shared, grid, n_max, False,
+            q = _q_thermal(*columns, *shared, t2, n_max, False,
                            lambda: [c._held for c in batch]).q
         else:
             inputs = _sign_inputs
             if family == "window":
                 inputs, columns[1] = _window_inputs, np.asarray(columns[1], dtype=float)[:, None]
-            out = _q_pure(inputs, columns, *shared, grid, n_max)
+            out = _q_pure(inputs, columns, *shared, t2, n_max)
             q = out.q
             if out.row1 is not None:
                 for cell, row in zip(batch, out.row1):
                     cell.take_row(row)
+        if reflected:  # K >= 4, so the mirrored slice starts at index 1 or later
+            q = np.concatenate([q, q[:, len(grid) // 2 - 1::-1]], axis=1)
         for i, row in zip(members, q):
             rows[i] = row
     return rows

@@ -145,6 +145,7 @@ class TestOutputs:
         assert manifest["cells_per_s"] == small_result.q_min.size / 1.25
         assert manifest["refine_evals"] == small_result.refine_evals > 0
         assert manifest["refine_capped"] == small_result.refine_capped
+        assert manifest["reflected"] == small_result.reflected
         untimed = dataclasses.replace(small_result, coarse_s=0.0, refine_s=0.0,
                                       refine_evals=0, refine_capped=7)
         assert scan_csv_text(untimed) == scan_csv_text(small_result)

@@ -819,7 +819,10 @@ class TestMirror:
                                   axis1_steps=9, axis2_steps=9)
         assert mirror_cells(cfg).sum() == 4
         res = assert_cells_match_their_own_search(cfg, True)
-        assert build_manifest(res, scan_csv_text(res), 1.0)["mirror_filled"] == 36
+        manifest = build_manifest(res, scan_csv_text(res), 1.0)
+        assert manifest["mirror_filled"] == 36
+        # the searched p0 = 0 column runs its coarse curves on half the grid
+        assert manifest["reflected"] == res.reflected == 9
 
     @pytest.mark.parametrize("overrides", [
         {"r": 0.0, "theta0": 0.5}, {"theta0": math.pi}, {"n_th": 0.8},
@@ -835,6 +838,8 @@ class TestMirror:
         assert res.refine_capped == 0
         if "axis2_steps" in overrides:
             assert res.mirror_filled == 3
+        # only the asymmetric axis has a p0 = 0 column
+        assert res.reflected == (3 if "axis2_steps" in overrides else 0)
 
     @pytest.mark.parametrize("overrides", [
         {"t1": 0.4}, {"theta0": 0.5}, {"theta0": -math.pi},
@@ -845,7 +850,26 @@ class TestMirror:
         ids=["t1", "theta0", "theta0_minus_pi", "offset_amp", "offset_const", "half_period",
              "longer_window", "rL"])
     def test_a_broken_condition_searches_every_cell(self, overrides):
-        assert_cells_match_their_own_search(ScanConfig(**dict(self.ROW, **overrides)), False)
+        res = assert_cells_match_their_own_search(ScanConfig(**dict(self.ROW, **overrides)), False)
+        # every window cell of the rL plane is time-reversal invariant, and
+        # [0, 2 pi] is two of its periods
+        assert res.reflected == (10 if overrides.get("plane") == "rL" else 0)
+
+    @pytest.mark.parametrize("overrides,reflected,mirrored", [
+        ({}, 2, True), ({"n_th": 0.8}, 2, True), ({"r": 0.0, "theta0": 0.5}, 2, True),
+        ({"theta0": 0.5}, 0, False), ({"t1": 0.4}, 0, False), ({"route": "integral"}, 0, True),
+        ({"t2_max": math.pi}, 0, False), ({"t2_coarse_steps": 3}, 0, True)],
+        ids=["sign", "thermal", "r0", "theta0", "t1", "integral", "half_period", "k3"])
+    def test_reflected_counts_the_searched_half_grid_curves(self, overrides, reflected,
+                                                             mirrored):
+        # p0 in (-1, 0, 1) on two rows: the p0 = 0 cells are searched, and on
+        # the series route their coarse curves run on half the grid when the
+        # cell and the grid allow it
+        cfg = ScanConfig(**dict(self.ROW, axis1_steps=2, axis1_max=1.0, axis2_min=-1.0,
+                                axis2_max=1.0, axis2_steps=3, **overrides))
+        res = assert_cells_match_their_own_search(cfg, mirrored)
+        assert res.reflected == reflected
+        assert scan_plane(cfg, workers=2).reflected == reflected
 
     def test_a_failed_partner_fails_its_mirror(self, monkeypatch):
         cfg = ScanConfig(**self.ROW)

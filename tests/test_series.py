@@ -1047,3 +1047,127 @@ class TestBatchedThermalCurves:
         assert batches == [[0.156, 0.156], [1.54]]
         for cell, row in zip(cells, rows):
             assert row.tobytes() == cell.curve(grid).tobytes()
+
+
+class TestReflectedCurves:
+    """A cell that time reversal leaves unchanged (t1 = 0, p0 = 0, and r = 0
+    or theta0 in {0, pi}) has q(t2) = q(-t2); on a grid of K >= 4 points
+    whose mirrored pairs each sum to one multiple m P of q's period, its
+    curve runs on the first ceil(K/2) points and fills the rest from their
+    mirrors.  Every other cell runs on the whole grid, as the kernel does."""
+
+    N_MAX = 120
+    SIGN_GRID = np.linspace(0.0, TWO_PI, 40)
+    WINDOW_GRID = np.linspace(0.05, math.pi - 0.05, 96)
+
+    @classmethod
+    def _cell(cls, family, x0=0.7, p0=0.0, r=0.5, theta0=0.0, t1=0.0, half_width=1.03):
+        trunc = TruncationConfig(n_max=cls.N_MAX)
+        if family == "window":
+            return _SeriesCell("window", (StateSpec(r=r, theta0=theta0), half_width),
+                               (1, 1, t1), trunc)
+        n_th = 0.3 if family == "thermal" else 0.0
+        return _SeriesCell(family, (StateSpec.from_phase_space(x0, p0, r, theta0, n_th),),
+                           (1, -1, t1), trunc)
+
+    @staticmethod
+    def _direct(cell, grid):
+        """The family's kernel on the whole grid, as every curve ran before."""
+        state, t1, n_max = cell.column[0], cell.shared[2], cell.trunc.n_max
+        if cell.family == "thermal":
+            return _q_thermal([state], *cell.shared, grid, n_max, False,
+                              lambda: [cell._held]).q[0]
+        if cell.family == "window":
+            return _q_pure(_window_inputs, ([state], np.array([[cell.column[1]]])),
+                           *cell.shared, grid, n_max).q[0]
+        return _q_pure(_sign_inputs, ([state],), *cell.shared, grid, n_max).q[0]
+
+    def _grid(self, family):
+        return self.WINDOW_GRID if family == "window" else self.SIGN_GRID
+
+    @pytest.mark.parametrize("family,kwargs,grid", [
+        ("sign", {}, SIGN_GRID), ("sign", {"theta0": math.pi, "x0": -1.2}, SIGN_GRID),
+        ("sign", {"r": 0.0, "theta0": 0.9}, SIGN_GRID), ("sign", {"x0": 0.0}, SIGN_GRID),
+        ("sign", {}, np.linspace(-math.pi, 3 * math.pi, 41)),
+        ("thermal", {}, SIGN_GRID), ("thermal", {"theta0": math.pi}, np.linspace(0.0, TWO_PI, 41)),
+        ("window", {}, WINDOW_GRID), ("window", {"r": 0.0}, WINDOW_GRID),
+        ("window", {"theta0": math.pi}, np.linspace(0.02, 3.121592653589793, 120)),
+        ("window", {}, np.linspace(0.3, TWO_PI - 0.3, 51))],
+        ids=["sign", "sign_theta0_pi", "sign_r0", "sign_xi0", "sign_two_periods", "thermal",
+             "thermal_odd", "window", "window_r0", "window_fig6", "window_m2"])
+    def test_a_reflected_curve_equals_the_whole_grid_kernel(self, family, kwargs, grid):
+        cell = self._cell(family, **kwargs)
+        assert cell.reflects(grid)
+        row = cell.curve(grid)
+        assert row.shape == grid.shape
+        assert np.abs(row - self._direct(cell, grid)).max() <= 1e-15
+        assert row.tobytes() == row[::-1].tobytes()
+
+    @pytest.mark.parametrize("family", ["sign", "thermal", "window"])
+    def test_a_row_is_the_same_alone_in_a_mixed_batch_and_through_its_curve(self, family):
+        grid = self._grid(family)
+        alone = _cell_curves([self._cell(family)], grid)[0]
+        others = ([self._cell(family, t1=0.4), self._cell(family, theta0=0.5)]
+                  + ([] if family == "window" else [self._cell(family, p0=0.3)]))
+        assert not any(cell.reflects(grid) for cell in others)
+        mixed = _cell_curves([others[0], self._cell(family), *others[1:]], grid)
+        assert self._cell(family).reflects(grid)
+        assert mixed[1].tobytes() == alone.tobytes()
+        assert self._cell(family).curve(grid).tobytes() == alone.tobytes()
+        for cell, row in zip(others, mixed[:1] + mixed[2:]):
+            assert row.tobytes() == self._direct(cell, grid).tobytes()
+
+    @pytest.mark.parametrize("family,case", [
+        (family, case) for family in ("sign", "thermal", "window")
+        for case in ("t1", "p0", "theta0", "short_window", "k2", "k3")
+        if not (family, case) == ("window", "p0")])  # a window state has p0 = 0
+    def test_a_refused_case_is_the_direct_curve(self, family, case):
+        grid = self._grid(family)
+        kwargs = {"t1": {"t1": 0.4}, "p0": {"p0": 0.3}, "theta0": {"theta0": 0.5}}.get(case, {})
+        if case == "short_window":
+            grid = np.linspace(grid[0], grid[-1] - 1e-9, len(grid))
+        if case in ("k2", "k3"):
+            # symmetric, but too short to fold
+            grid = np.linspace(grid[0], grid[-1], int(case[1]))
+            assert self._cell(family).reflects(np.linspace(grid[0], grid[-1], 4))
+        cell = self._cell(family, **kwargs)
+        assert not cell.reflects(grid)
+        assert cell.curve(grid).tobytes() == self._direct(cell, grid).tobytes()
+
+    @pytest.mark.parametrize("steps", [4, 5, 40, 41])
+    def test_the_first_half_is_the_kernel_and_the_rest_its_mirror(self, monkeypatch, steps):
+        # an odd K fills its centre point from itself, and a half grid has at
+        # least 2 points
+        grid = np.linspace(0.0, TWO_PI, steps)
+        cell, seen, real = self._cell("sign"), [], series._q_pure
+        monkeypatch.setattr(series, "_q_pure",
+                            lambda *args: seen.append(args[-2]) or real(*args))
+        row = cell.curve(grid)
+        half = (steps + 1) // 2
+        assert len(seen) == 1 and seen[0].tobytes() == grid[:half].tobytes()
+        assert row[:half].tobytes() == self._direct(cell, grid[:half]).tobytes()
+        assert row[half:].tobytes() == row[steps // 2 - 1::-1].tobytes()
+        if steps % 2:
+            assert row[half - 1] == self._direct(cell, grid[:half])[-1]
+
+    @pytest.mark.parametrize("family", ["sign", "thermal", "window"])
+    def test_short_grids_never_fold(self, family):
+        # K >= 4 keeps the half grid at 2 points or more, away from the K = 1
+        # batch of _phase_sums, whose sums depend on the batch size
+        period = math.pi if family == "window" else TWO_PI
+        assert series._PERIOD[family] == period
+        for steps in (1, 2, 3):
+            assert not series._folds(np.linspace(0.0, period, steps), period)
+        assert series._folds(np.linspace(0.0, period, 4), period)
+        assert not series._folds(np.linspace(0.0, period, 4).reshape(2, 2), period)
+
+    @pytest.mark.parametrize("family", ["sign", "thermal"])
+    def test_sign_states_at_xi_zero_keep_the_full_period(self, family):
+        # the cut-0 rows flip sign under t2 -> t2 + pi, so a window of pi does
+        # not fold a sign or thermal curve, whose values are not symmetric there
+        grid = self.WINDOW_GRID
+        cell = self._cell(family, x0=0.0)
+        assert not cell.reflects(grid)
+        direct = self._direct(cell, grid)
+        assert cell.curve(grid).tobytes() == direct.tobytes()
+        assert np.abs(direct - direct[::-1]).max() > 1e-3
