@@ -10,11 +10,16 @@ products.  Every series point, slope and t2 search probe is a call of a cell
 its points once and holds it; the pure families' probes of several cells are
 one call of the round kernel.  Every curve is the kernel's array call, which
 takes a list of states at once, streaming their orders in cache-sized blocks
-and reading the phase factors cos(n phi) and sin(n phi) from one cached
-table per grid of phases.  A cell that time reversal leaves unchanged (t1 =
-0, p0 = 0, and r = 0 or theta0 in {0, pi}) has q(t2) = q(-t2), so on a
-grid whose mirrored pairs each sum to one multiple of q's period its curve
-is evaluated on the first half of the grid and filled from the mirrors.
+and reading the phase factors cos(n phi), and for the thermal family sin(n
+phi), from cached tables per grid of phases.  Every truncated sum over n is
+Euler-averaged, and since that average is linear in the terms it is one
+weighted sum sum_n Omega_n t_n with exact tail weights Omega_n: a dot
+product per row for points and rounds, and for curves a sum in order of n,
+so that each column of a batch equals its own call bit for bit at any batch
+shape.  A cell that time reversal leaves unchanged (t1 = 0, p0 = 0, and r
+= 0 or theta0 in {0, pi}) has q(t2) = q(-t2), so on a grid whose mirrored
+pairs each sum to one multiple of q's period its curve is evaluated on the
+first half of the grid and filled from the mirrors.
 The families are:
 
 * coherent and squeezed pure states (sign projectors),
@@ -39,6 +44,7 @@ pi), written once for all three kernels.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,7 +54,7 @@ import scipy.special as _sp
 
 from .errors import TruncationError
 from .matrix_elements import j_diag_row, j_row, ladder_diagonal, lowered
-from .special import _check_n_cap, _euler_weights, _psi_blocks, _sqrt_2n, psi_rows
+from .special import _check_n_cap, _psi_blocks, _sqrt_2n, psi_rows
 from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_dot, lambda_of,
                      phase_beta_dot, phase_beta_of, thermal_m_cut, x_xi_dot, x_xi_of)
 
@@ -286,79 +292,91 @@ def _window_row(h: float, n_max: int) -> np.ndarray:
 #: values of t2 runs its orders in blocks of _BLOCK_DOUBLES // (C K) (at least
 #: 2), so that a block's working set stays in cache.
 _BLOCK_DOUBLES = 16384
-#: Values in one order of a block from which :class:`_EulerSum` runs its sum
-#: as one contiguous add per order: numpy's cumsum along axis 0 walks strided
-#: lanes, which costs more than the per-call overhead of the adds past here.
-_ROW_ADD_MIN = 1024
 
 
-def _phase_table(phi, n_max: int):
-    """cos(n phi) and sin(n phi) for n = 0..n_max, each of shape (n_max + 1,)
-    + phi.shape and read-only: the phase factors of every array call.  Cached
-    by phi's bytes and n_max, because every row of a plane, and every curve of
-    a search at fixed squeezing, has the same phases."""
+def _phase_table(wave, phi, n_max: int):
+    """``wave``(n phi), np.cos or np.sin, for n = 0..n_max, of shape (n_max +
+    1,) + phi.shape and read-only: the phase factors of every array call.
+    The pure curves read only the cosines, the thermal stream both.  Cached
+    by the wave, phi's bytes and n_max, because every row of a plane, and
+    every curve of a search at fixed squeezing, has the same phases."""
     phi = np.ascontiguousarray(phi, dtype=float)
-    return _cached_phase_table(phi.tobytes(), phi.shape, n_max)
+    return _cached_phase_table(wave, phi.tobytes(), phi.shape, n_max)
 
 
-@functools.lru_cache(maxsize=4)
-def _cached_phase_table(key: bytes, shape: tuple, n_max: int):
-    angle = (np.arange(n_max + 1).reshape((-1,) + (1,) * len(shape))
-             * np.frombuffer(key).reshape(shape))
-    table = np.cos(angle), np.sin(angle)
-    for arr in table:
-        arr.flags.writeable = False
+@functools.lru_cache(maxsize=8)
+def _cached_phase_table(wave, key: bytes, shape: tuple, n_max: int):
+    table = wave(np.arange(n_max + 1).reshape((-1,) + (1,) * len(shape))
+                 * np.frombuffer(key).reshape(shape))
+    table.flags.writeable = False
     return table
 
 
-def _euler_window(n: int) -> np.ndarray:
-    """The Euler weights of an n-term series sum, on its final
-    min(256, max(2, 3n // 4), n) partial sums."""
-    return _euler_weights(min(256, max(2, 3 * n // 4), n))
+@functools.lru_cache(maxsize=16)
+def _euler_tails(n_max: int) -> np.ndarray:
+    """Omega_n for n = 0..n_max (Omega_0 is not read), read-only: the
+    weight of the n-th term in the Euler-averaged sum of an n_max-term
+    series.
+
+    That sum puts the binomial weights C(W-1, k) / 2^(W-1) on the final W =
+    min(256, max(2, 3 n_max // 4), n_max) partial sums, from order f = n_max
+    + 1 - W on.  It is linear in the terms, so it equals sum_n Omega_n t_n,
+    Omega_n being the tail of the weights from k = max(n - f, 0): an exact
+    integer sum of binomials over 2^(W-1), rounded once, and exactly 1.0 for
+    n <= f."""
+    w = min(256, max(2, 3 * n_max // 4), n_max)
+    # tails[j] = sum_{k >= j} C(w-1, k), the weight of order f + j
+    tails = list(itertools.accumulate(math.comb(w - 1, k) for k in reversed(range(w))))[::-1]
+    omega = np.ones(n_max + 1)
+    omega[n_max + 2 - w:] = [t / 2 ** (w - 1) for t in tails[1:]]
+    omega.flags.writeable = False
+    return omega
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... along axis 0, added in this order whatever
+    the trailing shape, so that each column's sum is the same in any batch:
+    numpy reduces an outer axis row by row, but sums a lone contiguous run,
+    one value per row, pairwise, so that run goes through cumsum."""
+    if terms[0].size == 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
+
+
+def _carry_sum(slots: np.ndarray, m: int, total: np.ndarray) -> np.ndarray:
+    """``total`` + slots[1] + ... + slots[m], in order (:func:`_ordered_sum`),
+    slot 0 carrying the total in: a running sum that streams its terms in
+    blocks adds them as one sequence, however the blocks are cut."""
+    slots[0] = total
+    return _ordered_sum(slots[:m + 1])
 
 
 class _EulerSum:
-    """The Euler-averaged sum of a streamed curve (a point's sums are
-    :func:`_euler_rows`).  Its n_max terms arrive in consecutive blocks of at most ``rows``, and its
-    operations are those of :func:`special.averaged_partial_sum` in the same
-    order, so it equals that sum bit for bit.
+    """The Euler-averaged sum of a streamed curve, sum_n Omega_n t_n with
+    the tail weights of :func:`_euler_tails` (a point's sums are
+    :func:`_euler_rows`).  Its n_max terms arrive in consecutive blocks of at
+    most ``rows``.
 
     A block's m terms are written into ``slots(m)`` and folded in by
-    ``add(m)``: their running sum, slot 0 carrying the last partial sum in,
-    and the Euler weights on the partial sums inside the final window, the
-    accumulator carried in at weight 1.  ``total`` is the sum once all n_max
-    terms are in.
+    ``add(m)``: each weighted by its Omega_n, then added in order of n to the
+    running total (:func:`_carry_sum`).  ``total`` is the sum once all n_max
+    terms are in; each column's operations are the same at any trailing
+    shape and any cut of the blocks.
     """
 
     def __init__(self, n_max: int, rows: int, shape: tuple):
-        self.weights = _euler_window(n_max)
-        # the first order whose partial sum is weighted
-        self.first = n_max + 1 - len(self.weights)
+        self.omega = _euler_tails(n_max).reshape((-1,) + (1,) * len(shape))
         self.terms = np.empty((rows + 1,) + shape)
         self.done = 0
-        self.total = None
+        self.total = np.zeros(shape)
 
     def slots(self, m: int) -> np.ndarray:
         return self.terms[1:m + 1]
 
     def add(self, m: int) -> None:
-        k0, terms = self.done, self.terms
-        sums = terms[:m + 1] if k0 else terms[1:m + 1]
-        if sums[0].size < _ROW_ADD_MIN:
-            np.cumsum(sums, axis=0, out=sums)
-        else:  # the same additions in the same order
-            for i in range(1, len(sums)):
-                np.add(sums[i - 1], sums[i], out=sums[i])
-        lo = max(self.first, k0 + 1)
-        if lo <= k0 + m:
-            w = self.weights[lo - self.first:k0 + m + 1 - self.first]
-            if self.total is None:
-                self.total = np.einsum("k,k...->...", w, terms[lo - k0:m + 1])
-            else:  # the block lies inside the window, and slot 0 is spent
-                terms[0] = self.total
-                self.total = np.einsum("k,k...->...", np.concatenate(([1.0], w)),
-                                       terms[:m + 1])
-        terms[0] = terms[m]
+        k0, new = self.done, self.slots(m)
+        np.multiply(new, self.omega[k0 + 1:k0 + m + 1], out=new)
+        self.total = _carry_sum(self.terms, m, self.total)
         self.done = k0 + m
 
 
@@ -373,29 +391,33 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int):
     the rows (:func:`j_row`, or :func:`_window_row` for a ``window``), ``phi``
     is (K,) or (C, K).
 
+    With row2_n = psi_0(cut2) psi_{n-1}(cut2) / sqrt(2n) (twice that at even
+    n and 0 at odd n for a window), the sum sum_n Omega_n cos(n phi) row1_n
+    row2_n (:func:`_euler_tails`) is psi_0(cut2) sum_n psi_{n-1}(cut2)
+    (cos(n phi) v_n), with v_n = Omega_n row1_n / sqrt(2n), doubled for a
+    window, whose odd orders are neither multiplied nor summed.
+
     The orders stream through reused buffers in blocks, and no (n_max, C, K)
     array is built.  On each block: the shared eigenfunctions
     (:func:`special._psi_blocks`) at both cuts at once, cut1 riding along as
     column K, up to order n_max like a cut's scalar row (:func:`psi_rows`),
     so that a batch whose cuts repeat reads the memo entries that its cells'
-    rows and probes read; the rows in place, by :func:`j_row`'s (and
-    :func:`_window_row`'s) operations, the t1 rows copied out; the terms (cos(n phi) row1) row2, the cosines read from
-    :func:`_phase_table`; and their :class:`_EulerSum`.  These are the
-    operations of the materialized sum in the same order, so at K >= 2 each
-    column equals that column's own curve bit for bit, at any C, and each t1
-    row equals its cell's own.  At K = 1 the sums do not: the weighted einsum
-    over a (k, C, 1) block sums in an order that depends on C, and a column
-    may differ from its own curve in the last bit (up to about 2.5e-16).  No
-    t2 search calls a curve at K = 1 (:class:`scan.T2Search` has at least 2
-    coarse steps, and a curve on half its grid at least 2 points, by
-    :func:`_folds`), and its probes go through :func:`_q_round`.
+    rows and probes read; the t1 rows by :func:`j_row`'s (and
+    :func:`_window_row`'s) operations, so each equals its cell's own, and
+    their v; the block's terms, the cosines read from :func:`_phase_table`;
+    and their sum in order of n, the running total carried in
+    (:func:`_carry_sum`).  psi_0(cut2) multiplies the total once, after the
+    last block.  Every operation is elementwise or that ordered sum, so each
+    column equals its own curve bit for bit, at any C and K and any cut of
+    the blocks.
     """
     c, k = cut2.shape
     rows = _block_rows(c, k)
-    cos_t = _phase_table(phi, n_max)[0].reshape(n_max + 1, -1, k)
-    sqrt_2n = _sqrt_2n(n_max)
-    euler = _EulerSum(n_max, rows, (c, k))
+    cos_t = _phase_table(np.cos, phi, n_max).reshape(n_max + 1, -1, k)
+    sqrt_2n, omega = _sqrt_2n(n_max), _euler_tails(n_max)
     row1 = np.empty((c, n_max))
+    slots = np.empty((rows + 1, c, k))
+    total = np.zeros((c, k))
     psi0 = None
     # the block from k0 holds psi_{n-1} for the orders n = k0 + 1, ...; the
     # last order's psi_n_max is not read
@@ -405,20 +427,29 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int):
         m = len(psi)
         if psi0 is None:
             psi0 = psi[0].copy()
-        # J_0n = psi_0 psi_{n-1} / sqrt(2n), as j_row; twice that at even n
-        # and 0 at odd n for the window, as _window_row
-        np.multiply(psi, psi0, out=psi)
-        np.divide(psi, sqrt_2n[k0 + 1:k0 + m + 1, None, None], out=psi)
+        # J_0n = psi_0 psi_{n-1} / sqrt(2n) at cut1, as j_row; twice that at
+        # even n and 0 at odd n for the window, as _window_row
+        r1 = psi[:, :, k] * psi0[:, k]
+        r1 /= sqrt_2n[k0 + 1:k0 + m + 1, None]
         if window:
-            np.multiply(psi, 2.0, out=psi)
-            psi[k0 % 2::2] = 0.0
-        row1[:, k0:k0 + m] = psi[:, :, k].T
-        new = euler.slots(m)
-        np.multiply(cos_t[k0 + 1:k0 + m + 1], psi[:, :, k:], out=new)
-        np.multiply(new, psi[:, :, :k], out=new)
-        euler.add(m)
+            r1 *= 2.0
+            r1[k0 % 2::2] = 0.0
+        row1[:, k0:k0 + m] = r1.T
+        # the summed orders n, every one or a window's even ones, at block
+        # rows i = n - k0 - 1
+        lo = k0 + 1 + (window and k0 % 2 == 0)
+        n, i = slice(lo, k0 + m + 1, 1 + window), slice(lo - k0 - 1, m, 1 + window)
+        v = r1[i] * omega[n, None]
+        v /= sqrt_2n[n, None]
+        if window:
+            v *= 2.0
+        new = slots[1:len(v) + 1]
+        np.multiply(cos_t[n], v[:, :, None], out=new)
+        np.multiply(new, psi[i, :, :k], out=new)
+        total = _carry_sum(slots, len(v), total)
+    total *= psi0[:, :k]
     row1.flags.writeable = False
-    return euler.total, row1
+    return total, row1
 
 
 class _KernelValue(NamedTuple):
@@ -478,7 +509,8 @@ def _q_round(window: bool, probes: list, n_max: int) -> list:
     Each column's eigenfunctions at cut2 come from the memoized scalar
     recurrence (:func:`psi_rows`).  The rows, cosines and terms, and the
     derivative terms of the columns that ask, are each one (C, n_max) array,
-    summed along n with each column's Euler weights (:func:`_euler_rows`).
+    each row summed as its dot product with the tail weights Omega_n
+    (:func:`_euler_rows`).
     These are one point's operations, elementwise, in its order, so a column equals its
     one-column call bit for bit, whatever the other columns.  dq/dt2 is the
     Euler sum of the term derivatives, d row2_n/dcut2 being -psi_0 psi_n
@@ -524,13 +556,11 @@ def _q_round(window: bool, probes: list, n_max: int) -> list:
 
 def _euler_rows(terms: np.ndarray) -> list:
     """The Euler-averaged sum of each row of a (C, n) block of terms, the
-    sums of C points or of a point and its slope: their cumulative sums
-    along n, and each row's weights on its final window of partial sums by
-    one contiguous 1-D einsum.  These are :func:`special.averaged_partial_sum`'s
-    operations on the row, so each row equals its own sum bit for bit."""
-    weights = _euler_window(terms.shape[1])
-    return [np.einsum("k,k...->...", weights, row)
-            for row in np.cumsum(terms, axis=1)[:, terms.shape[1] - len(weights):]]
+    sums of C points or of a point and its slope: each row's dot product
+    with the tail weights Omega_n (:func:`_euler_tails`), one contiguous 1-D
+    einsum per row, so each row equals its own sum bit for bit."""
+    omega = _euler_tails(terms.shape[1])[1:]
+    return [np.einsum("k,k->", omega, row) for row in terms]
 
 
 def _sign_inputs(state, s1: int, s2: int, t1: float, t2, slope: bool = False,
@@ -856,8 +886,10 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
     product of its cut's pieces (u, v) and (L, -psi) scaled by the cached Q
     table (:func:`_gap_tables`), and takes its mixed family as one stacked
     product of their transpose with the factors: every column of any batch
-    then runs the same products, whose rounding may depend on their shape,
-    and equals that column's own curve bit for bit.
+    then runs the same products, whose rounding may depend on their shape.
+    The step's terms go to :class:`_EulerSum`, and the occupation sum s_up
+    adds in order of m (:func:`_ordered_sum`), so each column equals its own
+    curve bit for bit, at any K, one included.
     """
     c, k = cut2.shape
     m1 = len(cuts[0].u)
@@ -866,7 +898,8 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
     lp = np.array([(f.low, -f.psi) for f in cuts])
     wm, q = cuts[0].wm[:, None, None], _gap_tables(m1 - 1, n_max)[0]
     rows, step = _block_rows(c, k), _block_rows(4, k)  # a step's product has 4K columns
-    cos_t, sin_t = (t.reshape(n_max + 1, -1, k) for t in _phase_table(phi, n_max))
+    cos_t, sin_t = (_phase_table(wave, phi, n_max).reshape(n_max + 1, -1, k)
+                    for wave in (np.cos, np.sin))
     sqrt_2n = _sqrt_2n(n_max)
     euler = _EulerSum(n_max, step, (c, k))
     # ext[i] holds psi_{done + i}, the orders n = done + 1, ... waiting for
@@ -886,7 +919,7 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
                 factors[:, :, j] = f.transpose(1, 0, 2)
             factors = factors.reshape(c, m1, 4 * k)
             row2 = psi0 * head[:-1] / sqrt_2n[1:m1, None, None]
-            s_up = (wm * cos_t[1:m1] * row2 * row1[1:m1]).sum(axis=0)
+            s_up = _ordered_sum(wm * cos_t[1:m1] * row2 * row1[1:m1])
         waiting, start = filled - 1, 0
         last = euler.done + waiting == n_max
         while waiting - start >= step or (last and waiting > start):
@@ -952,7 +985,7 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
             phase_sum, s_up, diag2 = _thermal_stream(cuts, cut2, phi, n_max)
         k1 = diag1 if s1 == 1 else 1.0 - diag1
         k2 = diag2 if s2 == 1 else 1.0 - diag2
-        ee = (wm * k2[1:] * k1[1:]).sum(axis=0)
+        ee = _ordered_sum(wm * k2[1:] * k1[1:])
         q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
         if slopes is not None:
             dphase, ds_up, ddiag2 = slopes
@@ -977,11 +1010,10 @@ _PERIOD = {"sign": 2.0 * math.pi, "thermal": 2.0 * math.pi, "window": math.pi}
 def _folds(grid, period: float) -> bool:
     """Whether a curve with q(t2) = q(-t2) and period P repeats its first
     ceil(K/2) values of ``grid`` on the rest: K >= 4, so that the half grid
-    has at least 2 points (the batch invariance of :func:`_phase_sums`), and
-    every pair t_k + t_{K-1-k} is one multiple m P within 4 ulps of m P, so
-    that q(t_{K-1-k}) = q(m P - t_k) = q(t_k).  Cached by the grid's bytes,
-    because every cell of a row, and every search of a minimization, shares
-    its grid."""
+    has at least 2 points, and every pair t_k + t_{K-1-k} is one multiple m
+    P within 4 ulps of m P, so that q(t_{K-1-k}) = q(m P - t_k) = q(t_k).
+    Cached by the grid's bytes, because every cell of a row, and every
+    search of a minimization, shares its grid."""
     grid = np.ascontiguousarray(grid, dtype=float)
     return grid.ndim == 1 and _cached_folds(grid.tobytes(), period)
 

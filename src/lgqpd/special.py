@@ -1,4 +1,4 @@
-"""Harmonic-oscillator eigenfunctions, the stabilized series sum, and Gauss-Legendre rules.
+"""Harmonic-oscillator eigenfunctions, the oracle's stabilized series sum, and Gauss-Legendre rules.
 
 Conventions (used throughout the package): hbar = m = 1 and positions are
 dimensionless, so the oscillator eigenfunctions are
@@ -243,6 +243,11 @@ def averaged_partial_sum(terms: np.ndarray):
     The ``window - 1`` averaging passes are applied in one step: they leave
     the Euler weights C(window-1, k) / 2^(window-1) on the k-th of the final
     ``window`` partial sums, so the result is one weighted sum of them.
+
+    This is the number-basis oracle's sum only.  The eigenbasis series forms
+    the same average as its own tail-weighted sum of the terms
+    (``series._euler_tails``), so the routes share no summation code; the
+    two agree to rounding.
     """
     terms = np.asarray(terms)
     if terms.shape[0] == 0:

@@ -1,5 +1,7 @@
 import ast
+import functools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +18,41 @@ from lgqpd import (CapabilityError, MeasurementSpec, StateSpec, TruncationConfig
 from lgqpd import special
 from lgqpd.matrix_elements import j_block, j_row, ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table, _SeriesCell,
-                          _cell_curves, _euler_rows, _fill_singular, _geometry, _ground_weight,
-                          _halfline, _phase_table, _psi_sq_weights, _q_pure, _q_thermal,
-                          _sign_inputs, _t1_geometry, _window_inputs, _window_region,
-                          _window_row, series_tail_estimate)
+                          _cell_curves, _euler_rows, _euler_tails, _fill_singular, _geometry,
+                          _ground_weight, _halfline, _phase_table, _psi_sq_weights, _q_pure,
+                          _q_thermal, _sign_inputs, _t1_geometry, _window_inputs,
+                          _window_region, _window_row, series_tail_estimate)
 from lgqpd.special import HARD_N_CAP, averaged_partial_sum
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def tail_weights(n_max: int) -> np.ndarray:
+    """Omega_n for n = 1..n_max, the weight of the n-th term in the
+    Euler-averaged sum of n_max terms (binomial weights C(W-1, k) / 2^(W-1)
+    on the final W partial sums), as 1 minus the exact integer head of the
+    binomials before n over 2^(W-1), rounded once."""
+    w = min(256, max(2, 3 * n_max // 4), n_max)
+    first, scale = n_max + 1 - w, 2 ** (w - 1)
+    heads = [sum(math.comb(w - 1, k) for k in range(max(n - first, 0))) for n in range(1, n_max + 1)]
+    return np.array([(scale - head) / scale for head in heads])
+
+
+def euler_dot(terms) -> float:
+    """A point's Euler-averaged sum: the terms' dot product with the tail
+    weights."""
+    return np.einsum("k,k->", tail_weights(len(terms)), terms)
+
+
+def ordered_sum(terms) -> np.ndarray:
+    """The terms added along axis 0 one by one, in order of n, from 0."""
+    total = np.zeros(np.shape(terms)[1:])
+    for term in terms:
+        total = total + term
+    return total
 
 
 def thermal_reference(state, s1, s2, t1, t2, n_max):
@@ -650,7 +678,8 @@ def point_reference(state, half_width, s1, s2, t1, t2, n_max):
     """(q, dq/dt2) of one non-singular pure point summed on 1-D rows, as the
     point kernels summed it before a point became a round of one column:
     the rows j_row (or _window_row, for a ``half_width``) at both cuts, the
-    terms and their t2 derivatives, each through averaged_partial_sum."""
+    terms and their t2 derivatives, each summed by its dot product with the
+    tail weights."""
     window = half_width is not None
     column = (state,) if half_width is None else (state, half_width)
     inputs = _window_inputs if window else _sign_inputs
@@ -665,36 +694,37 @@ def point_reference(state, half_width, s1, s2, t1, t2, n_max):
     if window:
         drow2[0::2] = 0.0
     dterms = row1 * (cos * drow2 - dphi * n * np.sin(angle) * row2)
-    return (float(block + s1 * s2 * averaged_partial_sum(cos * row1 * row2)),
-            float(dblock + s1 * s2 * averaged_partial_sum(dterms)))
+    return (float(block + s1 * s2 * euler_dot(cos * row1 * row2)),
+            float(dblock + s1 * s2 * euler_dot(dterms)))
 
 
 def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):
-    """A pure series curve summed the way the kernels summed it before they
-    streamed: the rows of every order for all of ``grid`` at once, their
-    terms, averaged_partial_sum, then completeness at the singular phases.
-    A ``half_width`` selects the window projector."""
+    """A pure series curve with the rows of every order for all of ``grid``
+    at once: the t1 row (j_row, or _window_row for a ``half_width``), v_n =
+    Omega_n row1_n / sqrt(2n), doubled for a window, the terms
+    psi_{n-1}(cut2) (cos(n phi) v_n) of the summed orders (a window's even
+    ones) added in order of n, times psi_0(cut2), then completeness at the
+    singular phases."""
     lam1, lam2, a1, a2, phi = _geometry(state, t1, grid)
-    if half_width is None:
+    window = half_width is not None
+    if not window:
         cut1, cut2, region = -a1, -a2, _halfline
         block = 0.25 * (1.0 + s1 * erf(a1)) * (1.0 + s2 * erf(a2))
+        row1 = j_row(cut1, n_max)[1:]
     else:
         cut1, cut2, region = half_width / lam1, half_width / lam2, _window_region
         qbar1, qbar2 = 1.0 - 2.0 * erf(cut1), 1.0 - 2.0 * erf(cut2)
         block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-    sqrt_2n = np.sqrt(2.0 * np.arange(n_max + 1))
-
-    def row(x):
-        psi = psi_rows(x, n_max)
-        out = np.zeros_like(psi)
-        out[1:] = psi[0] * psi[:-1] / sqrt_2n[1:].reshape((-1,) + (1,) * np.ndim(x))
-        if half_width is not None:
-            out = 2.0 * out
-            out[1::2] = 0.0
-        return out
-
-    terms = np.cos(np.arange(n_max + 1)[1:, None] * phi) * row(cut1)[1:, None] * row(cut2)[1:]
-    q = block + s1 * s2 * averaged_partial_sum(terms)
+        row1 = _window_row(cut1, n_max)[1:]
+    n = np.arange(1, n_max + 1)
+    v = row1 * tail_weights(n_max) / np.sqrt(2.0 * n)
+    if window:
+        v = 2.0 * v
+    psi = psi_rows(cut2, n_max)
+    terms = psi[:-1] * (np.cos(n[:, None] * phi) * v[:, None])
+    if window:
+        terms = terms[1::2]
+    q = block + s1 * s2 * (ordered_sum(terms) * psi[0])
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
     if singular.any():
         q = _fill_singular(q, singular, phi, region, s1, s2, cut1, cut2, _ground_weight)
@@ -710,8 +740,8 @@ def batch_curves(states, halves, s1, s2, t1, grid, n_max):
 class TestBatchedCurves:
     """A list of states gives one row per state, from one streamed pass over
     the orders; each row equals, bit for bit, the curve summed with full
-    (n_max + 1, K) rows, whatever the batch size and block layout, on
-    grids of at least two points."""
+    (n_max + 1, K) rows, whatever the batch size, the block layout and the
+    number of grid points."""
 
     @staticmethod
     def _check(states, halves, s1, s2, t1, grid, n_max):
@@ -799,31 +829,49 @@ class TestBatchedCurves:
     @pytest.mark.parametrize("window", [False, True])
     @pytest.mark.parametrize("steps", [1, 2, 3, 8])
     def test_batch_invariance_holds_from_two_grid_points(self, window, steps):
-        # at K >= 2 every column of a batch equals its own curve bit for bit;
-        # at K = 1 the weighted einsum over a (k, C, 1) block sums in an order
-        # that depends on C, so a column may differ from its own curve in the
-        # last bit
+        # every column of a batch of C = 1..64 equals its own curve bit for
+        # bit, at one grid point too: the sums add in order of n at any shape
         rng = np.random.default_rng(steps)
-        states = [StateSpec.from_phase_space(x0, p0, 0.5)
-                  for x0, p0 in rng.uniform(-2.5, 2.5, (41, 2))]
-        halves = list(rng.uniform(0.6, 1.6, 41)) if window else None
         if window:
-            states = [StateSpec(r=r) for r in rng.uniform(0.0, 1.0, 41)]
+            states = [StateSpec(r=r) for r in rng.uniform(0.0, 1.0, 64)]
+            halves = list(rng.uniform(0.6, 1.6, 64))
+        else:
+            states = [StateSpec.from_phase_space(x0, p0, 0.5)
+                      for x0, p0 in rng.uniform(-2.5, 2.5, (64, 2))]
+            halves = None
         grid = rng.uniform(0.1, 6.0, steps)
-        rows = batch_curves(states, halves, 1, -1, 0.0, grid, 200)
         own = np.array([q_sign_series_curve(state, 1, -1, 0.0, grid, 200) if halves is None
                         else q_window_series_curve(state, halves[c], 1, -1, 0.0, grid, 200)
                         for c, state in enumerate(states)])
-        if steps >= 2:
-            assert rows.tobytes() == own.tobytes()
-        else:
-            assert np.abs(rows - own).max() <= 1e-15
+        for c in range(1, 65):
+            rows = batch_curves(states[:c], None if halves is None else halves[:c], 1, -1, 0.0,
+                                grid, 200)
+            assert rows.tobytes() == own[:c].tobytes()
+
+    def test_window_sums_read_only_even_orders(self, monkeypatch):
+        # a window's rows are 0 at odd n, so its sums neither multiply nor
+        # add those orders: cosines made NaN there change no bit
+        grid = np.linspace(0.05, 3.0, 30)
+        states, halves = [StateSpec(r=0.5)] * 3 + [StateSpec(r=0.2)], [0.8, 1.03, 1.6, 0.9]
+        want = batch_curves(states, halves, 1, 1, 0.0, grid, 201)
+        real = series._phase_table
+
+        def odd_nan(wave, phi, n_max):
+            table = real(wave, phi, n_max).copy()
+            table[1::2] = np.nan
+            return table
+
+        monkeypatch.setattr(series, "_phase_table", odd_nan)
+        assert batch_curves(states, halves, 1, 1, 0.0, grid, 201).tobytes() == want.tobytes()
+        assert np.isnan(batch_curves(states[:1], None, 1, 1, 0.0, grid, 201)).all()
 
 
 class TestOneSummationPath:
-    """Every series sum, value and slope, goes through _euler_rows (points)
-    or _EulerSum (curves); special's averaged_partial_sum is the oracle's sum
-    and the reference of the series' sums."""
+    """Every series sum, value and slope, is the Euler-averaged sum
+    sum_n Omega_n t_n with one table of tail weights (_euler_tails): a dot
+    product per row for points (_euler_rows), and a sum in order of n for
+    curves (_phase_sums and _EulerSum).  special's averaged_partial_sum is
+    the oracle's sum, which these agree with to rounding."""
 
     def test_series_takes_no_other_sum_and_no_other_route(self):
         tree = ast.parse(Path(series.__file__).read_text(encoding="utf-8"))
@@ -838,9 +886,24 @@ class TestOneSummationPath:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-        assert "averaged_partial_sum" not in set().union(*imported.values()) | names
+        for oracle_sum in ("averaged_partial_sum", "_euler_weights"):
+            assert oracle_sum not in set().union(*imported.values()) | names
         for route in ("fock", "integral"):
             assert route not in imported and route not in imported.get("*", ())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 150, 200, 256, 257, 2500])
+    def test_tail_weights_are_the_exact_binomial_tails(self, n):
+        w = min(256, max(2, 3 * n // 4), n)
+        first = n + 1 - w
+        exact, tail = [], Fraction(0)
+        for j in range(n, 0, -1):
+            if j >= first:
+                tail += Fraction(math.comb(w - 1, j - first), 2 ** (w - 1))
+            exact.append(float(tail))
+        omega = _euler_tails(n)
+        assert omega[1:].tolist() == exact[::-1] == tail_weights(n).tolist()
+        assert (omega[1:first + 1] == 1.0).all()
+        assert not omega.flags.writeable
 
     @pytest.mark.parametrize("n", [1, 2, 3, 150, 256, 257, 2500])
     @pytest.mark.parametrize("shape", [(), (3, 5)])
@@ -852,72 +915,89 @@ class TestOneSummationPath:
         euler = series._EulerSum(n, n, shape)
         euler.slots(n)[...] = terms
         euler.add(n)
-        want = np.asarray(averaged_partial_sum(terms))
+        weighted = terms * tail_weights(n).reshape(order.shape)
         assert np.shape(euler.total) == shape
-        assert np.asarray(euler.total).tobytes() == want.tobytes()
+        assert np.asarray(euler.total).tobytes() == ordered_sum(weighted).tobytes()
+        # the oracle's sum of the partial sums, to rounding
+        bound = 16 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+        assert (np.abs(euler.total - averaged_partial_sum(terms)) <= bound).all()
         if not shape:  # a point's sum, alone and in a round of three
             rows = _euler_rows(np.array([terms, 2.0 * terms, terms]))
+            want = euler_dot(terms)
             assert [np.asarray(row).tobytes() for row in rows[::2]] == [want.tobytes()] * 2
+            assert abs(want - averaged_partial_sum(terms)) <= bound
 
-    @pytest.mark.parametrize("shape", [(3, 97), (2, 511), (2, 512), (4, 300), (1, 4097)])
-    def test_row_adds_equal_the_cumsum(self, monkeypatch, shape):
-        # blocks of at least _ROW_ADD_MIN values per order add row by row,
-        # narrower ones take numpy's cumsum: the same additions either way
-        n_max, rows = 300, 7
-        noise = np.random.default_rng(shape[1]).standard_normal((n_max,) + shape)
-        terms = (np.cos(1.3 * np.arange(1, n_max + 1)))[:, None, None] + 0.1 * noise
-
-        def streamed(least):
-            monkeypatch.setattr(series, "_ROW_ADD_MIN", least)
-            euler = series._EulerSum(n_max, rows, shape)
-            for k0 in range(0, n_max, rows):
-                m = min(rows, n_max - k0)
-                euler.slots(m)[...] = terms[k0:k0 + m]
-                euler.add(m)
-            return euler.total
-
-        shipped = streamed(series._ROW_ADD_MIN)
-        assert shipped.tobytes() == streamed(1).tobytes() == streamed(math.inf).tobytes()
-        assert shipped.tobytes() == np.asarray(averaged_partial_sum(terms)).tobytes()
+    @pytest.mark.parametrize("rows", [2, 7, 300])
+    @pytest.mark.parametrize("shape", [(), (3, 2)])
+    def test_blocks_add_as_one_sequence(self, rows, shape):
+        # however the blocks cut the orders, each column is one sum in order
+        # of n, a lone column too
+        n_max = 300
+        order = np.arange(1, n_max + 1).reshape((-1,) + (1,) * len(shape))
+        noise = np.random.default_rng(rows).standard_normal((n_max,) + shape)
+        terms = np.cos(1.3 * order) + 0.1 * noise
+        euler = series._EulerSum(n_max, rows, shape)
+        for k0 in range(0, n_max, rows):
+            m = min(rows, n_max - k0)
+            euler.slots(m)[...] = terms[k0:k0 + m]
+            euler.add(m)
+        want = ordered_sum(terms * tail_weights(n_max).reshape(order.shape))
+        assert np.asarray(euler.total).tobytes() == want.tobytes()
 
 
 class TestPhaseTable:
-    """The cos(n phi) and sin(n phi) table that every array call reads."""
+    """The cos(n phi) and sin(n phi) tables that every array call reads."""
 
     @pytest.mark.parametrize("shape", [(7,), (3, 5)])
     def test_equals_a_fresh_evaluation_bit_for_bit(self, shape):
         phi = np.linspace(-3.0, 40.0, math.prod(shape)).reshape(shape)
-        cos, sin = _phase_table(phi, 150)
         angle = np.arange(151).reshape((-1,) + (1,) * len(shape)) * phi
-        assert cos.shape == sin.shape == (151,) + shape
-        assert cos.tobytes() == np.cos(angle).tobytes()
-        assert sin.tobytes() == np.sin(angle).tobytes()
+        for wave in (np.cos, np.sin):
+            table = _phase_table(wave, phi, 150)
+            assert table.shape == (151,) + shape
+            assert table.tobytes() == wave(angle).tobytes()
 
     def test_read_only_and_shared(self):
         phi = np.array([0.1, 1.2, 2.3])
-        cos, sin = _phase_table(phi, 40)
-        for table in (cos, sin):
+        cos = _phase_table(np.cos, phi, 40)
+        for table in (cos, _phase_table(np.sin, phi, 40)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[1, 0] = 0.0
         # an equal array of phases, such as the next row's, gets the same table
-        again = _phase_table(phi.copy(), 40)
-        assert again[0] is cos and again[1] is sin
-        assert _phase_table(phi, 41)[0] is not cos
+        assert _phase_table(np.cos, phi.copy(), 40) is cos
+        assert _phase_table(np.cos, phi, 41) is not cos
 
     def test_cache_is_bounded(self):
-        assert _cached_phase_table.cache_info().maxsize == 4
-        for k in range(6):
-            _phase_table(np.array([0.3 * k, 1.0]), 30)
-        assert _cached_phase_table.cache_info().currsize <= 4
+        assert _cached_phase_table.cache_info().maxsize == 8
+        for k in range(10):
+            _phase_table(np.cos, np.array([0.3 * k, 1.0]), 30)
+        assert _cached_phase_table.cache_info().currsize <= 8
+
+    def test_pure_curves_build_no_sine_table(self, monkeypatch):
+        waves, real = [], series._cached_phase_table
+
+        def recording(wave, *args):
+            waves.append(wave)
+            return real(wave, *args)
+
+        monkeypatch.setattr(series, "_cached_phase_table", recording)
+        grid = np.linspace(0.1, 6.0, 25)
+        states = [StateSpec.from_phase_space(x0, 0.4, 0.5) for x0 in (-1.0, 0.3)]
+        q_sign_series_curve(states, 1, -1, 0.0, grid, 120)
+        q_window_series_curve([StateSpec(r=0.5)] * 2, [0.8, 1.2], 1, 1, 0.0, grid, 120)
+        assert waves == [np.cos, np.cos]
+        # the thermal stream reads both
+        _SeriesCell("thermal", (StateSpec.from_phase_space(0.3, 0.4, 0.5, n_th=0.156),),
+                    (1, -1, 0.0), TruncationConfig(n_max=120)).curve(grid)
+        assert waves[2:] == [np.cos, np.sin]
 
 
 def materialized_thermal_curve(state, s1, s2, t1, grid, n_max):
-    """A thermal series curve summed the way the kernel summed it before it
-    streamed: the psi rows of every order for all of ``grid`` at once, the
-    mixed family as one product of B^T with the (m_cut + 1) x 4K factors,
-    averaged_partial_sum over the (n_max, K) terms, then completeness at the
-    singular phases."""
+    """A thermal series curve summed with the psi rows of every order for
+    all of ``grid`` at once: the mixed family as one product of B^T with the
+    (m_cut + 1) x 4K factors, the (n_max, K) terms weighted by Omega_n and
+    added in order of n, then completeness at the singular phases."""
     n_th = state.n_th
     w = n_th / (1.0 + n_th)
     m_cut = thermal_m_cut(n_th)
@@ -940,7 +1020,7 @@ def materialized_thermal_curve(state, s1, s2, t1, grid, n_max):
     n_terms = cos_n[1:] * row2 * row1[1:, None] + mixed[1:]
     wm = w ** n[1:m_cut + 1]
     s_up = (wm * cos_n[1:m_cut + 1] * row2[:m_cut] * row1[1:m_cut + 1, None]).sum(axis=0)
-    phase_sum = averaged_partial_sum(n_terms)
+    phase_sum = ordered_sum(n_terms * tail_weights(n_max)[:, None])
     diag2 = ladder_diagonal(-a2, psi[m])
     k1 = diag1 if s1 == 1 else 1.0 - diag1
     k2 = diag2 if s2 == 1 else 1.0 - diag2
@@ -1028,6 +1108,22 @@ class TestBatchedThermalCurves:
         grid = np.array([0.3, 1.0, 1.0 + math.pi, 2.2, 5.0])
         states = [StateSpec.from_phase_space(x0, 1.2, 0.5, 0.0, n_th) for x0 in (-1.0, 0.4)]
         self._check(states, 1, -1, 0.0, grid, 2500)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    @pytest.mark.parametrize("t1", [0.0, 0.3])
+    def test_batch_invariance_at_one_and_two_grid_points(self, steps, t1):
+        # every column of a batch of C = 1..64 equals its own curve bit for
+        # bit: the stacked products run per column, and every sum over n or
+        # m adds in order at any shape
+        rng = np.random.default_rng(steps)
+        states = [StateSpec.from_phase_space(x0, p0, 0.5, 0.4, 0.156)
+                  for x0, p0 in rng.uniform(-2.5, 2.5, (64, 2))]
+        cells = [_SeriesCell("thermal", (state,), (1, -1, t1), TruncationConfig(n_max=200))
+                 for state in states]
+        grid = rng.uniform(0.1, 6.0, steps)
+        own = np.array([cell.curve(grid) for cell in cells])
+        for c in range(1, 65):
+            assert np.array(_cell_curves(cells[:c], grid)).tobytes() == own[:c].tobytes()
 
     def test_mixed_occupations_are_split_into_batches(self, monkeypatch):
         grid = np.linspace(0.1, 6.0, 20)
