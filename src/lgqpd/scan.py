@@ -26,7 +26,7 @@ from .fock import DEFAULT_DIM, _check_dim, q_oracle_curve, qpd_oracle
 from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _cell_curves,
                      _cell_values, _check_finite, _check_signs, _check_squeezed_vacuum,
                      _SeriesCell)
-from .states import OffsetFunction, StateSpec
+from .states import T2_PERIOD, OffsetFunction, StateSpec, time_reversal_fixes
 
 #: Absolute tolerance of the t2 refinement: it stops once its next step, or
 #: half its bracket, is below XATOL.  It is also the step of the central
@@ -80,12 +80,14 @@ class T2Search:
 
 class T2Minimum(tuple):
     """``(q_min, t2_argmin)`` of :func:`minimize_over_t2`, with the
-    refinement's evaluator calls ``evals`` and ``capped``, true when it spent
-    its ``refine_iters`` before its step fell below ``XATOL``."""
+    refinement's evaluator calls ``evals``, ``capped``, true when it spent
+    its ``refine_iters`` before its step fell below ``XATOL``, and
+    ``reflected``, true when its coarse curve ran on half its grid."""
 
-    def __new__(cls, q: float, t2: float, evals: int = 0, capped: bool = False):
+    def __new__(cls, q: float, t2: float, evals: int = 0, capped: bool = False,
+                reflected: bool = False):
         out = super().__new__(cls, (q, t2))
-        out.evals, out.capped = evals, capped
+        out.evals, out.capped, out.reflected = evals, capped, reflected
         return out
 
 
@@ -114,18 +116,22 @@ def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
 
     ``evaluator`` maps one t2 to q, and its ``slope`` attribute, when it has
     one, maps one t2 to (q, dq/dt2 or None); an evaluator without it gets a
-    central difference of step ``XATOL``.  ``curve`` maps an array of t2
-    values to their q values; a caller that has the values on
-    ``search.grid()`` already passes a curve that returns them.
+    central difference of step ``XATOL``.  Its ``period`` attribute, when it
+    has one, is q's period P in t2, and says that q(t2) = q(-t2)
+    (:func:`named_evaluator` sets it where time reversal fixes the cell): on
+    a grid that folds for P (:func:`_folds`) the coarse curve is asked for
+    the first ceil(K/2) grid points only, and each later point is filled from
+    its mirror, q(t_{K-1-k}) = q(t_k).  ``curve`` maps an array of t2
+    values, the grid or that first half, to their q values.
     """
     return _drive([_t2_search(evaluator, curve, search)], _serve)[0]
 
 
 class _Request(NamedTuple):
     """A request of a t2 search (:func:`_t2_search`): the values of
-    ``curve`` on the coarse grid ``t2`` when ``curve`` is given, else the
-    ``evaluator`` at the float ``t2``, as (q, dq/dt2 or None) when ``slope``
-    and as q otherwise."""
+    ``curve`` on the coarse grid, or its first half, ``t2`` when ``curve`` is
+    given, else the ``evaluator`` at the float ``t2``, as (q, dq/dt2 or None)
+    when ``slope`` and as q otherwise."""
 
     evaluator: object
     t2: object
@@ -137,20 +143,47 @@ def _t2_search(evaluator, curve, search: T2Search):
     """The search of :func:`minimize_over_t2` as a generator: it yields
     each of its :class:`_Request`s and is sent the answer, and it returns the
     :class:`T2Minimum`, so that :func:`_drive` can serve the requests of
-    many searches together."""
+    many searches together.  The coarse curve is asked for half the grid
+    when the evaluator's ``period`` folds it (:func:`_folds`), and the
+    refinement (:func:`_refine`) runs on the whole grid's values."""
     grid = search.grid()
-    values = np.asarray((yield _Request(evaluator, grid, curve=curve)), dtype=float)
+    period = getattr(evaluator, "period", None)
+    half = period is not None and _folds(search, period)
+    t2 = grid[:(len(grid) + 1) // 2] if half else grid
+    values = np.asarray((yield _Request(evaluator, t2, curve=curve)), dtype=float)
+    if half:  # K >= 4, so the mirrored slice starts at index 1 or later
+        values = np.concatenate([values, values[len(grid) // 2 - 1::-1]])
+    return T2Minimum(*(yield from _refine(evaluator, grid, values, search)), reflected=half)
+
+
+@functools.lru_cache(maxsize=8)
+def _folds(search: T2Search, period: float) -> bool:
+    """Whether a curve with q(t2) = q(-t2) and period P repeats its first
+    ceil(K/2) values of ``search.grid()`` on the rest: K >= 4, and every
+    pair t_k + t_{K-1-k} is one multiple m P within 4 ulps of m P, so that
+    q(t_{K-1-k}) = q(m P - t_k) = q(t_k).  Cached, because every search of a
+    scan row, and of a minimization, shares its spec."""
+    grid = search.grid()
+    pairs = grid + grid[::-1]
+    target = round(pairs[0] / period) * period
+    return len(grid) >= 4 and bool(np.all(np.abs(pairs - target) <= 4.0 * math.ulp(target)))
+
+
+def _refine(evaluator, grid, values, search: T2Search):
+    """The refinement of :func:`_t2_search` from the coarse ``values`` on
+    ``grid``, as a generator of its requests that returns (q, t2, evals,
+    capped)."""
     i, last = int(np.nanargmin(values)), len(grid) - 1
     best_q, best_t = float(values[i]), float(grid[i])
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)])
     if search.refine_iters == 0 or not hi > lo:
-        return T2Minimum(best_q, best_t)
+        return best_q, best_t
     evals = 0
     if i in (0, last):
         inside = min(best_t + XATOL, hi) if i == 0 else max(best_t - XATOL, lo)
         q, evals = (yield _Request(evaluator, inside)), 1
         if not q < best_q:
-            return T2Minimum(best_q, best_t, evals)
+            return best_q, best_t, evals
         best_q, best_t = q, inside
     sloped_probes = getattr(evaluator, "slope", None) is not None
     cost = 1 if sloped_probes else 2
@@ -184,7 +217,7 @@ def _t2_search(evaluator, curve, search: T2Search):
         sloped = d is not None and math.isfinite(d)
         if best_q < lowest:
             if not sloped or d == 0.0:
-                return T2Minimum(best_q, best_t, evals)
+                return best_q, best_t, evals
             lo, hi = (lo, x) if d > 0 else (x, hi)
         else:  # the lowest point, and so a minimum, lies on its side of x
             lo, hi = (lo, x) if best_t < x else (x, hi)
@@ -204,9 +237,9 @@ def _t2_search(evaluator, curve, search: T2Search):
                 nxt = x - d / curvature
             prev = x, q, d
         if nxt is not None and abs(nxt - x) < XATOL or hi - lo < 2.0 * XATOL:
-            return T2Minimum(best_q, best_t, evals)
+            return best_q, best_t, evals
         x = nxt if nxt is not None and lo < nxt < hi else 0.5 * (lo + hi)
-    return T2Minimum(best_q, best_t, evals, True)
+    return best_q, best_t, evals, True
 
 
 @dataclass(frozen=True)
@@ -301,7 +334,7 @@ class ScanResult:
     counting only the cells that ran a search; ``mirror_filled`` is the
     number of cells filled from their time-reversal partner instead
     (:func:`_mirror_partners`), and ``reflected`` the number of searched
-    cells whose coarse curve ran on half its grid (:func:`_on_half_grid`)."""
+    cells whose coarse curve ran on half its grid (:func:`_t2_search`)."""
 
     config: ScanConfig
     axis1: np.ndarray
@@ -334,17 +367,18 @@ def _mirror_partners(config: ScanConfig, axis2: np.ndarray) -> list:
     """For each cell of a row, the index of the cell it is filled from, or
     None for a cell that runs its own search.
 
-    Time reversal maps q(x0, p0, theta0; t1, t2) to q(x0, -p0, -theta0;
-    -t1, -t2).  So on the x0p0 plane, with t1 = 0, a zero offset, r = 0 or
-    theta0 in {0, pi}, and a t2 window of exactly one period (omega * t2_max
-    - omega * t2_min == 2 pi), the cell at (x0, -p0) has the minimum of the
-    cell at (x0, p0), at its t2 negated and folded into the window; every
-    route and n_th qualifies.  Then a cell with p0 < 0 whose -p0 is exactly
-    on ``axis2`` is filled from that cell.  Otherwise every cell runs."""
+    On the x0p0 plane, when time reversal maps the measurement onto itself
+    (:func:`states.time_reversal_fixes`), the cell at (x0, -p0) has the
+    minimum of the cell at (x0, p0), at its t2 negated; on a t2 window of
+    exactly one period (omega * t2_max - omega * t2_min == 2 pi) that t2 is
+    folded into the window.  Every route and n_th qualifies.  Then a cell
+    with p0 < 0 whose -p0 is exactly on ``axis2`` is filled from that cell.
+    Otherwise every cell runs."""
     search = config.t2_search()
-    if not (config.plane == "x0p0" and config.t1 == 0 and config.offset().is_zero
-            and (config.r == 0 or config.theta0 in (0.0, math.pi))
-            and search.t2_max - search.t2_min == 2.0 * math.pi):
+    state = StateSpec(r=config.r, theta0=config.theta0)
+    if not (config.plane == "x0p0"
+            and time_reversal_fixes(state, config.omega * config.t1, config.offset())
+            and search.t2_max - search.t2_min == T2_PERIOD[config.projector]):
         return [None] * len(axis2)
     index = {float(p0): j for j, p0 in enumerate(axis2)}
     return [index.get(-float(p0)) if p0 < 0 else None for p0 in axis2]
@@ -361,17 +395,16 @@ def _scan_row(task):
     itself (:func:`_serve_kept`), and so is a cell filled from it.  Returns
     each cell's ``(q, t2, failed)``, the row's coarse and refinement seconds,
     the evaluator calls of its searched cells' refinements, the number of
-    them that were capped and the number of coarse curves that ran on half
-    their grid."""
+    them that were capped and the number of them whose coarse curve ran on
+    half its grid."""
     config, a1, axis2, partners = task
     search = config.t2_search()
     start = time.perf_counter()
-    served, reflected = [], []
+    served = []
 
     def serve(requests) -> list:
         answers = _serve_kept(requests)
         served.append(time.perf_counter())
-        reflected.extend(filter(_on_half_grid, requests))
         return answers
 
     driven = [j for j, k in enumerate(partners) if k is None]
@@ -390,7 +423,7 @@ def _scan_row(task):
         t2 = f[1] if k is None else search.t2_min + (-f[1] - search.t2_min) % period
         cells.append((f[0], t2 / config.omega, False))
     return (cells, coarse, end - start - coarse, sum(f.evals for f in done),
-            sum(f.capped for f in done), len(reflected))
+            sum(f.capped for f in done), sum(f.reflected for f in done))
 
 
 def _kept_search(config: ScanConfig, a1: float, a2: float, search: T2Search):
@@ -457,15 +490,6 @@ def _serve(requests) -> list:
     return answers
 
 
-def _on_half_grid(request: _Request) -> bool:
-    """Whether ``series._cell_curves`` answers ``request`` on half its
-    grid: a series cell's own curve, which :meth:`_SeriesCell.reflects` on
-    that grid."""
-    cell = request.evaluator
-    return (request.curve is not None and isinstance(cell, _SeriesCell)
-            and request.curve == cell.curve and cell.reflects(request.t2))
-
-
 def _serve_kept(requests) -> list:
     """:func:`_serve`, or, when that raises, each request served alone: one
     whose serving raises is answered by its error, which :func:`_drive`
@@ -491,10 +515,11 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     call and then refines its cells in lock-step rounds, one round-kernel
     call per round on the series route.  When the config is symmetric under
     time reversal, each row searches only one cell of each mirror pair and
-    fills the other (:func:`_mirror_partners`), and a series cell that time
-    reversal leaves unchanged evaluates its coarse curve on half its grid
-    (``series._cell_curves``).  Per-cell failures are recorded as NaN cells,
-    not raised.  The reduction to the global minimum
+    fills the other (:func:`_mirror_partners`), and a cell that time reversal
+    leaves unchanged evaluates its coarse curve on half its grid, on any
+    route (:func:`_t2_search`).  Per-cell failures are recorded as NaN cells,
+    not raised.  The rows run in one process, or in a pool of ``workers``
+    processes, at most one per row.  The reduction to the global minimum
     runs single-threaded in row-major order, so the result does not depend
     on ``workers``.
     """
@@ -507,6 +532,7 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     n_failed = 0
     coarse_s = refine_s = 0.0
     refine_evals = refine_capped = reflected = 0
+    workers = min(workers, len(tasks))
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             results = pool.map(_scan_row, tasks, chunksize=1)
@@ -754,7 +780,11 @@ def named_evaluator(params: dict, route: str, projector: str,
     kernel, which :func:`minimize_over_t2` refines with.  The integral and
     oracle evaluators have no slope; each is the one-element call of its
     route's t2-array kernel (``integral._q_integral`` or
-    :func:`q_oracle_curve`), and its curve one call of that kernel.
+    :func:`q_oracle_curve`), and its curve one call of that kernel.  On
+    every route, an evaluator whose cell time reversal leaves unchanged (p0
+    = 0 and :func:`states.time_reversal_fixes`) has a ``period`` attribute,
+    q's period in t2 (``states.T2_PERIOD``), which :func:`minimize_over_t2`
+    folds its grid with.
 
     Raises ValueError for an unknown parameter name, a non-finite t1, an
     out-of-range ``n_max``, ``quad_order`` or ``oracle_dim`` (each is checked
@@ -794,17 +824,22 @@ def named_evaluator(params: dict, route: str, projector: str,
         # a window state has n_th = 0 (checked above)
         family = "thermal" if state.n_th > 0 else meas.projector
         column = (state, float(meas.window_halfwidth)) if family == "window" else (state,)
-        cell = _SeriesCell(family, column, (s1, s2, t1), trunc)
-        return cell, cell.curve
-    if route == "integral":
+        evaluator = _SeriesCell(family, column, (s1, s2, t1), trunc)
+        curve = evaluator.curve
+    elif route == "integral":
         _check_pure(state)
         evaluator = (lambda t2, with_info=False: qpd_integral(
             state, meas.offset, s1, s2, t1, t2, order, with_info))
-        return evaluator, lambda grid: _q_integral(state, meas.offset, s1, s2, t1,
-                                                   np.asarray(grid, dtype=float), order)[0]
-    return (lambda t2, with_info=False: qpd_oracle(
-                state, meas, s1, s2, t1, t2, dim, with_info),
-            lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim))
+        curve = (lambda grid: _q_integral(state, meas.offset, s1, s2, t1,
+                                          np.asarray(grid, dtype=float), order)[0])
+    else:
+        evaluator = (lambda t2, with_info=False: qpd_oracle(
+            state, meas, s1, s2, t1, t2, dim, with_info))
+        curve = lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim)
+    if state.p0 == 0 and time_reversal_fixes(state, t1, meas.offset):
+        # the cell is its own time-reversal mirror, so q(t2) = q(-t2)
+        object.__setattr__(evaluator, "period", T2_PERIOD[meas.projector])
+    return evaluator, curve
 
 
 def _whole(name: str, value, least: int | None = None) -> int:

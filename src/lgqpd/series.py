@@ -16,11 +16,7 @@ Euler-averaged, and since that average is linear in the terms it is one
 weighted sum sum_n Omega_n t_n with exact tail weights Omega_n: a dot
 product per row for points and rounds, and for curves a sum in order of n,
 so that each column of a batch equals its own call bit for bit at any batch
-shape.  A cell that time reversal leaves unchanged (t1 = 0, p0 = 0, and r
-= 0 or theta0 in {0, pi}) has q(t2) = q(-t2), so on a grid whose mirrored
-pairs each sum to one multiple of q's period its curve is evaluated on the
-first half of the grid and filled from the mirrors.
-The families are:
+shape.  The families are:
 
 * coherent and squeezed pure states (sign projectors),
 * thermal squeezed coherent states (extra geometrically weighted sums over
@@ -349,35 +345,6 @@ def _carry_sum(slots: np.ndarray, m: int, total: np.ndarray) -> np.ndarray:
     blocks adds them as one sequence, however the blocks are cut."""
     slots[0] = total
     return _ordered_sum(slots[:m + 1])
-
-
-class _EulerSum:
-    """The Euler-averaged sum of a streamed curve, sum_n Omega_n t_n with
-    the tail weights of :func:`_euler_tails` (a point's sums are
-    :func:`_euler_rows`).  Its n_max terms arrive in consecutive blocks of at
-    most ``rows``.
-
-    A block's m terms are written into ``slots(m)`` and folded in by
-    ``add(m)``: each weighted by its Omega_n, then added in order of n to the
-    running total (:func:`_carry_sum`).  ``total`` is the sum once all n_max
-    terms are in; each column's operations are the same at any trailing
-    shape and any cut of the blocks.
-    """
-
-    def __init__(self, n_max: int, rows: int, shape: tuple):
-        self.omega = _euler_tails(n_max).reshape((-1,) + (1,) * len(shape))
-        self.terms = np.empty((rows + 1,) + shape)
-        self.done = 0
-        self.total = np.zeros(shape)
-
-    def slots(self, m: int) -> np.ndarray:
-        return self.terms[1:m + 1]
-
-    def add(self, m: int) -> None:
-        k0, new = self.done, self.slots(m)
-        np.multiply(new, self.omega[k0 + 1:k0 + m + 1], out=new)
-        self.total = _carry_sum(self.terms, m, self.total)
-        self.done = k0 + m
 
 
 def _block_rows(c: int, k: int) -> int:
@@ -887,9 +854,11 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
     table (:func:`_gap_tables`), and takes its mixed family as one stacked
     product of their transpose with the factors: every column of any batch
     then runs the same products, whose rounding may depend on their shape.
-    The step's terms go to :class:`_EulerSum`, and the occupation sum s_up
-    adds in order of m (:func:`_ordered_sum`), so each column equals its own
-    curve bit for bit, at any K, one included.
+    The step's terms are weighted by their tail weights Omega_n
+    (:func:`_euler_tails`) and added in order of n to the running total
+    (:func:`_carry_sum`), as in :func:`_phase_sums`, and the occupation sum
+    s_up adds in order of m (:func:`_ordered_sum`), so each column equals its
+    own curve bit for bit, at any K, one included.
     """
     c, k = cut2.shape
     m1 = len(cuts[0].u)
@@ -900,8 +869,8 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
     rows, step = _block_rows(c, k), _block_rows(4, k)  # a step's product has 4K columns
     cos_t, sin_t = (_phase_table(wave, phi, n_max).reshape(n_max + 1, -1, k)
                     for wave in (np.cos, np.sin))
-    sqrt_2n = _sqrt_2n(n_max)
-    euler = _EulerSum(n_max, step, (c, k))
+    sqrt_2n, omega = _sqrt_2n(n_max), _euler_tails(n_max)[:, None, None]
+    slots, total, done = np.empty((step + 1, c, k)), np.zeros((c, k)), 0
     # ext[i] holds psi_{done + i}, the orders n = done + 1, ... waiting for
     # their terms, ext[0] being the last order done
     ext = np.empty((rows + max(m1, step), c, k))
@@ -921,9 +890,9 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
             row2 = psi0 * head[:-1] / sqrt_2n[1:m1, None, None]
             s_up = _ordered_sum(wm * cos_t[1:m1] * row2 * row1[1:m1])
         waiting, start = filled - 1, 0
-        last = euler.done + waiting == n_max
+        last = done + waiting == n_max
         while waiting - start >= step or (last and waiting > start):
-            m, lo = min(step, waiting - start), euler.done + 1
+            m, lo = min(step, waiting - start), done + 1
             cur, lower = ext[start + 1:start + m + 1], ext[start:start + m]
             s = sqrt_2n[lo:lo + m, None, None]
             # J_0n(cut2) = psi_0 psi_{n-1} / sqrt(2n), as in j_row
@@ -932,13 +901,15 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
             b *= q[:, lo:lo + m]
             prod = np.matmul(b.transpose(0, 2, 1), factors)
             prod = prod.reshape(c, m, 4, k).transpose(2, 1, 0, 3)
-            _thermal_terms(cos_t[lo:lo + m], sin_t[lo:lo + m], cur, lower * s, row2,
-                           row1[lo:lo + m], prod, euler.slots(m))
-            euler.add(m)
+            new = _thermal_terms(cos_t[lo:lo + m], sin_t[lo:lo + m], cur, lower * s, row2,
+                                 row1[lo:lo + m], prod, slots[1:m + 1])
+            np.multiply(new, omega[lo:lo + m], out=new)
+            total = _carry_sum(slots, m, total)
+            done += m
             start += m
         ext[:filled - start] = ext[start:filled]
         filled -= start
-    return euler.total, s_up, diag2
+    return total, s_up, diag2
 
 
 def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
@@ -1001,33 +972,6 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
 # series cells
 # ---------------------------------------------------------------------------
 
-#: q's period in t2 for each family.  The window rows carry even orders
-#: only; the cut-0 rows of a sign or thermal state flip sign under t2 -> t2
-#: + pi, even at xi = 0.
-_PERIOD = {"sign": 2.0 * math.pi, "thermal": 2.0 * math.pi, "window": math.pi}
-
-
-def _folds(grid, period: float) -> bool:
-    """Whether a curve with q(t2) = q(-t2) and period P repeats its first
-    ceil(K/2) values of ``grid`` on the rest: K >= 4, so that the half grid
-    has at least 2 points, and every pair t_k + t_{K-1-k} is one multiple m
-    P within 4 ulps of m P, so that q(t_{K-1-k}) = q(m P - t_k) = q(t_k).
-    Cached by the grid's bytes, because every cell of a row, and every
-    search of a minimization, shares its grid."""
-    grid = np.ascontiguousarray(grid, dtype=float)
-    return grid.ndim == 1 and _cached_folds(grid.tobytes(), period)
-
-
-@functools.lru_cache(maxsize=4)
-def _cached_folds(key: bytes, period: float) -> bool:
-    grid = np.frombuffer(key)
-    if len(grid) < 4:
-        return False
-    pairs = grid + grid[::-1]
-    target = round(pairs[0] / period) * period
-    return bool(np.all(np.abs(pairs - target) <= 4.0 * math.ulp(target)))
-
-
 @dataclass(frozen=True)
 class _SeriesCell:
     """One series point of a projector ``family`` ("sign", "window" or
@@ -1069,17 +1013,6 @@ class _SeriesCell:
         """q over an array of t2 values (:func:`_cell_curves`)."""
         _check_finite(t2=grid)
         return _cell_curves([self], grid)[0]
-
-    def reflects(self, grid) -> bool:
-        """Whether this cell's curve on ``grid`` is evaluated on the grid's
-        first half and filled from the mirrors (:func:`_cell_curves`): t1 = 0
-        and a state that time reversal fixes, p0 = 0 and r = 0 or theta0 in
-        {0, pi}, so that q(t2) = q(-t2), on a grid that this folds
-        (:func:`_folds`)."""
-        state = self.column[0]
-        return (self.shared[2] == 0 and state.xi.imag == 0
-                and (state.r == 0 or state.theta0 in (0.0, math.pi))
-                and _folds(grid, _PERIOD[self.family]))
 
     def value(self, t2, slope: bool = False) -> _KernelValue:
         """The family's kernel at one t2, with its slope when asked: for a
@@ -1136,12 +1069,7 @@ def _cell_values(requests) -> list:
 def _cell_curves(cells, grid) -> list:
     """Each cell's q over the t2 array ``grid``, in order: the cells of one
     family, ``shared``, n_max and n_th in one streamed call, each row equal
-    bit for bit to the cell's own curve.  A cell that
-    :meth:`~_SeriesCell.reflects` runs with those that share its group on
-    the first ceil(K/2) points of the grid, and fills each later point from
-    its mirror, q(t_{K-1-k}) = q(t_k), the centre of an odd K from itself;
-    each cell decides for itself, so its row is the same in any batch, and
-    every other cell runs on the whole grid.  The cells judged their inputs
+    bit for bit to the cell's own curve.  The cells judged their inputs
     when they were made, so pure cells go straight to :func:`_q_pure`, and
     each that holds no t1 row yet takes the one its column's phase sums
     formed (:meth:`_SeriesCell.take_row`); thermal cells go through
@@ -1149,27 +1077,23 @@ def _cell_curves(cells, grid) -> list:
     grid = np.asarray(grid, dtype=float)
     rows, groups = [None] * len(cells), {}
     for i, cell in enumerate(cells):
-        key = (cell.family, cell.shared, cell.trunc.n_max, cell.column[0].n_th,
-               cell.reflects(grid))
+        key = (cell.family, cell.shared, cell.trunc.n_max, cell.column[0].n_th)
         groups.setdefault(key, []).append(i)
-    for (family, shared, n_max, _, reflected), members in groups.items():
+    for (family, shared, n_max, _), members in groups.items():
         batch = [cells[i] for i in members]
         columns = [list(arg) for arg in zip(*(cell.column for cell in batch))]
-        t2 = grid[:(len(grid) + 1) // 2] if reflected else grid
         if family == "thermal":
-            q = _q_thermal(*columns, *shared, t2, n_max, False,
+            q = _q_thermal(*columns, *shared, grid, n_max, False,
                            lambda: [c._held for c in batch]).q
         else:
             inputs = _sign_inputs
             if family == "window":
                 inputs, columns[1] = _window_inputs, np.asarray(columns[1], dtype=float)[:, None]
-            out = _q_pure(inputs, columns, *shared, t2, n_max)
+            out = _q_pure(inputs, columns, *shared, grid, n_max)
             q = out.q
             if out.row1 is not None:
                 for cell, row in zip(batch, out.row1):
                     cell.take_row(row)
-        if reflected:  # K >= 4, so the mirrored slice starts at index 1 or later
-            q = np.concatenate([q, q[:, len(grid) // 2 - 1::-1]], axis=1)
         for i, row in zip(members, q):
             rows[i] = row
     return rows

@@ -115,6 +115,20 @@ class OffsetFunction:
 
 ZERO_OFFSET = OffsetFunction()
 
+#: q's period in t2 per projector.  The window rows carry even orders only;
+#: the sign rows (thermal included) flip sign under t2 -> t2 + pi, even at
+#: xi = 0.
+T2_PERIOD = {"sign": 2.0 * math.pi, "window": math.pi}
+
+
+def time_reversal_fixes(state: StateSpec, t1: float, offset: OffsetFunction) -> bool:
+    """Whether time reversal (p -> -p, t -> -t) maps the measurement onto
+    itself: t1 = 0, no offset, and r = 0 or theta0 in {0, pi}.  Then q(x0,
+    p0; 0, t2) = q(x0, -p0; 0, -t2) for every x0, p0 and n_th, so a state
+    with p0 = 0 has q(t2) = q(-t2)."""
+    return (t1 == 0 and offset.is_zero
+            and (state.r == 0 or state.theta0 in (0.0, math.pi)))
+
 
 def gamma_from(xi: complex, r: float, theta0: float) -> complex:
     """Displacement seen behind the squeezer: gamma = xi cosh r - conj(xi) e^{i theta0} sinh r."""

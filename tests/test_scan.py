@@ -531,6 +531,35 @@ class TestScanPlane:
     def test_workers_do_not_change_bytes_thermal(self):
         self._assert_workers_do_not_change_bytes(0.8)
 
+    @pytest.mark.parametrize("rows,workers,pool", [(1, 8, None), (3, 8, 3), (3, 2, 2),
+                                                   (3, 1, None)])
+    def test_the_pool_has_at_most_one_worker_per_row(self, monkeypatch, rows, workers, pool):
+        # a one-row scan runs in-process, however many workers it may use
+        sizes = []
+
+        class Pool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks, chunksize=1):
+                return list(map(func, tasks))
+
+        monkeypatch.setattr(scan, "get_context",
+                            lambda method: type("Context", (), {"Pool": Pool}))
+        cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.3,
+                         axis1_min=-1.0, axis1_max=1.0, axis1_steps=rows, axis2_min=0.5,
+                         axis2_max=1.0, axis2_steps=2, t2_coarse_steps=20, t2_refine_iters=5,
+                         n_max=60)
+        res = scan_plane(cfg, workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        assert scan_csv_text(res) == scan_csv_text(scan_plane(cfg))
+
     def test_route_independence_on_subgrid(self):
         base = dict(plane="x0p0", s1=1, s2=-1, t1=0.0, r=0.3,
                     axis1_min=-1.5, axis1_max=-0.5, axis1_steps=5,
@@ -857,14 +886,17 @@ class TestMirror:
 
     @pytest.mark.parametrize("overrides,reflected,mirrored", [
         ({}, 2, True), ({"n_th": 0.8}, 2, True), ({"r": 0.0, "theta0": 0.5}, 2, True),
-        ({"theta0": 0.5}, 0, False), ({"t1": 0.4}, 0, False), ({"route": "integral"}, 0, True),
+        ({"theta0": 0.5}, 0, False), ({"t1": 0.4}, 0, False), ({"route": "integral"}, 2, True),
+        ({"route": "oracle", "oracle_dim": 120}, 2, True),
+        ({"route": "integral", "offset_amp": 0.4}, 0, False),
         ({"t2_max": math.pi}, 0, False), ({"t2_coarse_steps": 3}, 0, True)],
-        ids=["sign", "thermal", "r0", "theta0", "t1", "integral", "half_period", "k3"])
+        ids=["sign", "thermal", "r0", "theta0", "t1", "integral", "oracle", "integral_offset",
+             "half_period", "k3"])
     def test_reflected_counts_the_searched_half_grid_curves(self, overrides, reflected,
                                                              mirrored):
         # p0 in (-1, 0, 1) on two rows: the p0 = 0 cells are searched, and on
-        # the series route their coarse curves run on half the grid when the
-        # cell and the grid allow it
+        # every route their coarse curves run on half the grid when the cell
+        # and the grid allow it
         cfg = ScanConfig(**dict(self.ROW, axis1_steps=2, axis1_max=1.0, axis2_min=-1.0,
                                 axis2_max=1.0, axis2_steps=3, **overrides))
         res = assert_cells_match_their_own_search(cfg, mirrored)

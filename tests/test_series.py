@@ -15,14 +15,15 @@ from lgqpd import (CapabilityError, MeasurementSpec, StateSpec, TruncationConfig
                    q_window_series_curve, qpd_integral, qpd_oracle, qpd_series_squeezed,
                    qpd_series_thermal, qpd_series_window, named_evaluator,
                    psi_rows, series, sign_marginal, thermal_m_cut, x_xi_of)
-from lgqpd import special
+from lgqpd import T2Search, scan, special
 from lgqpd.matrix_elements import j_block, j_row, ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table, _SeriesCell,
-                          _cell_curves, _euler_rows, _euler_tails, _fill_singular, _geometry,
+                          _carry_sum, _cell_curves, _euler_rows, _euler_tails, _fill_singular, _geometry,
                           _ground_weight, _halfline, _phase_table, _psi_sq_weights, _q_pure,
                           _q_thermal, _sign_inputs, _t1_geometry, _window_inputs,
                           _window_region, _window_row, series_tail_estimate)
 from lgqpd.special import HARD_N_CAP, averaged_partial_sum
+from lgqpd.states import T2_PERIOD
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -45,6 +46,23 @@ def euler_dot(terms) -> float:
     """A point's Euler-averaged sum: the terms' dot product with the tail
     weights."""
     return np.einsum("k,k->", tail_weights(len(terms)), terms)
+
+
+def streamed_sum(terms, rows: int) -> np.ndarray:
+    """The Euler-averaged sum of ``terms`` as a curve streams it, in the
+    operations of _phase_sums and _thermal_stream: blocks of at most ``rows``
+    orders, each weighted by its tail weights in a reused slot buffer and
+    added to the running total by _carry_sum."""
+    n = len(terms)
+    omega = _euler_tails(n).reshape((-1,) + (1,) * (np.ndim(terms) - 1))
+    slots, total = np.empty((rows + 1,) + np.shape(terms)[1:]), np.zeros(np.shape(terms)[1:])
+    for k0 in range(0, n, rows):
+        m = min(rows, n - k0)
+        new = slots[1:m + 1]
+        new[...] = terms[k0:k0 + m]
+        np.multiply(new, omega[k0 + 1:k0 + m + 1], out=new)
+        total = _carry_sum(slots, m, total)
+    return total
 
 
 def ordered_sum(terms) -> np.ndarray:
@@ -870,7 +888,7 @@ class TestOneSummationPath:
     """Every series sum, value and slope, is the Euler-averaged sum
     sum_n Omega_n t_n with one table of tail weights (_euler_tails): a dot
     product per row for points (_euler_rows), and a sum in order of n for
-    curves (_phase_sums and _EulerSum).  special's averaged_partial_sum is
+    curves (_phase_sums and _thermal_stream, through _carry_sum).  special's averaged_partial_sum is
     the oracle's sum, which these agree with to rounding."""
 
     def test_series_takes_no_other_sum_and_no_other_route(self):
@@ -912,15 +930,13 @@ class TestOneSummationPath:
         order = np.arange(1, n + 1).reshape((-1,) + (1,) * len(shape))
         noise = np.random.default_rng(n).standard_normal((n,) + shape)
         terms = (np.cos(1.3 * order) + 0.1 * noise) / np.sqrt(order)
-        euler = series._EulerSum(n, n, shape)
-        euler.slots(n)[...] = terms
-        euler.add(n)
+        total = streamed_sum(terms, n)
         weighted = terms * tail_weights(n).reshape(order.shape)
-        assert np.shape(euler.total) == shape
-        assert np.asarray(euler.total).tobytes() == ordered_sum(weighted).tobytes()
+        assert np.shape(total) == shape
+        assert np.asarray(total).tobytes() == ordered_sum(weighted).tobytes()
         # the oracle's sum of the partial sums, to rounding
         bound = 16 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
-        assert (np.abs(euler.total - averaged_partial_sum(terms)) <= bound).all()
+        assert (np.abs(total - averaged_partial_sum(terms)) <= bound).all()
         if not shape:  # a point's sum, alone and in a round of three
             rows = _euler_rows(np.array([terms, 2.0 * terms, terms]))
             want = euler_dot(terms)
@@ -936,13 +952,8 @@ class TestOneSummationPath:
         order = np.arange(1, n_max + 1).reshape((-1,) + (1,) * len(shape))
         noise = np.random.default_rng(rows).standard_normal((n_max,) + shape)
         terms = np.cos(1.3 * order) + 0.1 * noise
-        euler = series._EulerSum(n_max, rows, shape)
-        for k0 in range(0, n_max, rows):
-            m = min(rows, n_max - k0)
-            euler.slots(m)[...] = terms[k0:k0 + m]
-            euler.add(m)
         want = ordered_sum(terms * tail_weights(n_max).reshape(order.shape))
-        assert np.asarray(euler.total).tobytes() == want.tobytes()
+        assert np.asarray(streamed_sum(terms, rows)).tobytes() == want.tobytes()
 
 
 class TestPhaseTable:
@@ -1146,124 +1157,147 @@ class TestBatchedThermalCurves:
 
 
 class TestReflectedCurves:
-    """A cell that time reversal leaves unchanged (t1 = 0, p0 = 0, and r = 0
-    or theta0 in {0, pi}) has q(t2) = q(-t2); on a grid of K >= 4 points
-    whose mirrored pairs each sum to one multiple m P of q's period, its
-    curve runs on the first ceil(K/2) points and fills the rest from their
-    mirrors.  Every other cell runs on the whole grid, as the kernel does."""
+    """A t2 search of a series cell that time reversal leaves unchanged (t1
+    = 0, p0 = 0, and r = 0 or theta0 in {0, pi}) has q(t2) = q(-t2): on a
+    grid of K >= 4 points whose mirrored pairs each sum to one multiple m P
+    of q's period, it asks for its coarse curve on the first ceil(K/2)
+    points and fills the rest from their mirrors (scan._t2_search).  Every
+    other search asks for the whole grid, and every curve is the family's
+    kernel on the grid it is given.  The coarse values are read where the
+    refinement receives them."""
 
     N_MAX = 120
-    SIGN_GRID = np.linspace(0.0, TWO_PI, 40)
-    WINDOW_GRID = np.linspace(0.05, math.pi - 0.05, 96)
+    SIGN_GRID = (0.0, TWO_PI, 40)
+    WINDOW_GRID = (0.05, math.pi - 0.05, 96)
 
     @classmethod
     def _cell(cls, family, x0=0.7, p0=0.0, r=0.5, theta0=0.0, t1=0.0, half_width=1.03):
-        trunc = TruncationConfig(n_max=cls.N_MAX)
+        """The (evaluator, curve) of one series cell, from named_evaluator."""
         if family == "window":
-            return _SeriesCell("window", (StateSpec(r=r, theta0=theta0), half_width),
-                               (1, 1, t1), trunc)
-        n_th = 0.3 if family == "thermal" else 0.0
-        return _SeriesCell(family, (StateSpec.from_phase_space(x0, p0, r, theta0, n_th),),
-                           (1, -1, t1), trunc)
+            return named_evaluator(dict(s1=1, s2=1, r=r, theta0=theta0, t1=t1, L=half_width),
+                                   "series", "window", cls.N_MAX)
+        params = dict(s1=1, s2=-1, x0=x0, p0=p0, r=r, theta0=theta0, t1=t1,
+                      n_th=0.3 if family == "thermal" else 0.0)
+        return named_evaluator(params, "series", "sign", cls.N_MAX)
 
     @staticmethod
-    def _direct(cell, grid):
-        """The family's kernel on the whole grid, as every curve ran before."""
-        state, t1, n_max = cell.column[0], cell.shared[2], cell.trunc.n_max
-        if cell.family == "thermal":
-            return _q_thermal([state], *cell.shared, grid, n_max, False,
-                              lambda: [cell._held]).q[0]
-        if cell.family == "window":
-            return _q_pure(_window_inputs, ([state], np.array([[cell.column[1]]])),
-                           *cell.shared, grid, n_max).q[0]
-        return _q_pure(_sign_inputs, ([state],), *cell.shared, grid, n_max).q[0]
+    def _searched(monkeypatch, cells, search):
+        """The searches of ``cells`` run together in lock-step (scan._drive):
+        each one's coarse values on ``search.grid()``, the grid each asked
+        its curve for, and each one's T2Minimum, whose refinement is cut
+        short."""
+        values, asked = {}, []
 
-    def _grid(self, family):
-        return self.WINDOW_GRID if family == "window" else self.SIGN_GRID
+        def refine(evaluator, grid, coarse, search):
+            values[id(evaluator)] = coarse
+            yield from ()
+            return 0.0, 0.0
+
+        def serve(requests):
+            asked.extend(request.t2 for request in requests)
+            return scan._serve(requests)
+
+        monkeypatch.setattr(scan, "_refine", refine)
+        found = scan._drive([scan._t2_search(*cell, search) for cell in cells], serve)
+        return [values[id(cell[0])] for cell in cells], asked, found
+
+    def _search(self, family):
+        return T2Search(*(self.WINDOW_GRID if family == "window" else self.SIGN_GRID))
 
     @pytest.mark.parametrize("family,kwargs,grid", [
         ("sign", {}, SIGN_GRID), ("sign", {"theta0": math.pi, "x0": -1.2}, SIGN_GRID),
         ("sign", {"r": 0.0, "theta0": 0.9}, SIGN_GRID), ("sign", {"x0": 0.0}, SIGN_GRID),
-        ("sign", {}, np.linspace(-math.pi, 3 * math.pi, 41)),
-        ("thermal", {}, SIGN_GRID), ("thermal", {"theta0": math.pi}, np.linspace(0.0, TWO_PI, 41)),
+        ("sign", {}, (-math.pi, 3 * math.pi, 41)),
+        ("thermal", {}, SIGN_GRID), ("thermal", {"theta0": math.pi}, (0.0, TWO_PI, 41)),
         ("window", {}, WINDOW_GRID), ("window", {"r": 0.0}, WINDOW_GRID),
-        ("window", {"theta0": math.pi}, np.linspace(0.02, 3.121592653589793, 120)),
-        ("window", {}, np.linspace(0.3, TWO_PI - 0.3, 51))],
+        ("window", {"theta0": math.pi}, (0.02, 3.121592653589793, 120)),
+        ("window", {}, (0.3, TWO_PI - 0.3, 51))],
         ids=["sign", "sign_theta0_pi", "sign_r0", "sign_xi0", "sign_two_periods", "thermal",
              "thermal_odd", "window", "window_r0", "window_fig6", "window_m2"])
-    def test_a_reflected_curve_equals_the_whole_grid_kernel(self, family, kwargs, grid):
-        cell = self._cell(family, **kwargs)
-        assert cell.reflects(grid)
-        row = cell.curve(grid)
-        assert row.shape == grid.shape
-        assert np.abs(row - self._direct(cell, grid)).max() <= 1e-15
-        assert row.tobytes() == row[::-1].tobytes()
+    def test_a_reflected_curve_equals_the_whole_grid_kernel(self, monkeypatch, family, kwargs,
+                                                            grid):
+        search, cell = T2Search(*grid), self._cell(family, **kwargs)
+        (values,), asked, (found,) = self._searched(monkeypatch, [cell], search)
+        assert found.reflected
+        assert asked[0].tobytes() == search.grid()[:(grid[2] + 1) // 2].tobytes()
+        assert values.shape == search.grid().shape
+        assert np.abs(values - cell[1](search.grid())).max() <= 1e-15
+        assert values.tobytes() == values[::-1].tobytes()
 
     @pytest.mark.parametrize("family", ["sign", "thermal", "window"])
-    def test_a_row_is_the_same_alone_in_a_mixed_batch_and_through_its_curve(self, family):
-        grid = self._grid(family)
-        alone = _cell_curves([self._cell(family)], grid)[0]
+    def test_a_row_is_the_same_alone_in_a_mixed_batch_and_through_its_curve(self, monkeypatch,
+                                                                           family):
+        search = self._search(family)
+        half = search.grid()[:(len(search.grid()) + 1) // 2]
+        alone = self._searched(monkeypatch, [self._cell(family)], search)[0][0]
         others = ([self._cell(family, t1=0.4), self._cell(family, theta0=0.5)]
                   + ([] if family == "window" else [self._cell(family, p0=0.3)]))
-        assert not any(cell.reflects(grid) for cell in others)
-        mixed = _cell_curves([others[0], self._cell(family), *others[1:]], grid)
-        assert self._cell(family).reflects(grid)
+        mixed, _, found = self._searched(monkeypatch, [others[0], self._cell(family), *others[1:]],
+                                         search)
+        assert [f.reflected for f in found] == [False, True] + [False] * (len(others) - 1)
         assert mixed[1].tobytes() == alone.tobytes()
-        assert self._cell(family).curve(grid).tobytes() == alone.tobytes()
+        assert self._cell(family)[1](half).tobytes() == alone[:len(half)].tobytes()
         for cell, row in zip(others, mixed[:1] + mixed[2:]):
-            assert row.tobytes() == self._direct(cell, grid).tobytes()
+            assert row.tobytes() == cell[1](search.grid()).tobytes()
 
     @pytest.mark.parametrize("family,case", [
         (family, case) for family in ("sign", "thermal", "window")
         for case in ("t1", "p0", "theta0", "short_window", "k2", "k3")
         if not (family, case) == ("window", "p0")])  # a window state has p0 = 0
-    def test_a_refused_case_is_the_direct_curve(self, family, case):
-        grid = self._grid(family)
+    def test_a_refused_case_is_the_direct_curve(self, monkeypatch, family, case):
+        lo, hi, steps = self.WINDOW_GRID if family == "window" else self.SIGN_GRID
         kwargs = {"t1": {"t1": 0.4}, "p0": {"p0": 0.3}, "theta0": {"theta0": 0.5}}.get(case, {})
-        if case == "short_window":
-            grid = np.linspace(grid[0], grid[-1] - 1e-9, len(grid))
+        search = T2Search(lo, hi - 1e-9 if case == "short_window" else hi, steps)
         if case in ("k2", "k3"):
             # symmetric, but too short to fold
-            grid = np.linspace(grid[0], grid[-1], int(case[1]))
-            assert self._cell(family).reflects(np.linspace(grid[0], grid[-1], 4))
+            search = T2Search(lo, hi, int(case[1]))
+            assert scan._folds(T2Search(lo, hi, 4), self._cell(family)[0].period)
         cell = self._cell(family, **kwargs)
-        assert not cell.reflects(grid)
-        assert cell.curve(grid).tobytes() == self._direct(cell, grid).tobytes()
+        # the cell is its own mirror unless a condition of time reversal breaks
+        assert hasattr(cell[0], "period") == (case not in ("t1", "p0", "theta0"))
+        (values,), asked, (found,) = self._searched(monkeypatch, [cell], search)
+        assert not found.reflected
+        assert asked[0].tobytes() == search.grid().tobytes()
+        assert values.tobytes() == cell[1](search.grid()).tobytes()
 
     @pytest.mark.parametrize("steps", [4, 5, 40, 41])
     def test_the_first_half_is_the_kernel_and_the_rest_its_mirror(self, monkeypatch, steps):
         # an odd K fills its centre point from itself, and a half grid has at
         # least 2 points
-        grid = np.linspace(0.0, TWO_PI, steps)
+        search = T2Search(0.0, TWO_PI, steps)
+        grid, half = search.grid(), (steps + 1) // 2
         cell, seen, real = self._cell("sign"), [], series._q_pure
         monkeypatch.setattr(series, "_q_pure",
                             lambda *args: seen.append(args[-2]) or real(*args))
-        row = cell.curve(grid)
-        half = (steps + 1) // 2
+        (row,), _, _ = self._searched(monkeypatch, [cell], search)
         assert len(seen) == 1 and seen[0].tobytes() == grid[:half].tobytes()
-        assert row[:half].tobytes() == self._direct(cell, grid[:half]).tobytes()
+        assert row.shape == grid.shape
+        assert row[:half].tobytes() == cell[1](grid[:half]).tobytes()
         assert row[half:].tobytes() == row[steps // 2 - 1::-1].tobytes()
-        if steps % 2:
-            assert row[half - 1] == self._direct(cell, grid[:half])[-1]
 
     @pytest.mark.parametrize("family", ["sign", "thermal", "window"])
     def test_short_grids_never_fold(self, family):
-        # K >= 4 keeps the half grid at 2 points or more, away from the K = 1
-        # batch of _phase_sums, whose sums depend on the batch size
+        # K >= 4 keeps the manifests' reflected counts, and CI's checks on
+        # them, as they were when only the series folded its curves; a
+        # search's grid has K >= 2 points (T2Search)
         period = math.pi if family == "window" else TWO_PI
-        assert series._PERIOD[family] == period
-        for steps in (1, 2, 3):
-            assert not series._folds(np.linspace(0.0, period, steps), period)
-        assert series._folds(np.linspace(0.0, period, 4), period)
-        assert not series._folds(np.linspace(0.0, period, 4).reshape(2, 2), period)
+        assert T2_PERIOD["window" if family == "window" else "sign"] == period
+        with pytest.raises(ValueError):
+            T2Search(0.0, period, 1)
+        for steps in (2, 3):
+            assert not scan._folds(T2Search(0.0, period, steps), period)
+        assert scan._folds(T2Search(0.0, period, 4), period)
 
     @pytest.mark.parametrize("family", ["sign", "thermal"])
-    def test_sign_states_at_xi_zero_keep_the_full_period(self, family):
+    def test_sign_states_at_xi_zero_keep_the_full_period(self, monkeypatch, family):
         # the cut-0 rows flip sign under t2 -> t2 + pi, so a window of pi does
         # not fold a sign or thermal curve, whose values are not symmetric there
-        grid = self.WINDOW_GRID
+        search = T2Search(*self.WINDOW_GRID)
         cell = self._cell(family, x0=0.0)
-        assert not cell.reflects(grid)
-        direct = self._direct(cell, grid)
-        assert cell.curve(grid).tobytes() == direct.tobytes()
+        assert cell[0].period == TWO_PI
+        (values,), asked, (found,) = self._searched(monkeypatch, [cell], search)
+        assert not found.reflected
+        assert asked[0].tobytes() == search.grid().tobytes()
+        direct = cell[1](search.grid())
+        assert values.tobytes() == direct.tobytes()
         assert np.abs(direct - direct[::-1]).max() > 1e-3

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lgqpd import (OffsetFunction, StateSpec, gamma_from, lambda_of, mode_e,
-                   n_th_from_temperature, phase_beta_of,
+                   n_th_from_temperature, named_evaluator, phase_beta_of,
                    reduce_squeezed_to_coherent, thermal_m_cut, thermal_weight,
                    x_xi_of)
-from lgqpd.states import lambda_dot, phase_beta_dot, x_xi_dot
+from lgqpd.states import (T2_PERIOD, ZERO_OFFSET, lambda_dot, phase_beta_dot,
+                          time_reversal_fixes, x_xi_dot)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,3 +225,79 @@ class TestSpecsValidation:
         assert np.max(np.abs(off.value(ts) - expected)) < 1e-12
         # the cut in eigenfunction units opposes the mean trajectory
         assert np.max(np.abs(off.cut_position(ts) + x_xi_of(ts, xi))) < 1e-12
+
+
+class TestTimeReversal:
+    """time_reversal_fixes holds where time reversal maps q onto itself on
+    every route, q(x0, p0; 0, t2) = q(x0, -p0; 0, -t2) = q(x0, p0; 0, t2 +
+    P), P from T2_PERIOD; a cell with p0 = 0 then carries P as its
+    evaluator's period."""
+
+    #: the oracle at dim 200 on a few examples
+    EXAMPLES = {"series": 20, "integral": 12, "oracle": 4}
+    POINT = dict(x0=0.5, p0=1.2, r=0.5, s1=1, s2=-1, oracle_dim=200)
+
+    @staticmethod
+    def _mismatch(route, projector, params, t2s, tr=True):
+        """The largest |q(x0, p0; t2) - q(x0, -p0; -t2)| over ``t2s``, or,
+        unless ``tr``, the largest |q(t2) - q(t2 + P)|."""
+        ev = named_evaluator(params, route, projector)[0]
+        if not tr:
+            return max(abs(ev(t2) - ev(t2 + T2_PERIOD[projector])) for t2 in t2s)
+        mirror = named_evaluator(dict(params, p0=-params.get("p0", 0.0)), route, projector)[0]
+        return max(abs(ev(t2) - mirror(-t2)) for t2 in t2s)
+
+    @pytest.mark.parametrize("route", ["series", "integral", "oracle"])
+    def test_the_rule_holds_on_every_route(self, route):
+        @settings(max_examples=self.EXAMPLES[route], deadline=None)
+        @given(x0=st.floats(-2.0, 2.0), p0=st.floats(-2.0, 2.0),
+               squeeze=st.one_of(st.tuples(st.just(0.0), st.floats(-3.0, 3.0)),
+                                 st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, math.pi]))),
+               signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+               t2=st.floats(0.05, 6.2), thermal=st.booleans())
+        def check(x0, p0, squeeze, signs, t2, thermal):
+            # away from the commuting separations t2 = k pi
+            assume(abs(math.sin(t2)) > 1e-3)
+            r, theta0 = squeeze
+            n_th = 0.3 if thermal and route == "series" else 0.0
+            assert time_reversal_fixes(StateSpec.from_phase_space(x0, p0, r, theta0, n_th), 0.0,
+                                       ZERO_OFFSET)
+            params = dict(x0=x0, p0=p0, r=r, theta0=theta0, n_th=n_th, s1=signs[0], s2=signs[1],
+                          oracle_dim=200)
+            assert self._mismatch(route, "sign", params, [t2]) <= 1e-13
+            assert self._mismatch(route, "sign", params, [t2], tr=False) <= 1e-13
+            cell = named_evaluator(dict(params, p0=0.0), route, "sign")[0]
+            assert cell.period == T2_PERIOD["sign"] == 2 * math.pi
+
+        check()
+
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    @pytest.mark.parametrize("r,theta0", [(0.0, 0.3), (0.5, 0.0), (0.8, math.pi)])
+    def test_the_rule_holds_for_the_window(self, route, r, theta0):
+        params = dict(L=1.03, r=r, theta0=theta0, s1=1, s2=-1, oracle_dim=200)
+        assert named_evaluator(params, route, "window")[0].period == T2_PERIOD["window"] == math.pi
+        for tr in (True, False):
+            assert self._mismatch(route, "window", params, [0.4, 1.3, 2.9], tr) <= 1e-13
+
+    @pytest.mark.parametrize("route,broken", [
+        (route, broken) for route in ("series", "integral", "oracle")
+        for broken in ("t1", "theta0", "offset") if (route, broken) != ("series", "offset")])
+    def test_each_broken_condition_breaks_the_identity(self, route, broken):
+        # so the rule is not looser than the physics; t1 is the same on both
+        # sides, and the series takes no offset
+        extra = {"t1": {"t1": 0.4}, "theta0": {"theta0": 0.5},
+                 "offset": {"offset": OffsetFunction(0.4, 0.3)}}[broken]
+        params = dict(self.POINT, **extra)
+        state = StateSpec.from_phase_space(0.5, 1.2, 0.5, params.get("theta0", 0.0))
+        assert not time_reversal_fixes(state, params.get("t1", 0.0),
+                                       params.get("offset", ZERO_OFFSET))
+        assert self._mismatch(route, "sign", params, [0.7, 1.9, 4.1]) > 1e-3
+        assert not hasattr(named_evaluator(dict(params, p0=0.0), route, "sign")[0], "period")
+
+    @pytest.mark.parametrize("route", ["integral", "oracle"])
+    @pytest.mark.parametrize("offset", [OffsetFunction(0.4, 0.0), OffsetFunction(constant=0.3)])
+    def test_an_even_offset_is_refused_although_it_keeps_the_identity(self, route, offset):
+        # "no offset" is the conservative rule
+        params = dict(self.POINT, offset=offset)
+        assert not time_reversal_fixes(StateSpec(r=0.5), 0.0, offset)
+        assert self._mismatch(route, "sign", params, [0.7, 1.9, 4.1]) <= 1e-13
