@@ -34,7 +34,9 @@ from .states import T2_PERIOD, OffsetFunction, StateSpec, time_reversal_fixes
 #: the distance from a window end of the probe that confirms a minimum there.
 XATOL = 1e-9
 
-#: Relative rounding of a q value, below which two values' difference is noise.
+#: Rounding of a q value relative to max(|q|, 1), below which two values'
+#: difference is noise: q sums terms of order one, so its rounding does not
+#: shrink with |q|.
 _ROUNDING = 64 * np.finfo(float).eps
 
 LUDERS_FLOOR = -0.125 - 1e-6
@@ -231,7 +233,7 @@ def _refine(evaluator, grid, values, search: T2Search):
                 # tangents meet
                 off = abs(q - q0 - 0.5 * (d + d0) * (x - t0))
                 if d * d0 < 0 and off > (0.1 * abs((d - d0) * (x - t0))
-                                         + _ROUNDING * max(abs(q), abs(q0))):
+                                         + _ROUNDING * max(abs(q), abs(q0), 1.0)):
                     nxt = (q0 - q + d * x - d0 * t0) / (d - d0)
             elif prev is None and curvature is not None:
                 nxt = x - d / curvature
@@ -512,8 +514,8 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
 
     The tasks are the grid's rows (:func:`_scan_row`), whatever the number of
     ``workers``: each row evaluates its cells' coarse t2 curves in one kernel
-    call and then refines its cells in lock-step rounds, one round-kernel
-    call per round on the series route.  When the config is symmetric under
+    call and then refines its cells in lock-step rounds, one kernel call per
+    round and family on the series route.  When the config is symmetric under
     time reversal, each row searches only one cell of each mirror pair and
     fills the other (:func:`_mirror_partners`), and a cell that time reversal
     leaves unchanged evaluates its coarse curve on half its grid, on any

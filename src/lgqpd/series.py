@@ -3,38 +3,31 @@
 Each projector sandwiched between energy eigenstates reduces to half-line (or
 window) matrix elements J of the eigenfunctions, evaluated at cuts rescaled by
 the width lambda(t); free evolution contributes the phase
-``exp(-i n (t2 - t1 + beta(t2) - beta(t1)))``.  Each projector family
-has one kernel over t2, a closed erf block plus a truncated phase sum over J
-products.  Every series point, slope and t2 search probe is a call of a cell
-(:class:`_SeriesCell`: one family, state and t1), which builds the t1 half of
-its points once and holds it; the pure families' probes of several cells are
-one call of the round kernel.  Every curve is the kernel's array call, which
-takes a list of states at once, streaming their orders in cache-sized blocks
-and reading the phase factors cos(n phi), and for the thermal family sin(n
-phi), from cached tables per grid of phases.  Every truncated sum over n is
-Euler-averaged, and since that average is linear in the terms it is one
-weighted sum sum_n Omega_n t_n with exact tail weights Omega_n: a dot
-product per row for points and rounds, and for curves a sum in order of n,
-so that each column of a batch equals its own call bit for bit at any batch
-shape.  The families are:
+``exp(-i n (t2 - t1 + beta(t2) - beta(t1)))``.  Each series family has one
+kernel, a closed erf block plus a truncated phase sum over J products, which
+takes a (C, K) batch: C columns over a t2 grid that they share (curves), or
+at one t2 each (K = 1: a point, or one round of t2 search probes, with
+dq/dt2 from the same pass when asked).  Its orders stream in cache-sized
+blocks, and every sum over n is the Euler average written as one weighted
+sum sum_n Omega_n t_n with exact tail weights Omega_n, added in order of n,
+so that each column equals its own one-column call bit for bit at any batch
+shape.  A cell (:class:`_SeriesCell`: one family, state and t1) builds the t1
+half of its points once and holds it.  The families are:
 
-* coherent and squeezed pure states (sign projectors),
+* coherent and squeezed pure states (sign projectors), and squeezed vacuum
+  with symmetric window projectors, which share the pure kernel;
 * thermal squeezed coherent states (extra geometrically weighted sums over
   the initial occupation, plus a diagonal overlap family), whose t1 cut is
-  held as O(n_max) pieces (the last build cached) and whose mixed-phase
-  family goes through x-independent 1/(2 (n - m)) tables cached per (m_cut,
-  n_max): a point is one product of a table with the cut-weighted factors,
-  and a curve forms each step's block columns from the pieces and the table
-  and applies them in one stacked matrix product,
-* squeezed vacuum with symmetric window projectors.
+  held as O(n_max) pieces and whose mixed-phase family goes through
+  x-independent 1/(2 (n - m)) tables cached per (m_cut, n_max), applied to
+  each step of orders as one stacked matrix product.
 
-The two pure families share one summation core.  When the total phase per
-quantum is a multiple of pi the two measured quadratures commute, the phase
-sum loses its oscillatory cancellation, and the truncated series converges
-like n^(-1/2); those separations are instead evaluated exactly through
-projector completeness (the sum collapses to an overlap integral of interval
-indicators, with a parity reflection when the phase is an odd multiple of
-pi), written once for all three kernels.
+When the total phase per quantum is a multiple of pi the two measured
+quadratures commute, the phase sum loses its oscillatory cancellation, and
+the truncated series converges like n^(-1/2); those separations are instead
+evaluated exactly through projector completeness (the sum collapses to an
+overlap integral of interval indicators, with a parity reflection when the
+phase is an odd multiple of pi), written once for both kernels.
 """
 
 from __future__ import annotations
@@ -51,8 +44,8 @@ import scipy.special as _sp
 from .errors import TruncationError
 from .matrix_elements import j_diag_row, j_row, ladder_diagonal, lowered
 from .special import _check_n_cap, _psi_blocks, _sqrt_2n, psi_rows
-from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, lambda_dot, lambda_of,
-                     phase_beta_dot, phase_beta_of, thermal_m_cut, x_xi_dot, x_xi_of)
+from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, _beta_and_rates, lambda_of,
+                     phase_beta_of, thermal_m_cut, x_xi_dot, x_xi_of)
 
 #: |sin(total phase)| below which the exact completeness branch is used.
 SINGULAR_PHASE_TOL = 1e-9
@@ -159,24 +152,34 @@ class SeriesInfo:
     m_tail: float = 0.0
 
 
+#: The trailing terms that the tail estimate reads, and that a point keeps.
+_TAIL_TERMS = 16
+
+
 def series_tail_estimate(terms) -> float:
     """Conservative bound on the omitted tail of a term sequence.
 
     Fits a geometric envelope to the trailing |terms| (running maxima guard
     against phase zeros) and sums the extrapolated geometric tail.  Exact for
     geometric decay; deliberately pessimistic for slower decay, where the
-    clipped ratio makes the bound large rather than falsely small.
+    clipped ratio makes the bound large rather than falsely small.  It reads
+    only the last 16 terms and their count (:func:`_tail_bound`).
     """
-    t = np.abs(np.asarray(terms, dtype=float))
+    t = np.asarray(terms, dtype=float)
     if t.size < 8:
         raise ValueError("series_tail_estimate needs at least 8 computed terms")
+    return _tail_bound(t[-_TAIL_TERMS:], t.size)
+
+
+def _tail_bound(last, count: int) -> float:
+    """:func:`series_tail_estimate` of ``count`` terms from their ``last``
+    (at most 16): the form in which a series point hands over its terms."""
+    t = np.abs(np.asarray(last, dtype=float))
     if not np.any(t > 0):
         return 0.0
-    k = min(16, t.size)
-    window = t[-k:]
-    env = np.maximum.accumulate(window[::-1])[::-1]
+    env = np.maximum.accumulate(t[::-1])[::-1]
     pos = env > 0
-    n_idx = np.arange(t.size - k, t.size, dtype=float)[pos]
+    n_idx = np.arange(count - t.size, count, dtype=float)[pos]
     y = np.log(env[pos])
     if n_idx.size < 2 or np.ptp(y) == 0.0:
         rho = 0.995
@@ -184,7 +187,7 @@ def series_tail_estimate(terms) -> float:
     else:
         slope, intercept = np.polyfit(n_idx, y, 1)
         rho = float(np.clip(math.exp(slope), 1e-6, 0.995))
-        level = float(math.exp(intercept + slope * t.size))
+        level = float(math.exp(intercept + slope * count))
     return level / (1.0 - rho)
 
 
@@ -257,21 +260,39 @@ def _fill_singular(q, singular, phi, region, s1: int, s2: int, cut1, cut2, weigh
 # evaluators
 # ---------------------------------------------------------------------------
 
+
 @functools.lru_cache(maxsize=8)
-def _t1_geometry(state: StateSpec, t1: float):
-    """lambda(t1), beta(t1) and x_xi(t1)/lambda(t1): the half of
-    :func:`_geometry` that every t2 probe of a minimization shares."""
-    lam1 = lambda_of(t1, state.r, state.theta0)
-    return lam1, phase_beta_of(t1, state.r, state.theta0), x_xi_of(t1, state.xi) / lam1
+def _t1_geometry(r: float, theta0: float, t1: float):
+    """lambda(t1) and beta(t1) of one squeezing: the t1 half of the geometry
+    that every call of a row's cells shares."""
+    return lambda_of(t1, r, theta0), phase_beta_of(t1, r, theta0)
 
 
-def _geometry(state: StateSpec, t1: float, t2, t1_geometry=None):
-    lam1, b1, a1 = t1_geometry or _t1_geometry(state, t1)
-    lam2 = lambda_of(t2, state.r, state.theta0)
-    b2 = phase_beta_of(t2, state.r, state.theta0)
-    a2 = x_xi_of(t2, state.xi) / lam2
+def _columns(states: list, t1: float, t2: np.ndarray, slope: bool = False):
+    """The geometry of C states at t1 and at ``t2``, a (K,) grid that the
+    columns share or (C, 1), one t2 per column: lam1 and a1 broadcasting to
+    (C, 1), lam2 and a2 to (C, K), phi of shape (K,) when a grid meets states
+    of one squeezing, else (C, K), and with ``slope`` the t2 rates (phi' = 1
+    + beta', lambda', x_xi'), the closed forms of :mod:`states`, else None.
+    lambda and beta are evaluated once per distinct squeezing (r, theta0)
+    and taken on its columns, and x_xi once over all columns."""
+    squeezing = [(s.r, s.theta0) for s in states]
+
+    def of(r, theta0, t):
+        lam = lambda_of(t, r, theta0)
+        return [*_t1_geometry(r, theta0, t1), lam,
+                *_beta_and_rates(t, r, theta0, lam if slope else None)]
+
+    keys = list(dict.fromkeys(squeezing))
+    parts = of(*keys[0], t2)
+    for key in keys[1:]:
+        rows = np.array([s == key for s in squeezing])[:, None]
+        parts = [np.where(rows, value, part) for value, part in zip(of(*key, t2), parts)]
+    lam1, b1, lam2, b2, *rates = parts
+    xi = np.array([s.xi for s in states])[:, None]
     phi = (t2 - t1) + (b2 - b1)
-    return lam1, lam2, a1, a2, phi
+    return (lam1, lam2, x_xi_of(t1, xi) / lam1, x_xi_of(t2, xi) / lam2, phi,
+            (1.0 + rates[0], rates[1], x_xi_dot(t2, xi)) if slope else None)
 
 
 def _window_row(h: float, n_max: int) -> np.ndarray:
@@ -290,22 +311,35 @@ def _window_row(h: float, n_max: int) -> np.ndarray:
 _BLOCK_DOUBLES = 16384
 
 
-def _phase_table(wave, phi, n_max: int):
-    """``wave``(n phi), np.cos or np.sin, for n = 0..n_max, of shape (n_max +
-    1,) + phi.shape and read-only: the phase factors of every array call.
-    The pure curves read only the cosines, the thermal stream both.  Cached
-    by the wave, phi's bytes and n_max, because every row of a plane, and
-    every curve of a search at fixed squeezing, has the same phases."""
+def _phase_tables(phi, n_max: int, sine: bool = False) -> list:
+    """[cos(n phi), sin(n phi) when ``sine`` else None] for n = 0..n_max,
+    each of shape (n_max + 1,) + phi.shape: the phase factors of every
+    kernel call.  The pure curves read only the cosines; the thermal stream
+    and every slope read both.  A curve's tables are read-only and cached by
+    the wave, phi's bytes and n_max, because every row of a plane, and every
+    curve of a search at fixed squeezing, has the same phases.  A call at one
+    t2 per column (K = 1: a point or a round of probes) computes its own from
+    one array of angles: its phases never repeat, and would evict a grid's
+    table."""
     phi = np.ascontiguousarray(phi, dtype=float)
-    return _cached_phase_table(wave, phi.tobytes(), phi.shape, n_max)
+    waves = (np.cos, np.sin) if sine else (np.cos,)
+    if phi.shape[-1] == 1:
+        angles = _angles(phi, n_max)
+        tables = [wave(angles) for wave in waves]
+    else:
+        tables = [_cached_phase_table(wave, phi.tobytes(), phi.shape, n_max) for wave in waves]
+    return tables + [None] * (2 - len(tables))
 
 
 @functools.lru_cache(maxsize=8)
 def _cached_phase_table(wave, key: bytes, shape: tuple, n_max: int):
-    table = wave(np.arange(n_max + 1).reshape((-1,) + (1,) * len(shape))
-                 * np.frombuffer(key).reshape(shape))
+    table = wave(_angles(np.frombuffer(key).reshape(shape), n_max))
     table.flags.writeable = False
     return table
+
+
+def _angles(phi: np.ndarray, n_max: int) -> np.ndarray:
+    return np.arange(n_max + 1.0).reshape((-1,) + (1,) * phi.ndim) * phi
 
 
 @functools.lru_cache(maxsize=16)
@@ -335,7 +369,7 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     numpy reduces an outer axis row by row, but sums a lone contiguous run,
     one value per row, pairwise, so that run goes through cumsum."""
     if terms[0].size == 1:
-        return np.cumsum(terms, axis=0)[-1]
+        return terms.cumsum(axis=0)[-1]
     return np.add.reduce(terms, axis=0)
 
 
@@ -351,61 +385,80 @@ def _block_rows(c: int, k: int) -> int:
     return max(2, _BLOCK_DOUBLES // (c * k))
 
 
-def _phase_sums(window: bool, cut1, cut2, phi, n_max: int):
-    """The Euler-averaged sums over n = 1..n_max of cos(n phi) row1_n row2_n
-    for a batch of C columns sharing K values of t2, and the t1 rows row1
-    (C, n_max), read-only: ``cut1`` (C, 1) and ``cut2`` (C, K) are the cuts of
-    the rows (:func:`j_row`, or :func:`_window_row` for a ``window``), ``phi``
-    is (K,) or (C, K).
+def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None,
+                tail: bool = False):
+    """(sums, row1, slopes, terms) of the pure families for C columns over K
+    values of t2: ``sums`` are the Euler-averaged sums over n = 1..n_max of
+    cos(n phi) row1_n row2_n, the rows being :func:`j_row` at the cuts, or
+    :func:`_window_row` for a ``window``.  ``cut2`` is (C, K) and ``phi``
+    (K,) or (C, K).  Each column's t1 row is ``row1`` (C, n_max), the rows
+    that the cells hold, or, when it is None, is formed in the stream from
+    ``cut1`` (C, 1) and returned read-only.  Given ``rates``, the t2 rates
+    (phi', cut2') of shape (C, K), ``slopes`` is the t2 derivative of the
+    sums, else None; with ``tail``, ``terms`` is (C, T), the raw terms
+    cos(n phi) row1_n row2_n of the last T = min(16, n_max) orders of each
+    column at K = 1, else None.
 
     With row2_n = psi_0(cut2) psi_{n-1}(cut2) / sqrt(2n) (twice that at even
     n and 0 at odd n for a window), the sum sum_n Omega_n cos(n phi) row1_n
     row2_n (:func:`_euler_tails`) is psi_0(cut2) sum_n psi_{n-1}(cut2)
     (cos(n phi) v_n), with v_n = Omega_n row1_n / sqrt(2n), doubled for a
-    window, whose odd orders are neither multiplied nor summed.
+    window, whose odd orders are neither multiplied nor summed.  Since
+    d row2_n / dcut2 = -psi_0 psi_n (doubled, or 0, as row2), the slope is
+    psi_0 (-cut2' sum_n psi_n cos(n phi) sqrt(2n) v_n - phi' sum_n psi_{n-1}
+    n sin(n phi) v_n).
 
     The orders stream through reused buffers in blocks, and no (n_max, C, K)
     array is built.  On each block: the shared eigenfunctions
-    (:func:`special._psi_blocks`) at both cuts at once, cut1 riding along as
-    column K, up to order n_max like a cut's scalar row (:func:`psi_rows`),
-    so that a batch whose cuts repeat reads the memo entries that its cells'
-    rows and probes read; the t1 rows by :func:`j_row`'s (and
-    :func:`_window_row`'s) operations, so each equals its cell's own, and
-    their v; the block's terms, the cosines read from :func:`_phase_table`;
-    and their sum in order of n, the running total carried in
-    (:func:`_carry_sum`).  psi_0(cut2) multiplies the total once, after the
-    last block.  Every operation is elementwise or that ordered sum, so each
-    column equals its own curve bit for bit, at any C and K and any cut of
-    the blocks.
+    (:func:`special._psi_blocks`) at cut2, and cut1 riding along as column
+    K when the rows are formed, up to order n_max like a cut's scalar row
+    (:func:`psi_rows`); the formed rows by :func:`j_row`'s (and
+    :func:`_window_row`'s) operations, so each equals its cell's own; the
+    block's terms, the phase factors read from :func:`_phase_tables`; and
+    each sum's terms added in order of n, the running total carried in
+    (:func:`_carry_sum`).  The slope's psi_n sum takes the orders whose
+    psi_n the block holds, n = k0, ..., so no row is carried across a block
+    edge.  psi_0(cut2) multiplies each total once, after the last block.
+    Every operation is elementwise or that ordered sum, so each column
+    equals its own call bit for bit, at any C and K and any cut of the
+    blocks.
     """
     c, k = cut2.shape
     rows = _block_rows(c, k)
-    cos_t = _phase_table(np.cos, phi, n_max).reshape(n_max + 1, -1, k)
+    cos_t, sin_t = (None if t is None else t.reshape(n_max + 1, -1, k)
+                    for t in _phase_tables(phi, n_max, rates is not None))
     sqrt_2n, omega = _sqrt_2n(n_max), _euler_tails(n_max)
-    row1 = np.empty((c, n_max))
+    formed, step = row1 is None, 1 + window
+    if formed:
+        row1, cut2 = np.empty((c, n_max)), np.concatenate([cut2, cut1], axis=1)
     slots = np.empty((rows + 1, c, k))
-    total = np.zeros((c, k))
+    total = cos_sum = sin_sum = np.zeros((c, k))
+    first = n_max + 1 - min(_TAIL_TERMS, n_max)
+    raw = np.empty((n_max + 1 - first, c, k)) if tail else None
     psi0 = None
     # the block from k0 holds psi_{n-1} for the orders n = k0 + 1, ...; the
-    # last order's psi_n_max is not read
-    blocks = _psi_blocks(np.concatenate([cut2, cut1], axis=1), n_max, rows)
-    for k0, psi in zip(range(0, n_max, rows), blocks):
-        psi = psi[:n_max - k0]
+    # value sums do not read the last order's psi_n_max, the slope's do, in
+    # a block of its own when n_max is a multiple of the block size
+    blocks = _psi_blocks(cut2, n_max, rows)
+    for k0, block in zip(range(0, n_max + (rates is not None), rows), blocks):
+        psi = block[:n_max - k0]
         m = len(psi)
         if psi0 is None:
             psi0 = psi[0].copy()
-        # J_0n = psi_0 psi_{n-1} / sqrt(2n) at cut1, as j_row; twice that at
-        # even n and 0 at odd n for the window, as _window_row
-        r1 = psi[:, :, k] * psi0[:, k]
-        r1 /= sqrt_2n[k0 + 1:k0 + m + 1, None]
-        if window:
-            r1 *= 2.0
-            r1[k0 % 2::2] = 0.0
-        row1[:, k0:k0 + m] = r1.T
+        if formed:
+            # J_0n = psi_0 psi_{n-1} / sqrt(2n) at cut1, as j_row; twice that
+            # at even n and 0 at odd n for the window, as _window_row
+            r1 = psi[:, :, k] * psi0[:, k]
+            r1 /= sqrt_2n[k0 + 1:k0 + m + 1, None]
+            if window:
+                r1 *= 2.0
+                r1[k0 % 2::2] = 0.0
+            row1[:, k0:k0 + m] = r1.T
+        r1 = row1[:, k0:k0 + m].T
         # the summed orders n, every one or a window's even ones, at block
         # rows i = n - k0 - 1
         lo = k0 + 1 + (window and k0 % 2 == 0)
-        n, i = slice(lo, k0 + m + 1, 1 + window), slice(lo - k0 - 1, m, 1 + window)
+        n, i = slice(lo, k0 + m + 1, step), slice(lo - k0 - 1, m, step)
         v = r1[i] * omega[n, None]
         v /= sqrt_2n[n, None]
         if window:
@@ -414,24 +467,52 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int):
         np.multiply(cos_t[n], v[:, :, None], out=new)
         np.multiply(new, psi[i, :, :k], out=new)
         total = _carry_sum(slots, len(v), total)
-    total *= psi0[:, :k]
-    row1.flags.writeable = False
-    return total, row1
+        if raw is not None and k0 + m >= first:
+            t = slice(max(first, k0 + 1), k0 + m + 1)
+            j = t.start - k0 - 1
+            raw[t.start - first:t.stop - first] = (
+                cos_t[t] * (r1[j:] * (1 + window) / sqrt_2n[t, None])[:, :, None] * psi[j:, :, :k])
+        if rates is not None:
+            np.multiply(sin_t[n], (v * np.arange(lo, k0 + m + 1.0, step)[:, None])[:, :, None],
+                        out=new)
+            np.multiply(new, psi[i, :, :k], out=new)
+            sin_sum = _carry_sum(slots, len(v), sin_sum)
+            # the orders n = k0, ... whose psi_n this block holds (n >= 1)
+            start = max(k0, 1) + (window and max(k0, 1) % 2)
+            a = slice(start, k0 + len(block), step)
+            u = row1[:, start - 1:a.stop - 1:step].T * omega[a, None]
+            if window:
+                u *= 2.0
+            new = slots[1:len(u) + 1]
+            np.multiply(cos_t[a], u[:, :, None], out=new)
+            np.multiply(new, block[start - k0::step, :, :k], out=new)
+            cos_sum = _carry_sum(slots, len(u), cos_sum)
+    psi0 = psi0[:, :k]
+    total *= psi0
+    if formed:
+        row1.flags.writeable = False
+    slopes = None
+    if rates is not None:
+        dphi, dcut = rates
+        slopes = psi0 * (-(dcut * cos_sum) - dphi * sin_sum)
+    if raw is not None:
+        raw = (raw * psi0)[:, :, 0].T
+    return total, row1, slopes, raw
 
 
 class _KernelValue(NamedTuple):
-    """The result of every series kernel: ``q``, a float at one t2 and one
-    row per state over a t2 array; ``slope``, dq/dt2 of one point when asked,
-    else None, and None at a singular phase, whose completeness value has no
-    slope; ``terms``, the eigenbasis terms of one non-singular point, which
-    feed the tail estimate, else None; ``singular``, the phases that
-    completeness evaluated; the occupation cut ``m_used`` with its
-    remainder ``m_tail``, 0 for a pure state; and ``row1``, the (C, n_max) t1
-    rows of a pure curve whose phase sums ran (:func:`_phase_sums`), else
-    None."""
+    """The result of a series kernel, of C columns over K values of t2, or
+    of one column when a cell's call is sliced from it: ``q``; ``slope``,
+    dq/dt2 when asked, else None, not read at a singular phase, whose
+    completeness value has no slope; ``terms``, the raw eigenbasis terms of
+    the last min(16, n_max) orders of each point, which feed the tail
+    estimate, else None; ``singular``, the phases that completeness
+    evaluated; the occupation cut ``m_used`` with its remainder ``m_tail``, 0
+    for a pure state; and ``row1``, the (C, n_max) t1 rows that a pure
+    curve's phase sums formed (:func:`_phase_sums`), else None."""
 
     q: object
-    slope: float | None
+    slope: object
     terms: np.ndarray | None
     singular: object
     m_used: int = 0
@@ -439,164 +520,67 @@ class _KernelValue(NamedTuple):
     row1: np.ndarray | None = None
 
 
-def _q_pure(inputs, column: tuple, s1: int, s2: int, t1: float, t2,
-            n_max: int) -> _KernelValue:
-    """Summation core of the pure kernels over a t2 array: q = block + s1 s2
-    sum_n cos(n phi) row1_n row2_n, the rows :func:`j_row` at the cuts, or
-    :func:`_window_row` for the window family, and singular phases
-    overwritten by completeness over the outcome regions; ``inputs`` is the
-    family's (:func:`_sign_inputs` or :func:`_window_inputs`) and ``column``
-    its per-state arguments.
+def _q_pure(inputs, column, s1: int, s2: int, t1: float, t2, n_max: int, held=None,
+            slope: bool = False, tail: bool = False) -> _KernelValue:
+    """The kernel of the pure families: q = block + s1 s2 sum_n cos(n phi)
+    row1_n row2_n, the rows :func:`j_row` at the cuts, or :func:`_window_row`
+    for the window family, and singular phases overwritten by completeness
+    over the outcome regions; ``inputs`` is the family's
+    (:func:`_sign_inputs` or :func:`_window_inputs`) and ``column`` its
+    per-column arguments, lists of C states (and (C, 1) half-widths).
 
-    A batch of C columns sharing K values of t2 has ``cut1`` of shape (C,
-    1), ``block`` and ``cut2`` (C, K), and ``phi`` (K,) or (C, K); its sums
-    stream through :func:`_phase_sums`, whose t1 rows it returns as
-    ``row1``.  A point is a cell's one-column call of :func:`_q_round`.
+    ``t2`` is a (K,) grid for a curve of each column, whose t1 rows the sums
+    form and return as ``row1``, or (C, 1), one t2 per column, for points
+    and rounds of probes, which read the cells' ``held`` (C, n_max) rows and
+    return dq/dt2 when ``slope`` is asked, and their tail terms with
+    ``tail``.  Both are one call of :func:`_phase_sums`.
     """
-    block, phi, cut1, cut2, _ = inputs(*column, s1, s2, t1, t2)
+    block, phi, cut1, cut2, rates = inputs(*column, s1, s2, t1, t2, slope)
     window = inputs is _window_inputs
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
-    q, row1 = block, None
-    if not np.all(singular):
-        sums, row1 = _phase_sums(window, cut1, cut2, phi, n_max)
+    q, dq, row1, terms = block, None, None, None
+    if not singular.all():
+        sums, row1, dsums, terms = _phase_sums(window, cut1, cut2, phi, n_max, held,
+                                               rates and rates[1:], tail)
         q = block + s1 * s2 * sums
-    if np.any(singular):
+        if slope:
+            dq = rates[0] + s1 * s2 * dsums
+    if singular.any():
         q = _fill_singular(q, singular, phi, _window_region if window else _halfline,
                            s1, s2, cut1, cut2, _ground_weight)
-    return _KernelValue(q, None, None, singular, row1=row1)
+    return _KernelValue(q, dq, terms, singular, row1=None if held is not None else row1)
 
 
-def _q_round(window: bool, probes: list, n_max: int) -> list:
-    """The round kernel of the pure families: one point of each of C
-    columns, each with its own state, t1 and t2, as :class:`_KernelValue`s.
-    A column (:meth:`_SeriesCell.probe`) holds s1, s2, the kernel's block,
-    phase and cuts at its t2, the rates (block', phi', cut2') when its slope
-    is asked, else None, and its t1 row.
-
-    Each column's eigenfunctions at cut2 come from the memoized scalar
-    recurrence (:func:`psi_rows`).  The rows, cosines and terms, and the
-    derivative terms of the columns that ask, are each one (C, n_max) array,
-    each row summed as its dot product with the tail weights Omega_n
-    (:func:`_euler_rows`).
-    These are one point's operations, elementwise, in its order, so a column equals its
-    one-column call bit for bit, whatever the other columns.  dq/dt2 is the
-    Euler sum of the term derivatives, d row2_n/dcut2 being -psi_0 psi_n
-    (doubled at even n and 0 at odd n for a window).  A column at a
-    singular phase is its completeness value, without a slope.
-    """
-    s1, s2, block, phi, cut1, cut2, rates, row1 = zip(*probes)
-    psi = np.array([psi_rows(cut, n_max) for cut in cut2])
-    n = np.arange(1, n_max + 1)
-    # J_0n = psi_0 psi_{n-1} / sqrt(2n), as j_row; twice that at even n and 0
-    # at odd n for a window, as _window_row
-    row2 = psi[:, :1] * psi[:, :-1] / _sqrt_2n(n_max)[1:]
-    if window:
-        row2 *= 2.0
-        row2[:, 0::2] = 0.0
-    row1 = np.array(row1)
-    angle = n * np.array(phi)[:, None]
-    cos = np.cos(angle)
-    terms = cos * row1 * row2
-    dq = dict.fromkeys(range(len(probes)))
-    sloped = [j for j, r in enumerate(rates) if r is not None]
-    if sloped:
-        dblock, dphi, dcut = zip(*(rates[j] for j in sloped))
-        at = slice(None) if len(sloped) == len(probes) else sloped
-        scale = [(-2.0 if window else -1.0) * d * float(psi[j, 0]) for j, d in zip(sloped, dcut)]
-        drow2 = np.array(scale)[:, None] * psi[at, 1:]
-        if window:
-            drow2[:, 0::2] = 0.0
-        dterms = row1[at] * (cos[at] * drow2 - np.array(dphi)[:, None] * n
-                             * np.sin(angle[at]) * row2[at])
-        dq.update((j, db + s1[j] * s2[j] * d)
-                  for j, db, d in zip(sloped, dblock, _euler_rows(dterms)))
-    out = []
-    for j, total in enumerate(_euler_rows(terms)):
-        if abs(np.sin(phi[j])) < SINGULAR_PHASE_TOL:
-            q = _fill_singular(block[j], True, phi[j], _window_region if window else _halfline,
-                               s1[j], s2[j], cut1[j], cut2[j], _ground_weight)
-            out.append(_KernelValue(q, None, None, True))
-        else:
-            out.append(_KernelValue(block[j] + s1[j] * s2[j] * total, dq[j], terms[j], False))
-    return out
-
-
-def _euler_rows(terms: np.ndarray) -> list:
-    """The Euler-averaged sum of each row of a (C, n) block of terms, the
-    sums of C points or of a point and its slope: each row's dot product
-    with the tail weights Omega_n (:func:`_euler_tails`), one contiguous 1-D
-    einsum per row, so each row equals its own sum bit for bit."""
-    omega = _euler_tails(terms.shape[1])[1:]
-    return [np.einsum("k,k->", omega, row) for row in terms]
-
-
-def _sign_inputs(state, s1: int, s2: int, t1: float, t2, slope: bool = False,
-                 t1_geometry=None) -> tuple:
-    """(block, phi, cut1, cut2, rates) of the pure sign kernel, as
-    :func:`_q_pure` and :func:`_q_round` read them, over a t2 array (no
-    rates) or at a float t2 (a cell's probe); cut_i = -a_i, and block = (1 +
-    s1 erf a1)(1 + s2 erf a2)/4."""
-    _, lam2, a1, a2, phi = _columns(state, t1, t2, t1_geometry)
-    block = 0.25 * (1.0 + s1 * _sp.erf(a1)) * (1.0 + s2 * _sp.erf(a2))
-    rates = _erf_rates(state, s1, s2, t2, lam2, a1, a2) if slope else None
+def _sign_inputs(states: list, s1: int, s2: int, t1: float, t2, slope: bool = False) -> tuple:
+    """(block, phi, cut1, cut2, rates) of the sign kernel (and the thermal
+    one) for the columns of :func:`_columns`: cut_i = -a_i, block = (1 + s1
+    erf a1)(1 + s2 erf a2)/4, and with ``slope`` the rates (block', phi',
+    cut2'), with a2' = (x_xi' - a2 lambda') / lambda, else None."""
+    _, lam2, a1, a2, phi, rates = _columns(states, t1, t2, slope)
+    first = 0.25 * (1.0 + s1 * _sp.erf(a1))
+    block = first * (1.0 + s2 * _sp.erf(a2))
+    if slope:
+        dphi, dlam2, dx = rates
+        da2 = (dx - a2 * dlam2) / lam2
+        rates = first * (s2 * _ERF_SLOPE) * np.exp(-a2 * a2) * da2, dphi, -da2
     return block, phi, -a1, -a2, rates
 
 
-def _window_inputs(state, half_width, s1: int, s2: int, t1: float, t2, slope: bool = False,
-                   t1_geometry=None) -> tuple:
-    """The window kernel's inputs, as :func:`_sign_inputs`: the cuts +/-
-    L/lambda(t_i) enter through the window rows, and h2' = -h2 lambda' /
-    lambda."""
-    lam1, lam2, _, _, phi = _columns(state, t1, t2, t1_geometry)
+def _window_inputs(states: list, half_width, s1: int, s2: int, t1: float, t2,
+                   slope: bool = False) -> tuple:
+    """The window kernel's inputs, as :func:`_sign_inputs`, ``half_width``
+    being (C, 1): the cuts +/- L/lambda(t_i) enter through the window rows,
+    and h2' = -h2 lambda' / lambda."""
+    lam1, lam2, _, _, phi, rates = _columns(states, t1, t2, slope)
     h1, h2 = half_width / lam1, half_width / lam2
     qbar1, qbar2 = 1.0 - 2.0 * _sp.erf(h1), 1.0 - 2.0 * _sp.erf(h2)
-    block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-    rates = None
+    first = 0.25 * (1.0 + s1 * qbar1)
+    block = first * (1.0 + s2 * qbar2)
     if slope:
-        dphi, dlam2 = _t2_rates(state, t2)
+        dphi, dlam2, _ = rates
         dh2 = -h2 * dlam2 / lam2
-        dblock = 0.25 * (1.0 + s1 * qbar1) * s2 * -2.0 * _ERF_SLOPE * math.exp(-h2 * h2) * dh2
-        rates = dblock, dphi, dh2
+        rates = first * (s2 * -2.0 * _ERF_SLOPE) * np.exp(-h2 * h2) * dh2, dphi, dh2
     return block, phi, h1, h2, rates
-
-
-def _columns(state, t1: float, t2, t1_geometry=None):
-    """:func:`_geometry` of one state at a float t2 (from ``t1_geometry``,
-    when a cell holds it), or of a list of C states (or one, C = 1) over a
-    t2 array, evaluated once per distinct state and stacked by column: lam1
-    and a1 of shape (C, 1), lam2 and a2 (C, K), and phi (K,) when the states
-    share their squeezing, else (C, K)."""
-    if np.ndim(t2) == 0:
-        return _geometry(state, t1, t2, t1_geometry)
-    states = _each(state)
-    # once per distinct state: a window batch at fixed r has one
-    geometry = {s: _geometry(s, t1, t2) for s in dict.fromkeys(states)}
-    lam1, lam2, a1, a2, phi = (np.array(v) for v in zip(*(geometry[s] for s in states)))
-    if len({(s.r, s.theta0) for s in states}) == 1:
-        phi = phi[0]
-    return lam1[:, None], lam2, a1[:, None], a2, phi
-
-
-def _each(state) -> list:
-    return [state] if isinstance(state, StateSpec) else state
-
-
-def _t2_rates(state: StateSpec, t2: float):
-    """phi'(t2) = 1 + beta'(t2) and lambda'(t2), the closed forms of
-    :mod:`states`, for the slope of a point."""
-    return (1.0 + phase_beta_dot(t2, state.r, state.theta0),
-            lambda_dot(t2, state.r, state.theta0))
-
-
-def _erf_rates(state: StateSpec, s1: int, s2: int, t2: float, lam2: float, a1: float,
-               a2: float):
-    """The rates (block', phi', cut2') of the sign and thermal kernels' point,
-    whose block is (1 + s1 erf a1)(1 + s2 erf a2)/4 and whose cut2 is -a2,
-    with a2' = (x_xi' - a2 lambda') / lambda."""
-    dphi, dlam2 = _t2_rates(state, t2)
-    da2 = (x_xi_dot(t2, state.xi) - a2 * dlam2) / lam2
-    dblock = 0.25 * (1.0 + s1 * _sp.erf(a1)) * s2 * _ERF_SLOPE * math.exp(-a2 * a2) * da2
-    return dblock, dphi, -da2
 
 
 def _check_family(family: str, s1: int, s2: int, t1: float, states: list, n_max: int,
@@ -620,17 +604,17 @@ def _check_family(family: str, s1: int, s2: int, t1: float, states: list, n_max:
                 f"n_max={n_max} is below the thermal occupation cut m={m_cut}; raise n_max")
 
 
-def _point(out: _KernelValue, with_info: bool):
-    """One-point result of a kernel: q, or (q, SeriesInfo), whose tail bound
-    is inf (no estimate) below the 8 terms that :func:`series_tail_estimate`
-    needs."""
+def _point(out: _KernelValue, n_max: int, with_info: bool):
+    """A cell's one-point result: q, or (q, SeriesInfo), whose tail bound is
+    the estimate over the point's last raw terms, and inf (no estimate)
+    below the 8 terms that :func:`series_tail_estimate` needs."""
+    q = float(out.q[0])
     if not with_info:
-        return float(out.q)
-    n_used = 0 if out.singular else out.terms.shape[0]
-    tail = (0.0 if out.singular else _INF if n_used < 8
-            else series_tail_estimate(out.terms))
-    return float(out.q), SeriesInfo(n_used, tail, bool(out.singular), out.m_used,
-                                    out.m_tail)
+        return q
+    singular = bool(out.singular[0])
+    n_used = 0 if singular else n_max
+    tail = 0.0 if singular else _INF if n_used < 8 else _tail_bound(out.terms, n_used)
+    return q, SeriesInfo(n_used, tail, singular, out.m_used, out.m_tail)
 
 
 def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
@@ -686,7 +670,7 @@ def q_window_series_curve(state, half_width, s1: int, s2: int, t1: float,
     """
     one = isinstance(state, StateSpec)
     states = [state] if one else list(state)
-    widths = half_width if one else np.asarray(half_width, dtype=float)[:, None]
+    widths = np.reshape(np.asarray(half_width, dtype=float), (-1, 1))
     n_max = TruncationConfig(n_max).n_max
     _check_family("window", s1, s2, t1, states, n_max, np.ravel(widths), t2_grid)
     q = _q_pure(_window_inputs, (states, widths), s1, s2, t1,
@@ -762,16 +746,6 @@ def _gap_tables(m_cut: int, n_max: int) -> np.ndarray:
     return out
 
 
-def _mixed_products(cut: _ThermalCut, factors: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """(B^T F)^T for the Q table and (G^T F)^T for the H table, F^T being
-    the (4, m_cut + 1) ``factors`` and ``tables`` the first one or both of
-    :func:`_gap_tables`, as a (tables, 4, n_max + 1) array: L ⊙ ((u ⊙ F^T)
-    T) - psi ⊙ ((v ⊙ F^T) T) for each table T, one product of the table with
-    the 8 weighted factor rows."""
-    p = np.matmul((np.array((cut.u, cut.v))[:, None] * factors).reshape(8, -1), tables)
-    return cut.low * p[:, :4] - cut.psi * p[:, 4:]
-
-
 def _mixed_factors(cos, sin, psi, low) -> list:
     """cos(m phi) psi_m, cos(m phi) sqrt(2m) psi_{m-1} and their sine twins
     for m <= m_cut (``low`` is sqrt(2m) psi_{m-1}), which B^T turns into the
@@ -799,82 +773,56 @@ def _thermal_terms(cos, sin, psi, low, row2, row1, c, out=None):
     return out
 
 
-def _thermal_point(cut: _ThermalCut, cut2: float, phi: float, n_max: int, rates=None):
-    """(phase_sum, s_up, diag2, terms, slopes) of one thermal point, on plain
-    rows of length n_max + 1: the memoized scalar eigenfunctions at cut2, and
-    the mixed family from B^T F, F the (m_cut + 1) x 4 factors, which
-    :func:`_mixed_products` takes as one product of the cached Q table
-    (:func:`_gap_tables`) with F weighted by the t1 cut's O(n_max) pieces.
-
-    Given ``rates``, the t2 derivatives (phi', cut2'), ``slopes`` holds the
-    t2 derivatives of the first three, else it is None.  They read the same
-    rows: d J_mn(cut2)/dcut2 = -psi_m psi_n, and in the mixed family's phase
-    derivative the factor (m - n) cancels B's 1 / (2 (n - m)), leaving G^T F,
-    the same product with the H table, in the same call."""
-    m1, wm = len(cut.u), cut.wm
-    psi = psi_rows(cut2, n_max)
-    low = lowered(psi)
-    angle = np.arange(n_max + 1) * phi
-    cos, sin = np.cos(angle), np.sin(angle)
-    factors = np.array(_mixed_factors(cos[:m1], sin[:m1], psi[:m1], low[:m1]))
-    # B^T F, and G^T F for a slope
-    products = _mixed_products(cut, factors, _gap_tables(m1 - 1, n_max)[:1 if rates is None else 2])
-    c, row1 = products[0], cut.row
-    # J_0n(cut2) = psi_0 psi_{n-1} / sqrt(2n) for n >= 1, as in j_row
-    row2 = psi[0] * psi[:-1] / _sqrt_2n(n_max)[1:]
-    terms = _thermal_terms(cos[1:], sin[1:], psi[1:], low[1:], row2, row1[1:], c[:, 1:])
-    s_up = (wm * cos[1:m1] * row2[:m1 - 1] * row1[1:m1]).sum(axis=0)
-    diag2 = ladder_diagonal(cut2, psi[:m1])
-    if rates is None:
-        return _euler_rows(terms[None])[0], s_up, diag2, terms, None
-    dphi, dcut = rates
-    cn, sn, p, lo = cos[1:], sin[1:], psi[1:], low[1:]
-    d = products[1][:, 1:]
-    # the n >= 1 terms of the m = 0 family, cos(n phi) J_0n(cut1) J_0n(cut2)
-    dpure = (cn * row1[1:] * (-dcut * psi[0] * p)
-             - dphi * np.arange(1, n_max + 1) * sn * row2 * row1[1:])
-    dterms = (dpure + 0.5 * dphi * (cn * (lo * d[2] - p * d[3]) - sn * (lo * d[0] - p * d[1]))
-              - dcut * p * (cn * d[0] + sn * d[2]))
-    total, dtotal = _euler_rows(np.array([terms, dterms]))
-    return total, s_up, diag2, terms, (dtotal, (wm * dpure[:m1 - 1]).sum(), -dcut * psi[:m1] ** 2)
-
-
-def _thermal_stream(cuts: list, cut2, phi, n_max: int):
-    """(phase_sum, s_up, diag2) of the thermal kernel for C columns over K
-    values of t2: ``cut2`` (C, K), ``phi`` (K,) or (C, K), and ``cuts``,
-    each column's fixed t1 :class:`_ThermalCut`.
+def _thermal_stream(cuts: list, cut2, phi, n_max: int, rates=None, tail: bool = False):
+    """(phase_sum, s_up, diag2, slopes, terms) of the thermal kernel for C
+    columns over K values of t2: ``cut2`` (C, K), ``phi`` (K,) or (C, K),
+    and ``cuts``, each column's fixed t1 :class:`_ThermalCut`.  Given
+    ``rates`` (phi', cut2') of shape (C, K), ``slopes`` holds the t2
+    derivatives of the first three, else it is None; with ``tail``,
+    ``terms`` holds each column's raw terms of its last min(16, n_max)
+    orders at K = 1, as (C, T), else it is None.
 
     The orders stream as in :func:`_phase_sums`.  Every order's mixed family
     needs the rows m <= m_cut, so these are kept aside first, the stream's
     blocks being gathered until they are in (m_cut may exceed a block); their
     factors are then stacked once, as (C, m_cut + 1, 4K).  The orders are
-    summed in steps of a size set by K alone.  Each step forms each column's
-    columns of B for the step, (u_m L_n - v_m psi_n) Q_mn, as a stacked
-    product of its cut's pieces (u, v) and (L, -psi) scaled by the cached Q
-    table (:func:`_gap_tables`), and takes its mixed family as one stacked
-    product of their transpose with the factors: every column of any batch
-    then runs the same products, whose rounding may depend on their shape.
-    The step's terms are weighted by their tail weights Omega_n
+    summed in steps of a size set by K alone, each step holding psi_{n-1}
+    and psi_n of its orders.  Each step forms each column's columns of B for
+    the step, (u_m L_n - v_m psi_n) Q_mn, as a stacked product of its cut's
+    pieces (u, v) and (L, -psi) scaled by the cached Q table
+    (:func:`_gap_tables`), and takes its mixed family as one stacked product
+    of their transpose with the factors: every column of any batch then
+    runs the same products, whose rounding may depend on their shape.  A
+    slope takes G, the same pieces scaled by the H table, through a second
+    product of that shape: d J_mn(cut2)/dcut2 = -psi_m psi_n, and in the
+    mixed family's phase derivative the factor (m - n) cancels B's 1 / (2
+    (n - m)).  The step's terms are weighted by their tail weights Omega_n
     (:func:`_euler_tails`) and added in order of n to the running total
     (:func:`_carry_sum`), as in :func:`_phase_sums`, and the occupation sum
     s_up adds in order of m (:func:`_ordered_sum`), so each column equals its
-    own curve bit for bit, at any K, one included.
+    own call bit for bit, at any C.
     """
     c, k = cut2.shape
     m1 = len(cuts[0].u)
-    row1 = np.stack([f.row for f in cuts], axis=1)[:, :, None]
+    row1 = np.array([f.row for f in cuts]).T[:, :, None]
     uv = np.array([(f.u, f.v) for f in cuts]).transpose(0, 2, 1)
     lp = np.array([(f.low, -f.psi) for f in cuts])
-    wm, q = cuts[0].wm[:, None, None], _gap_tables(m1 - 1, n_max)[0]
+    wm, (q, h) = cuts[0].wm[:, None, None], _gap_tables(m1 - 1, n_max)
     rows, step = _block_rows(c, k), _block_rows(4, k)  # a step's product has 4K columns
-    cos_t, sin_t = (_phase_table(wave, phi, n_max).reshape(n_max + 1, -1, k)
-                    for wave in (np.cos, np.sin))
+    cos_t, sin_t = (t.reshape(n_max + 1, -1, k) for t in _phase_tables(phi, n_max, True))
     sqrt_2n, omega = _sqrt_2n(n_max), _euler_tails(n_max)[:, None, None]
-    slots, total, done = np.empty((step + 1, c, k)), np.zeros((c, k)), 0
+    slots, total, dtotal, done = np.empty((step + 1, c, k)), np.zeros((c, k)), np.zeros((c, k)), 0
+    first = n_max + 1 - min(_TAIL_TERMS, n_max)
+    raw = np.empty((n_max + 1 - first, c, k)) if tail else None
     # ext[i] holds psi_{done + i}, the orders n = done + 1, ... waiting for
     # their terms, ext[0] being the last order done
     ext = np.empty((rows + max(m1, step), c, k))
     filled, factors = 0, None
+
+    def mixed(block, m):
+        prod = np.matmul(block.transpose(0, 2, 1), factors)
+        return prod.reshape(c, m, 4, k).transpose(2, 1, 0, 3)
+
     for psi in _psi_blocks(cut2, n_max, rows):
         ext[filled:filled + len(psi)] = psi
         filled += len(psi)
@@ -883,12 +831,12 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
                 continue
             head = ext[:m1]
             psi0, diag2 = ext[0].copy(), ladder_diagonal(cut2, head)
-            factors = np.empty((c, m1, 4, k))
-            for j, f in enumerate(_mixed_factors(cos_t[:m1], sin_t[:m1], head, lowered(head))):
-                factors[:, :, j] = f.transpose(1, 0, 2)
-            factors = factors.reshape(c, m1, 4 * k)
+            factors = np.array(_mixed_factors(cos_t[:m1], sin_t[:m1], head, lowered(head)))
+            factors = factors.transpose(2, 1, 0, 3).reshape(c, m1, 4 * k)
             row2 = psi0 * head[:-1] / sqrt_2n[1:m1, None, None]
             s_up = _ordered_sum(wm * cos_t[1:m1] * row2 * row1[1:m1])
+            if rates is not None:
+                ds_up, ddiag2 = 0.0, -rates[1] * head * head
         waiting, start = filled - 1, 0
         last = done + waiting == n_max
         while waiting - start >= step or (last and waiting > start):
@@ -897,30 +845,49 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int):
             s = sqrt_2n[lo:lo + m, None, None]
             # J_0n(cut2) = psi_0 psi_{n-1} / sqrt(2n), as in j_row
             row2 = psi0 * lower / s
-            b = np.matmul(uv, lp[..., lo:lo + m])
-            b *= q[:, lo:lo + m]
-            prod = np.matmul(b.transpose(0, 2, 1), factors)
-            prod = prod.reshape(c, m, 4, k).transpose(2, 1, 0, 3)
-            new = _thermal_terms(cos_t[lo:lo + m], sin_t[lo:lo + m], cur, lower * s, row2,
-                                 row1[lo:lo + m], prod, slots[1:m + 1])
+            base = np.matmul(uv, lp[..., lo:lo + m])
+            cos, sin, low, r1 = cos_t[lo:lo + m], sin_t[lo:lo + m], lower * s, row1[lo:lo + m]
+            new = _thermal_terms(cos, sin, cur, low, row2, r1, mixed(base * q[:, lo:lo + m], m),
+                                 slots[1:m + 1])
+            if raw is not None and lo + m > first:
+                j = max(first - lo, 0)
+                raw[lo + j - first:lo + m - first] = new[j:]
             np.multiply(new, omega[lo:lo + m], out=new)
             total = _carry_sum(slots, m, total)
+            if rates is not None:
+                base *= h[:, lo:lo + m]
+                d = mixed(base, m)
+                half, dcut = 0.5 * rates[0], rates[1]
+                # the mixed family's phase and cut derivatives, by cos and sin
+                mix = cos * (half * (low * d[2] - cur * d[3]) - dcut * (cur * d[0]))
+                mix -= sin * (half * (low * d[0] - cur * d[1]) + dcut * (cur * d[2]))
+                # the m = 0 family's, by d J_0n(c)/dc = -psi_0 psi_n
+                n = np.arange(lo, lo + m, dtype=float)[:, None, None]
+                dpure = r1 * (cos * cur * (-dcut * psi0) - sin * (n * row2) * rates[0])
+                if lo < m1:  # s_up's orders m < m1 are the first ones
+                    j = min(m, m1 - lo)
+                    ds_up = ds_up + _ordered_sum(wm[lo - 1:lo - 1 + j] * dpure[:j])
+                np.add(dpure, mix, out=new)
+                np.multiply(new, omega[lo:lo + m], out=new)
+                dtotal = _carry_sum(slots, m, dtotal)
             done += m
             start += m
         ext[:filled - start] = ext[start:filled]
         filled -= start
-    return total, s_up, diag2
+    slopes = None if rates is None else (dtotal, ds_up, ddiag2)
+    return total, s_up, diag2, slopes, None if raw is None else raw[:, :, 0].T
 
 
-def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
-               held) -> _KernelValue:
-    """Thermal kernel of cells, the occupation sum cut at m_cut: at a float
-    t2, one cell's point (:func:`_thermal_point`), with its slope when asked;
-    over a t2 array, a batch of the listed states, which share n_th, from one
-    stream (:func:`_thermal_stream`).  The cells judged the input rules, and
-    ``held`` returns each one's :class:`_ThermalCut`; a point at a singular
-    phase reads no cut, so it does not call it.  The block, phase, cuts and
-    rates are the sign kernel's (:func:`_sign_inputs`).
+def _q_thermal(states: list, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
+               held, tail: bool = False) -> _KernelValue:
+    """Thermal kernel of cells, the occupation sum cut at m_cut, for a batch
+    of the listed states, which share n_th, over a (K,) grid or at one t2
+    per column ((C, 1), points and rounds of probes, which return dq/dt2
+    when ``slope`` is asked, and their tail terms with ``tail``): one stream
+    (:func:`_thermal_stream`).  The cells judged the input rules, and
+    ``held`` returns each one's :class:`_ThermalCut`; a call whose every
+    phase is singular reads no cut, so it does not call it.  The block,
+    phase, cuts and rates are the sign kernel's (:func:`_sign_inputs`).
 
     The mixed-phase family sum_m w^m cos((m-n) phi) J_mn(-a1) J_mn(-a2)
     takes J_mn(-a2) in its rank-2 Wronskian form and cos((m-n) phi) as
@@ -931,11 +898,11 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
     eigenbasis index n does not, so its sum is Euler-averaged.  Singular
     phases are overwritten by the completeness branch.
     """
-    n_th = _each(state)[0].n_th
+    n_th = states[0].n_th
     w = n_th / (1.0 + n_th)
     m_cut = thermal_m_cut(n_th)
 
-    block, phi, cut1, cut2, rates = _sign_inputs(state, s1, s2, t1, t2, slope)
+    block, phi, cut1, cut2, rates = _sign_inputs(states, s1, s2, t1, t2, slope)
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
 
     def weight(region):
@@ -943,27 +910,22 @@ def _q_thermal(state, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
                 / (1.0 + n_th))
 
     q, dq, terms = block, None, None
-    point = np.ndim(t2) == 0
-    if not (point and singular):
+    if not singular.all():
         cuts = held()
-        if point:
-            diag1, wm = cuts[0].diag, cuts[0].wm
-            phase_sum, s_up, diag2, terms, slopes = _thermal_point(
-                cuts[0], cut2, phi, n_max, None if rates is None else rates[1:])
-        else:
-            diag1 = np.stack([f.diag for f in cuts], axis=1)[:, :, None]
-            wm, slopes = cuts[0].wm[:, None, None], None
-            phase_sum, s_up, diag2 = _thermal_stream(cuts, cut2, phi, n_max)
+        diag1 = np.array([f.diag for f in cuts]).T[:, :, None]
+        wm = cuts[0].wm[:, None, None]
+        phase_sum, s_up, diag2, slopes, terms = _thermal_stream(
+            cuts, cut2, phi, n_max, rates and rates[1:], tail)
         k1 = diag1 if s1 == 1 else 1.0 - diag1
         k2 = diag2 if s2 == 1 else 1.0 - diag2
         ee = _ordered_sum(wm * k2[1:] * k1[1:])
         q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
-        if slopes is not None:
+        if slope:
             dphase, ds_up, ddiag2 = slopes
             dk2 = ddiag2 if s2 == 1 else -ddiag2
             dq = (rates[0] + s1 * s2 * (dphase + ds_up)
-                  + (wm * dk2[1:] * k1[1:]).sum()) / (1.0 + n_th)
-    if np.any(singular):
+                  + _ordered_sum(wm * dk2[1:] * k1[1:])) / (1.0 + n_th)
+    if singular.any():
         q = _fill_singular(q, singular, phi, _halfline, s1, s2, cut1, cut2, weight)
     return _KernelValue(q, dq, terms, singular, m_cut, w ** (m_cut + 1))
 
@@ -980,11 +942,12 @@ class _SeriesCell:
     batch of cells shares, (s1, s2, t1), and ``trunc`` the truncation.  The
     family's input rules are judged when the cell is made.
 
-    Every series point, slope, t2 search probe and cell curve is a call of a
-    cell, and each reads the t1 half that the cell builds once and holds:
-    the t1 geometry and t1 row of a pure family, the O(n_max)
-    :class:`_ThermalCut` pieces of a thermal one, which a thermal cell
-    builds only when a non-singular point or a curve first reads them.  A
+    Every series point, slope, t2 search probe and cell curve is a call of
+    the family's kernel through :func:`_cell_calls`, a point being a
+    one-column call.  Points read the t1 half that the cell builds once and
+    holds: the t1 row of a pure family, the O(n_max) :class:`_ThermalCut`
+    pieces of a thermal one, which thermal curves read too, and which a
+    thermal cell builds only when a non-singular call first reads them.  A
     pure cell whose first call is a batch curve builds no row: it holds the
     one the curve formed (:meth:`take_row`).
     """
@@ -1000,7 +963,7 @@ class _SeriesCell:
 
     def __call__(self, t2, with_info: bool = False):
         _check_finite(t2=t2)
-        return _point(self.value(t2), with_info)
+        return _point(self.value(t2, tail=with_info), self.trunc.n_max, with_info)
 
     def slope(self, t2):
         """(q, dq/dt2) at one t2: q equals the value-only call bit for bit,
@@ -1014,86 +977,91 @@ class _SeriesCell:
         _check_finite(t2=grid)
         return _cell_curves([self], grid)[0]
 
-    def value(self, t2, slope: bool = False) -> _KernelValue:
-        """The family's kernel at one t2, with its slope when asked: for a
-        pure family the cell's one-column call of :func:`_q_round`."""
-        if self.family == "thermal":
-            return _q_thermal(*self.column, *self.shared, float(t2), self.trunc.n_max, slope,
-                              lambda: [self._held])
-        return _q_round(self.family == "window", [self.probe(t2, slope)], self.trunc.n_max)[0]
-
-    def probe(self, t2, slope: bool) -> tuple:
-        """The column of a pure cell in a :func:`_q_round` call at one t2."""
-        geometry, row1 = self._held
-        inputs = _window_inputs if self.family == "window" else _sign_inputs
-        return (*self.shared[:2],
-                *inputs(*self.column, *self.shared, float(t2), slope, geometry), row1)
+    def value(self, t2, slope: bool = False, tail: bool = False) -> _KernelValue:
+        """The cell's one-column kernel value at one t2, with its slope and
+        its tail terms when asked."""
+        return _cell_calls([self], np.array([[float(t2)]]), (slope,), tail)[0]
 
     def take_row(self, row1) -> None:
         """Hold ``row1``, this pure cell's t1 row as a batch curve formed it
         (:func:`_phase_sums`, equal to the cell's own bit for bit), unless the
         cell holds its t1 half already."""
-        self.__dict__.setdefault("_held", (_t1_geometry(self.column[0], self.shared[2]), row1))
+        self.__dict__.setdefault("_held", row1)
 
     @functools.cached_property
-    def _held(self) -> tuple:
+    def _held(self):
         state, t1, n_max = self.column[0], self.shared[2], self.trunc.n_max
-        geometry = _t1_geometry(state, t1)
+        lam1 = _t1_geometry(state.r, state.theta0, t1)[0]
+        a1 = x_xi_of(t1, state.xi) / lam1
         if self.family == "thermal":
-            return _thermal_fixed_cut(float(-geometry[2]), state.n_th / (1.0 + state.n_th),
+            return _thermal_fixed_cut(float(-a1), state.n_th / (1.0 + state.n_th),
                                       thermal_m_cut(state.n_th), n_max)
         if self.family == "sign":
-            return geometry, j_row(-geometry[2], n_max)[1:]
-        return geometry, _window_row(self.column[1] / geometry[0], n_max)[1:]
+            return j_row(-a1, n_max)[1:]
+        return _window_row(self.column[1] / lam1, n_max)[1:]
 
 
-def _cell_values(requests) -> list:
-    """The answers to ``requests``, (cell, t2, slope) triples, in order: q,
-    or (q, dq/dt2 or None) when ``slope``, each equal bit for bit to the
-    cell's own call.  The pure cells of one family and n_max are one
-    :func:`_q_round` call, and thermal cells go through their point kernel."""
-    out, rounds = [None] * len(requests), {}
-    for i, (cell, t2, slope) in enumerate(requests):
-        if cell.family == "thermal":
-            out[i] = cell.value(t2, slope)
-        else:
-            rounds.setdefault((cell.family, cell.trunc.n_max), []).append(i)
-    for (family, n_max), members in rounds.items():
-        probes = [requests[i][0].probe(*requests[i][1:]) for i in members]
-        for i, value in zip(members, _q_round(family == "window", probes, n_max)):
-            out[i] = value
-    return [(float(v.q), None if v.slope is None else float(v.slope)) if slope else float(v.q)
-            for v, (_, _, slope) in zip(out, requests)]
+def _cell_calls(cells, t2: np.ndarray, slopes, tail: bool = False) -> list:
+    """Each cell's :class:`_KernelValue`, in order, sliced to its column:
+    over the t2 array ``t2`` that the cells share (curves; ``slopes`` is
+    None), or, for ``t2`` of shape (C, 1), at each cell's own t2 (points, or
+    a round of probes), ``slopes`` flagging each cell whose dq/dt2 is asked,
+    and with ``tail`` the points' tail terms.  The cells of one family,
+    ``shared``, n_max and n_th are one kernel call, and each column equals
+    the cell's own call bit for bit; when one cell of a call asks for its
+    slope, the call forms the slope of every column.
 
-
-def _cell_curves(cells, grid) -> list:
-    """Each cell's q over the t2 array ``grid``, in order: the cells of one
-    family, ``shared``, n_max and n_th in one streamed call, each row equal
-    bit for bit to the cell's own curve.  The cells judged their inputs
-    when they were made, so pure cells go straight to :func:`_q_pure`, and
-    each that holds no t1 row yet takes the one its column's phase sums
-    formed (:meth:`_SeriesCell.take_row`); thermal cells go through
-    :func:`_q_thermal` with their held t1 pieces, which the stream reads."""
-    grid = np.asarray(grid, dtype=float)
-    rows, groups = [None] * len(cells), {}
+    The cells judged their inputs when they were made, so they go straight
+    to :func:`_q_pure` or :func:`_q_thermal`.  Pure points read their cells'
+    held t1 rows, and a pure curve hands each cell that holds no row yet the
+    one that its column's phase sums formed (:meth:`_SeriesCell.take_row`);
+    thermal cells hand the kernel their held t1 pieces."""
+    point = slopes is not None
+    out, groups = [None] * len(cells), {}
     for i, cell in enumerate(cells):
         key = (cell.family, cell.shared, cell.trunc.n_max, cell.column[0].n_th)
         groups.setdefault(key, []).append(i)
     for (family, shared, n_max, _), members in groups.items():
         batch = [cells[i] for i in members]
         columns = [list(arg) for arg in zip(*(cell.column for cell in batch))]
+        at = t2[members] if point and len(members) < len(cells) else t2
+        slope = point and any(slopes[i] for i in members)
         if family == "thermal":
-            q = _q_thermal(*columns, *shared, grid, n_max, False,
-                           lambda: [c._held for c in batch]).q
+            value = _q_thermal(columns[0], *shared, at, n_max, slope,
+                               lambda: [c._held for c in batch], tail)
         else:
             inputs = _sign_inputs
             if family == "window":
                 inputs, columns[1] = _window_inputs, np.asarray(columns[1], dtype=float)[:, None]
-            out = _q_pure(inputs, columns, *shared, grid, n_max)
-            q = out.q
-            if out.row1 is not None:
-                for cell, row in zip(batch, out.row1):
-                    cell.take_row(row)
-        for i, row in zip(members, q):
-            rows[i] = row
-    return rows
+            if point:
+                value = _q_pure(inputs, columns, *shared, at, n_max,
+                                np.array([c._held for c in batch]), slope, tail)
+            else:
+                value = _q_pure(inputs, columns, *shared, at, n_max)
+            for cell, row in zip(batch, () if value.row1 is None else value.row1):
+                cell.take_row(row)
+        q, dq, terms, singular, m_used, m_tail, _ = value
+        if singular.shape != q.shape:
+            singular = np.broadcast_to(singular, q.shape)
+        for j, i in enumerate(members):
+            out[i] = _KernelValue(q[j], None if dq is None else dq[j],
+                                  None if terms is None else terms[j], singular[j], m_used, m_tail)
+    return out
+
+
+def _cell_values(requests) -> list:
+    """The answers to ``requests``, (cell, t2, slope) triples, in order: q,
+    or (q, dq/dt2 or None at a singular phase) when ``slope``; one
+    :func:`_cell_calls` round, each answer equal bit for bit to the cell's
+    own call."""
+    cells, t2, slopes = zip(*requests)
+    values = _cell_calls(cells, np.array(t2, dtype=float)[:, None], slopes)
+    return [(float(v.q[0]), None if v.singular[0] else float(v.slope[0])) if slope
+            else float(v.q[0]) for v, slope in zip(values, slopes)]
+
+
+def _cell_curves(cells, grid) -> list:
+    """Each cell's q over the t2 array ``grid``, in order: one
+    :func:`_cell_calls` of the cells' curves, each row equal bit for bit to
+    the cell's own curve."""
+    return [v.q for v in _cell_calls(cells, np.asarray(grid, dtype=float), None)]

@@ -175,8 +175,9 @@ def _psi_blocks(x: np.ndarray, n_max: int, rows: int):
     When ``x`` takes at most ``_MEMO_SIZE`` distinct values (bit patterns),
     each block is gathered from their memoized scalar rows
     (:func:`_psi_rows_scalar`), which a cut repeated along t2 (the window
-    family at r = 0, where lambda(t) = 1) and the cells' own rows share.
-    Otherwise the array recurrence runs, the package's one, and the columns
+    family at r = 0, where lambda(t) = 1) and the cells' own rows share; at
+    most ``_MEMO_SIZE`` points, such as a round of probes, are their own
+    keys, so they are not sorted.  Otherwise the array recurrence runs, the package's one, and the columns
     whose psi_0 is not a normal double are overwritten by their scalar rows
     (:func:`_psi_scaled`).  Both paths equal the scalar call bit for bit.
 
@@ -186,13 +187,15 @@ def _psi_blocks(x: np.ndarray, n_max: int, rows: int):
     """
     buf = np.empty((min(rows, n_max + 1),) + x.shape)
     flat = np.ascontiguousarray(x).view(np.uint64).reshape(-1)
-    bits = np.sort(flat)
-    steps = np.flatnonzero(bits[1:] != bits[:-1])
-    if flat.size and len(steps) < _MEMO_SIZE:
-        keys = bits[np.concatenate(([0], steps + 1))]
+    keys = flat
+    if flat.size > _MEMO_SIZE:
+        bits = np.sort(flat)
+        keys = bits[np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1))]
+    if flat.size and len(keys) <= _MEMO_SIZE:
         table = np.stack([_psi_rows_scalar(v, n_max) for v in keys.view(float).tolist()],
                          axis=1)
-        where = np.searchsorted(keys, flat).reshape(x.shape)
+        where = (np.arange(flat.size) if keys is flat
+                 else np.searchsorted(keys, flat)).reshape(x.shape)
         for k0 in range(0, n_max + 1, rows):
             block = buf[:n_max + 1 - k0]
             yield np.take(table[k0:k0 + len(block)], where, axis=1, out=block, mode="clip")

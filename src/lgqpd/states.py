@@ -164,8 +164,20 @@ def phase_beta_of(t, r: float, theta0: float):
     stays on the principal branch and beta is continuous and periodic without
     any unwrapping.
     """
-    return np.arctan2(np.sin(theta0 - 2 * t) * math.sinh(r),
-                      math.cosh(r) + np.cos(theta0 - 2 * t) * math.sinh(r))
+    return _beta_and_rates(t, r, theta0)[0]
+
+
+def _beta_and_rates(t, r: float, theta0: float, lam=None) -> list:
+    """[beta(t)], and given lambda(t) as ``lam``, [beta(t), beta'(t),
+    lambda'(t)]: the rates of :func:`phase_beta_dot` and :func:`lambda_dot`
+    read A(t) and sin(theta0 - 2t) from beta's evaluation, and lambda, in
+    place of forming them again."""
+    u = theta0 - 2 * t
+    a, s = math.cosh(r) + np.cos(u) * math.sinh(r), np.sin(u)
+    out = [np.arctan2(s * math.sinh(r), a)]
+    if lam is not None:
+        out += [2.0 * math.cosh(r) * a / lam ** 2 - 2.0, math.sinh(2 * r) * s / lam]
+    return out
 
 
 def x_xi_of(t, xi: complex):

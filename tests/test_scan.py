@@ -265,6 +265,30 @@ class TestMinimizeOverT2:
         assert found.evals == len(calls) <= 5 and not found.capped
         assert found[1] == pytest.approx(math.pi, abs=1e-9)
 
+    def test_rounding_of_a_small_q_is_no_kink(self):
+        # two slope probes straddle a smooth minimum at q = -4.5e-3; the
+        # second value is 1e-16 off the secant's model, the rounding of the
+        # order-one terms that q sums.  The secant's step is below XATOL, so
+        # the search ends; a rounding scaled by |q| alone read a kink and
+        # went on for four more probes
+        search = T2Search(5.5, 6.5, 21, 40)
+        x1 = float(search.grid()[10]) + 1e-3
+        q1, d1, d2 = -4.545979101733699e-3, 4.255e-9, -2.942e-13
+        bend = d1 / 4e-8  # the coarse parabola's Newton step from x1 is 4e-8
+        curve = lambda g: q1 + 0.5 * bend * (np.asarray(g) - x1) ** 2 + 1e-12
+        probes = []
+
+        def slope(t):
+            probes.append(t)
+            if len(probes) == 1:
+                return q1, d1
+            return q1 + 0.5 * (d1 + d2) * (t - probes[0]) - 1e-16, d2
+
+        evaluator = lambda t: slope(t)[0]
+        evaluator.slope = slope
+        found = minimize_over_t2(evaluator, curve, search)
+        assert found.evals == len(probes) == 2 and not found.capped
+
     def test_lowest_probe_without_a_slope_ends_the_search(self):
         # a cusp whose own value is exact (a commuting separation on the
         # series route) has no slope; once it is the lowest point the search
@@ -1228,8 +1252,8 @@ def _random_cell(rng, projector, t1=None):
 
 
 class TestRoundKernel:
-    """One round of probes of pure series cells is one call of the round
-    kernel, each answer equal bit for bit to the cell's own call."""
+    """One round of probes of pure series cells is one (C, 1) call of the
+    family's kernel, each answer equal bit for bit to the cell's own call."""
 
     @pytest.mark.parametrize("projector", ["sign", "window"])
     def test_equals_each_cells_own_call(self, projector):
@@ -1242,7 +1266,8 @@ class TestRoundKernel:
                 t2 = float(rng.uniform(0.0, TWO_PI))
                 if rng.uniform() < 0.15:  # a commuting separation, or next to one
                     t2 = t1 + math.pi * int(rng.integers(1, 3)) + float(rng.choice([0.0, 1e-6]))
-                singular += abs(math.sin(series._geometry(cell.column[0], t1, t2)[4])) < 1e-9
+                phi = series._columns([cell.column[0]], t1, np.array([[t2]]))[4]
+                singular += abs(math.sin(phi[0, 0])) < 1e-9
                 requests.append(scan._Request(cell, t2, bool(rng.uniform() < 0.7)))
             answers = scan._serve(requests)
             for request, answer in zip(requests, answers):
@@ -1307,8 +1332,9 @@ class TestRoundKernel:
         assert scan._serve(requests) == [cells[0].slope(1.3), cells[0](1.4), cells[1](1.3)]
 
     def test_a_failing_probe_fails_its_cell_alone(self, monkeypatch):
-        # the round kernel raises for any round that holds one cell's probe;
-        # the rounds are then served cell by cell, and only that cell is NaN
+        # the pure kernel raises for any round of probes (one t2 per column)
+        # that holds one cell's probe, and not for its coarse curve; the
+        # rounds are then served cell by cell, and only that cell is NaN
         # (theta0 = 0.5 searches every cell: no cell is filled from its mirror)
         cfg = ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5, theta0=0.5,
                          axis1_min=0.5, axis1_steps=1,
@@ -1316,23 +1342,15 @@ class TestRoundKernel:
                          t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
         clean = scan_plane(cfg)
         assert clean.mirror_filled == 0
-        bad, rows = float(cfg.axis2_values()[4]), []
-        real_round, real_probe = series._q_round, series._SeriesCell.probe
+        bad, real = float(cfg.axis2_values()[4]), series._q_pure
 
-        def failing(window, probes, n_max):
-            # a probe's last entry is its cell's held t1 row
-            if any(probe[-1] is row for probe in probes for row in rows):
+        def failing(inputs, column, s1, s2, t1, t2, *args):
+            # a round's t2 is (C, 1), and column[0] its list of states
+            if t2.ndim == 2 and any(abs(s.p0 - bad) < 1e-12 for s in column[0]):
                 raise FloatingPointError("injected")
-            return real_round(window, probes, n_max)
+            return real(inputs, column, s1, s2, t1, t2, *args)
 
-        def recording_probe(cell, t2, slope):
-            probe = real_probe(cell, t2, slope)
-            if abs(cell.column[0].p0 - bad) < 1e-12:
-                rows.append(probe[-1])
-            return probe
-
-        monkeypatch.setattr(series, "_q_round", failing)
-        monkeypatch.setattr(series._SeriesCell, "probe", recording_probe)
+        monkeypatch.setattr(series, "_q_pure", failing)
         res = scan_plane(cfg)
         assert res.n_failed == 1
         assert np.flatnonzero(np.isnan(res.q_min[0])).tolist() == [4]

@@ -18,12 +18,12 @@ from lgqpd import (CapabilityError, MeasurementSpec, StateSpec, TruncationConfig
 from lgqpd import T2Search, scan, special
 from lgqpd.matrix_elements import j_block, j_row, ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table, _SeriesCell,
-                          _carry_sum, _cell_curves, _euler_rows, _euler_tails, _fill_singular, _geometry,
-                          _ground_weight, _halfline, _phase_table, _psi_sq_weights, _q_pure,
-                          _q_thermal, _sign_inputs, _t1_geometry, _window_inputs,
-                          _window_region, _window_row, series_tail_estimate)
+                          _carry_sum, _cell_curves, _cell_values, _columns, _euler_tails,
+                          _fill_singular, _ground_weight, _halfline, _phase_tables,
+                          _psi_sq_weights, _q_pure, _q_thermal, _sign_inputs, _t1_geometry,
+                          _window_inputs, _window_region, _window_row, series_tail_estimate)
 from lgqpd.special import HARD_N_CAP, averaged_partial_sum
-from lgqpd.states import T2_PERIOD
+from lgqpd.states import T2_PERIOD, lambda_dot, phase_beta_dot, x_xi_dot
 from test_matrix_elements import quadrature_diag_row
 
 TWO_PI = 2 * math.pi
@@ -40,12 +40,6 @@ def tail_weights(n_max: int) -> np.ndarray:
     first, scale = n_max + 1 - w, 2 ** (w - 1)
     heads = [sum(math.comb(w - 1, k) for k in range(max(n - first, 0))) for n in range(1, n_max + 1)]
     return np.array([(scale - head) / scale for head in heads])
-
-
-def euler_dot(terms) -> float:
-    """A point's Euler-averaged sum: the terms' dot product with the tail
-    weights."""
-    return np.einsum("k,k->", tail_weights(len(terms)), terms)
 
 
 def streamed_sum(terms, rows: int) -> np.ndarray:
@@ -71,6 +65,13 @@ def ordered_sum(terms) -> np.ndarray:
     for term in terms:
         total = total + term
     return total
+
+
+def geometry(state, t1, t2):
+    """lam1, lam2, a1, a2 and phi of one state over the t2 array ``t2``, as
+    the kernels' _columns gives them."""
+    lam1, lam2, a1, a2, phi, _ = _columns([state], t1, np.asarray(t2, dtype=float))
+    return lam1, lam2, a1[0, 0], a2[0], phi
 
 
 def thermal_reference(state, s1, s2, t1, t2, n_max):
@@ -200,6 +201,8 @@ class TestTailEstimate:
 
     def test_all_zero(self):
         assert series_tail_estimate(np.zeros(12)) == 0.0
+        # only the last 16 terms are read: zeros there bound a zero tail
+        assert series_tail_estimate([1.0] * 10 + [0.0] * 16) == 0.0
 
     def test_requires_enough_terms(self):
         with pytest.raises(ValueError):
@@ -414,6 +417,15 @@ def mixed_blocks(cut, w, m_cut, n_max):
     return b, g
 
 
+def table_products(cut, factors, tables):
+    """(B^T F)^T for the Q table and (G^T F)^T for the H table from a cut's
+    held pieces, F^T being the (4, m_cut + 1) ``factors``: L ⊙ ((u ⊙ F^T) T)
+    - psi ⊙ ((v ⊙ F^T) T) for each table T, the products that the thermal
+    stream forms step by step."""
+    p = np.matmul((np.array((cut.u, cut.v))[:, None] * factors).reshape(8, -1), tables)
+    return cut.low * p[:, :4] - cut.psi * p[:, 4:]
+
+
 class TestThermalCut:
     """A thermal t1 cut is held as O(n_max) pieces, and its mixed family is
     applied through the x-independent tables of (m_cut, n_max)."""
@@ -428,7 +440,7 @@ class TestThermalCut:
             (4, m_cut + 1))
         pieces = series._thermal_fixed_cut(cut, w, m_cut, n_max)
         tables = series._gap_tables(m_cut, n_max)
-        got = series._mixed_products(pieces, factors, tables)
+        got = table_products(pieces, factors, tables)
         # both forms round the Wronskian difference L_n psi_m - L_m psi_n,
         # which cancels at large |cut|: each entry agrees within the rounding
         # bound of a sum of m_cut + 1 products, (m_cut + 6) eps, relative to
@@ -483,8 +495,7 @@ class TestRowsFromCurves:
         assert built == []
         for own, cell, row in zip(fresh, handed, rows):
             assert "_held" in cell.__dict__
-            assert repr(cell._held[0]) == repr(own._held[0])
-            assert cell._held[1].tobytes() == own._held[1].tobytes()
+            assert cell._held.tobytes() == own._held.tobytes()
             assert row.tobytes() == own.curve(grid).tobytes()
             for t2 in (t1, t1 + math.pi, 0.9, 2.3):
                 assert repr(cell.slope(t2)) == repr(own.slope(t2))
@@ -546,25 +557,45 @@ class TestWindowSeries:
 
 
 class TestGeometry:
+    """_columns evaluates the geometry of a batch once per distinct
+    squeezing, over a shared grid or one t2 per column; each column equals
+    the closed forms of its own state bit for bit, the rates included: the
+    public lambda_dot and phase_beta_dot form their own A(t), sin(2t -
+    theta0) and lambda, where _columns reads them from beta's evaluation."""
+
     @pytest.mark.parametrize("t1", [0.0, 0.3, -2.1, 7.5])
     def test_cached_t1_half_equals_a_fresh_computation(self, t1):
-        state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4)
+        states = [StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4),
+                  StateSpec.from_phase_space(-0.2, 0.9, 0.5, 0.4),
+                  StateSpec.from_phase_space(1.1, 0.3, 0.2, -1.0)]
         t2 = np.array([0.1, 1.1, 4.0])
-        lam1, lam2, a1, a2, phi = _geometry(state, t1, t2)
-        assert _t1_geometry(state, t1) is _t1_geometry(state, t1)
-        fresh_lam1 = lambda_of(t1, state.r, state.theta0)
-        fresh_lam2 = lambda_of(t2, state.r, state.theta0)
-        assert lam1 == fresh_lam1
-        assert a1 == x_xi_of(t1, state.xi) / fresh_lam1
-        assert np.array_equal(lam2, fresh_lam2)
-        assert np.array_equal(a2, x_xi_of(t2, state.xi) / fresh_lam2)
-        assert np.array_equal(phi, (t2 - t1) + (phase_beta_of(t2, state.r, state.theta0)
-                                                - phase_beta_of(t1, state.r, state.theta0)))
+        assert _t1_geometry(0.5, 0.4, t1) is _t1_geometry(0.5, 0.4, t1)
+        for batch in (states[:2], states):  # one squeezing, then two
+            for at in (t2, t2[:len(batch), None]):  # a shared grid, then one t2 each
+                out, shape = _columns(batch, t1, at, slope=True), (len(batch), at.shape[-1])
+                for c, state in enumerate(batch):
+                    lam1, lam2, a1, a2, phi = (np.broadcast_to(v, shape)[c] for v in out[:5])
+                    dphi, dlam2, dx = (np.broadcast_to(v, shape)[c] for v in out[5])
+                    t = at if at.ndim == 1 else at[c]
+                    r, theta0 = state.r, state.theta0
+                    fresh_lam1, fresh_lam2 = lambda_of(t1, r, theta0), lambda_of(t, r, theta0)
+                    assert (lam1 == fresh_lam1).all()
+                    assert (a1 == x_xi_of(t1, state.xi) / fresh_lam1).all()
+                    assert (lam1 == _t1_geometry(r, theta0, t1)[0]).all()
+                    assert np.array_equal(lam2, fresh_lam2)
+                    assert np.array_equal(a2, x_xi_of(t, state.xi) / fresh_lam2)
+                    assert np.array_equal(phi, (t - t1) + (phase_beta_of(t, r, theta0)
+                                                           - phase_beta_of(t1, r, theta0)))
+                    assert np.array_equal(dphi, 1.0 + phase_beta_dot(t, r, theta0))
+                    assert np.array_equal(dlam2, lambda_dot(t, r, theta0))
+                    assert np.array_equal(dx, x_xi_dot(t, state.xi))
 
 
 class TestPointAndCurve:
-    """Each series point is the float call of its family's t2 kernel, whose
-    array call is the family's curve."""
+    """Each series point is a one-column call of its family's kernel, whose
+    call on a grid is the family's curve: a pure point equals the curve's
+    value bit for bit, a thermal one to rounding, since its stacked matrix
+    products take their shapes from K."""
 
     T1 = 0.3
     # t2 = t1 and t1 + pi are singular; t1 + 1e-3 is close to it
@@ -575,13 +606,14 @@ class TestPointAndCurve:
         ("thermal", 1.54), ("thermal", 3.0)])
     def test_point_matches_curve(self, family, n_th):
         if family == "sign":
-            state, extra, n_max, tol = StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9), (), 300, 1e-12
+            state, extra, n_max, tol = StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9), (), 300, 0.0
             point, curve = qpd_series_squeezed, q_sign_series_curve
-            kernel = lambda *args: _q_pure(_sign_inputs, args[:1], *args[1:], n_max)
+            kernel = lambda *args: _q_pure(_sign_inputs, ([args[0]],), *args[1:], n_max)
         elif family == "window":
-            state, extra, n_max, tol = StateSpec(xi=0j, r=0.25, theta0=0.0), (1.02,), 300, 1e-12
+            state, extra, n_max, tol = StateSpec(xi=0j, r=0.25, theta0=0.0), (1.02,), 300, 0.0
             point, curve = qpd_series_window, q_window_series_curve
-            kernel = lambda *args: _q_pure(_window_inputs, args[:2], *args[2:], n_max)
+            kernel = lambda *args: _q_pure(_window_inputs, ([args[0]], np.array([[args[1]]])),
+                                           *args[2:], n_max)
         else:
             state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4, n_th)
             extra, n_max, tol = (), 150, 1e-14
@@ -593,7 +625,7 @@ class TestPointAndCurve:
 
             def kernel(state, s1, s2, t1, grid):
                 cell = _SeriesCell("thermal", (state,), (s1, s2, t1), TruncationConfig(n_max=n_max))
-                return _q_thermal(state, s1, s2, t1, grid, n_max, False, lambda: [cell._held])
+                return _q_thermal([state], s1, s2, t1, grid, n_max, False, lambda: [cell._held])
         trunc = TruncationConfig(n_max=n_max)
         for s1, s2 in SIGN_PAIRS:
             args = (state,) + extra + (s1, s2, self.T1)
@@ -602,7 +634,10 @@ class TestPointAndCurve:
             q_curve = curve(*args, self.GRID, n_max)
             for k, t2 in enumerate(self.GRID):
                 q, info = point(*args, float(t2), trunc, with_info=True)
-                assert abs(q - q_curve[k]) <= tol
+                if tol:
+                    assert abs(q - q_curve[k]) <= tol
+                else:
+                    assert q == q_curve[k]
                 assert info.singular_branch == singular[k]
                 assert info.n_used == (0 if singular[k] else n_max)
 
@@ -658,8 +693,8 @@ class TestPointSlope:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_pure_point_equals_its_one_dimensional_sums(self, family, data):
-        # the round kernel's (C, n) arrays keep each point's operations and
-        # their order: q and dq/dt2 equal the 1-D sums bit for bit
+        # a point is the (1, 1) call of the streamed sums: q and dq/dt2 equal
+        # the sums of its 1-D rows, added in order of n, bit for bit
         t1 = data.draw(st.sampled_from([0.0, data.draw(st.floats(-2.0, 2.0))]))
         t2 = data.draw(st.floats(-3.0, 9.0))
         s1, s2 = data.draw(st.sampled_from(SIGN_PAIRS))
@@ -673,13 +708,12 @@ class TestPointSlope:
                                                      data.draw(st.floats(-2.5, 2.5)), r,
                                                      theta0), None
             column = (state,)
-        trunc = TruncationConfig(n_max=n_max)
-        out = _SeriesCell(family, column, (s1, s2, t1), trunc).value(t2, slope=True)
-        if out.singular:
-            assert out.slope is None
+        cell = _SeriesCell(family, column, (s1, s2, t1), TruncationConfig(n_max=n_max))
+        q, dq = cell.slope(t2)
+        if dq is None:
+            assert abs(math.sin(geometry(state, t1, np.array([t2]))[4][0])) < SINGULAR_PHASE_TOL
             return
-        assert (float(out.q), float(out.slope)) == point_reference(state, half, s1, s2, t1,
-                                                                    t2, n_max)
+        assert (q, dq) == point_reference(state, half, s1, s2, t1, t2, n_max)
 
     @pytest.mark.parametrize("family", ["sign", "window", "thermal"])
     @settings(max_examples=15, deadline=None)
@@ -693,27 +727,125 @@ class TestPointSlope:
 
 
 def point_reference(state, half_width, s1, s2, t1, t2, n_max):
-    """(q, dq/dt2) of one non-singular pure point summed on 1-D rows, as the
-    point kernels summed it before a point became a round of one column:
-    the rows j_row (or _window_row, for a ``half_width``) at both cuts, the
-    terms and their t2 derivatives, each summed by its dot product with the
-    tail weights."""
+    """(q, dq/dt2) of one non-singular pure point summed on 1-D rows, in the
+    operations of _phase_sums: the kernel's block, phase, cuts and rates at
+    t2, the t1 row (j_row, or _window_row for a ``half_width``), v_n = Omega_n
+    row1_n / sqrt(2n) (doubled for a window, whose odd orders are skipped),
+    and the value's and the slope's terms each added in order of n, psi_0 at
+    cut2 multiplied in at the end."""
     window = half_width is not None
-    column = (state,) if half_width is None else (state, half_width)
-    inputs = _window_inputs if window else _sign_inputs
-    block, phi, cut1, cut2, (dblock, dphi, dcut) = inputs(*column, s1, s2, t1, t2, True)
-    row = _window_row if window else j_row
+    inputs, row = (_window_inputs, _window_row) if window else (_sign_inputs, j_row)
+    column = ([state], np.array([[half_width]])) if window else ([state],)
+    block, phi, cut1, cut2, rates = inputs(*column, s1, s2, t1, np.array([[t2]]), True)
+    block, phi, cut1, cut2, dblock, dphi, dcut = (float(np.ravel(v)[0]) for v in
+                                                  (block, phi, cut1, cut2, *rates))
     n = np.arange(1, n_max + 1)
-    row1, row2 = row(cut1, n_max)[1:], row(cut2, n_max)[1:]
-    angle = n * phi
-    cos = np.cos(angle)
+    u = row(cut1, n_max)[1:] * tail_weights(n_max) * (1 + window)
+    v = row(cut1, n_max)[1:] * tail_weights(n_max) / np.sqrt(2.0 * n) * (1 + window)
     psi = psi_rows(cut2, n_max)
-    drow2 = (-2.0 if window else -1.0) * dcut * float(psi[0]) * psi[1:]
-    if window:
-        drow2[0::2] = 0.0
-    dterms = row1 * (cos * drow2 - dphi * n * np.sin(angle) * row2)
-    return (float(block + s1 * s2 * euler_dot(cos * row1 * row2)),
-            float(dblock + s1 * s2 * euler_dot(dterms)))
+    angle = n * phi
+    summed = slice(1, None, 2) if window else slice(None)
+    value = ordered_sum(((np.cos(angle) * v) * psi[:-1])[summed])
+    cos_part = ordered_sum(((np.cos(angle) * u) * psi[1:])[summed])
+    sin_part = ordered_sum(((np.sin(angle) * (v * n)) * psi[:-1])[summed])
+    dsum = psi[0] * (-(dcut * cos_part) - dphi * sin_part)
+    return float(block + s1 * s2 * (value * psi[0])), float(dblock + s1 * s2 * dsum)
+
+
+def raw_terms(state, half_width, t1, t2, n_max):
+    """The raw eigenbasis terms of one point, n = 1..n_max, on full rows:
+    cos(n phi) row1_n row2_n for a pure state (j_row, or _window_row for a
+    ``half_width``), and for a thermal one that plus the mixed family
+    sum_m w^m cos((m - n) phi) J_mn(cut1) J_mn(cut2), with J_mn(cut2) in
+    its Wronskian form against the t1 cut's table products."""
+    window = half_width is not None
+    inputs = _window_inputs if window else _sign_inputs
+    column = ([state], np.array([[half_width]])) if window else ([state],)
+    _, phi, cut1, cut2, _ = (np.ravel(v)[0] if v is not None else v
+                             for v in inputs(*column, 1, 1, t1, np.array([[t2]])))
+    n = np.arange(n_max + 1)
+    cos, sin = np.cos(n * phi), np.sin(n * phi)
+    if state.n_th == 0:
+        row = _window_row if window else j_row
+        return cos[1:] * row(cut1, n_max)[1:] * row(cut2, n_max)[1:]
+    w, m_cut = state.n_th / (1.0 + state.n_th), thermal_m_cut(state.n_th)
+    pieces = series._thermal_fixed_cut(cut1, w, m_cut, n_max)
+    psi = psi_rows(cut2, n_max)
+    low = lowered(psi)
+    m1 = m_cut + 1
+    factors = np.array((cos[:m1] * psi[:m1], cos[:m1] * low[:m1],
+                        sin[:m1] * psi[:m1], sin[:m1] * low[:m1]))
+    c = table_products(pieces, factors, series._gap_tables(m_cut, n_max)[:1])[0]
+    mixed = cos * (low * c[0] - psi * c[1]) + sin * (low * c[2] - psi * c[3])
+    return cos[1:] * j_row(cut2, n_max)[1:] * pieces.row[1:] + mixed[1:]
+
+
+class TestTailFromTheStream:
+    """A point's tail bound comes from the raw terms of its last orders,
+    which the family's kernel keeps as it streams them: it equals the
+    estimate over the point's whole term vector."""
+
+    @pytest.mark.parametrize("family", ["sign", "window", "thermal"])
+    def test_tail_bound_matches_the_full_vector_estimate(self, family):
+        rng = np.random.default_rng(["sign", "window", "thermal"].index(family))
+        checked = 0
+        while checked < 20:
+            t1 = float(rng.choice([0.0, rng.uniform(-1.0, 1.0)]))
+            t2 = float(rng.uniform(-3.0, 9.0))
+            r, theta0 = float(rng.uniform(0.0, 1.0)), float(rng.uniform(-3.0, 3.0))
+            n_max = int(rng.integers(60, 300))
+            half = None
+            if family == "window":
+                state, half = StateSpec(r=r, theta0=theta0), float(rng.uniform(0.3, 2.0))
+            else:
+                state = StateSpec.from_phase_space(*rng.uniform(-2.5, 2.5, 2), r, theta0,
+                                                   0.0 if family == "sign" else 0.3)
+            column = (state,) if half is None else (state, half)
+            cell = _SeriesCell(family, column, (1, -1, t1), TruncationConfig(n_max=n_max))
+            _, info = cell(t2, with_info=True)
+            if info.singular_branch:
+                continue
+            want = series_tail_estimate(raw_terms(state, half, t1, t2, n_max))
+            assert info.n_used == n_max
+            assert info.tail_bound == pytest.approx(want, rel=1e-12, abs=0.0)
+            checked += 1
+
+
+class TestProbeRounds:
+    """A round of probes is one (C, 1) call of its family's kernel, each
+    column at its own t2, with dq/dt2 from the same pass: every column
+    equals its own one-column call bit for bit, q and slope, whatever the
+    other columns, their t1 and whether their phases are singular."""
+
+    @staticmethod
+    def _cell(rng, family):
+        t1 = float(rng.choice([0.0, 0.4]))
+        r, theta0 = float(rng.uniform(0.0, 1.0)), float(rng.choice([0.0, 0.7]))
+        trunc = TruncationConfig(n_max=120)
+        if family == "window":
+            column = (StateSpec(r=r, theta0=theta0), float(rng.uniform(0.5, 1.6)))
+        else:
+            column = (StateSpec.from_phase_space(*rng.uniform(-2.5, 2.5, 2), r, theta0,
+                                                 0.0 if family == "sign" else 0.3),)
+        return _SeriesCell(family, column, (1, -1, t1), trunc), t1
+
+    @pytest.mark.parametrize("family", ["sign", "window", "thermal"])
+    def test_each_column_equals_its_own_call(self, family):
+        rng = np.random.default_rng(["sign", "window", "thermal"].index(family) + 10)
+        singular = 0
+        for columns in range(1, 65):
+            requests = []
+            for _ in range(columns):
+                cell, t1 = self._cell(rng, family)
+                t2 = float(rng.uniform(0.0, TWO_PI))
+                if rng.uniform() < 0.15:  # a commuting separation
+                    t2 = t1 + math.pi * int(rng.integers(1, 3))
+                phi = _columns([cell.column[0]], t1, np.array([[t2]]))[4]
+                singular += abs(math.sin(phi[0, 0])) < SINGULAR_PHASE_TOL
+                requests.append((cell, t2, bool(rng.uniform() < 0.7)))
+            for (cell, t2, slope), answer in zip(requests, _cell_values(requests)):
+                assert repr(answer) == repr(cell.slope(t2) if slope else cell(t2))
+        assert singular > 50
 
 
 def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):
@@ -723,7 +855,7 @@ def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):
     psi_{n-1}(cut2) (cos(n phi) v_n) of the summed orders (a window's even
     ones) added in order of n, times psi_0(cut2), then completeness at the
     singular phases."""
-    lam1, lam2, a1, a2, phi = _geometry(state, t1, grid)
+    lam1, lam2, a1, a2, phi = geometry(state, t1, grid)
     window = half_width is not None
     if not window:
         cut1, cut2, region = -a1, -a2, _halfline
@@ -762,7 +894,7 @@ class TestBatchedCurves:
     number of grid points."""
 
     @staticmethod
-    def _check(states, halves, s1, s2, t1, grid, n_max):
+    def _check(states, halves, s1, s2, t1, grid, n_max, every=None):
         rows = batch_curves(states, halves, s1, s2, t1, grid, n_max)
         assert rows.shape == (len(states), len(grid))
         for c, state in enumerate(states):
@@ -772,6 +904,20 @@ class TestBatchedCurves:
             one = (q_sign_series_curve(state, s1, s2, t1, grid, n_max) if half is None
                    else q_window_series_curve(state, half, s1, s2, t1, grid, n_max))
             assert one.tobytes() == want.tobytes()
+        if every is None:
+            return
+        # slope columns: one round of probes at every (state, t2), C = C K
+        # columns of K = 1, streamed in blocks of _BLOCK_DOUBLES // (C K)
+        # orders; each q is the curve's value and each slope the cell's own
+        trunc = TruncationConfig(n_max=n_max)
+        cells = [_SeriesCell("sign", (state,), (s1, s2, t1), trunc) if halves is None
+                 else _SeriesCell("window", (state, halves[c]), (s1, s2, t1), trunc)
+                 for c, state in enumerate(states)]
+        requests = [(cell, float(t2), True) for cell in cells for t2 in grid]
+        answers = _cell_values(requests)
+        assert [q for q, _ in answers] == rows.ravel().tolist()
+        for (cell, t2, _), answer in list(zip(requests, answers))[::every]:
+            assert repr(answer) == repr(cell.slope(t2))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -811,7 +957,7 @@ class TestBatchedCurves:
             states, halves = [StateSpec(r=0.5)] * 3, [0.8, 1.03, 1.6]
         else:
             halves = None
-        self._check(states, halves, 1, -1, 0.0, grid, n_max)
+        self._check(states, halves, 1, -1, 0.0, grid, n_max, every=1)
 
     @pytest.mark.parametrize("window", [False, True])
     def test_batch_larger_than_the_block_budget(self, window):
@@ -823,7 +969,7 @@ class TestBatchedCurves:
         else:
             states = [StateSpec.from_phase_space(0.3 * k - 1, 1.2, x) for k, x in enumerate(r)]
             halves = None
-        self._check(states, halves, -1, 1, 0.2, grid, 60)
+        self._check(states, halves, -1, 1, 0.2, grid, 60, every=97)
 
     @pytest.mark.parametrize("n_max", [2, BLOCK, 256])
     def test_repeated_cuts_equal_the_array_recurrence(self, n_max):
@@ -872,24 +1018,26 @@ class TestBatchedCurves:
         grid = np.linspace(0.05, 3.0, 30)
         states, halves = [StateSpec(r=0.5)] * 3 + [StateSpec(r=0.2)], [0.8, 1.03, 1.6, 0.9]
         want = batch_curves(states, halves, 1, 1, 0.0, grid, 201)
-        real = series._phase_table
+        real = series._phase_tables
 
-        def odd_nan(wave, phi, n_max):
-            table = real(wave, phi, n_max).copy()
-            table[1::2] = np.nan
-            return table
+        def odd_nan(phi, n_max, sine=False):
+            tables = [table.copy() for table in real(phi, n_max, True)]
+            for table in tables:
+                table[1::2] = np.nan
+            return tables if sine else tables[:1] + [None]
 
-        monkeypatch.setattr(series, "_phase_table", odd_nan)
+        monkeypatch.setattr(series, "_phase_tables", odd_nan)
         assert batch_curves(states, halves, 1, 1, 0.0, grid, 201).tobytes() == want.tobytes()
         assert np.isnan(batch_curves(states[:1], None, 1, 1, 0.0, grid, 201)).all()
 
 
 class TestOneSummationPath:
-    """Every series sum, value and slope, is the Euler-averaged sum
-    sum_n Omega_n t_n with one table of tail weights (_euler_tails): a dot
-    product per row for points (_euler_rows), and a sum in order of n for
-    curves (_phase_sums and _thermal_stream, through _carry_sum).  special's averaged_partial_sum is
-    the oracle's sum, which these agree with to rounding."""
+    """Every series sum, value and slope, of a point, a round of probes or a
+    curve, is the Euler-averaged sum sum_n Omega_n t_n with one table of
+    tail weights (_euler_tails), added in order of n by the family's one
+    kernel (_phase_sums or _thermal_stream, through _carry_sum).  special's
+    averaged_partial_sum is the oracle's sum, which these agree with to
+    rounding."""
 
     def test_series_takes_no_other_sum_and_no_other_route(self):
         tree = ast.parse(Path(series.__file__).read_text(encoding="utf-8"))
@@ -908,6 +1056,18 @@ class TestOneSummationPath:
             assert oracle_sum not in set().union(*imported.values()) | names
         for route in ("fock", "integral"):
             assert route not in imported and route not in imported.get("*", ())
+
+    def test_the_tail_weights_are_read_by_the_two_kernels_alone(self):
+        # one kernel per family: no second summation path reads the weights
+        tree = ast.parse(Path(series.__file__).read_text(encoding="utf-8"))
+
+        def reads(node):
+            return sum(isinstance(n, ast.Name) and n.id == "_euler_tails" for n in ast.walk(node))
+
+        kernels = [reads(node) for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name in ("_phase_sums", "_thermal_stream")]
+        assert len(kernels) == 2 and all(kernels)
+        assert reads(tree) == sum(kernels)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 150, 200, 256, 257, 2500])
     def test_tail_weights_are_the_exact_binomial_tails(self, n):
@@ -937,11 +1097,10 @@ class TestOneSummationPath:
         # the oracle's sum of the partial sums, to rounding
         bound = 16 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
         assert (np.abs(total - averaged_partial_sum(terms)) <= bound).all()
-        if not shape:  # a point's sum, alone and in a round of three
-            rows = _euler_rows(np.array([terms, 2.0 * terms, terms]))
-            want = euler_dot(terms)
-            assert [np.asarray(row).tobytes() for row in rows[::2]] == [want.tobytes()] * 2
-            assert abs(want - averaged_partial_sum(terms)) <= bound
+        if not shape:  # a point's sum, alone and in a round of three (C = 3, K = 1)
+            rows = streamed_sum(np.stack([terms, 2.0 * terms, terms], axis=1)[:, :, None], n)
+            alone = np.asarray(total).reshape(1).tobytes()
+            assert [rows[c].tobytes() for c in (0, 2)] == [alone] * 2
 
     @pytest.mark.parametrize("rows", [2, 7, 300])
     @pytest.mark.parametrize("shape", [(), (3, 2)])
@@ -963,27 +1122,41 @@ class TestPhaseTable:
     def test_equals_a_fresh_evaluation_bit_for_bit(self, shape):
         phi = np.linspace(-3.0, 40.0, math.prod(shape)).reshape(shape)
         angle = np.arange(151).reshape((-1,) + (1,) * len(shape)) * phi
-        for wave in (np.cos, np.sin):
-            table = _phase_table(wave, phi, 150)
+        for wave, table in zip((np.cos, np.sin), _phase_tables(phi, 150, sine=True)):
             assert table.shape == (151,) + shape
             assert table.tobytes() == wave(angle).tobytes()
 
     def test_read_only_and_shared(self):
         phi = np.array([0.1, 1.2, 2.3])
-        cos = _phase_table(np.cos, phi, 40)
-        for table in (cos, _phase_table(np.sin, phi, 40)):
+        cos, sin = _phase_tables(phi, 40, sine=True)
+        assert _phase_tables(phi, 40)[1] is None
+        for table in (cos, sin):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[1, 0] = 0.0
         # an equal array of phases, such as the next row's, gets the same table
-        assert _phase_table(np.cos, phi.copy(), 40) is cos
-        assert _phase_table(np.cos, phi, 41) is not cos
+        assert _phase_tables(phi.copy(), 40)[0] is cos
+        assert _phase_tables(phi, 41)[0] is not cos
 
     def test_cache_is_bounded(self):
         assert _cached_phase_table.cache_info().maxsize == 8
         for k in range(10):
-            _phase_table(np.cos, np.array([0.3 * k, 1.0]), 30)
+            _phase_tables(np.array([0.3 * k, 1.0]), 30)
         assert _cached_phase_table.cache_info().currsize <= 8
+
+    def test_a_rows_grid_table_outlives_its_probe_rounds(self):
+        # the probes of a round compute their phases directly: after the
+        # first row's rounds, the second row's curve reads its table from
+        # the cache (theta0 = 0.5: no mirror and no half grid)
+        cfg = scan.ScanConfig(plane="x0p0", route="series", s1=1, s2=-1, r=0.5, theta0=0.5,
+                              axis1_min=-1.0, axis1_max=1.0, axis1_steps=2,
+                              axis2_min=-2.5, axis2_max=2.5, axis2_steps=3,
+                              t2_coarse_steps=40, t2_refine_iters=8, n_max=60)
+        _cached_phase_table.cache_clear()
+        res = scan.scan_plane(cfg)
+        assert res.refine_evals > 6
+        info = _cached_phase_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_pure_curves_build_no_sine_table(self, monkeypatch):
         waves, real = [], series._cached_phase_table
@@ -1012,7 +1185,7 @@ def materialized_thermal_curve(state, s1, s2, t1, grid, n_max):
     n_th = state.n_th
     w = n_th / (1.0 + n_th)
     m_cut = thermal_m_cut(n_th)
-    _, _, a1, a2, phi = _geometry(state, t1, grid)
+    _, _, a1, a2, phi = geometry(state, t1, grid)
     fixed = j_block(float(-a1), m_cut, n_max)
     row1, diag1 = fixed[0], np.diagonal(fixed).copy()
     b = mixed_blocks(float(-a1), w, m_cut, n_max)[0]
