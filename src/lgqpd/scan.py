@@ -26,7 +26,7 @@ from .fock import DEFAULT_DIM, _check_dim, q_oracle_curve, qpd_oracle
 from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _cell_curves,
                      _cell_values, _check_finite, _check_signs, _check_squeezed_vacuum,
                      _SeriesCell)
-from .states import T2_PERIOD, OffsetFunction, StateSpec, time_reversal_fixes
+from .states import T2_PERIOD, OffsetFunction, StateSpec, thermal_m_cut, time_reversal_fixes
 
 #: Absolute tolerance of the t2 refinement: it stops once its next step, or
 #: half its bracket, is below XATOL.  It is also the step of the central
@@ -792,8 +792,9 @@ def named_evaluator(params: dict, route: str, projector: str,
     out-of-range ``n_max``, ``quad_order`` or ``oracle_dim`` (each is checked
     whichever route runs), or a combination that no route covers, and
     TruncationError for a thermal series whose ``n_max`` is below the
-    occupation cut.  Each rule is the check that the kernel itself makes, run
-    here before any evaluation.
+    occupation cut, or CapabilityError (a ValueError) for an n_th that has
+    no occupation cut (:func:`states.thermal_m_cut`).  Each rule is the
+    check that the kernel itself makes, run here before any evaluation.
     """
     unknown = sorted(set(params) - _PARAM_NAMES)
     if unknown:
@@ -835,6 +836,8 @@ def named_evaluator(params: dict, route: str, projector: str,
         curve = (lambda grid: _q_integral(state, meas.offset, s1, s2, t1,
                                           np.asarray(grid, dtype=float), order)[0])
     else:
+        if not state.is_pure:
+            thermal_m_cut(state.n_th)  # the oracle's occupation columns stop at the cut
         evaluator = (lambda t2, with_info=False: qpd_oracle(
             state, meas, s1, s2, t1, t2, dim, with_info))
         curve = lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -143,52 +143,18 @@ class MeasurementSpec:
 
 @dataclass(frozen=True)
 class SeriesInfo:
-    """Diagnostics of one series evaluation."""
+    """Diagnostics of one series evaluation: ``n_used`` orders summed (0 at
+    a singular phase, which completeness evaluates exactly); ``tail_bound``,
+    the truncation error estimate |q(n_max) - q(n_max // 2)|, 0 at a
+    singular phase and inf where no half truncation exists (n_max = 1, or a
+    thermal n_max // 2 below the occupation cut); and the occupation cut
+    ``m_used`` with its remainder ``m_tail``, 0 for a pure state."""
 
     n_used: int
     tail_bound: float
     singular_branch: bool
     m_used: int = 0
     m_tail: float = 0.0
-
-
-#: The trailing terms that the tail estimate reads, and that a point keeps.
-_TAIL_TERMS = 16
-
-
-def series_tail_estimate(terms) -> float:
-    """Conservative bound on the omitted tail of a term sequence.
-
-    Fits a geometric envelope to the trailing |terms| (running maxima guard
-    against phase zeros) and sums the extrapolated geometric tail.  Exact for
-    geometric decay; deliberately pessimistic for slower decay, where the
-    clipped ratio makes the bound large rather than falsely small.  It reads
-    only the last 16 terms and their count (:func:`_tail_bound`).
-    """
-    t = np.asarray(terms, dtype=float)
-    if t.size < 8:
-        raise ValueError("series_tail_estimate needs at least 8 computed terms")
-    return _tail_bound(t[-_TAIL_TERMS:], t.size)
-
-
-def _tail_bound(last, count: int) -> float:
-    """:func:`series_tail_estimate` of ``count`` terms from their ``last``
-    (at most 16): the form in which a series point hands over its terms."""
-    t = np.abs(np.asarray(last, dtype=float))
-    if not np.any(t > 0):
-        return 0.0
-    env = np.maximum.accumulate(t[::-1])[::-1]
-    pos = env > 0
-    n_idx = np.arange(count - t.size, count, dtype=float)[pos]
-    y = np.log(env[pos])
-    if n_idx.size < 2 or np.ptp(y) == 0.0:
-        rho = 0.995
-        level = float(env[pos][-1])
-    else:
-        slope, intercept = np.polyfit(n_idx, y, 1)
-        rho = float(np.clip(math.exp(slope), 1e-6, 0.995))
-        level = float(math.exp(intercept + slope * count))
-    return level / (1.0 - rho)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +351,8 @@ def _block_rows(c: int, k: int) -> int:
     return max(2, _BLOCK_DOUBLES // (c * k))
 
 
-def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None,
-                tail: bool = False):
-    """(sums, row1, slopes, terms) of the pure families for C columns over K
+def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None):
+    """(sums, row1, slopes) of the pure families for C columns over K
     values of t2: ``sums`` are the Euler-averaged sums over n = 1..n_max of
     cos(n phi) row1_n row2_n, the rows being :func:`j_row` at the cuts, or
     :func:`_window_row` for a ``window``.  ``cut2`` is (C, K) and ``phi``
@@ -395,9 +360,7 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None
     that the cells hold, or, when it is None, is formed in the stream from
     ``cut1`` (C, 1) and returned read-only.  Given ``rates``, the t2 rates
     (phi', cut2') of shape (C, K), ``slopes`` is the t2 derivative of the
-    sums, else None; with ``tail``, ``terms`` is (C, T), the raw terms
-    cos(n phi) row1_n row2_n of the last T = min(16, n_max) orders of each
-    column at K = 1, else None.
+    sums, else None.
 
     With row2_n = psi_0(cut2) psi_{n-1}(cut2) / sqrt(2n) (twice that at even
     n and 0 at odd n for a window), the sum sum_n Omega_n cos(n phi) row1_n
@@ -433,8 +396,6 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None
         row1, cut2 = np.empty((c, n_max)), np.concatenate([cut2, cut1], axis=1)
     slots = np.empty((rows + 1, c, k))
     total = cos_sum = sin_sum = np.zeros((c, k))
-    first = n_max + 1 - min(_TAIL_TERMS, n_max)
-    raw = np.empty((n_max + 1 - first, c, k)) if tail else None
     psi0 = None
     # the block from k0 holds psi_{n-1} for the orders n = k0 + 1, ...; the
     # value sums do not read the last order's psi_n_max, the slope's do, in
@@ -467,11 +428,6 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None
         np.multiply(cos_t[n], v[:, :, None], out=new)
         np.multiply(new, psi[i, :, :k], out=new)
         total = _carry_sum(slots, len(v), total)
-        if raw is not None and k0 + m >= first:
-            t = slice(max(first, k0 + 1), k0 + m + 1)
-            j = t.start - k0 - 1
-            raw[t.start - first:t.stop - first] = (
-                cos_t[t] * (r1[j:] * (1 + window) / sqrt_2n[t, None])[:, :, None] * psi[j:, :, :k])
         if rates is not None:
             np.multiply(sin_t[n], (v * np.arange(lo, k0 + m + 1.0, step)[:, None])[:, :, None],
                         out=new)
@@ -495,25 +451,21 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None
     if rates is not None:
         dphi, dcut = rates
         slopes = psi0 * (-(dcut * cos_sum) - dphi * sin_sum)
-    if raw is not None:
-        raw = (raw * psi0)[:, :, 0].T
-    return total, row1, slopes, raw
+    return total, row1, slopes
 
 
 class _KernelValue(NamedTuple):
     """The result of a series kernel, of C columns over K values of t2, or
     of one column when a cell's call is sliced from it: ``q``; ``slope``,
     dq/dt2 when asked, else None, not read at a singular phase, whose
-    completeness value has no slope; ``terms``, the raw eigenbasis terms of
-    the last min(16, n_max) orders of each point, which feed the tail
-    estimate, else None; ``singular``, the phases that completeness
-    evaluated; the occupation cut ``m_used`` with its remainder ``m_tail``, 0
-    for a pure state; and ``row1``, the (C, n_max) t1 rows that a pure
-    curve's phase sums formed (:func:`_phase_sums`), else None."""
+    completeness value has no slope; ``singular``, the phases that
+    completeness evaluated; the occupation cut ``m_used`` with its remainder
+    ``m_tail``, 0 for a pure state; and ``row1``, the (C, n_max) t1 rows
+    that a pure curve's phase sums formed (:func:`_phase_sums`), else
+    None."""
 
     q: object
     slope: object
-    terms: np.ndarray | None
     singular: object
     m_used: int = 0
     m_tail: float = 0.0
@@ -521,7 +473,7 @@ class _KernelValue(NamedTuple):
 
 
 def _q_pure(inputs, column, s1: int, s2: int, t1: float, t2, n_max: int, held=None,
-            slope: bool = False, tail: bool = False) -> _KernelValue:
+            slope: bool = False) -> _KernelValue:
     """The kernel of the pure families: q = block + s1 s2 sum_n cos(n phi)
     row1_n row2_n, the rows :func:`j_row` at the cuts, or :func:`_window_row`
     for the window family, and singular phases overwritten by completeness
@@ -532,23 +484,23 @@ def _q_pure(inputs, column, s1: int, s2: int, t1: float, t2, n_max: int, held=No
     ``t2`` is a (K,) grid for a curve of each column, whose t1 rows the sums
     form and return as ``row1``, or (C, 1), one t2 per column, for points
     and rounds of probes, which read the cells' ``held`` (C, n_max) rows and
-    return dq/dt2 when ``slope`` is asked, and their tail terms with
-    ``tail``.  Both are one call of :func:`_phase_sums`.
+    return dq/dt2 when ``slope`` is asked.  Both are one call of
+    :func:`_phase_sums`.
     """
     block, phi, cut1, cut2, rates = inputs(*column, s1, s2, t1, t2, slope)
     window = inputs is _window_inputs
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
-    q, dq, row1, terms = block, None, None, None
+    q, dq, row1 = block, None, None
     if not singular.all():
-        sums, row1, dsums, terms = _phase_sums(window, cut1, cut2, phi, n_max, held,
-                                               rates and rates[1:], tail)
+        sums, row1, dsums = _phase_sums(window, cut1, cut2, phi, n_max, held,
+                                        rates and rates[1:])
         q = block + s1 * s2 * sums
         if slope:
             dq = rates[0] + s1 * s2 * dsums
     if singular.any():
         q = _fill_singular(q, singular, phi, _window_region if window else _halfline,
                            s1, s2, cut1, cut2, _ground_weight)
-    return _KernelValue(q, dq, terms, singular, row1=None if held is not None else row1)
+    return _KernelValue(q, dq, singular, row1=None if held is not None else row1)
 
 
 def _sign_inputs(states: list, s1: int, s2: int, t1: float, t2, slope: bool = False) -> tuple:
@@ -604,25 +556,12 @@ def _check_family(family: str, s1: int, s2: int, t1: float, states: list, n_max:
                 f"n_max={n_max} is below the thermal occupation cut m={m_cut}; raise n_max")
 
 
-def _point(out: _KernelValue, n_max: int, with_info: bool):
-    """A cell's one-point result: q, or (q, SeriesInfo), whose tail bound is
-    the estimate over the point's last raw terms, and inf (no estimate)
-    below the 8 terms that :func:`series_tail_estimate` needs."""
-    q = float(out.q[0])
-    if not with_info:
-        return q
-    singular = bool(out.singular[0])
-    n_used = 0 if singular else n_max
-    tail = 0.0 if singular else _INF if n_used < 8 else _tail_bound(out.terms, n_used)
-    return q, SeriesInfo(n_used, tail, singular, out.m_used, out.m_tail)
-
-
 def qpd_series_squeezed(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
                         trunc: TruncationConfig | None = None, with_info: bool = False):
     """Series quasi-probability for a pure squeezed coherent state.
 
     With ``with_info`` the :class:`SeriesInfo` reports ``tail_bound``, the
-    estimate of :func:`series_tail_estimate` over the summed terms.
+    change |q(n_max) - q(n_max // 2)| that halving the truncation makes.
     Near-degenerate time separations converge slowly and report a large
     bound.
     """
@@ -773,14 +712,12 @@ def _thermal_terms(cos, sin, psi, low, row2, row1, c, out=None):
     return out
 
 
-def _thermal_stream(cuts: list, cut2, phi, n_max: int, rates=None, tail: bool = False):
-    """(phase_sum, s_up, diag2, slopes, terms) of the thermal kernel for C
-    columns over K values of t2: ``cut2`` (C, K), ``phi`` (K,) or (C, K),
-    and ``cuts``, each column's fixed t1 :class:`_ThermalCut`.  Given
-    ``rates`` (phi', cut2') of shape (C, K), ``slopes`` holds the t2
-    derivatives of the first three, else it is None; with ``tail``,
-    ``terms`` holds each column's raw terms of its last min(16, n_max)
-    orders at K = 1, as (C, T), else it is None.
+def _thermal_stream(cuts: list, cut2, phi, n_max: int, rates=None):
+    """(phase_sum, s_up, diag2, slopes) of the thermal kernel for C columns
+    over K values of t2: ``cut2`` (C, K), ``phi`` (K,) or (C, K), and
+    ``cuts``, each column's fixed t1 :class:`_ThermalCut`.  Given ``rates``
+    (phi', cut2') of shape (C, K), ``slopes`` holds the t2 derivatives of
+    the first three, else it is None.
 
     The orders stream as in :func:`_phase_sums`.  Every order's mixed family
     needs the rows m <= m_cut, so these are kept aside first, the stream's
@@ -812,8 +749,6 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int, rates=None, tail: bool = 
     cos_t, sin_t = (t.reshape(n_max + 1, -1, k) for t in _phase_tables(phi, n_max, True))
     sqrt_2n, omega = _sqrt_2n(n_max), _euler_tails(n_max)[:, None, None]
     slots, total, dtotal, done = np.empty((step + 1, c, k)), np.zeros((c, k)), np.zeros((c, k)), 0
-    first = n_max + 1 - min(_TAIL_TERMS, n_max)
-    raw = np.empty((n_max + 1 - first, c, k)) if tail else None
     # ext[i] holds psi_{done + i}, the orders n = done + 1, ... waiting for
     # their terms, ext[0] being the last order done
     ext = np.empty((rows + max(m1, step), c, k))
@@ -849,9 +784,6 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int, rates=None, tail: bool = 
             cos, sin, low, r1 = cos_t[lo:lo + m], sin_t[lo:lo + m], lower * s, row1[lo:lo + m]
             new = _thermal_terms(cos, sin, cur, low, row2, r1, mixed(base * q[:, lo:lo + m], m),
                                  slots[1:m + 1])
-            if raw is not None and lo + m > first:
-                j = max(first - lo, 0)
-                raw[lo + j - first:lo + m - first] = new[j:]
             np.multiply(new, omega[lo:lo + m], out=new)
             total = _carry_sum(slots, m, total)
             if rates is not None:
@@ -875,19 +807,19 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int, rates=None, tail: bool = 
         ext[:filled - start] = ext[start:filled]
         filled -= start
     slopes = None if rates is None else (dtotal, ds_up, ddiag2)
-    return total, s_up, diag2, slopes, None if raw is None else raw[:, :, 0].T
+    return total, s_up, diag2, slopes
 
 
 def _q_thermal(states: list, s1: int, s2: int, t1: float, t2, n_max: int, slope: bool,
-               held, tail: bool = False) -> _KernelValue:
+               held) -> _KernelValue:
     """Thermal kernel of cells, the occupation sum cut at m_cut, for a batch
     of the listed states, which share n_th, over a (K,) grid or at one t2
     per column ((C, 1), points and rounds of probes, which return dq/dt2
-    when ``slope`` is asked, and their tail terms with ``tail``): one stream
-    (:func:`_thermal_stream`).  The cells judged the input rules, and
-    ``held`` returns each one's :class:`_ThermalCut`; a call whose every
-    phase is singular reads no cut, so it does not call it.  The block,
-    phase, cuts and rates are the sign kernel's (:func:`_sign_inputs`).
+    when ``slope`` is asked): one stream (:func:`_thermal_stream`).  The
+    cells judged the input rules, and ``held`` returns each one's
+    :class:`_ThermalCut`; a call whose every phase is singular reads no
+    cut, so it does not call it.  The block, phase, cuts and rates are the
+    sign kernel's (:func:`_sign_inputs`).
 
     The mixed-phase family sum_m w^m cos((m-n) phi) J_mn(-a1) J_mn(-a2)
     takes J_mn(-a2) in its rank-2 Wronskian form and cos((m-n) phi) as
@@ -909,13 +841,13 @@ def _q_thermal(states: list, s1: int, s2: int, t1: float, t2, n_max: int, slope:
         return (float(w ** np.arange(m_cut + 1) @ _psi_sq_weights(region, m_cut))
                 / (1.0 + n_th))
 
-    q, dq, terms = block, None, None
+    q, dq = block, None
     if not singular.all():
         cuts = held()
         diag1 = np.array([f.diag for f in cuts]).T[:, :, None]
         wm = cuts[0].wm[:, None, None]
-        phase_sum, s_up, diag2, slopes, terms = _thermal_stream(
-            cuts, cut2, phi, n_max, rates and rates[1:], tail)
+        phase_sum, s_up, diag2, slopes = _thermal_stream(cuts, cut2, phi, n_max,
+                                                         rates and rates[1:])
         k1 = diag1 if s1 == 1 else 1.0 - diag1
         k2 = diag2 if s2 == 1 else 1.0 - diag2
         ee = _ordered_sum(wm * k2[1:] * k1[1:])
@@ -927,7 +859,7 @@ def _q_thermal(states: list, s1: int, s2: int, t1: float, t2, n_max: int, slope:
                   + _ordered_sum(wm * dk2[1:] * k1[1:])) / (1.0 + n_th)
     if singular.any():
         q = _fill_singular(q, singular, phi, _halfline, s1, s2, cut1, cut2, weight)
-    return _KernelValue(q, dq, terms, singular, m_cut, w ** (m_cut + 1))
+    return _KernelValue(q, dq, singular, m_cut, w ** (m_cut + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +881,9 @@ class _SeriesCell:
     pieces of a thermal one, which thermal curves read too, and which a
     thermal cell builds only when a non-singular call first reads them.  A
     pure cell whose first call is a batch curve builds no row: it holds the
-    one the curve formed (:meth:`take_row`).
+    one the curve formed (:meth:`take_row`).  A point's tail bound is one
+    more point, of this cell at half the truncation, which builds its own t1
+    half.
     """
 
     family: str
@@ -962,8 +896,20 @@ class _SeriesCell:
                       self.column[1:])
 
     def __call__(self, t2, with_info: bool = False):
+        """q at one t2, or (q, :class:`SeriesInfo`) with ``with_info``, whose
+        tail bound is |q - q'|, q' this cell's point at truncation n_max //
+        2 where that truncation exists."""
         _check_finite(t2=t2)
-        return _point(self.value(t2, tail=with_info), self.trunc.n_max, with_info)
+        out = _cell_calls([self], np.array([[float(t2)]]), (False,))[0]
+        q = float(out.q[0])
+        if not with_info:
+            return q
+        if out.singular[0]:
+            return q, SeriesInfo(0, 0.0, True, out.m_used, out.m_tail)
+        half, tail = self.trunc.n_max // 2, _INF
+        if half >= max(1, out.m_used):
+            tail = abs(q - replace(self, trunc=TruncationConfig(half))(t2))
+        return q, SeriesInfo(self.trunc.n_max, tail, False, out.m_used, out.m_tail)
 
     def slope(self, t2):
         """(q, dq/dt2) at one t2: q equals the value-only call bit for bit,
@@ -976,11 +922,6 @@ class _SeriesCell:
         """q over an array of t2 values (:func:`_cell_curves`)."""
         _check_finite(t2=grid)
         return _cell_curves([self], grid)[0]
-
-    def value(self, t2, slope: bool = False, tail: bool = False) -> _KernelValue:
-        """The cell's one-column kernel value at one t2, with its slope and
-        its tail terms when asked."""
-        return _cell_calls([self], np.array([[float(t2)]]), (slope,), tail)[0]
 
     def take_row(self, row1) -> None:
         """Hold ``row1``, this pure cell's t1 row as a batch curve formed it
@@ -1001,15 +942,15 @@ class _SeriesCell:
         return _window_row(self.column[1] / lam1, n_max)[1:]
 
 
-def _cell_calls(cells, t2: np.ndarray, slopes, tail: bool = False) -> list:
+def _cell_calls(cells, t2: np.ndarray, slopes) -> list:
     """Each cell's :class:`_KernelValue`, in order, sliced to its column:
     over the t2 array ``t2`` that the cells share (curves; ``slopes`` is
     None), or, for ``t2`` of shape (C, 1), at each cell's own t2 (points, or
-    a round of probes), ``slopes`` flagging each cell whose dq/dt2 is asked,
-    and with ``tail`` the points' tail terms.  The cells of one family,
-    ``shared``, n_max and n_th are one kernel call, and each column equals
-    the cell's own call bit for bit; when one cell of a call asks for its
-    slope, the call forms the slope of every column.
+    a round of probes), ``slopes`` flagging each cell whose dq/dt2 is
+    asked.  The cells of one family, ``shared``, n_max and n_th are one
+    kernel call, and each column equals the cell's own call bit for bit;
+    when one cell of a call asks for its slope, the call forms the slope of
+    every column.
 
     The cells judged their inputs when they were made, so they go straight
     to :func:`_q_pure` or :func:`_q_thermal`.  Pure points read their cells'
@@ -1028,24 +969,23 @@ def _cell_calls(cells, t2: np.ndarray, slopes, tail: bool = False) -> list:
         slope = point and any(slopes[i] for i in members)
         if family == "thermal":
             value = _q_thermal(columns[0], *shared, at, n_max, slope,
-                               lambda: [c._held for c in batch], tail)
+                               lambda: [c._held for c in batch])
         else:
             inputs = _sign_inputs
             if family == "window":
                 inputs, columns[1] = _window_inputs, np.asarray(columns[1], dtype=float)[:, None]
             if point:
                 value = _q_pure(inputs, columns, *shared, at, n_max,
-                                np.array([c._held for c in batch]), slope, tail)
+                                np.array([c._held for c in batch]), slope)
             else:
                 value = _q_pure(inputs, columns, *shared, at, n_max)
             for cell, row in zip(batch, () if value.row1 is None else value.row1):
                 cell.take_row(row)
-        q, dq, terms, singular, m_used, m_tail, _ = value
+        q, dq, singular, m_used, m_tail, _ = value
         if singular.shape != q.shape:
             singular = np.broadcast_to(singular, q.shape)
         for j, i in enumerate(members):
-            out[i] = _KernelValue(q[j], None if dq is None else dq[j],
-                                  None if terms is None else terms[j], singular[j], m_used, m_tail)
+            out[i] = _KernelValue(q[j], None if dq is None else dq[j], singular[j], m_used, m_tail)
     return out
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapabilityError
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -72,7 +74,10 @@ def n_th_from_temperature(temp_ratio: float) -> float:
         raise ValueError(f"temperature ratio must be finite and >= 0, got {temp_ratio!r}")
     if temp_ratio == 0.0:
         return 0.0
-    return 1.0 / math.expm1(1.0 / temp_ratio)
+    try:
+        return 1.0 / math.expm1(1.0 / temp_ratio)
+    except OverflowError:  # below T = 1/709.78 the occupation underflows
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -247,9 +252,15 @@ def thermal_weight(m: int, n_th: float) -> float:
 
 
 def thermal_m_cut(n_th: float) -> int:
-    """Smallest M with thermal_weight(M, n_th) < 1e-12: the occupation cut."""
+    """Smallest M with thermal_weight(M, n_th) < 1e-12: the occupation cut.
+
+    Raises CapabilityError from n_th = 1e12 - 1 on, where the ground weight
+    1 / (1 + n_th) is itself at most 1e-12 and no cut holds the state."""
     if n_th == 0.0:
         return 1
+    if 1e-12 * (1.0 + n_th) >= 1.0:
+        raise CapabilityError(f"n_th={n_th!r} has no occupation cut: its ground weight "
+                              "1/(1 + n_th) is already at most 1e-12")
     ratio = n_th / (1.0 + n_th)
     m = int(math.ceil(math.log(1e-12 * (1.0 + n_th)) / math.log(ratio))) + 1
     return max(m, 1)

@@ -94,6 +94,12 @@ class TestConfigParser:
         with pytest.raises(ConfigError, match="occupation cut"):
             parse_scan_config(text)
 
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    def test_an_occupation_without_a_cut_surfaces(self, route):
+        text = GOOD_CONFIG.replace("route = series", f"route = {route}") + "n_th = 1e12\n"
+        with pytest.raises(ConfigError, match="no occupation cut"):
+            parse_scan_config(text)
+
     def test_mapping_round_trip(self):
         # the manifest stores the config as a JSON object of its fields
         cfg = parse_scan_config(GOOD_CONFIG)
@@ -253,11 +259,37 @@ class TestCliEval:
         assert "increase dim" in err
 
     def test_few_series_terms_report_no_tail_estimate(self, capsys):
-        # below the 8 terms the tail estimate needs, the bound is inf
-        assert main(["eval", "--route", "series", "--s1", "1", "--s2", "-1", "--t1", "0",
-                     "--t2", "1.3", "--x0", "0.5", "--nmax", "5"]) == 0
+        # the bound is the change from n_max // 2 orders, which needs one
+        common = ["eval", "--route", "series", "--s1", "1", "--s2", "-1", "--t1", "0",
+                  "--t2", "1.3", "--x0", "0.5"]
+        assert main([*common, "--nmax", "5", "--out", "json"]) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["n_used"] == 5 and math.isfinite(diagnostics["tail_bound"])
+        assert main([*common, "--nmax", "1"]) == 0
         out = capsys.readouterr().out
-        assert "n_used = 5\n" in out and "tail_bound = inf\n" in out
+        assert "n_used = 1\n" in out and "tail_bound = inf\n" in out
+
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    @pytest.mark.parametrize("temp", ["1e12", "1e16"])
+    def test_an_occupation_without_a_cut_exits_2(self, capsys, route, temp):
+        # no occupation cut from n_th = 1e12 - 1 on; at 1e16 the cut's
+        # ratio n_th / (1 + n_th) rounds to 1.0
+        assert main(["eval", "--route", route, "--s1", "1", "--s2", "1", "--t1", "0",
+                     "--t2", "1", "--temp-ratio", temp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lgqpd eval: error: n_th=") and err.count("\n") == 1
+        assert "no occupation cut" in err
+
+    @pytest.mark.parametrize("route", ["series", "oracle"])
+    def test_low_temperature_is_the_pure_state(self, capsys, route):
+        # exp(1/T) overflows below T = 1/709.78, where n_th underflows to 0
+        common = ["eval", "--route", route, "--s1", "1", "--s2", "-1", "--t1", "0",
+                  "--t2", "1.3", "--x0", "0.5", "--out", "json"]
+        assert main([*common, "--temp-ratio", "0.001"]) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert main([*common, "--temp-ratio", "0"]) == 0
+        zero = json.loads(capsys.readouterr().out)
+        assert cold["q"] == zero["q"] and cold["diagnostics"] == zero["diagnostics"]
 
     @pytest.mark.parametrize("route", ["series", "oracle"])
     @pytest.mark.parametrize("extra", [[], ["--L", "1.0", "--x0", "1"]])

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lgqpd import (OffsetFunction, StateSpec, gamma_from, lambda_of, mode_e,
+from lgqpd import (CapabilityError, OffsetFunction, StateSpec, gamma_from, lambda_of, mode_e,
                    n_th_from_temperature, named_evaluator, phase_beta_of,
                    reduce_squeezed_to_coherent, thermal_m_cut, thermal_weight,
                    x_xi_of)
@@ -186,11 +186,34 @@ class TestThermalWeight:
             assert thermal_weight(m, n_th) < 1e-12
             assert thermal_weight(m - 2, n_th) >= 1e-13
 
+    def test_m_cut_below_the_threshold_is_the_closed_form(self):
+        for n_th in (1e-300, 0.2, 1.54, 7e3, 1e6, 1e11, 1e12 - 1e3, 1e12 - 2):
+            ratio = n_th / (1.0 + n_th)
+            want = max(int(math.ceil(math.log(1e-12 * (1.0 + n_th)) / math.log(ratio))) + 1, 1)
+            assert thermal_m_cut(n_th) == want
+        assert thermal_m_cut(0.0) == 1
+
+    @pytest.mark.parametrize("n_th", [1e12 - 1, 1e12, 1e15, 1e16, 1e300])
+    def test_m_cut_refuses_an_occupation_without_a_cut(self, n_th):
+        # from 1e12 - 1 on the ground weight 1/(1 + n_th) is at most 1e-12, and
+        # from about 1e16 on n_th / (1 + n_th) rounds to 1.0
+        with pytest.raises(CapabilityError, match="no occupation cut"):
+            thermal_m_cut(n_th)
+
     def test_temperature_conversion(self):
         assert n_th_from_temperature(0.0) == 0.0
         assert n_th_from_temperature(1.0) == pytest.approx(1 / (math.e - 1), rel=1e-14)
         # high-temperature limit approaches the classical equipartition value
         assert n_th_from_temperature(50.0) == pytest.approx(49.5, abs=0.01)
+
+    @pytest.mark.parametrize("temp", [1e-3, 1.0 / 709.79, 1e-300, 5e-324])
+    def test_occupation_underflows_to_zero_at_low_temperature(self, temp):
+        # exp(1/T) overflows below T = 1/709.78
+        assert n_th_from_temperature(temp) == 0.0
+
+    @pytest.mark.parametrize("temp", [1.0 / 709.78, 0.0015, 0.01, 0.3, 1.0, 50.0])
+    def test_temperature_conversion_is_the_closed_form(self, temp):
+        assert n_th_from_temperature(temp) == 1.0 / math.expm1(1.0 / temp)
 
 
 class TestSpecsValidation:
