@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, TruncationError
-from .series import MeasurementSpec, _check_signs
+from .series import MeasurementSpec, _check_finite, _check_signs
 from .special import averaged_partial_sum, composite_gauss_legendre, psi_rows
 from .states import StateSpec, thermal_m_cut, thermal_weight
 
@@ -147,8 +147,7 @@ def projector_matrix(meas: MeasurementSpec, s: int, t: float, dim: int) -> np.nd
     """
     _check_signs(s)
     dim = _check_dim(dim)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    _check_finite(t=t)
     return _read_only(_apply_projector(*_projector(meas, s, t, dim), np.eye(dim)))
 
 
@@ -252,11 +251,8 @@ def _oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int, t1: float
     """
     _check_signs(s1, s2)
     dim = _check_dim(dim)
-    if not math.isfinite(t1):
-        raise ValueError(f"t1 must be finite, got {t1!r}")
     t2 = np.asarray(t2_grid, dtype=float)
-    if not np.isfinite(t2).all():
-        raise ValueError(f"t2 must be finite, got {float(t2[~np.isfinite(t2)][0])!r}")
+    _check_finite(t1=t1, t2=t2)
     cols, weights, tail_mass = _state_columns(state, dim)
     trace = float(((np.abs(cols) ** 2).sum(axis=0) * weights).sum())
     if trace < 1.0 - 1e-8:

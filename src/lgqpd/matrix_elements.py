@@ -21,7 +21,6 @@ a cumulative sum over the same psi rows.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -66,26 +65,19 @@ def _column(table: np.ndarray, n_cut_axes: int) -> np.ndarray:
 
 
 def j_row(cut: float, n_max: int) -> np.ndarray:
-    """Half-line row J_0n(cut, inf) for n = 0..n_max, read-only.
+    """Half-line row J_0n(cut, inf) for n = 0..n_max.
 
     The n = 0 entry is the exact (1 - erf(cut))/2; the rest are the Wronskian
-    form psi_0 psi_{n-1} / sqrt(2n), vectorized over n.  Memoized, like the
-    scalar :func:`psi_rows`, because the series cells of a scan row at t1 = 0
-    share their t1 cut, and each builds its t1 row (or its thermal t1 pieces)
-    from this row.  A batch of cuts needs no rows of its own: the series
-    kernels form them block by block (``series._phase_sums``).
+    form psi_0 psi_{n-1} / sqrt(2n), vectorized over n, from the memoized
+    scalar :func:`psi_rows`.  The series reads it only for a thermal cell's
+    t1 pieces; its pure kernel forms the rows block by block, by the same
+    operations (``series._phase_sums``).
     """
-    return _j_row(float(cut), n_max)
-
-
-@functools.lru_cache(maxsize=8)
-def _j_row(cut: float, n_max: int) -> np.ndarray:
-    psi = psi_rows(cut, n_max)
+    psi = psi_rows(float(cut), n_max)
     row = np.empty_like(psi)
     row[0] = 0.5 * (1.0 - _sp.erf(cut))
     if n_max >= 1:
         row[1:] = psi[0] * psi[:-1] / _sqrt_2n(n_max)[1:]
-    row.flags.writeable = False
     return row
 
 

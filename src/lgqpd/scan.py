@@ -793,7 +793,8 @@ def named_evaluator(params: dict, route: str, projector: str,
     whichever route runs), or a combination that no route covers, and
     TruncationError for a thermal series whose ``n_max`` is below the
     occupation cut, or CapabilityError (a ValueError) for an n_th that has
-    no occupation cut (:func:`states.thermal_m_cut`).  Each rule is the
+    no occupation cut (:func:`states.thermal_m_cut`), or, on the series
+    route, none within the order cap.  Each rule is the
     check that the kernel itself makes, run here before any evaluation.
     """
     unknown = sorted(set(params) - _PARAM_NAMES)

@@ -11,8 +11,8 @@ dq/dt2 from the same pass when asked).  Its orders stream in cache-sized
 blocks, and every sum over n is the Euler average written as one weighted
 sum sum_n Omega_n t_n with exact tail weights Omega_n, added in order of n,
 so that each column equals its own one-column call bit for bit at any batch
-shape.  A cell (:class:`_SeriesCell`: one family, state and t1) builds the t1
-half of its points once and holds it.  The families are:
+shape.  A cell (:class:`_SeriesCell`: one family, state and t1) holds the t1
+half of its calls from the first call that needs it.  The families are:
 
 * coherent and squeezed pure states (sign projectors), and squeezed vacuum
   with symmetric window projectors, which share the pure kernel;
@@ -41,9 +41,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.special as _sp
 
-from .errors import TruncationError
+from .errors import CapabilityError, TruncationError
 from .matrix_elements import j_diag_row, j_row, ladder_diagonal, lowered
-from .special import _check_n_cap, _psi_blocks, _sqrt_2n, psi_rows
+from .special import HARD_N_CAP, _check_n_cap, _psi_blocks, _sqrt_2n, psi_rows
 from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, _beta_and_rates, lambda_of,
                      phase_beta_of, thermal_m_cut, x_xi_dot, x_xi_of)
 
@@ -61,9 +61,11 @@ class TruncationConfig:
 
     ``n_max`` caps the eigenbasis sum, a whole number from 1 to the order
     cap.  The thermal occupation sum is cut where the thermal weight falls
-    below 1e-12 (:func:`thermal_m_cut`); the remainder of that cut, reported
-    as ``m_tail``, is at most 7.0e-9, at the largest n_th (about 7e3) whose
-    cut fits under the order cap.
+    below 1e-12 (:func:`thermal_m_cut`, which refuses a cut whose remainder
+    could exceed 1e-8); the remainder of that cut, reported as ``m_tail``,
+    is at most 7.0e-9 below the order cap, at the largest n_th (about 7e3)
+    whose cut fits under it.  A thermal cell refuses, with a
+    CapabilityError, an n_th whose cut is above the order cap.
     """
 
     n_max: int = 200
@@ -91,10 +93,9 @@ def _check_signs(*signs) -> None:
 
 
 def _check_finite(**times) -> None:
-    """Refuse a non-finite time, or an array of times holding one (None is no
-    time)."""
+    """Refuse a non-finite time, or an array of times holding one."""
     for name, t in times.items():
-        if not (t is None or (math.isfinite(t) if isinstance(t, float) else np.isfinite(t).all())):
+        if not (math.isfinite(t) if isinstance(t, float) else np.isfinite(t).all()):
             t = np.ravel(t)
             raise ValueError(f"{name} must be finite, got {float(t[~np.isfinite(t)][0])!r}")
 
@@ -261,16 +262,6 @@ def _columns(states: list, t1: float, t2: np.ndarray, slope: bool = False):
             (1.0 + rates[0], rates[1], x_xi_dot(t2, xi)) if slope else None)
 
 
-def _window_row(h: float, n_max: int) -> np.ndarray:
-    """Window row J_0n(h, inf) - J_0n(-h, inf) for n = 0..n_max from the one
-    row at +h: psi_0 is even and psi_{n-1} has parity (-1)^(n-1), so the
-    entry is -erf(h) at n = 0, 2 J_0n(h, inf) at even n and 0 at odd n."""
-    row = 2.0 * j_row(h, n_max)
-    row[0] = -_sp.erf(h)
-    row[1::2] = 0.0
-    return row
-
-
 #: Doubles in one block of the streamed sums: a batch of C columns over K
 #: values of t2 runs its orders in blocks of _BLOCK_DOUBLES // (C K) (at least
 #: 2), so that a block's working set stays in cache.
@@ -351,16 +342,18 @@ def _block_rows(c: int, k: int) -> int:
     return max(2, _BLOCK_DOUBLES // (c * k))
 
 
-def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None):
+def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1, rates):
     """(sums, row1, slopes) of the pure families for C columns over K
     values of t2: ``sums`` are the Euler-averaged sums over n = 1..n_max of
-    cos(n phi) row1_n row2_n, the rows being :func:`j_row` at the cuts, or
-    :func:`_window_row` for a ``window``.  ``cut2`` is (C, K) and ``phi``
-    (K,) or (C, K).  Each column's t1 row is ``row1`` (C, n_max), the rows
-    that the cells hold, or, when it is None, is formed in the stream from
-    ``cut1`` (C, 1) and returned read-only.  Given ``rates``, the t2 rates
-    (phi', cut2') of shape (C, K), ``slopes`` is the t2 derivative of the
-    sums, else None.
+    cos(n phi) row1_n row2_n, the rows being J_0n(cut, inf) at the cuts, or
+    for a ``window`` the window rows J_0n(h, inf) - J_0n(-h, inf), which
+    parity makes twice J_0n(h, inf) at even n and 0 at odd n.  ``cut2`` is
+    (C, K) and ``phi`` (K,) or (C, K).  Each column's t1 row is ``row1`` (C,
+    n_max), the rows that the cells hold, or, when it is None, is formed in
+    the stream from ``cut1`` (C, 1) and returned read-only: so for curves,
+    points, slopes and rounds of probes alike.  Given ``rates``, the t2
+    rates (phi', cut2') of shape (C, K), ``slopes`` is the t2 derivative of
+    the sums, else None.
 
     With row2_n = psi_0(cut2) psi_{n-1}(cut2) / sqrt(2n) (twice that at even
     n and 0 at odd n for a window), the sum sum_n Omega_n cos(n phi) row1_n
@@ -375,9 +368,10 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None
     array is built.  On each block: the shared eigenfunctions
     (:func:`special._psi_blocks`) at cut2, and cut1 riding along as column
     K when the rows are formed, up to order n_max like a cut's scalar row
-    (:func:`psi_rows`); the formed rows by :func:`j_row`'s (and
-    :func:`_window_row`'s) operations, so each equals its cell's own; the
-    block's terms, the phase factors read from :func:`_phase_tables`; and
+    (:func:`psi_rows`); the formed rows by :func:`j_row`'s operations
+    (doubled, and zero at odd n, for a window), so that a column's row is
+    the same in any call; the block's terms, the phase factors read from
+    :func:`_phase_tables`; and
     each sum's terms added in order of n, the running total carried in
     (:func:`_carry_sum`).  The slope's psi_n sum takes the orders whose
     psi_n the block holds, n = k0, ..., so no row is carried across a block
@@ -408,7 +402,7 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1=None, rates=None
             psi0 = psi[0].copy()
         if formed:
             # J_0n = psi_0 psi_{n-1} / sqrt(2n) at cut1, as j_row; twice that
-            # at even n and 0 at odd n for the window, as _window_row
+            # at even n and 0 at odd n for the window
             r1 = psi[:, :, k] * psi0[:, k]
             r1 /= sqrt_2n[k0 + 1:k0 + m + 1, None]
             if window:
@@ -461,8 +455,8 @@ class _KernelValue(NamedTuple):
     completeness value has no slope; ``singular``, the phases that
     completeness evaluated; the occupation cut ``m_used`` with its remainder
     ``m_tail``, 0 for a pure state; and ``row1``, the (C, n_max) t1 rows
-    that a pure curve's phase sums formed (:func:`_phase_sums`), else
-    None."""
+    that a pure call's phase sums formed (:func:`_phase_sums`) where its
+    cells held none, else None."""
 
     q: object
     slope: object
@@ -472,20 +466,20 @@ class _KernelValue(NamedTuple):
     row1: np.ndarray | None = None
 
 
-def _q_pure(inputs, column, s1: int, s2: int, t1: float, t2, n_max: int, held=None,
-            slope: bool = False) -> _KernelValue:
-    """The kernel of the pure families: q = block + s1 s2 sum_n cos(n phi)
-    row1_n row2_n, the rows :func:`j_row` at the cuts, or :func:`_window_row`
-    for the window family, and singular phases overwritten by completeness
-    over the outcome regions; ``inputs`` is the family's
-    (:func:`_sign_inputs` or :func:`_window_inputs`) and ``column`` its
-    per-column arguments, lists of C states (and (C, 1) half-widths).
+def _q_pure(inputs, column, s1: int, s2: int, t1: float, t2, n_max: int, held,
+            slope: bool) -> _KernelValue:
+    """The kernel of the pure families, called by :func:`_cell_calls`: q =
+    block + s1 s2 sum_n cos(n phi) row1_n row2_n, the rows the half-line or
+    window rows at the cuts (:func:`_phase_sums`), and singular phases
+    overwritten by completeness over the outcome regions; ``inputs`` is the
+    family's (:func:`_sign_inputs` or :func:`_window_inputs`) and ``column``
+    its per-column arguments, lists of C states (and (C, 1) half-widths).
 
-    ``t2`` is a (K,) grid for a curve of each column, whose t1 rows the sums
-    form and return as ``row1``, or (C, 1), one t2 per column, for points
-    and rounds of probes, which read the cells' ``held`` (C, n_max) rows and
-    return dq/dt2 when ``slope`` is asked.  Both are one call of
-    :func:`_phase_sums`.
+    ``t2`` is a (K,) grid for a curve of each column, or (C, 1), one t2 per
+    column, for points and rounds of probes, which return dq/dt2 when
+    ``slope`` is asked.  Either is one call of :func:`_phase_sums`, which
+    reads ``held``, the cells' (C, n_max) t1 rows, or, when it is None,
+    forms the rows in its stream and returns them as ``row1``.
     """
     block, phi, cut1, cut2, rates = inputs(*column, s1, s2, t1, t2, slope)
     window = inputs is _window_inputs
@@ -500,7 +494,7 @@ def _q_pure(inputs, column, s1: int, s2: int, t1: float, t2, n_max: int, held=No
     if singular.any():
         q = _fill_singular(q, singular, phi, _window_region if window else _halfline,
                            s1, s2, cut1, cut2, _ground_weight)
-    return _KernelValue(q, dq, singular, row1=None if held is not None else row1)
+    return _KernelValue(q, dq, singular, row1=row1 if held is None else None)
 
 
 def _sign_inputs(states: list, s1: int, s2: int, t1: float, t2, slope: bool = False) -> tuple:
@@ -536,12 +530,11 @@ def _window_inputs(states: list, half_width, s1: int, s2: int, t1: float, t2,
 
 
 def _check_family(family: str, s1: int, s2: int, t1: float, states: list, n_max: int,
-                  half_widths=(), t2=None) -> None:
+                  half_widths=()) -> None:
     """The input rules of a family's kernel ("sign", "window" or "thermal")
-    for a batch of ``states``, a window's ``half_widths`` and a curve's
-    ``t2``."""
+    for a batch of ``states`` and a window's ``half_widths``."""
     _check_signs(s1, s2)
-    _check_finite(t1=t1, t2=t2)
+    _check_finite(t1=t1)
     if family == "sign" and any(s.n_th != 0 for s in states):
         raise ValueError("pure-state evaluator requires n_th = 0; use qpd_series_thermal")
     if family == "window":
@@ -551,6 +544,9 @@ def _check_family(family: str, s1: int, s2: int, t1: float, states: list, n_max:
             _check_half_width(h)
     if family == "thermal":
         m_cut = thermal_m_cut(states[0].n_th)
+        if m_cut > HARD_N_CAP:  # no n_max reaches the cut
+            raise CapabilityError(f"n_th={states[0].n_th!r} has no occupation cut within the "
+                                  f"order cap {HARD_N_CAP}: the cut is m={m_cut}")
         if n_max < m_cut:  # the eigenbasis cap must reach the occupation cut
             raise TruncationError(
                 f"n_max={n_max} is below the thermal occupation cut m={m_cut}; raise n_max")
@@ -582,39 +578,20 @@ def qpd_series_window(state: StateSpec, half_width: float, s1: int, s2: int,
                        trunc or DEFAULT_TRUNCATION)(t2, with_info)
 
 
-def q_sign_series_curve(state, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
+def q_sign_series_curve(state: StateSpec, s1: int, s2: int, t1: float, t2_grid: np.ndarray,
                         n_max: int) -> np.ndarray:
-    """Pure-state sign-projector quasi-probability over a grid of t2 values.
-
-    ``state`` may also be a sequence of C states, which gives a (C, K) array
-    from one streamed pass over the orders (:func:`_phase_sums`); each row
-    equals that state's own curve bit for bit.  ``n_max`` follows the rule
-    of :class:`TruncationConfig`.
-    """
-    one = isinstance(state, StateSpec)
-    states = [state] if one else list(state)
-    n_max = TruncationConfig(n_max).n_max
-    _check_family("sign", s1, s2, t1, states, n_max, t2=t2_grid)
-    q = _q_pure(_sign_inputs, (states,), s1, s2, t1, np.asarray(t2_grid, dtype=float), n_max).q
-    return q[0] if one else q
+    """Pure-state sign-projector quasi-probability over a grid of t2 values:
+    the curve of one series cell (:meth:`_SeriesCell.curve`).  ``n_max``
+    follows the rule of :class:`TruncationConfig`."""
+    return _SeriesCell("sign", (state,), (s1, s2, t1), TruncationConfig(n_max)).curve(t2_grid)
 
 
-def q_window_series_curve(state, half_width, s1: int, s2: int, t1: float,
+def q_window_series_curve(state: StateSpec, half_width: float, s1: int, s2: int, t1: float,
                           t2_grid: np.ndarray, n_max: int) -> np.ndarray:
-    """Window-projector quasi-probability over a grid of t2 values.
-
-    ``state`` and ``half_width`` may also be sequences of C states and C
-    half-widths, which give a (C, K) array as for
-    :func:`q_sign_series_curve`.
-    """
-    one = isinstance(state, StateSpec)
-    states = [state] if one else list(state)
-    widths = np.reshape(np.asarray(half_width, dtype=float), (-1, 1))
-    n_max = TruncationConfig(n_max).n_max
-    _check_family("window", s1, s2, t1, states, n_max, np.ravel(widths), t2_grid)
-    q = _q_pure(_window_inputs, (states, widths), s1, s2, t1,
-                np.asarray(t2_grid, dtype=float), n_max).q
-    return q[0] if one else q
+    """Window-projector quasi-probability over a grid of t2 values, the
+    curve of one cell as :func:`q_sign_series_curve`."""
+    return _SeriesCell("window", (state, half_width), (s1, s2, t1),
+                       TruncationConfig(n_max)).curve(t2_grid)
 
 
 def qpd_series_thermal(state: StateSpec, s1: int, s2: int, t1: float, t2: float,
@@ -876,14 +853,13 @@ class _SeriesCell:
 
     Every series point, slope, t2 search probe and cell curve is a call of
     the family's kernel through :func:`_cell_calls`, a point being a
-    one-column call.  Points read the t1 half that the cell builds once and
-    holds: the t1 row of a pure family, the O(n_max) :class:`_ThermalCut`
-    pieces of a thermal one, which thermal curves read too, and which a
-    thermal cell builds only when a non-singular call first reads them.  A
-    pure cell whose first call is a batch curve builds no row: it holds the
-    one the curve formed (:meth:`take_row`).  A point's tail bound is one
-    more point, of this cell at half the truncation, which builds its own t1
-    half.
+    one-column call, and the public curves one-cell calls.  Each call reads
+    the t1 half that the cell holds.  A pure cell holds the t1 row that its
+    first non-singular call formed in the kernel's stream
+    (:meth:`take_row`); a thermal cell holds the O(n_max)
+    :class:`_ThermalCut` pieces, which it builds only when a non-singular
+    call first reads them.  A point's tail bound is one more point, of this
+    cell at half the truncation, which forms its own t1 half.
     """
 
     family: str
@@ -924,22 +900,18 @@ class _SeriesCell:
         return _cell_curves([self], grid)[0]
 
     def take_row(self, row1) -> None:
-        """Hold ``row1``, this pure cell's t1 row as a batch curve formed it
-        (:func:`_phase_sums`, equal to the cell's own bit for bit), unless the
-        cell holds its t1 half already."""
-        self.__dict__.setdefault("_held", row1)
+        """Hold ``row1`` as ``_row``, this pure cell's t1 row as a kernel
+        call formed it (:func:`_phase_sums`, the same in any call), unless
+        the cell holds one already."""
+        self.__dict__.setdefault("_row", row1)
 
     @functools.cached_property
-    def _held(self):
-        state, t1, n_max = self.column[0], self.shared[2], self.trunc.n_max
-        lam1 = _t1_geometry(state.r, state.theta0, t1)[0]
-        a1 = x_xi_of(t1, state.xi) / lam1
-        if self.family == "thermal":
-            return _thermal_fixed_cut(float(-a1), state.n_th / (1.0 + state.n_th),
-                                      thermal_m_cut(state.n_th), n_max)
-        if self.family == "sign":
-            return j_row(-a1, n_max)[1:]
-        return _window_row(self.column[1] / lam1, n_max)[1:]
+    def _held(self) -> _ThermalCut:
+        """The thermal cell's t1 pieces."""
+        state, t1 = self.column[0], self.shared[2]
+        a1 = x_xi_of(t1, state.xi) / _t1_geometry(state.r, state.theta0, t1)[0]
+        return _thermal_fixed_cut(float(-a1), state.n_th / (1.0 + state.n_th),
+                                  thermal_m_cut(state.n_th), self.trunc.n_max)
 
 
 def _cell_calls(cells, t2: np.ndarray, slopes) -> list:
@@ -953,10 +925,11 @@ def _cell_calls(cells, t2: np.ndarray, slopes) -> list:
     every column.
 
     The cells judged their inputs when they were made, so they go straight
-    to :func:`_q_pure` or :func:`_q_thermal`.  Pure points read their cells'
-    held t1 rows, and a pure curve hands each cell that holds no row yet the
-    one that its column's phase sums formed (:meth:`_SeriesCell.take_row`);
-    thermal cells hand the kernel their held t1 pieces."""
+    to :func:`_q_pure` or :func:`_q_thermal`.  A pure call reads its cells'
+    held t1 rows when every cell holds one; otherwise its phase sums form
+    the rows, and each cell that holds none takes its column's
+    (:meth:`_SeriesCell.take_row`).  Thermal cells hand the kernel their held
+    t1 pieces."""
     point = slopes is not None
     out, groups = [None] * len(cells), {}
     for i, cell in enumerate(cells):
@@ -974,11 +947,9 @@ def _cell_calls(cells, t2: np.ndarray, slopes) -> list:
             inputs = _sign_inputs
             if family == "window":
                 inputs, columns[1] = _window_inputs, np.asarray(columns[1], dtype=float)[:, None]
-            if point:
-                value = _q_pure(inputs, columns, *shared, at, n_max,
-                                np.array([c._held for c in batch]), slope)
-            else:
-                value = _q_pure(inputs, columns, *shared, at, n_max)
+            held = all("_row" in c.__dict__ for c in batch)
+            value = _q_pure(inputs, columns, *shared, at, n_max,
+                            np.array([c._row for c in batch]) if held else None, slope)
             for cell, row in zip(batch, () if value.row1 is None else value.row1):
                 cell.take_row(row)
         q, dq, singular, m_used, m_tail, _ = value

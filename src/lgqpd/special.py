@@ -57,10 +57,10 @@ def psi_rows(x, n_max: int):
     several times cheaper than NumPy arithmetic on one point and performs the
     same IEEE operations, so it equals the array call's column bit for bit.
     It is memoized (the ``_MEMO_SIZE`` most recent cuts), and the cached
-    array is returned read-only: a cell's t1 row, its probes and a curve of
-    the cell that repeats its cuts all read one entry.  An array ``x`` is one
-    block of :func:`_psi_blocks`, which reads the same memo when ``x`` takes
-    at most ``_MEMO_SIZE`` distinct values.  Both paths read the recurrence
+    array is returned read-only: a thermal cell's t1 pieces and the series
+    streams that gather a repeated cut all read one entry.  An array ``x`` is
+    one block of :func:`_psi_blocks`, which reads the same memo when ``x``
+    takes at most ``_MEMO_SIZE`` distinct values.  Both paths read the recurrence
     coefficients from one cached table per ``n_max``.
 
     Where psi_0 is below the least normal double (|x| above about 37.6) the
@@ -175,9 +175,9 @@ def _psi_blocks(x: np.ndarray, n_max: int, rows: int):
     When ``x`` takes at most ``_MEMO_SIZE`` distinct values (bit patterns),
     each block is gathered from their memoized scalar rows
     (:func:`_psi_rows_scalar`), which a cut repeated along t2 (the window
-    family at r = 0, where lambda(t) = 1) and the cells' own rows share; at
-    most ``_MEMO_SIZE`` points, such as a round of probes, are their own
-    keys, so they are not sorted.  Otherwise the array recurrence runs, the package's one, and the columns
+    family at r = 0, where lambda(t) = 1) and a t1 cut riding along with it
+    share; at most ``_MEMO_SIZE`` points, such as a point's t2 and t1 cuts,
+    are their own keys, so they are not sorted.  Otherwise the array recurrence runs, the package's one, and the columns
     whose psi_0 is not a normal double are overwritten by their scalar rows
     (:func:`_psi_scaled`).  Both paths equal the scalar call bit for bit.
 

@@ -254,13 +254,15 @@ def thermal_weight(m: int, n_th: float) -> float:
 def thermal_m_cut(n_th: float) -> int:
     """Smallest M with thermal_weight(M, n_th) < 1e-12: the occupation cut.
 
-    Raises CapabilityError from n_th = 1e12 - 1 on, where the ground weight
-    1 / (1 + n_th) is itself at most 1e-12 and no cut holds the state."""
+    Its remainder, the weight w^(M + 1) of the levels above it (w = n_th /
+    (1 + n_th)), is below 1e-12 (1 + n_th).  So the cut is refused, with a
+    CapabilityError, where that bound exceeds 1e-8 (n_th above about 1e4):
+    every accepted cut leaves a remainder of at most 1e-8."""
     if n_th == 0.0:
         return 1
-    if 1e-12 * (1.0 + n_th) >= 1.0:
-        raise CapabilityError(f"n_th={n_th!r} has no occupation cut: its ground weight "
-                              "1/(1 + n_th) is already at most 1e-12")
+    if 1e-12 * (1.0 + n_th) > 1e-8:
+        raise CapabilityError(f"n_th={n_th!r} has no occupation cut: a cut at weight 1e-12 "
+                              "would leave a remainder up to 1e-12 (1 + n_th), above 1e-8")
     ratio = n_th / (1.0 + n_th)
     m = int(math.ceil(math.log(1e-12 * (1.0 + n_th)) / math.log(ratio))) + 1
     return max(m, 1)

@@ -269,16 +269,19 @@ class TestCliEval:
         out = capsys.readouterr().out
         assert "n_used = 1\n" in out and "tail_bound = inf\n" in out
 
-    @pytest.mark.parametrize("route", ["series", "oracle"])
-    @pytest.mark.parametrize("temp", ["1e12", "1e16"])
-    def test_an_occupation_without_a_cut_exits_2(self, capsys, route, temp):
-        # no occupation cut from n_th = 1e12 - 1 on; at 1e16 the cut's
-        # ratio n_th / (1 + n_th) rounds to 1.0
+    @pytest.mark.parametrize("temp, route", [
+        *((temp, route) for temp in ("2e4", "999999999000", "1e12", "1e16")
+          for route in ("series", "oracle")), ("9000", "series")])
+    def test_an_occupation_without_a_cut_exits_2(self, capsys, temp, route):
+        # no occupation cut above n_th = 9999, where a cut could leave more
+        # than 1e-8 of the state; at 1e16 the cut's ratio n_th / (1 + n_th)
+        # rounds to 1.0; at n_th = 8999.5 the series has no cut within its
+        # order cap, and no n_max reaches the cut
         assert main(["eval", "--route", route, "--s1", "1", "--s2", "1", "--t1", "0",
                      "--t2", "1", "--temp-ratio", temp]) == 2
         err = capsys.readouterr().err
         assert err.startswith("lgqpd eval: error: n_th=") and err.count("\n") == 1
-        assert "no occupation cut" in err
+        assert "no occupation cut" in err and "raise n_max" not in err
 
     @pytest.mark.parametrize("route", ["series", "oracle"])
     def test_low_temperature_is_the_pure_state(self, capsys, route):

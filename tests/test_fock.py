@@ -283,7 +283,8 @@ class TestCaches:
 
 def test_oracle_shares_no_series_code():
     """The oracle arbitrates the other routes, so it may take only the
-    measurement description and the sign check from them."""
+    measurement description and the input checks (outcome signs, finite
+    times) from them."""
     tree = ast.parse(Path(fock.__file__).read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
@@ -295,7 +296,7 @@ def test_oracle_shares_no_series_code():
                 imported.update((a.name, {"*"}) for a in node.names)
         elif isinstance(node, ast.Import):
             imported.update((a.name.removeprefix("lgqpd."), {"*"}) for a in node.names)
-    assert imported["series"] == {"MeasurementSpec", "_check_signs"}
+    assert imported["series"] == {"MeasurementSpec", "_check_finite", "_check_signs"}
     assert "matrix_elements" not in imported
     assert "integral" not in imported
 

@@ -7,9 +7,19 @@ from scipy.integrate import quad
 
 from lgqpd import composite_gauss_legendre, j_diag_row, j_row, psi_rows
 from lgqpd.matrix_elements import j_block, lowered
-from lgqpd.series import _window_row
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def window_row(h, n_max):
+    """Window row J_0n(h, inf) - J_0n(-h, inf) for n = 0..n_max from the one
+    row at +h, in the operations of the series' formed window rows: psi_0 is
+    even and psi_{n-1} has parity (-1)^(n-1), so the entry is -erf(h) at
+    n = 0, 2 J_0n(h, inf) at even n and 0 at odd n."""
+    row = 2.0 * j_row(h, n_max)
+    row[0] = -math.erf(h)
+    row[1::2] = 0.0
+    return row
 
 
 def psi(n, x):
@@ -223,4 +233,4 @@ class TestRowHelper:
     @pytest.mark.parametrize("h", [0.05, 0.7, 1.02, 3.3])
     def test_window_row_parity(self, h):
         want = j_row(h, 256) - j_row(-h, 256)
-        assert np.max(np.abs(_window_row(h, 256) - want)) < 1e-14
+        assert np.max(np.abs(window_row(h, 256) - want)) < 1e-14

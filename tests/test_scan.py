@@ -1251,6 +1251,19 @@ def _random_cell(rng, projector, t1=None):
     return named_evaluator(params, "series", projector, 120)[0], t1
 
 
+def _rows_taken(monkeypatch) -> list:
+    """The pure cells, in order, to which a kernel call hands a t1 row
+    (series._SeriesCell.take_row), once for each call that forms rows."""
+    taken, real = [], series._SeriesCell.take_row
+
+    def take_row(cell, row1):
+        taken.append(cell)
+        real(cell, row1)
+
+    monkeypatch.setattr(series._SeriesCell, "take_row", take_row)
+    return taken
+
+
 class TestRoundKernel:
     """One round of probes of pure series cells is one (C, 1) call of the
     family's kernel, each answer equal bit for bit to the cell's own call."""
@@ -1277,28 +1290,26 @@ class TestRoundKernel:
         assert singular > 50
 
     def test_a_round_holds_each_cells_t1_pieces(self, monkeypatch):
-        # 41 cells with distinct t1 cuts: each builds its t1 row once, however
-        # many rounds and slope calls it probes in, past the row caches' 8
-        # entries
+        # 41 cells with distinct t1 cuts: each takes one t1 row, from its
+        # first round, however many rounds and slope calls it probes in, past
+        # the eigenfunction memo's 8 entries
         rng = np.random.default_rng(5)
         cells = [_random_cell(rng, "window", t1=0.3)[0] for _ in range(41)]
-        real, built = series._window_row, []
-        monkeypatch.setattr(series, "_window_row", lambda h, n: built.append(h) or real(h, n))
+        taken = _rows_taken(monkeypatch)
         for t2 in (0.4, 0.9, 1.3):
             answers = scan._serve([scan._Request(cell, t2, True) for cell in cells])
             assert [repr(a) for a in answers] == [repr(cell.slope(t2)) for cell in cells]
-        assert len(built) == 41
+        assert sorted(map(id, taken)) == sorted(map(id, cells))
 
     def test_each_cell_builds_its_t1_row_once(self, monkeypatch):
         # direct calls, slopes, probe rounds and curves, with the other
-        # cells' calls in between, all read the row that the cell holds; the
-        # 5 cells whose first call is a row's batch curve build none, as they
-        # hold the row the curve formed
+        # cells' calls in between, all read the row that the cell holds: each
+        # cell takes one row, from its first call, a slope for 5 of them and
+        # a row's batch curve for the other 5
         rng = np.random.default_rng(7)
         cells = [_random_cell(rng, "window", t1=0.3)[0] for _ in range(5)]
         curved = [_random_cell(rng, "window", t1=0.3)[0] for _ in range(5)]
-        real, built = series._window_row, []
-        monkeypatch.setattr(series, "_window_row", lambda h, n: built.append(h) or real(h, n))
+        taken = _rows_taken(monkeypatch)
         grid = np.linspace(0.0, TWO_PI, 7)
         scan._serve([scan._Request(cell, grid, curve=cell.curve) for cell in curved])
         cells += curved
@@ -1308,7 +1319,7 @@ class TestRoundKernel:
         scan._serve([scan._Request(cell, 2.1, True) for cell in cells])
         for cell in cells:
             cell.curve(grid)
-        assert len(built) == 5
+        assert sorted(map(id, taken)) == sorted(map(id, cells))
 
     def test_each_thermal_cell_builds_its_t1_cut_once(self):
         cells = [named_evaluator({"s1": -1, "s2": 1, "t1": 0.4, "x0": x0, "p0": 0.7, "r": 0.5,

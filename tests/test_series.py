@@ -18,13 +18,13 @@ from lgqpd import (CapabilityError, MeasurementSpec, StateSpec, TruncationConfig
 from lgqpd import T2Search, scan, special
 from lgqpd.matrix_elements import j_block, j_row, ladder_diagonal, lowered
 from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_table, _SeriesCell,
-                          _carry_sum, _cell_curves, _cell_values, _columns, _euler_tails,
-                          _fill_singular, _ground_weight, _halfline, _phase_tables,
-                          _psi_sq_weights, _q_pure, _q_thermal, _sign_inputs, _t1_geometry,
-                          _window_inputs, _window_region, _window_row)
+                          _carry_sum, _cell_calls, _cell_curves, _cell_values, _columns,
+                          _euler_tails, _fill_singular, _ground_weight, _halfline,
+                          _phase_tables, _psi_sq_weights, _sign_inputs, _t1_geometry,
+                          _window_inputs, _window_region)
 from lgqpd.special import HARD_N_CAP, averaged_partial_sum
 from lgqpd.states import T2_PERIOD, lambda_dot, phase_beta_dot, x_xi_dot
-from test_matrix_elements import quadrature_diag_row
+from test_matrix_elements import quadrature_diag_row, window_row
 
 TWO_PI = 2 * math.pi
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -314,16 +314,21 @@ class TestThermalSeries:
                                   with_info=True)[1]
         assert (info.m_used, info.m_tail) == (thermal_m_cut(1.5), 0.6 ** (thermal_m_cut(1.5) + 1))
         # the remainder stays under 7.0e-9 for every n_th whose cut fits under
-        # the order cap; above that, a cell at the cap refuses the state
-        n_ths = np.geomspace(1e-6, 1e5, 20001).tolist()
+        # the order cap, and under 1e-8 for every cut that thermal_m_cut
+        # accepts (up to n_th = 9999); a cell refuses n_max below the cut, and
+        # refuses the state where the cut is above the cap
+        n_ths = np.geomspace(1e-6, 9999.0, 20001).tolist()
         cuts = [thermal_m_cut(n_th) for n_th in n_ths]
         last = max(i for i, m in enumerate(cuts) if m <= HARD_N_CAP)
         assert all(m <= HARD_N_CAP for m in cuts[:last + 1]) and 6e3 < n_ths[last] < 8e3
-        assert max((n_th / (1.0 + n_th)) ** (m + 1)
-                   for n_th, m in zip(n_ths[:last + 1], cuts)) <= 7.0e-9
+        remainders = [(n_th / (1.0 + n_th)) ** (m + 1) for n_th, m in zip(n_ths, cuts)]
+        assert max(remainders[:last + 1]) <= 7.0e-9 and max(remainders) <= 1e-8
         cap = TruncationConfig(n_max=HARD_N_CAP)
         _SeriesCell("thermal", (StateSpec(n_th=n_ths[last]),), (1, 1, 0.0), cap)
         with pytest.raises(TruncationError):
+            _SeriesCell("thermal", (StateSpec(n_th=n_ths[last]),), (1, 1, 0.0),
+                        TruncationConfig(n_max=cuts[last] - 1))
+        with pytest.raises(CapabilityError, match="no occupation cut within the order cap"):
             _SeriesCell("thermal", (StateSpec(n_th=n_ths[last + 1]),), (1, 1, 0.0), cap)
 
 
@@ -434,9 +439,33 @@ class TestThermalCut:
         assert all(arr.ndim == 1 and arr.size <= n_max + 1 for arr in cell._held)
 
 
+def reference_row(cell):
+    """A pure cell's t1 row by the 1-D helpers: j_row at its cut -a1, or
+    window_row at L / lambda(t1), orders 1..n_max."""
+    state, t1, n_max = cell.column[0], cell.shared[2], cell.trunc.n_max
+    lam1 = _t1_geometry(state.r, state.theta0, t1)[0]
+    if cell.family == "window":
+        return window_row(cell.column[1] / lam1, n_max)[1:]
+    return j_row(-(x_xi_of(t1, state.xi) / lam1), n_max)[1:]
+
+
+def _formed_calls(monkeypatch) -> list:
+    """One flag for each pure kernel call, in order: True where its phase
+    sums form the t1 rows, False where they read the rows the cells hold."""
+    formed, real = [], series._phase_sums
+
+    def phase_sums(window, cut1, cut2, phi, n_max, row1, rates):
+        formed.append(row1 is None)
+        return real(window, cut1, cut2, phi, n_max, row1, rates)
+
+    monkeypatch.setattr(series, "_phase_sums", phase_sums)
+    return formed
+
+
 class TestRowsFromCurves:
-    """A pure cell whose first call is a batch curve holds the t1 row that
-    the curve's phase sums formed, and builds none of its own."""
+    """A pure cell holds the t1 row that its first non-singular call formed
+    in the kernel's stream, alone or in a batch curve, and keeps it: every
+    later call reads it."""
 
     @staticmethod
     def _cells(family, r, t1, seed):
@@ -454,27 +483,24 @@ class TestRowsFromCurves:
     def test_a_handed_row_equals_the_cells_own(self, monkeypatch, family, r, t1):
         seed = int(10 * r + 10 * t1)
         fresh, handed = self._cells(family, r, t1, seed), self._cells(family, r, t1, seed)
-        for cell in fresh:
-            cell._held
-        built = []
-        for name in ("j_row", "_window_row"):
-            real = getattr(series, name)
-            monkeypatch.setattr(series, name,
-                                lambda h, n, real=real: built.append(h) or real(h, n))
+        formed = _formed_calls(monkeypatch)
+        for cell in fresh:  # a one-column call forms the cell's own row
+            cell(0.9)
         # t1 and t1 + pi are singular phases for any squeezing
         grid = np.concatenate([[t1, t1 + math.pi], np.linspace(0.0, TWO_PI, 11)])
         rows = _cell_curves(handed, grid)
-        assert built == []
+        held = [cell._row for cell in fresh + handed]
         for own, cell, row in zip(fresh, handed, rows):
-            assert "_held" in cell.__dict__
-            assert cell._held.tobytes() == own._held.tobytes()
+            assert cell._row.tobytes() == own._row.tobytes() == reference_row(cell).tobytes()
             assert row.tobytes() == own.curve(grid).tobytes()
             for t2 in (t1, t1 + math.pi, 0.9, 2.3):
                 assert repr(cell.slope(t2)) == repr(own.slope(t2))
                 assert repr(cell(t2)) == repr(own(t2))
-        assert built == []
+        assert all(cell._row is h for cell, h in zip(fresh + handed, held))
+        # 4 one-column calls and the batch curve formed rows, no later call
+        assert formed[:5] == [True] * 5 and not any(formed[5:]) and len(formed) > 5
         # a point's tail bound is a point at half the truncation, whose cell
-        # builds its own row
+        # forms its own row
         for own, cell in zip(fresh, handed):
             for t2 in (t1, t1 + math.pi, 0.9, 2.3):
                 assert repr(cell(t2, with_info=True)) == repr(own(t2, with_info=True))
@@ -482,14 +508,136 @@ class TestRowsFromCurves:
     def test_an_all_singular_curve_hands_no_row(self):
         cells = self._cells("sign", 0.5, 0.4, 3)
         _cell_curves(cells, np.array([0.4, 0.4 + math.pi]))
-        assert not any("_held" in cell.__dict__ for cell in cells)
+        assert not any("_row" in cell.__dict__ for cell in cells)
 
-    def test_a_held_row_is_kept(self):
-        # a cell that built its row keeps it through later batch curves
+    def test_a_held_row_is_kept(self, monkeypatch):
+        # a cell that holds its row keeps it through later batch curves, and
+        # in a batch whose other cells hold none, which forms the rows
         cells = self._cells("window", 0.5, 0.0, 4)
-        held = [cell._held for cell in cells]
+        formed = _formed_calls(monkeypatch)
+        for cell in cells[:2]:
+            cell(0.9)
+        held = [cell._row for cell in cells[:2]]
         _cell_curves(cells, np.linspace(0.0, TWO_PI, 9))
-        assert all(cell._held is h for cell, h in zip(cells, held))
+        held += [cell._row for cell in cells[2:]]
+        _cell_curves(cells, np.linspace(0.0, TWO_PI, 9))
+        assert all(cell._row is h for cell, h in zip(cells, held))
+        assert formed == [True, True, True, False]
+
+
+class TestFormedRows:
+    """A pure call whose cells hold no t1 row forms the rows in its stream,
+    cut1 riding along as column K; each q and dq/dt2 equals, bit for bit,
+    the call that reads the rows that the cells hold, here the 1-D
+    reference rows, at any batch size, in mixed batches, on both paths of
+    special._psi_blocks and at every block edge."""
+
+    T1 = 0.0
+
+    @staticmethod
+    def _pool(rng, family, few):
+        """(columns, t2 values) to draw from: with ``few``, two columns and
+        two t2 values, at most 6 distinct cuts; the sign pool's x0 = 0
+        state has cut1 = -0.0 at t1 = 0."""
+        count = 2 if few else 64
+        r, position = rng.uniform(0.0, 1.0, count), rng.uniform(-2.5, 2.5, (count, 2))
+        if family == "window":
+            columns = [(StateSpec(r=float(r[k]), theta0=0.3), 1.05 + 0.2 * float(position[k, 0]))
+                       for k in range(count)]
+        else:
+            position[0, 0] = 0.0
+            columns = [(StateSpec.from_phase_space(*map(float, position[k]), float(r[k]), 0.3),)
+                       for k in range(count)]
+        return columns, ([0.9, 2.3] if few else list(rng.uniform(0.0, TWO_PI, count)))
+
+    @staticmethod
+    def _answers(family, picks, n_max, slope, held):
+        """The answers of one round of fresh cells of ``picks``, (column, t2)
+        pairs; the cells flagged in ``held`` first take their reference
+        rows.  Returns the answers and the cells."""
+        trunc = TruncationConfig(n_max=n_max)
+        cells = [_SeriesCell(family, column, (1, -1, TestFormedRows.T1), trunc)
+                 for column, _ in picks]
+        for cell, take in zip(cells, held):
+            if take:
+                cell.take_row(reference_row(cell))
+        return _cell_values([(cell, t2, slope) for cell, (_, t2) in zip(cells, picks)]), cells
+
+    @staticmethod
+    def _distinct_cuts(cells, picks) -> int:
+        cuts = set()
+        for cell, (_, t2) in zip(cells, picks):
+            state = cell.column[0]
+            for t in (TestFormedRows.T1, t2):
+                lam = lambda_of(t, state.r, state.theta0)
+                cut = cell.column[1] / lam if cell.family == "window" else -(x_xi_of(t, state.xi) / lam)
+                cuts.add(np.float64(cut).tobytes())
+        return len(cuts)
+
+    def _check(self, family, picks, n_max, slope, mixed):
+        """Formed (or, with ``mixed``, partly held) rows against all held
+        ones: every answer, and every row the cells then hold."""
+        held = [True] * len(picks)
+        want, _ = self._answers(family, picks, n_max, slope, held)
+        some = [mixed and k % 3 == 0 for k in range(len(picks))]
+        got, cells = self._answers(family, picks, n_max, slope, some)
+        assert [repr(a) for a in got] == [repr(a) for a in want]
+        for cell in cells:
+            assert cell._row.tobytes() == reference_row(cell).tobytes()
+        return cells
+
+    @pytest.mark.parametrize("family", ["sign", "window"])
+    @pytest.mark.parametrize("slope", [False, True])
+    @pytest.mark.parametrize("few", [True, False])
+    def test_every_batch_size(self, family, slope, few):
+        rng = np.random.default_rng(2 * slope + few + (family == "window") * 4)
+        columns, t2s = self._pool(rng, family, few)
+        paths = set()
+        for c in range(1, 65):
+            picks = [(columns[k % len(columns)], t2s[(k // len(columns) + k) % len(t2s)])
+                     for k in range(c)]
+            cells = self._check(family, picks, 120, slope, mixed=c % 2 == 0)
+            # the 2C cuts (t2's and t1's) are the memo's own keys up to 8 of
+            # them; beyond that they are gathered from it when at most 8 are
+            # distinct, else the array recurrence runs
+            paths.add("keys" if 2 * c <= 8 else
+                      "memo" if self._distinct_cuts(cells, picks) <= 8 else "recurrence")
+        assert paths == {"keys", "memo" if few else "recurrence"}
+
+    @pytest.mark.parametrize("family", ["sign", "window"])
+    @pytest.mark.parametrize("slope", [False, True])
+    @pytest.mark.parametrize("n_max", [1, 2, 108, 109, 110, 200, 256, 2500])
+    def test_block_edges(self, family, slope, n_max):
+        # one round at three columns' 50 values of t2 streams in blocks of
+        # 16384 // 150 = 109 orders, so n_max = 109 puts the slope's
+        # psi_n_max in a block of its own (TestBatchedCurves.test_block_edges)
+        if family == "window":
+            columns = [(StateSpec(r=0.5), h) for h in (0.8, 1.03, 1.6)]
+        else:
+            columns = [(StateSpec.from_phase_space(x0, 0.6 - x0, 0.5),) for x0 in (-1.5, 0.0, 2.0)]
+        grid = np.linspace(0.0, TWO_PI, 50)  # 0 and 2 pi are singular
+        picks = [(column, float(t2)) for column in columns for t2 in grid]
+        self._check(family, picks, n_max, slope, mixed=False)
+        self._check(family, picks, n_max, slope, mixed=True)
+
+    def test_one_way_into_the_pure_kernel(self):
+        # _q_pure is called only by _cell_calls, and the series builds a
+        # j_row only for a thermal cut; every pure t1 row comes from the
+        # stream of _phase_sums
+        tree = ast.parse(Path(series.__file__).read_text(encoding="utf-8"))
+        callers = {"_q_pure": [], "j_row": []}
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id in callers):
+                    callers[child.func.id].append(where)
+                named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                visit(child, child.name if named else where)
+
+        visit(tree, None)
+        assert callers == {"_q_pure": ["_cell_calls"], "j_row": ["_thermal_fixed_cut"]}
+        assert not hasattr(series, "_window_row")
 
 
 class TestWindowSeries:
@@ -585,12 +733,9 @@ class TestPointAndCurve:
         if family == "sign":
             state, extra, n_max, tol = StateSpec.from_phase_space(0.5, 1.2, 0.8, 0.9), (), 300, 0.0
             point, curve = qpd_series_squeezed, q_sign_series_curve
-            kernel = lambda *args: _q_pure(_sign_inputs, ([args[0]],), *args[1:], n_max)
         elif family == "window":
             state, extra, n_max, tol = StateSpec(xi=0j, r=0.25, theta0=0.0), (1.02,), 300, 0.0
             point, curve = qpd_series_window, q_window_series_curve
-            kernel = lambda *args: _q_pure(_window_inputs, ([args[0]], np.array([[args[1]]])),
-                                           *args[2:], n_max)
         else:
             state = StateSpec.from_phase_space(0.7, -1.3, 0.5, 0.4, n_th)
             extra, n_max, tol = (), 150, 1e-14
@@ -599,14 +744,11 @@ class TestPointAndCurve:
             def curve(state, s1, s2, t1, grid, n_max):
                 cell = _SeriesCell("thermal", (state,), (s1, s2, t1), TruncationConfig(n_max=n_max))
                 return _cell_curves([cell], grid)[0]
-
-            def kernel(state, s1, s2, t1, grid):
-                cell = _SeriesCell("thermal", (state,), (s1, s2, t1), TruncationConfig(n_max=n_max))
-                return _q_thermal([state], s1, s2, t1, grid, n_max, False, lambda: [cell._held])
         trunc = TruncationConfig(n_max=n_max)
         for s1, s2 in SIGN_PAIRS:
             args = (state,) + extra + (s1, s2, self.T1)
-            singular = kernel(*args, self.GRID).singular
+            cell = _SeriesCell(family, (state,) + extra, (s1, s2, self.T1), trunc)
+            singular = _cell_calls([cell], self.GRID, None)[0].singular
             assert list(np.flatnonzero(singular)) == [0, 3]
             q_curve = curve(*args, self.GRID, n_max)
             for k, t2 in enumerate(self.GRID):
@@ -706,12 +848,12 @@ class TestPointSlope:
 def point_reference(state, half_width, s1, s2, t1, t2, n_max):
     """(q, dq/dt2) of one non-singular pure point summed on 1-D rows, in the
     operations of _phase_sums: the kernel's block, phase, cuts and rates at
-    t2, the t1 row (j_row, or _window_row for a ``half_width``), v_n = Omega_n
+    t2, the t1 row (j_row, or window_row for a ``half_width``), v_n = Omega_n
     row1_n / sqrt(2n) (doubled for a window, whose odd orders are skipped),
     and the value's and the slope's terms each added in order of n, psi_0 at
     cut2 multiplied in at the end."""
     window = half_width is not None
-    inputs, row = (_window_inputs, _window_row) if window else (_sign_inputs, j_row)
+    inputs, row = (_window_inputs, window_row) if window else (_sign_inputs, j_row)
     column = ([state], np.array([[half_width]])) if window else ([state],)
     block, phi, cut1, cut2, rates = inputs(*column, s1, s2, t1, np.array([[t2]]), True)
     block, phi, cut1, cut2, dblock, dphi, dcut = (float(np.ravel(v)[0]) for v in
@@ -882,7 +1024,7 @@ class TestProbeRounds:
 
 def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):
     """A pure series curve with the rows of every order for all of ``grid``
-    at once: the t1 row (j_row, or _window_row for a ``half_width``), v_n =
+    at once: the t1 row (j_row, or window_row for a ``half_width``), v_n =
     Omega_n row1_n / sqrt(2n), doubled for a window, the terms
     psi_{n-1}(cut2) (cos(n phi) v_n) of the summed orders (a window's even
     ones) added in order of n, times psi_0(cut2), then completeness at the
@@ -897,7 +1039,7 @@ def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):
         cut1, cut2, region = half_width / lam1, half_width / lam2, _window_region
         qbar1, qbar2 = 1.0 - 2.0 * erf(cut1), 1.0 - 2.0 * erf(cut2)
         block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
-        row1 = _window_row(cut1, n_max)[1:]
+        row1 = window_row(cut1, n_max)[1:]
     n = np.arange(1, n_max + 1)
     v = row1 * tail_weights(n_max) / np.sqrt(2.0 * n)
     if window:
@@ -913,17 +1055,27 @@ def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):
     return q
 
 
-def batch_curves(states, halves, s1, s2, t1, grid, n_max):
+def pure_cells(states, halves, s1, s2, t1, n_max):
+    """Sign cells of ``states``, or window cells of ``states`` and
+    ``halves`` when these are given."""
+    trunc = TruncationConfig(n_max=n_max)
     if halves is None:
-        return q_sign_series_curve(states, s1, s2, t1, grid, n_max)
-    return q_window_series_curve(states, halves, s1, s2, t1, grid, n_max)
+        return [_SeriesCell("sign", (state,), (s1, s2, t1), trunc) for state in states]
+    return [_SeriesCell("window", (state, half), (s1, s2, t1), trunc)
+            for state, half in zip(states, halves)]
+
+
+def batch_curves(states, halves, s1, s2, t1, grid, n_max):
+    """The (C, K) curves of a batch of pure cells, from one call of
+    _cell_curves, the path of a scan row's coarse curves."""
+    return np.array(_cell_curves(pure_cells(states, halves, s1, s2, t1, n_max), grid))
 
 
 class TestBatchedCurves:
-    """A list of states gives one row per state, from one streamed pass over
-    the orders; each row equals, bit for bit, the curve summed with full
-    (n_max + 1, K) rows, whatever the batch size, the block layout and the
-    number of grid points."""
+    """A batch of pure cells gives one row per cell, from one streamed pass
+    over the orders; each row equals, bit for bit, the curve summed with
+    full (n_max + 1, K) rows, whatever the batch size, the block layout and
+    the number of grid points."""
 
     @staticmethod
     def _check(states, halves, s1, s2, t1, grid, n_max, every=None):
@@ -941,10 +1093,7 @@ class TestBatchedCurves:
         # slope columns: one round of probes at every (state, t2), C = C K
         # columns of K = 1, streamed in blocks of _BLOCK_DOUBLES // (C K)
         # orders; each q is the curve's value and each slope the cell's own
-        trunc = TruncationConfig(n_max=n_max)
-        cells = [_SeriesCell("sign", (state,), (s1, s2, t1), trunc) if halves is None
-                 else _SeriesCell("window", (state, halves[c]), (s1, s2, t1), trunc)
-                 for c, state in enumerate(states)]
+        cells = pure_cells(states, halves, s1, s2, t1, n_max)
         requests = [(cell, float(t2), True) for cell in cells for t2 in grid]
         answers = _cell_values(requests)
         assert [q for q, _ in answers] == rows.ravel().tolist()
@@ -1200,8 +1349,8 @@ class TestPhaseTable:
         monkeypatch.setattr(series, "_cached_phase_table", recording)
         grid = np.linspace(0.1, 6.0, 25)
         states = [StateSpec.from_phase_space(x0, 0.4, 0.5) for x0 in (-1.0, 0.3)]
-        q_sign_series_curve(states, 1, -1, 0.0, grid, 120)
-        q_window_series_curve([StateSpec(r=0.5)] * 2, [0.8, 1.2], 1, 1, 0.0, grid, 120)
+        batch_curves(states, None, 1, -1, 0.0, grid, 120)
+        batch_curves([StateSpec(r=0.5)] * 2, [0.8, 1.2], 1, 1, 0.0, grid, 120)
         assert waves == [np.cos, np.cos]
         # the thermal stream reads both
         _SeriesCell("thermal", (StateSpec.from_phase_space(0.3, 0.4, 0.5, n_th=0.156),),
@@ -1473,7 +1622,7 @@ class TestReflectedCurves:
         grid, half = search.grid(), (steps + 1) // 2
         cell, seen, real = self._cell("sign"), [], series._q_pure
         monkeypatch.setattr(series, "_q_pure",
-                            lambda *args: seen.append(args[-2]) or real(*args))
+                            lambda *args: seen.append(args[5]) or real(*args))
         (row,), _, _ = self._searched(monkeypatch, [cell], search)
         assert len(seen) == 1 and seen[0].tobytes() == grid[:half].tobytes()
         assert row.shape == grid.shape

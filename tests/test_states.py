@@ -187,16 +187,19 @@ class TestThermalWeight:
             assert thermal_weight(m - 2, n_th) >= 1e-13
 
     def test_m_cut_below_the_threshold_is_the_closed_form(self):
-        for n_th in (1e-300, 0.2, 1.54, 7e3, 1e6, 1e11, 1e12 - 1e3, 1e12 - 2):
+        for n_th in (1e-300, 0.2, 1.54, 7e3, 9998.0, 9999.0):
             ratio = n_th / (1.0 + n_th)
             want = max(int(math.ceil(math.log(1e-12 * (1.0 + n_th)) / math.log(ratio))) + 1, 1)
             assert thermal_m_cut(n_th) == want
         assert thermal_m_cut(0.0) == 1
 
-    @pytest.mark.parametrize("n_th", [1e12 - 1, 1e12, 1e15, 1e16, 1e300])
+    @pytest.mark.parametrize("n_th", [1e4, 2e4, 1e6, 1e11, 1e12 - 1e3, 1e12 - 2, 1e12 - 1, 1e12,
+                                      1e15, 1e16, 1e300])
     def test_m_cut_refuses_an_occupation_without_a_cut(self, n_th):
-        # from 1e12 - 1 on the ground weight 1/(1 + n_th) is at most 1e-12, and
-        # from about 1e16 on n_th / (1 + n_th) rounds to 1.0
+        # above n_th = 9999 a cut at weight 1e-12 could leave more than 1e-8
+        # of the state, up to almost all of it near 1e12; from 1e12 - 1 on the
+        # ground weight 1/(1 + n_th) is itself at most 1e-12, and from about
+        # 1e16 on n_th / (1 + n_th) rounds to 1.0
         with pytest.raises(CapabilityError, match="no occupation cut"):
             thermal_m_cut(n_th)
 
