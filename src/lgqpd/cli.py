@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -17,7 +16,7 @@ from .config import ConfigError, load_scan_config
 from .errors import TruncationError
 from .fock import DEFAULT_DIM
 from .integral import DEFAULT_QUAD_ORDER, IntegralInfo
-from .output import write_scan_outputs
+from .output import json_text, write_scan_outputs
 from .scan import ROUTES, named_evaluator, scan_plane
 from .series import DEFAULT_TRUNCATION, SeriesInfo, _check_signs
 from .states import OffsetFunction, n_th_from_temperature
@@ -114,9 +113,9 @@ def _cmd_eval(args) -> int:
                        "trace_deficit": info.trace_deficit, "tail_mass": info.tail_mass}
 
     if args.out == "json":
-        print(json.dumps({"q": q, "route": args.route, "projector": args.projector,
-                          "s1": args.s1, "s2": args.s2, "t1": args.t1, "t2": args.t2,
-                          "diagnostics": diagnostics, "wall_s": wall}, indent=2))
+        print(json_text({"q": q, "route": args.route, "projector": args.projector,
+                         "s1": args.s1, "s2": args.s2, "t1": args.t1, "t2": args.t2,
+                         "diagnostics": diagnostics, "wall_s": wall}))
     else:
         print(f"q = {_fmt(q)}")
         print(f"route = {args.route}, projector = {args.projector}")

@@ -39,7 +39,7 @@ def scan_csv_text(result: ScanResult) -> str:
 def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dict:
     """The run manifest.  ``coarse_s`` and ``refine_s`` sum the rows' coarse
     curve and refinement seconds over every worker, ``refine_evals`` the
-    refinements' evaluator calls and ``refine_capped`` the cells whose
+    refinements' probes and ``refine_capped`` the cells whose
     refinement hit its cap, each over the cells that ran a search;
     ``mirror_filled`` counts the cells filled from their time-reversal
     partner instead, ``reflected`` the searched cells whose coarse curve ran
@@ -61,7 +61,7 @@ def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dic
         },
         "grid_shape": [int(result.axis1.size), int(result.axis2.size)],
         "n_failed": int(result.n_failed),
-        "global_min": None if math.isnan(result.global_min) else result.global_min,
+        "global_min": result.global_min,
         "global_argmin": {
             cfg.axis1_name: result.global_argmin[0],
             cfg.axis2_name: result.global_argmin[1],
@@ -92,8 +92,7 @@ def write_scan_outputs(result: ScanResult, out_dir, basename: str,
         "axis2_name": result.config.axis2_name,
         "columns": CSV_HEADER.split(","),
         "rows": [
-            [_float_or_none(v) for v in
-             (a1, a2, result.q_min[i, j], result.t2_argmin[i, j])]
+            [float(v) for v in (a1, a2, result.q_min[i, j], result.t2_argmin[i, j])]
             for i, a1 in enumerate(result.axis1)
             for j, a2 in enumerate(result.axis2)
         ],
@@ -101,10 +100,21 @@ def write_scan_outputs(result: ScanResult, out_dir, basename: str,
     csv_path = out_dir / f"{basename}.csv"
     json_path = out_dir / f"{basename}.json"
     csv_path.write_text(csv_text, encoding="utf-8")
-    json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    json_path.write_text(json_text(payload) + "\n", encoding="utf-8")
     return csv_path, json_path
 
 
-def _float_or_none(v: float):
-    v = float(v)
-    return None if math.isnan(v) else v
+def json_text(payload) -> str:
+    """``payload`` as strict JSON, indented by 2: a non-finite float, which
+    JSON cannot spell, is written as null."""
+    return json.dumps(_nulled(payload), indent=2, allow_nan=False)
+
+
+def _nulled(value):
+    """``value`` with each non-finite float, in dicts and lists at any
+    depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _nulled(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value

@@ -30,8 +30,9 @@ from .states import T2_PERIOD, OffsetFunction, StateSpec, thermal_m_cut, time_re
 
 #: Absolute tolerance of the t2 refinement: it stops once its next step, or
 #: half its bracket, is below XATOL.  It is also the step of the central
-#: difference that stands in for the slope of an evaluator without one, and
-#: the distance from a window end of the probe that confirms a minimum there.
+#: difference that gives the integral and oracle evaluators their slope
+#: (:func:`_difference_slope`), and the distance from a window end of the
+#: probe that confirms a minimum there.
 XATOL = 1e-9
 
 #: Rounding of a q value relative to max(|q|, 1), below which two values'
@@ -51,10 +52,9 @@ _PARAM_NAMES = frozenset({"s1", "s2", "t1", "x0", "p0", "r", "theta0", "n_th", "
 @dataclass(frozen=True)
 class T2Search:
     """Search window for the inner t2 minimization, its coarse grid size, and
-    ``refine_iters``, the cap on the refinement's evaluator calls: a (q,
-    dq/dt2) probe is one call, a central difference two, and the probe that
-    confirms a minimum at a window end one (0 keeps the coarse point; an
-    evaluator without a slope still gets one central difference at 1)."""
+    ``refine_iters``, the cap on the refinement's probes, each one (q,
+    dq/dt2) call of the evaluator's ``slope``, the probe that confirms a
+    minimum at a window end included (0 keeps the coarse point)."""
 
     t2_min: float = 0.0
     t2_max: float = 2.0 * math.pi
@@ -82,7 +82,7 @@ class T2Search:
 
 class T2Minimum(tuple):
     """``(q_min, t2_argmin)`` of :func:`minimize_over_t2`, with the
-    refinement's evaluator calls ``evals``, ``capped``, true when it spent
+    refinement's probes ``evals``, ``capped``, true when it spent
     its ``refine_iters`` before its step fell below ``XATOL``, and
     ``reflected``, true when its coarse curve ran on half its grid."""
 
@@ -96,9 +96,10 @@ class T2Minimum(tuple):
 def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
     """Minimum of a continuous evaluator over t2: ``curve`` on the coarse grid,
     then a safeguarded Newton-secant search for a zero of dq/dt2 in the grid
-    bracket around the best point, within ``search.refine_iters`` evaluator
-    calls (:class:`T2Search`).  The coarse point, and every point evaluated,
-    is kept when it is the lowest.
+    bracket around the best point, within ``search.refine_iters`` probes
+    (:class:`T2Search`).  Every probe is one call of ``evaluator.slope``.
+    The coarse point, and every point probed, is kept when it is the
+    lowest.
 
     A best point at either end of the window is first probed once, ``XATOL``
     inside it: when that probe is not lower, the bracket being unimodal puts
@@ -116,9 +117,11 @@ def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
     series route that is the exact value at a commuting separation, a cusp of
     q; a higher one shrinks the bracket to the side of the lowest point.
 
-    ``evaluator`` maps one t2 to q, and its ``slope`` attribute, when it has
-    one, maps one t2 to (q, dq/dt2 or None); an evaluator without it gets a
-    central difference of step ``XATOL``.  Its ``period`` attribute, when it
+    ``evaluator`` maps one t2 to q, and its ``slope`` attribute maps one t2
+    to (q, dq/dt2 or None); every evaluator of :func:`named_evaluator` has
+    one.  With ``search.refine_iters > 0`` an evaluator without ``slope`` is
+    refused with a TypeError before anything is evaluated.  Its ``period``
+    attribute, when it
     has one, is q's period P in t2, and says that q(t2) = q(-t2)
     (:func:`named_evaluator` sets it where time reversal fixes the cell): on
     a grid that folds for P (:func:`_folds`) the coarse curve is asked for
@@ -126,18 +129,20 @@ def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
     its mirror, q(t_{K-1-k}) = q(t_k).  ``curve`` maps an array of t2
     values, the grid or that first half, to their q values.
     """
+    if search.refine_iters and getattr(evaluator, "slope", None) is None:
+        raise TypeError("the t2 refinement probes evaluator.slope(t2) -> (q, dq/dt2), "
+                        "which this evaluator lacks; pass refine_iters=0 to skip it")
     return _drive([_t2_search(evaluator, curve, search)], _serve)[0]
 
 
 class _Request(NamedTuple):
     """A request of a t2 search (:func:`_t2_search`): the values of
     ``curve`` on the coarse grid, or its first half, ``t2`` when ``curve`` is
-    given, else the ``evaluator`` at the float ``t2``, as (q, dq/dt2 or None)
-    when ``slope`` and as q otherwise."""
+    given, else the probe (q, dq/dt2 or None) of the ``evaluator`` at the
+    float ``t2``."""
 
     evaluator: object
     t2: object
-    slope: bool = False
     curve: Callable | None = None
 
 
@@ -183,12 +188,10 @@ def _refine(evaluator, grid, values, search: T2Search):
     evals = 0
     if i in (0, last):
         inside = min(best_t + XATOL, hi) if i == 0 else max(best_t - XATOL, lo)
-        q, evals = (yield _Request(evaluator, inside)), 1
+        (q, _), evals = (yield _Request(evaluator, inside)), 1
         if not q < best_q:
             return best_q, best_t, evals
         best_q, best_t = q, inside
-    sloped_probes = getattr(evaluator, "slope", None) is not None
-    cost = 1 if sloped_probes else 2
     # the parabola through the coarse values around the best point
     x, curvature = 0.5 * (lo + hi), None
     if last >= 2:
@@ -201,23 +204,12 @@ def _refine(evaluator, grid, values, search: T2Search):
             if lo < vertex < hi:
                 x = float(vertex)
     prev = None  # the last probe with a slope: (t2, q, dq/dt2)
-    while evals + cost <= max(search.refine_iters, cost):
-        if sloped_probes:
-            q, d = yield _Request(evaluator, x, True)
-            seen = ((q, x),)
-        else:
-            x = min(max(x, lo + XATOL), hi - XATOL)
-            below = yield _Request(evaluator, x - XATOL)
-            above = yield _Request(evaluator, x + XATOL)
-            q, d = 0.5 * (below + above), (above - below) / (2.0 * XATOL)
-            seen = ((below, x - XATOL), (above, x + XATOL))
-        evals += cost
-        lowest = best_q
-        for value, t in seen:
-            if value < best_q:
-                best_q, best_t = float(value), float(t)
+    while evals < search.refine_iters:
+        q, d = yield _Request(evaluator, x)
+        evals += 1
         sloped = d is not None and math.isfinite(d)
-        if best_q < lowest:
+        if q < best_q:
+            best_q, best_t = float(q), float(x)
             if not sloped or d == 0.0:
                 return best_q, best_t, evals
             lo, hi = (lo, x) if d > 0 else (x, hi)
@@ -330,7 +322,7 @@ class ScanConfig:
 class ScanResult:
     """Grid of t2-minimized quasi-probabilities with the global minimum, the
     seconds spent on the coarse curves and on the refinements, the
-    refinements' evaluator calls, and ``refine_capped``, the cells whose
+    refinements' probes, and ``refine_capped``, the cells whose
     refinement spent its whole ``t2_refine_iters`` before its step fell below
     ``XATOL``, each summed over the grid's rows (over every worker) and
     counting only the cells that ran a search; ``mirror_filled`` is the
@@ -396,7 +388,7 @@ def _scan_row(task):
     window.  A cell whose evaluator, search or requests raise is NaN by
     itself (:func:`_serve_kept`), and so is a cell filled from it.  Returns
     each cell's ``(q, t2, failed)``, the row's coarse and refinement seconds,
-    the evaluator calls of its searched cells' refinements, the number of
+    the probes of its searched cells' refinements, the number of
     them that were capped and the number of them whose coarse curve ran on
     half its grid."""
     config, a1, axis2, partners = task
@@ -473,19 +465,18 @@ def _serve(requests) -> list:
     cells' coarse curves on one grid in one call (``series._cell_curves``)
     and their probes in one call (``series._cell_values``), each equal to
     the cell's own call bit for bit, and any other request through its own
-    curve or evaluator (integral and oracle cells, and a curve that is not
-    the cell's own)."""
+    curve or ``evaluator.slope`` (integral and oracle cells, and a curve
+    that is not the cell's own)."""
     answers, groups = [None] * len(requests), {}
-    for i, (evaluator, t2, slope, curve) in enumerate(requests):
+    for i, (evaluator, t2, curve) in enumerate(requests):
         if isinstance(evaluator, _SeriesCell) and curve in (None, evaluator.curve):
             # the probes are one group, and the curves on each grid one more
             groups.setdefault(None if curve is None else t2.tobytes(), []).append(i)
         else:
-            answers[i] = (curve(t2) if curve is not None
-                          else evaluator.slope(t2) if slope else evaluator(t2))
+            answers[i] = evaluator.slope(t2) if curve is None else curve(t2)
     for grid, members in groups.items():
         batch = [requests[i] for i in members]
-        values = (_cell_values([(r.evaluator, r.t2, r.slope) for r in batch]) if grid is None
+        values = (_cell_values([(r.evaluator, r.t2) for r in batch]) if grid is None
                   else _cell_curves([r.evaluator for r in batch], batch[0].t2))
         for i, value in zip(members, values):
             answers[i] = value
@@ -604,7 +595,8 @@ def global_minimize(free: dict, route: str = "series", fixed: dict | None = None
     value goes in ``fixed``.  t2 is minimized by the inner search of
     :func:`minimize_over_t2`, a coarse grid and then a Newton-secant
     refinement on dq/dt2 (the series' exact slope, a central difference on
-    the other routes), with at most ``t2_refine`` evaluator calls per search;
+    the other routes), with at most ``t2_refine`` probes per search, each one
+    kernel call;
     the other parameters go through a coarse grid followed by Nelder-Mead
     polish from the best ``n_starts`` grid points.
 
@@ -776,13 +768,15 @@ def named_evaluator(params: dict, route: str, projector: str,
     ``IntegralInfo`` or ``OracleInfo``), and ``curve(t2_grid)`` is q over an
     array of t2; ``n_max`` is the series truncation.
 
-    On the series route the evaluator is the cell of its family, pure sign,
-    thermal sign or window (``series._SeriesCell``), and the curve its
-    ``curve``; its ``slope(t2)`` is the (q, dq/dt2) call of the family's
-    kernel, which :func:`minimize_over_t2` refines with.  The integral and
-    oracle evaluators have no slope; each is the one-element call of its
-    route's t2-array kernel (``integral._q_integral`` or
-    :func:`q_oracle_curve`), and its curve one call of that kernel.  On
+    Every evaluator has a ``slope(t2)``, the (q, dq/dt2) probe that
+    :func:`minimize_over_t2` refines with, one kernel call each.  On the
+    series route the evaluator is the cell of its family, pure sign, thermal
+    sign or window (``series._SeriesCell``), the curve its ``curve``, and
+    its slope the exact derivative from the family's kernel.  The integral
+    and oracle evaluators are the one-element calls of their route's t2-array
+    kernel (``integral._q_integral`` or :func:`q_oracle_curve`), their curve
+    one call of that kernel, and their slope a central difference from one
+    three-point call of it (:func:`_difference_slope`).  On
     every route, an evaluator whose cell time reversal leaves unchanged (p0
     = 0 and :func:`states.time_reversal_fixes`) has a ``period`` attribute,
     q's period in t2 (``states.T2_PERIOD``), which :func:`minimize_over_t2`
@@ -842,10 +836,23 @@ def named_evaluator(params: dict, route: str, projector: str,
         evaluator = (lambda t2, with_info=False: qpd_oracle(
             state, meas, s1, s2, t1, t2, dim, with_info))
         curve = lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim)
+    if route != "series":
+        evaluator.slope = _difference_slope(curve)
     if state.p0 == 0 and time_reversal_fixes(state, t1, meas.offset):
         # the cell is its own time-reversal mirror, so q(t2) = q(-t2)
         object.__setattr__(evaluator, "period", T2_PERIOD[meas.projector])
     return evaluator, curve
+
+
+def _difference_slope(curve):
+    """The ``slope(t2)`` of an evaluator whose route's kernel ``curve`` has
+    no derivative: one call at (t2, t2 - XATOL, t2 + XATOL), whose first
+    column is q, bit for bit the one-element call since each column equals
+    its own, and the other two the central difference dq/dt2."""
+    def slope(t2):
+        q, below, above = curve(np.array([t2, t2 - XATOL, t2 + XATOL]))
+        return float(q), float((above - below) / (2.0 * XATOL))
+    return slope
 
 
 def _whole(name: str, value, least: int | None = None) -> int:

@@ -876,7 +876,7 @@ class _SeriesCell:
         tail bound is |q - q'|, q' this cell's point at truncation n_max //
         2 where that truncation exists."""
         _check_finite(t2=t2)
-        out = _cell_calls([self], np.array([[float(t2)]]), (False,))[0]
+        out = _cell_calls([self], np.array([[float(t2)]]), False)[0]
         q = float(out.q[0])
         if not with_info:
             return q
@@ -892,7 +892,7 @@ class _SeriesCell:
         and dq is the exact t2 derivative of the truncated, Euler-averaged
         sum, or None at a singular phase."""
         _check_finite(t2=t2)
-        return _cell_values([(self, t2, True)])[0]
+        return _cell_values([(self, t2)])[0]
 
     def curve(self, grid):
         """q over an array of t2 values (:func:`_cell_curves`)."""
@@ -914,15 +914,14 @@ class _SeriesCell:
                                   thermal_m_cut(state.n_th), self.trunc.n_max)
 
 
-def _cell_calls(cells, t2: np.ndarray, slopes) -> list:
+def _cell_calls(cells, t2: np.ndarray, slope: bool) -> list:
     """Each cell's :class:`_KernelValue`, in order, sliced to its column:
-    over the t2 array ``t2`` that the cells share (curves; ``slopes`` is
-    None), or, for ``t2`` of shape (C, 1), at each cell's own t2 (points, or
-    a round of probes), ``slopes`` flagging each cell whose dq/dt2 is
-    asked.  The cells of one family, ``shared``, n_max and n_th are one
-    kernel call, and each column equals the cell's own call bit for bit;
-    when one cell of a call asks for its slope, the call forms the slope of
-    every column.
+    over the 1-D t2 array ``t2`` that the cells share (curves, with
+    ``slope`` False), or, for ``t2`` of shape (C, 1), at each cell's own t2
+    (points, or a round of probes), with dq/dt2 of every column when
+    ``slope``.  The cells of one family, ``shared``, n_max and n_th are one
+    kernel call, and each column equals the cell's own call bit for bit,
+    its q whether or not ``slope`` is asked.
 
     The cells judged their inputs when they were made, so they go straight
     to :func:`_q_pure` or :func:`_q_thermal`.  A pure call reads its cells'
@@ -930,7 +929,7 @@ def _cell_calls(cells, t2: np.ndarray, slopes) -> list:
     the rows, and each cell that holds none takes its column's
     (:meth:`_SeriesCell.take_row`).  Thermal cells hand the kernel their held
     t1 pieces."""
-    point = slopes is not None
+    point = t2.ndim == 2
     out, groups = [None] * len(cells), {}
     for i, cell in enumerate(cells):
         key = (cell.family, cell.shared, cell.trunc.n_max, cell.column[0].n_th)
@@ -939,7 +938,6 @@ def _cell_calls(cells, t2: np.ndarray, slopes) -> list:
         batch = [cells[i] for i in members]
         columns = [list(arg) for arg in zip(*(cell.column for cell in batch))]
         at = t2[members] if point and len(members) < len(cells) else t2
-        slope = point and any(slopes[i] for i in members)
         if family == "thermal":
             value = _q_thermal(columns[0], *shared, at, n_max, slope,
                                lambda: [c._held for c in batch])
@@ -961,18 +959,17 @@ def _cell_calls(cells, t2: np.ndarray, slopes) -> list:
 
 
 def _cell_values(requests) -> list:
-    """The answers to ``requests``, (cell, t2, slope) triples, in order: q,
-    or (q, dq/dt2 or None at a singular phase) when ``slope``; one
-    :func:`_cell_calls` round, each answer equal bit for bit to the cell's
-    own call."""
-    cells, t2, slopes = zip(*requests)
-    values = _cell_calls(cells, np.array(t2, dtype=float)[:, None], slopes)
-    return [(float(v.q[0]), None if v.singular[0] else float(v.slope[0])) if slope
-            else float(v.q[0]) for v, slope in zip(values, slopes)]
+    """The probes ``requests``, (cell, t2) pairs, in order: each (q, dq/dt2,
+    or None at a singular phase), from one :func:`_cell_calls` round with
+    slopes, each equal bit for bit to the cell's own :meth:`_SeriesCell.slope`
+    call."""
+    cells, t2 = zip(*requests)
+    values = _cell_calls(cells, np.array(t2, dtype=float)[:, None], True)
+    return [(float(v.q[0]), None if v.singular[0] else float(v.slope[0])) for v in values]
 
 
 def _cell_curves(cells, grid) -> list:
     """Each cell's q over the t2 array ``grid``, in order: one
     :func:`_cell_calls` of the cells' curves, each row equal bit for bit to
     the cell's own curve."""
-    return [v.q for v in _cell_calls(cells, np.asarray(grid, dtype=float), None)]
+    return [v.q for v in _cell_calls(cells, np.asarray(grid, dtype=float), False)]

@@ -121,7 +121,7 @@ def _panel_minimum(s1: int, s2: int, r: float, n_th: float = 0.0,
                    n_starts: int = 3, coarse_steps: int = 9, t2_coarse: int = 96,
                    t2_refine: int = 32, nm_maxiter: int = 150) -> GlobalMinimum:
     """Series minimum of one sign-pair panel over (x0, p0, t2), memoized:
-    calls spelled alike share one run (about 3.5 s for a full panel)."""
+    calls spelled alike share one run."""
     return global_minimize(
         free={"x0": (-2.5, 2.5), "p0": (-2.5, 2.5), "t2": (0.0, TWO_PI)},
         fixed={"s1": s1, "s2": s2, "r": r, "theta0": 0.0, "t1": 0.0, "n_th": n_th},

@@ -16,6 +16,14 @@ from lgqpd.states import n_th_from_temperature, thermal_m_cut
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
+
+def strict_json(text: str):
+    """``text`` parsed as standard JSON: NaN, Infinity and -Infinity, which
+    JSON does not have, are refused."""
+    def refused(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refused)
+
 GOOD_CONFIG = """\
 # displacement-plane scan
 plane = x0p0
@@ -188,6 +196,16 @@ class TestCliEval:
         assert payload["route"] == "integral"
         assert payload["diagnostics"]["converged"] is True
         assert abs(payload["q"]) < 1.0
+
+    @pytest.mark.parametrize("extra", [["--nmax", "1"], ["--temp-ratio", "1", "--nmax", "30"]])
+    def test_json_output_is_strict(self, capsys, extra):
+        # n_max // 2 is no truncation (0) or lies below the thermal occupation
+        # cut: the tail bound is infinite, which used to print as Infinity
+        assert main(["eval", "--route", "series", "--s1", "1", "--s2", "-1", "--t1", "0",
+                     "--t2", "1.3", "--x0", "0.5", "--out", "json", *extra]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["diagnostics"]["tail_bound"] is None
+        assert math.isfinite(payload["q"])
 
     def test_thermal_diagnostics_only_for_thermal_states(self, capsys):
         common = ["eval", "--route", "series", "--s1", "1", "--s2", "-1",
@@ -377,6 +395,21 @@ class TestCliScan:
                      for name in "ab"]
         assert manifests[0]["refine_evals"] == manifests[1]["refine_evals"] > 0
         assert manifests[0]["refine_capped"] == manifests[1]["refine_capped"]
+
+    def test_all_failed_scan_writes_strict_json(self, tmp_path, capsys):
+        # displacements that overflow a 20-level basis fail every cell; the
+        # manifest's global argmin used to hold NaN
+        cfg_file = tmp_path / "failed.cfg"
+        cfg_file.write_text("plane = x0p0\nroute = oracle\ns1 = 1\ns2 = 1\noracle_dim = 20\n"
+                            "axis1_min = 4.0\naxis1_max = 5.0\naxis2_min = 4.0\n"
+                            "axis2_max = 5.0\nt2_coarse_steps = 10\n")
+        assert main(["scan", str(cfg_file), "--out-dir", str(tmp_path)]) == 0
+        assert "4 cell(s) failed" in capsys.readouterr().out
+        payload = strict_json((tmp_path / "failed.json").read_text())
+        manifest = payload["manifest"]
+        assert manifest["n_failed"] == 4 and manifest["global_min"] is None
+        assert manifest["global_argmin"] == {"x0": None, "p0": None, "t2": None}
+        assert all(row[2:] == [None, None] for row in payload["rows"])
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

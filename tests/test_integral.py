@@ -282,12 +282,13 @@ class TestRouteAgreement:
 
     def test_2d_route_reproduces_minimum_row(self):
         # the direct 2-D quadrature alone finds the benchmark row minimum
-        from lgqpd import T2Search, minimize_over_t2
+        from lgqpd import T2Search, minimize_over_t2, scan
 
         state = StateSpec.from_phase_space(-0.554, 1.95)
         f = lambda t2: qpd_integral_2d(state, None, 1, -1, 0.0, t2, grid=(64, 240))
-        q, _ = minimize_over_t2(f, lambda grid: [f(t) for t in grid],
-                                T2Search(0.2, 1.0, coarse_steps=40, refine_iters=25))
+        curve = lambda grid: [f(t) for t in grid]
+        f.slope = scan._difference_slope(curve)
+        q, _ = minimize_over_t2(f, curve, T2Search(0.2, 1.0, coarse_steps=40, refine_iters=25))
         assert 4 * q == pytest.approx(-0.113, abs=0.003)
 
     def test_2d_route_with_offset(self):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from lgqpd import (IntegralInfo, OffsetFunction, OracleInfo, ScanConfig,
                    SeriesInfo, T2Search, TruncationConfig, TruncationError, global_minimize,
                    minimize_over_t2, named_evaluator, scan, scan_plane, series)
+from lgqpd import fock
 from lgqpd.config import load_scan_config
+from lgqpd.states import mode_e
 from lgqpd.output import build_manifest, scan_csv_text
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -22,6 +24,23 @@ TWO_PI = 2 * math.pi
 
 def pointwise(f):
     return lambda grid: [f(t) for t in grid]
+
+
+def sloped(f, df, probes=None):
+    """``f`` as an evaluator whose ``slope(t)`` is (f(t), df(t)); each slope
+    probe's t is appended to ``probes`` when it is given."""
+    evaluator = lambda t: f(t)
+
+    def slope(t):
+        if probes is not None:
+            probes.append(t)
+        return f(t), df(t)
+    evaluator.slope = slope
+    return evaluator
+
+
+#: cos with its exact slope
+COS = sloped(np.cos, lambda t: -np.sin(t))
 
 
 def mirror_cells(cfg):
@@ -130,14 +149,14 @@ LOCK_STEP_CASES = {
 
 class TestMinimizeOverT2:
     def test_cosine(self):
-        q, t = minimize_over_t2(np.cos, np.cos, T2Search(0.0, TWO_PI, 200, 60))
+        q, t = minimize_over_t2(COS, np.cos, T2Search(0.0, TWO_PI, 200, 60))
         assert q == pytest.approx(-1.0, abs=1e-10)
         assert t == pytest.approx(math.pi, abs=1e-6)
 
     def test_curve_and_pointwise_coarse_grid_agree(self):
         search = T2Search(0.0, TWO_PI, 120, 40)
-        q1, t1 = minimize_over_t2(np.cos, pointwise(np.cos), search)
-        q2, t2 = minimize_over_t2(np.cos, np.cos, search)
+        q1, t1 = minimize_over_t2(COS, pointwise(np.cos), search)
+        q2, t2 = minimize_over_t2(COS, np.cos, search)
         assert q1 == q2 and t1 == t2
 
     def test_coarse_grid_from_curve_refinement_from_evaluator(self):
@@ -145,15 +164,17 @@ class TestMinimizeOverT2:
         i = int(np.argmin(np.cos(grid)))
         for refine_iters in (1, 3, 12):
             grids, points = [], []
-            q, _ = minimize_over_t2(lambda t: points.append(t) or math.cos(t),
-                                    lambda g: grids.append(g) or np.cos(g),
-                                    T2Search(0.0, TWO_PI, 50, refine_iters))
+            found = minimize_over_t2(sloped(math.cos, lambda t: -math.sin(t), points),
+                                     lambda g: grids.append(g) or np.cos(g),
+                                     T2Search(0.0, TWO_PI, 50, refine_iters))
             assert len(grids) == 1
             assert np.array_equal(grids[0], grid)
-            # the evaluation cap; a central difference spends 2 at least
-            assert 0 < len(points) <= max(refine_iters, 2)
+            # the probe cap: each probe is one slope call, so a cap of 1
+            # probes once
+            assert found.evals == len(points)
+            assert 0 < len(points) <= refine_iters
             assert all(grid[i - 1] <= t <= grid[i + 1] for t in points)
-            assert q <= np.cos(grid).min()
+            assert found[0] <= np.cos(grid).min()
 
     def test_a_series_cell_takes_the_curve_it_is_given(self):
         # the coarse grid comes from the curve passed, not the cell's own
@@ -183,7 +204,8 @@ class TestMinimizeOverT2:
         # near t2 = 0 and a hundred units out
         for origin in (0.0, 100.0):
             t_star = origin + 1.2345678
-            t = minimize_over_t2(lambda t: abs(t - t_star),
+            t = minimize_over_t2(sloped(lambda t: abs(t - t_star),
+                                        lambda t: math.copysign(1.0, t - t_star)),
                                  lambda grid: np.abs(grid - t_star),
                                  T2Search(origin, origin + TWO_PI, 200, 40))[1]
             assert abs(t - t_star) < 1e-8
@@ -202,7 +224,8 @@ class TestMinimizeOverT2:
         grid = np.linspace(0.0, TWO_PI, 50)
         i = int(np.argmin(np.cos(grid)))
         f = lambda t: np.cos(t) - 0.5 * np.exp(-((t - grid[i]) / 1e-6) ** 2)
-        q, t = minimize_over_t2(f, f, T2Search(0.0, TWO_PI, 50, 8))
+        df = lambda t: -np.sin(t) + (t - grid[i]) / 1e-12 * np.exp(-((t - grid[i]) / 1e-6) ** 2)
+        q, t = minimize_over_t2(sloped(f, df), f, T2Search(0.0, TWO_PI, 50, 8))
         assert (q, t) == (float(f(grid)[i]), float(grid[i]))
 
     @pytest.mark.parametrize("slope", [1.0, -1.0])
@@ -213,9 +236,10 @@ class TestMinimizeOverT2:
         grid = search.grid()
         i = 0 if slope > 0 else len(grid) - 1
         points = []
-        q, t = minimize_over_t2(lambda t: points.append(t) or slope * t,
-                                lambda g: slope * g, search)
-        assert len(points) == 1
+        found = minimize_over_t2(sloped(lambda t: slope * t, lambda t: slope, points),
+                                 lambda g: slope * g, search)
+        q, t = found
+        assert len(points) == found.evals == 1
         assert points[0] == pytest.approx(grid[i] + slope * scan.XATOL, abs=1e-15)
         assert search.t2_min < points[0] < search.t2_max
         assert (q, t) == (float(slope * grid[i]), float(grid[i]))
@@ -228,7 +252,7 @@ class TestMinimizeOverT2:
         t_star = grid[end] + 0.2 * (grid[inner] - grid[end])
         f = lambda t: (t - t_star) ** 2
         points = []
-        q, t = minimize_over_t2(lambda t: points.append(t) or f(t), f, search)
+        q, t = minimize_over_t2(sloped(f, lambda t: 2.0 * (t - t_star), points), f, search)
         assert int(np.argmin(f(grid))) == end % len(grid)
         assert len(points) > 1
         assert abs(t - t_star) < 1e-8 and q < f(grid[end])
@@ -250,9 +274,13 @@ class TestMinimizeOverT2:
         values = np.cos(grid)
         values[i + side] = math.nan
         points = []
-        evaluator = lambda t: points.append(t) or math.cos(t)
-        q, t = minimize_over_t2(evaluator, lambda _: values, search)
-        assert points[:2] == [grid[i] - scan.XATOL, grid[i] + scan.XATOL]
+        evaluator = sloped(math.cos, lambda t: -math.sin(t), points)
+        found = minimize_over_t2(evaluator, lambda _: values, search)
+        q, t = found
+        # one probe per step, the first at the best grid point
+        assert points[0] == 0.5 * (grid[i - 1] + grid[i + 1])
+        assert points[0] == pytest.approx(grid[i], abs=1e-15)
+        assert found.evals == len(points)
         assert q == pytest.approx(-1.0, abs=1e-15) and t == pytest.approx(math.pi, abs=1e-7)
 
     def test_slope_probe_counts_once(self):
@@ -299,6 +327,20 @@ class TestMinimizeOverT2:
         evaluator.slope = lambda t: (f(t), None if f(t) == 0.0 else math.copysign(1.0, t - t_star))
         found = minimize_over_t2(evaluator, np.vectorize(f), T2Search(0.0, TWO_PI, 200, 40))
         assert found[0] == 0.0 and abs(found[1] - t_star) < 1e-3 and not found.capped
+
+    def test_an_evaluator_without_a_slope_is_refused(self):
+        # the refinement probes (q, dq/dt2) only; a bare callable is refused
+        # before its curve or its points are evaluated, and is taken when
+        # nothing is refined
+        calls = []
+        evaluator = lambda t: calls.append(t) or math.cos(t)
+        curve = lambda g: calls.append(g) or np.cos(g)
+        with pytest.raises(TypeError, match="slope"):
+            minimize_over_t2(evaluator, curve, T2Search(0.0, TWO_PI, 50, 1))
+        assert calls == []
+        grid = T2Search(0.0, TWO_PI, 50, 0).grid()
+        assert minimize_over_t2(evaluator, curve, T2Search(0.0, TWO_PI, 50, 0)) == (
+            float(np.cos(grid).min()), float(grid[np.argmin(np.cos(grid))]))
 
     def test_capped_when_the_cap_is_spent(self):
         evaluator = lambda t: math.cos(t)
@@ -411,6 +453,76 @@ class TestNamedEvaluator:
         assert isinstance(info, kind)
         if route == "oracle":
             assert info.dim == 120
+
+
+class TestDifferenceSlope:
+    """The integral and oracle evaluators' slope: each probe is one call of
+    the route's t2-array kernel at (t2, t2 - XATOL, t2 + XATOL), whose q is
+    the point call's bit for bit and whose dq/dt2 is the central difference
+    of the other two columns."""
+
+    CASES = [("integral", {}), ("integral", {"offset": OffsetFunction(0.4, 0.3, 0.1)}),
+             ("oracle", {"oracle_dim": 150}), ("oracle", {"n_th": 0.5, "oracle_dim": 150})]
+    IDS = ["integral", "integral_offset", "oracle", "oracle_thermal"]
+
+    @staticmethod
+    def _spy(monkeypatch, route) -> list:
+        """The t2 arrays of the route's kernel calls: ``_q_integral`` as the
+        integral curve calls it, or ``fock._oracle``."""
+        module, name = (scan, "_q_integral") if route == "integral" else (fock, "_oracle")
+        real, calls = getattr(module, name), []
+
+        def spy(*args):
+            calls.append(np.array(args[5]))
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("route,extra", CASES, ids=IDS)
+    def test_one_kernel_call_per_probe(self, monkeypatch, route, extra):
+        evaluator, _ = named_evaluator(dict(extra, s1=1, s2=-1, t1=0.3, x0=0.4, p0=1.1, r=0.3,
+                                            theta0=0.2), route, "sign")
+        calls = self._spy(monkeypatch, route)
+        for t2 in np.random.default_rng(4).uniform(0.0, TWO_PI, 12).tolist() + [0.3]:
+            q, dq = evaluator.slope(t2)
+            assert len(calls) == 1
+            assert calls.pop().tolist() == [t2, t2 - scan.XATOL, t2 + scan.XATOL]
+            assert repr(q) == repr(evaluator(t2))
+            assert type(dq) is float and math.isfinite(dq)
+            calls.clear()
+
+    @pytest.mark.parametrize("route,extra", CASES, ids=IDS)
+    def test_slope_is_the_derivative(self, route, extra):
+        # against a Richardson difference of point calls of step 1e-2, away
+        # from the separations where the two quadratures commute
+        params = dict(extra, s1=-1, s2=1, t1=0.3, x0=-0.6, p0=0.8, r=0.5, theta0=0.2)
+        evaluator, _ = named_evaluator(params, route, "sign")
+        e1, checked = mode_e(0.3, 0.5, 0.2), 0
+        for t2 in np.random.default_rng(6).uniform(0.0, TWO_PI, 20).tolist():
+            if abs(math.sin(np.angle(mode_e(t2, 0.5, 0.2) * np.conj(e1)))) < 0.1:
+                continue
+            diff = lambda h: (evaluator(t2 + h) - evaluator(t2 - h)) / (2.0 * h)
+            richardson = (4.0 * diff(5e-3) - diff(1e-2)) / 3.0
+            assert abs(evaluator.slope(t2)[1] - richardson) < 1e-5
+            checked += 1
+        assert checked >= 15
+
+    @pytest.mark.parametrize("route,extra", [
+        ("integral", {"offset_amp": 0.4}), ("oracle", {"n_th": 0.5, "oracle_dim": 150})])
+    def test_refine_evals_counts_one_per_probe(self, monkeypatch, route, extra):
+        # each searched cell makes one coarse curve call; every other kernel
+        # call is one probe, which refine_evals counts once
+        cfg = ScanConfig(plane="x0p0", route=route, s1=1, s2=-1, r=0.5, axis1_min=-1.0,
+                         axis1_max=1.0, axis1_steps=2, axis2_min=0.3, axis2_max=2.0,
+                         axis2_steps=2, t2_coarse_steps=40, t2_refine_iters=20, **extra)
+        calls = self._spy(monkeypatch, route)
+        res = scan_plane(cfg)
+        assert res.n_failed == 0 and res.refine_capped == 0 and res.mirror_filled == 0
+        probes = [t2 for t2 in calls if t2.size == 3]
+        assert len(calls) - len(probes) == 4
+        assert res.refine_evals == len(probes) > 4
+        assert all(np.array_equal(t2[1:], [t2[0] - scan.XATOL, t2[0] + scan.XATOL])
+                   for t2 in probes)
 
 
 class TestScanConfigValidation:
@@ -1281,12 +1393,12 @@ class TestRoundKernel:
                     t2 = t1 + math.pi * int(rng.integers(1, 3)) + float(rng.choice([0.0, 1e-6]))
                 phi = series._columns([cell.column[0]], t1, np.array([[t2]]))[4]
                 singular += abs(math.sin(phi[0, 0])) < 1e-9
-                requests.append(scan._Request(cell, t2, bool(rng.uniform() < 0.7)))
+                requests.append(scan._Request(cell, t2))
             answers = scan._serve(requests)
             for request, answer in zip(requests, answers):
                 cell = request.evaluator
-                own = cell.slope(request.t2) if request.slope else cell(request.t2)
-                assert repr(answer) == repr(own)
+                assert repr(answer) == repr(cell.slope(request.t2))
+                assert repr(answer[0]) == repr(cell(request.t2))
         assert singular > 50
 
     def test_a_round_holds_each_cells_t1_pieces(self, monkeypatch):
@@ -1297,7 +1409,7 @@ class TestRoundKernel:
         cells = [_random_cell(rng, "window", t1=0.3)[0] for _ in range(41)]
         taken = _rows_taken(monkeypatch)
         for t2 in (0.4, 0.9, 1.3):
-            answers = scan._serve([scan._Request(cell, t2, True) for cell in cells])
+            answers = scan._serve([scan._Request(cell, t2) for cell in cells])
             assert [repr(a) for a in answers] == [repr(cell.slope(t2)) for cell in cells]
         assert sorted(map(id, taken)) == sorted(map(id, cells))
 
@@ -1316,7 +1428,7 @@ class TestRoundKernel:
         for t2 in (0.4, 0.9, 1.3):
             for cell in cells:
                 assert cell.slope(t2)[0] == cell(t2)
-        scan._serve([scan._Request(cell, 2.1, True) for cell in cells])
+        scan._serve([scan._Request(cell, 2.1) for cell in cells])
         for cell in cells:
             cell.curve(grid)
         assert sorted(map(id, taken)) == sorted(map(id, cells))
@@ -1328,7 +1440,7 @@ class TestRoundKernel:
         for t2 in (0.5, 1.2, 2.9):
             for cell in cells:
                 assert cell.slope(t2)[0] == cell(t2)
-        scan._serve([scan._Request(cell, 2.1, True) for cell in cells])
+        scan._serve([scan._Request(cell, 2.1) for cell in cells])
         for cell in cells:
             cell.curve(np.linspace(0.0, TWO_PI, 7))
         assert series._thermal_fixed_cut.cache_info().misses == 2
@@ -1338,9 +1450,10 @@ class TestRoundKernel:
                                   "n_th": 0.8}, "series", "sign", 80)[0],
                  named_evaluator({"s1": 1, "s2": -1, "x0": 0.4, "p0": 1.1}, "integral",
                                  "sign", 80)[0]]
-        requests = [scan._Request(cells[0], 1.3, True), scan._Request(cells[0], 1.4),
+        requests = [scan._Request(cells[0], 1.3), scan._Request(cells[0], 1.4),
                     scan._Request(cells[1], 1.3)]
-        assert scan._serve(requests) == [cells[0].slope(1.3), cells[0](1.4), cells[1](1.3)]
+        assert scan._serve(requests) == [cells[0].slope(1.3), cells[0].slope(1.4),
+                                         cells[1].slope(1.3)]
 
     def test_a_failing_probe_fails_its_cell_alone(self, monkeypatch):
         # the pure kernel raises for any round of probes (one t2 per column)

@@ -553,15 +553,18 @@ class TestFormedRows:
     @staticmethod
     def _answers(family, picks, n_max, slope, held):
         """The answers of one round of fresh cells of ``picks``, (column, t2)
-        pairs; the cells flagged in ``held`` first take their reference
-        rows.  Returns the answers and the cells."""
+        pairs, with or without ``slope``: each (q, dq/dt2 or None); the
+        cells flagged in ``held`` first take their reference rows.  Returns
+        the answers and the cells."""
         trunc = TruncationConfig(n_max=n_max)
         cells = [_SeriesCell(family, column, (1, -1, TestFormedRows.T1), trunc)
                  for column, _ in picks]
         for cell, take in zip(cells, held):
             if take:
                 cell.take_row(reference_row(cell))
-        return _cell_values([(cell, t2, slope) for cell, (_, t2) in zip(cells, picks)]), cells
+        values = _cell_calls(cells, np.array([[t2] for _, t2 in picks]), slope)
+        return [(float(v.q[0]), None if v.slope is None or v.singular[0] else float(v.slope[0]))
+                for v in values], cells
 
     @staticmethod
     def _distinct_cuts(cells, picks) -> int:
@@ -1016,9 +1019,10 @@ class TestProbeRounds:
                     t2 = t1 + math.pi * int(rng.integers(1, 3))
                 phi = _columns([cell.column[0]], t1, np.array([[t2]]))[4]
                 singular += abs(math.sin(phi[0, 0])) < SINGULAR_PHASE_TOL
-                requests.append((cell, t2, bool(rng.uniform() < 0.7)))
-            for (cell, t2, slope), answer in zip(requests, _cell_values(requests)):
-                assert repr(answer) == repr(cell.slope(t2) if slope else cell(t2))
+                requests.append((cell, t2))
+            for (cell, t2), answer in zip(requests, _cell_values(requests)):
+                assert repr(answer) == repr(cell.slope(t2))
+                assert repr(answer[0]) == repr(cell(t2))
         assert singular > 50
 
 
@@ -1094,10 +1098,10 @@ class TestBatchedCurves:
         # columns of K = 1, streamed in blocks of _BLOCK_DOUBLES // (C K)
         # orders; each q is the curve's value and each slope the cell's own
         cells = pure_cells(states, halves, s1, s2, t1, n_max)
-        requests = [(cell, float(t2), True) for cell in cells for t2 in grid]
+        requests = [(cell, float(t2)) for cell in cells for t2 in grid]
         answers = _cell_values(requests)
         assert [q for q, _ in answers] == rows.ravel().tolist()
-        for (cell, t2, _), answer in list(zip(requests, answers))[::every]:
+        for (cell, t2), answer in list(zip(requests, answers))[::every]:
             assert repr(answer) == repr(cell.slope(t2))
 
     @settings(max_examples=40, deadline=None)
