@@ -19,7 +19,10 @@ pi) the Gaussian collapses to a perfectly correlated pair and the correlator
 is evaluated by an exact one-dimensional closed form instead.
 
 One kernel, :func:`_q_integral`, evaluates a whole array of t2;
-:func:`qpd_integral` is its one-element call.
+:func:`qpd_integral` is its one-element call.  Its erf and erfcx are
+SciPy's: ``scipy.special`` is imported by the functions that read them, on
+their first call, so a process that runs only the series route never
+loads it, and the series (``special.erf``) shares no erf with this route.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as _sp
 
 from .errors import ConvergenceWarning
 from .series import _check_finite, _check_signs
@@ -69,10 +71,11 @@ def _c_integral_vec(sigma, beta, delta):
 
     A value beyond double range comes back infinite or NaN; the caller checks.
     """
+    from scipy.special import erfcx
     with np.errstate(over="ignore", invalid="ignore"):
         root = np.sqrt(sigma)
         brace = 1.0 / sigma - (beta / sigma) * np.sqrt(np.pi / 2.0) / root \
-            * _sp.erfcx(beta / (SQRT2 * root))
+            * erfcx(beta / (SQRT2 * root))
         return np.exp(-delta / 2.0) * brace
 
 
@@ -194,11 +197,12 @@ def sign_marginal(state: StateSpec, offset: OffsetFunction | None, s: int,
     ``x_eff(t) = x_xi(t) - xbar(t)/sqrt(2)`` is the mean position relative to
     the measurement cut, in dimensionless units.
     """
+    from scipy.special import erf
     _check_finite(t=t)
     offset = ZERO_OFFSET if offset is None else offset
     lam = lambda_of(t, state.r, state.theta0)
     x_eff = x_xi_of(t, state.xi) - float(offset.value(t)) / SQRT2
-    return 0.5 * (1.0 + s * _sp.erf(x_eff / lam))
+    return 0.5 * (1.0 + s * erf(x_eff / lam))
 
 
 def _degenerate_q(e1: complex, e2: complex, s1: int, s2: int, cal1: float,
@@ -210,6 +214,7 @@ def _degenerate_q(e1: complex, e2: complex, s1: int, s2: int, cal1: float,
     is perfectly (anti)correlated, so the second condition reduces to another
     half-line constraint on the first variable.
     """
+    from scipy.special import erf
     lam1, lam2 = abs(e1), abs(e2)
     eta = 1.0 if math.cos(np.angle(e2 * np.conj(e1))) > 0 else -1.0
     mu1, mu2 = cal1 / SQRT2, cal2 / SQRT2
@@ -217,5 +222,5 @@ def _degenerate_q(e1: complex, e2: complex, s1: int, s2: int, cal1: float,
     cuts = ((s1, 0.0), (int(s2 * eta), mu1 - eta * (lam1 / lam2) * mu2))
     lo = max([cut for s, cut in cuts if s == 1], default=-math.inf)
     hi = min([cut for s, cut in cuts if s == -1], default=math.inf)
-    cdf = lambda y: 0.5 * (1.0 + _sp.erf((y - mu1) / lam1))
+    cdf = lambda y: 0.5 * (1.0 + erf((y - mu1) / lam1))
     return float(cdf(hi) - cdf(lo)) if lo < hi else 0.0

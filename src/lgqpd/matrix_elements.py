@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as _sp
 
-from .special import _sqrt_2n, psi_rows
+from .special import _sqrt_2n, erf, psi_rows
 
 
 def j_diag_row(x, n_max: int) -> np.ndarray:
@@ -45,7 +44,7 @@ def ladder_diagonal(x, psi: np.ndarray) -> np.ndarray:
     evaluated at ``x`` (shape (n + 1,) + x.shape)."""
     x = np.asarray(x, dtype=float)
     steps = np.empty_like(psi)
-    steps[0] = 0.5 * (1.0 - _sp.erf(x))
+    steps[0] = 0.5 * (1.0 - erf(x))
     steps[1:] = psi[:-1] * psi[1:] / _column(_sqrt_2n(psi.shape[0] - 1)[1:], x.ndim)
     return np.cumsum(steps, axis=0)
 
@@ -75,7 +74,7 @@ def j_row(cut: float, n_max: int) -> np.ndarray:
     """
     psi = psi_rows(float(cut), n_max)
     row = np.empty_like(psi)
-    row[0] = 0.5 * (1.0 - _sp.erf(cut))
+    row[0] = 0.5 * (1.0 - erf(cut))
     if n_max >= 1:
         row[1:] = psi[0] * psi[:-1] / _sqrt_2n(n_max)[1:]
     return row

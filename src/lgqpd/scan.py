@@ -466,7 +466,10 @@ def _serve(requests) -> list:
     and their probes in one call (``series._cell_values``), each equal to
     the cell's own call bit for bit, and any other request through its own
     curve or ``evaluator.slope`` (integral and oracle cells, and a curve
-    that is not the cell's own)."""
+    that is not the cell's own).  A grid that is the start of a longer grid
+    of the round, as a folded search's first half is of the whole grid
+    (:func:`_t2_search`), rides in that grid's call, and its curves are
+    sliced from the longer ones."""
     answers, groups = [None] * len(requests), {}
     for i, (evaluator, t2, curve) in enumerate(requests):
         if isinstance(evaluator, _SeriesCell) and curve in (None, evaluator.curve):
@@ -474,10 +477,18 @@ def _serve(requests) -> list:
             groups.setdefault(None if curve is None else t2.tobytes(), []).append(i)
         else:
             answers[i] = evaluator.slope(t2) if curve is None else curve(t2)
+    grids = sorted((grid for grid in groups if grid is not None), key=len, reverse=True)
+    for grid in grids:
+        longer = [g for g in grids if len(g) > len(grid) and g.startswith(grid) and g in groups]
+        if longer:
+            groups[longer[0]] += groups.pop(grid)
     for grid, members in groups.items():
         batch = [requests[i] for i in members]
-        values = (_cell_values([(r.evaluator, r.t2) for r in batch]) if grid is None
-                  else _cell_curves([r.evaluator for r in batch], batch[0].t2))
+        if grid is None:
+            values = _cell_values([(r.evaluator, r.t2) for r in batch])
+        else:
+            curves = _cell_curves([r.evaluator for r in batch], max((r.t2 for r in batch), key=len))
+            values = [curve[:len(r.t2)] for r, curve in zip(batch, curves)]
         for i, value in zip(members, values):
             answers[i] = value
     return answers

@@ -39,11 +39,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.special as _sp
 
 from .errors import CapabilityError, TruncationError
 from .matrix_elements import j_diag_row, j_row, ladder_diagonal, lowered
-from .special import HARD_N_CAP, _check_n_cap, _psi_blocks, _sqrt_2n, psi_rows
+from .special import HARD_N_CAP, _check_n_cap, _psi_blocks, _sqrt_2n, erf, psi_rows
 from .states import (ZERO_OFFSET, OffsetFunction, StateSpec, _beta_and_rates, lambda_of,
                      phase_beta_of, thermal_m_cut, x_xi_dot, x_xi_of)
 
@@ -190,8 +189,8 @@ def _ground_weight(intervals) -> float:
     """Integral of psi_0^2 over a union of disjoint intervals."""
     total = 0.0
     for lo, hi in intervals:
-        e_lo = -1.0 if lo == -_INF else _sp.erf(lo)
-        e_hi = 1.0 if hi == _INF else _sp.erf(hi)
+        e_lo = -1.0 if lo == -_INF else erf(lo)
+        e_hi = 1.0 if hi == _INF else erf(hi)
         total += 0.5 * (e_hi - e_lo)
     return total
 
@@ -264,7 +263,8 @@ def _columns(states: list, t1: float, t2: np.ndarray, slope: bool = False):
 
 #: Doubles in one block of the streamed sums: a batch of C columns over K
 #: values of t2 runs its orders in blocks of _BLOCK_DOUBLES // (C K) (at least
-#: 2), so that a block's working set stays in cache.
+#: 2, and at most the orders that the call has), so that a block's working
+#: set stays in cache.
 _BLOCK_DOUBLES = 16384
 
 
@@ -381,7 +381,7 @@ def _phase_sums(window: bool, cut1, cut2, phi, n_max: int, row1, rates):
     blocks.
     """
     c, k = cut2.shape
-    rows = _block_rows(c, k)
+    rows = min(_block_rows(c, k), n_max + 1)
     cos_t, sin_t = (None if t is None else t.reshape(n_max + 1, -1, k)
                     for t in _phase_tables(phi, n_max, rates is not None))
     sqrt_2n, omega = _sqrt_2n(n_max), _euler_tails(n_max)
@@ -503,8 +503,8 @@ def _sign_inputs(states: list, s1: int, s2: int, t1: float, t2, slope: bool = Fa
     erf a1)(1 + s2 erf a2)/4, and with ``slope`` the rates (block', phi',
     cut2'), with a2' = (x_xi' - a2 lambda') / lambda, else None."""
     _, lam2, a1, a2, phi, rates = _columns(states, t1, t2, slope)
-    first = 0.25 * (1.0 + s1 * _sp.erf(a1))
-    block = first * (1.0 + s2 * _sp.erf(a2))
+    first = 0.25 * (1.0 + s1 * erf(a1))
+    block = first * (1.0 + s2 * erf(a2))
     if slope:
         dphi, dlam2, dx = rates
         da2 = (dx - a2 * dlam2) / lam2
@@ -519,7 +519,7 @@ def _window_inputs(states: list, half_width, s1: int, s2: int, t1: float, t2,
     and h2' = -h2 lambda' / lambda."""
     lam1, lam2, _, _, phi, rates = _columns(states, t1, t2, slope)
     h1, h2 = half_width / lam1, half_width / lam2
-    qbar1, qbar2 = 1.0 - 2.0 * _sp.erf(h1), 1.0 - 2.0 * _sp.erf(h2)
+    qbar1, qbar2 = 1.0 - 2.0 * erf(h1), 1.0 - 2.0 * erf(h2)
     first = 0.25 * (1.0 + s1 * qbar1)
     block = first * (1.0 + s2 * qbar2)
     if slope:
@@ -722,7 +722,8 @@ def _thermal_stream(cuts: list, cut2, phi, n_max: int, rates=None):
     uv = np.array([(f.u, f.v) for f in cuts]).transpose(0, 2, 1)
     lp = np.array([(f.low, -f.psi) for f in cuts])
     wm, (q, h) = cuts[0].wm[:, None, None], _gap_tables(m1 - 1, n_max)
-    rows, step = _block_rows(c, k), _block_rows(4, k)  # a step's product has 4K columns
+    # a step's product has 4K columns
+    rows, step = min(_block_rows(c, k), n_max + 1), min(_block_rows(4, k), n_max)
     cos_t, sin_t = (t.reshape(n_max + 1, -1, k) for t in _phase_tables(phi, n_max, True))
     sqrt_2n, omega = _sqrt_2n(n_max), _euler_tails(n_max)[:, None, None]
     slots, total, dtotal, done = np.empty((step + 1, c, k)), np.zeros((c, k)), np.zeros((c, k)), 0

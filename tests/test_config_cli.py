@@ -443,11 +443,36 @@ class TestCliVerify:
         assert "PASS" in out and "FAIL" not in out
 
 
-def test_cli_import_leaves_scipy_optimize_and_linalg_unloaded():
-    # Nelder-Mead and the oracle's tridiagonal eigensolver import them on use
+def scipy_loaded_after(code: str) -> list:
+    """The scipy modules that a fresh interpreter holds after running
+    ``code``, with lgqpd imported from the source tree."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; import lgqpd.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    probe = (code + "; import json, sys; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, cwd=src)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+EVAL_POINT = "'--s1', '1', '--s2', '-1', '--t1', '0', '--t2', '1.3', '--x0', '0.5'"
+
+
+def test_cli_import_loads_no_scipy_module():
+    # the integral route (scipy.special), the oracle's chain factoring
+    # (scipy.linalg) and nothing else import SciPy, each on first use
+    assert scipy_loaded_after("import lgqpd.cli") == []
+
+
+def test_the_series_route_loads_no_scipy_module(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "single_cell.cfg"
+    code = ("from lgqpd.cli import main; "
+            f"assert main(['eval', '--route', 'series', {EVAL_POINT}]) == 0; "
+            f"assert main(['scan', {str(config)!r}, '--out-dir', {str(tmp_path)!r}]) == 0")
+    assert scipy_loaded_after(code) == []
+    assert (tmp_path / "single_cell.csv").is_file()
+
+
+def test_the_integral_route_loads_scipy_special():
+    code = ("from lgqpd.cli import main; "
+            f"assert main(['eval', '--route', 'integral', {EVAL_POINT}]) == 0")
+    assert "scipy.special" in scipy_loaded_after(code)

@@ -1482,6 +1482,30 @@ class TestRoundKernel:
         assert res.q_min[keep].tobytes() == clean.q_min[keep].tobytes()
         assert res.t2_argmin[keep].tobytes() == clean.t2_argmin[keep].tobytes()
 
+    @pytest.mark.parametrize("n_th", [0.0, 0.5])
+    def test_a_folded_curve_rides_in_the_whole_grids_call(self, monkeypatch, n_th):
+        # a row's p0 = 0 cell folds: its search asks for the first ceil(K/2)
+        # points of the grid that the row's other cells ask for, and the
+        # round serves all three in one curve call over the whole grid
+        grid = T2Search(coarse_steps=120).grid()
+        cells = [named_evaluator({"s1": 1, "s2": -1, "t1": 0.0, "x0": 0.4, "p0": p0, "r": 0.5,
+                                  "theta0": 0.0, "n_th": n_th}, "series", "sign")[0]
+                 for p0 in (0.0, 0.7, -1.3)]
+        assert scan._folds(T2Search(coarse_steps=120), cells[0].period)
+        requests = [scan._Request(cell, t2, cell.curve)
+                    for cell, t2 in zip(cells, (grid[:60], grid, grid))]
+        calls, real = [], scan._cell_curves
+
+        def counting(batch, t2):
+            calls.append((len(batch), len(t2)))
+            return real(batch, t2)
+
+        monkeypatch.setattr(scan, "_cell_curves", counting)
+        answers = scan._serve(requests)
+        assert calls == [(3, 120)]
+        for request, answer in zip(requests, answers):
+            assert answer.tobytes() == request.evaluator.curve(request.t2).tobytes()
+
 
 class TestNelderMead:
     """The Nelder-Mead generator takes scipy's steps bit for bit."""

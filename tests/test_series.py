@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from lgqpd import (CapabilityError, MeasurementSpec, StateSpec, TruncationConfig,
                    TruncationError, lambda_of, phase_beta_of, q_sign_series_curve,
@@ -1037,11 +1036,11 @@ def materialized_curve(state, half_width, s1, s2, t1, grid, n_max):
     window = half_width is not None
     if not window:
         cut1, cut2, region = -a1, -a2, _halfline
-        block = 0.25 * (1.0 + s1 * erf(a1)) * (1.0 + s2 * erf(a2))
+        block = 0.25 * (1.0 + s1 * special.erf(a1)) * (1.0 + s2 * special.erf(a2))
         row1 = j_row(cut1, n_max)[1:]
     else:
         cut1, cut2, region = half_width / lam1, half_width / lam2, _window_region
-        qbar1, qbar2 = 1.0 - 2.0 * erf(cut1), 1.0 - 2.0 * erf(cut2)
+        qbar1, qbar2 = 1.0 - 2.0 * special.erf(cut1), 1.0 - 2.0 * special.erf(cut2)
         block = 0.25 * (1.0 + s1 * qbar1) * (1.0 + s2 * qbar2)
         row1 = window_row(cut1, n_max)[1:]
     n = np.arange(1, n_max + 1)
@@ -1394,7 +1393,7 @@ def materialized_thermal_curve(state, s1, s2, t1, grid, n_max):
     k1 = diag1 if s1 == 1 else 1.0 - diag1
     k2 = diag2 if s2 == 1 else 1.0 - diag2
     ee = (wm * k2[1:] * k1[1:, None]).sum(axis=0)
-    block = 0.25 * (1.0 + s1 * erf(a1)) * (1.0 + s2 * erf(a2))
+    block = 0.25 * (1.0 + s1 * special.erf(a1)) * (1.0 + s2 * special.erf(a2))
     q = (block + s1 * s2 * (phase_sum + s_up) + ee) / (1.0 + n_th)
     singular = abs(np.sin(phi)) < SINGULAR_PHASE_TOL
     if singular.any():

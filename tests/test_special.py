@@ -9,7 +9,7 @@ from lgqpd import CapabilityError, composite_gauss_legendre, gauss_legendre, psi
 from lgqpd.matrix_elements import lowered
 from lgqpd.series import _block_rows
 from lgqpd.special import (HARD_N_CAP, _psi_blocks, _psi_memo, _recurrence_coefficients,
-                            _sqrt_2n, averaged_partial_sum)
+                            _sqrt_2n, averaged_partial_sum, erf)
 from lgqpd.states import StateSpec
 from test_integral import quad_form_reference
 
@@ -158,6 +158,45 @@ class TestHermitePsi:
         assert np.array_equal(table, np.sqrt(2.0 * np.arange(41)))
         with pytest.raises(ValueError):
             table[1] = 0.0
+
+
+class TestErf:
+    """special.erf is math.erf elementwise: within a few ulp of SciPy's erf,
+    exact at the special values, and the same for a scalar and an array."""
+
+    #: The most ulp by which math.erf may differ from SciPy's erf.
+    ULP = 4
+
+    def test_within_a_few_ulp_of_scipy(self):
+        from scipy.special import erf as scipy_erf
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(-6.0, 6.0, 100_000), rng.uniform(-1e-3, 1e-3, 20_000),
+                            rng.uniform(-1e-8, 1e-8, 10_000)])
+        ours, theirs = erf(x), scipy_erf(x)
+        # same sign everywhere, so the int64 views differ by the ulp between them
+        assert np.array_equal(np.signbit(ours), np.signbit(theirs))
+        assert np.abs(ours.view(np.int64) - theirs.view(np.int64)).max() <= self.ULP
+
+    def test_special_values_are_exact(self):
+        from scipy.special import erf as scipy_erf
+        tiny = np.finfo(float).tiny
+        x = np.array([0.0, -0.0, 40.0, -40.0, math.inf, -math.inf, math.nan,
+                      5e-324, -5e-324, 1e-310, 0.5 * tiny, tiny])
+        ours = erf(x)
+        assert ours[:6].tolist() == [0.0, -0.0, 1.0, -1.0, 1.0, -1.0]
+        assert np.signbit(ours[1]) and not np.signbit(ours[0])
+        assert np.isnan(ours[6])
+        assert ours[7:].tobytes() == scipy_erf(x[7:]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (3, 4), (2, 0, 3)])
+    def test_keeps_the_shape_and_each_element_is_its_scalar_call(self, shape):
+        x = np.random.default_rng(len(shape)).uniform(-4.0, 4.0, shape)
+        out = erf(x)
+        assert out.shape == x.shape and out.dtype == float
+        for index in np.ndindex(shape):
+            assert repr(float(erf(float(x[index])))) == repr(float(out[index]))
+        # a transposed (not contiguous) array is read in its own order
+        assert erf(x.T).tobytes() == out.T.copy().tobytes()
 
 
 def pairwise_averaged_sum(terms, window):
