@@ -5,9 +5,12 @@ grid: either the displacement plane (x0, p0) at fixed squeezing, or the
 (r, L) plane of the window projector for squeezed vacuum.  Grid rows are
 independent tasks, each with one kernel call for its cells' coarse t2
 curves and one call per round of their refinements' probes, so grids may
-be evaluated by a worker pool; results are written
-into preallocated arrays indexed by grid coordinates and reduced in a fixed
-row-major order, which makes output byte-identical for any worker count.
+be evaluated by a worker pool.  A search whose curve is symmetric about its
+window centre asks that coarse call for the centre as well, and takes the
+value there as its first probe, which is then no call of its own.  Results
+are written into preallocated arrays indexed by grid coordinates and
+reduced in a fixed row-major order, which makes output byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .integral import DEFAULT_QUAD_ORDER, _check_order, _check_pure, _q_integral, qpd_integral
 from .fock import DEFAULT_DIM, _check_dim, q_oracle_curve, qpd_oracle
-from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _cell_curves,
+from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _cell_calls,
                      _cell_values, _check_finite, _check_signs, _check_squeezed_vacuum,
                      _SeriesCell)
 from .states import T2_PERIOD, OffsetFunction, StateSpec, thermal_m_cut, time_reversal_fixes
@@ -84,7 +87,9 @@ class T2Minimum(tuple):
     """``(q_min, t2_argmin)`` of :func:`minimize_over_t2`, with the
     refinement's probes ``evals``, ``capped``, true when it spent
     its ``refine_iters`` before its step fell below ``XATOL``, and
-    ``reflected``, true when its coarse curve ran on half its grid."""
+    ``reflected``, true when its coarse curve ran on half its grid.  A
+    reflected search's probe at the window centre, taken from its coarse
+    curve call, is not counted in ``evals``."""
 
     def __new__(cls, q: float, t2: float, evals: int = 0, capped: bool = False,
                 reflected: bool = False):
@@ -121,13 +126,18 @@ def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
     to (q, dq/dt2 or None); every evaluator of :func:`named_evaluator` has
     one.  With ``search.refine_iters > 0`` an evaluator without ``slope`` is
     refused with a TypeError before anything is evaluated.  Its ``period``
-    attribute, when it
-    has one, is q's period P in t2, and says that q(t2) = q(-t2)
-    (:func:`named_evaluator` sets it where time reversal fixes the cell): on
-    a grid that folds for P (:func:`_folds`) the coarse curve is asked for
-    the first ceil(K/2) grid points only, and each later point is filled from
-    its mirror, q(t_{K-1-k}) = q(t_k).  ``curve`` maps an array of t2
-    values, the grid or that first half, to their q values.
+    attribute, when it has one, is q's period P in t2, and says that q(t2) =
+    q(-t2) (:func:`named_evaluator` sets it where time reversal fixes the
+    cell): on a grid that folds for P (:func:`_folds`) the coarse curve is
+    asked for the first ceil(K/2) grid points only, and each later point is
+    filled from its mirror, q(t_{K-1-k}) = q(t_k).  That call also takes the
+    window centre c = (t2_min + t2_max) / 2, where dq/dt2 = 0 by symmetry:
+    when the best coarse point is the half grid's last (even K) or middle
+    (odd K) point, the first probe is c, and it is taken from the curve call,
+    with that slope (none where the series kernel meets a singular phase at
+    c), not made as a call of its own and not counted in ``evals``.
+    ``curve`` maps an array of t2 values, the grid, or that first half
+    followed by c, to their q values.
     """
     if search.refine_iters and getattr(evaluator, "slope", None) is None:
         raise TypeError("the t2 refinement probes evaluator.slope(t2) -> (q, dq/dt2), "
@@ -136,14 +146,17 @@ def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
 
 
 class _Request(NamedTuple):
-    """A request of a t2 search (:func:`_t2_search`): the values of
-    ``curve`` on the coarse grid, or its first half, ``t2`` when ``curve`` is
-    given, else the probe (q, dq/dt2 or None) of the ``evaluator`` at the
-    float ``t2``."""
+    """A request of a t2 search (:func:`_t2_search`): when ``curve`` is
+    given, the values of ``curve`` on ``t2``, the coarse grid or its first
+    half, answered together with the probe (q, dq/dt2 or None) at
+    ``centre``, a folded grid's window centre, or with None when there is no
+    centre; otherwise the probe (q, dq/dt2 or None) of the ``evaluator`` at
+    the float ``t2``."""
 
     evaluator: object
     t2: object
     curve: Callable | None = None
+    centre: float | None = None
 
 
 def _t2_search(evaluator, curve, search: T2Search):
@@ -151,16 +164,21 @@ def _t2_search(evaluator, curve, search: T2Search):
     each of its :class:`_Request`s and is sent the answer, and it returns the
     :class:`T2Minimum`, so that :func:`_drive` can serve the requests of
     many searches together.  The coarse curve is asked for half the grid
-    when the evaluator's ``period`` folds it (:func:`_folds`), and the
-    refinement (:func:`_refine`) runs on the whole grid's values."""
+    and the window centre when the evaluator's ``period`` folds it
+    (:func:`_folds`), and the refinement (:func:`_refine`) runs on the whole
+    grid's values and the centre's probe."""
     grid = search.grid()
     period = getattr(evaluator, "period", None)
     half = period is not None and _folds(search, period)
     t2 = grid[:(len(grid) + 1) // 2] if half else grid
-    values = np.asarray((yield _Request(evaluator, t2, curve=curve)), dtype=float)
+    centre = 0.5 * (search.t2_min + search.t2_max) if half else None
+    values, probe = yield _Request(evaluator, t2, curve, centre)
+    values = np.asarray(values, dtype=float)
     if half:  # K >= 4, so the mirrored slice starts at index 1 or later
         values = np.concatenate([values, values[len(grid) // 2 - 1::-1]])
-    return T2Minimum(*(yield from _refine(evaluator, grid, values, search)), reflected=half)
+        probe = (centre, *probe)
+    return T2Minimum(*(yield from _refine(evaluator, grid, values, search, probe)),
+                     reflected=half)
 
 
 @functools.lru_cache(maxsize=8)
@@ -176,10 +194,13 @@ def _folds(search: T2Search, period: float) -> bool:
     return len(grid) >= 4 and bool(np.all(np.abs(pairs - target) <= 4.0 * math.ulp(target)))
 
 
-def _refine(evaluator, grid, values, search: T2Search):
+def _refine(evaluator, grid, values, search: T2Search, centre=None):
     """The refinement of :func:`_t2_search` from the coarse ``values`` on
     ``grid``, as a generator of its requests that returns (q, t2, evals,
-    capped)."""
+    capped).  ``centre`` is a folded grid's (c, q, dq/dt2 or None) at its
+    window centre c, where q is symmetric and its first probe goes when the
+    best coarse point is the half grid's last (even K) or middle (odd K)
+    point: that probe is taken from it, and is not counted in ``evals``."""
     i, last = int(np.nanargmin(values)), len(grid) - 1
     best_q, best_t = float(values[i]), float(grid[i])
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)])
@@ -203,10 +224,17 @@ def _refine(evaluator, grid, values, search: T2Search):
             vertex = grid[j] - (values[j + 1] - values[j - 1]) / (2.0 * step * bend)
             if lo < vertex < hi:
                 x = float(vertex)
+    if centre is not None and i == last // 2:
+        x = centre[0]
+    else:
+        centre = None
     prev = None  # the last probe with a slope: (t2, q, dq/dt2)
-    while evals < search.refine_iters:
-        q, d = yield _Request(evaluator, x)
-        evals += 1
+    while centre or evals < search.refine_iters:
+        if centre:
+            (_, q, d), centre = centre, None
+        else:
+            q, d = yield _Request(evaluator, x)
+            evals += 1
         sloped = d is not None and math.isfinite(d)
         if q < best_q:
             best_q, best_t = float(q), float(x)
@@ -462,21 +490,27 @@ def _drive(tasks, serve) -> list:
 
 def _serve(requests) -> list:
     """The answers to one round of :class:`_Request`s, in order: the series
-    cells' coarse curves on one grid in one call (``series._cell_curves``)
+    cells' coarse curves on one grid in one call (``series._cell_calls``)
     and their probes in one call (``series._cell_values``), each equal to
     the cell's own call bit for bit, and any other request through its own
     curve or ``evaluator.slope`` (integral and oracle cells, and a curve
     that is not the cell's own).  A grid that is the start of a longer grid
     of the round, as a folded search's first half is of the whole grid
     (:func:`_t2_search`), rides in that grid's call, and its curves are
-    sliced from the longer ones."""
+    sliced from the longer ones.  The folded searches' window centres follow
+    the longest grid in that call, each answered with q there and a slope
+    of 0, which symmetry gives, or None where the series kernel evaluated a
+    singular phase."""
     answers, groups = [None] * len(requests), {}
-    for i, (evaluator, t2, curve) in enumerate(requests):
+    for i, (evaluator, t2, curve, centre) in enumerate(requests):
         if isinstance(evaluator, _SeriesCell) and curve in (None, evaluator.curve):
             # the probes are one group, and the curves on each grid one more
             groups.setdefault(None if curve is None else t2.tobytes(), []).append(i)
+        elif curve is None:
+            answers[i] = evaluator.slope(t2)
         else:
-            answers[i] = evaluator.slope(t2) if curve is None else curve(t2)
+            centres = [] if centre is None else [centre]
+            answers[i] = _centred(requests[i], curve(np.append(t2, centres)), centres)
     grids = sorted((grid for grid in groups if grid is not None), key=len, reverse=True)
     for grid in grids:
         longer = [g for g in grids if len(g) > len(grid) and g.startswith(grid) and g in groups]
@@ -487,11 +521,24 @@ def _serve(requests) -> list:
         if grid is None:
             values = _cell_values([(r.evaluator, r.t2) for r in batch])
         else:
-            curves = _cell_curves([r.evaluator for r in batch], max((r.t2 for r in batch), key=len))
-            values = [curve[:len(r.t2)] for r, curve in zip(batch, curves)]
+            centres = list(dict.fromkeys(r.centre for r in batch if r.centre is not None))
+            t2 = np.append(max((r.t2 for r in batch), key=len), centres)
+            values = [_centred(r, v.q, centres, v.singular)
+                      for r, v in zip(batch, _cell_calls([r.evaluator for r in batch], t2, False))]
         for i, value in zip(members, values):
             answers[i] = value
     return answers
+
+
+def _centred(request: _Request, q, centres: list, singular=None) -> tuple:
+    """The answer to the curve ``request`` from ``q``, its curve on a grid
+    that its own starts and ``centres`` end: its grid's values, and the
+    probe (q, 0.0, or None where ``singular``) at its centre, or None."""
+    if request.centre is None:
+        return q[:len(request.t2)], None
+    k = len(q) - len(centres) + centres.index(request.centre)
+    slope = None if singular is not None and singular[k] else 0.0
+    return q[:len(request.t2)], (float(q[k]), slope)
 
 
 def _serve_kept(requests) -> list:
@@ -520,12 +567,14 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     round and family on the series route.  When the config is symmetric under
     time reversal, each row searches only one cell of each mirror pair and
     fills the other (:func:`_mirror_partners`), and a cell that time reversal
-    leaves unchanged evaluates its coarse curve on half its grid, on any
-    route (:func:`_t2_search`).  Per-cell failures are recorded as NaN cells,
-    not raised.  The rows run in one process, or in a pool of ``workers``
-    processes, at most one per row.  The reduction to the global minimum
-    runs single-threaded in row-major order, so the result does not depend
-    on ``workers``.
+    leaves unchanged evaluates its coarse curve on half its grid and its
+    window centre, on any route (:func:`_t2_search`); the centre's value is
+    the first probe of its refinement when the minimum lies next to it, and
+    is not counted in ``refine_evals``.  Per-cell failures are recorded as
+    NaN cells, not raised.  The rows run in one process, or in a pool of
+    ``workers`` processes, at most one per row.  The reduction to the global
+    minimum runs single-threaded in row-major order, so the result does not
+    depend on ``workers``.
     """
     ax1 = config.axis1_values()
     ax2 = config.axis2_values()

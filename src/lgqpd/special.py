@@ -191,9 +191,10 @@ def _psi_blocks(x: np.ndarray, n_max: int, rows: int):
     (:func:`_psi_rows_scalar`), which a cut repeated along t2 (the window
     family at r = 0, where lambda(t) = 1) and a t1 cut riding along with it
     share; at most ``_MEMO_SIZE`` points, such as a point's t2 and t1 cuts,
-    are their own keys, so they are not sorted.  Otherwise the array recurrence runs, the package's one, and the columns
-    whose psi_0 is not a normal double are overwritten by their scalar rows
-    (:func:`_psi_scaled`).  Both paths equal the scalar call bit for bit.
+    are their own keys, so they are not sorted.  Otherwise the array
+    recurrence runs, the package's one, and the columns whose psi_0 is not a
+    normal double are overwritten by their scalar rows (:func:`_psi_scaled`).
+    Both paths equal the scalar call bit for bit.
 
     A consumer may overwrite a block before it asks for the next one: the
     recurrence continues from copies of the block's last two rows, so

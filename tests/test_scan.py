@@ -1217,17 +1217,17 @@ class TestLockStep:
 
     def test_rounds_batch_the_starts_points(self, monkeypatch):
         calls, searched = [], set()
-        real_rows, real_evaluator = scan._cell_curves, scan.named_evaluator
+        real_rows, real_evaluator = scan._cell_calls, scan.named_evaluator
 
-        def counting_rows(cells, grid):
+        def counting_rows(cells, grid, slope):
             calls.append(len(cells))
-            return real_rows(cells, grid)
+            return real_rows(cells, grid, slope)
 
         def recording_evaluator(params, *args):
             searched.add((params["x0"], params["p0"]))
             return real_evaluator(params, *args)
 
-        monkeypatch.setattr(scan, "_cell_curves", counting_rows)
+        monkeypatch.setattr(scan, "_cell_calls", counting_rows)
         monkeypatch.setattr(scan, "named_evaluator", recording_evaluator)
         global_minimize(**LOCK_STEP_CASES["sign_panel"])
         # the coarse grid is the first call; the starts' points follow in rounds
@@ -1485,26 +1485,148 @@ class TestRoundKernel:
     @pytest.mark.parametrize("n_th", [0.0, 0.5])
     def test_a_folded_curve_rides_in_the_whole_grids_call(self, monkeypatch, n_th):
         # a row's p0 = 0 cell folds: its search asks for the first ceil(K/2)
-        # points of the grid that the row's other cells ask for, and the
-        # round serves all three in one curve call over the whole grid
+        # points of the grid that the row's other cells ask for, and for its
+        # window centre, and the round serves all three in one curve call
+        # over the whole grid and the centre
         grid = T2Search(coarse_steps=120).grid()
         cells = [named_evaluator({"s1": 1, "s2": -1, "t1": 0.0, "x0": 0.4, "p0": p0, "r": 0.5,
                                   "theta0": 0.0, "n_th": n_th}, "series", "sign")[0]
                  for p0 in (0.0, 0.7, -1.3)]
         assert scan._folds(T2Search(coarse_steps=120), cells[0].period)
-        requests = [scan._Request(cell, t2, cell.curve)
-                    for cell, t2 in zip(cells, (grid[:60], grid, grid))]
-        calls, real = [], scan._cell_curves
+        requests = [scan._Request(cell, t2, cell.curve, centre) for cell, t2, centre
+                    in zip(cells, (grid[:60], grid, grid), (math.pi, None, None))]
+        calls, real = [], scan._cell_calls
 
-        def counting(batch, t2):
+        def counting(batch, t2, slope):
             calls.append((len(batch), len(t2)))
-            return real(batch, t2)
+            return real(batch, t2, slope)
 
-        monkeypatch.setattr(scan, "_cell_curves", counting)
+        monkeypatch.setattr(scan, "_cell_calls", counting)
         answers = scan._serve(requests)
-        assert calls == [(3, 120)]
-        for request, answer in zip(requests, answers):
-            assert answer.tobytes() == request.evaluator.curve(request.t2).tobytes()
+        assert calls == [(3, 121)]
+        for request, (values, probe) in zip(requests, answers):
+            assert values.tobytes() == request.evaluator.curve(request.t2).tobytes()
+        # t1 = 0 and t2 = pi is a commuting separation: the centre has no slope
+        assert answers[0][1] == cells[0].slope(math.pi) == (cells[0](math.pi), None)
+        assert answers[1][1] is answers[2][1] is None
+
+
+class TestFoldedCentre:
+    """A folded t2 search (scan._t2_search) asks its coarse curve for the
+    window centre c too, where q is symmetric: the centre rides in the
+    coarse call (scan._serve), and the refinement takes it as its first
+    probe, not counted in ``evals``, when the best coarse point is the half
+    grid's last (even K) or middle (odd K) point."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        """The t2 arrays of every series kernel call (series._cell_calls),
+        curves and probe rounds alike, in order."""
+        calls, real = [], series._cell_calls
+
+        def counting(cells, t2, slope):
+            calls.append(np.array(t2))
+            return real(cells, t2, slope)
+
+        monkeypatch.setattr(series, "_cell_calls", counting)
+        monkeypatch.setattr(scan, "_cell_calls", counting)
+        return calls
+
+    @pytest.mark.parametrize("steps", [96, 97])
+    def test_a_centre_minimum_costs_one_kernel_call(self, monkeypatch, steps):
+        search = T2Search(0.05, math.pi - 0.05, steps, 32)
+        centre = 0.5 * (search.t2_min + search.t2_max)
+        cell, curve = named_evaluator({"s1": 1, "s2": 1, "t1": 0.0, "r": 0.5, "L": 1.03},
+                                      "series", "window", 120)
+        own = cell(centre)
+        calls = self._counted(monkeypatch)
+        found = minimize_over_t2(cell, curve, search)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == np.append(search.grid()[:(steps + 1) // 2],
+                                               centre).tobytes()
+        assert found.reflected and found.evals == 0 and not found.capped
+        if steps % 2:  # the middle grid point is c up to rounding, and kept when lower
+            assert abs(found[1] - centre) <= math.ulp(centre)
+            own = cell(found[1])
+        else:
+            assert found[1] == centre
+        assert repr(found[0]) == repr(own)
+
+    def test_a_singular_centre_has_no_slope(self, monkeypatch):
+        # sign, s1 = s2, x0 = p0 = 0 and t1 = 0: t2 = pi is a commuting
+        # separation, whose exact value 0 is the lowest, a cusp
+        search = T2Search(0.0, TWO_PI, 40, 40)
+        cell, curve = named_evaluator({"s1": 1, "s2": 1, "t1": 0.0, "x0": 0.0, "p0": 0.0,
+                                       "r": 0.5}, "series", "sign", 120)
+        answers, real = [], scan._serve
+        monkeypatch.setattr(scan, "_serve", lambda requests: answers.append(real(requests))
+                            or answers[-1])
+        calls = self._counted(monkeypatch)
+        found = minimize_over_t2(cell, curve, search)
+        assert len(calls) == 1 and found.evals == 0
+        assert answers[0][0][1] == cell.slope(math.pi) == (0.0, None)
+        assert found == (0.0, math.pi)
+
+    def test_a_higher_centre_without_a_slope_bisects_toward_the_best_point(self):
+        # the best coarse points are the half grid's last point and its
+        # mirror, and the centre is higher and has no slope: the search
+        # shrinks its bracket to the best point's side and probes its midpoint
+        search = T2Search(0.0, TWO_PI, 40, 40)
+        grid, centre = search.grid(), math.pi
+        half = (grid[:20] - centre) ** 2
+        values = np.concatenate([half, half[::-1]])
+        refine = scan._refine(None, grid, values, search, (centre, 1.0, None))
+        probe = next(refine)
+        assert probe.t2 == 0.5 * (grid[18] + centre)
+        t2 = probe.t2
+        with pytest.raises(StopIteration) as stop:
+            refine.send((-1.0, None))  # the lowest point yet, without a slope
+        assert stop.value.value == (-1.0, t2, 1)
+
+    @pytest.mark.parametrize("route", ["integral", "oracle"])
+    def test_integral_and_oracle_take_the_centre_from_their_curve(self, route):
+        params = {"s1": 1, "s2": 1, "t1": 0.0, "x0": 0.4, "p0": 0.0, "r": 0.5,
+                  "oracle_dim": 120}
+        search = T2Search(0.0, TWO_PI, 40, 20)
+        evaluator, curve = named_evaluator(params, route, "sign")
+        grids, probes = [], []
+        slope = evaluator.slope
+        evaluator.slope = lambda t2: probes.append(t2) or slope(t2)
+        found = minimize_over_t2(evaluator, lambda g: grids.append(g) or curve(g), search)
+        assert len(grids) == 1 and probes == []
+        assert grids[0].tobytes() == np.append(search.grid()[:20], math.pi).tobytes()
+        assert found.evals == 0 and found[1] == math.pi
+        assert repr(found[0]) == repr(evaluator(math.pi))
+
+    def test_a_mixed_round_and_its_one_request_fallback(self, monkeypatch):
+        search = T2Search(0.0, TWO_PI, 60, 30)
+        cells = [named_evaluator({"s1": 1, "s2": -1, "t1": 0.0, "x0": 0.4, "p0": p0,
+                                  "r": 0.5, "theta0": 0.0}, "series", "sign", 120)
+                 for p0 in (0.7, 0.0, -1.3)]
+        cells.append(named_evaluator({"s1": 1, "s2": 1, "t1": 0.0, "x0": 0.0, "p0": 0.0,
+                                      "r": 0.5}, "series", "sign", 120))
+        own = [minimize_over_t2(*cell, search) for cell in cells]
+        assert [hasattr(cell[0], "period") for cell in cells] == [False, True, False, True]
+        together = scan._drive([scan._t2_search(*cell, search) for cell in cells], scan._serve)
+        assert repr(together) == repr(own)
+        assert [(f.evals, f.reflected) for f in together] == [
+            (f.evals, f.reflected) for f in own]
+        # a round that mixes cells raises, so each request is served alone:
+        # a folded cell's curve still ends on its centre
+        calls = self._counted(monkeypatch)
+        real = scan._cell_calls
+
+        def single(batch, t2, slope):
+            if len(batch) > 1:
+                raise FloatingPointError("injected")
+            return real(batch, t2, slope)
+
+        monkeypatch.setattr(scan, "_cell_calls", single)
+        alone = scan._drive([scan._t2_search(*cell, search) for cell in cells],
+                            scan._serve_kept)
+        assert repr(alone) == repr(own)
+        ends = [t2[-1] for t2 in calls if t2.ndim == 1]
+        assert ends == [search.grid()[-1], math.pi, search.grid()[-1], math.pi]
 
 
 class TestNelderMead:

@@ -1545,7 +1545,7 @@ class TestReflectedCurves:
         short."""
         values, asked = {}, []
 
-        def refine(evaluator, grid, coarse, search):
+        def refine(evaluator, grid, coarse, search, centre):
             values[id(evaluator)] = coarse
             yield from ()
             return 0.0, 0.0
@@ -1620,14 +1620,14 @@ class TestReflectedCurves:
     @pytest.mark.parametrize("steps", [4, 5, 40, 41])
     def test_the_first_half_is_the_kernel_and_the_rest_its_mirror(self, monkeypatch, steps):
         # an odd K fills its centre point from itself, and a half grid has at
-        # least 2 points
+        # least 2 points; the one kernel call ends on the window centre
         search = T2Search(0.0, TWO_PI, steps)
         grid, half = search.grid(), (steps + 1) // 2
         cell, seen, real = self._cell("sign"), [], series._q_pure
         monkeypatch.setattr(series, "_q_pure",
                             lambda *args: seen.append(args[5]) or real(*args))
         (row,), _, _ = self._searched(monkeypatch, [cell], search)
-        assert len(seen) == 1 and seen[0].tobytes() == grid[:half].tobytes()
+        assert len(seen) == 1 and seen[0].tobytes() == np.append(grid[:half], math.pi).tobytes()
         assert row.shape == grid.shape
         assert row[:half].tobytes() == cell[1](grid[:half]).tobytes()
         assert row[half:].tobytes() == row[steps // 2 - 1::-1].tobytes()
