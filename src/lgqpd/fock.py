@@ -242,7 +242,8 @@ def _phased_apply(proj, t: float, vecs: np.ndarray) -> np.ndarray:
 
 def _oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int, t1: float,
             t2_grid, dim: int):
-    """q at every t2 of a 1-D array, and the diagnostics record.
+    """q at every t2 of a 1-D array, and one :class:`OracleInfo` per column,
+    the same record for each: the state columns and their checks are shared.
 
     The state columns and the t1 side are built once; each t2 applies only
     its phases and P_{s2}(t2), whose quadrature is the same cached one for
@@ -274,7 +275,7 @@ def _oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int, t1: float
         # uncancelled oscillation (~1e-5 at dim 400 if summed plainly).
         terms = np.einsum("nm,nm->n", y2.conj(), y1).real
         q[j] = averaged_partial_sum(terms)
-    return q, info
+    return q, [info] * t2.size
 
 
 def q_oracle_curve(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
@@ -301,4 +302,4 @@ def qpd_oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
     returns ``(q, OracleInfo)``.
     """
     q, info = _oracle(state, meas, s1, s2, t1, np.array([t2], dtype=float), dim)
-    return (float(q[0]), info) if with_info else float(q[0])
+    return (float(q[0]), info[0]) if with_info else float(q[0])

@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .integral import DEFAULT_QUAD_ORDER, _check_order, _check_pure, _q_integral, qpd_integral
-from .fock import DEFAULT_DIM, _check_dim, q_oracle_curve, qpd_oracle
+from .integral import DEFAULT_QUAD_ORDER, _check_order, _check_pure, _q_integral
+from .fock import DEFAULT_DIM, _check_dim, _oracle
 from .series import (DEFAULT_TRUNCATION, MeasurementSpec, TruncationConfig, _cell_calls,
                      _cell_values, _check_finite, _check_signs, _check_squeezed_vacuum,
                      _SeriesCell)
@@ -34,7 +34,7 @@ from .states import T2_PERIOD, OffsetFunction, StateSpec, thermal_m_cut, time_re
 #: Absolute tolerance of the t2 refinement: it stops once its next step, or
 #: half its bracket, is below XATOL.  It is also the step of the central
 #: difference that gives the integral and oracle evaluators their slope
-#: (:func:`_difference_slope`), and the distance from a window end of the
+#: (:meth:`_KernelCell.slope`), and the distance from a window end of the
 #: probe that confirms a minimum there.
 XATOL = 1e-9
 
@@ -118,26 +118,27 @@ def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
     secant zero of the last two slopes, or the intersection of their tangents
     when the values show a kink between them, and the bracket's midpoint
     when that step leaves the bracket or a probe has no slope.  A probe
-    without a slope that is the lowest point yet ends the search: on the
-    series route that is the exact value at a commuting separation, a cusp of
-    q; a higher one shrinks the bracket to the side of the lowest point.
+    without a slope that is as low as the lowest point yet ends the search,
+    keeping the lower point, or the earlier one of a tie: on the series route
+    that is the exact value at a commuting separation, a cusp of q; a higher
+    one shrinks the bracket to the side of the lowest point.
 
     ``evaluator`` maps one t2 to q, and its ``slope`` attribute maps one t2
     to (q, dq/dt2 or None); every evaluator of :func:`named_evaluator` has
     one.  With ``search.refine_iters > 0`` an evaluator without ``slope`` is
     refused with a TypeError before anything is evaluated.  Its ``period``
-    attribute, when it has one, is q's period P in t2, and says that q(t2) =
-    q(-t2) (:func:`named_evaluator` sets it where time reversal fixes the
-    cell): on a grid that folds for P (:func:`_folds`) the coarse curve is
-    asked for the first ceil(K/2) grid points only, and each later point is
-    filled from its mirror, q(t_{K-1-k}) = q(t_k).  That call also takes the
-    window centre c = (t2_min + t2_max) / 2, where dq/dt2 = 0 by symmetry:
-    when the best coarse point is the half grid's last (even K) or middle
-    (odd K) point, the first probe is c, and it is taken from the curve call,
-    with that slope (none where the series kernel meets a singular phase at
-    c), not made as a call of its own and not counted in ``evals``.
-    ``curve`` maps an array of t2 values, the grid, or that first half
-    followed by c, to their q values.
+    (None, or missing, on a cell that does not fold) is q's period P in t2,
+    and says that q(t2) = q(-t2) (:func:`named_evaluator` gives one where
+    time reversal fixes the cell): on a grid that folds for P (:func:`_folds`)
+    the coarse curve is asked for the first ceil(K/2) grid points only, and
+    each later point is filled from its mirror, q(t_{K-1-k}) = q(t_k).  That
+    call also takes the window centre c = (t2_min + t2_max) / 2, where
+    dq/dt2 = 0 by symmetry: when the best coarse point is the half grid's
+    last (even K) or middle (odd K) point, the first probe is c, and it is
+    taken from the curve call, with that slope (none where the series kernel
+    meets a singular phase at c), not made as a call of its own and not
+    counted in ``evals``.  ``curve`` maps an array of t2 values, the grid, or
+    that first half followed by c, to their q values.
     """
     if search.refine_iters and getattr(evaluator, "slope", None) is None:
         raise TypeError("the t2 refinement probes evaluator.slope(t2) -> (q, dq/dt2), "
@@ -149,9 +150,10 @@ class _Request(NamedTuple):
     """A request of a t2 search (:func:`_t2_search`): when ``curve`` is
     given, the values of ``curve`` on ``t2``, the coarse grid or its first
     half, answered together with the probe (q, dq/dt2 or None) at
-    ``centre``, a folded grid's window centre, or with None when there is no
-    centre; otherwise the probe (q, dq/dt2 or None) of the ``evaluator`` at
-    the float ``t2``."""
+    ``centre``, a folded grid's window centre, or with None when the
+    ``centre`` is None, as it is when the evaluator's ``period`` is None or
+    does not fold the grid; otherwise the probe (q, dq/dt2 or None) of the
+    ``evaluator`` at the float ``t2``."""
 
     evaluator: object
     t2: object
@@ -164,8 +166,9 @@ def _t2_search(evaluator, curve, search: T2Search):
     each of its :class:`_Request`s and is sent the answer, and it returns the
     :class:`T2Minimum`, so that :func:`_drive` can serve the requests of
     many searches together.  The coarse curve is asked for half the grid
-    and the window centre when the evaluator's ``period`` folds it
-    (:func:`_folds`), and the refinement (:func:`_refine`) runs on the whole
+    and the window centre when the evaluator's ``period`` is not None and
+    folds it (:func:`_folds`); an evaluator without one, such as a plain
+    function, has None.  The refinement (:func:`_refine`) runs on the whole
     grid's values and the centre's probe."""
     grid = search.grid()
     period = getattr(evaluator, "period", None)
@@ -224,10 +227,8 @@ def _refine(evaluator, grid, values, search: T2Search, centre=None):
             vertex = grid[j] - (values[j + 1] - values[j - 1]) / (2.0 * step * bend)
             if lo < vertex < hi:
                 x = float(vertex)
-    if centre is not None and i == last // 2:
-        x = centre[0]
-    else:
-        centre = None
+    centre = centre if i == last // 2 else None
+    x = centre[0] if centre else x
     prev = None  # the last probe with a slope: (t2, q, dq/dt2)
     while centre or evals < search.refine_iters:
         if centre:
@@ -241,6 +242,8 @@ def _refine(evaluator, grid, values, search: T2Search, centre=None):
             if not sloped or d == 0.0:
                 return best_q, best_t, evals
             lo, hi = (lo, x) if d > 0 else (x, hi)
+        elif q == best_q and not sloped:  # a cusp as low as the lowest point
+            return best_q, best_t, evals
         else:  # the lowest point, and so a minimum, lies on its side of x
             lo, hi = (lo, x) if best_t < x else (x, hi)
         nxt = None
@@ -828,19 +831,20 @@ def named_evaluator(params: dict, route: str, projector: str,
     ``IntegralInfo`` or ``OracleInfo``), and ``curve(t2_grid)`` is q over an
     array of t2; ``n_max`` is the series truncation.
 
-    Every evaluator has a ``slope(t2)``, the (q, dq/dt2) probe that
-    :func:`minimize_over_t2` refines with, one kernel call each.  On the
-    series route the evaluator is the cell of its family, pure sign, thermal
-    sign or window (``series._SeriesCell``), the curve its ``curve``, and
-    its slope the exact derivative from the family's kernel.  The integral
-    and oracle evaluators are the one-element calls of their route's t2-array
-    kernel (``integral._q_integral`` or :func:`q_oracle_curve`), their curve
-    one call of that kernel, and their slope a central difference from one
-    three-point call of it (:func:`_difference_slope`).  On
-    every route, an evaluator whose cell time reversal leaves unchanged (p0
-    = 0 and :func:`states.time_reversal_fixes`) has a ``period`` attribute,
-    q's period in t2 (``states.T2_PERIOD``), which :func:`minimize_over_t2`
-    folds its grid with.
+    The evaluator is a frozen cell record, built whole, and the curve its
+    ``curve``.  Every cell has a ``slope(t2)``, the (q, dq/dt2) probe that
+    :func:`minimize_over_t2` refines with, one kernel call each, and a
+    ``period``.  On the series route the cell is that of its family, pure
+    sign, thermal sign or window (``series._SeriesCell``), and its slope the
+    exact derivative from the family's kernel.  The integral and oracle
+    cells are one :class:`_KernelCell` type, which holds its route's t2-array
+    kernel (``integral._q_integral`` or ``fock._oracle``) bound to the cell:
+    a point is a one-element call of it, the curve one call, and the slope
+    a central difference from one three-point call.  On every route, the
+    ``period`` of a cell that time reversal leaves unchanged (p0 = 0 and
+    :func:`states.time_reversal_fixes`) is q's period in t2
+    (``states.T2_PERIOD``), which :func:`minimize_over_t2` folds its grid
+    with; elsewhere it is None.
 
     Raises ValueError for an unknown parameter name, a non-finite t1, an
     out-of-range ``n_max``, ``quad_order`` or ``oracle_dim`` (each is checked
@@ -878,41 +882,53 @@ def named_evaluator(params: dict, route: str, projector: str,
     elif route == "series" and not meas.offset.is_zero:
         raise ValueError("the series route does not take a measurement offset; "
                          "use the integral or oracle route")
+    # a cell that is its own time-reversal mirror has q(t2) = q(-t2)
+    mirror = state.p0 == 0 and time_reversal_fixes(state, t1, meas.offset)
+    period = T2_PERIOD[meas.projector] if mirror else None
     if route == "series":
         # a window state has n_th = 0 (checked above)
         family = "thermal" if state.n_th > 0 else meas.projector
         column = (state, float(meas.window_halfwidth)) if family == "window" else (state,)
-        evaluator = _SeriesCell(family, column, (s1, s2, t1), trunc)
-        curve = evaluator.curve
+        cell = _SeriesCell(family, column, (s1, s2, t1), trunc, period)
     elif route == "integral":
         _check_pure(state)
-        evaluator = (lambda t2, with_info=False: qpd_integral(
-            state, meas.offset, s1, s2, t1, t2, order, with_info))
-        curve = (lambda grid: _q_integral(state, meas.offset, s1, s2, t1,
-                                          np.asarray(grid, dtype=float), order)[0])
+        cell = _KernelCell(functools.partial(_q_integral, state, meas.offset, s1, s2, t1,
+                                             quad_order=order), period)
     else:
-        if not state.is_pure:
-            thermal_m_cut(state.n_th)  # the oracle's occupation columns stop at the cut
-        evaluator = (lambda t2, with_info=False: qpd_oracle(
-            state, meas, s1, s2, t1, t2, dim, with_info))
-        curve = lambda grid: q_oracle_curve(state, meas, s1, s2, t1, grid, dim)
-    if route != "series":
-        evaluator.slope = _difference_slope(curve)
-    if state.p0 == 0 and time_reversal_fixes(state, t1, meas.offset):
-        # the cell is its own time-reversal mirror, so q(t2) = q(-t2)
-        object.__setattr__(evaluator, "period", T2_PERIOD[meas.projector])
-    return evaluator, curve
+        thermal_m_cut(state.n_th)  # the oracle's occupation columns stop at the cut
+        cell = _KernelCell(functools.partial(_oracle, state, meas, s1, s2, t1, dim=dim), period)
+    return cell, cell.curve
 
 
-def _difference_slope(curve):
-    """The ``slope(t2)`` of an evaluator whose route's kernel ``curve`` has
-    no derivative: one call at (t2, t2 - XATOL, t2 + XATOL), whose first
-    column is q, bit for bit the one-element call since each column equals
-    its own, and the other two the central difference dq/dt2."""
-    def slope(t2):
-        q, below, above = curve(np.array([t2, t2 - XATOL, t2 + XATOL]))
+@dataclass(frozen=True)
+class _KernelCell:
+    """One integral or oracle point as a function of t2: ``kernel`` is its
+    route's t2-array kernel (``integral._q_integral`` or ``fock._oracle``)
+    bound to the cell's arguments, which maps a 1-D array of t2 to q and one
+    diagnostics record per column, and ``period`` is q's period in t2 where
+    time reversal fixes the cell, or None (:func:`named_evaluator`).  Each
+    column of the kernel equals its own one-element call bit for bit."""
+
+    kernel: Callable
+    period: float | None = None
+
+    def __call__(self, t2, with_info: bool = False):
+        """q at one t2, or (q, its column's record) with ``with_info``: the
+        one-element kernel call."""
+        q, info = self.kernel(np.array([float(t2)]))
+        return (float(q[0]), info[0]) if with_info else float(q[0])
+
+    def curve(self, grid):
+        """q over an array of t2 values: one kernel call."""
+        return self.kernel(np.asarray(grid, dtype=float))[0]
+
+    def slope(self, t2):
+        """(q, dq/dt2) at one t2, the route's kernel having no derivative:
+        one call at (t2, t2 - XATOL, t2 + XATOL), whose first column is q,
+        the point call's bit for bit, and the other two the central
+        difference dq/dt2."""
+        q, below, above = self.kernel(np.array([t2, t2 - XATOL, t2 + XATOL]))[0]
         return float(q), float((above - below) / (2.0 * XATOL))
-    return slope
 
 
 def _whole(name: str, value, least: int | None = None) -> int:

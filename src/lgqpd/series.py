@@ -849,8 +849,10 @@ class _SeriesCell:
     """One series point of a projector ``family`` ("sign", "window" or
     "thermal") as a function of t2: ``column`` holds the cell's own
     arguments, (state,) or (state, L) for a window, ``shared`` those that a
-    batch of cells shares, (s1, s2, t1), and ``trunc`` the truncation.  The
-    family's input rules are judged when the cell is made.
+    batch of cells shares, (s1, s2, t1), ``trunc`` the truncation, and
+    ``period`` q's period in t2 where time reversal fixes the cell, or None
+    (``scan.named_evaluator``).  The family's input rules are judged when
+    the cell is made.
 
     Every series point, slope, t2 search probe and cell curve is a call of
     the family's kernel through :func:`_cell_calls`, a point being a
@@ -867,6 +869,7 @@ class _SeriesCell:
     column: tuple
     shared: tuple
     trunc: TruncationConfig
+    period: float | None = None
 
     def __post_init__(self):
         _check_family(self.family, *self.shared, [self.column[0]], self.trunc.n_max,

@@ -357,6 +357,17 @@ class TestQpdOracle:
         assert abs(info.trace_deficit) < 1e-8
         assert 0.0 <= info.tail_mass <= 1e-9
 
+    def test_point_info_is_the_curve_kernels_column_record(self):
+        # one record per column, as the integral kernel gives; t2 = t1 takes
+        # the same-time branch
+        state = StateSpec.from_phase_space(0.4, -0.3, 0.2, 0.0, n_th=0.4)
+        meas, grid = MeasurementSpec.sign(), np.array([0.3, 1.1, 2.4])
+        q, infos = fock._oracle(state, meas, 1, -1, 0.3, grid, 120)
+        assert len(infos) == grid.size
+        for t2, qk, column in zip(grid.tolist(), q, infos):
+            assert (qk, column) == qpd_oracle(state, meas, 1, -1, 0.3, t2, dim=120,
+                                              with_info=True)
+
     def test_offset_measurement(self):
         from lgqpd import OffsetFunction, qpd_integral
 

@@ -285,10 +285,11 @@ class TestRouteAgreement:
         from lgqpd import T2Search, minimize_over_t2, scan
 
         state = StateSpec.from_phase_space(-0.554, 1.95)
-        f = lambda t2: qpd_integral_2d(state, None, 1, -1, 0.0, t2, grid=(64, 240))
-        curve = lambda grid: [f(t) for t in grid]
-        f.slope = scan._difference_slope(curve)
-        q, _ = minimize_over_t2(f, curve, T2Search(0.2, 1.0, coarse_steps=40, refine_iters=25))
+        # a cell record like the integral route's, over the 2-D quadrature
+        cell = scan._KernelCell(lambda t2: ([qpd_integral_2d(state, None, 1, -1, 0.0, t,
+                                                             grid=(64, 240)) for t in t2], None))
+        q, _ = minimize_over_t2(cell, cell.curve,
+                                T2Search(0.2, 1.0, coarse_steps=40, refine_iters=25))
         assert 4 * q == pytest.approx(-0.113, abs=0.003)
 
     def test_2d_route_with_offset(self):
@@ -353,12 +354,13 @@ class TestKernel:
     def test_dispatch_curve_is_one_kernel_call_equal_to_its_point_calls(self, monkeypatch):
         params = dict(x0=0.4, p0=1.1, r=0.6, theta0=0.9, s1=-1, s2=1, t1=0.3,
                       offset=OffsetFunction(0.6, 0.9, 0.2))
-        evaluator, curve = named_evaluator(params, "integral", "sign")
         grid = np.concatenate([np.linspace(0.0, 2 * math.pi, 41), [0.3, 0.3 + math.pi]])
         calls = []
         kernel = integral._q_integral
-        monkeypatch.setattr("lgqpd.scan._q_integral",
-                            lambda *args: calls.append(args[5].size) or kernel(*args))
+        # the dispatch binds the kernel when it builds the evaluator
+        monkeypatch.setattr("lgqpd.scan._q_integral", lambda *args, **kwargs:
+                            calls.append(args[5].size) or kernel(*args, **kwargs))
+        evaluator, curve = named_evaluator(params, "integral", "sign")
         values = curve(grid)
         assert calls == [grid.size]
         assert values.tobytes() == np.array([evaluator(t2) for t2 in grid]).tobytes()
@@ -376,4 +378,12 @@ class TestKernel:
         with pytest.warns(ConvergenceWarning, match=r"t2=3\.15, order 512") as record:
             line = sys._getframe().f_lineno + 1
             qpd_integral(FIG1_STATE, None, 1, -1, 0.0, 3.15)
+        assert (record[0].filename, record[0].lineno) == (__file__, line)
+
+    def test_dispatch_point_warning_is_reported_at_the_callers_line(self):
+        evaluator, _ = named_evaluator(dict(x0=0.550, p0=1.925, r=1.0, theta0=math.pi / 3,
+                                            s1=1, s2=-1), "integral", "sign")
+        with pytest.warns(ConvergenceWarning, match=r"t2=3\.15, order 512") as record:
+            line = sys._getframe().f_lineno + 1
+            evaluator(3.15)
         assert (record[0].filename, record[0].lineno) == (__file__, line)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import threading
@@ -12,9 +13,8 @@ from hypothesis import strategies as st
 from lgqpd import (IntegralInfo, OffsetFunction, OracleInfo, ScanConfig,
                    SeriesInfo, T2Search, TruncationConfig, TruncationError, global_minimize,
                    minimize_over_t2, named_evaluator, scan, scan_plane, series)
-from lgqpd import fock
 from lgqpd.config import load_scan_config
-from lgqpd.states import mode_e
+from lgqpd.states import T2_PERIOD, ZERO_OFFSET, StateSpec, mode_e, time_reversal_fixes
 from lgqpd.output import build_manifest, scan_csv_text
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -455,6 +455,60 @@ class TestNamedEvaluator:
             assert info.dim == 120
 
 
+def _kernel_spy(monkeypatch, route) -> list:
+    """The t2 arrays of the route's kernel calls, ``_q_integral`` or
+    ``_oracle`` under the names that ``scan`` imports them by: the dispatch
+    binds the kernel into each cell, so install it before the evaluator is
+    built."""
+    name = "_q_integral" if route == "integral" else "_oracle"
+    real, calls = getattr(scan, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(np.array(args[5]))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scan, name, spy)
+    return calls
+
+
+class TestCellRecords:
+    """Every evaluator of the dispatch is a frozen record built whole, whose
+    ``period`` is a declared field on every route."""
+
+    @pytest.mark.parametrize("route,projector,params", [
+        ("series", "sign", {}), ("series", "sign", {"n_th": 0.5}),
+        ("series", "window", {"L": 1.0}), ("integral", "sign", {}),
+        ("oracle", "sign", {"n_th": 0.5}), ("oracle", "window", {"L": 1.0})])
+    def test_every_evaluator_is_frozen(self, route, projector, params):
+        evaluator, _ = named_evaluator(dict(params, s1=1, s2=-1), route, projector, 60)
+        for name, value in (("slope", None), ("period", 1.0), ("curve", None), ("extra", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(evaluator, name, value)
+
+    @pytest.mark.parametrize("route,projector", [
+        ("series", "sign"), ("series", "window"), ("integral", "sign"), ("oracle", "sign"),
+        ("oracle", "window")])
+    def test_period_is_set_exactly_where_time_reversal_fixes_the_cell(self, route, projector):
+        offsets = [None] if route == "series" or projector == "window" else [
+            None, OffsetFunction(0.4, 0.3)]
+        seen = set()
+        for p0, t1, r, theta0, offset in itertools.product(
+                [0.0] if projector == "window" else [0.0, 0.6], [0.0, 0.4], [0.0, 0.5],
+                [0.0, 0.5, math.pi], offsets):
+            params = dict(s1=1, s2=-1, t1=t1, r=r, theta0=theta0, offset=offset)
+            params.update({"L": 1.0} if projector == "window" else {"x0": 0.3, "p0": p0})
+            if offset is None:
+                del params["offset"]
+            state = StateSpec.from_phase_space(params.get("x0", 0.0), p0, r, theta0)
+            fixes = p0 == 0 and time_reversal_fixes(state, t1, offset or ZERO_OFFSET)
+            period = named_evaluator(params, route, projector, 60)[0].period
+            if fixes:
+                assert period == T2_PERIOD[projector]
+            else:
+                assert period is None
+            seen.add(fixes)
+        assert seen == {True, False}
+
+
 class TestDifferenceSlope:
     """The integral and oracle evaluators' slope: each probe is one call of
     the route's t2-array kernel at (t2, t2 - XATOL, t2 + XATOL), whose q is
@@ -465,24 +519,11 @@ class TestDifferenceSlope:
              ("oracle", {"oracle_dim": 150}), ("oracle", {"n_th": 0.5, "oracle_dim": 150})]
     IDS = ["integral", "integral_offset", "oracle", "oracle_thermal"]
 
-    @staticmethod
-    def _spy(monkeypatch, route) -> list:
-        """The t2 arrays of the route's kernel calls: ``_q_integral`` as the
-        integral curve calls it, or ``fock._oracle``."""
-        module, name = (scan, "_q_integral") if route == "integral" else (fock, "_oracle")
-        real, calls = getattr(module, name), []
-
-        def spy(*args):
-            calls.append(np.array(args[5]))
-            return real(*args)
-        monkeypatch.setattr(module, name, spy)
-        return calls
-
     @pytest.mark.parametrize("route,extra", CASES, ids=IDS)
     def test_one_kernel_call_per_probe(self, monkeypatch, route, extra):
+        calls = _kernel_spy(monkeypatch, route)
         evaluator, _ = named_evaluator(dict(extra, s1=1, s2=-1, t1=0.3, x0=0.4, p0=1.1, r=0.3,
                                             theta0=0.2), route, "sign")
-        calls = self._spy(monkeypatch, route)
         for t2 in np.random.default_rng(4).uniform(0.0, TWO_PI, 12).tolist() + [0.3]:
             q, dq = evaluator.slope(t2)
             assert len(calls) == 1
@@ -515,7 +556,7 @@ class TestDifferenceSlope:
         cfg = ScanConfig(plane="x0p0", route=route, s1=1, s2=-1, r=0.5, axis1_min=-1.0,
                          axis1_max=1.0, axis1_steps=2, axis2_min=0.3, axis2_max=2.0,
                          axis2_steps=2, t2_coarse_steps=40, t2_refine_iters=20, **extra)
-        calls = self._spy(monkeypatch, route)
+        calls = _kernel_spy(monkeypatch, route)
         res = scan_plane(cfg)
         assert res.n_failed == 0 and res.refine_capped == 0 and res.mirror_filled == 0
         probes = [t2 for t2 in calls if t2.size == 3]
@@ -1583,17 +1624,40 @@ class TestFoldedCentre:
             refine.send((-1.0, None))  # the lowest point yet, without a slope
         assert stop.value.value == (-1.0, t2, 1)
 
+    @pytest.mark.parametrize("steps", [41, 201])
+    def test_a_centre_that_ties_a_singular_best_point_ends_the_search(self, steps):
+        # odd K: the middle grid point is pi (K = 41) or pi + 1 ulp (K = 201),
+        # where q is the exact singular value 0, and the centre's probe ties
+        # it without a slope; the grid point is kept
+        search = T2Search(0.0, TWO_PI, steps, 40)
+        middle = float(search.grid()[steps // 2])
+        assert middle == (math.pi if steps == 41 else math.nextafter(math.pi, 4.0))
+        cell, curve = named_evaluator({"s1": 1, "s2": 1, "t1": 0.0, "x0": 0.0, "p0": 0.0,
+                                       "r": 0.5}, "series", "sign", 200)
+        found = minimize_over_t2(cell, curve, search)
+        assert found == (0.0, middle) and found.evals == 0 and found.reflected
+
+    def test_a_probe_that_ties_the_best_point_without_a_slope_ends_the_search(self):
+        search = T2Search(0.0, TWO_PI, 40, 40)
+        grid = search.grid()
+        values = (grid - 1.0) ** 2
+        best = int(np.argmin(values))
+        refine = scan._refine(None, grid, values, search)
+        next(refine)
+        with pytest.raises(StopIteration) as stop:
+            refine.send((float(values[best]), None))
+        assert stop.value.value == (float(values[best]), float(grid[best]), 1)
+
     @pytest.mark.parametrize("route", ["integral", "oracle"])
-    def test_integral_and_oracle_take_the_centre_from_their_curve(self, route):
+    def test_integral_and_oracle_take_the_centre_from_their_curve(self, monkeypatch, route):
+        # one kernel call, the curve's: no probe is made
         params = {"s1": 1, "s2": 1, "t1": 0.0, "x0": 0.4, "p0": 0.0, "r": 0.5,
                   "oracle_dim": 120}
         search = T2Search(0.0, TWO_PI, 40, 20)
+        grids = _kernel_spy(monkeypatch, route)
         evaluator, curve = named_evaluator(params, route, "sign")
-        grids, probes = [], []
-        slope = evaluator.slope
-        evaluator.slope = lambda t2: probes.append(t2) or slope(t2)
-        found = minimize_over_t2(evaluator, lambda g: grids.append(g) or curve(g), search)
-        assert len(grids) == 1 and probes == []
+        found = minimize_over_t2(evaluator, curve, search)
+        assert len(grids) == 1
         assert grids[0].tobytes() == np.append(search.grid()[:20], math.pi).tobytes()
         assert found.evals == 0 and found[1] == math.pi
         assert repr(found[0]) == repr(evaluator(math.pi))
@@ -1606,7 +1670,7 @@ class TestFoldedCentre:
         cells.append(named_evaluator({"s1": 1, "s2": 1, "t1": 0.0, "x0": 0.0, "p0": 0.0,
                                       "r": 0.5}, "series", "sign", 120))
         own = [minimize_over_t2(*cell, search) for cell in cells]
-        assert [hasattr(cell[0], "period") for cell in cells] == [False, True, False, True]
+        assert [cell[0].period is None for cell in cells] == [True, False, True, False]
         together = scan._drive([scan._t2_search(*cell, search) for cell in cells], scan._serve)
         assert repr(together) == repr(own)
         assert [(f.evals, f.reflected) for f in together] == [

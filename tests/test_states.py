@@ -318,7 +318,7 @@ class TestTimeReversal:
         assert not time_reversal_fixes(state, params.get("t1", 0.0),
                                        params.get("offset", ZERO_OFFSET))
         assert self._mismatch(route, "sign", params, [0.7, 1.9, 4.1]) > 1e-3
-        assert not hasattr(named_evaluator(dict(params, p0=0.0), route, "sign")[0], "period")
+        assert named_evaluator(dict(params, p0=0.0), route, "sign")[0].period is None
 
     @pytest.mark.parametrize("route", ["integral", "oracle"])
     @pytest.mark.parametrize("offset", [OffsetFunction(0.4, 0.0), OffsetFunction(constant=0.3)])
