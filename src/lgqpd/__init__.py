@@ -28,7 +28,7 @@ from .series import (MeasurementSpec, SeriesInfo, TruncationConfig,
                      q_sign_series_curve, q_window_series_curve,
                      qpd_series_squeezed, qpd_series_thermal,
                      qpd_series_window)
-from .fock import OracleInfo, q_oracle_curve, qpd_oracle
+from .fock import OracleInfo, qpd_oracle
 from .scan import (GlobalMinimum, ScanConfig, ScanResult, T2Search,
                    global_minimize, minimize_over_t2, named_evaluator,
                    scan_plane)

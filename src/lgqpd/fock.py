@@ -278,13 +278,6 @@ def _oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int, t1: float
     return q, [info] * t2.size
 
 
-def q_oracle_curve(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
-                   t1: float, t2_grid: np.ndarray, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Oracle quasi-probability over a 1-D array of t2 values (see
-    :func:`qpd_oracle`)."""
-    return _oracle(state, meas, s1, s2, t1, t2_grid, dim)[0]
-
-
 def qpd_oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
                t1: float, t2: float, dim: int = DEFAULT_DIM, with_info: bool = False):
     """Quasi-probability Re Tr[P_{s2}(t2) P_{s1}(t1) rho] in the truncated basis.
@@ -298,7 +291,7 @@ def qpd_oracle(state: StateSpec, meas: MeasurementSpec, s1: int, s2: int,
     intermediate-index tail stops oscillating and convergence degrades to
     ~dim^(-1/2) -- the closed-form routes own those points.
 
-    The one-element call of :func:`q_oracle_curve`.  With ``with_info=True``
+    The one-element call of the kernel :func:`_oracle`.  With ``with_info=True``
     returns ``(q, OracleInfo)``.
     """
     q, info = _oracle(state, meas, s1, s2, t1, np.array([t2], dtype=float), dim)

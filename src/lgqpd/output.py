@@ -37,8 +37,9 @@ def scan_csv_text(result: ScanResult) -> str:
 
 
 def build_manifest(result: ScanResult, csv_text: str, wall_time_s: float) -> dict:
-    """The run manifest.  ``coarse_s`` and ``refine_s`` sum the rows' coarse
-    curve and refinement seconds over every worker, ``refine_evals`` the
+    """The run manifest.  ``coarse_s`` sums each band's seconds up to its
+    first served round, its coarse curves, and ``refine_s`` the rest, its
+    refinements, over every band of rows (one per worker), ``refine_evals`` the
     refinements' probes and ``refine_capped`` the cells whose
     refinement hit its cap, each over the cells that ran a search;
     ``mirror_filled`` counts the cells filled from their time-reversal

@@ -2,15 +2,17 @@
 
 A scan evaluates the minimum over t2 of q_{s1,s2}(t1, t2) on a 2-D parameter
 grid: either the displacement plane (x0, p0) at fixed squeezing, or the
-(r, L) plane of the window projector for squeezed vacuum.  Grid rows are
-independent tasks, each with one kernel call for its cells' coarse t2
-curves and one call per round of their refinements' probes, so grids may
-be evaluated by a worker pool.  A search whose curve is symmetric about its
-window centre asks that coarse call for the centre as well, and takes the
-value there as its first probe, which is then no call of its own.  Results
-are written into preallocated arrays indexed by grid coordinates and
-reduced in a fixed row-major order, which makes output byte-identical for
-any worker count.
+(r, L) plane of the window projector for squeezed vacuum.  The grid's rows
+are split into contiguous bands, one per worker, and the t2 searches of a
+band's cells run together in lock-step rounds: the first round their coarse
+t2 curves, each later one their refinements' next probes, every round
+served in calls of at most a grid row's requests, so that no kernel call is
+larger than a row.  A search whose curve is symmetric about its window
+centre asks its coarse call for the centre as well, and takes the value
+there as its first probe, which is then no call of its own.  Each column of
+a call equals its own call bit for bit, and results are written into
+preallocated arrays indexed by grid coordinates and reduced in a fixed
+row-major order, which makes output byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -72,8 +74,7 @@ class T2Search:
 
     def grid(self) -> np.ndarray:
         """The coarse grid of t2 values, read-only and built once per search
-        spec: every search of a scan row or of :func:`global_minimize` shares
-        it."""
+        spec: every search of a scan or of :func:`global_minimize` shares it."""
         return self._grid
 
     @functools.cached_property
@@ -96,6 +97,9 @@ class T2Minimum(tuple):
         out = super().__new__(cls, (q, t2))
         out.evals, out.capped, out.reflected = evals, capped, reflected
         return out
+
+    def __reduce__(self):
+        return T2Minimum, (*self, self.evals, self.capped, self.reflected)
 
 
 def minimize_over_t2(evaluator, curve, search: T2Search) -> T2Minimum:
@@ -190,7 +194,7 @@ def _folds(search: T2Search, period: float) -> bool:
     ceil(K/2) values of ``search.grid()`` on the rest: K >= 4, and every
     pair t_k + t_{K-1-k} is one multiple m P within 4 ulps of m P, so that
     q(t_{K-1-k}) = q(m P - t_k) = q(t_k).  Cached, because every search of a
-    scan row, and of a minimization, shares its spec."""
+    scan, and of a minimization, shares its spec."""
     grid = search.grid()
     pairs = grid + grid[::-1]
     target = round(pairs[0] / period) * period
@@ -351,15 +355,17 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid of t2-minimized quasi-probabilities with the global minimum, the
-    seconds spent on the coarse curves and on the refinements, the
-    refinements' probes, and ``refine_capped``, the cells whose
-    refinement spent its whole ``t2_refine_iters`` before its step fell below
-    ``XATOL``, each summed over the grid's rows (over every worker) and
-    counting only the cells that ran a search; ``mirror_filled`` is the
-    number of cells filled from their time-reversal partner instead
-    (:func:`_mirror_partners`), and ``reflected`` the number of searched
-    cells whose coarse curve ran on half its grid (:func:`_t2_search`)."""
+    """Grid of t2-minimized quasi-probabilities with the global minimum.
+    ``coarse_s`` sums each band's seconds up to its first served round, the
+    coarse curves, and ``refine_s`` the rest of its seconds, the
+    refinements' probes, over every band (every worker).  ``refine_evals``
+    is the refinements' probes, and ``refine_capped`` the cells whose
+    refinement spent its whole ``t2_refine_iters`` before its step fell
+    below ``XATOL``, each counting only the cells that ran a search;
+    ``mirror_filled`` is the number of cells filled from their time-reversal
+    partner instead (:func:`_mirror_partners`), and ``reflected`` the number
+    of searched cells whose coarse curve ran on half its grid
+    (:func:`_t2_search`)."""
 
     config: ScanConfig
     axis1: np.ndarray
@@ -409,46 +415,33 @@ def _mirror_partners(config: ScanConfig, axis2: np.ndarray) -> list:
     return [index.get(-float(p0)) if p0 < 0 else None for p0 in axis2]
 
 
-def _scan_row(task):
-    """Minimize over t2 in the cells of one grid row: the searches
-    (:func:`_t2_search`) of the cells that ``partners`` does not fill
-    (:func:`_mirror_partners`) run in lock-step rounds (:func:`_drive`),
-    each round served in one call per request kind (:func:`_serve`), the
-    first round the cells' coarse curves and the later ones their probes.  A
-    filled cell takes its partner's q and its t2 negated and folded into the
-    window.  A cell whose evaluator, search or requests raise is NaN by
-    itself (:func:`_serve_kept`), and so is a cell filled from it.  Returns
-    each cell's ``(q, t2, failed)``, the row's coarse and refinement seconds,
-    the probes of its searched cells' refinements, the number of
-    them that were capped and the number of them whose coarse curve ran on
-    half its grid."""
-    config, a1, axis2, partners = task
-    search = config.t2_search()
+def _scan_band(task):
+    """Minimize over t2 in the searched cells of a band of grid rows: their
+    searches (:func:`_t2_search`), in row-major order, run in lock-step
+    rounds (:func:`_drive`), the first round their coarse curves and the
+    later ones their probes.  Each round is served in consecutive slices of
+    at most ``axis2_steps`` requests, each one call per request kind
+    (:func:`_serve`), so no kernel call is larger than a grid row's.  A cell
+    whose evaluator, search or requests raise is None by itself
+    (:func:`_serve_kept`).  Returns each cell's :class:`T2Minimum` or None,
+    the band's seconds to its first served round, and the rest."""
+    config, rows, columns = task
+    search, step = config.t2_search(), config.axis2_steps
     start = time.perf_counter()
     served = []
 
     def serve(requests) -> list:
-        answers = _serve_kept(requests)
+        answers = []
+        for k in range(0, len(requests), step):
+            answers += _serve_kept(requests[k:k + step])
         served.append(time.perf_counter())
         return answers
 
-    driven = [j for j, k in enumerate(partners) if k is None]
-    found = dict(zip(driven, _drive([_kept_search(config, a1, float(axis2[j]), search)
-                                     for j in driven], serve)))
+    found = _drive([_kept_search(config, a1, a2, search) for a1 in rows for a2 in columns],
+                   serve)
     end = time.perf_counter()
     coarse = (served[0] if served else end) - start
-    done = [f for f in found.values() if f is not None]
-    period = search.t2_max - search.t2_min
-    cells = []
-    for j, k in enumerate(partners):
-        f = found[j if k is None else k]
-        if f is None:
-            cells.append((math.nan, math.nan, True))
-            continue
-        t2 = f[1] if k is None else search.t2_min + (-f[1] - search.t2_min) % period
-        cells.append((f[0], t2 / config.omega, False))
-    return (cells, coarse, end - start - coarse, sum(f.evals for f in done),
-            sum(f.capped for f in done), sum(f.reflected for f in done))
+    return found, coarse, end - start - coarse
 
 
 def _kept_search(config: ScanConfig, a1: float, a2: float, search: T2Search):
@@ -564,46 +557,51 @@ def _serve_kept(requests) -> list:
 def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     """Evaluate the t2-minimized quasi-probability on the configured grid.
 
-    The tasks are the grid's rows (:func:`_scan_row`), whatever the number of
-    ``workers``: each row evaluates its cells' coarse t2 curves in one kernel
-    call and then refines its cells in lock-step rounds, one kernel call per
-    round and family on the series route.  When the config is symmetric under
-    time reversal, each row searches only one cell of each mirror pair and
-    fills the other (:func:`_mirror_partners`), and a cell that time reversal
+    The grid's rows are split into ``min(workers, rows)`` contiguous bands,
+    each one task (:func:`_scan_band`): the t2 searches of a band's cells run
+    together in lock-step rounds, the first round their coarse t2 curves and
+    each later one their refinements' next probes, every round served in
+    slices of at most a grid row's requests, one kernel call per slice and
+    family on the series route.  When the config is symmetric under time
+    reversal, only one cell of each mirror pair is searched and the other is
+    filled from it (:func:`_mirror_partners`), and a cell that time reversal
     leaves unchanged evaluates its coarse curve on half its grid and its
     window centre, on any route (:func:`_t2_search`); the centre's value is
     the first probe of its refinement when the minimum lies next to it, and
     is not counted in ``refine_evals``.  Per-cell failures are recorded as
-    NaN cells, not raised.  The rows run in one process, or in a pool of
-    ``workers`` processes, at most one per row.  The reduction to the global
-    minimum runs single-threaded in row-major order, so the result does not
-    depend on ``workers``.
+    NaN cells, not raised.  The bands run in one process, or in a pool of
+    one process per band.  Each cell's value is that of its own search, and
+    the reduction to the global minimum runs single-threaded in row-major
+    order, so the result does not depend on ``workers``.
     """
     ax1 = config.axis1_values()
     ax2 = config.axis2_values()
     partners = _mirror_partners(config, ax2)
-    tasks = [(config, float(a1), ax2, partners) for a1 in ax1]
+    searched = [j for j, k in enumerate(partners) if k is None]
+    # each cell's index among its row's searched cells: its own, or its partner's
+    source = [searched.index(j if k is None else k) for j, k in enumerate(partners)]
+    bands = min(max(workers, 1), len(ax1))
+    edges = [len(ax1) * b // bands for b in range(bands + 1)]
+    tasks = [(config, [float(a1) for a1 in ax1[lo:hi]], [float(ax2[j]) for j in searched])
+             for lo, hi in zip(edges, edges[1:])]
+    if bands > 1:
+        with get_context("fork").Pool(bands) as pool:
+            results = pool.map(_scan_band, tasks, chunksize=1)
+    else:
+        results = map(_scan_band, tasks)
+    per_band, coarse, refine = zip(*results)
+    found = [f for band in per_band for f in band]
     q_min = np.full((len(ax1), len(ax2)), math.nan)
     t2_arg = np.full_like(q_min, math.nan)
-    n_failed = 0
-    coarse_s = refine_s = 0.0
-    refine_evals = refine_capped = reflected = 0
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_scan_row, tasks, chunksize=1)
-    else:
-        results = map(_scan_row, tasks)
-    for i, (cells, coarse, refine, evals, capped, half) in enumerate(results):
-        for j, (q, t2, failed) in enumerate(cells):
-            q_min[i, j] = q
-            t2_arg[i, j] = t2
-            n_failed += int(failed)
-        coarse_s += coarse
-        refine_s += refine
-        refine_evals += evals
-        refine_capped += capped
-        reflected += half
+    search = config.t2_search()
+    period = search.t2_max - search.t2_min
+    for i in range(len(ax1)):
+        for j, k in enumerate(partners):
+            f = found[i * len(searched) + source[j]]
+            if f is not None:  # a failed cell, and a cell filled from it, stay NaN
+                t2 = f[1] if k is None else search.t2_min + (-f[1] - search.t2_min) % period
+                q_min[i, j], t2_arg[i, j] = f[0], t2 / config.omega
+    done = [f for f in found if f is not None]
 
     if np.isfinite(q_min).any():
         flat = np.where(np.isfinite(q_min), q_min, np.inf).ravel()
@@ -618,12 +616,13 @@ def scan_plane(config: ScanConfig, workers: int = 1) -> ScanResult:
     else:
         gmin, garg = math.nan, (math.nan, math.nan, math.nan)
     return ScanResult(config=config, axis1=ax1, axis2=ax2, q_min=q_min,
-                      t2_argmin=t2_arg, n_failed=n_failed,
+                      t2_argmin=t2_arg, n_failed=int(np.isnan(q_min).sum()),
                       global_min=gmin, global_argmin=garg,
-                      coarse_s=coarse_s, refine_s=refine_s, refine_evals=refine_evals,
-                      refine_capped=refine_capped,
-                      mirror_filled=len(ax1) * (len(ax2) - partners.count(None)),
-                      reflected=reflected)
+                      coarse_s=sum(coarse), refine_s=sum(refine),
+                      refine_evals=sum(f.evals for f in done),
+                      refine_capped=sum(f.capped for f in done),
+                      mirror_filled=len(ax1) * (len(ax2) - len(searched)),
+                      reflected=sum(f.reflected for f in done))
 
 
 # ---------------------------------------------------------------------------

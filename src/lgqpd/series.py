@@ -230,7 +230,7 @@ def _fill_singular(q, singular, phi, region, s1: int, s2: int, cut1, cut2, weigh
 @functools.lru_cache(maxsize=8)
 def _t1_geometry(r: float, theta0: float, t1: float):
     """lambda(t1) and beta(t1) of one squeezing: the t1 half of the geometry
-    that every call of a row's cells shares."""
+    that every call of a scan's cells shares."""
     return lambda_of(t1, r, theta0), phase_beta_of(t1, r, theta0)
 
 

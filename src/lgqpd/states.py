@@ -174,9 +174,11 @@ def phase_beta_of(t, r: float, theta0: float):
 
 def _beta_and_rates(t, r: float, theta0: float, lam=None) -> list:
     """[beta(t)], and given lambda(t) as ``lam``, [beta(t), beta'(t),
-    lambda'(t)]: the rates of :func:`phase_beta_dot` and :func:`lambda_dot`
-    read A(t) and sin(theta0 - 2t) from beta's evaluation, and lambda, in
-    place of forming them again."""
+    lambda'(t)]: beta'(t) = 2 cosh(r) A(t) / lambda(t)^2 - 2, with A(t) as in
+    :func:`phase_beta_of`, whose A^2 + B^2 is lambda(t)^2, and lambda'(t) =
+    sinh(2r) sin(theta0 - 2t) / lambda(t), each reading A(t) and
+    sin(theta0 - 2t) from beta's evaluation, and lambda, in place of
+    forming them again."""
     u = theta0 - 2 * t
     a, s = math.cosh(r) + np.cos(u) * math.sinh(r), np.sin(u)
     out = [np.arctan2(s * math.sinh(r), a)]
@@ -188,18 +190,6 @@ def _beta_and_rates(t, r: float, theta0: float, lam=None) -> list:
 def x_xi_of(t, xi: complex):
     """Mean trajectory x_xi(t) = sqrt(2) Re[xi e^{-i t}] = x0 cos t + p0 sin t."""
     return SQRT2 * (xi.real * np.cos(t) + xi.imag * np.sin(t))
-
-
-def lambda_dot(t, r: float, theta0: float):
-    """d lambda/dt = -sinh(2r) sin(2t - theta0) / lambda(t)."""
-    return -math.sinh(2 * r) * np.sin(2 * t - theta0) / lambda_of(t, r, theta0)
-
-
-def phase_beta_dot(t, r: float, theta0: float):
-    """d beta/dt = 2 cosh(r) A(t) / lambda(t)^2 - 2, with A(t) as in
-    :func:`phase_beta_of`, whose A^2 + B^2 is lambda(t)^2."""
-    a = math.cosh(r) + np.cos(theta0 - 2 * t) * math.sinh(r)
-    return 2.0 * math.cosh(r) * a / lambda_of(t, r, theta0) ** 2 - 2.0
 
 
 def x_xi_dot(t, xi: complex):

@@ -8,8 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 from lgqpd import (CapabilityError, MeasurementSpec, OffsetFunction, OracleInfo,
-                   StateSpec, TruncationError, fock, gamma_from, q_oracle_curve,
-                   qpd_oracle, thermal_m_cut, thermal_weight)
+                   StateSpec, TruncationError, fock, gamma_from, qpd_oracle,
+                   thermal_m_cut, thermal_weight)
 from lgqpd.fock import _state_columns, projector_matrix
 from lgqpd.matrix_elements import j_block
 from lgqpd.special import composite_gauss_legendre, psi_rows
@@ -257,8 +257,8 @@ class TestCaches:
             state = StateSpec.from_phase_space(x0, p0, r, th, n_th)
             for s1, s2 in SIGN_PAIRS:
                 qpd_oracle(state, MeasurementSpec.sign(), s1, s2, 0.3, 1.1 + 0.2 * k, dim=120)
-            q_oracle_curve(state, MeasurementSpec.sign(), 1, -1, 0.3,
-                           np.linspace(0.5, 3.0, 7), dim=120)
+            fock._oracle(state, MeasurementSpec.sign(), 1, -1, 0.3,
+                         np.linspace(0.5, 3.0, 7), dim=120)[0]
         # one [0, inf) overlap, a displacement chain and two squeeze parity chains
         assert fock._overlap_blocks.cache_info().misses == 1
         assert fock._chain_svd.cache_info().misses == 3
@@ -266,8 +266,8 @@ class TestCaches:
         for s in (1, -1):
             projector_matrix(MeasurementSpec.sign(), s, 0.0, 120)
             for t2 in (0.5, 1.5):
-                q_oracle_curve(StateSpec(r=0.4), MeasurementSpec.window(1.1), s, -s, 0.0,
-                               np.array([0.0, t2]), dim=120)
+                fock._oracle(StateSpec(r=0.4), MeasurementSpec.window(1.1), s, -s, 0.0,
+                             np.array([0.0, t2]), dim=120)[0]
         assert fock._overlap_blocks.cache_info().misses == 2
         assert len(quadratures) == 2
 
@@ -403,7 +403,7 @@ class TestOracleArguments:
         with pytest.raises(ValueError, match="t2 must be finite"):
             qpd_oracle(state, meas, 1, 1, 0.0, bad, dim=40)
         with pytest.raises(ValueError, match="t2 must be finite"):
-            q_oracle_curve(state, meas, 1, -1, 0.0, np.array([0.5, bad, 1.0]), dim=40)
+            fock._oracle(state, meas, 1, -1, 0.0, np.array([0.5, bad, 1.0]), dim=40)[0]
         with pytest.raises(ValueError, match="t must be finite"):
             projector_matrix(meas, 1, bad, 40)
 
@@ -420,6 +420,6 @@ class TestOracleCurve:
         # long enough to split the thermal columns into several products
         grid = np.concatenate([[t1], np.linspace(0.1, 5.0, 17), [t1, 2.2]])
         for s1, s2 in SIGN_PAIRS:
-            curve = q_oracle_curve(state, meas, s1, s2, t1, grid, dim=120)
+            curve = fock._oracle(state, meas, s1, s2, t1, grid, dim=120)[0]
             point = [qpd_oracle(state, meas, s1, s2, t1, t2, dim=120) for t2 in grid]
             assert np.max(np.abs(curve - point)) <= 1e-15

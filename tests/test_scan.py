@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import itertools
 import json
 import math
+import pickle
 import threading
 from pathlib import Path
 
@@ -349,6 +351,15 @@ class TestMinimizeOverT2:
         assert minimize_over_t2(evaluator, np.cos, search).capped
         assert not minimize_over_t2(evaluator, np.cos, dataclasses.replace(
             search, refine_iters=40)).capped
+
+    def test_a_minimum_survives_pickle_and_copy(self):
+        # band results cross the worker pool as T2Minimum records
+        found = scan.T2Minimum(-0.02, 1.5, 7, False, True)
+        twins = [pickle.loads(pickle.dumps(found, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.copy(found), copy.deepcopy(found)]:
+            assert type(twin) is scan.T2Minimum and twin == (-0.02, 1.5)
+            assert (twin.evals, twin.capped, twin.reflected) == (7, False, True)
 
     def test_benchmark_row(self):
         evaluator, curve = named_evaluator(
@@ -1126,6 +1137,109 @@ class TestMirror:
             assert lo <= folded < hi
             if lo == 0.0 and t2 in (lo, hi):
                 assert folded == 0.0
+
+
+#: one scan of each family on five rows: a pure sign panel with mirrors and a
+#: p0 = 0 column, a thermal one, the window rL plane, the integral route with
+#: an offset and a thermal oracle
+BAND_CASES = {
+    "sign": dict(plane="x0p0", route="series", s1=1, s2=-1, r=0.5, axis2_min=-1.0,
+                 axis2_max=1.0, axis2_steps=5, n_max=80),
+    "thermal": dict(plane="x0p0", route="series", s1=-1, s2=1, r=0.5, n_th=0.8,
+                    axis2_min=-1.0, axis2_max=1.0, axis2_steps=5, n_max=80),
+    "window": dict(plane="rL", route="series", s1=1, s2=1, axis1_min=0.0, axis1_max=0.4,
+                   axis2_min=0.8, axis2_max=1.3, axis2_steps=4, t2_min=0.05,
+                   t2_max=math.pi, n_max=100),
+    "integral_offset": dict(plane="x0p0", route="integral", s1=1, s2=-1, r=0.5,
+                            offset_amp=0.4, offset_phase=0.3, axis2_min=-1.0,
+                            axis2_max=1.0, axis2_steps=3),
+    "thermal_oracle": dict(plane="x0p0", route="oracle", s1=1, s2=-1, r=0.5, n_th=0.5,
+                           axis2_min=0.3, axis2_max=2.0, axis2_steps=3, oracle_dim=120),
+}
+
+
+def band_config(case: str) -> ScanConfig:
+    settings = dict(axis1_min=-1.0, axis1_max=1.0, axis1_steps=5, t2_coarse_steps=40,
+                    t2_refine_iters=12)
+    return ScanConfig(**dict(settings, **BAND_CASES[case]))
+
+
+class TestBands:
+    """scan_plane splits the grid's rows into one contiguous band per worker
+    and drives a band's searched cells together, each round served in calls
+    of at most a row's requests; every cell is that of its own search."""
+
+    COUNTS = ("n_failed", "refine_evals", "refine_capped", "mirror_filled", "reflected")
+
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_a_scan_equals_its_stacked_one_row_scans(self, case):
+        cfg = band_config(case)
+        rows = [scan_plane(dataclasses.replace(cfg, axis1_min=float(a1), axis1_steps=1))
+                for a1 in cfg.axis1_values()]
+        q = np.vstack([row.q_min for row in rows])
+        t2 = np.vstack([row.t2_argmin for row in rows])
+        counts = {name: sum(getattr(row, name) for row in rows) for name in self.COUNTS}
+        assert counts["n_failed"] == 0
+        if case in ("sign", "thermal"):
+            assert counts["mirror_filled"] == 10 and counts["reflected"] == 5
+        for workers in (1, 2, 4):  # 5 rows: bands of 5, 2/3 and 1/1/1/2 rows
+            res = scan_plane(cfg, workers=workers)
+            assert res.q_min.tobytes() == q.tobytes()
+            assert res.t2_argmin.tobytes() == t2.tobytes()
+            assert {name: getattr(res, name) for name in self.COUNTS} == counts
+
+    @pytest.mark.parametrize("how", ["evaluator", "kernel"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_cell_fails_with_its_mirror_alone(self, monkeypatch, how, workers):
+        # three cells searched per row and rounds served five requests at a
+        # time, so the failing cell's slice holds cells of two rows
+        cfg = band_config("sign")
+        clean = scan_plane(cfg)
+        bad = (float(cfg.axis1_values()[1]), float(cfg.axis2_values()[3]))
+        if how == "evaluator":
+            real = scan._cell_evaluator
+
+            def failing(config, a1, a2):
+                if (a1, a2) == bad:
+                    raise FloatingPointError("injected")
+                return real(config, a1, a2)
+            monkeypatch.setattr(scan, "_cell_evaluator", failing)
+        else:
+            real = series._q_pure
+
+            def failing(inputs, column, *args):
+                # column[0] is the batch's list of states
+                if any(abs(s.x0 - bad[0]) + abs(s.p0 - bad[1]) < 1e-12 for s in column[0]):
+                    raise FloatingPointError("injected")
+                return real(inputs, column, *args)
+            monkeypatch.setattr(series, "_q_pure", failing)
+        res = scan_plane(cfg, workers=workers)
+        assert res.n_failed == 2
+        assert np.argwhere(np.isnan(res.q_min)).tolist() == [[1, 1], [1, 3]]
+        assert np.isnan(res.t2_argmin[1, [1, 3]]).all()
+        keep = ~np.isnan(res.q_min)
+        assert res.q_min[keep].tobytes() == clean.q_min[keep].tobytes()
+        assert res.t2_argmin[keep].tobytes() == clean.t2_argmin[keep].tobytes()
+
+    @pytest.mark.parametrize("case", ["sign", "thermal", "window"])
+    def test_no_kernel_call_is_larger_than_a_row(self, monkeypatch, case):
+        cfg = band_config(case)
+        sizes, real = [], series._cell_calls
+
+        def counting(cells, t2, slope):
+            sizes.append(len(cells))
+            return real(cells, t2, slope)
+
+        monkeypatch.setattr(series, "_cell_calls", counting)
+        monkeypatch.setattr(scan, "_cell_calls", counting)
+        res = scan_plane(cfg)
+        assert res.n_failed == 0
+        # a symmetric row searches 3 of its 5 cells: the rounds pool the rows
+        assert max(sizes) == cfg.axis2_steps
+        # the coarse round is one call per slice of a row's size
+        searched = cfg.axis1_steps * cfg.axis2_steps - res.mirror_filled
+        assert sizes[:-(-searched // cfg.axis2_steps)] == [
+            min(cfg.axis2_steps, searched - k) for k in range(0, searched, cfg.axis2_steps)]
 
 
 class TestGlobalMinimize:

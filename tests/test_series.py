@@ -22,8 +22,9 @@ from lgqpd.series import (SINGULAR_PHASE_TOL, _BLOCK_DOUBLES, _cached_phase_tabl
                           _phase_tables, _psi_sq_weights, _sign_inputs, _t1_geometry,
                           _window_inputs, _window_region)
 from lgqpd.special import HARD_N_CAP, averaged_partial_sum
-from lgqpd.states import T2_PERIOD, lambda_dot, phase_beta_dot, x_xi_dot
+from lgqpd.states import T2_PERIOD, x_xi_dot
 from test_matrix_elements import quadrature_diag_row, window_row
+from test_states import lambda_dot, phase_beta_dot
 
 TWO_PI = 2 * math.pi
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -687,7 +688,7 @@ class TestGeometry:
     """_columns evaluates the geometry of a batch once per distinct
     squeezing, over a shared grid or one t2 per column; each column equals
     the closed forms of its own state bit for bit, the rates included: the
-    public lambda_dot and phase_beta_dot form their own A(t), sin(2t -
+    test-local lambda_dot and phase_beta_dot form their own A(t), sin(2t -
     theta0) and lambda, where _columns reads them from beta's evaluation."""
 
     @pytest.mark.parametrize("t1", [0.0, 0.3, -2.1, 7.5])

@@ -10,10 +10,23 @@ from lgqpd import (CapabilityError, OffsetFunction, StateSpec, gamma_from, lambd
                    n_th_from_temperature, named_evaluator, phase_beta_of,
                    reduce_squeezed_to_coherent, thermal_m_cut, thermal_weight,
                    x_xi_of)
-from lgqpd.states import (T2_PERIOD, ZERO_OFFSET, lambda_dot, phase_beta_dot,
-                          time_reversal_fixes, x_xi_dot)
+from lgqpd.states import T2_PERIOD, ZERO_OFFSET, time_reversal_fixes, x_xi_dot
 
 SQRT2 = math.sqrt(2.0)
+
+
+def lambda_dot(t, r: float, theta0: float):
+    """d lambda/dt = -sinh(2r) sin(2t - theta0) / lambda(t), formed on its
+    own: the closed form that the rates of ``states._beta_and_rates`` are
+    checked against."""
+    return -math.sinh(2 * r) * np.sin(2 * t - theta0) / lambda_of(t, r, theta0)
+
+
+def phase_beta_dot(t, r: float, theta0: float):
+    """d beta/dt = 2 cosh(r) A(t) / lambda(t)^2 - 2, with A(t) = cosh r +
+    cos(theta0 - 2t) sinh r, formed on its own as :func:`lambda_dot` is."""
+    a = math.cosh(r) + np.cos(theta0 - 2 * t) * math.sinh(r)
+    return 2.0 * math.cosh(r) * a / lambda_of(t, r, theta0) ** 2 - 2.0
 
 
 def dense_displace_squeeze(xi, zeta, dim=200):
